@@ -120,6 +120,16 @@ class DetectConfig:
     max_dets: int = 20
     base_bonus: float = 0.1
 
+    def validate(self) -> None:
+        for name in ("pre_nms_k", "post_nms_k", "max_dets"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+                raise ConfigError(f"detect.{name} must be an integer >= 1, got {v!r}")
+        for name in ("proposal_nms_iou", "nms_iou", "score_thresh"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0.0 <= v <= 1.0:
+                raise ConfigError(f"detect.{name} must lie in [0, 1], got {v!r}")
+
 
 @dataclass
 class EvalConfig:
@@ -142,6 +152,7 @@ class ExperimentConfig:
     def validate(self) -> None:
         self.pretrain.validate()
         self.finetune.validate()
+        self.detect.validate()
         d = self.dataset
         if not 0 < d.num_novel < d.num_classes:
             raise ConfigError("need 0 < num_novel < num_classes")

@@ -293,7 +293,7 @@ class Proposals:
 
 def propose(objectness: np.ndarray, deltas: np.ndarray, anchors: AnchorGrid,
             dcfg: DetectConfig, side: float) -> Proposals:
-    """Top-k by objectness, decode, clip, greedy NMS, top-k again."""
+    """Top-k by objectness, decode, clip, greedy NMS stopped at post_nms_k kept."""
     objectness = np.asarray(objectness, dtype=np.float64).reshape(-1)
     if len(objectness) != len(anchors) or deltas.shape != (len(anchors), 4):
         raise ParameterError("objectness/deltas not aligned with the anchor grid")
@@ -304,7 +304,7 @@ def propose(objectness: np.ndarray, deltas: np.ndarray, anchors: AnchorGrid,
     h = boxes[:, 3] - boxes[:, 1]
     ok = (w > 1e-6) & (h > 1e-6)
     boxes, scores = boxes[ok], scores[ok]
-    kept = nms(boxes, scores, dcfg.proposal_nms_iou)[:dcfg.post_nms_k]
+    kept = nms(boxes, scores, dcfg.proposal_nms_iou, max_keep=dcfg.post_nms_k)
     return Proposals(boxes=np.ascontiguousarray(boxes[kept]), scores=np.ascontiguousarray(scores[kept]))
 
 
@@ -391,7 +391,9 @@ def _merge_candidates(cands: list[tuple[np.ndarray, int, float, str]],
     kept_idx: list[int] = []
     for cid in sorted(set(classes.tolist())):
         members = np.flatnonzero(classes == cid)
-        kept = nms(boxes[members], ranks[members], dcfg.nms_iou)
+        # A class's boxes past its first max_dets kept rank below all of those,
+        # so they can never reach the global top max_dets.
+        kept = nms(boxes[members], ranks[members], dcfg.nms_iou, max_keep=dcfg.max_dets)
         kept_idx.extend(int(members[j]) for j in kept)
     kept_idx.sort(key=lambda i: (-ranks[i], i))
     kept_idx = kept_idx[:dcfg.max_dets]

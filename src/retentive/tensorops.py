@@ -77,7 +77,8 @@ def fixed_featurizer(image: np.ndarray, feat_seed: int, channels: int = 32) -> n
     x = avgpool2(np.maximum(x, 0.0))
     x = conv3x3(x, w2)
     x = avgpool2(np.maximum(x, 0.0))
-    assert np.isfinite(x).all()
+    if not np.isfinite(x).all():
+        raise NumericError("featurizer output is not finite; the image holds NaN or inf")
     return x
 
 
@@ -165,25 +166,52 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def nms(boxes: np.ndarray, scores: np.ndarray, iou_thresh: float) -> np.ndarray:
+NMS_BLOCK = 64
+
+
+def nms(boxes: np.ndarray, scores: np.ndarray, iou_thresh: float,
+        max_keep: int | None = None) -> np.ndarray:
     """Greedy suppression by descending score, ties broken by lower index.
 
-    Returns kept indices ordered by (score desc, index asc).
+    Returns kept indices ordered by (score desc, index asc). With ``max_keep``
+    the pass stops once that many boxes are kept, so the result is the first
+    ``max_keep`` entries of the unlimited result.
+
+    Boxes are ranked once; IoU is then computed for a block of NMS_BLOCK
+    ranked rows against every box ranked at or after the block's first row,
+    and each kept row's overlaps are OR-ed into the suppression mask. A block
+    whose rows are all suppressed already is skipped. Every IoU element is the
+    same elementwise float64 arithmetic as a one-row ``iou_matrix`` call, so
+    the kept set does not depend on the block size.
     """
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
-    if len(boxes) != len(scores):
+    n = len(scores)
+    if len(boxes) != n:
         raise ParameterError("boxes and scores lengths differ")
-    order = np.lexsort((np.arange(len(scores)), -scores))
-    kept = []
-    suppressed = np.zeros(len(scores), dtype=bool)
-    for idx in order:
-        if suppressed[idx]:
+    if max_keep is not None and max_keep < 0:
+        raise ParameterError(f"max_keep must be >= 0, got {max_keep}")
+    limit = n if max_keep is None else min(int(max_keep), n)
+    order = np.lexsort((np.arange(n), -scores))
+    ranked = boxes[order]
+    kept: list[int] = []
+    suppressed = np.zeros(n, dtype=bool)
+    for s in range(0, n, NMS_BLOCK):
+        if len(kept) >= limit:
+            break
+        e = min(s + NMS_BLOCK, n)
+        if suppressed[s:e].all():
             continue
-        kept.append(idx)
-        overlaps = iou_matrix(boxes[idx:idx + 1], boxes[order])[0]
-        suppressed[order[overlaps > iou_thresh]] = True
-    return np.asarray(kept, dtype=np.int64)
+        over = iou_matrix(ranked[s:e], ranked[s:]) > iou_thresh
+        tail = suppressed[s:]
+        for r in range(e - s):
+            if tail[r]:
+                continue
+            kept.append(s + r)
+            if len(kept) >= limit:
+                break
+            tail |= over[r]
+    return order[np.asarray(kept, dtype=np.int64)]
 
 
 def clip_boxes(boxes: np.ndarray, side: float) -> np.ndarray:

@@ -286,6 +286,28 @@ def test_main_exit_code_for_bad_config(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("entry", [
+    "pre_nms_k: 0", "post_nms_k: -1", "post_nms_k: 2.5", "max_dets: 0",
+    "proposal_nms_iou: 1.5", "nms_iou: -0.1", "nms_iou: '0.5'", "score_thresh: 2",
+])
+def test_bad_detect_config_exits_2(tmp_path, entry):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(f"detect:\n  {entry}\n", encoding="utf-8")
+    with pytest.raises(ConfigError):
+        load_config(bad)
+    code = main(["eval", "--config", str(bad), "--seed", "1",
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+
+
+def test_detect_config_accepts_boundary_values(tmp_path):
+    path = tmp_path / "edge.yaml"
+    path.write_text("detect:\n  pre_nms_k: 1\n  post_nms_k: 1\n  max_dets: 1\n"
+                    "  proposal_nms_iou: 1.0\n  nms_iou: 0\n  score_thresh: 0.0\n",
+                    encoding="utf-8")
+    assert load_config(path).detect.post_nms_k == 1
+
+
 def test_main_exit_code_for_staleness(tiny_yaml, tmp_path):
     out = tmp_path / "s"
     assert main(["gen-data", "--config", str(tiny_yaml), "--seed", "6",

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import nms_oracle
 from retentive import detector as D
 from retentive import tensorops as T
 from retentive.config import DetectConfig, ModelConfig
@@ -221,6 +222,32 @@ def test_propose_matches_composed_oracle():
     assert np.allclose(props.scores, np.asarray([scores[i] for i in kept]))
 
 
+def _full_oracle_nms(kept_counts):
+    """Stand-in for ``nms`` that ignores ``max_keep``: the whole greedy pass."""
+    def full(boxes, scores, iou_thresh, max_keep=None):
+        kept = nms_oracle(boxes, scores, iou_thresh)
+        kept_counts.append(len(kept))
+        return np.asarray(kept, dtype=np.int64)
+    return full
+
+
+def test_propose_early_stop_matches_full_nms_then_cut(monkeypatch):
+    anchors = T.generate_anchors(16, 16, stride=4.0, scales=(8.0, 16.0, 32.0))
+    rng = np.random.default_rng(8)
+    obj = np.round(rng.random(768), 2)
+    deltas = rng.normal(0.0, 0.2, size=(768, 4))
+    dcfg = DetectConfig(pre_nms_k=256, post_nms_k=12, proposal_nms_iou=0.5)
+    got = D.propose(obj, deltas, anchors, dcfg, side=64.0)
+
+    kept_counts = []
+    monkeypatch.setattr(D, "nms", _full_oracle_nms(kept_counts))
+    full = D.propose(obj, deltas, anchors, dcfg, side=64.0)
+    assert kept_counts[0] > dcfg.post_nms_k
+    assert len(got) == dcfg.post_nms_k
+    assert got.boxes.tobytes() == full.boxes[:dcfg.post_nms_k].tobytes()
+    assert got.scores.tobytes() == full.scores[:dcfg.post_nms_k].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # roi heads
 # ---------------------------------------------------------------------------
@@ -313,6 +340,26 @@ def test_merge_max_dets_cut_uses_rank():
     dets = D._merge_candidates(cands, DetectConfig(max_dets=1))
     assert len(dets) == 1
     assert dets[0].class_id == 2 and dets[0].source_head == "base"
+
+
+def test_merge_early_stop_matches_full_nms_then_cut(monkeypatch):
+    rng = np.random.default_rng(12)
+    cands = []
+    for _ in range(120):
+        xy = rng.integers(0, 50, size=2).astype(np.float64)
+        box = np.concatenate([xy, xy + rng.integers(4, 14, size=2)])
+        cid = 3 if rng.random() < 0.7 else int(rng.integers(0, 12))
+        head = "base" if rng.random() < 0.5 else "novel"
+        cands.append((box, cid, round(float(rng.random()), 1), head))
+    dcfg = DetectConfig(max_dets=6)
+    got = D._merge_candidates(cands, dcfg)
+
+    kept_counts = []
+    monkeypatch.setattr(D, "nms", _full_oracle_nms(kept_counts))
+    full = D._merge_candidates(cands, dcfg)
+    assert max(kept_counts) > dcfg.max_dets
+    assert len(got) == dcfg.max_dets
+    assert got == full
 
 
 def test_detect_requires_stages():

@@ -1,8 +1,12 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import nms_oracle
 from retentive import tensorops as T
 from retentive.errors import NumericError, ParameterError
 
@@ -40,6 +44,23 @@ def test_featurizer_seed_changes_weights():
     a = T.fixed_featurizer(img, feat_seed=1)
     b = T.fixed_featurizer(img, feat_seed=2)
     assert np.any(a != b)
+
+
+def test_featurizer_rejects_non_finite_image():
+    img = np.zeros((64, 64))
+    img[10, 20] = np.nan
+    with pytest.raises(NumericError):
+        T.fixed_featurizer(img, feat_seed=1)
+
+
+def test_package_has_no_bare_assert():
+    """Invariants raise typed errors: ``python -O`` strips assert statements."""
+    pkg = Path(T.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(pkg.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_featurizer_rejects_bad_shapes():
@@ -165,18 +186,6 @@ def test_iou_matrix_agrees_with_scalar():
             assert abs(mat[i, j] - T.iou(boxes[i], boxes[j])) < 1e-12
 
 
-def _nms_oracle(boxes, scores, thresh):
-    """Independent greedy reference: explicit candidate list, no vectorization."""
-    alive = list(range(len(scores)))
-    alive.sort(key=lambda i: (-scores[i], i))
-    kept = []
-    while alive:
-        best = alive.pop(0)
-        kept.append(best)
-        alive = [i for i in alive if T.iou(boxes[best], boxes[i]) <= thresh]
-    return kept
-
-
 def test_nms_single_box():
     kept = T.nms(np.array([[0, 0, 4, 4.0]]), np.array([0.5]), 0.5)
     assert kept.tolist() == [0]
@@ -203,7 +212,41 @@ def test_nms_matches_oracle_random():
         scores = np.round(rng.random(n), 2)  # rounding forces occasional ties
         thresh = float(rng.choice([0.2, 0.5, 0.7]))
         got = T.nms(boxes, scores, thresh).tolist()
-        assert got == _nms_oracle(boxes, scores, thresh), f"trial {trial}"
+        assert got == nms_oracle(boxes, scores, thresh), f"trial {trial}"
+
+
+@st.composite
+def nms_problems(draw):
+    """Up to 300 boxes on a coarse integer grid, so zero-area boxes, duplicate
+    boxes and tied scores all occur and the ranked boxes span several blocks."""
+    n = draw(st.integers(0, 300))
+    corner = st.tuples(st.integers(0, 60), st.integers(0, 60))
+    size = st.tuples(st.integers(0, 12), st.integers(0, 12))
+    raw = draw(st.lists(st.tuples(corner, size), min_size=n, max_size=n))
+    if n:
+        for dst, src in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                      max_size=n // 2)):
+            raw[dst] = raw[src]
+    boxes = np.array([(x, y, x + w, y + h) for (x, y), (w, h) in raw], dtype=np.float64).reshape(-1, 4)
+    score = st.sampled_from([0.1, 0.5, 0.9]) | st.floats(0.0, 1.0)
+    scores = np.array(draw(st.lists(score, min_size=n, max_size=n)), dtype=np.float64)
+    thresh = draw(st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]))
+    max_keep = draw(st.none() | st.integers(0, n))
+    return boxes, scores, thresh, max_keep
+
+
+@settings(deadline=None)
+@given(nms_problems())
+def test_nms_max_keep_is_prefix_of_oracle(problem):
+    boxes, scores, thresh, max_keep = problem
+    got = T.nms(boxes, scores, thresh, max_keep=max_keep)
+    assert got.dtype == np.int64
+    assert got.tolist() == nms_oracle(boxes, scores, thresh)[:max_keep]
+
+
+def test_nms_rejects_negative_max_keep():
+    with pytest.raises(ParameterError):
+        T.nms(np.zeros((1, 4)), np.zeros(1), 0.5, max_keep=-1)
 
 
 def test_nms_output_sorted_by_score_desc():
