@@ -42,6 +42,7 @@ from .detector import (
 from .errors import (
     ConfigError,
     CorruptArtifactError,
+    GenerationError,
     ParameterError,
     StalenessError,
     TrainingError,
@@ -137,12 +138,23 @@ def _write_stamp(path: Path, stage: str, seed: int, config_digest: str,
     path.write_text(canonical_json(payload) + "\n", encoding="utf-8")
 
 
+def _read_stamp(path: Path) -> dict:
+    """A stamp as _write_stamp wrote it; anything else is a corrupt artifact."""
+    try:
+        stamp = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CorruptArtifactError(f"stamp {path} is unreadable: {exc}") from exc
+    if not isinstance(stamp, dict) or not isinstance(stamp.get("outputs"), dict):
+        raise CorruptArtifactError(f"stamp {path} does not hold a stamp object")
+    return stamp
+
+
 def _stage_guard(paths: RunPaths, stage: str, seed: int, config_digest: str,
                  inputs: dict, verify_outputs, runner) -> dict:
     """Skip a completed stage, run a fresh one, or stop on any mismatch."""
     stamp_path = paths.stamp(stage)
     if stamp_path.exists():
-        stamp = json.loads(stamp_path.read_text(encoding="utf-8"))
+        stamp = _read_stamp(stamp_path)
         if stamp.get("config_digest") != config_digest:
             raise StalenessError(
                 f"{stage}: artifacts in {paths.root} were produced under a different "
@@ -351,7 +363,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_root,
         if not paths.stamp(stage).exists():
             raise StalenessError(
                 f"stage {stage!r} has not been run for seed {seed}; run it first")
-        stamp = json.loads(paths.stamp(stage).read_text(encoding="utf-8"))
+        stamp = _read_stamp(paths.stamp(stage))
         if stamp.get("config_digest") != config_digest:
             raise StalenessError(
                 f"{stage}: artifacts in {paths.root} were produced under a different "
@@ -401,6 +413,11 @@ def aggregate_metrics(per_seed: dict[int, dict[str, float]]) -> dict[str, dict]:
     return table
 
 
+# errors that fail one seed of a multirun without stopping the others
+_SEED_FAILURES = (ConfigError, ParameterError, GenerationError, TrainingError,
+                  StalenessError, CorruptArtifactError, OSError)
+
+
 def multirun(cfg: ExperimentConfig, seeds, out_root, stages=STAGES,
              workers: int = 1) -> dict:
     """Run every seed, then fold the per-seed reports into aggregate files."""
@@ -416,15 +433,13 @@ def multirun(cfg: ExperimentConfig, seeds, out_root, stages=STAGES,
             for s, fut in futs.items():
                 try:
                     fut.result()
-                except (ConfigError, ParameterError, TrainingError, StalenessError,
-                        CorruptArtifactError, OSError) as exc:
+                except _SEED_FAILURES as exc:
                     failures[s] = f"{type(exc).__name__}: {exc}"
     else:
         for s in unique:
             try:
                 run_experiment(cfg, s, out_root, stages)
-            except (ConfigError, ParameterError, TrainingError, StalenessError,
-                    CorruptArtifactError, OSError) as exc:
+            except _SEED_FAILURES as exc:
                 failures[s] = f"{type(exc).__name__}: {exc}"
 
     per_seed: dict[int, dict[str, float]] = {}
@@ -645,7 +660,10 @@ def _cmd_pipeline(args, command: str) -> int:
 def _cmd_detect(args) -> int:
     cfg = _resolve_config(args)
     paths = RunPaths(args.out, args.seed)
-    model = load_checkpoint(paths.checkpoint("retentive"))
+    ckpt = paths.checkpoint("retentive")
+    if not ckpt.exists():
+        raise StalenessError(f"no checkpoint at {ckpt}; run finetune for seed {args.seed} first")
+    model = load_checkpoint(ckpt)
     test_ds = load_dataset(paths.dataset_dir("test"))
     strategy = args.rpn_strategy
     lines = []
@@ -721,7 +739,7 @@ def main(argv=None) -> int:
         if args.command == "report":
             return _cmd_report(args)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, ParameterError) as exc:
+    except (ConfigError, ParameterError, GenerationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except TrainingError as exc:

@@ -312,13 +312,7 @@ def roi_features(model: Model, feat: np.ndarray, boxes: np.ndarray) -> np.ndarra
     """Pooled, projected, rectified per-ROI feature rows (P, head_dim)."""
     mcfg = model.mcfg
     proj = model.params.arrays["boxhead_proj/W"]
-    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
-    if len(boxes) == 0:
-        return np.zeros((0, mcfg.head_dim))
-    pooled = np.stack([
-        roi_pool(feat, box, bins=mcfg.roi_pool_bins, stride=float(mcfg.feat_stride))
-        for box in boxes
-    ])
+    pooled = roi_pool(feat, boxes, bins=mcfg.roi_pool_bins, stride=float(mcfg.feat_stride))
     return np.maximum(pooled @ proj.T, 0.0)
 
 

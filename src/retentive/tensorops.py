@@ -310,37 +310,71 @@ def generate_anchors(grid_h: int, grid_w: int, stride: float, scales) -> AnchorG
     )
 
 
-def roi_pool(feat: np.ndarray, box, bins: int, stride: float) -> np.ndarray:
-    """Adaptive average pooling of an image-coordinate box over a feature map.
+def _bin_edges(lo: np.ndarray, hi: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """(N, bins) first cell and cell count of each bin of the cell ranges [lo, hi).
 
-    The box is mapped into feature cells, clamped to cover at least one cell,
-    split into bins x bins integer cell ranges, and each bin averages its
-    cells. Returns a flat (C * bins * bins) vector.
+    Bin b starts at lo + floor(b*span/bins) and ends at lo + ceil((b+1)*span/bins),
+    covering at least one cell.
+    """
+    span = (hi - lo)[:, None]
+    b = np.arange(bins)
+    start = lo[:, None] + (b * span) // bins
+    end = np.maximum(lo[:, None] + -(-((b + 1) * span) // bins), start + 1)
+    return start, end - start
+
+
+def roi_pool(feat: np.ndarray, boxes, bins: int, stride: float) -> np.ndarray:
+    """Adaptive average pooling of image-coordinate boxes over a feature map.
+
+    Each (x1, y1, x2, y2) row is mapped into feature cells, clamped to cover at
+    least one cell, split into bins x bins integer cell ranges, and each bin
+    averages its cells. Returns (N, C * bins * bins) rows ordered channel,
+    bin row, bin column; zero boxes give a (0, C * bins * bins) array.
+
+    A bin's mean is bitwise that of ``feat[:, ys:ye, xs:xe].mean(axis=(1, 2))``:
+    numpy sums a window's cells pairwise in row-major order, so the windows are
+    grouped by cell count n, each group's cells are gathered into a C-contiguous
+    (C, K, n) array and averaged over the last axis. A summed-area table or a
+    zero-padded gather would change the low bits.
     """
     feat = np.asarray(feat, dtype=np.float64)
     if feat.ndim != 3:
         raise ParameterError(f"feature map must be (C,H,W), got {feat.shape}")
+    if bins < 1:
+        raise ParameterError(f"bins must be >= 1, got {bins}")
     c, fh, fw = feat.shape
-    x1, y1, x2, y2 = (float(v) / stride for v in box)
-    if x2 <= 0 or y2 <= 0 or x1 >= fw or y1 >= fh or x2 <= x1 or y2 <= y1:
-        raise ParameterError(f"box {tuple(box)} is empty after mapping to the feature map")
-    cx1 = min(max(int(np.floor(x1)), 0), fw - 1)
-    cy1 = min(max(int(np.floor(y1)), 0), fh - 1)
-    cx2 = max(min(int(np.ceil(x2)), fw), cx1 + 1)
-    cy2 = max(min(int(np.ceil(y2)), fh), cy1 + 1)
-    w_span = cx2 - cx1
-    h_span = cy2 - cy1
-    out = np.empty((c, bins, bins))
-    for by in range(bins):
-        ys = cy1 + (by * h_span) // bins
-        ye = cy1 + -(-((by + 1) * h_span) // bins)  # ceil division
-        ye = max(ye, ys + 1)
-        for bx in range(bins):
-            xs = cx1 + (bx * w_span) // bins
-            xe = cx1 + -(-((bx + 1) * w_span) // bins)
-            xe = max(xe, xs + 1)
-            out[:, by, bx] = feat[:, ys:ye, xs:xe].mean(axis=(1, 2))
-    return out.reshape(-1)
+    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    n = len(boxes)
+    x1, y1, x2, y2 = (boxes / stride).T
+    bad = ~(np.isfinite(boxes).all(axis=1) & (x2 > 0) & (y2 > 0) & (x1 < fw)
+            & (y1 < fh) & (x2 > x1) & (y2 > y1))
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise ParameterError(f"box row {i} {tuple(boxes[i].tolist())} is empty after "
+                             f"mapping to the feature map or lies outside it")
+    cx1 = np.clip(np.floor(x1), 0, fw - 1).astype(np.int64)
+    cy1 = np.clip(np.floor(y1), 0, fh - 1).astype(np.int64)
+    cx2 = np.maximum(np.minimum(np.ceil(x2), fw).astype(np.int64), cx1 + 1)
+    cy2 = np.maximum(np.minimum(np.ceil(y2), fh).astype(np.int64), cy1 + 1)
+    ys, hs = _bin_edges(cy1, cy2, bins)
+    xs, ws = _bin_edges(cx1, cx2, bins)
+    # one window per (box, bin row, bin column), in output order
+    first = (ys[:, :, None] * fw + xs[:, None, :]).reshape(-1)
+    width = np.broadcast_to(ws[:, None, :], (n, bins, bins)).reshape(-1)
+    count = (hs[:, :, None] * ws[:, None, :]).reshape(-1)
+    flat = feat.reshape(c, fh * fw)
+    out = np.empty((c, len(count)))
+    order = np.argsort(count, kind="stable")
+    sizes, starts = np.unique(count[order], return_index=True)
+    ends = [*starts[1:].tolist(), len(order)]
+    for size, a, b in zip(sizes.tolist(), starts.tolist(), ends):
+        sel = order[a:b]
+        j = np.arange(size)
+        w = width[sel, None]
+        cells = first[sel, None] + (j // w) * fw + j % w  # row-major within the window
+        out[:, sel] = np.take(flat, cells, axis=1).mean(axis=-1)
+    pooled = out.reshape(c, n, bins * bins).transpose(1, 0, 2)
+    return np.ascontiguousarray(pooled).reshape(n, c * bins * bins)
 
 
 # ---------------------------------------------------------------------------

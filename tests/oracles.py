@@ -37,6 +37,36 @@ def nms_oracle(boxes, scores, iou_thresh) -> list[int]:
     return kept
 
 
+def roi_pool_oracle(feat, box, bins, stride):
+    """Adaptive average pooling of one box, one ``ndarray.mean`` per bin.
+
+    Returns a flat (C * bins * bins) vector; raises ValueError for a box that
+    is empty after mapping to the feature map or lies outside it.
+    """
+    feat = np.asarray(feat, dtype=np.float64)
+    c, fh, fw = feat.shape
+    x1, y1, x2, y2 = (float(v) / stride for v in box)
+    if x2 <= 0 or y2 <= 0 or x1 >= fw or y1 >= fh or x2 <= x1 or y2 <= y1:
+        raise ValueError(f"box {tuple(box)} is empty after mapping to the feature map")
+    cx1 = min(max(int(np.floor(x1)), 0), fw - 1)
+    cy1 = min(max(int(np.floor(y1)), 0), fh - 1)
+    cx2 = max(min(int(np.ceil(x2)), fw), cx1 + 1)
+    cy2 = max(min(int(np.ceil(y2)), fh), cy1 + 1)
+    w_span = cx2 - cx1
+    h_span = cy2 - cy1
+    out = np.empty((c, bins, bins))
+    for by in range(bins):
+        ys = cy1 + (by * h_span) // bins
+        ye = cy1 + -(-((by + 1) * h_span) // bins)  # ceil division
+        ye = max(ye, ys + 1)
+        for bx in range(bins):
+            xs = cx1 + (bx * w_span) // bins
+            xe = cx1 + -(-((bx + 1) * w_span) // bins)
+            xe = max(xe, xs + 1)
+            out[:, by, bx] = feat[:, ys:ye, xs:xe].mean(axis=(1, 2))
+    return out.reshape(-1)
+
+
 def _match_prefix(rows, gt_boxes, iou_thresh, prefix):
     """One-to-one greedy matching of the top-`prefix` detections.
 

@@ -1,6 +1,7 @@
 """Pipeline orchestration tests: stamps, staleness, aggregation, exit codes."""
 
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -326,6 +327,58 @@ def test_main_detect_writes_one_line_per_image(tiny_yaml, tmp_path):
     assert len(lines) == 3
     rec = json.loads(lines[0])
     assert set(rec) == {"image", "boxes", "classes", "scores", "heads"}
+
+
+def test_detect_without_checkpoint_exits_4(tiny_yaml, tmp_path, capsys):
+    out = tmp_path / "nock"
+    assert main(["gen-data", "--config", str(tiny_yaml), "--seed", "5",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["detect", "--config", str(tiny_yaml), "--seed", "5",
+                 "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "no checkpoint" in err
+
+
+@pytest.mark.parametrize("content", ["truncate", "[1, 2]"])
+def test_unreadable_stamp_exits_4(tiny_yaml, finished_run, tmp_path, capsys, content):
+    out = tmp_path / "copy"
+    shutil.copytree(finished_run, out)
+    stamp = RunPaths(out, 3).stamp("eval")
+    text = stamp.read_text(encoding="utf-8")
+    stamp.write_text(text[:len(text) // 2] if content == "truncate" else content,
+                     encoding="utf-8")
+    assert main(["eval", "--config", str(tiny_yaml), "--seed", "3",
+                 "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "eval.stamp.json" in err
+
+
+@pytest.fixture
+def oversized_glyph_yaml(tmp_path):
+    path = tmp_path / "big-glyphs.yaml"
+    path.write_text(TINY_YAML.replace("min_glyph: 12", "min_glyph: 60")
+                    .replace("max_glyph: 20", "max_glyph: 64"), encoding="utf-8")
+    return path
+
+
+def test_generation_error_exits_2(oversized_glyph_yaml, tmp_path, capsys):
+    assert main(["gen-data", "--config", str(oversized_glyph_yaml), "--seed", "1",
+                 "--out", str(tmp_path / "g")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "does not fit" in err
+
+
+def test_multirun_generation_error_is_a_failed_seed(oversized_glyph_yaml, tmp_path,
+                                                    monkeypatch):
+    monkeypatch.delenv("RETENTIVE_THREADS", raising=False)
+    out = tmp_path / "mr"
+    assert main(["multirun", "--config", str(oversized_glyph_yaml), "--seeds", "1,2",
+                 "--out", str(out)]) == 3
+    data = json.loads((out / "aggregate.json").read_text(encoding="utf-8"))
+    assert data["incomplete"] is True
+    assert sorted(data["failures"]) == ["1", "2"]
+    assert all(msg.startswith("GenerationError") for msg in data["failures"].values())
 
 
 def test_override_flags_change_config_digest(tiny_yaml, tmp_path):

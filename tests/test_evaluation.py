@@ -349,9 +349,9 @@ def test_norms_match_scalar_recomputation():
     sums, counts = {}, {}
     for img, rec in zip(ds.images, ds.records):
         feat = image_features(model, img)
-        for box, lbl in zip(rec.gt.boxes, rec.gt.labels):
-            pooled = roi_pool(feat, box, bins=model.mcfg.roi_pool_bins,
-                              stride=float(model.mcfg.feat_stride))
+        pooled_rows = roi_pool(feat, rec.gt.boxes, bins=model.mcfg.roi_pool_bins,
+                               stride=float(model.mcfg.feat_stride))
+        for pooled, lbl in zip(pooled_rows, rec.gt.labels):
             vec = np.maximum(pooled @ proj.T, 0.0)
             acc = 0.0
             for v in vec:

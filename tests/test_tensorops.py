@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import nms_oracle
+from oracles import nms_oracle, roi_pool_oracle
 from retentive import tensorops as T
 from retentive.errors import NumericError, ParameterError
 
@@ -308,46 +308,68 @@ def test_decode_clips_to_bounds():
 
 def test_roi_pool_constant_map():
     feat = np.full((2, 16, 16), 3.5)
-    out = T.roi_pool(feat, (5.0, 5.0, 40.0, 40.0), bins=3, stride=4.0)
-    assert out.shape == (18,)
+    out = T.roi_pool(feat, [(5.0, 5.0, 40.0, 40.0)], bins=3, stride=4.0)
+    assert out.shape == (1, 18)
     assert np.allclose(out, 3.5, atol=1e-15)
 
 
 def test_roi_pool_full_map_single_bin():
     rng = np.random.default_rng(2)
     feat = rng.random((4, 16, 16))
-    out = T.roi_pool(feat, (0.0, 0.0, 64.0, 64.0), bins=1, stride=4.0)
-    assert np.allclose(out, feat.mean(axis=(1, 2)), atol=1e-12)
+    out = T.roi_pool(feat, [(0.0, 0.0, 64.0, 64.0)], bins=1, stride=4.0)
+    assert np.allclose(out[0], feat.mean(axis=(1, 2)), atol=1e-12)
 
 
 def test_roi_pool_hand_case():
     # 4x4 single-channel map; box covers feature cells [0:2, 0:2] with 2x2 bins
     feat = np.arange(16, dtype=np.float64).reshape(1, 4, 4)
-    out = T.roi_pool(feat, (0.0, 0.0, 2.0, 2.0), bins=2, stride=1.0)
+    out = T.roi_pool(feat, [(0.0, 0.0, 2.0, 2.0)], bins=2, stride=1.0)
     # one cell per bin: values 0, 1, 4, 5
-    assert np.allclose(out, [0.0, 1.0, 4.0, 5.0], atol=1e-15)
+    assert np.allclose(out[0], [0.0, 1.0, 4.0, 5.0], atol=1e-15)
 
 
 def test_roi_pool_subcell_box_clamps():
     feat = np.arange(16, dtype=np.float64).reshape(1, 4, 4)
-    out = T.roi_pool(feat, (4.1, 4.2, 4.3, 4.4), bins=1, stride=4.0)
-    assert out.shape == (1,)
-    assert out[0] == feat[0, 1, 1]
+    out = T.roi_pool(feat, [(4.1, 4.2, 4.3, 4.4)], bins=1, stride=4.0)
+    assert out.shape == (1, 1)
+    assert out[0, 0] == feat[0, 1, 1]
 
 
 def test_roi_pool_rejects_outside_box():
     feat = np.zeros((1, 4, 4))
     with pytest.raises(ParameterError):
-        T.roi_pool(feat, (100.0, 100.0, 120.0, 120.0), bins=2, stride=4.0)
+        T.roi_pool(feat, [(100.0, 100.0, 120.0, 120.0)], bins=2, stride=4.0)
     with pytest.raises(ParameterError):
-        T.roi_pool(feat, (8.0, 8.0, 8.0, 8.0), bins=2, stride=4.0)
+        T.roi_pool(feat, [(8.0, 8.0, 8.0, 8.0)], bins=2, stride=4.0)
+
+
+def test_roi_pool_error_names_first_bad_row():
+    feat = np.zeros((1, 4, 4))
+    boxes = [(0.0, 0.0, 8.0, 8.0), (100.0, 100.0, 120.0, 120.0), (8.0, 8.0, 8.0, 8.0)]
+    with pytest.raises(ParameterError, match=r"row 1 \(100\.0, 100\.0, 120\.0, 120\.0\)"):
+        T.roi_pool(feat, boxes, bins=2, stride=4.0)
+    with pytest.raises(ParameterError, match=r"row 0 \(0\.0, 0\.0, 8\.0, nan\)"):
+        T.roi_pool(feat, [(0.0, 0.0, 8.0, np.nan)], bins=2, stride=4.0)
+    with pytest.raises(ParameterError, match="row 2"):
+        T.roi_pool(feat, boxes[:1] * 2 + [(-np.inf, 0.0, 8.0, 8.0)], bins=2, stride=4.0)
+
+
+@pytest.mark.parametrize("bins", [0, -1])
+def test_roi_pool_rejects_bad_bins(bins):
+    with pytest.raises(ParameterError):
+        T.roi_pool(np.ones((1, 4, 4)), [(0.0, 0.0, 8.0, 8.0)], bins=bins, stride=4.0)
+
+
+def test_roi_pool_zero_boxes():
+    out = T.roi_pool(np.ones((3, 4, 4)), np.zeros((0, 4)), bins=2, stride=4.0)
+    assert out.shape == (0, 12) and out.dtype == np.float64
 
 
 def test_roi_pool_scalar_loop_oracle():
     rng = np.random.default_rng(8)
     feat = rng.random((3, 16, 16))
     box = (6.0, 3.0, 47.0, 52.0)
-    got = T.roi_pool(feat, box, bins=3, stride=4.0).reshape(3, 3, 3)
+    got = T.roi_pool(feat, [box], bins=3, stride=4.0)[0].reshape(3, 3, 3)
     # independent scalar recomputation
     x1, y1, x2, y2 = (v / 4.0 for v in box)
     cx1, cy1 = int(np.floor(x1)), int(np.floor(y1))
@@ -361,6 +383,61 @@ def test_roi_pool_scalar_loop_oracle():
             for ch in range(3):
                 vals = [feat[ch, yy, xx] for yy in range(ys, ye) for xx in range(xs, xe)]
                 assert abs(got[ch, by, bx] - sum(vals) / len(vals)) < 1e-12
+
+
+def _spread_features(seed: int, shape) -> np.ndarray:
+    """Values over twelve decades, so a changed summation order changes bits."""
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=shape) * 10.0 ** rng.uniform(-6.0, 6.0, size=shape)
+
+
+def _assert_roi_pool_matches_oracle(feat, boxes, bins, stride):
+    got = T.roi_pool(feat, boxes, bins=bins, stride=stride)
+    want = np.stack([roi_pool_oracle(feat, box, bins, stride) for box in boxes])
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@st.composite
+def roi_pool_problems(draw):
+    """Feature maps up to 4x16x16 with boxes that are sub-cell, partly outside or cover it."""
+    c, fh, fw = draw(st.integers(1, 4)), draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    stride = draw(st.sampled_from([1.0, 2.5, 4.0]))
+    bins = draw(st.integers(1, 5))
+
+    def span(kind, cells):
+        extent = cells * stride
+        if kind == "sub-cell":
+            cell = draw(st.integers(0, cells - 1))
+            a = draw(st.floats(0.0, 0.9))
+            return (cell + a) * stride, (cell + a + draw(st.floats(0.01, 0.1))) * stride
+        if kind == "whole":
+            return draw(st.floats(-extent, 0.0)), draw(st.floats(extent, 2 * extent))
+        lo = draw(st.floats(-extent, extent - 0.01 * stride))
+        return lo, max(lo, 0.0) + draw(st.floats(0.01 * stride, 2 * extent))
+
+    boxes = []
+    for kind in draw(st.lists(st.sampled_from(["sub-cell", "whole", "any"]), min_size=1,
+                              max_size=12)):
+        x1, x2 = span(kind, fw)
+        y1, y2 = span(kind, fh)
+        boxes.append((x1, y1, x2, y2))
+    return _spread_features(draw(st.integers(0, 2**32 - 1)), (c, fh, fw)), boxes, bins, stride
+
+
+@settings(deadline=None)
+@given(roi_pool_problems())
+def test_roi_pool_bitwise_matches_oracle(problem):
+    _assert_roi_pool_matches_oracle(*problem)
+
+
+@pytest.mark.parametrize("bins", [1, 2, 3])
+def test_roi_pool_bitwise_matches_oracle_on_large_windows(bins):
+    # windows of 256, 144 and 135 cells at bins=1: numpy's pairwise sum recurses past 128
+    feat = _spread_features(bins, (3, 16, 16))
+    boxes = [(-3.0, -3.0, 70.0, 70.0), (8.0, 4.0, 56.0, 52.0), (0.0, 0.0, 60.0, 36.0),
+             (1.0, 2.0, 3.0, 4.0)]
+    _assert_roi_pool_matches_oracle(feat, boxes, bins, 4.0)
 
 
 # ---------------------------------------------------------------------------
