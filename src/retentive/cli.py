@@ -37,7 +37,8 @@ from .detector import (
     STAGE_RETENTIVE,
     detect,
     detect_base,
-    ensembled_proposals,
+    forward_proposals,
+    image_forward,
 )
 from .errors import (
     ConfigError,
@@ -138,15 +139,38 @@ def _write_stamp(path: Path, stage: str, seed: int, config_digest: str,
     path.write_text(canonical_json(payload) + "\n", encoding="utf-8")
 
 
+def _read_object(path: Path, kind: str, fields: dict[str, type]) -> dict:
+    """A JSON object holding the given typed fields; anything else is corrupt."""
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CorruptArtifactError(f"{kind} {path} is unreadable: {exc}") from exc
+    if not isinstance(data, dict) or not all(isinstance(data.get(k), t)
+                                             for k, t in fields.items()):
+        raise CorruptArtifactError(f"{kind} {path} does not hold a {kind} object")
+    return data
+
+
 def _read_stamp(path: Path) -> dict:
     """A stamp as _write_stamp wrote it; anything else is a corrupt artifact."""
-    try:
-        stamp = json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CorruptArtifactError(f"stamp {path} is unreadable: {exc}") from exc
-    if not isinstance(stamp, dict) or not isinstance(stamp.get("outputs"), dict):
-        raise CorruptArtifactError(f"stamp {path} does not hold a stamp object")
-    return stamp
+    return _read_object(path, "stamp", {"outputs": dict})
+
+
+def _read_report(path: Path) -> dict:
+    return _read_object(path, "report", {"metadata": dict})
+
+
+def _upstream_outputs(paths: RunPaths, stage: str, seed: int, config_digest: str) -> dict:
+    """A finished stage's recorded outputs, if made under this configuration."""
+    if not paths.stamp(stage).exists():
+        raise StalenessError(
+            f"stage {stage!r} has not been run for seed {seed}; run it first")
+    stamp = _read_stamp(paths.stamp(stage))
+    if stamp.get("config_digest") != config_digest:
+        raise StalenessError(
+            f"{stage}: artifacts in {paths.root} were produced under a different "
+            f"configuration; use a fresh output directory")
+    return stamp["outputs"]
 
 
 def _stage_guard(paths: RunPaths, stage: str, seed: int, config_digest: str,
@@ -253,24 +277,39 @@ def _evaluate_models(cfg: ExperimentConfig, seed: int, paths: RunPaths,
     model = load_checkpoint(paths.checkpoint("retentive"))
     if model.stage != STAGE_RETENTIVE:
         raise StalenessError(f"expected an adapted checkpoint, found stage {model.stage!r}")
+    subset_digests = {"base": base.base_subset_digest(), "retentive": model.base_subset_digest()}
+    if (subset_digests["base"] != subset_digests["retentive"]
+            or (base.feat_seed, base.mcfg) != (model.feat_seed, model.mcfg)):
+        raise StalenessError(
+            f"{paths.checkpoint('retentive')} does not share the frozen arrays of "
+            f"{paths.checkpoint('base')}")
     test_ds = load_dataset(paths.dataset_dir("test"))
     uar_ds = load_dataset(paths.dataset_dir("uar-eval"))
     dcfg = cfg.detect
     ecfg = cfg.eval
 
-    ret_dets_test = [detect(model, img, dcfg) for img in test_ds.images]
-    base_dets_test = [detect_base(base, img, dcfg) for img in test_ds.images]
-    ret_dets_uar = [detect(model, img, dcfg) for img in uar_ds.images]
-    base_dets_uar = [detect_base(base, img, dcfg) for img in uar_ds.images]
+    def infer(images, feats=None):
+        """Both detectors and every strategy's proposals from one forward per image
+        (the frozen arrays are shared, checked above); feats collects the maps."""
+        ret, bas = [], []
+        props = {s: [] for s in RPN_STRATEGIES}
+        for img in images:
+            fwd = image_forward(model, img)
+            per = {s: forward_proposals(model, fwd, dcfg, s) for s in RPN_STRATEGIES}
+            for s in RPN_STRATEGIES:
+                props[s].append(per[s])
+            ret.append(detect(model, img, dcfg, forward=fwd,
+                              proposals=per.get(model.rpn_strategy)))
+            bas.append(detect_base(base, img, dcfg, forward=fwd, proposals=per["base-only"]))
+            if feats is not None:
+                feats.append(fwd.feat)
+        return ret, bas, props
 
-    props_test = {
-        s: [ensembled_proposals(model, img, dcfg, s) for img in test_ds.images]
-        for s in RPN_STRATEGIES
-    }
-    props_uar = {
-        s: [ensembled_proposals(model, img, dcfg, s) for img in uar_ds.images]
-        for s in RPN_STRATEGIES
-    }
+    test_feats: list[np.ndarray] = []
+    ret_dets_test, base_dets_test, props_test = infer(test_ds.images, test_feats)
+    norms = roi_feature_norms(base, test_ds, test_feats)
+    del test_feats
+    ret_dets_uar, base_dets_uar, props_uar = infer(uar_ds.images)
 
     recall: dict[str, float | None] = {}
     iou = ecfg.recall_iou
@@ -292,16 +331,12 @@ def _evaluate_models(cfg: ExperimentConfig, seed: int, paths: RunPaths,
 
     base_table = ap_table(base_dets_test, test_ds, ecfg.iou_thresholds)
     baseline = ap_summary(base_table, test_ds.split, ecfg.iou_thresholds)
-    norms = roi_feature_norms(base, test_ds)
     metadata = {
         "seed": seed,
         "config_digest": cfg.digest(),
         "dataset_digests": dict(gen_out),
         "checkpoint_digests": {"base": pre_out["base"], "retentive": ft_out["retentive"]},
-        "base_subset_digests": {
-            "base": base.base_subset_digest(),
-            "retentive": model.base_subset_digest(),
-        },
+        "base_subset_digests": subset_digests,
         "rpn_strategy": model.rpn_strategy,
         "classifier": model.classifier,
         "head_domain": model.head_domain,
@@ -360,15 +395,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_root,
     def need(stage: str) -> dict:
         if stage in done:
             return done[stage]
-        if not paths.stamp(stage).exists():
-            raise StalenessError(
-                f"stage {stage!r} has not been run for seed {seed}; run it first")
-        stamp = _read_stamp(paths.stamp(stage))
-        if stamp.get("config_digest") != config_digest:
-            raise StalenessError(
-                f"{stage}: artifacts in {paths.root} were produced under a different "
-                f"configuration; use a fresh output directory")
-        return stamp["outputs"]
+        return _upstream_outputs(paths, stage, seed, config_digest)
 
     for stage in stages:
         if stage == "gen":
@@ -446,7 +473,7 @@ def multirun(cfg: ExperimentConfig, seeds, out_root, stages=STAGES,
     for s in seeds:
         report_path = RunPaths(out_root, s).eval_dir() / "report.json"
         if s not in failures and report_path.exists():
-            per_seed[s] = _flatten_metrics(json.loads(report_path.read_text(encoding="utf-8")))
+            per_seed[s] = _flatten_metrics(_read_report(report_path))
     aggregate = {
         "seeds": seeds,
         "config_digest": cfg.digest(),
@@ -509,7 +536,7 @@ def run_ablation(cfg: ExperimentConfig, axes: dict[str, list[str]], seed: int,
         cell_dir = Path(out_root) / _cell_name(cell)
         run_experiment(cell_cfg, seed, cell_dir, stages)
         report_path = RunPaths(cell_dir, seed).eval_dir() / "report.json"
-        report = json.loads(report_path.read_text(encoding="utf-8"))
+        report = _read_report(report_path)
         rows.append({"cell": cell, "config_digest": cell_cfg.digest(),
                      "metrics": _flatten_metrics(report)})
     table = {"seed": seed, "rows": rows}
@@ -663,12 +690,14 @@ def _cmd_detect(args) -> int:
     ckpt = paths.checkpoint("retentive")
     if not ckpt.exists():
         raise StalenessError(f"no checkpoint at {ckpt}; run finetune for seed {args.seed} first")
+    recorded = _upstream_outputs(paths, "finetune", args.seed, cfg.digest())
+    if _checkpoint_digest_on_disk(ckpt) != recorded.get("retentive"):
+        raise StalenessError(f"{ckpt} is not the checkpoint the finetune stamp recorded")
     model = load_checkpoint(ckpt)
     test_ds = load_dataset(paths.dataset_dir("test"))
-    strategy = args.rpn_strategy
     lines = []
     for i, img in enumerate(test_ds.images):
-        dets = detect(model, img, cfg.detect, strategy=strategy)
+        dets = detect(model, img, cfg.detect)
         lines.append(canonical_json({
             "image": i,
             "boxes": [list(d.box) for d in dets],
@@ -702,7 +731,8 @@ def _cmd_report(args) -> int:
     out = Path(args.out)
     agg = out / "aggregate.json"
     if args.seed is None and agg.exists():
-        data = json.loads(agg.read_text(encoding="utf-8"))
+        data = _read_object(agg, "aggregate", {"seeds": list, "incomplete": bool,
+                                                "metrics": dict})
         print(f"seeds: {data['seeds']}  incomplete: {data['incomplete']}")
         for name in sorted(data["metrics"]):
             row = data["metrics"][name]
@@ -713,7 +743,7 @@ def _cmd_report(args) -> int:
     report_path = RunPaths(out, seed).eval_dir() / "report.json"
     if not report_path.exists():
         raise StalenessError(f"no report at {report_path}")
-    report = json.loads(report_path.read_text(encoding="utf-8"))
+    report = _read_report(report_path)
     print(f"seed {seed}  config {report['metadata'].get('config_digest', '')[:12]}")
     for section in ("summary", "baseline_summary"):
         for key in sorted(report.get(section, {})):

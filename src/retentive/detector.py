@@ -117,10 +117,6 @@ class Model:
         return self.params.digest(BASE_LAYERS)
 
 
-def base_subset_digest(params: ParamSet) -> str:
-    return params.digest(BASE_LAYERS)
-
-
 def init_base_model(split: ClassSplit, mcfg: ModelConfig, feat_seed: int, seed: int) -> Model:
     """Fresh untrained base detector; frozen arrays derive from feat_seed only."""
     c = mcfg.mixer_channels
@@ -221,15 +217,24 @@ def image_features(model: Model, image: np.ndarray) -> np.ndarray:
     return fixed_featurizer(image, model.feat_seed, model.mcfg.feat_channels)
 
 
-def mixed_features(model: Model, feat: np.ndarray) -> np.ndarray:
-    """Frozen 3x3 mixer with rectification, shared by both objectness heads."""
-    return np.maximum(conv3x3(feat, model.params.arrays["rpn_shared/W"]), 0.0)
+@dataclass
+class ImageForward:
+    """The frozen part of one image's forward: feat, the featurizer map the box
+    heads pool from, and cells, the rectified 3x3 mixer output as (H*W, C) rows
+    in row-major cell order, which both objectness heads and the box-delta layer
+    read. Neither depends on a trainable array, so one record serves every head,
+    strategy and training iteration."""
+
+    feat: np.ndarray
+    cells: np.ndarray
+    side: int
 
 
-def rpn_cells(mixed: np.ndarray) -> np.ndarray:
-    """(C,H,W) -> (H*W, C) rows in row-major cell order."""
-    c = mixed.shape[0]
-    return np.ascontiguousarray(mixed.reshape(c, -1).T)
+def image_forward(model: Model, image: np.ndarray) -> ImageForward:
+    feat = image_features(model, image)
+    mixed = np.maximum(conv3x3(feat, model.params.arrays["rpn_shared/W"]), 0.0)
+    cells = np.ascontiguousarray(mixed.reshape(mixed.shape[0], -1).T)
+    return ImageForward(feat=feat, cells=cells, side=int(image.shape[0]))
 
 
 def _require_head(model: Model, head: str) -> str:
@@ -248,22 +253,11 @@ def rpn_objectness_logits(model: Model, cells: np.ndarray, head: str) -> np.ndar
 
 
 def rpn_box_deltas(model: Model, cells: np.ndarray) -> np.ndarray:
+    """Per-anchor box deltas; one regression layer serves both objectness heads."""
     a = model.params.arrays
     d = linear_forward(cells, a["rpn_box/W"], a["rpn_box/b"])  # (cells, 4*scales)
     n_scales = len(model.mcfg.anchor_scales)
     return d.reshape(-1, n_scales, 4).reshape(-1, 4)
-
-
-def rpn_forward(model: Model, feat: np.ndarray, head: str) -> tuple[np.ndarray, np.ndarray]:
-    """Featurizer output -> (per-anchor objectness, per-anchor box deltas).
-
-    The box regression layer is shared between heads; only the objectness
-    linear differs.
-    """
-    cells = rpn_cells(mixed_features(model, feat))
-    obj = sigmoid(rpn_objectness_logits(model, cells, head))
-    deltas = rpn_box_deltas(model, cells)
-    return obj, deltas
 
 
 def bias_balanced_objectness(o_b: np.ndarray, o_n: np.ndarray, strategy: str) -> np.ndarray:
@@ -308,6 +302,23 @@ def propose(objectness: np.ndarray, deltas: np.ndarray, anchors: AnchorGrid,
     return Proposals(boxes=np.ascontiguousarray(boxes[kept]), scores=np.ascontiguousarray(scores[kept]))
 
 
+def forward_proposals(model: Model, forward: ImageForward, dcfg: DetectConfig,
+                      strategy: str) -> Proposals:
+    """Proposals from one image's forward under an objectness strategy.
+
+    "base-only" reads the base objectness head alone, so it also serves
+    models without a finetuned head: pretraining and the base detector.
+    """
+    o_b = sigmoid(rpn_objectness_logits(model, forward.cells, "base"))
+    if strategy == "base-only":
+        obj = o_b
+    else:
+        o_n = sigmoid(rpn_objectness_logits(model, forward.cells, "novel"))
+        obj = bias_balanced_objectness(o_b, o_n, strategy)
+    deltas = rpn_box_deltas(model, forward.cells)
+    return propose(obj, deltas, model_anchors(model, forward.side), dcfg, float(forward.side))
+
+
 def roi_features(model: Model, feat: np.ndarray, boxes: np.ndarray) -> np.ndarray:
     """Pooled, projected, rectified per-ROI feature rows (P, head_dim)."""
     mcfg = model.mcfg
@@ -333,15 +344,6 @@ def box_head_scores(model: Model, rois: np.ndarray, head: str) -> tuple[np.ndarr
         logits = linear_forward(rois, a["cls_n/W"], a["cls_n/b"])
     deltas = linear_forward(rois, a["reg_n/W"], a["reg_n/b"])
     return logits, deltas
-
-
-def roi_head_forward(model: Model, feat: np.ndarray, boxes: np.ndarray,
-                     head: str) -> tuple[np.ndarray, np.ndarray]:
-    rois = roi_features(model, feat, boxes)
-    if len(rois) == 0:
-        width = model.num_base + 1 if head == "base" else len(model.novel_head_classes()) + 1
-        return np.zeros((0, width)), np.zeros((0, 4))
-    return box_head_scores(model, rois, head)
 
 
 def pad_base_logits(logits_b: np.ndarray, num_novel: int) -> np.ndarray:
@@ -372,104 +374,109 @@ class Detection:
     source_head: str    # "base" or "novel"
 
 
-def _merge_candidates(cands: list[tuple[np.ndarray, int, float, str]],
-                      dcfg: DetectConfig) -> list[Detection]:
+def _assemble_candidates(heads, score_thresh: float):
+    """Every head's (proposal, class) pairs whose probability reaches score_thresh.
+
+    heads holds one (is_base, probs (P, >=K), decoded boxes (P, 4), K class
+    ids) entry per box head. Returns the candidates' boxes, class ids,
+    probabilities and is-base flags in (proposal, head, slot) order, the
+    order the merge breaks ties by.
+    """
+    probs = np.hstack([p[:, :len(ids)] for _, p, _, ids in heads])
+    head_of = np.concatenate([np.full(len(ids), h) for h, (_, _, _, ids) in enumerate(heads)])
+    class_of = np.concatenate([np.asarray(ids, dtype=np.int64).reshape(-1) for *_, ids in heads])
+    rows, cols = np.nonzero(probs >= score_thresh)
+    h = head_of[cols]
+    boxes = np.stack([b for _, _, b, _ in heads])[h, rows]
+    is_base = np.asarray([base for base, *_ in heads], dtype=bool)[h]
+    return boxes, class_of[cols], probs[rows, cols], is_base
+
+
+def _merge_candidates(boxes: np.ndarray, classes: np.ndarray, raw: np.ndarray,
+                      is_base: np.ndarray, dcfg: DetectConfig) -> list[Detection]:
     """Class-wise NMS on bonus-adjusted ranks, then a global top-k cut."""
-    if not cands:
+    if len(raw) == 0:
         return []
-    boxes = np.stack([c[0] for c in cands])
-    classes = np.asarray([c[1] for c in cands])
-    raw = np.asarray([c[2] for c in cands])
-    heads = [c[3] for c in cands]
-    ranks = raw + np.asarray([dcfg.base_bonus if h == "base" else 0.0 for h in heads])
-    kept_idx: list[int] = []
+    ranks = raw + np.where(is_base, dcfg.base_bonus, 0.0)
+    kept = []
     for cid in sorted(set(classes.tolist())):
         members = np.flatnonzero(classes == cid)
         # A class's boxes past its first max_dets kept rank below all of those,
         # so they can never reach the global top max_dets.
-        kept = nms(boxes[members], ranks[members], dcfg.nms_iou, max_keep=dcfg.max_dets)
-        kept_idx.extend(int(members[j]) for j in kept)
-    kept_idx.sort(key=lambda i: (-ranks[i], i))
-    kept_idx = kept_idx[:dcfg.max_dets]
+        kept.append(members[nms(boxes[members], ranks[members], dcfg.nms_iou,
+                                max_keep=dcfg.max_dets)])
+    kept = np.concatenate(kept)
+    kept = kept[np.lexsort((kept, -ranks[kept]))][:dcfg.max_dets]
     return [
         Detection(
-            box=tuple(float(v) for v in boxes[i]),
+            box=tuple(boxes[i].tolist()),
             class_id=int(classes[i]),
             score=float(raw[i]),
-            source_head=heads[i],
+            source_head="base" if is_base[i] else "novel",
         )
-        for i in kept_idx
+        for i in kept
     ]
 
 
-def detect_base(model: Model, image: np.ndarray, dcfg: DetectConfig) -> list[Detection]:
+def _detect_heads(model: Model, forward: ImageForward, props: Proposals,
+                  dcfg: DetectConfig, heads: tuple[str, ...]) -> list[Detection]:
+    """Score the proposals with the given box heads and merge their candidates.
+
+    The base head's logits are zero-padded on novel entries before softmax,
+    so its probabilities are comparable with the finetuned head's.
+    """
+    rois = roi_features(model, forward.feat, props.boxes)
+    if len(rois) == 0:
+        return []
+    outputs = []
+    for head in heads:
+        logits, reg = box_head_scores(model, rois, head)
+        if head == "base":
+            probs = softmax(pad_base_logits(logits, model.num_novel))
+            ids = model.split.base_ids
+        else:
+            probs, ids = softmax(logits), model.novel_head_classes()
+        boxes = decode_boxes(reg, props.boxes, side=float(forward.side))
+        outputs.append((head == "base", probs, boxes, ids))
+    return _merge_candidates(*_assemble_candidates(outputs, dcfg.score_thresh), dcfg)
+
+
+def detect_base(model: Model, image: np.ndarray, dcfg: DetectConfig,
+                forward: ImageForward | None = None,
+                proposals: Proposals | None = None) -> list[Detection]:
     """Base-detector inference: base RPN head, base box head, base classes.
 
     Scores come from the padded-logit softmax so they are comparable with
-    ensemble inference.
+    ensemble inference. A caller that already holds the image's forward, or
+    its "base-only" proposals, passes them in instead of recomputing them.
     """
     if model.stage == STAGE_INIT:
         raise StateError("cannot run inference on an untrained model")
-    side = float(image.shape[0])
-    feat = image_features(model, image)
-    obj, deltas = rpn_forward(model, feat, "base")
-    props = propose(obj, deltas, model_anchors(model, image.shape[0]), dcfg, side)
-    logits, reg = roi_head_forward(model, feat, props.boxes, "base")
-    probs = softmax(pad_base_logits(logits, model.num_novel))
-    boxes = decode_boxes(reg, props.boxes, side=side)
-    cands = []
-    for i in range(len(props)):
-        for slot, cid in enumerate(model.split.base_ids):
-            p = float(probs[i, slot])
-            if p >= dcfg.score_thresh:
-                cands.append((boxes[i], cid, p, "base"))
-    return _merge_candidates(cands, dcfg)
+    forward = image_forward(model, image) if forward is None else forward
+    if proposals is None:
+        proposals = forward_proposals(model, forward, dcfg, "base-only")
+    return _detect_heads(model, forward, proposals, dcfg, ("base",))
 
 
 def detect(model: Model, image: np.ndarray, dcfg: DetectConfig,
-           strategy: str | None = None) -> list[Detection]:
+           strategy: str | None = None, forward: ImageForward | None = None,
+           proposals: Proposals | None = None) -> list[Detection]:
     """Full ensemble inference.
 
-    Proposals come from the elementwise-combined objectness maps. Both box
-    heads score every proposal; the base head's logits are zero-padded on
-    novel entries before softmax, and the finetuned head's base-class
-    predictions stay in the candidate pool. Base-head candidates get a
-    rank-only bonus so NMS prefers them on ties.
+    Proposals come from the elementwise-combined objectness maps (the
+    model's own strategy unless one is given). Both box heads score every
+    proposal, and the finetuned head's base-class predictions stay in the
+    candidate pool. Base-head candidates get a rank-only bonus so NMS prefers
+    them on ties. A caller that already holds the image's forward, or its
+    proposals under the strategy, passes them in instead of recomputing them.
     """
     if model.stage != STAGE_RETENTIVE:
         raise StateError(f"ensemble inference needs a finetuned model, got stage {model.stage!r}")
-    strategy = model.rpn_strategy if strategy is None else strategy
-    side = float(image.shape[0])
-    feat = image_features(model, image)
-    cells = rpn_cells(mixed_features(model, feat))
-    o_b = sigmoid(rpn_objectness_logits(model, cells, "base"))
-    o_n = sigmoid(rpn_objectness_logits(model, cells, "novel"))
-    obj = bias_balanced_objectness(o_b, o_n, strategy)
-    deltas = rpn_box_deltas(model, cells)
-    props = propose(obj, deltas, model_anchors(model, image.shape[0]), dcfg, side)
-
-    rois = roi_features(model, feat, props.boxes)
-    if len(rois) == 0:
-        return []
-    logits_b, reg_b = box_head_scores(model, rois, "base")
-    logits_n, reg_n = box_head_scores(model, rois, "novel")
-    probs_b = softmax(pad_base_logits(logits_b, model.num_novel))
-    probs_n = softmax(logits_n)
-    boxes_b = decode_boxes(reg_b, props.boxes, side=side)
-    boxes_n = decode_boxes(reg_n, props.boxes, side=side)
-
-    novel_head_ids = model.novel_head_classes()
-    cands = []
-    for i in range(len(props)):
-        for slot, cid in enumerate(model.split.base_ids):
-            p = float(probs_b[i, slot])
-            if p >= dcfg.score_thresh:
-                cands.append((boxes_b[i], cid, p, "base"))
-        for slot, cid in enumerate(novel_head_ids):
-            p = float(probs_n[i, slot])
-            if p >= dcfg.score_thresh:
-                cands.append((boxes_n[i], cid, p, "novel"))
-    return _merge_candidates(cands, dcfg)
+    forward = image_forward(model, image) if forward is None else forward
+    if proposals is None:
+        strategy = model.rpn_strategy if strategy is None else strategy
+        proposals = forward_proposals(model, forward, dcfg, strategy)
+    return _detect_heads(model, forward, proposals, dcfg, ("base", "novel"))
 
 
 def ensembled_proposals(model: Model, image: np.ndarray, dcfg: DetectConfig,
@@ -477,13 +484,4 @@ def ensembled_proposals(model: Model, image: np.ndarray, dcfg: DetectConfig,
     """Proposal stage only, under an explicit combination strategy."""
     if model.stage == STAGE_INIT:
         raise StateError("cannot run inference on an untrained model")
-    feat = image_features(model, image)
-    cells = rpn_cells(mixed_features(model, feat))
-    o_b = sigmoid(rpn_objectness_logits(model, cells, "base"))
-    if strategy == "base-only":
-        obj = bias_balanced_objectness(o_b, o_b, strategy)
-    else:
-        o_n = sigmoid(rpn_objectness_logits(model, cells, "novel"))
-        obj = bias_balanced_objectness(o_b, o_n, strategy)
-    deltas = rpn_box_deltas(model, cells)
-    return propose(obj, deltas, model_anchors(model, image.shape[0]), dcfg, float(image.shape[0]))
+    return forward_proposals(model, image_forward(model, image), dcfg, strategy)

@@ -183,18 +183,19 @@ def average_recall(candidates, records, k: int, iou_thresh: float,
     return matched / total
 
 
-def roi_feature_norms(model: Model, dataset: Dataset) -> dict:
+def roi_feature_norms(model: Model, dataset: Dataset, feats=None) -> dict:
     """Mean feature magnitude the box head sees per class, with group means.
 
     Every instance's own box is pooled and projected; classes the split
     marks scarce form the unseen group regardless of per-instance flags.
+    feats, when given, holds the featurizer map of every dataset image.
     """
     sums: dict[int, float] = {}
     counts: dict[int, int] = {}
-    for img, rec in zip(dataset.images, dataset.records):
+    for i, (img, rec) in enumerate(zip(dataset.images, dataset.records)):
         if len(rec.gt.labels) == 0:
             continue
-        feat = image_features(model, img)
+        feat = image_features(model, img) if feats is None else feats[i]
         rows = roi_features(model, feat, rec.gt.boxes)
         norms = np.sqrt((rows * rows).sum(axis=1))
         for lbl, nrm in zip(rec.gt.labels, norms):

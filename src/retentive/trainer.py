@@ -21,21 +21,17 @@ import numpy as np
 from .config import DetectConfig, ExperimentConfig, ModelConfig, TrainConfig, canonical_json
 from .detector import (
     STAGE_BASE,
+    ImageForward,
     Model,
     ParamSet,
-    bias_balanced_objectness,
     box_head_scores,
     extend_for_finetune,
-    image_features,
+    forward_proposals,
+    image_forward,
     init_base_model,
-    mixed_features,
     model_anchors,
     pad_base_logits,
-    propose,
     roi_features,
-    rpn_box_deltas,
-    rpn_cells,
-    rpn_objectness_logits,
 )
 from .errors import (
     CorruptArtifactError,
@@ -46,7 +42,7 @@ from .errors import (
 )
 from .losses import LossBreakdown, Minibatch, compute_gradients
 from .synthgen import ClassSplit, Dataset
-from .tensorops import encode_boxes, iou_matrix, sigmoid, softmax
+from .tensorops import encode_boxes, iou_matrix, softmax
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 _TAG_PICK = 0x91CC
@@ -152,22 +148,6 @@ def assign_targets(boxes: np.ndarray, gt_boxes: np.ndarray, gt_labels: np.ndarra
 # minibatch materialization
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _ImageBuffers:
-    feat: np.ndarray
-    cells: np.ndarray
-
-
-def _image_buffers(model: Model, dataset: Dataset, idx: int,
-                   cache: dict[int, _ImageBuffers]) -> _ImageBuffers:
-    buf = cache.get(idx)
-    if buf is None:
-        feat = image_features(model, dataset.images[idx])
-        buf = _ImageBuffers(feat=feat, cells=rpn_cells(mixed_features(model, feat)))
-        cache[idx] = buf
-    return buf
-
-
 def _head_slot_map(model: Model, stage: str) -> tuple[dict[int, int], int]:
     """Class id -> logit slot for the head trained at this stage."""
     if stage == "pretrain":
@@ -179,22 +159,9 @@ def _head_slot_map(model: Model, stage: str) -> tuple[dict[int, int], int]:
     return {cid: i for i, cid in enumerate(fg)}, len(fg)
 
 
-def _training_proposals(model: Model, buf: _ImageBuffers, anchors, stage: str,
-                        tcfg: TrainConfig, dcfg: DetectConfig, side: float) -> np.ndarray:
-    """Boxes fed to the ROI branch, from the stage's own proposal path."""
-    o_b = sigmoid(rpn_objectness_logits(model, buf.cells, "base"))
-    if stage == "pretrain":
-        obj = o_b
-    else:
-        o_n = sigmoid(rpn_objectness_logits(model, buf.cells, "novel"))
-        obj = bias_balanced_objectness(o_b, o_n, tcfg.rpn_strategy)
-    deltas = rpn_box_deltas(model, buf.cells)
-    return propose(obj, deltas, anchors, dcfg, side).boxes
-
-
 def build_minibatch(model: Model, dataset: Dataset, image_indices, stage: str,
                     tcfg: TrainConfig, dcfg: DetectConfig, seed: int, iteration: int,
-                    cache: dict[int, _ImageBuffers] | None = None) -> Minibatch:
+                    cache: dict[int, ImageForward] | None = None) -> Minibatch:
     """Materialize one training step's targets and frozen-path activations.
 
     Proposals are regenerated from the current region network each call, so
@@ -206,18 +173,20 @@ def build_minibatch(model: Model, dataset: Dataset, image_indices, stage: str,
         raise ParameterError(f"unknown stage {stage!r}; expected one of {STAGE_NAMES}")
     if cache is None:
         cache = {}
-    side = float(dataset.side)
     anchors = model_anchors(model, dataset.side)
     n_scales = len(model.mcfg.anchor_scales)
     slot_map, bg_slot = _head_slot_map(model, stage)
     want_base_probs = stage == "finetune" and tcfg.consistency != "off"
+    strategy = "base-only" if stage == "pretrain" else tcfg.rpn_strategy
 
     a_cells, a_scale, a_label, a_delta = [], [], [], []
     r_feats, r_label, r_pos, r_delta, r_probs = [], [], [], [], []
 
     for img_idx in image_indices:
         img_idx = int(img_idx)
-        buf = _image_buffers(model, dataset, img_idx, cache)
+        fwd = cache.get(img_idx)
+        if fwd is None:
+            fwd = cache[img_idx] = image_forward(model, dataset.images[img_idx])
         gt = dataset.records[img_idx].gt
         ann_boxes = gt.boxes[gt.annotated]
         ann_labels = gt.labels[gt.annotated]
@@ -225,7 +194,7 @@ def build_minibatch(model: Model, dataset: Dataset, image_indices, stage: str,
         rpn = assign_targets(anchors.boxes, ann_boxes, ann_labels, "rpn", tcfg,
                              _subseed(seed, _TAG_RPN_SAMPLE, iteration, img_idx))
         idx = rpn.sample_idx
-        a_cells.append(buf.cells[idx // n_scales])
+        a_cells.append(fwd.cells[idx // n_scales])
         a_scale.append((idx % n_scales).astype(np.int64))
         a_label.append(rpn.sample_pos.astype(np.float64))
         deltas = np.zeros((len(idx), 4))
@@ -235,7 +204,7 @@ def build_minibatch(model: Model, dataset: Dataset, image_indices, stage: str,
                                                   anchors.boxes[pos])
         a_delta.append(deltas)
 
-        proposals = _training_proposals(model, buf, anchors, stage, tcfg, dcfg, side)
+        proposals = forward_proposals(model, fwd, dcfg, strategy).boxes
         pool = np.vstack([proposals, ann_boxes]) if len(ann_boxes) else proposals
         roi = assign_targets(pool, ann_boxes, ann_labels, "roi", tcfg,
                              _subseed(seed, _TAG_ROI_SAMPLE, iteration, img_idx))
@@ -246,7 +215,7 @@ def build_minibatch(model: Model, dataset: Dataset, image_indices, stage: str,
         # classes outside the head's domain train as background
         outside = is_pos & np.asarray([int(c) not in slot_map for c in labels], dtype=bool)
         is_pos &= ~outside
-        feats = roi_features(model, buf.feat, boxes)
+        feats = roi_features(model, fwd.feat, boxes)
         r_feats.append(feats)
         r_label.append(np.asarray([slot_map[int(c)] if p else bg_slot
                                    for c, p in zip(labels, is_pos)], dtype=np.int64))
@@ -372,7 +341,7 @@ def _run_stage(model: Model, dataset: Dataset, stage: str, tcfg: TrainConfig,
     if len(dataset) == 0:
         raise ParameterError("cannot train on an empty dataset")
     velocity: dict[str, np.ndarray] = {}
-    cache: dict[int, _ImageBuffers] = {}
+    cache: dict[int, ImageForward] = {}
     mb_size = min(tcfg.minibatch_images, len(dataset))
     totals: list[float] = []
     t0 = time.monotonic()

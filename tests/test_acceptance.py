@@ -20,17 +20,16 @@ from retentive.cli import RunPaths, multirun, run_experiment
 from retentive.config import DatasetConfig, ModelConfig, TrainConfig, load_config
 from retentive.detector import (
     bias_balanced_objectness,
+    box_head_scores,
     detect,
     detect_base,
-    image_features,
+    image_forward,
     init_base_model,
-    mixed_features,
     model_anchors,
     pad_base_logits,
     propose,
-    roi_head_forward,
-    rpn_cells,
-    rpn_forward,
+    roi_features,
+    rpn_box_deltas,
     rpn_objectness_logits,
 )
 from retentive.evaluation import average_precision
@@ -294,7 +293,7 @@ def test_criterion_08_anchor_dominance(bench):
     anchors = 0
     ok = True
     for img in test_ds.images:
-        cells = rpn_cells(mixed_features(model, image_features(model, img)))
+        cells = image_forward(model, img).cells
         o_b = sigmoid(rpn_objectness_logits(model, cells, "base"))
         o_n = sigmoid(rpn_objectness_logits(model, cells, "novel"))
         ens = bias_balanced_objectness(o_b, o_n, "max")
@@ -387,10 +386,11 @@ def test_criterion_10_inference_contract(bench):
         # every novel-class extra must carry the frozen base head's own
         # padded-softmax mass for that proposal, nothing learned
         side = float(img.shape[0])
-        feat = image_features(base, img)
-        obj, deltas = rpn_forward(base, feat, "base")
+        fwd = image_forward(base, img)
+        obj = sigmoid(rpn_objectness_logits(base, fwd.cells, "base"))
+        deltas = rpn_box_deltas(base, fwd.cells)
         props = propose(obj, deltas, model_anchors(base, img.shape[0]), dcfg, side)
-        logits, reg = roi_head_forward(base, feat, props.boxes, "base")
+        logits, reg = box_head_scores(base, roi_features(base, fwd.feat, props.boxes), "base")
         probs = softmax(pad_base_logits(logits, base.num_novel))
         boxes = decode_boxes(reg, props.boxes, side=side)
         rows_ok = rows_ok and bool(np.all(np.abs(probs.sum(axis=1) - 1.0) <= 1e-12))

@@ -7,9 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from retentive import detector as D
 from retentive.cli import (
     RunPaths,
     STAGES,
+    _evaluate_models,
+    _read_stamp,
     _parse_axes,
     _parse_seeds,
     _parse_stage_list,
@@ -20,8 +23,10 @@ from retentive.cli import (
     run_ablation,
     run_experiment,
 )
-from retentive.config import load_config
+from retentive.config import RPN_STRATEGIES, load_config
 from retentive.errors import ConfigError, StalenessError
+from retentive.synthgen import load_dataset
+from retentive.trainer import load_checkpoint, save_checkpoint
 
 TINY_YAML = """\
 dataset:
@@ -352,6 +357,92 @@ def test_unreadable_stamp_exits_4(tiny_yaml, finished_run, tmp_path, capsys, con
                  "--out", str(out)]) == 4
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "eval.stamp.json" in err
+
+
+@pytest.mark.parametrize("content", ["truncate", "[1, 2]"])
+def test_unreadable_report_exits_4(finished_run, tmp_path, capsys, content):
+    out = tmp_path / "copy"
+    shutil.copytree(finished_run, out)
+    report = RunPaths(out, 3).eval_dir() / "report.json"
+    text = report.read_text(encoding="utf-8")
+    report.write_text(text[:len(text) // 2] if content == "truncate" else content,
+                      encoding="utf-8")
+    assert main(["report", "--out", str(out), "--seed", "3"]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "report.json" in err
+
+
+@pytest.mark.parametrize("content", ["truncate", "[1, 2]", '{"seeds": [1, 2]}'])
+def test_unreadable_aggregate_exits_4(tmp_path, capsys, content):
+    agg = tmp_path / "aggregate.json"
+    text = json.dumps({"seeds": [1, 2], "incomplete": False,
+                       "metrics": {"ap": {"mean": 0.5, "stddev": 0.1, "n": 2}}})
+    agg.write_text(text, encoding="utf-8")
+    assert main(["report", "--out", str(tmp_path)]) == 0
+    assert "ap" in capsys.readouterr().out
+    agg.write_text(text[:len(text) // 2] if content == "truncate" else content,
+                   encoding="utf-8")
+    assert main(["report", "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "aggregate.json" in err
+
+
+def test_detect_under_another_config_exits_4(tiny_yaml, finished_run, tmp_path, capsys):
+    out = tmp_path / "copy"
+    shutil.copytree(finished_run, out)
+    assert main(["detect", "--config", str(tiny_yaml), "--seed", "3", "--out", str(out),
+                 "--lambda", "0.9", "--classifier", "fc"]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "different configuration" in err
+    assert not RunPaths(out, 3).detections().exists()
+
+
+def test_detect_with_replaced_checkpoint_exits_4(tiny_yaml, finished_run, tmp_path, capsys):
+    out = tmp_path / "copy"
+    shutil.copytree(finished_run, out)
+    paths = RunPaths(out, 3)
+    shutil.copyfile(paths.checkpoint("base"), paths.checkpoint("retentive"))
+    assert main(["detect", "--config", str(tiny_yaml), "--seed", "3", "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "finetune stamp" in err
+
+
+def _upstream(paths):
+    return [_read_stamp(paths.stamp(s))["outputs"] for s in ("gen", "pretrain", "finetune")]
+
+
+def test_eval_runs_one_image_forward_per_image(tiny_cfg, finished_run, tmp_path, monkeypatch):
+    out = tmp_path / "copy"
+    shutil.copytree(finished_run, out)
+    paths = RunPaths(out, 3)
+    calls = {"fixed_featurizer": 0, "propose": 0}
+
+    def counted(name):
+        real = getattr(D, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(D, name, counted(name))
+    _evaluate_models(tiny_cfg, 3, paths, *_upstream(paths))
+    images = sum(len(load_dataset(paths.dataset_dir(n)).images) for n in ("test", "uar-eval"))
+    assert calls == {"fixed_featurizer": images, "propose": len(RPN_STRATEGIES) * images}
+    report = "eval/report.json"
+    assert (out / "seed-3" / report).read_bytes() == (finished_run / "seed-3" / report).read_bytes()
+
+
+def test_eval_rejects_base_without_the_shared_frozen_arrays(tiny_cfg, finished_run, tmp_path):
+    out = tmp_path / "copy"
+    shutil.copytree(finished_run, out)
+    paths = RunPaths(out, 3)
+    base = load_checkpoint(paths.checkpoint("base"))
+    base.params.arrays["rpn_box/b"][0] += 1e-9
+    save_checkpoint(base, paths.checkpoint("base"))
+    with pytest.raises(StalenessError, match="frozen arrays"):
+        _evaluate_models(tiny_cfg, 3, paths, *_upstream(paths))
 
 
 @pytest.fixture

@@ -1,12 +1,30 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from oracles import nms_oracle
 from retentive import detector as D
 from retentive import tensorops as T
-from retentive.config import DetectConfig, ModelConfig
+from retentive.config import (
+    RPN_STRATEGIES,
+    DatasetConfig,
+    DetectConfig,
+    ExperimentConfig,
+    ModelConfig,
+    TrainConfig,
+)
 from retentive.errors import ParameterError, StateError
-from retentive.synthgen import InstanceSpec, SceneSpec, render_scene, split_classes
+from retentive.synthgen import (
+    InstanceSpec,
+    SceneSpec,
+    build_base_dataset,
+    build_kshot_dataset,
+    build_test_dataset,
+    render_scene,
+    split_classes,
+)
+from retentive.trainer import finetune, pretrain
 
 SPLIT = split_classes(12, 4, seed=3)
 MCFG = ModelConfig()
@@ -103,10 +121,17 @@ def test_digest_is_order_independent_and_layer_filtered():
 # rpn forward
 # ---------------------------------------------------------------------------
 
+def rpn_outputs(m, fwd, head):
+    """One objectness head's per-anchor probabilities and the shared box deltas."""
+    obj = T.sigmoid(D.rpn_objectness_logits(m, fwd.cells, head))
+    return obj, D.rpn_box_deltas(m, fwd.cells)
+
+
 def test_rpn_forward_shapes_and_range():
     m = pseudo_trained_base()
-    feat = D.image_features(m, scene())
-    obj, deltas = D.rpn_forward(m, feat, "base")
+    fwd = D.image_forward(m, scene())
+    assert fwd.feat.shape == (32, 16, 16) and fwd.cells.shape == (256, 32) and fwd.side == 64
+    obj, deltas = rpn_outputs(m, fwd, "base")
     assert obj.shape == (768,)
     assert deltas.shape == (768, 4)
     assert np.all(obj > 0.0) and np.all(obj < 1.0)
@@ -114,25 +139,25 @@ def test_rpn_forward_shapes_and_range():
 
 def test_rpn_heads_share_deltas():
     m = D.extend_for_finetune(pseudo_trained_base(), seed=2, rpn_obj_init="random")
-    feat = D.image_features(m, scene())
-    _, d_base = D.rpn_forward(m, feat, "base")
-    _, d_novel = D.rpn_forward(m, feat, "novel")
+    fwd = D.image_forward(m, scene())
+    _, d_base = rpn_outputs(m, fwd, "base")
+    _, d_novel = rpn_outputs(m, fwd, "novel")
     assert d_base.tobytes() == d_novel.tobytes()
 
 
 def test_rpn_copied_head_matches_base():
     m = D.extend_for_finetune(pseudo_trained_base(), seed=2, rpn_obj_init="copy")
-    feat = D.image_features(m, scene())
-    o_b, _ = D.rpn_forward(m, feat, "base")
-    o_n, _ = D.rpn_forward(m, feat, "novel")
+    fwd = D.image_forward(m, scene())
+    o_b, _ = rpn_outputs(m, fwd, "base")
+    o_n, _ = rpn_outputs(m, fwd, "novel")
     assert o_b.tobytes() == o_n.tobytes()
 
 
 def test_rpn_novel_head_missing_is_state_error():
     m = pseudo_trained_base()
-    feat = D.image_features(m, scene())
+    fwd = D.image_forward(m, scene())
     with pytest.raises(StateError):
-        D.rpn_forward(m, feat, "novel")
+        D.forward_proposals(m, fwd, DetectConfig(), "max")
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +281,7 @@ def test_roi_head_duplicate_proposals_identical_rows():
     m = pseudo_trained_base()
     feat = D.image_features(m, scene())
     boxes = np.array([[10.0, 10.0, 30.0, 30.0], [10.0, 10.0, 30.0, 30.0]])
-    logits, deltas = D.roi_head_forward(m, feat, boxes, "base")
+    logits, deltas = D.box_head_scores(m, D.roi_features(m, feat, boxes), "base")
     assert np.array_equal(logits[0], logits[1])
     assert np.array_equal(deltas[0], deltas[1])
     assert logits.shape == (2, 9)
@@ -265,7 +290,7 @@ def test_roi_head_duplicate_proposals_identical_rows():
 def test_roi_head_empty_proposals():
     m = pseudo_trained_base()
     feat = D.image_features(m, scene())
-    logits, deltas = D.roi_head_forward(m, feat, np.zeros((0, 4)), "base")
+    logits, deltas = D.box_head_scores(m, D.roi_features(m, feat, np.zeros((0, 4))), "base")
     assert logits.shape == (0, 9) and deltas.shape == (0, 4)
 
 
@@ -315,10 +340,19 @@ def test_pad_rejects_bad_input():
 # merged inference
 # ---------------------------------------------------------------------------
 
+def merge(cands, dcfg):
+    """_merge_candidates over (box, class id, probability, head) tuples."""
+    boxes = np.array([c[0] for c in cands], dtype=np.float64).reshape(-1, 4)
+    classes = np.array([c[1] for c in cands], dtype=np.int64)
+    raw = np.array([c[2] for c in cands], dtype=np.float64)
+    is_base = np.array([c[3] == "base" for c in cands], dtype=bool)
+    return D._merge_candidates(boxes, classes, raw, is_base, dcfg)
+
+
 def test_merge_prefers_base_copy_on_equal_score():
     box = np.array([5.0, 5.0, 20.0, 20.0])
     cands = [(box, 3, 0.6, "novel"), (box, 3, 0.6, "base")]
-    dets = D._merge_candidates(cands, DetectConfig())
+    dets = merge(cands, DetectConfig())
     assert len(dets) == 1
     assert dets[0].source_head == "base"
     assert dets[0].score == 0.6  # bonus steers ranking only
@@ -327,7 +361,7 @@ def test_merge_prefers_base_copy_on_equal_score():
 def test_merge_keeps_distinct_classes():
     box = np.array([5.0, 5.0, 20.0, 20.0])
     cands = [(box, 3, 0.6, "novel"), (box, 7, 0.9, "novel")]
-    dets = D._merge_candidates(cands, DetectConfig())
+    dets = merge(cands, DetectConfig())
     assert {d.class_id for d in dets} == {3, 7}
     assert dets[0].class_id == 7  # sorted by rank
 
@@ -337,7 +371,7 @@ def test_merge_max_dets_cut_uses_rank():
     b1 = np.array([0.0, 0.0, 10.0, 10.0])
     b2 = np.array([30.0, 30.0, 40.0, 40.0])
     cands = [(b1, 1, 0.55, "novel"), (b2, 2, 0.50, "base")]
-    dets = D._merge_candidates(cands, DetectConfig(max_dets=1))
+    dets = merge(cands, DetectConfig(max_dets=1))
     assert len(dets) == 1
     assert dets[0].class_id == 2 and dets[0].source_head == "base"
 
@@ -352,11 +386,11 @@ def test_merge_early_stop_matches_full_nms_then_cut(monkeypatch):
         head = "base" if rng.random() < 0.5 else "novel"
         cands.append((box, cid, round(float(rng.random()), 1), head))
     dcfg = DetectConfig(max_dets=6)
-    got = D._merge_candidates(cands, dcfg)
+    got = merge(cands, dcfg)
 
     kept_counts = []
     monkeypatch.setattr(D, "nms", _full_oracle_nms(kept_counts))
-    full = D._merge_candidates(cands, dcfg)
+    full = merge(cands, dcfg)
     assert max(kept_counts) > dcfg.max_dets
     assert len(got) == dcfg.max_dets
     assert got == full
@@ -426,3 +460,105 @@ def test_detect_deterministic():
     a = D.detect(m, img, DetectConfig())
     b = D.detect(m, img, DetectConfig())
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# shared image forward
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def tiny_finetuned():
+    """Base and retentive models briefly trained on a tiny config, test images."""
+    cfg = ExperimentConfig(
+        dataset=DatasetConfig(image_side=48, num_classes=6, num_novel=2, base_train_images=6,
+                              test_images=4, shots=2, min_instances=2, max_instances=3,
+                              min_glyph=12, max_glyph=20),
+        pretrain=TrainConfig(max_iters=25, convergence_window=8),
+        finetune=TrainConfig(max_iters=12, convergence_window=4, rpn_obj_init="random"),
+    )
+    split = split_classes(6, 2, seed=4)
+    base, _ = pretrain(build_base_dataset(cfg.dataset, split, 41), cfg, 4)
+    model, _ = finetune(base, build_kshot_dataset(cfg.dataset, split, 2, 42), cfg, 4)
+    return base, model, build_test_dataset(cfg.dataset, split, 43).images, cfg.detect
+
+
+def det_bits(dets):
+    """Detections as exact bit patterns of boxes and scores, plus classes and heads."""
+    boxes = np.array([d.box for d in dets], dtype=np.float64).reshape(-1, 4)
+    scores = np.array([d.score for d in dets], dtype=np.float64)
+    return (boxes.view(np.uint64).tolist(), scores.view(np.uint64).tolist(),
+            [d.class_id for d in dets], [d.source_head for d in dets])
+
+
+def prop_bits(props):
+    return props.boxes.view(np.uint64).tolist(), props.scores.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("strategy", RPN_STRATEGIES)
+def test_shared_forward_matches_per_image_path(tiny_finetuned, strategy):
+    base, model, images, dcfg = tiny_finetuned
+    model = dataclasses.replace(model, rpn_strategy=strategy)
+    n_dets = 0
+    for img in images:
+        fwd = D.image_forward(model, img)
+        shared = {s: D.forward_proposals(model, fwd, dcfg, s) for s in RPN_STRATEGIES}
+        assert prop_bits(shared[strategy]) == prop_bits(
+            D.ensembled_proposals(model, img, dcfg, strategy))
+        got = D.detect(model, img, dcfg, forward=fwd, proposals=shared[strategy])
+        assert det_bits(got) == det_bits(D.detect(model, img, dcfg))
+        assert det_bits(got) == det_bits(D.detect(model, img, dcfg, strategy=strategy,
+                                                  forward=fwd))
+        # the base detector's own forward and proposals are the retentive model's
+        got_base = D.detect_base(base, img, dcfg, forward=fwd, proposals=shared["base-only"])
+        assert det_bits(got_base) == det_bits(D.detect_base(base, img, dcfg))
+        n_dets += len(got) + len(got_base)
+    assert n_dets > 0
+
+
+def test_strategies_differ_on_the_fixture(tiny_finetuned):
+    _, model, images, dcfg = tiny_finetuned
+    fwd = D.image_forward(model, images[0])
+    scores = {tuple(D.forward_proposals(model, fwd, dcfg, s).scores.tolist())
+              for s in RPN_STRATEGIES}
+    assert len(scores) == len(RPN_STRATEGIES)
+
+
+def test_forward_proposals_rejects_unknown_strategy(tiny_finetuned):
+    _, model, images, dcfg = tiny_finetuned
+    with pytest.raises(ParameterError):
+        D.forward_proposals(model, D.image_forward(model, images[0]), dcfg, "median")
+
+
+def double_loop_candidates(heads, score_thresh):
+    """Candidate tuples built the way detect assembled them one probability at a time."""
+    cands = []
+    for i in range(len(heads[0][1])):
+        for is_base, p, b, ids in heads:
+            for slot, cid in enumerate(ids):
+                v = float(p[i, slot])
+                if v >= score_thresh:
+                    cands.append((b[i], cid, v, "base" if is_base else "novel"))
+    return cands
+
+
+@pytest.mark.parametrize("n_heads", [1, 2])
+def test_candidate_arrays_match_double_loop_at_threshold(n_heads):
+    rng = np.random.default_rng(21)
+    thresh = 0.25
+    values = [0.0, np.nextafter(thresh, 0.0), thresh, np.nextafter(thresh, 1.0), 0.9]
+    base_ids, novel_ids = (0, 2, 5, 7), (0, 2, 5, 7, 1, 3)
+    heads = [(True, rng.choice(values, size=(9, len(base_ids) + 1)),
+              rng.random((9, 4)) * 40, base_ids),
+             (False, rng.choice(values, size=(9, len(novel_ids) + 1)),
+              rng.random((9, 4)) * 40, novel_ids)][:n_heads]
+    want = double_loop_candidates(heads, thresh)
+    boxes, classes, raw, is_base = D._assemble_candidates(heads, thresh)
+    assert any(c[2] == thresh for c in want)
+    assert not any(c[2] == np.nextafter(thresh, 0.0) for c in want)
+    assert boxes.view(np.uint64).tolist() == np.array(
+        [c[0] for c in want]).reshape(-1, 4).view(np.uint64).tolist()
+    assert classes.tolist() == [c[1] for c in want]
+    assert raw.tolist() == [c[2] for c in want]
+    assert ["base" if b else "novel" for b in is_base] == [c[3] for c in want]
+    dcfg = DetectConfig(max_dets=8)
+    assert D._merge_candidates(boxes, classes, raw, is_base, dcfg) == merge(want, dcfg)

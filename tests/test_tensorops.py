@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import nms_oracle, roi_pool_oracle
+from oracles import iou_scalar, nms_oracle, roi_pool_oracle
 from retentive import tensorops as T
 from retentive.errors import NumericError, ParameterError
 
@@ -184,6 +184,35 @@ def test_iou_matrix_agrees_with_scalar():
     for i in range(6):
         for j in range(6):
             assert abs(mat[i, j] - T.iou(boxes[i], boxes[j])) < 1e-12
+
+
+@st.composite
+def grid_box_sets(draw):
+    """Two box sets on a small integer grid: zero-area boxes, boxes shared
+    between the sets and repeated within a set all occur."""
+    corner = st.tuples(st.integers(0, 20), st.integers(0, 20))
+    size = st.tuples(st.integers(0, 8), st.integers(0, 8))
+    box = st.tuples(corner, size).map(lambda cs: (cs[0][0], cs[0][1],
+                                                  cs[0][0] + cs[1][0], cs[0][1] + cs[1][1]))
+    a = draw(st.lists(box, max_size=12))
+    b = draw(st.lists(box, max_size=12))
+    if a and b:
+        for dst, src in draw(st.lists(st.tuples(st.integers(0, len(b) - 1),
+                                                st.integers(0, len(a) - 1)), max_size=len(b))):
+            b[dst] = a[src]
+    as_array = lambda boxes: np.array(boxes, dtype=np.float64).reshape(-1, 4)  # noqa: E731
+    return as_array(a), as_array(b)
+
+
+@settings(deadline=None)
+@given(grid_box_sets())
+def test_iou_matrix_matches_scalar_oracle(pair):
+    a, b = pair
+    got = T.iou_matrix(a, b)
+    want = np.array([[iou_scalar(x, y) for y in b] for x in a],
+                    dtype=np.float64).reshape(len(a), len(b))
+    assert got.shape == want.shape
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 def test_nms_single_box():

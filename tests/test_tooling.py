@@ -1,0 +1,40 @@
+"""The benchmark harness reaches into the package by name; keep those names alive."""
+
+import ast
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_run_module():
+    """perfbench/run.py imported from its path, as the harness file stands."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_trace_target_is_a_package_function():
+    targets = load_run_module().trace_targets()
+    assert targets
+    for module, fname, span, _ in targets:
+        assert module.__name__.startswith("retentive."), module.__name__
+        fn = getattr(module, fname, None)
+        assert inspect.isfunction(fn), f"{module.__name__}.{fname} is not a function"
+        assert fn.__module__ == module.__name__, f"{module.__name__}.{fname} is re-exported"
+        assert span == f"{module.__name__.rsplit('.', 1)[1]}.{fname}"
+
+
+def test_harness_imports_from_the_package_resolve():
+    checked = 0
+    for script in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(script.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("retentive"):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    assert hasattr(module, alias.name), f"{script.name}: {node.module}.{alias.name}"
+                    checked += 1
+    assert checked > 0
