@@ -18,6 +18,7 @@ import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from hashlib import sha256
 from pathlib import Path
 
@@ -67,7 +68,7 @@ from .synthgen import (
     save_dataset,
     split_classes,
 )
-from .trainer import finetune, load_checkpoint, pretrain, save_checkpoint
+from .trainer import finetune, load_checkpoint, pretrain, save_checkpoint, verify_checkpoint
 
 STAGES = ("gen", "pretrain", "finetune", "eval")
 DATASET_NAMES = ("base-train", "kshot", "test", "uar-eval")
@@ -117,19 +118,7 @@ def _dataset_digest_on_disk(path: Path) -> str:
     manifest = path / "manifest.json"
     if not manifest.exists():
         raise StalenessError(f"dataset missing at {path}")
-    return str(json.loads(manifest.read_text(encoding="utf-8"))["digest"])
-
-
-def _checkpoint_digest_on_disk(path: Path) -> str:
-    if not path.exists():
-        raise StalenessError(f"checkpoint missing at {path}")
-    data = path.read_bytes()
-    if len(data) < 48:
-        raise CorruptArtifactError(f"checkpoint {path} is truncated")
-    body, trailer = data[16:-32], data[-32:]
-    if sha256(body).digest() != trailer:
-        raise CorruptArtifactError(f"checkpoint {path} failed hash verification")
-    return trailer.hex()
+    return _read_object(manifest, "manifest", {"digest": str})["digest"]
 
 
 def _write_stamp(path: Path, stage: str, seed: int, config_digest: str,
@@ -237,7 +226,7 @@ def _stage_pretrain(cfg: ExperimentConfig, seed: int, paths: RunPaths,
     inputs = {"base-train": gen_out["base-train"]}
 
     def verify():
-        return {"base": _checkpoint_digest_on_disk(paths.checkpoint("base"))}
+        return {"base": verify_checkpoint(paths.checkpoint("base"))}
 
     def run():
         dataset = load_dataset(paths.dataset_dir("base-train"))
@@ -255,7 +244,7 @@ def _stage_finetune(cfg: ExperimentConfig, seed: int, paths: RunPaths,
     inputs = {"kshot": gen_out["kshot"], "base": pre_out["base"]}
 
     def verify():
-        return {"retentive": _checkpoint_digest_on_disk(paths.checkpoint("retentive"))}
+        return {"retentive": verify_checkpoint(paths.checkpoint("retentive"))}
 
     def run():
         base = load_checkpoint(paths.checkpoint("base"))
@@ -440,9 +429,10 @@ def aggregate_metrics(per_seed: dict[int, dict[str, float]]) -> dict[str, dict]:
     return table
 
 
-# errors that fail one seed of a multirun without stopping the others
+# errors that fail one seed of a multirun without stopping the others (a dead
+# pool worker fails every seed still pending with BrokenProcessPool)
 _SEED_FAILURES = (ConfigError, ParameterError, GenerationError, TrainingError,
-                  StalenessError, CorruptArtifactError, OSError)
+                  StalenessError, CorruptArtifactError, OSError, BrokenProcessPool)
 
 
 def multirun(cfg: ExperimentConfig, seeds, out_root, stages=STAGES,
@@ -691,7 +681,7 @@ def _cmd_detect(args) -> int:
     if not ckpt.exists():
         raise StalenessError(f"no checkpoint at {ckpt}; run finetune for seed {args.seed} first")
     recorded = _upstream_outputs(paths, "finetune", args.seed, cfg.digest())
-    if _checkpoint_digest_on_disk(ckpt) != recorded.get("retentive"):
+    if verify_checkpoint(ckpt) != recorded.get("retentive"):
         raise StalenessError(f"{ckpt} is not the checkpoint the finetune stamp recorded")
     model = load_checkpoint(ckpt)
     test_ds = load_dataset(paths.dataset_dir("test"))

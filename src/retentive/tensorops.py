@@ -6,6 +6,7 @@ repeated calls agree exactly.
 """
 from __future__ import annotations
 
+import ctypes
 import functools
 from dataclasses import dataclass
 
@@ -14,6 +15,40 @@ import numpy as np
 from .errors import NumericError, ParameterError
 
 EPS_COSINE = 1e-8
+
+_OPENBLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                         "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+def _pin_openblas_to_one_thread() -> None:
+    """Run every OpenBLAS mapped into this process on one thread.
+
+    The kernels here multiply small matrices. OpenBLAS would split them across
+    threads whose idle worker then spin-waits on a core; parallelism comes from
+    multirun's processes instead. numpy is loaded before this package, too
+    late for OPENBLAS_NUM_THREADS, so the loaded library's own setter is
+    called. OpenBLAS partitions a GEMM's outputs, not its sums, so results are
+    bitwise the same. Without /proc or without OpenBLAS this does nothing.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = {f[5].strip() for f in (line.split(None, 5) for line in maps)
+                     if len(f) == 6 and "openblas" in f[5].lower()}
+    except OSError:
+        return
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        name = next((n for n in _OPENBLAS_SET_THREADS if hasattr(lib, n)), None)
+        if name is not None:
+            setter = getattr(lib, name)
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+
+
+_pin_openblas_to_one_thread()
 
 
 def as_f64(x) -> np.ndarray:

@@ -430,20 +430,12 @@ def save_checkpoint(model: Model, path) -> str:
     return digest.hex()
 
 
-def checkpoint_digest(model: Model) -> str:
-    """Digest the checkpoint file would carry, without writing it."""
-    names = sorted(model.params.arrays)
-    header = canonical_json(_model_header(model, names)).encode("utf-8")
-    payload = b"".join(
-        np.ascontiguousarray(model.params.arrays[n], dtype=np.float64).tobytes()
-        for n in names
-    )
-    return sha256(header + payload).hexdigest()
-
-
-def load_checkpoint(path) -> Model:
-    """Read a checkpoint; any structural or hash defect raises."""
-    data = Path(path).read_bytes()
+def _verified_parts(path) -> tuple[dict, bytes, bytes]:
+    """Header, payload and stored digest of a checkpoint that passes every check."""
+    try:
+        data = Path(path).read_bytes()
+    except FileNotFoundError as exc:
+        raise CorruptCheckpointError(f"checkpoint {path} is missing") from exc
     fixed = len(CHECKPOINT_MAGIC) + 8
     if len(data) < fixed + 32:
         raise CorruptCheckpointError(f"checkpoint {path} is truncated")
@@ -460,8 +452,7 @@ def load_checkpoint(path) -> Model:
         header = json.loads(header_bytes.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptCheckpointError(f"checkpoint header is unreadable: {exc}") from exc
-    entries = header["arrays"]
-    counts = [int(np.prod(e["shape"], dtype=np.int64)) for e in entries]
+    counts = [int(np.prod(e["shape"], dtype=np.int64)) for e in header["arrays"]]
     payload_len = 8 * int(np.sum(counts, dtype=np.int64))
     if len(data) != fixed + header_len + payload_len + 32:
         raise CorruptCheckpointError(
@@ -471,11 +462,22 @@ def load_checkpoint(path) -> Model:
     want = data[-32:]
     if sha256(header_bytes + payload).digest() != want:
         raise CorruptCheckpointError(f"checkpoint {path} failed hash verification")
+    return header, payload, want
 
+
+def verify_checkpoint(path) -> str:
+    """Stored digest of a checkpoint; a bad magic, version, length or hash raises."""
+    return _verified_parts(path)[2].hex()
+
+
+def load_checkpoint(path) -> Model:
+    """Read a checkpoint; any structural or hash defect raises."""
+    header, payload, _ = _verified_parts(path)
     arrays: dict[str, np.ndarray] = {}
     trainable: set[str] = set()
     off = 0
-    for entry, count in zip(entries, counts):
+    for entry in header["arrays"]:
+        count = int(np.prod(entry["shape"], dtype=np.int64))
         arr = np.frombuffer(payload, dtype=np.float64, count=count, offset=off)
         arrays[entry["name"]] = arr.reshape(entry["shape"]).copy()
         if entry["trainable"]:

@@ -4,6 +4,8 @@ Everything here is written with plain Python loops and none of the package's
 vectorized code, so agreement is evidence rather than tautology.
 """
 
+import math
+
 import numpy as np
 
 
@@ -161,3 +163,24 @@ def random_ap_instance(rng, max_dets=10, max_gt=5, images=3):
         score = round(float(rng.random()), 1)  # coarse scores force ties
         rows.append((img, score, box))
     return rows, gt_boxes
+
+
+def encode_box_scalar(box, anchor) -> list[float]:
+    """Center/log-size deltas of one box against one anchor."""
+    aw, ah = anchor[2] - anchor[0], anchor[3] - anchor[1]
+    w, h = box[2] - box[0], box[3] - box[1]
+    acx, acy = anchor[0] + 0.5 * aw, anchor[1] + 0.5 * ah
+    cx, cy = box[0] + 0.5 * w, box[1] + 0.5 * h
+    return [(cx - acx) / aw, (cy - acy) / ah, math.log(w / aw), math.log(h / ah)]
+
+
+def decode_box_scalar(delta, anchor, side=None) -> list[float]:
+    """The box one delta row encodes against one anchor, clipped to [0, side]."""
+    aw, ah = anchor[2] - anchor[0], anchor[3] - anchor[1]
+    acx, acy = anchor[0] + 0.5 * aw, anchor[1] + 0.5 * ah
+    cx, cy = delta[0] * aw + acx, delta[1] * ah + acy
+    w, h = math.exp(delta[2]) * aw, math.exp(delta[3]) * ah
+    box = [cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h]
+    if side is not None:
+        box = [min(max(v, 0.0), side) for v in box]
+    return box

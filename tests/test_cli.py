@@ -1,12 +1,14 @@
 """Pipeline orchestration tests: stamps, staleness, aggregation, exit codes."""
 
 import json
+import os
 import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from retentive import cli
 from retentive import detector as D
 from retentive.cli import (
     RunPaths,
@@ -215,6 +217,38 @@ def test_multirun_failed_seed_marks_incomplete(tiny_cfg, tmp_path):
     assert data["incomplete"] is True
 
 
+def test_multirun_workers_write_identical_bytes(tiny_cfg, tmp_path):
+    runs = {w: tmp_path / f"workers-{w}" for w in (1, 2)}
+    for w, out in runs.items():
+        assert not multirun(tiny_cfg, [13, 14], out, workers=w)["incomplete"]
+    assert ((runs[1] / "aggregate.json").read_bytes()
+            == (runs[2] / "aggregate.json").read_bytes())
+    for s in (13, 14):
+        a, b = RunPaths(runs[1], s), RunPaths(runs[2], s)
+        for name in ("base", "retentive"):
+            assert a.checkpoint(name).read_bytes() == b.checkpoint(name).read_bytes()
+        assert ((a.eval_dir() / "report.json").read_bytes()
+                == (b.eval_dir() / "report.json").read_bytes())
+
+
+def _die_on_seed_31(cfg, seed, out_root, stages):
+    """Stands in for run_experiment in a pool worker: seed 31's worker dies."""
+    if seed == 31:
+        os._exit(1)
+
+
+def test_multirun_dead_worker_is_a_failed_seed(tiny_yaml, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("RETENTIVE_THREADS", "2")
+    monkeypatch.setattr(cli, "run_experiment", _die_on_seed_31)
+    out = tmp_path / "mr"
+    assert main(["multirun", "--config", str(tiny_yaml), "--seeds", "30,31",
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == ""
+    data = json.loads((out / "aggregate.json").read_text(encoding="utf-8"))
+    assert data["incomplete"] is True
+    assert data["failures"]["31"].startswith("BrokenProcessPool")
+
+
 def test_aggregate_metrics_hand_values():
     table = aggregate_metrics({1: {"m": 2.0, "only": 5.0}, 2: {"m": 4.0}})
     assert table["m"]["mean"] == pytest.approx(3.0, abs=1e-15)
@@ -357,6 +391,30 @@ def test_unreadable_stamp_exits_4(tiny_yaml, finished_run, tmp_path, capsys, con
                  "--out", str(out)]) == 4
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "eval.stamp.json" in err
+
+
+@pytest.mark.parametrize("content", ["truncate", "[1, 2]"])
+def test_unreadable_manifest_exits_4(tiny_yaml, finished_run, tmp_path, capsys, content):
+    out = tmp_path / "copy"
+    shutil.copytree(finished_run, out)
+    manifest = RunPaths(out, 3).dataset_dir("test") / "manifest.json"
+    text = manifest.read_text(encoding="utf-8")
+    manifest.write_text(text[:40] if content == "truncate" else content, encoding="utf-8")
+    assert main(["eval", "--config", str(tiny_yaml), "--seed", "3",
+                 "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "manifest.json" in err
+
+
+def test_foreign_checkpoint_magic_exits_4(tiny_yaml, finished_run, tmp_path, capsys):
+    out = tmp_path / "copy"
+    shutil.copytree(finished_run, out)
+    ckpt = RunPaths(out, 3).checkpoint("base")
+    ckpt.write_bytes(b"XXXXXXXX" + ckpt.read_bytes()[8:])
+    assert main(["eval", "--config", str(tiny_yaml), "--seed", "3",
+                 "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "magic" in err
 
 
 @pytest.mark.parametrize("content", ["truncate", "[1, 2]"])

@@ -1,4 +1,11 @@
 import ast
+import inspect
+import json
+import multiprocessing
+import os
+import subprocess
+import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -6,9 +13,67 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import iou_scalar, nms_oracle, roi_pool_oracle
+from oracles import (
+    decode_box_scalar,
+    encode_box_scalar,
+    iou_scalar,
+    nms_oracle,
+    roi_pool_oracle,
+)
 from retentive import tensorops as T
 from retentive.errors import NumericError, ParameterError
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+# ---------------------------------------------------------------------------
+
+def _openblas_threads() -> list[int]:
+    """Thread count that each OpenBLAS mapped into this process reports."""
+    import ctypes
+    getters = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+               "openblas_get_num_threads64_", "openblas_get_num_threads")
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = {f[5].strip() for f in (line.split(None, 5) for line in maps)
+                     if len(f) == 6 and "openblas" in f[5].lower()}
+    except OSError:
+        return []
+    counts = []
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        name = next((n for n in getters if hasattr(lib, n)), None)
+        if name is not None:
+            getter = getattr(lib, name)
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            counts.append(getter())
+    return counts
+
+
+def test_import_after_numpy_pins_openblas_to_one_thread():
+    script = inspect.getsource(_openblas_threads) + (
+        "import json\nimport numpy\nbefore = _openblas_threads()\n"
+        "import retentive\nprint(json.dumps([before, _openblas_threads()]))\n")
+    src = str(Path(T.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    before, after = json.loads(done.stdout)
+    if not before:
+        pytest.skip("numpy here is not linked against OpenBLAS")
+    assert after == [1] * len(before)
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn"])
+def test_pool_children_run_openblas_on_one_thread(method):
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method here")
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context(method)) as pool:
+        counts = pool.submit(_openblas_threads).result(timeout=120)
+    if not counts:
+        pytest.skip("numpy here is not linked against OpenBLAS")
+    assert counts == [1] * len(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +380,41 @@ def test_codec_roundtrip_random():
         box = np.array([[bx, by, bx + bw, by + bh]])
         back = T.decode_boxes(T.encode_boxes(box, anchor), anchor)
         assert np.max(np.abs(back - box)) < 1e-9
+
+
+@st.composite
+def codec_problems(draw):
+    """Anchors and boxes of positive size, delta rows, and an optional clip side."""
+    n = draw(st.integers(1, 12))
+    coord, size = st.floats(-50.0, 150.0), st.floats(0.25, 120.0)
+
+    def boxes():
+        rows = draw(st.lists(st.tuples(coord, coord, size, size), min_size=n, max_size=n))
+        return np.array([[x, y, x + w, y + h] for x, y, w, h in rows])
+
+    anchors, targets = boxes(), boxes()
+    shift, log_size = st.floats(-3.0, 3.0), st.floats(-4.0, 4.0)
+    deltas = np.array(draw(st.lists(st.tuples(shift, shift, log_size, log_size),
+                                    min_size=n, max_size=n)))
+    side = draw(st.none() | st.floats(1.0, 128.0))
+    return anchors, targets, deltas, side
+
+
+@settings(deadline=None)
+@given(codec_problems())
+def test_box_codec_matches_scalar_oracle(problem):
+    # numpy's and libm's log/exp may differ by an ulp, so agreement is to a few
+    # ulps: relative for the deltas, relative to the largest coordinate for boxes
+    anchors, targets, deltas, side = problem
+    eps = np.finfo(np.float64).eps
+    want = [encode_box_scalar(b, a) for b, a in zip(targets, anchors)]
+    np.testing.assert_allclose(T.encode_boxes(targets, anchors), want, rtol=4 * eps, atol=0)
+    want = [decode_box_scalar(d, a, side) for d, a in zip(deltas, anchors)]
+    scale = 1.0 + max(abs(v) for d, a in zip(deltas, anchors) for v in decode_box_scalar(d, a))
+    got = T.decode_boxes(deltas, anchors, side=side)
+    np.testing.assert_allclose(got, want, rtol=0, atol=8 * eps * scale)
+    if side is not None:
+        assert np.all((got >= 0.0) & (got <= side))
 
 
 def test_codec_degenerate_anchor():

@@ -25,12 +25,12 @@ from retentive.trainer import (
     _run_stage,
     assign_targets,
     build_minibatch,
-    checkpoint_digest,
     finetune,
     load_checkpoint,
     pretrain,
     save_checkpoint,
     sgd_step,
+    verify_checkpoint,
     windowed_means,
 )
 
@@ -414,7 +414,7 @@ def test_checkpoint_roundtrip_is_bitwise(tmp_path):
     model, _ = finetune(base, kshot_ds, cfg, seed=5)
     p = tmp_path / "model.ckpt"
     digest = save_checkpoint(model, p)
-    assert digest == checkpoint_digest(model)
+    assert digest == verify_checkpoint(p)
     back = load_checkpoint(p)
     assert back.stage == STAGE_RETENTIVE
     assert back.feat_seed == model.feat_seed
@@ -449,26 +449,21 @@ def test_checkpoint_rejects_corruption(tmp_path):
     save_checkpoint(model, p)
     blob = p.read_bytes()
 
-    (tmp_path / "trunc.ckpt").write_bytes(blob[:len(blob) // 2])
-    with pytest.raises(CorruptCheckpointError):
-        load_checkpoint(tmp_path / "trunc.ckpt")
-
+    assert verify_checkpoint(p) == blob[-32:].hex()
     flipped = bytearray(blob)
     flipped[len(blob) // 2] ^= 0xFF
-    (tmp_path / "flip.ckpt").write_bytes(bytes(flipped))
-    with pytest.raises(CorruptCheckpointError):
-        load_checkpoint(tmp_path / "flip.ckpt")
-
-    (tmp_path / "magic.ckpt").write_bytes(b"XXXXXXXX" + blob[8:])
-    with pytest.raises(CorruptCheckpointError):
-        load_checkpoint(tmp_path / "magic.ckpt")
-
     versioned = bytearray(blob)
     versioned[8] = 99  # little-endian version field
-    (tmp_path / "ver.ckpt").write_bytes(bytes(versioned))
-    with pytest.raises(CorruptCheckpointError):
-        load_checkpoint(tmp_path / "ver.ckpt")
-
-    (tmp_path / "empty.ckpt").write_bytes(b"")
-    with pytest.raises(CorruptCheckpointError):
-        load_checkpoint(tmp_path / "empty.ckpt")
+    bad = {
+        "trunc.ckpt": blob[:len(blob) // 2],
+        "flip.ckpt": bytes(flipped),
+        "magic.ckpt": b"XXXXXXXX" + blob[8:],
+        "ver.ckpt": bytes(versioned),
+        "empty.ckpt": b"",
+    }
+    for name, data in bad.items():
+        (tmp_path / name).write_bytes(data)
+    for name in [*bad, "missing.ckpt"]:
+        for read in (load_checkpoint, verify_checkpoint):
+            with pytest.raises(CorruptCheckpointError):
+                read(tmp_path / name)
