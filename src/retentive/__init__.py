@@ -4,143 +4,15 @@ The package splits into dataset synthesis (synthgen), dense float64 kernels
 (tensorops), the two-headed detector (detector), training objectives with
 closed-form gradients (losses), the two-stage optimizer loop (trainer),
 metrics and report emission (evaluation), and experiment orchestration (cli).
+The top level exports the library surface; everything else is imported from
+its module. Importing the package imports tensorops, which runs numpy's
+OpenBLAS on one thread before any matrix product.
 """
 
-from .config import (
-    CLASSIFIER_KINDS,
-    CONSISTENCY_VARIANTS,
-    HEAD_DOMAINS,
-    RPN_STRATEGIES,
-    DatasetConfig,
-    DetectConfig,
-    EvalConfig,
-    ExperimentConfig,
-    ModelConfig,
-    TrainConfig,
-    canonical_digest,
-    canonical_json,
-    load_config,
-)
-from .detector import (
-    Detection,
-    Model,
-    Proposals,
-    detect,
-    detect_base,
-    ensembled_proposals,
-    extend_for_finetune,
-    init_base_model,
-)
-from .errors import (
-    ConfigError,
-    CorruptArtifactError,
-    CorruptCheckpointError,
-    GenerationError,
-    NumericError,
-    ParameterError,
-    StalenessError,
-    StateError,
-    TrainingError,
-)
-from .evaluation import (
-    EvalReport,
-    ap_summary,
-    ap_table,
-    average_precision,
-    average_recall,
-    build_report,
-    emit_report,
-    roi_feature_norms,
-)
-from .losses import (
-    LossBreakdown,
-    Minibatch,
-    compute_gradients,
-    compute_loss,
-    finite_difference_check,
-)
-from .synthgen import (
-    ClassSplit,
-    Dataset,
-    GroundTruth,
-    SceneRecord,
-    build_base_dataset,
-    build_kshot_dataset,
-    build_test_dataset,
-    load_dataset,
-    save_dataset,
-    split_classes,
-)
-from .trainer import (
-    TrainLog,
-    build_minibatch,
-    finetune,
-    load_checkpoint,
-    pretrain,
-    save_checkpoint,
-)
+from .config import load_config
+from .detector import detect
+from .trainer import finetune, pretrain
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CLASSIFIER_KINDS",
-    "CONSISTENCY_VARIANTS",
-    "HEAD_DOMAINS",
-    "RPN_STRATEGIES",
-    "ClassSplit",
-    "ConfigError",
-    "CorruptArtifactError",
-    "CorruptCheckpointError",
-    "Dataset",
-    "DatasetConfig",
-    "DetectConfig",
-    "Detection",
-    "EvalConfig",
-    "EvalReport",
-    "ExperimentConfig",
-    "GenerationError",
-    "GroundTruth",
-    "LossBreakdown",
-    "Minibatch",
-    "Model",
-    "ModelConfig",
-    "NumericError",
-    "ParameterError",
-    "Proposals",
-    "SceneRecord",
-    "StalenessError",
-    "StateError",
-    "TrainConfig",
-    "TrainLog",
-    "TrainingError",
-    "ap_summary",
-    "ap_table",
-    "average_precision",
-    "average_recall",
-    "build_minibatch",
-    "build_report",
-    "build_base_dataset",
-    "build_kshot_dataset",
-    "build_test_dataset",
-    "canonical_digest",
-    "canonical_json",
-    "compute_gradients",
-    "compute_loss",
-    "detect",
-    "detect_base",
-    "emit_report",
-    "ensembled_proposals",
-    "extend_for_finetune",
-    "finetune",
-    "finite_difference_check",
-    "init_base_model",
-    "load_checkpoint",
-    "load_config",
-    "load_dataset",
-    "pretrain",
-    "roi_feature_norms",
-    "save_checkpoint",
-    "save_dataset",
-    "split_classes",
-    "__version__",
-]
+__all__ = ["load_config", "pretrain", "finetune", "detect", "__version__"]

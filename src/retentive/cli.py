@@ -68,23 +68,18 @@ from .synthgen import (
     save_dataset,
     split_classes,
 )
+from .tensorops import subseed
 from .trainer import finetune, load_checkpoint, pretrain, save_checkpoint, verify_checkpoint
 
 STAGES = ("gen", "pretrain", "finetune", "eval")
 DATASET_NAMES = ("base-train", "kshot", "test", "uar-eval")
 
-_MASK = 0xFFFFFFFFFFFFFFFF
 _DS_TAGS = {
     "base-train": 0xD5B1,
     "kshot": 0xD5B2,
     "test": 0xD5B3,
     "uar-eval": 0xD5B4,
 }
-
-
-def _subseed(*keys: int) -> int:
-    seq = np.random.SeedSequence([k & _MASK for k in keys])
-    return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -193,13 +188,13 @@ def _build_datasets(cfg: ExperimentConfig, seed: int) -> dict[str, Dataset]:
     split = split_classes(cfg.dataset.num_classes, cfg.dataset.num_novel, seed)
     return {
         "base-train": build_base_dataset(cfg.dataset, split,
-                                         _subseed(seed, _DS_TAGS["base-train"])),
+                                         subseed(seed, _DS_TAGS["base-train"])),
         "kshot": build_kshot_dataset(cfg.dataset, split, cfg.dataset.shots,
-                                     _subseed(seed, _DS_TAGS["kshot"])),
+                                     subseed(seed, _DS_TAGS["kshot"])),
         "test": build_test_dataset(cfg.dataset, split,
-                                   _subseed(seed, _DS_TAGS["test"])),
+                                   subseed(seed, _DS_TAGS["test"])),
         "uar-eval": build_base_dataset(cfg.dataset, split,
-                                       _subseed(seed, _DS_TAGS["uar-eval"]),
+                                       subseed(seed, _DS_TAGS["uar-eval"]),
                                        num_images=cfg.dataset.uar_eval_images),
     }
 
@@ -765,7 +760,7 @@ def main(argv=None) -> int:
     except TrainingError as exc:
         print(f"training error: {exc}", file=sys.stderr)
         return 3
-    except (StalenessError, CorruptArtifactError) as exc:
+    except (StalenessError, CorruptArtifactError, OSError) as exc:
         print(f"artifact error: {exc}", file=sys.stderr)
         return 4
     except Exception:

@@ -194,7 +194,10 @@ def load_config(path: str | Path | None) -> ExperimentConfig:
     """Build an ExperimentConfig from defaults overlaid with a YAML file."""
     cfg = ExperimentConfig()
     if path is not None:
-        raw = Path(path).read_text()
+        try:
+            raw = Path(path).read_text()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
         try:
             data = yaml.safe_load(raw)
         except yaml.YAMLError as exc:

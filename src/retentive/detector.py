@@ -29,6 +29,7 @@ from .tensorops import (
     generate_anchors,
     linear_forward,
     nms,
+    rng,
     roi_pool,
     sigmoid,
     softmax,
@@ -49,10 +50,6 @@ STAGE_BASE = "base"
 STAGE_RETENTIVE = "retentive"
 
 
-def _rng(*keys: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([k & 0xFFFFFFFFFFFFFFFF for k in keys]))
-
-
 # ---------------------------------------------------------------------------
 # parameters
 # ---------------------------------------------------------------------------
@@ -63,12 +60,6 @@ class ParamSet:
 
     arrays: dict[str, np.ndarray] = field(default_factory=dict)
     trainable: set[str] = field(default_factory=set)
-
-    def layer_names(self) -> tuple[str, ...]:
-        return tuple(sorted({k.split("/")[0] for k in self.arrays}))
-
-    def parts_of(self, layer: str) -> tuple[str, ...]:
-        return tuple(sorted(k for k in self.arrays if k.split("/")[0] == layer))
 
     def copy(self) -> "ParamSet":
         return ParamSet(
@@ -126,21 +117,21 @@ def init_base_model(split: ClassSplit, mcfg: ModelConfig, feat_seed: int, seed: 
     nb = split.num_base
 
     arrays: dict[str, np.ndarray] = {}
-    rng_frozen = _rng(feat_seed, _TAG_MIXER)
+    rng_frozen = rng(feat_seed, _TAG_MIXER)
     arrays["rpn_shared/W"] = rng_frozen.normal(0.0, 1.0 / np.sqrt(9.0 * mcfg.feat_channels),
                                                size=(c, mcfg.feat_channels, 3, 3))
-    rng_proj = _rng(feat_seed, _TAG_PROJ)
+    rng_proj = rng(feat_seed, _TAG_PROJ)
     arrays["boxhead_proj/W"] = rng_proj.normal(0.0, 1.0 / np.sqrt(pooled), size=(d, pooled))
 
-    rng = _rng(seed, _TAG_BASE_INIT)
+    gen = rng(seed, _TAG_BASE_INIT)
     sig = mcfg.init_sigma
-    arrays["rpn_obj_b/W"] = rng.normal(0.0, sig, size=(n_scales, c))
+    arrays["rpn_obj_b/W"] = gen.normal(0.0, sig, size=(n_scales, c))
     arrays["rpn_obj_b/b"] = np.zeros(n_scales)
-    arrays["rpn_box/W"] = rng.normal(0.0, sig, size=(4 * n_scales, c))
+    arrays["rpn_box/W"] = gen.normal(0.0, sig, size=(4 * n_scales, c))
     arrays["rpn_box/b"] = np.zeros(4 * n_scales)
-    arrays["cls_b/W"] = rng.normal(0.0, sig, size=(nb + 1, d))
+    arrays["cls_b/W"] = gen.normal(0.0, sig, size=(nb + 1, d))
     arrays["cls_b/b"] = np.zeros(nb + 1)
-    arrays["reg_b/W"] = rng.normal(0.0, sig, size=(4, d))
+    arrays["reg_b/W"] = gen.normal(0.0, sig, size=(4, d))
     arrays["reg_b/b"] = np.zeros(4)
 
     params = ParamSet(arrays={k: np.ascontiguousarray(v) for k, v in arrays.items()},
@@ -159,13 +150,13 @@ def extend_for_finetune(base: Model, seed: int, classifier: str = "cos",
     params = base.params.copy()
     d = base.mcfg.head_dim
     sig = base.mcfg.init_sigma
-    rng = _rng(seed, _TAG_NOVEL_INIT)
+    gen = rng(seed, _TAG_NOVEL_INIT)
 
     if rpn_obj_init == "copy":
         params.arrays["rpn_obj_n/W"] = params.arrays["rpn_obj_b/W"].copy()
         params.arrays["rpn_obj_n/b"] = params.arrays["rpn_obj_b/b"].copy()
     elif rpn_obj_init == "random":
-        params.arrays["rpn_obj_n/W"] = rng.normal(0.0, sig, size=params.arrays["rpn_obj_b/W"].shape)
+        params.arrays["rpn_obj_n/W"] = gen.normal(0.0, sig, size=params.arrays["rpn_obj_b/W"].shape)
         params.arrays["rpn_obj_n/b"] = np.zeros_like(params.arrays["rpn_obj_b/b"])
     else:
         raise ParameterError(f"unknown rpn_obj_init {rpn_obj_init!r}")
@@ -187,10 +178,10 @@ def extend_for_finetune(base: Model, seed: int, classifier: str = "cos",
         params.arrays["reg_n/W"] = params.arrays["reg_b/W"].copy()
         params.arrays["reg_n/b"] = params.arrays["reg_b/b"].copy()
     else:
-        params.arrays["cls_n/W"] = rng.normal(0.0, sig, size=(n_out, d))
+        params.arrays["cls_n/W"] = gen.normal(0.0, sig, size=(n_out, d))
         if classifier == "fc":
             params.arrays["cls_n/b"] = np.zeros(n_out)
-        params.arrays["reg_n/W"] = rng.normal(0.0, sig, size=(4, d))
+        params.arrays["reg_n/W"] = gen.normal(0.0, sig, size=(4, d))
         params.arrays["reg_n/b"] = np.zeros(4)
 
     params.trainable = set(FINETUNE_TRAINABLE)
@@ -459,23 +450,22 @@ def detect_base(model: Model, image: np.ndarray, dcfg: DetectConfig,
 
 
 def detect(model: Model, image: np.ndarray, dcfg: DetectConfig,
-           strategy: str | None = None, forward: ImageForward | None = None,
+           forward: ImageForward | None = None,
            proposals: Proposals | None = None) -> list[Detection]:
     """Full ensemble inference.
 
-    Proposals come from the elementwise-combined objectness maps (the
-    model's own strategy unless one is given). Both box heads score every
-    proposal, and the finetuned head's base-class predictions stay in the
-    candidate pool. Base-head candidates get a rank-only bonus so NMS prefers
-    them on ties. A caller that already holds the image's forward, or its
-    proposals under the strategy, passes them in instead of recomputing them.
+    Proposals come from the objectness maps combined elementwise under the
+    model's own strategy. Both box heads score every proposal, and the
+    finetuned head's base-class predictions stay in the candidate pool.
+    Base-head candidates get a rank-only bonus so NMS prefers them on ties.
+    A caller that already holds the image's forward, or its proposals under
+    any strategy, passes them in instead of recomputing them.
     """
     if model.stage != STAGE_RETENTIVE:
         raise StateError(f"ensemble inference needs a finetuned model, got stage {model.stage!r}")
     forward = image_forward(model, image) if forward is None else forward
     if proposals is None:
-        strategy = model.rpn_strategy if strategy is None else strategy
-        proposals = forward_proposals(model, forward, dcfg, strategy)
+        proposals = forward_proposals(model, forward, dcfg, model.rpn_strategy)
     return _detect_heads(model, forward, proposals, dcfg, ("base", "novel"))
 
 

@@ -11,7 +11,7 @@ each stage loss a pure function of the trainable arrays.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,14 +82,6 @@ class LossBreakdown:
         }
 
 
-def total_finetune_loss(l_obj: float, l_cls: float, l_box: float, l_con: float,
-                        lam: float) -> LossBreakdown:
-    """Assemble the finetune objective: supervision plus weighted consistency."""
-    if lam < 0:
-        raise ParameterError(f"consistency coefficient must be >= 0, got {lam}")
-    return LossBreakdown(l_obj=l_obj, l_cls=l_cls, l_box=l_box, l_con=l_con, lam=lam)
-
-
 # ---------------------------------------------------------------------------
 # consistency term
 # ---------------------------------------------------------------------------
@@ -112,7 +104,7 @@ def consistency_loss(p_n: np.ndarray, p_b: np.ndarray, base_slots,
 
     Background and novel entries never enter the marginal; any change of
     probability mass that preserves base-class ratios leaves the value
-    untouched.
+    untouched. The value comes from the code training differentiates.
     """
     p_n = np.asarray(p_n, dtype=np.float64)
     p_b = np.asarray(p_b, dtype=np.float64)
@@ -121,19 +113,7 @@ def consistency_loss(p_n: np.ndarray, p_b: np.ndarray, base_slots,
         raise ParameterError(f"probability shapes differ: {p_n.shape} vs {p_b.shape}")
     if p_n.shape[0] == 0:
         return 0.0
-    pt, _ = _base_marginals(p_n, base_slots)
-    qt, _ = _base_marginals(p_b, base_slots)
-    if variant == "kldiv":
-        per_row = np.sum(pt * (np.log(pt) - np.log(qt)), axis=1)
-    elif variant == "l1":
-        per_row = np.sum(np.abs(pt - qt), axis=1)
-    elif variant == "cos":
-        num = np.sum(pt * qt, axis=1)
-        den = np.sqrt(np.sum(pt * pt, axis=1)) * np.sqrt(np.sum(qt * qt, axis=1))
-        per_row = 1.0 - num / den
-    else:
-        raise ParameterError(f"unknown consistency variant {variant!r}")
-    return float(per_row.mean())
+    return _consistency_grad_wrt_probs(p_n, p_b, base_slots, variant)[0]
 
 
 def _consistency_grad_wrt_probs(p_n: np.ndarray, p_b: np.ndarray, base_slots: np.ndarray,
@@ -195,36 +175,6 @@ def _smooth_l1_loss(pred: np.ndarray, target: np.ndarray, rows: np.ndarray) -> t
     loss = smooth_l1(diff).sum(axis=1).mean()
     grad[rows] = smooth_l1_grad(diff) / len(rows)
     return float(loss), grad
-
-
-def supervised_detection_losses(obj_logits: np.ndarray, anchor_labels: np.ndarray,
-                                cls_logits: np.ndarray, roi_labels: np.ndarray,
-                                box_pred: np.ndarray, box_target: np.ndarray,
-                                pos_rows: np.ndarray,
-                                rpn_box_pred: np.ndarray | None = None,
-                                rpn_box_target: np.ndarray | None = None,
-                                rpn_pos_rows: np.ndarray | None = None) -> dict:
-    """Loss values only, for callers that do not need gradients."""
-    out = {"l_obj": 0.0, "l_cls": 0.0, "l_box": 0.0, "l_box_rpn": 0.0, "empty": []}
-    if len(obj_logits):
-        out["l_obj"], _ = _bce_with_logits(obj_logits, anchor_labels)
-    else:
-        out["empty"].append("obj")
-    if len(cls_logits):
-        out["l_cls"], _ = _softmax_ce(cls_logits, roi_labels)
-    else:
-        out["empty"].append("cls")
-    if pos_rows.size:
-        out["l_box"], _ = _smooth_l1_loss(box_pred, box_target, pos_rows)
-    else:
-        out["empty"].append("box")
-    if rpn_box_pred is not None:
-        if rpn_pos_rows is not None and rpn_pos_rows.size:
-            out["l_box_rpn"], _ = _smooth_l1_loss(rpn_box_pred, rpn_box_target, rpn_pos_rows)
-        else:
-            out["empty"].append("box_rpn")
-    out["empty"] = tuple(out["empty"])
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ import numpy as np
 
 from .config import DatasetConfig, canonical_json
 from .errors import CorruptArtifactError, GenerationError, ParameterError
+from .tensorops import rng, subseed
 
-_SEED_MASK = 0xFFFFFFFFFFFFFFFF
 _TAG_SPLIT = 0x531D
 _TAG_IMAGE = 0x1A6E
 _TAG_SCENE = 0x5CEE
@@ -40,14 +40,6 @@ GLYPH_NAMES = (
     "disk", "square", "ring", "cross", "bars", "triangle",
     "diamond", "checker", "ell", "dots", "saltire", "frame",
 )
-
-
-def _subseed(*keys: int) -> int:
-    return int(np.random.SeedSequence([k & _SEED_MASK for k in keys]).generate_state(1, np.uint64)[0])
-
-
-def _rng(*keys: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([k & _SEED_MASK for k in keys]))
 
 
 # ---------------------------------------------------------------------------
@@ -87,12 +79,6 @@ class ClassSplit:
     def logit_order(self) -> tuple[int, ...]:
         return self.base_ids + self.novel_ids + (self.background_id,)
 
-    def logit_index(self, class_id: int) -> int:
-        return self.logit_order().index(class_id)
-
-    def class_of_logit(self, index: int) -> int:
-        return self.logit_order()[index]
-
     def to_dict(self) -> dict:
         return {
             "num_classes": self.num_classes,
@@ -109,8 +95,8 @@ def split_classes(num_classes: int, num_novel: int, seed: int) -> ClassSplit:
     """Seed-driven choice of which classes are scarce."""
     if not 0 < num_novel < num_classes:
         raise ParameterError(f"need 0 < num_novel < num_classes, got {num_novel}/{num_classes}")
-    rng = _rng(seed, _TAG_SPLIT)
-    novel = sorted(int(c) for c in rng.choice(num_classes, size=num_novel, replace=False))
+    gen = rng(seed, _TAG_SPLIT)
+    novel = sorted(int(c) for c in gen.choice(num_classes, size=num_novel, replace=False))
     base = sorted(set(range(num_classes)) - set(novel))
     return ClassSplit(num_classes, tuple(base), tuple(novel))
 
@@ -201,14 +187,14 @@ def _pairwise_iou_ok(box, others, cap: float) -> bool:
 
 def render_scene(spec: SceneSpec, seed: int) -> tuple[np.ndarray, GroundTruth]:
     """Rasterize a scene; pure function of (spec, seed)."""
-    rng = _rng(seed, _TAG_SCENE)
+    gen = rng(seed, _TAG_SCENE)
     side = spec.side
     canvas = np.zeros((side, side))
     boxes: list[tuple[float, float, float, float]] = []
     labels: list[int] = []
     for inst in spec.instances:
-        size = inst.size if inst.size is not None else int(rng.integers(spec.size_range[0], spec.size_range[1] + 1))
-        intensity = inst.intensity if inst.intensity is not None else float(rng.uniform(*INTENSITY_RANGE))
+        size = inst.size if inst.size is not None else int(gen.integers(spec.size_range[0], spec.size_range[1] + 1))
+        intensity = inst.intensity if inst.intensity is not None else float(gen.uniform(*INTENSITY_RANGE))
         stamp = glyph_stamp(inst.class_id, size)
         h, w = stamp.shape
         if h > side or w > side:
@@ -225,8 +211,8 @@ def render_scene(spec: SceneSpec, seed: int) -> tuple[np.ndarray, GroundTruth]:
                         f"could not place a size-{size} glyph below IoU cap "
                         f"{spec.overlap_iou_cap} in {spec.placement_retries} tries"
                     )
-                x0 = int(rng.integers(0, side - w + 1))
-                y0 = int(rng.integers(0, side - h + 1))
+                x0 = int(gen.integers(0, side - w + 1))
+                y0 = int(gen.integers(0, side - h + 1))
                 if _pairwise_iou_ok((x0, y0, x0 + w, y0 + h), boxes, spec.overlap_iou_cap):
                     break
         region = canvas[y0:y0 + h, x0:x0 + w]
@@ -234,7 +220,7 @@ def render_scene(spec: SceneSpec, seed: int) -> tuple[np.ndarray, GroundTruth]:
         boxes.append((float(x0), float(y0), float(x0 + w), float(y0 + h)))
         labels.append(inst.class_id)
     if spec.noise > 0.0:
-        canvas = np.clip(canvas + rng.uniform(0.0, spec.noise, size=canvas.shape), 0.0, 1.0)
+        canvas = np.clip(canvas + gen.uniform(0.0, spec.noise, size=canvas.shape), 0.0, 1.0)
     gt = GroundTruth(
         boxes=np.asarray(boxes, dtype=np.float64).reshape(-1, 4),
         labels=np.asarray(labels, dtype=np.int64),
@@ -305,14 +291,14 @@ def _scene_spec(cfg: DatasetConfig, instances: tuple[InstanceSpec, ...]) -> Scen
 
 def _mixed_scene(cfg: DatasetConfig, split: ClassSplit, image_seed: int) -> tuple[np.ndarray, GroundTruth]:
     """One scene with a seed-driven base/novel class mix."""
-    rng = _rng(image_seed, _TAG_COMPOSE)
-    count = int(rng.integers(cfg.min_instances, cfg.max_instances + 1))
+    gen = rng(image_seed, _TAG_COMPOSE)
+    count = int(gen.integers(cfg.min_instances, cfg.max_instances + 1))
     classes = []
     for _ in range(count):
-        if rng.random() < cfg.novel_frequency:
-            classes.append(int(rng.choice(split.novel_ids)))
+        if gen.random() < cfg.novel_frequency:
+            classes.append(int(gen.choice(split.novel_ids)))
         else:
-            classes.append(int(rng.choice(split.base_ids)))
+            classes.append(int(gen.choice(split.base_ids)))
     spec = _scene_spec(cfg, tuple(InstanceSpec(class_id=c) for c in classes))
     return render_scene(spec, image_seed)
 
@@ -324,7 +310,7 @@ def build_base_dataset(cfg: DatasetConfig, split: ClassSplit, seed: int,
     images, records = [], []
     novel_set = set(split.novel_ids)
     for i in range(n):
-        image_seed = _subseed(seed, _TAG_IMAGE, i)
+        image_seed = subseed(seed, _TAG_IMAGE, i)
         img, gt = _mixed_scene(cfg, split, image_seed)
         gt.annotated = np.asarray([lbl not in novel_set for lbl in gt.labels], dtype=bool)
         images.append(img)
@@ -339,7 +325,7 @@ def build_test_dataset(cfg: DatasetConfig, split: ClassSplit, seed: int,
     n = cfg.test_images if num_images is None else num_images
     images, records = [], []
     for i in range(n):
-        image_seed = _subseed(seed, _TAG_IMAGE, i)
+        image_seed = subseed(seed, _TAG_IMAGE, i)
         img, gt = _mixed_scene(cfg, split, image_seed)
         images.append(img)
         records.append(SceneRecord(seed=image_seed, gt=gt))
@@ -351,18 +337,18 @@ def build_kshot_dataset(cfg: DatasetConfig, split: ClassSplit, k: int, seed: int
     """Balanced adaptation set: exactly k annotated instances per class."""
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
-    rng = _rng(seed, _TAG_COMPOSE)
+    gen = rng(seed, _TAG_COMPOSE)
     pool = [c for c in split.base_ids + split.novel_ids for _ in range(k)]
-    order = rng.permutation(len(pool))
+    order = gen.permutation(len(pool))
     pool = [pool[int(i)] for i in order]
     groups: list[list[int]] = []
     while pool:
-        take = int(rng.integers(cfg.min_instances, cfg.max_instances + 1))
+        take = int(gen.integers(cfg.min_instances, cfg.max_instances + 1))
         groups.append(pool[:take])
         pool = pool[take:]
     images, records = [], []
     for i, group in enumerate(groups):
-        image_seed = _subseed(seed, _TAG_IMAGE, i)
+        image_seed = subseed(seed, _TAG_IMAGE, i)
         spec = _scene_spec(cfg, tuple(InstanceSpec(class_id=c) for c in group))
         img, gt = render_scene(spec, image_seed)
         images.append(img)

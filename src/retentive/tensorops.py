@@ -16,6 +16,9 @@ from .errors import NumericError, ParameterError
 
 EPS_COSINE = 1e-8
 
+_SEED_MASK = 0xFFFFFFFFFFFFFFFF
+_TAG_FEATURIZER = 0xFEA7
+
 _OPENBLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
                          "openblas_set_num_threads64_", "openblas_set_num_threads")
 
@@ -56,16 +59,33 @@ def as_f64(x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# seeding
+# ---------------------------------------------------------------------------
+
+def _seed_sequence(keys) -> np.random.SeedSequence:
+    """Every seeded draw in the package starts here; keys are taken mod 2**64."""
+    return np.random.SeedSequence([int(k) & _SEED_MASK for k in keys])
+
+
+def rng(*keys: int) -> np.random.Generator:
+    return np.random.default_rng(_seed_sequence(keys))
+
+
+def subseed(*keys: int) -> int:
+    return int(_seed_sequence(keys).generate_state(1, dtype=np.uint64)[0])
+
+
+# ---------------------------------------------------------------------------
 # frozen featurizer
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=8)
 def _featurizer_banks(feat_seed: int, channels: int) -> tuple[np.ndarray, np.ndarray]:
     """Two 3x3 convolution banks derived only from the seed. No bias terms."""
-    rng = np.random.default_rng(np.random.SeedSequence([int(feat_seed) & 0xFFFFFFFFFFFFFFFF, 0xFEA7]))
+    gen = rng(feat_seed, _TAG_FEATURIZER)
     mid = max(channels // 4, 1)
-    w1 = rng.normal(0.0, 1.0 / 3.0, size=(mid, 1, 3, 3))
-    w2 = rng.normal(0.0, 1.0 / np.sqrt(9.0 * mid), size=(channels, mid, 3, 3))
+    w1 = gen.normal(0.0, 1.0 / 3.0, size=(mid, 1, 3, 3))
+    w2 = gen.normal(0.0, 1.0 / np.sqrt(9.0 * mid), size=(channels, mid, 3, 3))
     return as_f64(w1), as_f64(w2)
 
 
@@ -310,16 +330,6 @@ class AnchorGrid:
 
     def __len__(self) -> int:
         return self.boxes.shape[0]
-
-    def scale_index(self) -> np.ndarray:
-        return np.tile(np.arange(len(self.scales)), self.grid_h * self.grid_w)
-
-    def cell_index(self) -> np.ndarray:
-        return np.repeat(np.arange(self.grid_h * self.grid_w), len(self.scales))
-
-    def centers(self) -> np.ndarray:
-        """(A, 2) anchor centers as (cx, cy)."""
-        return 0.5 * (self.boxes[:, 0:2] + self.boxes[:, 2:4])
 
 
 def generate_anchors(grid_h: int, grid_w: int, stride: float, scales) -> AnchorGrid:

@@ -42,9 +42,8 @@ from .errors import (
 )
 from .losses import LossBreakdown, Minibatch, compute_gradients
 from .synthgen import ClassSplit, Dataset
-from .tensorops import encode_boxes, iou_matrix, softmax
+from .tensorops import encode_boxes, iou_matrix, rng, softmax, subseed
 
-_MASK = 0xFFFFFFFFFFFFFFFF
 _TAG_PICK = 0x91CC
 _TAG_RPN_SAMPLE = 0x54A1
 _TAG_ROI_SAMPLE = 0x54A2
@@ -53,15 +52,6 @@ CHECKPOINT_MAGIC = b"RETCKPT1"
 CHECKPOINT_VERSION = 1
 
 STAGE_NAMES = ("pretrain", "finetune")
-
-
-def _rng(*keys: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([k & _MASK for k in keys]))
-
-
-def _subseed(*keys: int) -> int:
-    seq = np.random.SeedSequence([k & _MASK for k in keys])
-    return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +91,7 @@ def assign_targets(boxes: np.ndarray, gt_boxes: np.ndarray, gt_labels: np.ndarra
     if len(gt_boxes) != len(gt_labels):
         raise ParameterError(f"{len(gt_boxes)} annotation boxes vs {len(gt_labels)} labels")
     n = len(boxes)
-    rng = _rng(seed)
+    gen = rng(seed)
 
     if mode == "rpn":
         budget = tcfg.rpn_per_image
@@ -132,9 +122,9 @@ def assign_targets(boxes: np.ndarray, gt_boxes: np.ndarray, gt_labels: np.ndarra
     pos_pool = np.flatnonzero(labels >= 1) if mode == "rpn" else np.flatnonzero(labels >= 0)
     neg_pool = np.flatnonzero(labels == 0) if mode == "rpn" else np.flatnonzero(labels == -1)
     n_pos = min(len(pos_pool), pos_cap)
-    pos_take = rng.permutation(pos_pool)[:n_pos] if len(pos_pool) else pos_pool
+    pos_take = gen.permutation(pos_pool)[:n_pos] if len(pos_pool) else pos_pool
     n_neg = min(len(neg_pool), budget - n_pos)
-    neg_take = rng.permutation(neg_pool)[:n_neg] if len(neg_pool) else neg_pool
+    neg_take = gen.permutation(neg_pool)[:n_neg] if len(neg_pool) else neg_pool
     sample_idx = np.concatenate([pos_take, neg_take]).astype(np.int64)
     sample_pos = np.concatenate([
         np.ones(len(pos_take), dtype=bool),
@@ -192,7 +182,7 @@ def build_minibatch(model: Model, dataset: Dataset, image_indices, stage: str,
         ann_labels = gt.labels[gt.annotated]
 
         rpn = assign_targets(anchors.boxes, ann_boxes, ann_labels, "rpn", tcfg,
-                             _subseed(seed, _TAG_RPN_SAMPLE, iteration, img_idx))
+                             subseed(seed, _TAG_RPN_SAMPLE, iteration, img_idx))
         idx = rpn.sample_idx
         a_cells.append(fwd.cells[idx // n_scales])
         a_scale.append((idx % n_scales).astype(np.int64))
@@ -207,7 +197,7 @@ def build_minibatch(model: Model, dataset: Dataset, image_indices, stage: str,
         proposals = forward_proposals(model, fwd, dcfg, strategy).boxes
         pool = np.vstack([proposals, ann_boxes]) if len(ann_boxes) else proposals
         roi = assign_targets(pool, ann_boxes, ann_labels, "roi", tcfg,
-                             _subseed(seed, _TAG_ROI_SAMPLE, iteration, img_idx))
+                             subseed(seed, _TAG_ROI_SAMPLE, iteration, img_idx))
         idx = roi.sample_idx
         boxes = pool[idx]
         labels = roi.labels[idx]
@@ -346,7 +336,7 @@ def _run_stage(model: Model, dataset: Dataset, stage: str, tcfg: TrainConfig,
     totals: list[float] = []
     t0 = time.monotonic()
     for it in range(tcfg.max_iters):
-        picks = np.sort(_rng(seed, _TAG_PICK, it).choice(len(dataset), size=mb_size,
+        picks = np.sort(rng(seed, _TAG_PICK, it).choice(len(dataset), size=mb_size,
                                                          replace=False))
         mb = build_minibatch(model, dataset, picks, stage, tcfg, dcfg, seed, it, cache)
         breakdown, grads = compute_gradients(model, mb, stage, tcfg)

@@ -348,6 +348,25 @@ def test_detect_config_accepts_boundary_values(tmp_path):
     assert load_config(path).detect.post_nms_k == 1
 
 
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "absent.yaml"
+    with pytest.raises(ConfigError):
+        load_config(missing)
+    assert main(["gen-data", "--config", str(missing), "--seed", "1",
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:") and "absent.yaml" in err
+
+
+def test_out_under_a_regular_file_exits_4(tiny_yaml, tmp_path, capsys):
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("", encoding="utf-8")
+    assert main(["gen-data", "--config", str(tiny_yaml), "--seed", "1",
+                 "--out", str(blocker / "run")]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("artifact error:") and "not-a-dir" in err
+
+
 def test_main_exit_code_for_staleness(tiny_yaml, tmp_path):
     out = tmp_path / "s"
     assert main(["gen-data", "--config", str(tiny_yaml), "--seed", "6",

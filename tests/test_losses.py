@@ -4,7 +4,7 @@ import pytest
 from retentive import detector as D
 from retentive import losses as L
 from retentive.config import ModelConfig, TrainConfig
-from retentive.errors import NumericError, ParameterError, StateError
+from retentive.errors import ConfigError, NumericError, ParameterError, StateError
 from retentive.synthgen import split_classes
 from retentive.tensorops import smooth_l1, softmax
 
@@ -132,19 +132,19 @@ def test_consistency_unknown_variant():
 # ---------------------------------------------------------------------------
 
 def test_total_arithmetic():
-    b = L.total_finetune_loss(1.0, 2.0, 3.0, 4.0, lam=0.1)
+    b = L.LossBreakdown(l_obj=1.0, l_cls=2.0, l_box=3.0, l_con=4.0, lam=0.1)
     assert abs(b.total - 6.4) < 1e-12
 
 
 def test_total_lambda_zero_reports_but_excludes():
-    b = L.total_finetune_loss(1.0, 2.0, 3.0, 4.0, lam=0.0)
+    b = L.LossBreakdown(l_obj=1.0, l_cls=2.0, l_box=3.0, l_con=4.0, lam=0.0)
     assert b.l_con == 4.0
     assert abs(b.total - 6.0) < 1e-12
 
 
 def test_total_negative_lambda_rejected():
-    with pytest.raises(ParameterError):
-        L.total_finetune_loss(1.0, 2.0, 3.0, 4.0, lam=-0.5)
+    with pytest.raises(ConfigError):
+        TrainConfig(lam=-0.5).validate()
 
 
 def test_breakdown_total_recomputes():
@@ -158,53 +158,103 @@ def test_breakdown_total_recomputes():
 # supervised pieces
 # ---------------------------------------------------------------------------
 
+def one_hot_rows(n, width):
+    rows = np.zeros((n, width))
+    rows[np.arange(n), np.arange(n)] = 1.0
+    return rows
+
+
 def test_perfect_predictions_give_zero_losses():
-    z_cls = np.array([[1000.0, 0.0, 0.0], [0.0, 1000.0, 0.0]])
-    labels = np.array([0, 1])
-    box = np.array([[0.1, 0.2, -0.1, 0.0], [0.0, 0.0, 0.0, 0.0]])
-    out = L.supervised_detection_losses(
-        obj_logits=np.array([100.0, -100.0]), anchor_labels=np.array([1.0, 0.0]),
-        cls_logits=z_cls, roi_labels=labels,
-        box_pred=box, box_target=box.copy(), pos_rows=np.array([0, 1]),
+    m = base_model()
+    a = m.params.arrays
+    for key in ("rpn_obj_b/W", "rpn_box/W", "rpn_box/b", "cls_b/W", "cls_b/b", "reg_b/W"):
+        a[key][...] = 0.0
+    a["rpn_obj_b/b"][:] = [100.0, -100.0, 0.0]
+    a["cls_b/W"][0, 0] = a["cls_b/W"][1, 1] = 1000.0
+    box = np.array([0.1, 0.2, -0.1, 0.0])
+    a["reg_b/b"][:] = box
+    mb = L.Minibatch(
+        anchor_cells=one_hot_rows(2, m.mcfg.mixer_channels),
+        anchor_scale=np.array([0, 1]),
+        anchor_label=np.array([1.0, 0.0]),
+        anchor_delta_t=np.zeros((2, 4)),
+        roi_feats=one_hot_rows(2, m.mcfg.head_dim),
+        roi_label=np.array([0, 1]),
+        roi_pos=np.array([True, True]),
+        roi_delta_t=np.vstack([box, box]),
     )
-    assert out["l_cls"] == 0.0
-    assert out["l_box"] == 0.0
-    assert out["l_obj"] < 1e-12
+    out = L.compute_loss(m, mb, "pretrain", TrainConfig())
+    assert out.l_cls == 0.0
+    assert out.l_box == 0.0
+    assert out.l_box_rpn == 0.0
+    assert out.l_obj < 1e-12
+    assert out.empty == ()
 
 
 def test_supervised_two_roi_scalar_oracle():
-    z = np.array([[0.3, -0.2, 0.5], [1.0, 0.4, -0.7]])
-    labels = np.array([2, 0])
-    box = np.array([[0.5, -0.3, 2.0, 0.1], [0.0, 0.7, -1.4, 0.2]])
-    tgt = np.array([[0.0, 0.0, 0.5, 0.0], [0.3, 0.7, 0.6, 0.2]])
-    pos = np.array([0, 1])
-    out = L.supervised_detection_losses(
-        obj_logits=np.array([0.2, -1.3, 0.8]), anchor_labels=np.array([1.0, 0.0, 1.0]),
-        cls_logits=z, roi_labels=labels, box_pred=box, box_target=tgt, pos_rows=pos,
+    m = base_model()
+    rng = np.random.default_rng(12)
+    a = m.params.arrays
+    for key in D.PRETRAIN_TRAINABLE:
+        for part in ("W", "b"):
+            a[f"{key}/{part}"][...] = rng.normal(0.0, 0.5, size=a[f"{key}/{part}"].shape)
+    c, d = m.mcfg.mixer_channels, m.mcfg.head_dim
+    mb = L.Minibatch(
+        anchor_cells=rng.normal(0.0, 0.3, size=(3, c)),
+        anchor_scale=np.array([2, 0, 1]),
+        anchor_label=np.array([1.0, 0.0, 1.0]),
+        anchor_delta_t=np.array([[0.1, -0.2, 0.3, 0.0], [0.0] * 4, [-0.4, 0.5, 0.2, 1.6]]),
+        roi_feats=rng.normal(0.0, 0.3, size=(2, d)),
+        roi_label=np.array([2, 0]),
+        roi_pos=np.array([True, True]),
+        roi_delta_t=np.array([[0.0, 0.0, 0.5, 0.0], [0.3, 0.7, 0.6, 0.2]]),
     )
-    want_cls = 0.0
+    out = L.compute_loss(m, mb, "pretrain", TrainConfig())
+
+    want_obj = want_rpn_box = 0.0
+    for i in range(3):
+        s = mb.anchor_scale[i]
+        zo = mb.anchor_cells[i] @ a["rpn_obj_b/W"][s] + a["rpn_obj_b/b"][s]
+        y = mb.anchor_label[i]
+        p = 1 / (1 + np.exp(-zo))
+        want_obj += -y * np.log(p) - (1 - y) * np.log(1 - p)
+        if y:
+            rows = slice(4 * s, 4 * s + 4)
+            d_rpn = a["rpn_box/W"][rows] @ mb.anchor_cells[i] + a["rpn_box/b"][rows]
+            want_rpn_box += smooth_l1(d_rpn - mb.anchor_delta_t[i]).sum()
+    want_obj /= 3.0
+    want_rpn_box /= 2.0
+    want_cls = want_box = 0.0
     for i in range(2):
-        want_cls += -np.log(np.exp(z[i, labels[i]]) / np.exp(z[i]).sum())
+        z = a["cls_b/W"] @ mb.roi_feats[i] + a["cls_b/b"]
+        want_cls += -np.log(np.exp(z[mb.roi_label[i]]) / np.exp(z).sum())
+        box = a["reg_b/W"] @ mb.roi_feats[i] + a["reg_b/b"]
+        want_box += smooth_l1(box - mb.roi_delta_t[i]).sum()
     want_cls /= 2.0
-    want_box = sum(smooth_l1(box[i] - tgt[i]).sum() for i in range(2)) / 2.0
-    zo = np.array([0.2, -1.3, 0.8])
-    yo = np.array([1.0, 0.0, 1.0])
-    want_obj = float(np.mean(-yo * np.log(1 / (1 + np.exp(-zo))) - (1 - yo) * np.log(1 - 1 / (1 + np.exp(-zo)))))
-    assert abs(out["l_cls"] - want_cls) < 1e-12
-    assert abs(out["l_box"] - want_box) < 1e-12
-    assert abs(out["l_obj"] - want_obj) < 1e-12
+    want_box /= 2.0
+    assert abs(out.l_obj - want_obj) < 1e-12
+    assert abs(out.l_cls - want_cls) < 1e-12
+    assert abs(out.l_box - want_box) < 1e-12
+    assert abs(out.l_box_rpn - want_rpn_box) < 1e-12
 
 
 def test_empty_targets_flagged():
-    out = L.supervised_detection_losses(
-        obj_logits=np.zeros(0), anchor_labels=np.zeros(0),
-        cls_logits=np.zeros((0, 3)), roi_labels=np.zeros(0, dtype=int),
-        box_pred=np.zeros((0, 4)), box_target=np.zeros((0, 4)), pos_rows=np.zeros(0, dtype=int),
-        rpn_box_pred=np.zeros((0, 4)), rpn_box_target=np.zeros((0, 4)),
-        rpn_pos_rows=np.zeros(0, dtype=int),
-    )
-    assert set(out["empty"]) == {"obj", "cls", "box", "box_rpn"}
-    assert out["l_cls"] == out["l_box"] == out["l_obj"] == 0.0
+    m = base_model()
+    out = L.compute_loss(m, empty_minibatch(m), "pretrain", TrainConfig())
+    assert set(out.empty) == {"obj", "cls", "box", "box_rpn"}
+    assert out.l_cls == out.l_box == out.l_obj == out.l_box_rpn == 0.0
+
+
+@pytest.mark.parametrize("variant", ["kldiv", "l1", "cos"])
+def test_consistency_loss_is_the_value_training_optimises(variant):
+    r = retentive_model(seed=61)
+    rng = np.random.default_rng(13)
+    mb = random_minibatch(r, rng, with_base_probs=True)
+    got = L.compute_loss(r, mb, "finetune", TrainConfig(consistency=variant)).l_con
+    z_cls, _ = D.box_head_scores(r, mb.roi_feats, "novel")
+    want = L.consistency_loss(softmax(z_cls), mb.roi_base_probs, np.arange(r.num_base), variant)
+    assert got > 0.0
+    assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
 
 
 # ---------------------------------------------------------------------------

@@ -50,8 +50,9 @@ def test_split_logit_ordering():
     assert order[-1] == split.background_id == 12
     assert order[:8] == split.base_ids
     assert order[8:12] == split.novel_ids
-    for cid in range(12):
-        assert split.class_of_logit(split.logit_index(cid)) == cid
+    assert sorted(order) == list(range(13))
+    for slot, cid in enumerate(split.base_ids + split.novel_ids):
+        assert order.index(cid) == slot
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The benchmark harness reaches into the package by name; keep those names alive."""
+"""The benchmark harness and the README reach into the package by name; keep those names alive."""
 
 import ast
 import importlib
@@ -6,7 +6,8 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def load_run_module():
@@ -38,3 +39,22 @@ def test_harness_imports_from_the_package_resolve():
                     assert hasattr(module, alias.name), f"{script.name}: {node.module}.{alias.name}"
                     checked += 1
     assert checked > 0
+
+
+def test_readme_library_block_uses_the_package_surface():
+    import retentive
+
+    for name in retentive.__all__:
+        assert hasattr(retentive, name), name
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    top_level = []
+    for node in ast.walk(ast.parse(block)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("retentive"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
+                if node.module == "retentive":
+                    top_level.append(alias.name)
+    assert top_level
+    assert set(top_level) <= set(retentive.__all__)
