@@ -144,17 +144,22 @@ def _read_report(path: Path) -> dict:
     return _read_object(path, "report", {"metadata": dict})
 
 
-def _upstream_outputs(paths: RunPaths, stage: str, seed: int, config_digest: str) -> dict:
-    """A finished stage's recorded outputs, if made under this configuration."""
-    if not paths.stamp(stage).exists():
-        raise StalenessError(
-            f"stage {stage!r} has not been run for seed {seed}; run it first")
+def _stamp_under(paths: RunPaths, stage: str, config_digest: str) -> dict:
+    """An existing stage stamp, if written under this configuration."""
     stamp = _read_stamp(paths.stamp(stage))
     if stamp.get("config_digest") != config_digest:
         raise StalenessError(
             f"{stage}: artifacts in {paths.root} were produced under a different "
             f"configuration; use a fresh output directory")
-    return stamp["outputs"]
+    return stamp
+
+
+def _upstream_outputs(paths: RunPaths, stage: str, seed: int, config_digest: str) -> dict:
+    """A finished stage's recorded outputs, if made under this configuration."""
+    if not paths.stamp(stage).exists():
+        raise StalenessError(
+            f"stage {stage!r} has not been run for seed {seed}; run it first")
+    return _stamp_under(paths, stage, config_digest)["outputs"]
 
 
 def _stage_guard(paths: RunPaths, stage: str, seed: int, config_digest: str,
@@ -162,11 +167,7 @@ def _stage_guard(paths: RunPaths, stage: str, seed: int, config_digest: str,
     """Skip a completed stage, run a fresh one, or stop on any mismatch."""
     stamp_path = paths.stamp(stage)
     if stamp_path.exists():
-        stamp = _read_stamp(stamp_path)
-        if stamp.get("config_digest") != config_digest:
-            raise StalenessError(
-                f"{stage}: artifacts in {paths.root} were produced under a different "
-                f"configuration; use a fresh output directory")
+        stamp = _stamp_under(paths, stage, config_digest)
         if stamp.get("inputs") != inputs:
             raise StalenessError(
                 f"{stage}: recorded inputs no longer match upstream artifacts")

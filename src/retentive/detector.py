@@ -44,6 +44,8 @@ BASE_LAYERS = ("rpn_shared", "rpn_obj_b", "rpn_box", "boxhead_proj", "cls_b", "r
 NOVEL_LAYERS = ("rpn_obj_n", "cls_n", "reg_n")
 PRETRAIN_TRAINABLE = ("rpn_obj_b", "rpn_box", "cls_b", "reg_b")
 FINETUNE_TRAINABLE = ("rpn_obj_n", "cls_n", "reg_n")
+# (objectness, classifier, regressor) of each head; rpn_box serves both heads
+HEAD_LAYERS = {"base": ("rpn_obj_b", "cls_b", "reg_b"), "novel": ("rpn_obj_n", "cls_n", "reg_n")}
 
 STAGE_INIT = "init"
 STAGE_BASE = "base"
@@ -228,16 +230,19 @@ def image_forward(model: Model, image: np.ndarray) -> ImageForward:
     return ImageForward(feat=feat, cells=cells, side=int(image.shape[0]))
 
 
-def _require_head(model: Model, head: str) -> str:
-    if head not in ("base", "novel"):
-        raise ParameterError(f"unknown rpn head {head!r}")
-    if head == "novel" and "rpn_obj_n/W" not in model.params.arrays:
-        raise StateError("model has no finetuned objectness head")
-    return "rpn_obj_b" if head == "base" else "rpn_obj_n"
+def _head_layers(model: Model, head: str) -> tuple[str, str, str]:
+    """(objectness, classifier, regressor) layer names of one head of the model."""
+    if head not in HEAD_LAYERS:
+        raise ParameterError(f"unknown head {head!r}; expected one of {tuple(HEAD_LAYERS)}")
+    layers = HEAD_LAYERS[head]
+    if f"{layers[1]}/W" not in model.params.arrays:
+        raise StateError(f"model has no {head} head")
+    return layers
 
 
 def rpn_objectness_logits(model: Model, cells: np.ndarray, head: str) -> np.ndarray:
-    layer = _require_head(model, head)
+    """Per-anchor objectness logits, flat in (cell, scale) order."""
+    layer = _head_layers(model, head)[0]
     a = model.params.arrays
     z = linear_forward(cells, a[f"{layer}/W"], a[f"{layer}/b"])  # (cells, scales)
     return z.reshape(-1)
@@ -319,22 +324,33 @@ def roi_features(model: Model, feat: np.ndarray, boxes: np.ndarray) -> np.ndarra
 
 
 def box_head_scores(model: Model, rois: np.ndarray, head: str) -> tuple[np.ndarray, np.ndarray]:
-    """ROI feature rows -> (classification logits, class-agnostic box deltas)."""
+    """ROI feature rows -> (classification logits, class-agnostic box deltas).
+
+    The finetuned head's classifier is cosine or fc as the model says; the
+    base head's is always fc.
+    """
+    _, cls, reg = _head_layers(model, head)
     a = model.params.arrays
-    if head == "base":
-        logits = linear_forward(rois, a["cls_b/W"], a["cls_b/b"])
-        deltas = linear_forward(rois, a["reg_b/W"], a["reg_b/b"])
-        return logits, deltas
-    if head != "novel":
-        raise ParameterError(f"unknown box head {head!r}")
-    if "cls_n/W" not in a:
-        raise StateError("model has no finetuned box head")
-    if model.classifier == "cos":
-        logits = cosine_logits(rois, a["cls_n/W"], model.mcfg.cosine_scale)
+    if head == "novel" and model.classifier == "cos":
+        logits = cosine_logits(rois, a[f"{cls}/W"], model.mcfg.cosine_scale)
     else:
-        logits = linear_forward(rois, a["cls_n/W"], a["cls_n/b"])
-    deltas = linear_forward(rois, a["reg_n/W"], a["reg_n/b"])
+        logits = linear_forward(rois, a[f"{cls}/W"], a[f"{cls}/b"])
+    deltas = linear_forward(rois, a[f"{reg}/W"], a[f"{reg}/b"])
     return logits, deltas
+
+
+def head_probs(model: Model, rois: np.ndarray,
+               head: str) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """ROI feature rows -> (class probabilities, box deltas, foreground class ids).
+
+    The base head's logits are zero-padded on novel entries before softmax,
+    so its probabilities are comparable with the finetuned head's. The ids
+    name the probability columns in order; background is the last column.
+    """
+    logits, deltas = box_head_scores(model, rois, head)
+    if head == "base":
+        return softmax(pad_base_logits(logits, model.num_novel)), deltas, model.split.base_ids
+    return softmax(logits), deltas, model.novel_head_classes()
 
 
 def pad_base_logits(logits_b: np.ndarray, num_novel: int) -> np.ndarray:
@@ -411,22 +427,13 @@ def _merge_candidates(boxes: np.ndarray, classes: np.ndarray, raw: np.ndarray,
 
 def _detect_heads(model: Model, forward: ImageForward, props: Proposals,
                   dcfg: DetectConfig, heads: tuple[str, ...]) -> list[Detection]:
-    """Score the proposals with the given box heads and merge their candidates.
-
-    The base head's logits are zero-padded on novel entries before softmax,
-    so its probabilities are comparable with the finetuned head's.
-    """
+    """Score the proposals with the given box heads and merge their candidates."""
     rois = roi_features(model, forward.feat, props.boxes)
     if len(rois) == 0:
         return []
     outputs = []
     for head in heads:
-        logits, reg = box_head_scores(model, rois, head)
-        if head == "base":
-            probs = softmax(pad_base_logits(logits, model.num_novel))
-            ids = model.split.base_ids
-        else:
-            probs, ids = softmax(logits), model.novel_head_classes()
+        probs, reg, ids = head_probs(model, rois, head)
         boxes = decode_boxes(reg, props.boxes, side=float(forward.side))
         outputs.append((head == "base", probs, boxes, ids))
     return _merge_candidates(*_assemble_candidates(outputs, dcfg.score_thresh), dcfg)

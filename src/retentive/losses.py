@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TrainConfig
-from .detector import Model
+from .detector import Model, _head_layers, box_head_scores, rpn_box_deltas, rpn_objectness_logits
 from .errors import NumericError, ParameterError, StateError
 from .tensorops import EPS_COSINE, sigmoid, smooth_l1, smooth_l1_grad, softmax
 
@@ -181,101 +181,90 @@ def _smooth_l1_loss(pred: np.ndarray, target: np.ndarray, rows: np.ndarray) -> t
 # stage loss with gradients
 # ---------------------------------------------------------------------------
 
-def _cosine_forward(f: np.ndarray, w: np.ndarray, scale: float):
-    fn = f / np.sqrt((f * f).sum(axis=1, keepdims=True) + EPS_COSINE ** 2)
+def _cosine_backward(dz: np.ndarray, z: np.ndarray, rois: np.ndarray, w: np.ndarray,
+                     scale: float) -> np.ndarray:
+    """dL/dW given dL/dz for z = scale * fn @ (w/s).T, where fn is rois with unit
+    rows and s = sqrt(|w|^2+eps^2), both smoothed as in cosine_logits."""
+    fn = rois / np.sqrt((rois * rois).sum(axis=1, keepdims=True) + EPS_COSINE ** 2)
     s = np.sqrt((w * w).sum(axis=1) + EPS_COSINE ** 2)
-    z = scale * (fn @ (w / s[:, None]).T)
-    return z, fn, s
-
-
-def _cosine_backward(dz: np.ndarray, z: np.ndarray, fn: np.ndarray, w: np.ndarray,
-                     s: np.ndarray, scale: float) -> np.ndarray:
-    """dL/dW given dL/dz for z = scale * fn @ (w/s).T with s = sqrt(|w|^2+eps^2)."""
     dw = (scale / s)[:, None] * (dz.T @ fn)
     dw -= ((dz * z).sum(axis=0) / (s * s))[:, None] * w
     return dw
 
 
-def _stage_forward(model: Model, mb: Minibatch, stage: str, tcfg: TrainConfig,
-                   want_grads: bool):
-    a = model.params.arrays
+def _stage_forward(model: Model, mb: Minibatch, stage: str,
+                   tcfg: TrainConfig) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
+    """Stage loss and its gradients, through the heads inference runs.
+
+    Pretraining trains the base head and the RPN box layer; finetuning trains
+    the finetuned head.
+    """
     if stage == "pretrain":
         if model.stage == "retentive":
             raise StateError("pretrain gradients requested on a finetuned model")
-        obj_layer, cls_layer, reg_layer = "rpn_obj_b", "cls_b", "reg_b"
+        head = "base"
     elif stage == "finetune":
-        if "cls_n/W" not in a:
-            raise StateError("finetune gradients require the finetune layers")
-        obj_layer, cls_layer, reg_layer = "rpn_obj_n", "cls_n", "reg_n"
+        head = "novel"
     else:
         raise ParameterError(f"unknown stage {stage!r}")
+    obj_layer, cls_layer, reg_layer = _head_layers(model, head)
+    a = model.params.arrays
 
     grads: dict[str, np.ndarray] = {}
     empty: list[str] = []
     na = mb.num_anchors
     nr = mb.num_rois
-    n_scales = a["rpn_obj_b/W"].shape[0]
+    n_scales = a[f"{obj_layer}/W"].shape[0]
 
     # objectness: per-anchor logit from the scale-specific row
+    dw = np.zeros_like(a[f"{obj_layer}/W"])
+    db = np.zeros_like(a[f"{obj_layer}/b"])
     if na:
-        z_all = mb.anchor_cells @ a[f"{obj_layer}/W"].T + a[f"{obj_layer}/b"]
-        z_obj = z_all[np.arange(na), mb.anchor_scale]
-        l_obj, dz_obj = _bce_with_logits(z_obj, mb.anchor_label)
+        z_all = rpn_objectness_logits(model, mb.anchor_cells, head).reshape(na, n_scales)
+        l_obj, dz_obj = _bce_with_logits(z_all[np.arange(na), mb.anchor_scale], mb.anchor_label)
+        for s_idx in range(n_scales):
+            rows = mb.anchor_scale == s_idx
+            if rows.any():
+                dw[s_idx] = dz_obj[rows] @ mb.anchor_cells[rows]
+                db[s_idx] = dz_obj[rows].sum()
     else:
-        l_obj, dz_obj = 0.0, None
+        l_obj = 0.0
         empty.append("obj")
-    if want_grads:
-        dw = np.zeros_like(a[f"{obj_layer}/W"])
-        db = np.zeros_like(a[f"{obj_layer}/b"])
-        if na:
-            for s_idx in range(n_scales):
-                rows = mb.anchor_scale == s_idx
-                if rows.any():
-                    dw[s_idx] = dz_obj[rows] @ mb.anchor_cells[rows]
-                    db[s_idx] = dz_obj[rows].sum()
-        grads[f"{obj_layer}/W"] = dw
-        grads[f"{obj_layer}/b"] = db
+    grads[f"{obj_layer}/W"] = dw
+    grads[f"{obj_layer}/b"] = db
 
     # rpn box regression trains during pretraining only
     l_box_rpn = 0.0
     if stage == "pretrain":
+        dw = np.zeros_like(a["rpn_box/W"])
+        db = np.zeros_like(a["rpn_box/b"])
         pos_anchor = np.flatnonzero(mb.anchor_label > 0.5)
         if na and pos_anchor.size:
-            d_all = (mb.anchor_cells @ a["rpn_box/W"].T + a["rpn_box/b"]).reshape(na, n_scales, 4)
-            d = d_all[np.arange(na), mb.anchor_scale]
-            l_box_rpn, dd = _smooth_l1_loss(d, mb.anchor_delta_t, pos_anchor)
+            d_all = rpn_box_deltas(model, mb.anchor_cells).reshape(na, n_scales, 4)
+            l_box_rpn, dd = _smooth_l1_loss(d_all[np.arange(na), mb.anchor_scale],
+                                            mb.anchor_delta_t, pos_anchor)
+            for s_idx in range(n_scales):
+                rows = mb.anchor_scale == s_idx
+                if rows.any():
+                    block = slice(4 * s_idx, 4 * s_idx + 4)
+                    dw[block] = dd[rows].T @ mb.anchor_cells[rows]
+                    db[block] = dd[rows].sum(axis=0)
         else:
-            dd = None
             empty.append("box_rpn")
-        if want_grads:
-            dw = np.zeros_like(a["rpn_box/W"])
-            db = np.zeros_like(a["rpn_box/b"])
-            if dd is not None:
-                for s_idx in range(n_scales):
-                    rows = mb.anchor_scale == s_idx
-                    if rows.any():
-                        block = slice(4 * s_idx, 4 * s_idx + 4)
-                        dw[block] = dd[rows].T @ mb.anchor_cells[rows]
-                        db[block] = dd[rows].sum(axis=0)
-            grads["rpn_box/W"] = dw
-            grads["rpn_box/b"] = db
+        grads["rpn_box/W"] = dw
+        grads["rpn_box/b"] = db
 
     # classification over sampled ROIs
-    use_cosine = stage == "finetune" and model.classifier == "cos"
+    use_cosine = head == "novel" and model.classifier == "cos"
     if nr:
-        if use_cosine:
-            z_cls, fn, s_norm = _cosine_forward(mb.roi_feats, a["cls_n/W"], model.mcfg.cosine_scale)
-        else:
-            z_cls = mb.roi_feats @ a[f"{cls_layer}/W"].T + a[f"{cls_layer}/b"]
-        l_cls, dz_cls = _softmax_ce(z_cls, mb.roi_label)
+        z_cls, d_roi = box_head_scores(model, mb.roi_feats, head)
+        l_cls, dz = _softmax_ce(z_cls, mb.roi_label)
     else:
-        z_cls, dz_cls = None, None
         l_cls = 0.0
         empty.append("cls")
 
     # consistency between the two heads' base marginals
     l_con = 0.0
-    dz_con = None
     if stage == "finetune" and tcfg.consistency != "off":
         if model.head_domain == "novel-only":
             raise StateError("consistency needs base-class logits, which a novel-only head lacks")
@@ -288,59 +277,47 @@ def _stage_forward(model: Model, mb: Minibatch, stage: str, tcfg: TrainConfig,
                                                     tcfg.consistency)
             # softmax backward: dz = p * (dp - <dp, p>)
             inner = np.sum(dp * p_n, axis=1, keepdims=True)
-            dz_con = p_n * (dp - inner)
+            dz = dz + tcfg.lam * (p_n * (dp - inner))
         else:
             empty.append("con")
 
-    if want_grads and (dz_cls is not None or dz_con is not None):
-        dz = np.zeros_like(z_cls)
-        if dz_cls is not None:
-            dz = dz + dz_cls
-        if dz_con is not None:
-            dz = dz + tcfg.lam * dz_con
-        if use_cosine:
-            grads["cls_n/W"] = _cosine_backward(dz, z_cls, fn, a["cls_n/W"], s_norm,
-                                                model.mcfg.cosine_scale)
-        else:
-            grads[f"{cls_layer}/W"] = dz.T @ mb.roi_feats
-            grads[f"{cls_layer}/b"] = dz.sum(axis=0)
-    elif want_grads:
+    if not nr:
         grads[f"{cls_layer}/W"] = np.zeros_like(a[f"{cls_layer}/W"])
         if not use_cosine:
             grads[f"{cls_layer}/b"] = np.zeros_like(a[f"{cls_layer}/b"])
+    elif use_cosine:
+        grads[f"{cls_layer}/W"] = _cosine_backward(dz, z_cls, mb.roi_feats, a[f"{cls_layer}/W"],
+                                                   model.mcfg.cosine_scale)
+    else:
+        grads[f"{cls_layer}/W"] = dz.T @ mb.roi_feats
+        grads[f"{cls_layer}/b"] = dz.sum(axis=0)
 
     # box regression over positive ROIs
     pos_rows = np.flatnonzero(mb.roi_pos)
     if nr and pos_rows.size:
-        d_roi = mb.roi_feats @ a[f"{reg_layer}/W"].T + a[f"{reg_layer}/b"]
         l_box, dd_roi = _smooth_l1_loss(d_roi, mb.roi_delta_t, pos_rows)
+        grads[f"{reg_layer}/W"] = dd_roi.T @ mb.roi_feats
+        grads[f"{reg_layer}/b"] = dd_roi.sum(axis=0)
     else:
-        dd_roi = None
         l_box = 0.0
         empty.append("box")
-    if want_grads:
-        if dd_roi is not None:
-            grads[f"{reg_layer}/W"] = dd_roi.T @ mb.roi_feats
-            grads[f"{reg_layer}/b"] = dd_roi.sum(axis=0)
-        else:
-            grads[f"{reg_layer}/W"] = np.zeros_like(a[f"{reg_layer}/W"])
-            grads[f"{reg_layer}/b"] = np.zeros_like(a[f"{reg_layer}/b"])
+        grads[f"{reg_layer}/W"] = np.zeros_like(a[f"{reg_layer}/W"])
+        grads[f"{reg_layer}/b"] = np.zeros_like(a[f"{reg_layer}/b"])
 
     lam = tcfg.lam if stage == "finetune" else 0.0
     breakdown = LossBreakdown(l_obj=l_obj, l_cls=l_cls, l_box=l_box, l_con=l_con,
                               l_box_rpn=l_box_rpn, lam=lam, empty=tuple(empty))
-    return breakdown, grads if want_grads else None
+    return breakdown, grads
 
 
 def compute_loss(model: Model, mb: Minibatch, stage: str, tcfg: TrainConfig) -> LossBreakdown:
-    breakdown, _ = _stage_forward(model, mb, stage, tcfg, want_grads=False)
-    return breakdown
+    return _stage_forward(model, mb, stage, tcfg)[0]
 
 
 def compute_gradients(model: Model, mb: Minibatch, stage: str,
                       tcfg: TrainConfig) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
     """Exact gradients of the stage loss for every trainable array."""
-    breakdown, grads = _stage_forward(model, mb, stage, tcfg, want_grads=True)
+    breakdown, grads = _stage_forward(model, mb, stage, tcfg)
     for key in grads:
         if key.split("/")[0] not in model.params.trainable:
             raise StateError(f"gradient computed for frozen layer {key}")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import DatasetConfig, canonical_json
 from .errors import CorruptArtifactError, GenerationError, ParameterError
-from .tensorops import rng, subseed
+from .tensorops import iou_matrix, rng, subseed
 
 _TAG_SPLIT = 0x531D
 _TAG_IMAGE = 0x1A6E
@@ -180,9 +180,7 @@ class GroundTruth:
 
 
 def _pairwise_iou_ok(box, others, cap: float) -> bool:
-    from .tensorops import iou
-
-    return all(iou(box, other) <= cap for other in others)
+    return not others or bool((iou_matrix(box, others) <= cap).all())
 
 
 def render_scene(spec: SceneSpec, seed: int) -> tuple[np.ndarray, GroundTruth]:

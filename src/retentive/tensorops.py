@@ -192,22 +192,6 @@ def box_area(boxes: np.ndarray) -> np.ndarray:
     return np.maximum(boxes[..., 2] - boxes[..., 0], 0.0) * np.maximum(boxes[..., 3] - boxes[..., 1], 0.0)
 
 
-def iou(a, b) -> float:
-    """Intersection over union of two (x1,y1,x2,y2) boxes; 0 when the union is empty."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    ix = min(a[2], b[2]) - max(a[0], b[0])
-    iy = min(a[3], b[3]) - max(a[1], b[1])
-    if ix <= 0.0 or iy <= 0.0:
-        inter = 0.0
-    else:
-        inter = ix * iy
-    union = float(box_area(a)) + float(box_area(b)) - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
-
-
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise IoU, (N,4) x (M,4) -> (N,M)."""
     a = np.asarray(a, dtype=np.float64).reshape(-1, 4)

@@ -24,13 +24,12 @@ from .detector import (
     ImageForward,
     Model,
     ParamSet,
-    box_head_scores,
     extend_for_finetune,
     forward_proposals,
+    head_probs,
     image_forward,
     init_base_model,
     model_anchors,
-    pad_base_logits,
     roi_features,
 )
 from .errors import (
@@ -42,7 +41,7 @@ from .errors import (
 )
 from .losses import LossBreakdown, Minibatch, compute_gradients
 from .synthgen import ClassSplit, Dataset
-from .tensorops import encode_boxes, iou_matrix, rng, softmax, subseed
+from .tensorops import encode_boxes, iou_matrix, rng, subseed
 
 _TAG_PICK = 0x91CC
 _TAG_RPN_SAMPLE = 0x54A1
@@ -138,17 +137,6 @@ def assign_targets(boxes: np.ndarray, gt_boxes: np.ndarray, gt_labels: np.ndarra
 # minibatch materialization
 # ---------------------------------------------------------------------------
 
-def _head_slot_map(model: Model, stage: str) -> tuple[dict[int, int], int]:
-    """Class id -> logit slot for the head trained at this stage."""
-    if stage == "pretrain":
-        fg = model.split.base_ids
-    elif model.head_domain == "novel-only":
-        fg = model.split.novel_ids
-    else:
-        fg = model.split.base_ids + model.split.novel_ids
-    return {cid: i for i, cid in enumerate(fg)}, len(fg)
-
-
 def build_minibatch(model: Model, dataset: Dataset, image_indices, stage: str,
                     tcfg: TrainConfig, dcfg: DetectConfig, seed: int, iteration: int,
                     cache: dict[int, ImageForward] | None = None) -> Minibatch:
@@ -165,7 +153,8 @@ def build_minibatch(model: Model, dataset: Dataset, image_indices, stage: str,
         cache = {}
     anchors = model_anchors(model, dataset.side)
     n_scales = len(model.mcfg.anchor_scales)
-    slot_map, bg_slot = _head_slot_map(model, stage)
+    fg = model.split.base_ids if stage == "pretrain" else model.novel_head_classes()
+    slot_map, bg_slot = {cid: i for i, cid in enumerate(fg)}, len(fg)
     want_base_probs = stage == "finetune" and tcfg.consistency != "off"
     strategy = "base-only" if stage == "pretrain" else tcfg.rpn_strategy
 
@@ -216,8 +205,7 @@ def build_minibatch(model: Model, dataset: Dataset, image_indices, stage: str,
                                           boxes[is_pos])
         r_delta.append(deltas)
         if want_base_probs:
-            logits_b, _ = box_head_scores(model, feats, "base")
-            r_probs.append(softmax(pad_base_logits(logits_b, model.num_novel)))
+            r_probs.append(head_probs(model, feats, "base")[0])
 
     d = model.mcfg.head_dim
     c = model.mcfg.mixer_channels
@@ -287,10 +275,16 @@ class TrainLog:
 
     @staticmethod
     def load(path) -> "TrainLog":
-        records = []
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            if line.strip():
-                records.append(json.loads(line))
+        try:
+            lines = Path(path).read_text(encoding="utf-8").splitlines()
+            records = [json.loads(line) for line in lines if line.strip()]
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CorruptArtifactError(f"training log {path} is unreadable: {exc}") from exc
+        fields = {"stage": str, "seed": int, "iteration": int}
+        if not all(isinstance(r, dict) and all(isinstance(r.get(k), t) for k, t in fields.items())
+                   for r in records):
+            raise CorruptArtifactError(
+                f"training log {path} holds a line that is not a stage, seed and iteration record")
         if not records:
             raise CorruptArtifactError(f"training log {path} is empty")
         stage = records[0]["stage"]

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oracles import nms_oracle
+from oracles import iou_scalar, nms_oracle
 from retentive import detector as D
 from retentive import tensorops as T
 from retentive.config import (
@@ -241,7 +241,7 @@ def test_propose_matches_composed_oracle():
     while alive:
         best = alive.pop(0)
         kept.append(best)
-        alive = [i for i in alive if T.iou(boxes[best], boxes[i]) <= 0.7]
+        alive = [i for i in alive if iou_scalar(boxes[best], boxes[i]) <= 0.7]
     kept = kept[:20]
     assert np.allclose(props.boxes, np.asarray([boxes[i] for i in kept]))
     assert np.allclose(props.scores, np.asarray([scores[i] for i in kept]))

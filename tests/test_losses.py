@@ -262,13 +262,23 @@ def test_consistency_loss_is_the_value_training_optimises(variant):
 # ---------------------------------------------------------------------------
 
 def test_empty_minibatch_zero_gradients():
-    m = base_model()
-    mb = empty_minibatch(m)
-    breakdown, grads = L.compute_gradients(m, mb, "pretrain", TrainConfig())
-    assert breakdown.total == 0.0
-    assert set(breakdown.empty) == {"obj", "cls", "box", "box_rpn"}
-    for key, g in grads.items():
-        assert np.all(g == 0.0), key
+    cases = [("pretrain", base_model(), TrainConfig(), {"obj", "cls", "box", "box_rpn"})]
+    for classifier in ("cos", "fc"):
+        cases.append(("finetune", retentive_model(classifier=classifier), TrainConfig(),
+                      {"obj", "cls", "con", "box"}))
+        cases.append(("finetune", retentive_model(classifier=classifier, head_domain="novel-only"),
+                      TrainConfig(consistency="off"), {"obj", "cls", "box"}))
+    for stage, m, tcfg, want_empty in cases:
+        mb = empty_minibatch(m)
+        if tcfg.consistency != "off":
+            mb.roi_base_probs = np.zeros((0, m.num_base + m.num_novel + 1))
+        breakdown, grads = L.compute_gradients(m, mb, stage, tcfg)
+        assert breakdown.total == 0.0
+        assert set(breakdown.empty) == want_empty
+        want_keys = {k for k in m.params.arrays if k.split("/")[0] in m.params.trainable}
+        assert set(grads) == want_keys, (m.classifier, m.head_domain)
+        for key, g in grads.items():
+            assert np.all(g == 0.0), key
 
 
 def test_gradient_keys_cover_only_trainable_layers():

@@ -4,8 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import iou_scalar
 from retentive import synthgen as G
-from retentive import tensorops as T
 from retentive.config import DatasetConfig
 from retentive.errors import CorruptArtifactError, GenerationError, ParameterError
 
@@ -120,7 +120,7 @@ def test_render_respects_overlap_cap():
     n = len(gt.labels)
     for i in range(n):
         for j in range(i + 1, n):
-            assert T.iou(gt.boxes[i], gt.boxes[j]) <= spec.overlap_iou_cap + 1e-12
+            assert iou_scalar(gt.boxes[i], gt.boxes[j]) <= spec.overlap_iou_cap + 1e-12
 
 
 def test_render_boxes_inside_image_and_tight():

@@ -1,9 +1,11 @@
-"""The benchmark harness and the README reach into the package by name; keep those names alive."""
+"""Guards on names: the benchmark harness and the README reach into the package
+by name, and one module names the head layers."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -58,3 +60,17 @@ def test_readme_library_block_uses_the_package_surface():
                     top_level.append(alias.name)
     assert top_level
     assert set(top_level) <= set(retentive.__all__)
+
+
+def test_head_layer_names_live_in_detector_only():
+    """Training and inference read the same heads only if one module names their layers."""
+    layer = re.compile(r"\b(rpn_obj|cls|reg)_[bn]\b")
+    found = []
+    for path in sorted((ROOT / "src" / "retentive").glob("*.py")):
+        if path.name == "detector.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and layer.search(node.value):
+                found.append(f"{path.name}:{node.lineno}: {node.value!r}")
+    assert not found, found

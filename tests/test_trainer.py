@@ -402,6 +402,18 @@ def test_trainlog_rejects_defects(tmp_path):
     p.write_text("")
     with pytest.raises(CorruptArtifactError):
         TrainLog.load(p)
+    later = rec.replace('n": 0', 'n": 1')
+    for defect in (later[:-5],                          # truncated line
+                   "[1, 2]",                            # not an object
+                   later.replace('"stage": "pretrain", ', ""),
+                   later.replace('"seed": 1, ', ""),
+                   later.replace('"iteration": 1, ', "")):
+        p.write_text(rec + "\n" + defect + "\n")
+        with pytest.raises(CorruptArtifactError):
+            TrainLog.load(p)
+    p.write_bytes(b"\xff\xfe" + rec.encode())
+    with pytest.raises(CorruptArtifactError):
+        TrainLog.load(p)
 
 
 # ---------------------------------------------------------------------------
