@@ -3,7 +3,9 @@
 Runs are laid out as one directory per seed. Every stage writes its outputs
 plus a stamp file naming the configuration digest and the digests of the
 inputs it consumed; a re-run with the same resolved configuration skips
-stages whose stamps and outputs are intact, and any digest disagreement
+stages whose stamps and outputs are intact. Every stage a command needs,
+whether it runs or is only read from, is checked against its stamp before
+use, and any digest disagreement
 between what a stamp recorded and what is on disk stops the run instead of
 silently recomputing or reusing mismatched artifacts.
 """
@@ -13,7 +15,6 @@ from __future__ import annotations
 import argparse
 import copy
 import itertools
-import json
 import os
 import sys
 import traceback
@@ -32,6 +33,7 @@ from .config import (
     ExperimentConfig,
     canonical_json,
     load_config,
+    read_json_object,
 )
 from .detector import (
     STAGE_BASE,
@@ -71,7 +73,6 @@ from .synthgen import (
 from .tensorops import subseed
 from .trainer import finetune, load_checkpoint, pretrain, save_checkpoint, verify_checkpoint
 
-STAGES = ("gen", "pretrain", "finetune", "eval")
 DATASET_NAMES = ("base-train", "kshot", "test", "uar-eval")
 
 _DS_TAGS = {
@@ -113,7 +114,14 @@ def _dataset_digest_on_disk(path: Path) -> str:
     manifest = path / "manifest.json"
     if not manifest.exists():
         raise StalenessError(f"dataset missing at {path}")
-    return _read_object(manifest, "manifest", {"digest": str})["digest"]
+    return read_json_object(manifest, "manifest", {"digest": str})["digest"]
+
+
+def _report_digest_on_disk(paths: RunPaths) -> str:
+    report = paths.eval_dir() / "report.json"
+    if not report.exists():
+        raise StalenessError(f"report missing at {report}")
+    return sha256(report.read_bytes()).hexdigest()
 
 
 def _write_stamp(path: Path, stage: str, seed: int, config_digest: str,
@@ -123,62 +131,13 @@ def _write_stamp(path: Path, stage: str, seed: int, config_digest: str,
     path.write_text(canonical_json(payload) + "\n", encoding="utf-8")
 
 
-def _read_object(path: Path, kind: str, fields: dict[str, type]) -> dict:
-    """A JSON object holding the given typed fields; anything else is corrupt."""
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CorruptArtifactError(f"{kind} {path} is unreadable: {exc}") from exc
-    if not isinstance(data, dict) or not all(isinstance(data.get(k), t)
-                                             for k, t in fields.items()):
-        raise CorruptArtifactError(f"{kind} {path} does not hold a {kind} object")
-    return data
-
-
 def _read_stamp(path: Path) -> dict:
     """A stamp as _write_stamp wrote it; anything else is a corrupt artifact."""
-    return _read_object(path, "stamp", {"outputs": dict})
+    return read_json_object(path, "stamp", {"outputs": dict})
 
 
 def _read_report(path: Path) -> dict:
-    return _read_object(path, "report", {"metadata": dict})
-
-
-def _stamp_under(paths: RunPaths, stage: str, config_digest: str) -> dict:
-    """An existing stage stamp, if written under this configuration."""
-    stamp = _read_stamp(paths.stamp(stage))
-    if stamp.get("config_digest") != config_digest:
-        raise StalenessError(
-            f"{stage}: artifacts in {paths.root} were produced under a different "
-            f"configuration; use a fresh output directory")
-    return stamp
-
-
-def _upstream_outputs(paths: RunPaths, stage: str, seed: int, config_digest: str) -> dict:
-    """A finished stage's recorded outputs, if made under this configuration."""
-    if not paths.stamp(stage).exists():
-        raise StalenessError(
-            f"stage {stage!r} has not been run for seed {seed}; run it first")
-    return _stamp_under(paths, stage, config_digest)["outputs"]
-
-
-def _stage_guard(paths: RunPaths, stage: str, seed: int, config_digest: str,
-                 inputs: dict, verify_outputs, runner) -> dict:
-    """Skip a completed stage, run a fresh one, or stop on any mismatch."""
-    stamp_path = paths.stamp(stage)
-    if stamp_path.exists():
-        stamp = _stamp_under(paths, stage, config_digest)
-        if stamp.get("inputs") != inputs:
-            raise StalenessError(
-                f"{stage}: recorded inputs no longer match upstream artifacts")
-        on_disk = verify_outputs()
-        if on_disk != stamp.get("outputs"):
-            raise StalenessError(
-                f"{stage}: outputs on disk do not match what the stamp recorded")
-        return stamp["outputs"]
-    outputs = runner()
-    _write_stamp(stamp_path, stage, seed, config_digest, inputs, outputs)
-    return outputs
+    return read_json_object(path, "report", {"metadata": dict})
 
 
 # ---------------------------------------------------------------------------
@@ -200,64 +159,33 @@ def _build_datasets(cfg: ExperimentConfig, seed: int) -> dict[str, Dataset]:
     }
 
 
-def _stage_gen(cfg: ExperimentConfig, seed: int, paths: RunPaths,
-               config_digest: str) -> dict:
-    def verify():
-        return {name: _dataset_digest_on_disk(paths.dataset_dir(name))
-                for name in DATASET_NAMES}
-
-    def run():
-        built = _build_datasets(cfg, seed)
-        out = {}
-        for name in DATASET_NAMES:
-            save_dataset(built[name], paths.dataset_dir(name))
-            out[name] = built[name].digest()
-        return out
-
-    return _stage_guard(paths, "gen", seed, config_digest, {}, verify, run)
+def _run_gen(cfg: ExperimentConfig, seed: int, paths: RunPaths, up: dict) -> dict:
+    built = _build_datasets(cfg, seed)
+    return {name: save_dataset(built[name], paths.dataset_dir(name)) for name in DATASET_NAMES}
 
 
-def _stage_pretrain(cfg: ExperimentConfig, seed: int, paths: RunPaths,
-                    config_digest: str, gen_out: dict) -> dict:
-    inputs = {"base-train": gen_out["base-train"]}
-
-    def verify():
-        return {"base": verify_checkpoint(paths.checkpoint("base"))}
-
-    def run():
-        dataset = load_dataset(paths.dataset_dir("base-train"))
-        model, log = pretrain(dataset, cfg, seed)
-        paths.checkpoint("base").parent.mkdir(parents=True, exist_ok=True)
-        digest = save_checkpoint(model, paths.checkpoint("base"))
-        log.save(paths.train_log("pretrain"))
-        return {"base": digest}
-
-    return _stage_guard(paths, "pretrain", seed, config_digest, inputs, verify, run)
+def _run_pretrain(cfg: ExperimentConfig, seed: int, paths: RunPaths, up: dict) -> dict:
+    dataset = load_dataset(paths.dataset_dir("base-train"))
+    model, log = pretrain(dataset, cfg, seed)
+    paths.checkpoint("base").parent.mkdir(parents=True, exist_ok=True)
+    digest = save_checkpoint(model, paths.checkpoint("base"))
+    log.save(paths.train_log("pretrain"))
+    return {"base": digest}
 
 
-def _stage_finetune(cfg: ExperimentConfig, seed: int, paths: RunPaths,
-                    config_digest: str, gen_out: dict, pre_out: dict) -> dict:
-    inputs = {"kshot": gen_out["kshot"], "base": pre_out["base"]}
-
-    def verify():
-        return {"retentive": verify_checkpoint(paths.checkpoint("retentive"))}
-
-    def run():
-        base = load_checkpoint(paths.checkpoint("base"))
-        if base.stage != STAGE_BASE:
-            raise StalenessError(
-                f"expected a pretrained checkpoint, found stage {base.stage!r}")
-        dataset = load_dataset(paths.dataset_dir("kshot"))
-        model, log = finetune(base, dataset, cfg, seed)
-        digest = save_checkpoint(model, paths.checkpoint("retentive"))
-        log.save(paths.train_log("finetune"))
-        return {"retentive": digest}
-
-    return _stage_guard(paths, "finetune", seed, config_digest, inputs, verify, run)
+def _run_finetune(cfg: ExperimentConfig, seed: int, paths: RunPaths, up: dict) -> dict:
+    base = load_checkpoint(paths.checkpoint("base"))
+    if base.stage != STAGE_BASE:
+        raise StalenessError(
+            f"expected a pretrained checkpoint, found stage {base.stage!r}")
+    dataset = load_dataset(paths.dataset_dir("kshot"))
+    model, log = finetune(base, dataset, cfg, seed)
+    digest = save_checkpoint(model, paths.checkpoint("retentive"))
+    log.save(paths.train_log("finetune"))
+    return {"retentive": digest}
 
 
-def _evaluate_models(cfg: ExperimentConfig, seed: int, paths: RunPaths,
-                     gen_out: dict, pre_out: dict, ft_out: dict) -> dict:
+def _evaluate_models(cfg: ExperimentConfig, seed: int, paths: RunPaths, up: dict) -> dict:
     base = load_checkpoint(paths.checkpoint("base"))
     model = load_checkpoint(paths.checkpoint("retentive"))
     if model.stage != STAGE_RETENTIVE:
@@ -319,8 +247,8 @@ def _evaluate_models(cfg: ExperimentConfig, seed: int, paths: RunPaths,
     metadata = {
         "seed": seed,
         "config_digest": cfg.digest(),
-        "dataset_digests": dict(gen_out),
-        "checkpoint_digests": {"base": pre_out["base"], "retentive": ft_out["retentive"]},
+        "dataset_digests": {n: up[n] for n in DATASET_NAMES},
+        "checkpoint_digests": {"base": up["base"], "retentive": up["retentive"]},
         "base_subset_digests": subset_digests,
         "rpn_strategy": model.rpn_strategy,
         "classifier": model.classifier,
@@ -329,42 +257,77 @@ def _evaluate_models(cfg: ExperimentConfig, seed: int, paths: RunPaths,
     report = build_report(ret_dets_test, test_ds, ecfg.iou_thresholds, recall,
                           norms, metadata=metadata, baseline_summary=baseline)
     emit_report(report, paths.eval_dir())
-    return {"report": _file_digest(paths.eval_dir() / "report.json")}
+    return {"report": _report_digest_on_disk(paths)}
 
 
-def _file_digest(path: Path) -> str:
-    return sha256(path.read_bytes()).hexdigest()
+# stage -> (upstream outputs it reads, its outputs as found on disk, its runner);
+# output names are unique across stages, so upstream outputs share one dict
+_PIPELINE = {
+    "gen": ((), lambda paths: {n: _dataset_digest_on_disk(paths.dataset_dir(n))
+                               for n in DATASET_NAMES}, _run_gen),
+    "pretrain": (("base-train",),
+                 lambda paths: {"base": verify_checkpoint(paths.checkpoint("base"))},
+                 _run_pretrain),
+    "finetune": (("kshot", "base"),
+                 lambda paths: {"retentive": verify_checkpoint(paths.checkpoint("retentive"))},
+                 _run_finetune),
+    "eval": (("test", "uar-eval", "base", "retentive"),
+             lambda paths: {"report": _report_digest_on_disk(paths)}, _evaluate_models),
+}
+STAGES = tuple(_PIPELINE)
 
 
-def _stage_eval(cfg: ExperimentConfig, seed: int, paths: RunPaths,
-                config_digest: str, gen_out: dict, pre_out: dict,
-                ft_out: dict) -> dict:
-    inputs = {
-        "test": gen_out["test"],
-        "uar-eval": gen_out["uar-eval"],
-        "base": pre_out["base"],
-        "retentive": ft_out["retentive"],
-    }
+def _checked_stages(stages) -> tuple[str, ...]:
+    stages = tuple(stages)
+    for s in stages:
+        if s not in _PIPELINE:
+            raise ConfigError(f"unknown stage {s!r}; expected subset of {STAGES}")
+    return stages
 
-    def verify():
-        report = paths.eval_dir() / "report.json"
-        if not report.exists():
-            raise StalenessError(f"report missing at {report}")
-        return {"report": _file_digest(report)}
 
-    def run():
-        return _evaluate_models(cfg, seed, paths, gen_out, pre_out, ft_out)
+def _verified(paths: RunPaths, stage: str, config_digest: str, inputs: dict,
+              on_disk) -> dict:
+    """A stamped stage's outputs, once its config, inputs and files all agree."""
+    stamp = _read_stamp(paths.stamp(stage))
+    if stamp.get("config_digest") != config_digest:
+        raise StalenessError(
+            f"{stage}: artifacts in {paths.root} were produced under a different "
+            f"configuration; use a fresh output directory")
+    if stamp.get("inputs") != inputs:
+        raise StalenessError(f"{stage}: recorded inputs no longer match upstream artifacts")
+    if on_disk(paths) != stamp["outputs"]:
+        raise StalenessError(
+            f"{stage}: outputs on disk do not match what the {stage} stamp recorded")
+    return stamp["outputs"]
 
-    return _stage_guard(paths, "eval", seed, config_digest, inputs, verify, run)
+
+def _walk(cfg: ExperimentConfig, seed: int, paths: RunPaths, run: tuple[str, ...],
+          last: str) -> dict:
+    """Every stage through `last` in order: a stamped one is verified, one in
+    `run` without a stamp runs and is stamped, and any other stops the walk."""
+    config_digest = cfg.digest()
+    up: dict[str, str] = {}
+    done: dict[str, dict] = {}
+    for stage in STAGES[:STAGES.index(last) + 1]:
+        reads, on_disk, runner = _PIPELINE[stage]
+        inputs = {n: up[n] for n in reads}
+        if paths.stamp(stage).exists():
+            outputs = _verified(paths, stage, config_digest, inputs, on_disk)
+        elif stage in run:
+            outputs = runner(cfg, seed, paths, up)
+            _write_stamp(paths.stamp(stage), stage, seed, config_digest, inputs, outputs)
+        else:
+            raise StalenessError(
+                f"stage {stage!r} has not been run for seed {seed}; run it first")
+        up.update(outputs)
+        done[stage] = outputs
+    return done
 
 
 def run_experiment(cfg: ExperimentConfig, seed: int, out_root,
                    stages=STAGES) -> dict:
     """Execute the requested stages for one seed, reusing intact artifacts."""
-    for s in stages:
-        if s not in STAGES:
-            raise ConfigError(f"unknown stage {s!r}; expected subset of {STAGES}")
-    stages = tuple(s for s in STAGES if s in stages)
+    stages = _checked_stages(stages)
     cfg.validate()
     config_digest = cfg.digest()
     paths = RunPaths(out_root, seed)
@@ -374,27 +337,10 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_root,
     cfg_path = paths.root / "config.json"
     if not cfg_path.exists() or cfg_path.read_text(encoding="utf-8") != cfg_blob:
         cfg_path.write_text(cfg_blob, encoding="utf-8")
-
-    done: dict[str, dict] = {}
-
-    def need(stage: str) -> dict:
-        if stage in done:
-            return done[stage]
-        return _upstream_outputs(paths, stage, seed, config_digest)
-
-    for stage in stages:
-        if stage == "gen":
-            done["gen"] = _stage_gen(cfg, seed, paths, config_digest)
-        elif stage == "pretrain":
-            done["pretrain"] = _stage_pretrain(cfg, seed, paths, config_digest,
-                                               need("gen"))
-        elif stage == "finetune":
-            done["finetune"] = _stage_finetune(cfg, seed, paths, config_digest,
-                                               need("gen"), need("pretrain"))
-        elif stage == "eval":
-            done["eval"] = _stage_eval(cfg, seed, paths, config_digest, need("gen"),
-                                       need("pretrain"), need("finetune"))
-    return done
+    if not stages:
+        return {}
+    done = _walk(cfg, seed, paths, stages, max(stages, key=STAGES.index))
+    return {s: out for s, out in done.items() if s in stages}
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +456,13 @@ def _cell_name(cell: dict[str, str]) -> str:
 
 def run_ablation(cfg: ExperimentConfig, axes: dict[str, list[str]], seed: int,
                  out_root, stages=STAGES) -> dict:
-    """Full pipeline per grid cell; rows collected into ablation.json/csv."""
+    """Full pipeline per distinct cell config; rows collected into ablation.json/csv.
+
+    A cell whose resolved config repeats an earlier cell's (novel-only heads
+    force consistency off) shares that cell's metrics and gets no directory.
+    """
     rows = []
+    metrics: dict[str, dict] = {}
     for cell in ablation_cells(axes):
         cell_cfg = copy.deepcopy(cfg)
         for axis, value in cell.items():
@@ -519,12 +470,13 @@ def run_ablation(cfg: ExperimentConfig, axes: dict[str, list[str]], seed: int,
         if cell_cfg.finetune.head_domain == "novel-only":
             cell_cfg.finetune.consistency = "off"
         cell_cfg.validate()
-        cell_dir = Path(out_root) / _cell_name(cell)
-        run_experiment(cell_cfg, seed, cell_dir, stages)
-        report_path = RunPaths(cell_dir, seed).eval_dir() / "report.json"
-        report = _read_report(report_path)
-        rows.append({"cell": cell, "config_digest": cell_cfg.digest(),
-                     "metrics": _flatten_metrics(report)})
+        digest = cell_cfg.digest()
+        if digest not in metrics:
+            cell_dir = Path(out_root) / _cell_name(cell)
+            run_experiment(cell_cfg, seed, cell_dir, stages)
+            report = _read_report(RunPaths(cell_dir, seed).eval_dir() / "report.json")
+            metrics[digest] = _flatten_metrics(report)
+        rows.append({"cell": cell, "config_digest": digest, "metrics": metrics[digest]})
     table = {"seed": seed, "rows": rows}
     out = Path(out_root)
     out.mkdir(parents=True, exist_ok=True)
@@ -560,19 +512,22 @@ def _add_common(p: argparse.ArgumentParser, seeds: bool = False) -> None:
     p.add_argument("--shots", type=int, default=None, help="instances per class")
 
 
+# pipeline command -> (last stage of its default prefix, help)
+_PIPELINE_COMMANDS = {
+    "gen-data": ("gen", "generate and save the four datasets"),
+    "pretrain": ("pretrain", "datasets plus the base-detector training stage"),
+    "finetune": ("finetune", "everything through low-shot adaptation"),
+    "eval": ("eval", "full pipeline ending in report artifacts"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="retentive",
         description="Few-shot detector that keeps its base-class behavior.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    specs = {
-        "gen-data": "generate and save the four datasets",
-        "pretrain": "datasets plus the base-detector training stage",
-        "finetune": "everything through low-shot adaptation",
-        "eval": "full pipeline ending in report artifacts",
-    }
-    for name, help_text in specs.items():
+    for name, (_, help_text) in _PIPELINE_COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
         p.add_argument("--stage", type=str, default=None,
@@ -610,22 +565,10 @@ def _resolve_config(args) -> ExperimentConfig:
     return cfg
 
 
-_DEFAULT_PREFIX = {
-    "gen-data": ("gen",),
-    "pretrain": ("gen", "pretrain"),
-    "finetune": ("gen", "pretrain", "finetune"),
-    "eval": STAGES,
-}
-
-
 def _parse_stage_list(text: str | None, default: tuple[str, ...]) -> tuple[str, ...]:
     if text is None:
         return default
-    stages = tuple(s.strip() for s in text.split(",") if s.strip())
-    for s in stages:
-        if s not in STAGES:
-            raise ConfigError(f"unknown stage {s!r}; expected subset of {STAGES}")
-    return stages
+    return _checked_stages(s.strip() for s in text.split(",") if s.strip())
 
 
 def _parse_axes(text: str) -> dict[str, list[str]]:
@@ -664,7 +607,8 @@ def _workers_from_env() -> int:
 
 def _cmd_pipeline(args, command: str) -> int:
     cfg = _resolve_config(args)
-    stages = _parse_stage_list(getattr(args, "stage", None), _DEFAULT_PREFIX[command])
+    last = _PIPELINE_COMMANDS[command][0]
+    stages = _parse_stage_list(args.stage, STAGES[:STAGES.index(last) + 1])
     run_experiment(cfg, args.seed, args.out, stages)
     print(f"{command}: seed {args.seed} complete in {Path(args.out) / f'seed-{args.seed}'}")
     return 0
@@ -676,9 +620,7 @@ def _cmd_detect(args) -> int:
     ckpt = paths.checkpoint("retentive")
     if not ckpt.exists():
         raise StalenessError(f"no checkpoint at {ckpt}; run finetune for seed {args.seed} first")
-    recorded = _upstream_outputs(paths, "finetune", args.seed, cfg.digest())
-    if verify_checkpoint(ckpt) != recorded.get("retentive"):
-        raise StalenessError(f"{ckpt} is not the checkpoint the finetune stamp recorded")
+    _walk(cfg, args.seed, paths, (), "finetune")
     model = load_checkpoint(ckpt)
     test_ds = load_dataset(paths.dataset_dir("test"))
     lines = []
@@ -717,8 +659,8 @@ def _cmd_report(args) -> int:
     out = Path(args.out)
     agg = out / "aggregate.json"
     if args.seed is None and agg.exists():
-        data = _read_object(agg, "aggregate", {"seeds": list, "incomplete": bool,
-                                                "metrics": dict})
+        data = read_json_object(agg, "aggregate", {"seeds": list, "incomplete": bool,
+                                                    "metrics": dict})
         print(f"seeds: {data['seeds']}  incomplete: {data['incomplete']}")
         for name in sorted(data["metrics"]):
             row = data["metrics"][name]
@@ -744,7 +686,7 @@ def _cmd_report(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command in _DEFAULT_PREFIX:
+        if args.command in _PIPELINE_COMMANDS:
             return _cmd_pipeline(args, args.command)
         if args.command == "detect":
             return _cmd_detect(args)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import yaml
 
-from .errors import ConfigError
+from .errors import ConfigError, CorruptArtifactError
 
 RPN_STRATEGIES = ("max", "arith-avg", "geo-avg", "base-only")
 CONSISTENCY_VARIANTS = ("kldiv", "l1", "cos", "off")
@@ -175,6 +175,30 @@ def canonical_digest(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 
+def read_json_object(path: Path, kind: str, fields: dict[str, type]) -> dict:
+    """A JSON object holding the given typed fields; anything else is corrupt."""
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CorruptArtifactError(f"{kind} {path} is unreadable: {exc}") from exc
+    if not isinstance(data, dict) or not all(isinstance(data.get(k), t)
+                                             for k, t in fields.items()):
+        raise CorruptArtifactError(f"{kind} {path} does not hold a {kind} object")
+    return data
+
+
+def _fits(default, value) -> bool:
+    """Whether a YAML value may replace a default: the same type, except that an
+    int may stand for a float and a list for a tuple; a bool is never a number."""
+    if isinstance(value, bool) != isinstance(default, bool):
+        return False
+    if isinstance(default, tuple):
+        return isinstance(value, list) and all(_fits(default[0], v) for v in value)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
+
+
 def _merge_into(cfg, data: dict, path: str) -> None:
     for key, value in data.items():
         if not hasattr(cfg, key):
@@ -185,9 +209,10 @@ def _merge_into(cfg, data: dict, path: str) -> None:
                 raise ConfigError(f"config section {path}{key!r} must be a mapping")
             _merge_into(current, value, f"{path}{key}.")
         else:
-            if isinstance(current, tuple) and isinstance(value, list):
-                value = tuple(value)
-            setattr(cfg, key, value)
+            if not _fits(current, value):
+                raise ConfigError(f"config value {path}{key} must be a "
+                                  f"{type(current).__name__}, got {value!r}")
+            setattr(cfg, key, tuple(value) if isinstance(current, tuple) else value)
 
 
 def load_config(path: str | Path | None) -> ExperimentConfig:

@@ -13,7 +13,6 @@ parallel and serial generation bitwise identical.
 """
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass
 from hashlib import sha256
@@ -21,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import DatasetConfig, canonical_json
+from .config import DatasetConfig, canonical_json, read_json_object
 from .errors import CorruptArtifactError, GenerationError, ParameterError
 from .tensorops import iou_matrix, rng, subseed
 
@@ -377,12 +376,10 @@ def save_dataset(ds: Dataset, dirpath: str | Path) -> str:
 
 def load_dataset(dirpath: str | Path) -> Dataset:
     dirpath = Path(dirpath)
-    try:
-        manifest = json.loads((dirpath / "manifest.json").read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CorruptArtifactError(f"cannot read dataset manifest in {dirpath}: {exc}") from exc
-    if manifest.get("version") != MANIFEST_VERSION:
-        raise CorruptArtifactError(f"unsupported manifest version {manifest.get('version')}")
+    manifest = read_json_object(dirpath / "manifest.json", "manifest",
+                                {"version": int, "items": list})
+    if manifest["version"] != MANIFEST_VERSION:
+        raise CorruptArtifactError(f"unsupported manifest version {manifest['version']}")
     blob = (dirpath / "images.bin").read_bytes()
     head = struct.calcsize("<III")
     if blob[:8] != IMAGES_MAGIC:
@@ -398,26 +395,29 @@ def load_dataset(dirpath: str | Path) -> Dataset:
         np.frombuffer(payload[i * frame:(i + 1) * frame], dtype=np.float64).reshape(side, side).copy()
         for i in range(count)
     ]
-    records = [
-        SceneRecord(
-            seed=int(item["seed"]),
-            gt=GroundTruth(
-                boxes=np.asarray(item["boxes"], dtype=np.float64).reshape(-1, 4),
-                labels=np.asarray(item["labels"], dtype=np.int64),
-                annotated=np.asarray(item["annotated"], dtype=bool),
-            ),
+    try:
+        records = [
+            SceneRecord(
+                seed=int(item["seed"]),
+                gt=GroundTruth(
+                    boxes=np.asarray(item["boxes"], dtype=np.float64).reshape(-1, 4),
+                    labels=np.asarray(item["labels"], dtype=np.int64),
+                    annotated=np.asarray(item["annotated"], dtype=bool),
+                ),
+            )
+            for item in manifest["items"]
+        ]
+        ds = Dataset(
+            split=ClassSplit.from_dict(manifest["split"]),
+            mode=manifest["mode"],
+            k=manifest["k"],
+            seed=int(manifest["seed"]),
+            side=side,
+            images=images,
+            records=records,
         )
-        for item in manifest["items"]
-    ]
-    ds = Dataset(
-        split=ClassSplit.from_dict(manifest["split"]),
-        mode=manifest["mode"],
-        k=manifest["k"],
-        seed=int(manifest["seed"]),
-        side=side,
-        images=images,
-        records=records,
-    )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptArtifactError(f"manifest in {dirpath} is malformed: {exc!r}") from exc
     want = manifest.get("digest")
     got = ds.digest()
     if want != got:

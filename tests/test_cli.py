@@ -26,7 +26,7 @@ from retentive.cli import (
     run_experiment,
 )
 from retentive.config import RPN_STRATEGIES, load_config
-from retentive.errors import ConfigError, StalenessError
+from retentive.errors import ConfigError, CorruptCheckpointError, StalenessError
 from retentive.synthgen import load_dataset
 from retentive.trainer import load_checkpoint, save_checkpoint
 
@@ -68,6 +68,14 @@ def tiny_cfg(tiny_yaml):
 def finished_run(tiny_cfg, tmp_path_factory):
     out = tmp_path_factory.mktemp("run")
     run_experiment(tiny_cfg, 3, out)
+    return out
+
+
+@pytest.fixture(scope="module")
+def other_seed_run(tiny_cfg, tmp_path_factory):
+    """Seed 4 through finetune: well-formed artifacts that seed 3's stamps did not record."""
+    out = tmp_path_factory.mktemp("run4")
+    run_experiment(tiny_cfg, 4, out, stages=("gen", "pretrain", "finetune"))
     return out
 
 
@@ -125,7 +133,7 @@ def test_tampered_output_raises_staleness(tiny_cfg, finished_run, tmp_path):
     data = bytearray(ckpt.read_bytes())
     data[-1] ^= 0xFF
     ckpt.write_bytes(bytes(data))
-    with pytest.raises((StalenessError, Exception)):
+    with pytest.raises(CorruptCheckpointError, match="failed hash verification"):
         run_experiment(tiny_cfg, 3, clone)
 
 
@@ -292,6 +300,24 @@ def test_run_ablation_distinct_digests(tiny_cfg, tmp_path):
         assert (RunPaths(cell_dir, 3).eval_dir() / "report.json").exists()
 
 
+def test_ablation_runs_each_distinct_config_once(tiny_cfg, tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return run_experiment(*args)
+
+    monkeypatch.setattr(cli, "run_experiment", counted)
+    table = run_ablation(tiny_cfg, {"head_domain": ["novel-only"],
+                                    "consistency": ["kldiv", "off"]}, 3, tmp_path)
+    assert len(table["rows"]) == 2 and len(calls) == 1
+    first, second = table["rows"]
+    assert first["config_digest"] == second["config_digest"]
+    assert first["metrics"] == second["metrics"] and "ap" in first["metrics"]
+    assert sorted(p.name for p in tmp_path.iterdir() if p.is_dir()) == [
+        "consistency=kldiv,head_domain=novel-only"]
+
+
 def test_novel_only_cell_runs_without_consistency(tiny_cfg, tmp_path):
     table = run_ablation(tiny_cfg, {"head_domain": ["novel-only"]}, 3, tmp_path)
     row = table["rows"][0]
@@ -326,13 +352,21 @@ def test_main_exit_code_for_bad_config(tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("entry", [
-    "pre_nms_k: 0", "post_nms_k: -1", "post_nms_k: 2.5", "max_dets: 0",
-    "proposal_nms_iou: 1.5", "nms_iou: -0.1", "nms_iou: '0.5'", "score_thresh: 2",
-])
-def test_bad_detect_config_exits_2(tmp_path, entry):
+_BAD_CONFIGS = {  # test id -> YAML snippet
+    **{entry: f"detect:\n  {entry}\n" for entry in (
+        "pre_nms_k: 0", "post_nms_k: -1", "post_nms_k: 2.5", "max_dets: 0",
+        "proposal_nms_iou: 1.5", "nms_iou: -0.1", "nms_iou: '0.5'", "score_thresh: 2")},
+    "dataset.image_side: '48'": "dataset:\n  image_side: '48'\n",
+    "dataset.shots: 2.5": "dataset:\n  shots: 2.5\n",
+    "finetune.lam: x": "finetune:\n  lam: x\n",
+    "pretrain.max_iters: '3'": "pretrain:\n  max_iters: '3'\n",
+}
+
+
+@pytest.mark.parametrize("snippet", list(_BAD_CONFIGS.values()), ids=list(_BAD_CONFIGS))
+def test_bad_detect_config_exits_2(tmp_path, snippet):
     bad = tmp_path / "bad.yaml"
-    bad.write_text(f"detect:\n  {entry}\n", encoding="utf-8")
+    bad.write_text(snippet, encoding="utf-8")
     with pytest.raises(ConfigError):
         load_config(bad)
     code = main(["eval", "--config", str(bad), "--seed", "1",
@@ -484,8 +518,34 @@ def test_detect_with_replaced_checkpoint_exits_4(tiny_yaml, finished_run, tmp_pa
     assert err.count("\n") == 1 and "finetune stamp" in err
 
 
+@pytest.mark.parametrize("replaced, stage", [
+    ("datasets/base-train", "pretrain"),
+    ("models/base.ckpt", "finetune"),
+    ("models/retentive.ckpt", "eval"),
+])
+def test_replaced_upstream_artifact_exits_4(tiny_yaml, finished_run, other_seed_run, tmp_path,
+                                            capsys, replaced, stage):
+    out = tmp_path / "copy"
+    shutil.copytree(finished_run, out)
+    paths = RunPaths(out, 3)
+    for s in STAGES[STAGES.index(stage):]:
+        paths.stamp(s).unlink()
+    target, source = paths.root / replaced, RunPaths(other_seed_run, 4).root / replaced
+    if target.is_dir():
+        shutil.rmtree(target)
+        shutil.copytree(source, target)
+    else:
+        shutil.copyfile(source, target)
+    assert main([stage, "--config", str(tiny_yaml), "--seed", "3", "--out", str(out),
+                 "--stage", stage]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "stamp recorded" in err
+    assert not paths.stamp(stage).exists()
+
+
 def _upstream(paths):
-    return [_read_stamp(paths.stamp(s))["outputs"] for s in ("gen", "pretrain", "finetune")]
+    return {name: digest for s in ("gen", "pretrain", "finetune")
+            for name, digest in _read_stamp(paths.stamp(s))["outputs"].items()}
 
 
 def test_eval_runs_one_image_forward_per_image(tiny_cfg, finished_run, tmp_path, monkeypatch):
@@ -504,7 +564,7 @@ def test_eval_runs_one_image_forward_per_image(tiny_cfg, finished_run, tmp_path,
 
     for name in calls:
         monkeypatch.setattr(D, name, counted(name))
-    _evaluate_models(tiny_cfg, 3, paths, *_upstream(paths))
+    _evaluate_models(tiny_cfg, 3, paths, _upstream(paths))
     images = sum(len(load_dataset(paths.dataset_dir(n)).images) for n in ("test", "uar-eval"))
     assert calls == {"fixed_featurizer": images, "propose": len(RPN_STRATEGIES) * images}
     report = "eval/report.json"
@@ -519,7 +579,7 @@ def test_eval_rejects_base_without_the_shared_frozen_arrays(tiny_cfg, finished_r
     base.params.arrays["rpn_box/b"][0] += 1e-9
     save_checkpoint(base, paths.checkpoint("base"))
     with pytest.raises(StalenessError, match="frozen arrays"):
-        _evaluate_models(tiny_cfg, 3, paths, *_upstream(paths))
+        _evaluate_models(tiny_cfg, 3, paths, _upstream(paths))
 
 
 @pytest.fixture

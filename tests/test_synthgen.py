@@ -283,6 +283,18 @@ def test_dataset_load_detects_truncation(tmp_path: Path):
         G.load_dataset(tmp_path / "d")
 
 
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[]", b'{"version": 1}',
+                                     b'{"version": 1, "items": [{}]}'],
+                         ids=["non-utf8", "list", "no-items", "empty-item"])
+def test_dataset_load_rejects_unreadable_manifest(tmp_path: Path, content: bytes):
+    cfg = small_cfg(base_train_images=3)
+    split = G.split_classes(12, 4, seed=5)
+    G.save_dataset(G.build_base_dataset(cfg, split, seed=5), tmp_path / "d")
+    (tmp_path / "d" / "manifest.json").write_bytes(content)
+    with pytest.raises(CorruptArtifactError, match="manifest"):
+        G.load_dataset(tmp_path / "d")
+
+
 def test_dataset_load_detects_manifest_edit(tmp_path: Path):
     cfg = small_cfg(base_train_images=3)
     split = G.split_classes(12, 4, seed=5)
