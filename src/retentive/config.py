@@ -19,6 +19,7 @@ RPN_STRATEGIES = ("max", "arith-avg", "geo-avg", "base-only")
 CONSISTENCY_VARIANTS = ("kldiv", "l1", "cos", "off")
 CLASSIFIER_KINDS = ("cos", "fc")
 HEAD_DOMAINS = ("all", "novel-only")
+MIN_GLYPH = 6  # the smallest glyph raster synthgen draws
 
 
 @dataclass
@@ -158,6 +159,18 @@ class ExperimentConfig:
             raise ConfigError("need 0 < num_novel < num_classes")
         if d.image_side % self.model.feat_stride != 0:
             raise ConfigError("image side must be divisible by the featurizer stride")
+        for name in ("base_train_images", "test_images", "uar_eval_images"):
+            if getattr(d, name) < 1:
+                raise ConfigError(f"dataset.{name} must be >= 1, got {getattr(d, name)}")
+        if not MIN_GLYPH <= d.min_glyph <= d.max_glyph:
+            raise ConfigError(f"need {MIN_GLYPH} <= dataset.min_glyph <= dataset.max_glyph, "
+                              f"got {d.min_glyph} and {d.max_glyph}")
+        if d.min_instances > d.max_instances:
+            raise ConfigError(f"dataset.min_instances {d.min_instances} exceeds "
+                              f"max_instances {d.max_instances}")
+        if not self.model.anchor_scales or min(self.model.anchor_scales) <= 0:
+            raise ConfigError(f"model.anchor_scales must be positive sizes, "
+                              f"got {list(self.model.anchor_scales)}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -220,8 +233,8 @@ def load_config(path: str | Path | None) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if path is not None:
         try:
-            raw = Path(path).read_text()
-        except OSError as exc:
+            raw = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         try:
             data = yaml.safe_load(raw)

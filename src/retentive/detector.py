@@ -17,7 +17,7 @@ from hashlib import sha256
 
 import numpy as np
 
-from .config import DetectConfig, ModelConfig, RPN_STRATEGIES
+from .config import DetectConfig, ModelConfig, RPN_STRATEGIES, TrainConfig
 from .errors import ParameterError, StateError
 from .synthgen import ClassSplit
 from .tensorops import (
@@ -40,12 +40,12 @@ _TAG_PROJ = 0x9203
 _TAG_BASE_INIT = 0xBA5E
 _TAG_NOVEL_INIT = 0x0E11
 
-BASE_LAYERS = ("rpn_shared", "rpn_obj_b", "rpn_box", "boxhead_proj", "cls_b", "reg_b")
-NOVEL_LAYERS = ("rpn_obj_n", "cls_n", "reg_n")
-PRETRAIN_TRAINABLE = ("rpn_obj_b", "rpn_box", "cls_b", "reg_b")
-FINETUNE_TRAINABLE = ("rpn_obj_n", "cls_n", "reg_n")
 # (objectness, classifier, regressor) of each head; rpn_box serves both heads
 HEAD_LAYERS = {"base": ("rpn_obj_b", "cls_b", "reg_b"), "novel": ("rpn_obj_n", "cls_n", "reg_n")}
+# pretraining fits the base head and the shared rpn_box; finetuning the novel head only
+PRETRAIN_TRAINABLE = HEAD_LAYERS["base"] + ("rpn_box",)
+FINETUNE_TRAINABLE = HEAD_LAYERS["novel"]
+BASE_LAYERS = ("rpn_shared", "boxhead_proj") + PRETRAIN_TRAINABLE
 
 STAGE_INIT = "init"
 STAGE_BASE = "base"
@@ -100,12 +100,6 @@ class Model:
     def num_novel(self) -> int:
         return self.split.num_novel
 
-    def novel_head_classes(self) -> tuple[int, ...]:
-        """Foreground ids scored by the finetuned box head, in logit order."""
-        if self.head_domain == "novel-only":
-            return self.split.novel_ids
-        return self.split.base_ids + self.split.novel_ids
-
     def base_subset_digest(self) -> str:
         return self.params.digest(BASE_LAYERS)
 
@@ -141,55 +135,41 @@ def init_base_model(split: ClassSplit, mcfg: ModelConfig, feat_seed: int, seed: 
     return Model(params=params, split=split, mcfg=mcfg, feat_seed=feat_seed, stage=STAGE_INIT)
 
 
-def extend_for_finetune(base: Model, seed: int, classifier: str = "cos",
-                        head_domain: str = "all", rpn_obj_init: str = "copy",
-                        head_init: str = "random", rpn_strategy: str = "max") -> Model:
-    """Add the three finetune layers; base arrays are shared bit-for-bit."""
+def extend_for_finetune(base: Model, seed: int, tcfg: TrainConfig) -> Model:
+    """Add the three finetune layers as the finetune config says; base arrays
+    are shared bit-for-bit."""
+    tcfg.validate()
     if base.stage != STAGE_BASE:
         raise StateError(f"finetune extension requires a pretrained model, got stage {base.stage!r}")
-    if head_init == "copy" and (classifier != "fc" or head_domain != "all"):
-        raise ParameterError("head_init='copy' requires classifier='fc' and head_domain='all'")
-    params = base.params.copy()
-    d = base.mcfg.head_dim
+    model = Model(params=base.params.copy(), split=base.split, mcfg=base.mcfg,
+                  feat_seed=base.feat_seed, stage=STAGE_RETENTIVE, classifier=tcfg.classifier,
+                  head_domain=tcfg.head_domain, rpn_strategy=tcfg.rpn_strategy)
+    a = model.params.arrays
     sig = base.mcfg.init_sigma
     gen = rng(seed, _TAG_NOVEL_INIT)
 
-    if rpn_obj_init == "copy":
-        params.arrays["rpn_obj_n/W"] = params.arrays["rpn_obj_b/W"].copy()
-        params.arrays["rpn_obj_n/b"] = params.arrays["rpn_obj_b/b"].copy()
-    elif rpn_obj_init == "random":
-        params.arrays["rpn_obj_n/W"] = gen.normal(0.0, sig, size=params.arrays["rpn_obj_b/W"].shape)
-        params.arrays["rpn_obj_n/b"] = np.zeros_like(params.arrays["rpn_obj_b/b"])
+    if tcfg.rpn_obj_init == "copy":
+        a["rpn_obj_n/W"] = a["rpn_obj_b/W"].copy()
+        a["rpn_obj_n/b"] = a["rpn_obj_b/b"].copy()
     else:
-        raise ParameterError(f"unknown rpn_obj_init {rpn_obj_init!r}")
+        a["rpn_obj_n/W"] = gen.normal(0.0, sig, size=a["rpn_obj_b/W"].shape)
+        a["rpn_obj_n/b"] = np.zeros_like(a["rpn_obj_b/b"])
 
-    if head_domain == "novel-only":
-        n_out = base.num_novel + 1
+    if tcfg.head_init == "copy":  # the base head, zero-padded on novel classes
+        a["cls_n/W"] = np.ascontiguousarray(pad_base_logits(a["cls_b/W"].T, base.num_novel).T)
+        a["cls_n/b"] = pad_base_logits(a["cls_b/b"][None], base.num_novel)[0]
+        a["reg_n/W"] = a["reg_b/W"].copy()
+        a["reg_n/b"] = a["reg_b/b"].copy()
     else:
-        n_out = base.num_base + base.num_novel + 1
-    if head_init == "copy":
-        nb = base.num_base
-        w = np.zeros((n_out, d))
-        bvec = np.zeros(n_out)
-        w[:nb] = params.arrays["cls_b/W"][:nb]
-        w[-1] = params.arrays["cls_b/W"][-1]
-        bvec[:nb] = params.arrays["cls_b/b"][:nb]
-        bvec[-1] = params.arrays["cls_b/b"][-1]
-        params.arrays["cls_n/W"] = w
-        params.arrays["cls_n/b"] = bvec
-        params.arrays["reg_n/W"] = params.arrays["reg_b/W"].copy()
-        params.arrays["reg_n/b"] = params.arrays["reg_b/b"].copy()
-    else:
-        params.arrays["cls_n/W"] = gen.normal(0.0, sig, size=(n_out, d))
-        if classifier == "fc":
-            params.arrays["cls_n/b"] = np.zeros(n_out)
-        params.arrays["reg_n/W"] = gen.normal(0.0, sig, size=(4, d))
-        params.arrays["reg_n/b"] = np.zeros(4)
+        n_out = len(head_classes(model, "novel")) + 1
+        a["cls_n/W"] = gen.normal(0.0, sig, size=(n_out, base.mcfg.head_dim))
+        if tcfg.classifier == "fc":
+            a["cls_n/b"] = np.zeros(n_out)
+        a["reg_n/W"] = gen.normal(0.0, sig, size=(4, base.mcfg.head_dim))
+        a["reg_n/b"] = np.zeros(4)
 
-    params.trainable = set(FINETUNE_TRAINABLE)
-    return Model(params=params, split=base.split, mcfg=base.mcfg, feat_seed=base.feat_seed,
-                 stage=STAGE_RETENTIVE, classifier=classifier, head_domain=head_domain,
-                 rpn_strategy=rpn_strategy)
+    model.params.trainable = set(FINETUNE_TRAINABLE)
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +208,21 @@ def image_forward(model: Model, image: np.ndarray) -> ImageForward:
     mixed = np.maximum(conv3x3(feat, model.params.arrays["rpn_shared/W"]), 0.0)
     cells = np.ascontiguousarray(mixed.reshape(mixed.shape[0], -1).T)
     return ImageForward(feat=feat, cells=cells, side=int(image.shape[0]))
+
+
+def trained_head(model: Model) -> str:
+    """The head a model's training fits: the finetuned one once the model is
+    extended, the base head before."""
+    return "novel" if model.stage == STAGE_RETENTIVE else "base"
+
+
+def head_classes(model: Model, head: str) -> tuple[int, ...]:
+    """Foreground class ids one box head scores, in logit order."""
+    if head == "base":
+        return model.split.base_ids
+    if model.head_domain == "novel-only":
+        return model.split.novel_ids
+    return model.split.base_ids + model.split.novel_ids
 
 
 def _head_layers(model: Model, head: str) -> tuple[str, str, str]:
@@ -349,8 +344,8 @@ def head_probs(model: Model, rois: np.ndarray,
     """
     logits, deltas = box_head_scores(model, rois, head)
     if head == "base":
-        return softmax(pad_base_logits(logits, model.num_novel)), deltas, model.split.base_ids
-    return softmax(logits), deltas, model.novel_head_classes()
+        logits = pad_base_logits(logits, model.num_novel)
+    return softmax(logits), deltas, head_classes(model, head)
 
 
 def pad_base_logits(logits_b: np.ndarray, num_novel: int) -> np.ndarray:

@@ -16,7 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TrainConfig
-from .detector import Model, _head_layers, box_head_scores, rpn_box_deltas, rpn_objectness_logits
+from .detector import (
+    Model,
+    _head_layers,
+    box_head_scores,
+    rpn_box_deltas,
+    rpn_objectness_logits,
+    trained_head,
+)
 from .errors import NumericError, ParameterError, StateError
 from .tensorops import EPS_COSINE, sigmoid, smooth_l1, smooth_l1_grad, softmax
 
@@ -167,10 +174,9 @@ def _softmax_ce(z: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def _smooth_l1_loss(pred: np.ndarray, target: np.ndarray, rows: np.ndarray) -> tuple[float, np.ndarray]:
-    """Sum over 4 coordinates, mean over selected rows; dL/dpred everywhere."""
+    """Sum over 4 coordinates, mean over the selected rows (at least one);
+    dL/dpred everywhere."""
     grad = np.zeros_like(pred)
-    if rows.size == 0:
-        return 0.0, grad
     diff = pred[rows] - target[rows]
     loss = smooth_l1(diff).sum(axis=1).mean()
     grad[rows] = smooth_l1_grad(diff) / len(rows)
@@ -192,85 +198,60 @@ def _cosine_backward(dz: np.ndarray, z: np.ndarray, rois: np.ndarray, w: np.ndar
     return dw
 
 
-def _stage_forward(model: Model, mb: Minibatch, stage: str,
+def _stage_forward(model: Model, mb: Minibatch,
                    tcfg: TrainConfig) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
-    """Stage loss and its gradients, through the heads inference runs.
+    """Training loss and its gradients, through the heads inference runs.
 
-    Pretraining trains the base head and the RPN box layer; finetuning trains
-    the finetuned head.
+    The model's stage names the head that trains: before finetuning, the base
+    head and the RPN box layer; after, the finetuned head. Every trainable
+    array gets a gradient, zero where its term has no rows.
     """
-    if stage == "pretrain":
-        if model.stage == "retentive":
-            raise StateError("pretrain gradients requested on a finetuned model")
-        head = "base"
-    elif stage == "finetune":
-        head = "novel"
-    else:
-        raise ParameterError(f"unknown stage {stage!r}")
+    head = trained_head(model)
     obj_layer, cls_layer, reg_layer = _head_layers(model, head)
     a = model.params.arrays
-
-    grads: dict[str, np.ndarray] = {}
+    grads = {k: np.zeros_like(v) for k, v in a.items()
+             if k.split("/")[0] in model.params.trainable}
     empty: list[str] = []
     na = mb.num_anchors
     nr = mb.num_rois
     n_scales = a[f"{obj_layer}/W"].shape[0]
+    scale_rows = [mb.anchor_scale == s_idx for s_idx in range(n_scales)]
 
     # objectness: per-anchor logit from the scale-specific row
-    dw = np.zeros_like(a[f"{obj_layer}/W"])
-    db = np.zeros_like(a[f"{obj_layer}/b"])
+    l_obj = 0.0
     if na:
         z_all = rpn_objectness_logits(model, mb.anchor_cells, head).reshape(na, n_scales)
         l_obj, dz_obj = _bce_with_logits(z_all[np.arange(na), mb.anchor_scale], mb.anchor_label)
-        for s_idx in range(n_scales):
-            rows = mb.anchor_scale == s_idx
-            if rows.any():
-                dw[s_idx] = dz_obj[rows] @ mb.anchor_cells[rows]
-                db[s_idx] = dz_obj[rows].sum()
+        grads[f"{obj_layer}/W"] = np.stack([dz_obj[r] @ mb.anchor_cells[r] for r in scale_rows])
+        grads[f"{obj_layer}/b"] = np.array([dz_obj[r].sum() for r in scale_rows])
     else:
-        l_obj = 0.0
         empty.append("obj")
-    grads[f"{obj_layer}/W"] = dw
-    grads[f"{obj_layer}/b"] = db
 
-    # rpn box regression trains during pretraining only
+    # rpn box regression trains with the base head only
     l_box_rpn = 0.0
-    if stage == "pretrain":
-        dw = np.zeros_like(a["rpn_box/W"])
-        db = np.zeros_like(a["rpn_box/b"])
+    if head == "base":
         pos_anchor = np.flatnonzero(mb.anchor_label > 0.5)
-        if na and pos_anchor.size:
+        if pos_anchor.size:
             d_all = rpn_box_deltas(model, mb.anchor_cells).reshape(na, n_scales, 4)
             l_box_rpn, dd = _smooth_l1_loss(d_all[np.arange(na), mb.anchor_scale],
                                             mb.anchor_delta_t, pos_anchor)
-            for s_idx in range(n_scales):
-                rows = mb.anchor_scale == s_idx
-                if rows.any():
-                    block = slice(4 * s_idx, 4 * s_idx + 4)
-                    dw[block] = dd[rows].T @ mb.anchor_cells[rows]
-                    db[block] = dd[rows].sum(axis=0)
+            grads["rpn_box/W"] = np.concatenate([dd[r].T @ mb.anchor_cells[r] for r in scale_rows])
+            grads["rpn_box/b"] = np.concatenate([dd[r].sum(axis=0) for r in scale_rows])
         else:
             empty.append("box_rpn")
-        grads["rpn_box/W"] = dw
-        grads["rpn_box/b"] = db
 
-    # classification over sampled ROIs
-    use_cosine = head == "novel" and model.classifier == "cos"
+    # classification over sampled ROIs, plus the consistency between the two
+    # heads' base marginals while the finetuned head trains
+    consistency = head == "novel" and tcfg.consistency != "off"
+    if consistency and model.head_domain == "novel-only":
+        raise StateError("consistency needs base-class logits, which a novel-only head lacks")
+    if consistency and mb.roi_base_probs is None:
+        raise StateError("consistency requested but the minibatch has no base-head probabilities")
+    l_cls = l_con = 0.0
     if nr:
         z_cls, d_roi = box_head_scores(model, mb.roi_feats, head)
         l_cls, dz = _softmax_ce(z_cls, mb.roi_label)
-    else:
-        l_cls = 0.0
-        empty.append("cls")
-
-    # consistency between the two heads' base marginals
-    l_con = 0.0
-    if stage == "finetune" and tcfg.consistency != "off":
-        if model.head_domain == "novel-only":
-            raise StateError("consistency needs base-class logits, which a novel-only head lacks")
-        if mb.roi_base_probs is None:
-            raise StateError("consistency requested but the minibatch has no base-head probabilities")
-        if nr:
+        if consistency:
             base_slots = np.arange(model.num_base)
             p_n = softmax(z_cls)
             l_con, dp = _consistency_grad_wrt_probs(p_n, mb.roi_base_probs, base_slots,
@@ -278,53 +259,46 @@ def _stage_forward(model: Model, mb: Minibatch, stage: str,
             # softmax backward: dz = p * (dp - <dp, p>)
             inner = np.sum(dp * p_n, axis=1, keepdims=True)
             dz = dz + tcfg.lam * (p_n * (dp - inner))
+        if head == "novel" and model.classifier == "cos":
+            grads[f"{cls_layer}/W"] = _cosine_backward(
+                dz, z_cls, mb.roi_feats, a[f"{cls_layer}/W"], model.mcfg.cosine_scale)
         else:
-            empty.append("con")
-
-    if not nr:
-        grads[f"{cls_layer}/W"] = np.zeros_like(a[f"{cls_layer}/W"])
-        if not use_cosine:
-            grads[f"{cls_layer}/b"] = np.zeros_like(a[f"{cls_layer}/b"])
-    elif use_cosine:
-        grads[f"{cls_layer}/W"] = _cosine_backward(dz, z_cls, mb.roi_feats, a[f"{cls_layer}/W"],
-                                                   model.mcfg.cosine_scale)
+            grads[f"{cls_layer}/W"] = dz.T @ mb.roi_feats
+            grads[f"{cls_layer}/b"] = dz.sum(axis=0)
     else:
-        grads[f"{cls_layer}/W"] = dz.T @ mb.roi_feats
-        grads[f"{cls_layer}/b"] = dz.sum(axis=0)
+        empty += ["cls", "con"] if consistency else ["cls"]
 
     # box regression over positive ROIs
+    l_box = 0.0
     pos_rows = np.flatnonzero(mb.roi_pos)
     if nr and pos_rows.size:
         l_box, dd_roi = _smooth_l1_loss(d_roi, mb.roi_delta_t, pos_rows)
         grads[f"{reg_layer}/W"] = dd_roi.T @ mb.roi_feats
         grads[f"{reg_layer}/b"] = dd_roi.sum(axis=0)
     else:
-        l_box = 0.0
         empty.append("box")
-        grads[f"{reg_layer}/W"] = np.zeros_like(a[f"{reg_layer}/W"])
-        grads[f"{reg_layer}/b"] = np.zeros_like(a[f"{reg_layer}/b"])
 
-    lam = tcfg.lam if stage == "finetune" else 0.0
+    lam = tcfg.lam if head == "novel" else 0.0
     breakdown = LossBreakdown(l_obj=l_obj, l_cls=l_cls, l_box=l_box, l_con=l_con,
                               l_box_rpn=l_box_rpn, lam=lam, empty=tuple(empty))
     return breakdown, grads
 
 
-def compute_loss(model: Model, mb: Minibatch, stage: str, tcfg: TrainConfig) -> LossBreakdown:
-    return _stage_forward(model, mb, stage, tcfg)[0]
+def compute_loss(model: Model, mb: Minibatch, tcfg: TrainConfig) -> LossBreakdown:
+    return _stage_forward(model, mb, tcfg)[0]
 
 
-def compute_gradients(model: Model, mb: Minibatch, stage: str,
+def compute_gradients(model: Model, mb: Minibatch,
                       tcfg: TrainConfig) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
-    """Exact gradients of the stage loss for every trainable array."""
-    breakdown, grads = _stage_forward(model, mb, stage, tcfg)
+    """Exact gradients of the training loss for every trainable array."""
+    breakdown, grads = _stage_forward(model, mb, tcfg)
     for key in grads:
         if key.split("/")[0] not in model.params.trainable:
             raise StateError(f"gradient computed for frozen layer {key}")
     return breakdown, grads
 
 
-def finite_difference_check(model: Model, mb: Minibatch, stage: str, tcfg: TrainConfig,
+def finite_difference_check(model: Model, mb: Minibatch, tcfg: TrainConfig,
                             eps: float = 1e-6, max_coords: int = 200,
                             seed: int = 0) -> float:
     """Max relative error between analytic and central-difference gradients.
@@ -334,7 +308,7 @@ def finite_difference_check(model: Model, mb: Minibatch, stage: str, tcfg: Train
     """
     if not 1e-8 <= eps <= 1e-4:
         raise ParameterError(f"eps must lie in [1e-8, 1e-4], got {eps}")
-    _, grads = compute_gradients(model, mb, stage, tcfg)
+    _, grads = compute_gradients(model, mb, tcfg)
     coords = []
     for key in sorted(grads):
         for flat in range(grads[key].size):
@@ -348,9 +322,9 @@ def finite_difference_check(model: Model, mb: Minibatch, stage: str, tcfg: Train
         arr = model.params.arrays[key]
         orig = arr.flat[flat]
         arr.flat[flat] = orig + eps
-        plus = compute_loss(model, mb, stage, tcfg).total
+        plus = compute_loss(model, mb, tcfg).total
         arr.flat[flat] = orig - eps
-        minus = compute_loss(model, mb, stage, tcfg).total
+        minus = compute_loss(model, mb, tcfg).total
         arr.flat[flat] = orig
         numeric = (plus - minus) / (2.0 * eps)
         analytic = grads[key].flat[flat]

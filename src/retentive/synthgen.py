@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import DatasetConfig, canonical_json, read_json_object
+from .config import MIN_GLYPH, DatasetConfig, canonical_json, read_json_object
 from .errors import CorruptArtifactError, GenerationError, ParameterError
 from .tensorops import iou_matrix, rng, subseed
 
@@ -108,8 +108,8 @@ def glyph_stamp(class_id: int, size: int) -> np.ndarray:
     """Binary (size, size) raster of one glyph, evaluated at pixel centers."""
     if not 0 <= class_id < len(GLYPH_NAMES):
         raise ParameterError(f"unknown glyph class {class_id}")
-    if size < 6:
-        raise ParameterError(f"glyph size must be >= 6, got {size}")
+    if size < MIN_GLYPH:
+        raise ParameterError(f"glyph size must be >= {MIN_GLYPH}, got {size}")
     c = (np.arange(size) + 0.5) / size
     u, v = np.meshgrid(c, c, indexing="xy")  # u: column coord, v: row coord
     name = GLYPH_NAMES[class_id]

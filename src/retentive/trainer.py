@@ -26,11 +26,13 @@ from .detector import (
     ParamSet,
     extend_for_finetune,
     forward_proposals,
+    head_classes,
     head_probs,
     image_forward,
     init_base_model,
     model_anchors,
     roi_features,
+    trained_head,
 )
 from .errors import (
     CorruptArtifactError,
@@ -49,8 +51,6 @@ _TAG_ROI_SAMPLE = 0x54A2
 
 CHECKPOINT_MAGIC = b"RETCKPT1"
 CHECKPOINT_VERSION = 1
-
-STAGE_NAMES = ("pretrain", "finetune")
 
 
 # ---------------------------------------------------------------------------
@@ -137,26 +137,27 @@ def assign_targets(boxes: np.ndarray, gt_boxes: np.ndarray, gt_labels: np.ndarra
 # minibatch materialization
 # ---------------------------------------------------------------------------
 
-def build_minibatch(model: Model, dataset: Dataset, image_indices, stage: str,
-                    tcfg: TrainConfig, dcfg: DetectConfig, seed: int, iteration: int,
+def build_minibatch(model: Model, dataset: Dataset, image_indices, tcfg: TrainConfig,
+                    dcfg: DetectConfig, seed: int, iteration: int,
                     cache: dict[int, ImageForward] | None = None) -> Minibatch:
     """Materialize one training step's targets and frozen-path activations.
 
     Proposals are regenerated from the current region network each call, so
     the ROI branch always trains against the boxes the live model would
     produce. Annotated ground-truth boxes are appended to the proposal pool
-    to guarantee positive ROI rows from the first iteration.
+    to guarantee positive ROI rows from the first iteration. The model's stage
+    names the head whose targets are built; the finetuned head trains on
+    proposals under the model's own RPN strategy, as inference does.
     """
-    if stage not in STAGE_NAMES:
-        raise ParameterError(f"unknown stage {stage!r}; expected one of {STAGE_NAMES}")
     if cache is None:
         cache = {}
     anchors = model_anchors(model, dataset.side)
     n_scales = len(model.mcfg.anchor_scales)
-    fg = model.split.base_ids if stage == "pretrain" else model.novel_head_classes()
+    head = trained_head(model)
+    fg = head_classes(model, head)
     slot_map, bg_slot = {cid: i for i, cid in enumerate(fg)}, len(fg)
-    want_base_probs = stage == "finetune" and tcfg.consistency != "off"
-    strategy = "base-only" if stage == "pretrain" else tcfg.rpn_strategy
+    want_base_probs = head == "novel" and tcfg.consistency != "off"
+    strategy = model.rpn_strategy if head == "novel" else "base-only"
 
     a_cells, a_scale, a_label, a_delta = [], [], [], []
     r_feats, r_label, r_pos, r_delta, r_probs = [], [], [], [], []
@@ -177,10 +178,8 @@ def build_minibatch(model: Model, dataset: Dataset, image_indices, stage: str,
         a_scale.append((idx % n_scales).astype(np.int64))
         a_label.append(rpn.sample_pos.astype(np.float64))
         deltas = np.zeros((len(idx), 4))
-        if rpn.sample_pos.any():
-            pos = idx[rpn.sample_pos]
-            deltas[rpn.sample_pos] = encode_boxes(ann_boxes[rpn.matched_gt[pos]],
-                                                  anchors.boxes[pos])
+        pos = idx[rpn.sample_pos]
+        deltas[rpn.sample_pos] = encode_boxes(ann_boxes[rpn.matched_gt[pos]], anchors.boxes[pos])
         a_delta.append(deltas)
 
         proposals = forward_proposals(model, fwd, dcfg, strategy).boxes
@@ -200,9 +199,7 @@ def build_minibatch(model: Model, dataset: Dataset, image_indices, stage: str,
                                    for c, p in zip(labels, is_pos)], dtype=np.int64))
         r_pos.append(is_pos)
         deltas = np.zeros((len(idx), 4))
-        if is_pos.any():
-            deltas[is_pos] = encode_boxes(ann_boxes[roi.matched_gt[idx[is_pos]]],
-                                          boxes[is_pos])
+        deltas[is_pos] = encode_boxes(ann_boxes[roi.matched_gt[idx[is_pos]]], boxes[is_pos])
         r_delta.append(deltas)
         if want_base_probs:
             r_probs.append(head_probs(model, feats, "base")[0])
@@ -320,7 +317,7 @@ def _converged(totals, window: int, rel_tol: float) -> bool:
     return abs(recent - earlier) / max(abs(earlier), 1e-12) < rel_tol
 
 
-def _run_stage(model: Model, dataset: Dataset, stage: str, tcfg: TrainConfig,
+def _run_stage(model: Model, dataset: Dataset, tcfg: TrainConfig,
                dcfg: DetectConfig, seed: int, log: TrainLog) -> None:
     if len(dataset) == 0:
         raise ParameterError("cannot train on an empty dataset")
@@ -332,10 +329,10 @@ def _run_stage(model: Model, dataset: Dataset, stage: str, tcfg: TrainConfig,
     for it in range(tcfg.max_iters):
         picks = np.sort(rng(seed, _TAG_PICK, it).choice(len(dataset), size=mb_size,
                                                          replace=False))
-        mb = build_minibatch(model, dataset, picks, stage, tcfg, dcfg, seed, it, cache)
-        breakdown, grads = compute_gradients(model, mb, stage, tcfg)
+        mb = build_minibatch(model, dataset, picks, tcfg, dcfg, seed, it, cache)
+        breakdown, grads = compute_gradients(model, mb, tcfg)
         if not np.isfinite(breakdown.total):
-            raise TrainingError(f"{stage} loss is not finite at iteration {it}",
+            raise TrainingError(f"{log.stage} loss is not finite at iteration {it}",
                                 iteration=it, diagnostics=breakdown.to_dict())
         sgd_step(model.params, grads, velocity, tcfg.lr, tcfg.momentum)
         log.append(it, breakdown, tcfg.lr, time.monotonic() - t0)
@@ -349,7 +346,7 @@ def pretrain(dataset: Dataset, cfg: ExperimentConfig, seed: int) -> tuple[Model,
     cfg.validate()
     model = init_base_model(dataset.split, cfg.model, feat_seed=seed, seed=seed)
     log = TrainLog(stage="pretrain", seed=seed)
-    _run_stage(model, dataset, "pretrain", cfg.pretrain, cfg.detect, seed, log)
+    _run_stage(model, dataset, cfg.pretrain, cfg.detect, seed, log)
     model.stage = STAGE_BASE
     return model, log
 
@@ -363,13 +360,10 @@ def finetune(base: Model, dataset: Dataset, cfg: ExperimentConfig,
     valid configuration and returns the freshly extended model.
     """
     cfg.validate()
-    t = cfg.finetune
-    model = extend_for_finetune(base, seed=seed, classifier=t.classifier,
-                                head_domain=t.head_domain, rpn_obj_init=t.rpn_obj_init,
-                                head_init=t.head_init, rpn_strategy=t.rpn_strategy)
+    model = extend_for_finetune(base, seed, cfg.finetune)
     before = model.base_subset_digest()
     log = TrainLog(stage="finetune", seed=seed)
-    _run_stage(model, dataset, "finetune", t, cfg.detect, seed, log)
+    _run_stage(model, dataset, cfg.finetune, cfg.detect, seed, log)
     if model.base_subset_digest() != before:
         raise StateError("frozen base parameters changed during finetuning")
     return model, log
@@ -431,21 +425,19 @@ def _verified_parts(path) -> tuple[dict, bytes, bytes]:
             f"checkpoint version {version} unsupported; expected {CHECKPOINT_VERSION}")
     if len(data) < fixed + header_len + 32:
         raise CorruptCheckpointError(f"checkpoint {path} is truncated")
-    header_bytes = data[fixed:fixed + header_len]
-    try:
-        header = json.loads(header_bytes.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CorruptCheckpointError(f"checkpoint header is unreadable: {exc}") from exc
-    counts = [int(np.prod(e["shape"], dtype=np.int64)) for e in header["arrays"]]
-    payload_len = 8 * int(np.sum(counts, dtype=np.int64))
-    if len(data) != fixed + header_len + payload_len + 32:
-        raise CorruptCheckpointError(
-            f"checkpoint payload is {len(data) - fixed - header_len - 32} bytes; "
-            f"expected {payload_len}")
-    payload = data[fixed + header_len:fixed + header_len + payload_len]
-    want = data[-32:]
-    if sha256(header_bytes + payload).digest() != want:
+    body, want = data[fixed:-32], data[-32:]  # the digest covers header plus payload
+    if sha256(body).digest() != want:
         raise CorruptCheckpointError(f"checkpoint {path} failed hash verification")
+    try:
+        header = json.loads(body[:header_len].decode("utf-8"))
+        counts = [int(np.prod(e["shape"], dtype=np.int64)) for e in header["arrays"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptCheckpointError(
+            f"checkpoint {path} has an unreadable header: {exc!r}") from exc
+    payload = body[header_len:]
+    if len(payload) != 8 * sum(counts):
+        raise CorruptCheckpointError(
+            f"checkpoint payload is {len(payload)} bytes; expected {8 * sum(counts)}")
     return header, payload, want
 
 
@@ -457,25 +449,29 @@ def verify_checkpoint(path) -> str:
 def load_checkpoint(path) -> Model:
     """Read a checkpoint; any structural or hash defect raises."""
     header, payload, _ = _verified_parts(path)
-    arrays: dict[str, np.ndarray] = {}
-    trainable: set[str] = set()
-    off = 0
-    for entry in header["arrays"]:
-        count = int(np.prod(entry["shape"], dtype=np.int64))
-        arr = np.frombuffer(payload, dtype=np.float64, count=count, offset=off)
-        arrays[entry["name"]] = arr.reshape(entry["shape"]).copy()
-        if entry["trainable"]:
-            trainable.add(entry["name"].split("/")[0])
-        off += 8 * count
-    mc = dict(header["model_config"])
-    mc["anchor_scales"] = tuple(mc["anchor_scales"])
-    return Model(
-        params=ParamSet(arrays=arrays, trainable=trainable),
-        split=ClassSplit.from_dict(header["split"]),
-        mcfg=ModelConfig(**mc),
-        feat_seed=int(header["feat_seed"]),
-        stage=header["stage"],
-        classifier=header["classifier"],
-        head_domain=header["head_domain"],
-        rpn_strategy=header["rpn_strategy"],
-    )
+    try:
+        arrays: dict[str, np.ndarray] = {}
+        trainable: set[str] = set()
+        off = 0
+        for entry in header["arrays"]:
+            count = int(np.prod(entry["shape"], dtype=np.int64))
+            arr = np.frombuffer(payload, dtype=np.float64, count=count, offset=off)
+            arrays[entry["name"]] = arr.reshape(entry["shape"]).copy()
+            if entry["trainable"]:
+                trainable.add(entry["name"].split("/")[0])
+            off += 8 * count
+        mc = dict(header["model_config"])
+        mc["anchor_scales"] = tuple(mc["anchor_scales"])
+        return Model(
+            params=ParamSet(arrays=arrays, trainable=trainable),
+            split=ClassSplit.from_dict(header["split"]),
+            mcfg=ModelConfig(**mc),
+            feat_seed=int(header["feat_seed"]),
+            stage=header["stage"],
+            classifier=header["classifier"],
+            head_domain=header["head_domain"],
+            rpn_strategy=header["rpn_strategy"],
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptCheckpointError(
+            f"checkpoint {path} has an unreadable header: {exc!r}") from exc

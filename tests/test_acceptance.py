@@ -149,19 +149,19 @@ def test_criterion_05_gradient_correctness():
     worst = {}
 
     tcfg = TrainConfig()
-    mb = build_minibatch(base, base_ds, [0, 1], "pretrain", tcfg, dcfg, seed=11,
+    mb = build_minibatch(base, base_ds, [0, 1], tcfg, dcfg, seed=11,
                          iteration=0)
-    worst["pretrain"] = finite_difference_check(base, mb, "pretrain", tcfg,
+    worst["pretrain"] = finite_difference_check(base, mb, tcfg,
                                                 max_coords=150, seed=1)
 
-    ret = extend_for_finetune(base, seed=13)
+    ret = extend_for_finetune(base, 13, TrainConfig())
     for variant in ("kldiv", "l1", "cos"):
         for lam in (0.0, 0.1):
             tcfg = TrainConfig(consistency=variant, lam=lam)
-            mb = build_minibatch(ret, kshot_ds, [0, 1], "finetune", tcfg, dcfg,
+            mb = build_minibatch(ret, kshot_ds, [0, 1], tcfg, dcfg,
                                  seed=17, iteration=0)
             worst[f"{variant}/lam={lam}"] = finite_difference_check(
-                ret, mb, "finetune", tcfg, max_coords=150, seed=2)
+                ret, mb, tcfg, max_coords=150, seed=2)
     elapsed = time.monotonic() - start
     worst_err = max(worst.values())
     ok = worst_err < 1e-4 and elapsed <= 30.0

@@ -360,6 +360,11 @@ _BAD_CONFIGS = {  # test id -> YAML snippet
     "dataset.shots: 2.5": "dataset:\n  shots: 2.5\n",
     "finetune.lam: x": "finetune:\n  lam: x\n",
     "pretrain.max_iters: '3'": "pretrain:\n  max_iters: '3'\n",
+    **{f"{section}.{entry}": f"{section}:\n  {entry}\n" for section, entry in (
+        ("dataset", "max_glyph: 5"), ("dataset", "min_glyph: 4"),
+        ("dataset", "min_instances: 6"), ("dataset", "base_train_images: -2"),
+        ("dataset", "test_images: 0"), ("dataset", "uar_eval_images: 0"),
+        ("model", "anchor_scales: []"), ("model", "anchor_scales: [8, 0]"))},
 }
 
 
@@ -383,13 +388,16 @@ def test_detect_config_accepts_boundary_values(tmp_path):
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):
-    missing = tmp_path / "absent.yaml"
-    with pytest.raises(ConfigError):
-        load_config(missing)
-    assert main(["gen-data", "--config", str(missing), "--seed", "1",
-                 "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("config error:") and "absent.yaml" in err
+    """A config file that is missing or not UTF-8 is a one-line config error."""
+    not_utf8 = tmp_path / "latin.yaml"
+    not_utf8.write_bytes(b"dataset:\n  shots: 2 # \xff\n")
+    for path in (tmp_path / "absent.yaml", not_utf8):
+        with pytest.raises(ConfigError):
+            load_config(path)
+        assert main(["gen-data", "--config", str(path), "--seed", "1",
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error:") and path.name in err
 
 
 def test_out_under_a_regular_file_exits_4(tiny_yaml, tmp_path, capsys):

@@ -14,7 +14,7 @@ from retentive.config import (
     ModelConfig,
     TrainConfig,
 )
-from retentive.errors import ParameterError, StateError
+from retentive.errors import ConfigError, ParameterError, StateError
 from retentive.synthgen import (
     InstanceSpec,
     SceneSpec,
@@ -72,7 +72,7 @@ def test_frozen_arrays_depend_only_on_feat_seed():
 
 def test_extend_for_finetune_adds_three_layers():
     base = pseudo_trained_base()
-    m = D.extend_for_finetune(base, seed=2)
+    m = D.extend_for_finetune(base, 2, TrainConfig())
     assert m.stage == D.STAGE_RETENTIVE
     assert m.params.trainable == set(D.FINETUNE_TRAINABLE)
     assert m.params.arrays["cls_n/W"].shape == (13, 64)
@@ -83,25 +83,26 @@ def test_extend_for_finetune_adds_three_layers():
 
 def test_extend_requires_trained_base():
     with pytest.raises(StateError):
-        D.extend_for_finetune(fresh_base(), seed=2)
+        D.extend_for_finetune(fresh_base(), 2, TrainConfig())
 
 
 def test_extend_variants():
     base = pseudo_trained_base()
-    fc = D.extend_for_finetune(base, seed=2, classifier="fc")
+    fc = D.extend_for_finetune(base, 2, TrainConfig(classifier="fc"))
     assert "cls_n/b" in fc.params.arrays
-    novel_only = D.extend_for_finetune(base, seed=2, head_domain="novel-only")
+    novel_only = D.extend_for_finetune(base, 2, TrainConfig(head_domain="novel-only",
+                                                            consistency="off"))
     assert novel_only.params.arrays["cls_n/W"].shape == (5, 64)
-    assert novel_only.novel_head_classes() == SPLIT.novel_ids
-    rnd = D.extend_for_finetune(base, seed=2, rpn_obj_init="random")
+    assert D.head_classes(novel_only, "novel") == SPLIT.novel_ids
+    rnd = D.extend_for_finetune(base, 2, TrainConfig(rpn_obj_init="random"))
     assert rnd.params.arrays["rpn_obj_n/W"].tobytes() != rnd.params.arrays["rpn_obj_b/W"].tobytes()
-    with pytest.raises(ParameterError):
-        D.extend_for_finetune(base, seed=2, head_init="copy")  # needs fc over all classes
+    with pytest.raises(ConfigError):
+        D.extend_for_finetune(base, 2, TrainConfig(head_init="copy"))  # needs fc over all classes
 
 
 def test_head_init_copy_pads_base_head():
     base = pseudo_trained_base()
-    m = D.extend_for_finetune(base, seed=2, classifier="fc", head_init="copy")
+    m = D.extend_for_finetune(base, 2, TrainConfig(classifier="fc", head_init="copy"))
     w = m.params.arrays["cls_n/W"]
     assert np.array_equal(w[:8], m.params.arrays["cls_b/W"][:8])
     assert np.all(w[8:12] == 0.0)
@@ -138,7 +139,7 @@ def test_rpn_forward_shapes_and_range():
 
 
 def test_rpn_heads_share_deltas():
-    m = D.extend_for_finetune(pseudo_trained_base(), seed=2, rpn_obj_init="random")
+    m = D.extend_for_finetune(pseudo_trained_base(), 2, TrainConfig(rpn_obj_init="random"))
     fwd = D.image_forward(m, scene())
     _, d_base = rpn_outputs(m, fwd, "base")
     _, d_novel = rpn_outputs(m, fwd, "novel")
@@ -146,7 +147,7 @@ def test_rpn_heads_share_deltas():
 
 
 def test_rpn_copied_head_matches_base():
-    m = D.extend_for_finetune(pseudo_trained_base(), seed=2, rpn_obj_init="copy")
+    m = D.extend_for_finetune(pseudo_trained_base(), 2, TrainConfig(rpn_obj_init="copy"))
     fwd = D.image_forward(m, scene())
     o_b, _ = rpn_outputs(m, fwd, "base")
     o_n, _ = rpn_outputs(m, fwd, "novel")
@@ -295,7 +296,7 @@ def test_roi_head_empty_proposals():
 
 
 def test_novel_head_scale_invariant_base_head_not():
-    m = D.extend_for_finetune(pseudo_trained_base(), seed=2)
+    m = D.extend_for_finetune(pseudo_trained_base(), 2, TrainConfig())
     rng = np.random.default_rng(3)
     rois = np.abs(rng.normal(size=(4, 64)))
     zb1, _ = D.box_head_scores(m, rois, "base")
@@ -410,8 +411,8 @@ def test_detect_zero_step_copy_matches_base_inference():
     base = pseudo_trained_base(seed=6)
     # sharpen the classifier so random logits are decisive rather than uniform
     base.params.arrays["cls_b/W"] *= 400.0
-    m = D.extend_for_finetune(base, seed=2, classifier="fc", head_init="copy",
-                              rpn_obj_init="copy", rpn_strategy="base-only")
+    m = D.extend_for_finetune(base, 2, TrainConfig(classifier="fc", head_init="copy",
+                                                   rpn_obj_init="copy", rpn_strategy="base-only"))
     img = scene(seed=9)
     dcfg = DetectConfig()
     got = D.detect(m, img, dcfg)
@@ -446,7 +447,7 @@ def test_ensembled_proposals_strategies():
     assert len(p_base) > 0
     with pytest.raises(StateError):
         D.ensembled_proposals(base, img, dcfg, "max")
-    m = D.extend_for_finetune(base, seed=2, rpn_obj_init="copy")
+    m = D.extend_for_finetune(base, 2, TrainConfig(rpn_obj_init="copy"))
     p_max = D.ensembled_proposals(m, img, dcfg, "max")
     # copied head makes every strategy agree with base-only
     assert np.array_equal(p_max.boxes, p_base.boxes)
@@ -455,7 +456,7 @@ def test_ensembled_proposals_strategies():
 def test_detect_deterministic():
     base = pseudo_trained_base(seed=6)
     base.params.arrays["cls_b/W"] *= 400.0
-    m = D.extend_for_finetune(base, seed=2)
+    m = D.extend_for_finetune(base, 2, TrainConfig())
     img = scene(seed=9)
     a = D.detect(m, img, DetectConfig())
     b = D.detect(m, img, DetectConfig())

@@ -19,14 +19,15 @@ def base_model(seed=1):
 
 
 def retentive_model(seed=1, classifier="cos", head_domain="all"):
-    return D.extend_for_finetune(base_model(seed), seed=seed + 1, classifier=classifier,
-                                 head_domain=head_domain)
+    # the model keeps no consistency setting; "off" lets every head domain validate
+    tcfg = TrainConfig(classifier=classifier, head_domain=head_domain, consistency="off")
+    return D.extend_for_finetune(base_model(seed), seed + 1, tcfg)
 
 
 def random_minibatch(model, rng, na=16, nr=12, with_base_probs=False):
     c = model.mcfg.mixer_channels
     d = model.mcfg.head_dim
-    slots = len(model.novel_head_classes()) + 1 if with_base_probs or model.stage == "retentive" \
+    slots = len(D.head_classes(model, "novel")) + 1 if with_base_probs or model.stage == "retentive" \
         else model.num_base + 1
     mb = L.Minibatch(
         anchor_cells=np.abs(rng.normal(0.5, 0.4, size=(na, c))),
@@ -183,7 +184,7 @@ def test_perfect_predictions_give_zero_losses():
         roi_pos=np.array([True, True]),
         roi_delta_t=np.vstack([box, box]),
     )
-    out = L.compute_loss(m, mb, "pretrain", TrainConfig())
+    out = L.compute_loss(m, mb, TrainConfig())
     assert out.l_cls == 0.0
     assert out.l_box == 0.0
     assert out.l_box_rpn == 0.0
@@ -209,7 +210,7 @@ def test_supervised_two_roi_scalar_oracle():
         roi_pos=np.array([True, True]),
         roi_delta_t=np.array([[0.0, 0.0, 0.5, 0.0], [0.3, 0.7, 0.6, 0.2]]),
     )
-    out = L.compute_loss(m, mb, "pretrain", TrainConfig())
+    out = L.compute_loss(m, mb, TrainConfig())
 
     want_obj = want_rpn_box = 0.0
     for i in range(3):
@@ -240,7 +241,7 @@ def test_supervised_two_roi_scalar_oracle():
 
 def test_empty_targets_flagged():
     m = base_model()
-    out = L.compute_loss(m, empty_minibatch(m), "pretrain", TrainConfig())
+    out = L.compute_loss(m, empty_minibatch(m), TrainConfig())
     assert set(out.empty) == {"obj", "cls", "box", "box_rpn"}
     assert out.l_cls == out.l_box == out.l_obj == out.l_box_rpn == 0.0
 
@@ -250,7 +251,7 @@ def test_consistency_loss_is_the_value_training_optimises(variant):
     r = retentive_model(seed=61)
     rng = np.random.default_rng(13)
     mb = random_minibatch(r, rng, with_base_probs=True)
-    got = L.compute_loss(r, mb, "finetune", TrainConfig(consistency=variant)).l_con
+    got = L.compute_loss(r, mb, TrainConfig(consistency=variant)).l_con
     z_cls, _ = D.box_head_scores(r, mb.roi_feats, "novel")
     want = L.consistency_loss(softmax(z_cls), mb.roi_base_probs, np.arange(r.num_base), variant)
     assert got > 0.0
@@ -262,17 +263,17 @@ def test_consistency_loss_is_the_value_training_optimises(variant):
 # ---------------------------------------------------------------------------
 
 def test_empty_minibatch_zero_gradients():
-    cases = [("pretrain", base_model(), TrainConfig(), {"obj", "cls", "box", "box_rpn"})]
+    cases = [(base_model(), TrainConfig(), {"obj", "cls", "box", "box_rpn"})]
     for classifier in ("cos", "fc"):
-        cases.append(("finetune", retentive_model(classifier=classifier), TrainConfig(),
+        cases.append((retentive_model(classifier=classifier), TrainConfig(),
                       {"obj", "cls", "con", "box"}))
-        cases.append(("finetune", retentive_model(classifier=classifier, head_domain="novel-only"),
+        cases.append((retentive_model(classifier=classifier, head_domain="novel-only"),
                       TrainConfig(consistency="off"), {"obj", "cls", "box"}))
-    for stage, m, tcfg, want_empty in cases:
+    for m, tcfg, want_empty in cases:
         mb = empty_minibatch(m)
         if tcfg.consistency != "off":
             mb.roi_base_probs = np.zeros((0, m.num_base + m.num_novel + 1))
-        breakdown, grads = L.compute_gradients(m, mb, stage, tcfg)
+        breakdown, grads = L.compute_gradients(m, mb, tcfg)
         assert breakdown.total == 0.0
         assert set(breakdown.empty) == want_empty
         want_keys = {k for k in m.params.arrays if k.split("/")[0] in m.params.trainable}
@@ -284,12 +285,12 @@ def test_empty_minibatch_zero_gradients():
 def test_gradient_keys_cover_only_trainable_layers():
     rng = np.random.default_rng(2)
     m = base_model()
-    _, grads = L.compute_gradients(m, random_minibatch(m, rng), "pretrain", TrainConfig())
+    _, grads = L.compute_gradients(m, random_minibatch(m, rng), TrainConfig())
     layers = {k.split("/")[0] for k in grads}
     assert layers == set(D.PRETRAIN_TRAINABLE)
     r = retentive_model()
     mbf = random_minibatch(r, rng, with_base_probs=True)
-    _, grads_f = L.compute_gradients(r, mbf, "finetune", TrainConfig())
+    _, grads_f = L.compute_gradients(r, mbf, TrainConfig())
     layers_f = {k.split("/")[0] for k in grads_f}
     assert layers_f == set(D.FINETUNE_TRAINABLE)
 
@@ -303,7 +304,7 @@ def test_softmax_ce_gradient_identity_single_roi():
     mb.roi_label = np.array([4])
     mb.roi_pos = np.array([False])
     mb.roi_delta_t = np.zeros((1, 4))
-    _, grads = L.compute_gradients(m, mb, "pretrain", TrainConfig())
+    _, grads = L.compute_gradients(m, mb, TrainConfig())
     z = f @ m.params.arrays["cls_b/W"].T + m.params.arrays["cls_b/b"]
     p = softmax(z)
     p[0, 4] -= 1.0
@@ -312,15 +313,18 @@ def test_softmax_ce_gradient_identity_single_roi():
 
 
 def test_stage_model_mismatch():
-    m = base_model()
+    """The model's stage names the head that trains; a head the model lacks, or
+    one whose layers are frozen, is a state error rather than a silent update."""
     rng = np.random.default_rng(4)
-    with pytest.raises(StateError):
-        L.compute_gradients(m, random_minibatch(m, rng), "finetune", TrainConfig())
+    m = base_model()
+    mb = random_minibatch(m, rng)
+    m.stage = D.STAGE_RETENTIVE  # names the finetuned head, which a base model lacks
+    with pytest.raises(StateError, match="no novel head"):
+        L.compute_gradients(m, mb, TrainConfig())
     r = retentive_model()
-    with pytest.raises(StateError):
-        L.compute_gradients(r, random_minibatch(r, rng), "pretrain", TrainConfig())
-    with pytest.raises(ParameterError):
-        L.compute_gradients(m, random_minibatch(m, rng), "warmup", TrainConfig())
+    r.stage = D.STAGE_BASE  # names the base head, whose layers a finetuned model freezes
+    with pytest.raises(StateError, match="frozen layer"):
+        L.compute_gradients(r, random_minibatch(r, rng), TrainConfig())
 
 
 def test_consistency_requires_base_probs():
@@ -328,7 +332,7 @@ def test_consistency_requires_base_probs():
     rng = np.random.default_rng(5)
     mb = random_minibatch(r, rng, with_base_probs=False)
     with pytest.raises(StateError):
-        L.compute_gradients(r, mb, "finetune", TrainConfig(consistency="kldiv"))
+        L.compute_gradients(r, mb, TrainConfig(consistency="kldiv"))
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +343,7 @@ def test_fd_pretrain():
     m = base_model(seed=11)
     rng = np.random.default_rng(6)
     mb = random_minibatch(m, rng)
-    err = L.finite_difference_check(m, mb, "pretrain", TrainConfig(), max_coords=160, seed=1)
+    err = L.finite_difference_check(m, mb, TrainConfig(), max_coords=160, seed=1)
     assert err < 1e-4
 
 
@@ -350,7 +354,7 @@ def test_fd_finetune_consistency_variants(variant, lam):
     rng = np.random.default_rng(7)
     mb = random_minibatch(r, rng, with_base_probs=True)
     cfg = TrainConfig(consistency=variant, lam=lam)
-    err = L.finite_difference_check(r, mb, "finetune", cfg, max_coords=160, seed=2)
+    err = L.finite_difference_check(r, mb, cfg, max_coords=160, seed=2)
     assert err < 1e-4
 
 
@@ -358,7 +362,7 @@ def test_fd_finetune_fc_classifier():
     r = retentive_model(seed=31, classifier="fc")
     rng = np.random.default_rng(8)
     mb = random_minibatch(r, rng, with_base_probs=True)
-    err = L.finite_difference_check(r, mb, "finetune", TrainConfig(), max_coords=160, seed=3)
+    err = L.finite_difference_check(r, mb, TrainConfig(), max_coords=160, seed=3)
     assert err < 1e-4
 
 
@@ -367,7 +371,7 @@ def test_fd_novel_only_domain():
     rng = np.random.default_rng(9)
     mb = random_minibatch(r, rng)
     mb.roi_label = rng.integers(0, 5, size=len(mb.roi_label))
-    err = L.finite_difference_check(r, mb, "finetune", TrainConfig(consistency="off"), max_coords=160, seed=4)
+    err = L.finite_difference_check(r, mb, TrainConfig(consistency="off"), max_coords=160, seed=4)
     assert err < 1e-4
 
 
@@ -379,11 +383,11 @@ def test_fd_box_only_convex_toy():
     mb.roi_label = np.full(6, 8)  # background slot: near-zero cls gradients
     mb.roi_pos = np.ones(6, dtype=bool)
     mb.roi_delta_t = rng.normal(0.0, 0.3, size=(6, 4))  # diffs far from the kink
-    err = L.finite_difference_check(m, mb, "pretrain", TrainConfig(), max_coords=200, seed=5)
+    err = L.finite_difference_check(m, mb, TrainConfig(), max_coords=200, seed=5)
     assert err < 1e-7
 
 
 def test_fd_rejects_bad_eps():
     m = base_model()
     with pytest.raises(ParameterError):
-        L.finite_difference_check(m, empty_minibatch(m), "pretrain", TrainConfig(), eps=1e-3)
+        L.finite_difference_check(m, empty_minibatch(m), TrainConfig(), eps=1e-3)

@@ -74,3 +74,22 @@ def test_head_layer_names_live_in_detector_only():
                     and layer.search(node.value):
                 found.append(f"{path.name}:{node.lineno}: {node.value!r}")
     assert not found, found
+
+
+def test_no_function_restates_a_config_choice_default():
+    """A choice a config holds reaches the code through that config; a parameter
+    defaulting to one of its values is a second, silently diverging default."""
+    from retentive import config
+
+    choices = {v for name, vals in vars(config).items() if name.isupper()
+               and isinstance(vals, tuple) for v in vals} | {"copy", "random"}
+    found = []
+    for path in sorted((ROOT / "src" / "retentive").glob("*.py")):
+        if path.name == "config.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                for default in node.args.defaults + node.args.kw_defaults:
+                    if isinstance(default, ast.Constant) and default.value in choices:
+                        found.append(f"{path.name}:{default.lineno}: {default.value!r}")
+    assert not found, found

@@ -1,12 +1,14 @@
 """Optimizer, target assignment, stage loops, and checkpoint format."""
 
+from hashlib import sha256
+
 import numpy as np
 import pytest
 
 from retentive.config import DatasetConfig, ExperimentConfig, TrainConfig
 from retentive.detector import (
     BASE_LAYERS,
-    NOVEL_LAYERS,
+    FINETUNE_TRAINABLE,
     STAGE_BASE,
     STAGE_RETENTIVE,
     ParamSet,
@@ -197,7 +199,7 @@ def test_assignment_rejects_unknown_mode_and_mismatched_gt():
 def test_minibatch_shapes_and_slots_pretrain():
     cfg, split, base_ds, _ = tiny_world()
     model = init_base_model(split, cfg.model, feat_seed=7, seed=7)
-    mb = build_minibatch(model, base_ds, [0, 1], "pretrain", cfg.pretrain,
+    mb = build_minibatch(model, base_ds, [0, 1], cfg.pretrain,
                          cfg.detect, seed=7, iteration=0)
     assert mb.anchor_cells.shape[1] == cfg.model.mixer_channels
     assert mb.roi_feats.shape[1] == cfg.model.head_dim
@@ -216,8 +218,8 @@ def test_minibatch_finetune_carries_reference_probs():
     cfg, split, base_ds, kshot_ds = tiny_world()
     base = init_base_model(split, cfg.model, feat_seed=7, seed=7)
     base.stage = STAGE_BASE
-    model = extend_for_finetune(base, seed=9)
-    mb = build_minibatch(model, kshot_ds, [0, 1], "finetune", cfg.finetune,
+    model = extend_for_finetune(base, 9, cfg.finetune)
+    mb = build_minibatch(model, kshot_ds, [0, 1], cfg.finetune,
                          cfg.detect, seed=9, iteration=3)
     width = split.num_classes + 1
     assert mb.roi_base_probs is not None
@@ -231,8 +233,8 @@ def test_minibatch_consistency_off_skips_reference_probs():
     cfg.finetune.consistency = "off"
     base = init_base_model(split, cfg.model, feat_seed=7, seed=7)
     base.stage = STAGE_BASE
-    model = extend_for_finetune(base, seed=9)
-    mb = build_minibatch(model, kshot_ds, [0], "finetune", cfg.finetune,
+    model = extend_for_finetune(base, 9, cfg.finetune)
+    mb = build_minibatch(model, kshot_ds, [0], cfg.finetune,
                          cfg.detect, seed=9, iteration=0)
     assert mb.roi_base_probs is None
 
@@ -243,12 +245,12 @@ def test_minibatch_novel_only_demotes_base_instances():
     cfg.finetune.head_domain = "novel-only"
     base = init_base_model(split, cfg.model, feat_seed=7, seed=7)
     base.stage = STAGE_BASE
-    model = extend_for_finetune(base, seed=9, head_domain="novel-only")
+    model = extend_for_finetune(base, 9, cfg.finetune)
     # the k-shot set contains base-class instances; they must train as
     # background for a head that only scores scarce classes
     labels = []
     for i in range(len(kshot_ds)):
-        mb = build_minibatch(model, kshot_ds, [i], "finetune", cfg.finetune,
+        mb = build_minibatch(model, kshot_ds, [i], cfg.finetune,
                              cfg.detect, seed=9, iteration=0)
         assert mb.roi_label.max() <= split.num_novel
         labels.extend(mb.roi_label[mb.roi_pos].tolist())
@@ -259,9 +261,9 @@ def test_minibatch_novel_only_demotes_base_instances():
 def test_minibatch_is_deterministic():
     cfg, split, base_ds, _ = tiny_world()
     model = init_base_model(split, cfg.model, feat_seed=7, seed=7)
-    a = build_minibatch(model, base_ds, [2, 5], "pretrain", cfg.pretrain,
+    a = build_minibatch(model, base_ds, [2, 5], cfg.pretrain,
                         cfg.detect, seed=7, iteration=11)
-    b = build_minibatch(model, base_ds, [2, 5], "pretrain", cfg.pretrain,
+    b = build_minibatch(model, base_ds, [2, 5], cfg.pretrain,
                         cfg.detect, seed=7, iteration=11)
     assert a.anchor_cells.tobytes() == b.anchor_cells.tobytes()
     assert a.roi_feats.tobytes() == b.roi_feats.tobytes()
@@ -270,10 +272,23 @@ def test_minibatch_is_deterministic():
 
 
 def test_minibatch_rejects_unknown_stage():
-    cfg, split, base_ds, _ = tiny_world()
-    model = init_base_model(split, cfg.model, feat_seed=7, seed=7)
-    with pytest.raises(ParameterError):
-        build_minibatch(model, base_ds, [0], "warmup", cfg.pretrain, cfg.detect, 7, 0)
+    """Training proposals follow the model's RPN strategy, the one inference
+    reads, and not the strategy of the config the minibatch is built under."""
+    cfg, split, _, kshot_ds = tiny_world()
+    base = init_base_model(split, cfg.model, feat_seed=7, seed=7)
+    base.stage = STAGE_BASE
+    model = extend_for_finetune(base, 9, TrainConfig(rpn_obj_init="random",
+                                                     rpn_strategy="base-only"))
+
+    def rois(rpn_strategy, tcfg_strategy):
+        model.rpn_strategy = rpn_strategy
+        tcfg = TrainConfig(rpn_strategy=tcfg_strategy)
+        return build_minibatch(model, kshot_ds, [0, 1], tcfg, cfg.detect,
+                               seed=9, iteration=0).roi_feats.tobytes()
+
+    assert rois("base-only", "max") == rois("base-only", "base-only")
+    assert rois("max", "base-only") == rois("max", "max")
+    assert rois("base-only", "max") != rois("max", "max")
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +327,7 @@ def test_training_error_on_non_finite_loss():
     model.params.arrays["rpn_obj_b/W"][0, 0] = np.nan
     log = TrainLog(stage="pretrain", seed=7)
     with pytest.raises(TrainingError) as err:
-        _run_stage(model, base_ds, "pretrain", cfg.pretrain, cfg.detect, 7, log)
+        _run_stage(model, base_ds, cfg.pretrain, cfg.detect, 7, log)
     assert err.value.iteration == 0
     assert "l_obj" in err.value.diagnostics
 
@@ -326,8 +341,8 @@ def test_finetune_keeps_base_subset_frozen():
     assert model.params.digest(BASE_LAYERS) == before
     assert len(log.records) == 15
     # the adaptation layers actually moved
-    fresh = extend_for_finetune(base, seed=7)
-    assert model.params.digest(NOVEL_LAYERS) != fresh.params.digest(NOVEL_LAYERS)
+    fresh = extend_for_finetune(base, 7, cfg.finetune)
+    assert model.params.digest(FINETUNE_TRAINABLE) != fresh.params.digest(FINETUNE_TRAINABLE)
 
 
 def test_finetune_zero_iterations_is_extension_only():
@@ -335,11 +350,7 @@ def test_finetune_zero_iterations_is_extension_only():
     base, _ = pretrain(base_ds, cfg, seed=7)
     model, log = finetune(base, kshot_ds, cfg, seed=7)
     assert log.records == []
-    fresh = extend_for_finetune(base, seed=7, classifier=cfg.finetune.classifier,
-                                head_domain=cfg.finetune.head_domain,
-                                rpn_obj_init=cfg.finetune.rpn_obj_init,
-                                head_init=cfg.finetune.head_init,
-                                rpn_strategy=cfg.finetune.rpn_strategy)
+    fresh = extend_for_finetune(base, 7, cfg.finetune)
     assert model.params.digest() == fresh.params.digest()
 
 
@@ -352,13 +363,13 @@ def test_finetune_consistency_gradient_reduces_the_term():
     cfg, split, base_ds, kshot_ds = tiny_world(pre_iters=30, window=60)
     tcfg = TrainConfig(lam=5.0, lr=0.01, momentum=0.0)
     base, _ = pretrain(base_ds, cfg, seed=7)
-    model = extend_for_finetune(base, seed=7)
-    mb = build_minibatch(model, kshot_ds, [0, 1], "finetune", tcfg, cfg.detect,
+    model = extend_for_finetune(base, 7, tcfg)
+    mb = build_minibatch(model, kshot_ds, [0, 1], tcfg, cfg.detect,
                          seed=7, iteration=0)
     velocity: dict = {}
     trace = []
     for _ in range(120):
-        breakdown, grads = compute_gradients(model, mb, "finetune", tcfg)
+        breakdown, grads = compute_gradients(model, mb, tcfg)
         trace.append(breakdown.l_con)
         sgd_step(model.params, grads, velocity, tcfg.lr, tcfg.momentum)
     assert trace[-1] < trace[0]
@@ -466,12 +477,21 @@ def test_checkpoint_rejects_corruption(tmp_path):
     flipped[len(blob) // 2] ^= 0xFF
     versioned = bytearray(blob)
     versioned[8] = 99  # little-endian version field
+
+    def renamed_key(old, new, rehash):
+        """The blob with one header key renamed; rehashed, it passes the digest."""
+        body = blob[:-32].replace(f'"{old}"'.encode(), f'"{new}"'.encode(), 1)
+        return body + (sha256(body[16:]).digest() if rehash else blob[-32:])
+
     bad = {
         "trunc.ckpt": blob[:len(blob) // 2],
         "flip.ckpt": bytes(flipped),
         "magic.ckpt": b"XXXXXXXX" + blob[8:],
         "ver.ckpt": bytes(versioned),
         "empty.ckpt": b"",
+        **{f"{new}-{rehash}.ckpt": renamed_key(old, new, rehash)
+           for old, new in (("shape", "shapf"), ("arrays", "arrayz"))
+           for rehash in (False, True)},
     }
     for name, data in bad.items():
         (tmp_path / name).write_bytes(data)
