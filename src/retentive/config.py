@@ -91,6 +91,14 @@ class TrainConfig:
                 raise ConfigError(f"{name} must lie in [0, 1], got {v}")
         if self.rpn_neg_iou > self.rpn_pos_iou:
             raise ConfigError("rpn_neg_iou must not exceed rpn_pos_iou")
+        for name in ("minibatch_images", "rpn_per_image", "roi_per_image"):
+            v = getattr(self, name)
+            if v < 1:
+                raise ConfigError(f"{name} must be >= 1, got {v}")
+        for name in ("rpn_positive_fraction", "roi_positive_fraction"):
+            v = getattr(self, name)
+            if not 0.0 <= v <= 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1], got {v}")
         if self.consistency not in CONSISTENCY_VARIANTS:
             raise ConfigError(f"unknown consistency variant {self.consistency!r}")
         if self.rpn_strategy not in RPN_STRATEGIES:

@@ -396,19 +396,16 @@ def _assemble_candidates(heads, score_thresh: float):
 
 def _merge_candidates(boxes: np.ndarray, classes: np.ndarray, raw: np.ndarray,
                       is_base: np.ndarray, dcfg: DetectConfig) -> list[Detection]:
-    """Class-wise NMS on bonus-adjusted ranks, then a global top-k cut."""
-    if len(raw) == 0:
-        return []
+    """Class-wise NMS on bonus-adjusted ranks, then a global top-k cut.
+
+    One NMS pass over all candidates with the class ids as groups: a class's
+    boxes are visited in the class's own (rank desc, index asc) order and only
+    its own kept boxes suppress them, so each class keeps what a per-class
+    NMS would. The pass keeps them in the global (rank desc, index asc) order
+    of the cut, so stopping after max_dets kept keeps the global top max_dets.
+    """
     ranks = raw + np.where(is_base, dcfg.base_bonus, 0.0)
-    kept = []
-    for cid in sorted(set(classes.tolist())):
-        members = np.flatnonzero(classes == cid)
-        # A class's boxes past its first max_dets kept rank below all of those,
-        # so they can never reach the global top max_dets.
-        kept.append(members[nms(boxes[members], ranks[members], dcfg.nms_iou,
-                                max_keep=dcfg.max_dets)])
-    kept = np.concatenate(kept)
-    kept = kept[np.lexsort((kept, -ranks[kept]))][:dcfg.max_dets]
+    kept = nms(boxes, ranks, dcfg.nms_iou, max_keep=dcfg.max_dets, groups=classes)
     return [
         Detection(
             box=tuple(boxes[i].tolist()),

@@ -192,64 +192,83 @@ def box_area(boxes: np.ndarray) -> np.ndarray:
     return np.maximum(boxes[..., 2] - boxes[..., 0], 0.0) * np.maximum(boxes[..., 3] - boxes[..., 1], 0.0)
 
 
+def _pair_iou(a: np.ndarray, b: np.ndarray, area_a: np.ndarray, area_b: np.ndarray) -> np.ndarray:
+    """IoU of (N,4) boxes against (M,4) boxes whose areas are given.
+
+    Bitwise symmetric: ``min``, ``max`` and ``+`` commute, so entry (i, j)
+    equals entry (j, i) of the call with the two sides swapped.
+    """
+    ix = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
+    iy = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
+    inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
+    union = area_a[:, None] + area_b[None, :] - inter
+    out = np.zeros_like(inter)
+    np.divide(inter, union, out=out, where=union > 0.0)
+    return out
+
+
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise IoU, (N,4) x (M,4) -> (N,M)."""
     a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
     b = np.asarray(b, dtype=np.float64).reshape(-1, 4)
-    ix = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
-    iy = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
-    inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
-    union = box_area(a)[:, None] + box_area(b)[None, :] - inter
-    out = np.zeros_like(inter)
-    np.divide(inter, union, out=out, where=union > 0.0)
-    return out
+    return _pair_iou(a, b, box_area(a), box_area(b))
 
 
 NMS_BLOCK = 64
 
 
 def nms(boxes: np.ndarray, scores: np.ndarray, iou_thresh: float,
-        max_keep: int | None = None) -> np.ndarray:
+        max_keep: int | None = None, groups: np.ndarray | None = None) -> np.ndarray:
     """Greedy suppression by descending score, ties broken by lower index.
 
     Returns kept indices ordered by (score desc, index asc). With ``max_keep``
     the pass stops once that many boxes are kept, so the result is the first
-    ``max_keep`` entries of the unlimited result.
+    ``max_keep`` entries of the unlimited result. With ``groups`` (one label
+    per box) only boxes of the same group suppress each other; the result is
+    then every group's own greedy result merged in (score desc, index asc)
+    order, because the pass visits each group's boxes in that group's own
+    order and a box is only tested against kept boxes of its group.
 
-    Boxes are ranked once; IoU is then computed for a block of NMS_BLOCK
-    ranked rows against every box ranked at or after the block's first row,
-    and each kept row's overlaps are OR-ed into the suppression mask. A block
-    whose rows are all suppressed already is skipped. Every IoU element is the
-    same elementwise float64 arithmetic as a one-row ``iou_matrix`` call, so
-    the kept set does not depend on the block size.
+    Boxes are ranked once and their areas computed once. Each block of
+    NMS_BLOCK ranked rows is then one IoU call against the boxes kept so far
+    plus the block itself: a row is suppressed by a kept box ranked above it,
+    and those are exactly the kept boxes before the block and the rows kept
+    earlier in the block. Greedy NMS tests IoU(kept, later); this tests
+    IoU(later, kept), which is bitwise the same value because the IoU
+    arithmetic is symmetric, so the kept set does not depend on the block size.
     """
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
     n = len(scores)
     if len(boxes) != n:
         raise ParameterError("boxes and scores lengths differ")
+    if groups is not None and np.shape(groups) != (n,):
+        raise ParameterError(f"groups must hold one label per box, got shape {np.shape(groups)}")
     if max_keep is not None and max_keep < 0:
         raise ParameterError(f"max_keep must be >= 0, got {max_keep}")
     limit = n if max_keep is None else min(int(max_keep), n)
     order = np.lexsort((np.arange(n), -scores))
     ranked = boxes[order]
+    area = box_area(ranked)
+    group = None if groups is None else np.asarray(groups)[order]
     kept: list[int] = []
-    suppressed = np.zeros(n, dtype=bool)
     for s in range(0, n, NMS_BLOCK):
         if len(kept) >= limit:
             break
         e = min(s + NMS_BLOCK, n)
-        if suppressed[s:e].all():
-            continue
-        over = iou_matrix(ranked[s:e], ranked[s:]) > iou_thresh
-        tail = suppressed[s:]
+        cols = np.concatenate((np.asarray(kept, dtype=np.int64), np.arange(s, e)))
+        over = _pair_iou(ranked[s:e], ranked[cols], area[s:e], area[cols]) > iou_thresh
+        if group is not None:
+            over &= group[s:e, None] == group[None, cols]
+        k = len(kept)
+        suppressed = over[:, :k].any(axis=1)
         for r in range(e - s):
-            if tail[r]:
+            if suppressed[r]:
                 continue
             kept.append(s + r)
             if len(kept) >= limit:
                 break
-            tail |= over[r]
+            suppressed |= over[r, k:]
     return order[np.asarray(kept, dtype=np.int64)]
 
 

@@ -39,6 +39,17 @@ def nms_oracle(boxes, scores, iou_thresh) -> list[int]:
     return kept
 
 
+def grouped_nms_oracle(boxes, scores, iou_thresh, groups) -> list[int]:
+    """``nms_oracle`` run on each group's boxes alone, the kept indices merged
+    in (score desc, index asc) order."""
+    kept = []
+    for g in sorted(set(groups)):
+        members = [i for i in range(len(scores)) if groups[i] == g]
+        sub = nms_oracle([boxes[i] for i in members], [scores[i] for i in members], iou_thresh)
+        kept += [members[j] for j in sub]
+    return sorted(kept, key=lambda i: (-scores[i], i))
+
+
 def roi_pool_oracle(feat, box, bins, stride):
     """Adaptive average pooling of one box, one ``ndarray.mean`` per bin.
 

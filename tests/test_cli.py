@@ -387,6 +387,29 @@ def test_detect_config_accepts_boundary_values(tmp_path):
     assert load_config(path).detect.post_nms_k == 1
 
 
+@pytest.mark.parametrize("section,entry", [
+    ("pretrain", "minibatch_images: 0"), ("finetune", "rpn_per_image: 0"),
+    ("pretrain", "roi_per_image: -1"), ("finetune", "rpn_positive_fraction: 1.5"),
+    ("pretrain", "roi_positive_fraction: -0.1")])
+def test_bad_sampling_config_exits_2_with_one_line(tmp_path, capsys, section, entry):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(f"{section}:\n  {entry}\n", encoding="utf-8")
+    assert main(["eval", "--config", str(bad), "--seed", "1",
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:")
+    assert entry.split(":")[0] in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_train_config_accepts_sampling_boundary_values(tmp_path):
+    path = tmp_path / "edge.yaml"
+    path.write_text("pretrain:\n  minibatch_images: 1\n  rpn_per_image: 1\n  roi_per_image: 1\n"
+                    "  rpn_positive_fraction: 0\n  roi_positive_fraction: 1.0\n",
+                    encoding="utf-8")
+    assert load_config(path).pretrain.minibatch_images == 1
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     """A config file that is missing or not UTF-8 is a one-line config error."""
     not_utf8 = tmp_path / "latin.yaml"

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oracles import iou_scalar, nms_oracle
+from oracles import grouped_nms_oracle, iou_scalar
 from retentive import detector as D
 from retentive import tensorops as T
 from retentive.config import (
@@ -249,9 +249,11 @@ def test_propose_matches_composed_oracle():
 
 
 def _full_oracle_nms(kept_counts):
-    """Stand-in for ``nms`` that ignores ``max_keep``: the whole greedy pass."""
-    def full(boxes, scores, iou_thresh, max_keep=None):
-        kept = nms_oracle(boxes, scores, iou_thresh)
+    """Stand-in for ``nms`` that ignores ``max_keep``: the whole greedy pass,
+    per group when ``groups`` is given."""
+    def full(boxes, scores, iou_thresh, max_keep=None, groups=None):
+        labels = [0] * len(scores) if groups is None else np.asarray(groups).tolist()
+        kept = grouped_nms_oracle(boxes, scores, iou_thresh, labels)
         kept_counts.append(len(kept))
         return np.asarray(kept, dtype=np.int64)
     return full
@@ -359,6 +361,10 @@ def test_merge_prefers_base_copy_on_equal_score():
     assert dets[0].score == 0.6  # bonus steers ranking only
 
 
+def test_merge_of_no_candidates_is_empty():
+    assert merge([], DetectConfig()) == []
+
+
 def test_merge_keeps_distinct_classes():
     box = np.array([5.0, 5.0, 20.0, 20.0])
     cands = [(box, 3, 0.6, "novel"), (box, 7, 0.9, "novel")]
@@ -394,7 +400,7 @@ def test_merge_early_stop_matches_full_nms_then_cut(monkeypatch):
     full = merge(cands, dcfg)
     assert max(kept_counts) > dcfg.max_dets
     assert len(got) == dcfg.max_dets
-    assert got == full
+    assert got == full[:dcfg.max_dets]
 
 
 def test_detect_requires_stages():

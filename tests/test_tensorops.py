@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from oracles import (
     decode_box_scalar,
     encode_box_scalar,
+    grouped_nms_oracle,
     iou_scalar,
     nms_oracle,
     roi_pool_oracle,
@@ -359,6 +360,40 @@ def test_nms_max_keep_is_prefix_of_oracle(problem):
     got = T.nms(boxes, scores, thresh, max_keep=max_keep)
     assert got.dtype == np.int64
     assert got.tolist() == nms_oracle(boxes, scores, thresh)[:max_keep]
+
+
+@settings(deadline=None, max_examples=50)
+@given(nms_problems())
+def test_nms_result_does_not_depend_on_block_size(problem):
+    boxes, scores, thresh, max_keep = problem
+    results = []
+    for block in (1, 3, 64, 300):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(T, "NMS_BLOCK", block)
+            results.append(T.nms(boxes, scores, thresh, max_keep=max_keep).tolist())
+    assert all(r == results[0] for r in results)
+
+
+@settings(deadline=None, max_examples=50)
+@given(nms_problems(), st.data())
+def test_nms_groups_match_per_group_oracle(problem, data):
+    boxes, scores, thresh, max_keep = problem
+    groups = data.draw(st.lists(st.integers(0, 3), min_size=len(scores), max_size=len(scores)))
+    got = T.nms(boxes, scores, thresh, max_keep=max_keep, groups=np.asarray(groups))
+    assert got.tolist() == grouped_nms_oracle(boxes, scores, thresh, groups)[:max_keep]
+
+
+def test_nms_rejects_misshapen_groups():
+    with pytest.raises(ParameterError):
+        T.nms(np.zeros((3, 4)), np.zeros(3), 0.5, groups=np.zeros(2))
+
+
+@settings(deadline=None, max_examples=50)
+@given(nms_problems())
+def test_iou_matrix_is_bitwise_symmetric(problem):
+    boxes = problem[0]
+    a, b = boxes[:len(boxes) // 3], boxes[len(boxes) // 3:]
+    assert T.iou_matrix(a, b).tobytes() == np.ascontiguousarray(T.iou_matrix(b, a).T).tobytes()
 
 
 def test_nms_rejects_negative_max_keep():

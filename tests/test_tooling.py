@@ -31,6 +31,23 @@ def test_every_trace_target_is_a_package_function():
         assert span == f"{module.__name__.rsplit('.', 1)[1]}.{fname}"
 
 
+def test_trace_counters_read_arguments_the_package_still_takes():
+    """A counter reads its argument by position and by name (``_arg``); a
+    signature change that moved or renamed it would break ``--trace 1``."""
+    reads = {}
+    for module, fname, _, counter in load_run_module().trace_targets():
+        if counter is None:
+            continue
+        params = list(inspect.signature(getattr(module, fname)).parameters)
+        for node in ast.walk(ast.parse(inspect.getsource(counter))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_arg":
+                pos, name = (a.value for a in node.args[2:4])
+                assert params[pos] == name, f"{fname}: argument {pos} is {params[pos]!r}, not {name!r}"
+                reads[fname] = (pos, name)
+    assert reads == {"nms": (0, "boxes"), "assign_targets": (3, "mode"),
+                     "save_dataset": (1, "dirpath"), "save_checkpoint": (1, "path")}
+
+
 def test_harness_imports_from_the_package_resolve():
     checked = 0
     for script in sorted(PERFBENCH.glob("*.py")):
