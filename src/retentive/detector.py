@@ -1,18 +1,19 @@
 """Model assembly and forward passes.
 
-A model is a named-array parameter set over a frozen random featurizer. The
-pretrained ("base") detector owns one RPN objectness head and one fc box head
-over base classes plus background. Finetuning adds a second objectness head
-and a second box head over all classes, leaving every base array untouched;
-inference ensembles the two objectness maps elementwise and merges both box
-heads' candidates in one class-wise NMS.
+A model is a dict of named arrays over a frozen random featurizer, plus the
+stage that alone decides which arrays train. The pretrained ("base")
+detector owns one RPN objectness head and one fc box head over base classes
+plus background. Finetuning adds a second objectness head and a second box
+head over all classes, leaving every base array untouched; inference
+ensembles the two objectness maps elementwise and merges both box heads'
+candidates in one class-wise NMS.
 
 Canonical logit ordering everywhere: [base..., novel..., background].
 """
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from hashlib import sha256
 
 import numpy as np
@@ -21,7 +22,6 @@ from .config import DetectConfig, ModelConfig, RPN_STRATEGIES, TrainConfig
 from .errors import ParameterError, StateError
 from .synthgen import ClassSplit
 from .tensorops import (
-    AnchorGrid,
     conv3x3,
     cosine_logits,
     decode_boxes,
@@ -57,33 +57,8 @@ STAGE_RETENTIVE = "retentive"
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ParamSet:
-    """Named float64 arrays keyed "layer/part" plus the set of trainable layers."""
-
-    arrays: dict[str, np.ndarray] = field(default_factory=dict)
-    trainable: set[str] = field(default_factory=set)
-
-    def copy(self) -> "ParamSet":
-        return ParamSet(
-            arrays={k: v.copy() for k, v in self.arrays.items()},
-            trainable=set(self.trainable),
-        )
-
-    def digest(self, layers: tuple[str, ...] | None = None) -> str:
-        h = sha256()
-        for key in sorted(self.arrays):
-            if layers is not None and key.split("/")[0] not in layers:
-                continue
-            arr = self.arrays[key]
-            h.update(key.encode())
-            h.update(str(arr.shape).encode())
-            h.update(arr.tobytes())
-        return h.hexdigest()
-
-
-@dataclass
 class Model:
-    params: ParamSet
+    params: dict[str, np.ndarray]  # float64 arrays keyed "layer/part"
     split: ClassSplit
     mcfg: ModelConfig
     feat_seed: int
@@ -100,8 +75,20 @@ class Model:
     def num_novel(self) -> int:
         return self.split.num_novel
 
+    def digest(self, layers: tuple[str, ...] | None = None) -> str:
+        """SHA-256 over the arrays of the given layers (all by default), by name."""
+        h = sha256()
+        for key in sorted(self.params):
+            if layers is not None and key.split("/")[0] not in layers:
+                continue
+            arr = self.params[key]
+            h.update(key.encode())
+            h.update(str(arr.shape).encode())
+            h.update(arr.tobytes())
+        return h.hexdigest()
+
     def base_subset_digest(self) -> str:
-        return self.params.digest(BASE_LAYERS)
+        return self.digest(BASE_LAYERS)
 
 
 def init_base_model(split: ClassSplit, mcfg: ModelConfig, feat_seed: int, seed: int) -> Model:
@@ -130,9 +117,8 @@ def init_base_model(split: ClassSplit, mcfg: ModelConfig, feat_seed: int, seed: 
     arrays["reg_b/W"] = gen.normal(0.0, sig, size=(4, d))
     arrays["reg_b/b"] = np.zeros(4)
 
-    params = ParamSet(arrays={k: np.ascontiguousarray(v) for k, v in arrays.items()},
-                      trainable=set(PRETRAIN_TRAINABLE))
-    return Model(params=params, split=split, mcfg=mcfg, feat_seed=feat_seed, stage=STAGE_INIT)
+    return Model(params={k: np.ascontiguousarray(v) for k, v in arrays.items()}, split=split,
+                 mcfg=mcfg, feat_seed=feat_seed, stage=STAGE_INIT)
 
 
 def extend_for_finetune(base: Model, seed: int, tcfg: TrainConfig) -> Model:
@@ -141,10 +127,11 @@ def extend_for_finetune(base: Model, seed: int, tcfg: TrainConfig) -> Model:
     tcfg.validate()
     if base.stage != STAGE_BASE:
         raise StateError(f"finetune extension requires a pretrained model, got stage {base.stage!r}")
-    model = Model(params=base.params.copy(), split=base.split, mcfg=base.mcfg,
-                  feat_seed=base.feat_seed, stage=STAGE_RETENTIVE, classifier=tcfg.classifier,
-                  head_domain=tcfg.head_domain, rpn_strategy=tcfg.rpn_strategy)
-    a = model.params.arrays
+    model = Model(params={k: v.copy() for k, v in base.params.items()}, split=base.split,
+                  mcfg=base.mcfg, feat_seed=base.feat_seed, stage=STAGE_RETENTIVE,
+                  classifier=tcfg.classifier, head_domain=tcfg.head_domain,
+                  rpn_strategy=tcfg.rpn_strategy)
+    a = model.params
     sig = base.mcfg.init_sigma
     gen = rng(seed, _TAG_NOVEL_INIT)
 
@@ -167,8 +154,6 @@ def extend_for_finetune(base: Model, seed: int, tcfg: TrainConfig) -> Model:
             a["cls_n/b"] = np.zeros(n_out)
         a["reg_n/W"] = gen.normal(0.0, sig, size=(4, base.mcfg.head_dim))
         a["reg_n/b"] = np.zeros(4)
-
-    model.params.trainable = set(FINETUNE_TRAINABLE)
     return model
 
 
@@ -177,13 +162,15 @@ def extend_for_finetune(base: Model, seed: int, tcfg: TrainConfig) -> Model:
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=4)
-def anchor_grid_for(grid_h: int, grid_w: int, stride: float, scales: tuple) -> AnchorGrid:
-    return generate_anchors(grid_h, grid_w, stride, scales)
+def image_anchors(side: int, stride: int, scales: tuple[float, ...]) -> np.ndarray:
+    """The (A, 4) anchors of a side x side image on its feature-map cells.
 
-
-def model_anchors(model: Model, side: int) -> AnchorGrid:
-    g = side // model.mcfg.feat_stride
-    return anchor_grid_for(g, g, float(model.mcfg.feat_stride), tuple(model.mcfg.anchor_scales))
+    Cached, so every caller holds the same array; it is read-only.
+    """
+    g = side // stride
+    anchors = generate_anchors(g, g, float(stride), scales)
+    anchors.flags.writeable = False
+    return anchors
 
 
 def image_features(model: Model, image: np.ndarray) -> np.ndarray:
@@ -205,7 +192,7 @@ class ImageForward:
 
 def image_forward(model: Model, image: np.ndarray) -> ImageForward:
     feat = image_features(model, image)
-    mixed = np.maximum(conv3x3(feat, model.params.arrays["rpn_shared/W"]), 0.0)
+    mixed = np.maximum(conv3x3(feat, model.params["rpn_shared/W"]), 0.0)
     cells = np.ascontiguousarray(mixed.reshape(mixed.shape[0], -1).T)
     return ImageForward(feat=feat, cells=cells, side=int(image.shape[0]))
 
@@ -214,6 +201,11 @@ def trained_head(model: Model) -> str:
     """The head a model's training fits: the finetuned one once the model is
     extended, the base head before."""
     return "novel" if model.stage == STAGE_RETENTIVE else "base"
+
+
+def trainable_layers(model: Model) -> tuple[str, ...]:
+    """The layers a model's training moves; every other array stays frozen."""
+    return FINETUNE_TRAINABLE if trained_head(model) == "novel" else PRETRAIN_TRAINABLE
 
 
 def head_classes(model: Model, head: str) -> tuple[int, ...]:
@@ -230,7 +222,7 @@ def _head_layers(model: Model, head: str) -> tuple[str, str, str]:
     if head not in HEAD_LAYERS:
         raise ParameterError(f"unknown head {head!r}; expected one of {tuple(HEAD_LAYERS)}")
     layers = HEAD_LAYERS[head]
-    if f"{layers[1]}/W" not in model.params.arrays:
+    if f"{layers[1]}/W" not in model.params:
         raise StateError(f"model has no {head} head")
     return layers
 
@@ -238,14 +230,14 @@ def _head_layers(model: Model, head: str) -> tuple[str, str, str]:
 def rpn_objectness_logits(model: Model, cells: np.ndarray, head: str) -> np.ndarray:
     """Per-anchor objectness logits, flat in (cell, scale) order."""
     layer = _head_layers(model, head)[0]
-    a = model.params.arrays
+    a = model.params
     z = linear_forward(cells, a[f"{layer}/W"], a[f"{layer}/b"])  # (cells, scales)
     return z.reshape(-1)
 
 
 def rpn_box_deltas(model: Model, cells: np.ndarray) -> np.ndarray:
     """Per-anchor box deltas; one regression layer serves both objectness heads."""
-    a = model.params.arrays
+    a = model.params
     d = linear_forward(cells, a["rpn_box/W"], a["rpn_box/b"])  # (cells, 4*scales)
     n_scales = len(model.mcfg.anchor_scales)
     return d.reshape(-1, n_scales, 4).reshape(-1, 4)
@@ -276,14 +268,14 @@ class Proposals:
         return self.boxes.shape[0]
 
 
-def propose(objectness: np.ndarray, deltas: np.ndarray, anchors: AnchorGrid,
+def propose(objectness: np.ndarray, deltas: np.ndarray, anchors: np.ndarray,
             dcfg: DetectConfig, side: float) -> Proposals:
     """Top-k by objectness, decode, clip, greedy NMS stopped at post_nms_k kept."""
     objectness = np.asarray(objectness, dtype=np.float64).reshape(-1)
     if len(objectness) != len(anchors) or deltas.shape != (len(anchors), 4):
         raise ParameterError("objectness/deltas not aligned with the anchor grid")
     order = np.lexsort((np.arange(len(objectness)), -objectness))[:dcfg.pre_nms_k]
-    boxes = decode_boxes(deltas[order], anchors.boxes[order], side=side)
+    boxes = decode_boxes(deltas[order], anchors[order], side=side)
     scores = objectness[order]
     w = boxes[:, 2] - boxes[:, 0]
     h = boxes[:, 3] - boxes[:, 1]
@@ -307,13 +299,14 @@ def forward_proposals(model: Model, forward: ImageForward, dcfg: DetectConfig,
         o_n = sigmoid(rpn_objectness_logits(model, forward.cells, "novel"))
         obj = bias_balanced_objectness(o_b, o_n, strategy)
     deltas = rpn_box_deltas(model, forward.cells)
-    return propose(obj, deltas, model_anchors(model, forward.side), dcfg, float(forward.side))
+    anchors = image_anchors(forward.side, model.mcfg.feat_stride, model.mcfg.anchor_scales)
+    return propose(obj, deltas, anchors, dcfg, float(forward.side))
 
 
 def roi_features(model: Model, feat: np.ndarray, boxes: np.ndarray) -> np.ndarray:
     """Pooled, projected, rectified per-ROI feature rows (P, head_dim)."""
     mcfg = model.mcfg
-    proj = model.params.arrays["boxhead_proj/W"]
+    proj = model.params["boxhead_proj/W"]
     pooled = roi_pool(feat, boxes, bins=mcfg.roi_pool_bins, stride=float(mcfg.feat_stride))
     return np.maximum(pooled @ proj.T, 0.0)
 
@@ -325,7 +318,7 @@ def box_head_scores(model: Model, rois: np.ndarray, head: str) -> tuple[np.ndarr
     base head's is always fc.
     """
     _, cls, reg = _head_layers(model, head)
-    a = model.params.arrays
+    a = model.params
     if head == "novel" and model.classifier == "cos":
         logits = cosine_logits(rois, a[f"{cls}/W"], model.mcfg.cosine_scale)
     else:

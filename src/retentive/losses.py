@@ -3,8 +3,7 @@
 Only linear layers train, so reverse-mode differentiation is written out by
 hand: sigmoid-BCE for objectness, softmax cross-entropy for classification
 (through the cosine normalization when that head is cosine), smooth-L1 for
-box deltas, and the renormalized base-marginal consistency term. A central
-finite-difference sweep doubles as the correctness oracle.
+box deltas, and the renormalized base-marginal consistency term.
 
 A minibatch carries every frozen-path activation as a constant, which makes
 each stage loss a pure function of the trainable arrays.
@@ -22,6 +21,7 @@ from .detector import (
     box_head_scores,
     rpn_box_deltas,
     rpn_objectness_logits,
+    trainable_layers,
     trained_head,
 )
 from .errors import NumericError, ParameterError, StateError
@@ -198,19 +198,19 @@ def _cosine_backward(dz: np.ndarray, z: np.ndarray, rois: np.ndarray, w: np.ndar
     return dw
 
 
-def _stage_forward(model: Model, mb: Minibatch,
-                   tcfg: TrainConfig) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
-    """Training loss and its gradients, through the heads inference runs.
+def compute_gradients(model: Model, mb: Minibatch,
+                      tcfg: TrainConfig) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
+    """Training loss and its exact gradients, through the heads inference runs.
 
     The model's stage names the head that trains: before finetuning, the base
-    head and the RPN box layer; after, the finetuned head. Every trainable
-    array gets a gradient, zero where its term has no rows.
+    head and the RPN box layer; after, the finetuned head. Every array of
+    trainable_layers(model) gets a gradient, zero where its term has no rows.
     """
     head = trained_head(model)
     obj_layer, cls_layer, reg_layer = _head_layers(model, head)
-    a = model.params.arrays
-    grads = {k: np.zeros_like(v) for k, v in a.items()
-             if k.split("/")[0] in model.params.trainable}
+    a = model.params
+    trainable = trainable_layers(model)
+    grads = {k: np.zeros_like(v) for k, v in a.items() if k.split("/")[0] in trainable}
     empty: list[str] = []
     na = mb.num_anchors
     nr = mb.num_rois
@@ -282,52 +282,3 @@ def _stage_forward(model: Model, mb: Minibatch,
     breakdown = LossBreakdown(l_obj=l_obj, l_cls=l_cls, l_box=l_box, l_con=l_con,
                               l_box_rpn=l_box_rpn, lam=lam, empty=tuple(empty))
     return breakdown, grads
-
-
-def compute_loss(model: Model, mb: Minibatch, tcfg: TrainConfig) -> LossBreakdown:
-    return _stage_forward(model, mb, tcfg)[0]
-
-
-def compute_gradients(model: Model, mb: Minibatch,
-                      tcfg: TrainConfig) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
-    """Exact gradients of the training loss for every trainable array."""
-    breakdown, grads = _stage_forward(model, mb, tcfg)
-    for key in grads:
-        if key.split("/")[0] not in model.params.trainable:
-            raise StateError(f"gradient computed for frozen layer {key}")
-    return breakdown, grads
-
-
-def finite_difference_check(model: Model, mb: Minibatch, tcfg: TrainConfig,
-                            eps: float = 1e-6, max_coords: int = 200,
-                            seed: int = 0) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    Relative error uses max(1, |analytic|, |numeric|) as the denominator. A
-    seeded subset of coordinates is swept when the trainable set is large.
-    """
-    if not 1e-8 <= eps <= 1e-4:
-        raise ParameterError(f"eps must lie in [1e-8, 1e-4], got {eps}")
-    _, grads = compute_gradients(model, mb, tcfg)
-    coords = []
-    for key in sorted(grads):
-        for flat in range(grads[key].size):
-            coords.append((key, flat))
-    if len(coords) > max_coords:
-        rng = np.random.default_rng(seed)
-        picked = rng.choice(len(coords), size=max_coords, replace=False)
-        coords = [coords[int(i)] for i in sorted(picked)]
-    worst = 0.0
-    for key, flat in coords:
-        arr = model.params.arrays[key]
-        orig = arr.flat[flat]
-        arr.flat[flat] = orig + eps
-        plus = compute_loss(model, mb, tcfg).total
-        arr.flat[flat] = orig - eps
-        minus = compute_loss(model, mb, tcfg).total
-        arr.flat[flat] = orig
-        numeric = (plus - minus) / (2.0 * eps)
-        analytic = grads[key].flat[flat]
-        err = abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
-        worst = max(worst, err)
-    return worst

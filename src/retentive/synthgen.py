@@ -64,19 +64,12 @@ class ClassSplit:
             raise ParameterError("base and novel ids must cover all foreground classes")
 
     @property
-    def background_id(self) -> int:
-        return self.num_classes
-
-    @property
     def num_base(self) -> int:
         return len(self.base_ids)
 
     @property
     def num_novel(self) -> int:
         return len(self.novel_ids)
-
-    def logit_order(self) -> tuple[int, ...]:
-        return self.base_ids + self.novel_ids + (self.background_id,)
 
     def to_dict(self) -> dict:
         return {

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -318,24 +317,11 @@ def decode_boxes(deltas: np.ndarray, anchors: np.ndarray, side: float | None = N
 # anchors and ROI pooling
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AnchorGrid:
-    """Square anchors on a regular cell lattice.
+def generate_anchors(grid_h: int, grid_w: int, stride: float, scales) -> np.ndarray:
+    """(A, 4) square anchors on a regular cell lattice.
 
     Flat ordering is row-major cells, then scales: index = cell * len(scales) + s.
     """
-
-    boxes: np.ndarray  # (A, 4)
-    stride: float
-    scales: tuple[float, ...]
-    grid_h: int
-    grid_w: int
-
-    def __len__(self) -> int:
-        return self.boxes.shape[0]
-
-
-def generate_anchors(grid_h: int, grid_w: int, stride: float, scales) -> AnchorGrid:
     if grid_h <= 0 or grid_w <= 0:
         raise ParameterError("anchor grid dims must be positive")
     scales = tuple(float(s) for s in scales)
@@ -349,13 +335,7 @@ def generate_anchors(grid_h: int, grid_w: int, stride: float, scales) -> AnchorG
         boxes[:, s, 1] = cy - half
         boxes[:, s, 2] = cx + half
         boxes[:, s, 3] = cy + half
-    return AnchorGrid(
-        boxes=np.ascontiguousarray(boxes.reshape(-1, 4)),
-        stride=float(stride),
-        scales=scales,
-        grid_h=grid_h,
-        grid_w=grid_w,
-    )
+    return np.ascontiguousarray(boxes.reshape(-1, 4))
 
 
 def _bin_edges(lo: np.ndarray, hi: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarray]:

@@ -23,15 +23,15 @@ from .detector import (
     STAGE_BASE,
     ImageForward,
     Model,
-    ParamSet,
     extend_for_finetune,
     forward_proposals,
     head_classes,
     head_probs,
+    image_anchors,
     image_forward,
     init_base_model,
-    model_anchors,
     roi_features,
+    trainable_layers,
     trained_head,
 )
 from .errors import (
@@ -151,7 +151,7 @@ def build_minibatch(model: Model, dataset: Dataset, image_indices, tcfg: TrainCo
     """
     if cache is None:
         cache = {}
-    anchors = model_anchors(model, dataset.side)
+    anchors = image_anchors(dataset.side, model.mcfg.feat_stride, model.mcfg.anchor_scales)
     n_scales = len(model.mcfg.anchor_scales)
     head = trained_head(model)
     fg = head_classes(model, head)
@@ -171,7 +171,7 @@ def build_minibatch(model: Model, dataset: Dataset, image_indices, tcfg: TrainCo
         ann_boxes = gt.boxes[gt.annotated]
         ann_labels = gt.labels[gt.annotated]
 
-        rpn = assign_targets(anchors.boxes, ann_boxes, ann_labels, "rpn", tcfg,
+        rpn = assign_targets(anchors, ann_boxes, ann_labels, "rpn", tcfg,
                              subseed(seed, _TAG_RPN_SAMPLE, iteration, img_idx))
         idx = rpn.sample_idx
         a_cells.append(fwd.cells[idx // n_scales])
@@ -179,7 +179,7 @@ def build_minibatch(model: Model, dataset: Dataset, image_indices, tcfg: TrainCo
         a_label.append(rpn.sample_pos.astype(np.float64))
         deltas = np.zeros((len(idx), 4))
         pos = idx[rpn.sample_pos]
-        deltas[rpn.sample_pos] = encode_boxes(ann_boxes[rpn.matched_gt[pos]], anchors.boxes[pos])
+        deltas[rpn.sample_pos] = encode_boxes(ann_boxes[rpn.matched_gt[pos]], anchors[pos])
         a_delta.append(deltas)
 
         proposals = forward_proposals(model, fwd, dcfg, strategy).boxes
@@ -223,16 +223,16 @@ def build_minibatch(model: Model, dataset: Dataset, image_indices, tcfg: TrainCo
 # optimizer
 # ---------------------------------------------------------------------------
 
-def sgd_step(params: ParamSet, grads: dict[str, np.ndarray],
+def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
              velocity: dict[str, np.ndarray], lr: float, momentum: float) -> None:
     """Heavy-ball update in place: v <- momentum*v - lr*g; w <- w + v.
 
     Only arrays named in grads move; everything else stays bitwise intact.
     """
     for key in sorted(grads):
-        if key not in params.arrays:
+        if key not in params:
             raise ParameterError(f"gradient for unknown array {key!r}")
-        w = params.arrays[key]
+        w = params[key]
         g = np.asarray(grads[key], dtype=np.float64)
         if g.shape != w.shape:
             raise ParameterError(f"gradient shape {g.shape} does not match {key} {w.shape}")
@@ -262,9 +262,6 @@ class TrainLog:
                "lr": lr, "wall_clock": wall_clock}
         rec.update(breakdown.to_dict())
         self.records.append(rec)
-
-    def totals(self) -> list[float]:
-        return [r["total"] for r in self.records]
 
     def save(self, path) -> None:
         lines = [canonical_json(r) for r in self.records]
@@ -374,6 +371,7 @@ def finetune(base: Model, dataset: Dataset, cfg: ExperimentConfig,
 # ---------------------------------------------------------------------------
 
 def _model_header(model: Model, names: list[str]) -> dict:
+    trainable = trainable_layers(model)
     return {
         "version": CHECKPOINT_VERSION,
         "stage": model.stage,
@@ -386,8 +384,8 @@ def _model_header(model: Model, names: list[str]) -> dict:
         "arrays": [
             {
                 "name": name,
-                "shape": list(model.params.arrays[name].shape),
-                "trainable": name.split("/")[0] in model.params.trainable,
+                "shape": list(model.params[name].shape),
+                "trainable": name.split("/")[0] in trainable,
             }
             for name in names
         ],
@@ -396,10 +394,10 @@ def _model_header(model: Model, names: list[str]) -> dict:
 
 def save_checkpoint(model: Model, path) -> str:
     """Write the model to disk; returns the hex digest stored in the file."""
-    names = sorted(model.params.arrays)
+    names = sorted(model.params)
     header = canonical_json(_model_header(model, names)).encode("utf-8")
     payload = b"".join(
-        np.ascontiguousarray(model.params.arrays[n], dtype=np.float64).tobytes()
+        np.ascontiguousarray(model.params[n], dtype=np.float64).tobytes()
         for n in names
     )
     digest = sha256(header + payload).digest()
@@ -447,23 +445,21 @@ def verify_checkpoint(path) -> str:
 
 
 def load_checkpoint(path) -> Model:
-    """Read a checkpoint; any structural or hash defect raises."""
+    """Read a checkpoint; any structural or hash defect raises, and so does a
+    header other than the one the loaded model would write."""
     header, payload, _ = _verified_parts(path)
     try:
         arrays: dict[str, np.ndarray] = {}
-        trainable: set[str] = set()
         off = 0
         for entry in header["arrays"]:
             count = int(np.prod(entry["shape"], dtype=np.int64))
             arr = np.frombuffer(payload, dtype=np.float64, count=count, offset=off)
             arrays[entry["name"]] = arr.reshape(entry["shape"]).copy()
-            if entry["trainable"]:
-                trainable.add(entry["name"].split("/")[0])
             off += 8 * count
         mc = dict(header["model_config"])
         mc["anchor_scales"] = tuple(mc["anchor_scales"])
-        return Model(
-            params=ParamSet(arrays=arrays, trainable=trainable),
+        model = Model(
+            params=arrays,
             split=ClassSplit.from_dict(header["split"]),
             mcfg=ModelConfig(**mc),
             feat_seed=int(header["feat_seed"]),
@@ -475,3 +471,7 @@ def load_checkpoint(path) -> Model:
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptCheckpointError(
             f"checkpoint {path} has an unreadable header: {exc!r}") from exc
+    if canonical_json(header) != canonical_json(_model_header(model, sorted(arrays))):
+        raise CorruptCheckpointError(
+            f"checkpoint {path} has a header its {model.stage} model would not write")
+    return model

@@ -1,12 +1,18 @@
-"""Independent slow reference implementations used to check fast paths.
+"""Independent reference implementations used to check fast paths.
 
-Everything here is written with plain Python loops and none of the package's
-vectorized code, so agreement is evidence rather than tautology.
+None of them calls the package code it checks, so agreement is evidence
+rather than tautology. Most are plain Python loops; ``matrix_nms_oracle`` is a
+numpy pass over its own IoU matrix, checked against the list-based NMS
+oracles on small cases; ``finite_difference_check`` compares the package's
+analytic gradients with central differences of its loss values.
 """
 
 import math
 
 import numpy as np
+
+from retentive.errors import ParameterError
+from retentive.losses import compute_gradients
 
 
 def iou_scalar(a, b) -> float:
@@ -48,6 +54,37 @@ def grouped_nms_oracle(boxes, scores, iou_thresh, groups) -> list[int]:
         sub = nms_oracle([boxes[i] for i in members], [scores[i] for i in members], iou_thresh)
         kept += [members[j] for j in sub]
     return sorted(kept, key=lambda i: (-scores[i], i))
+
+
+def iou_matrix_oracle(a, b) -> np.ndarray:
+    """(len(a), len(b)) IoU of every pair, in ``iou_scalar``'s arithmetic."""
+    a = np.asarray(a, dtype=np.float64).reshape(-1, 1, 4)
+    b = np.asarray(b, dtype=np.float64).reshape(1, -1, 4)
+    iw = np.maximum(0.0, np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0]))
+    ih = np.maximum(0.0, np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1]))
+    inter = iw * ih
+    area_a = np.maximum(0.0, a[..., 2] - a[..., 0]) * np.maximum(0.0, a[..., 3] - a[..., 1])
+    area_b = np.maximum(0.0, b[..., 2] - b[..., 0]) * np.maximum(0.0, b[..., 3] - b[..., 1])
+    union = area_a + area_b - inter
+    return np.where(union > 0, inter / np.where(union > 0, union, 1.0), 0.0)
+
+
+def matrix_nms_oracle(boxes, scores, iou_thresh, groups=None) -> list[int]:
+    """``nms_oracle`` (``grouped_nms_oracle`` with groups) as one greedy pass
+    over a precomputed suppression matrix: a box is kept unless a kept box of
+    its group, ranked above it, overlaps it by more than iou_thresh."""
+    scores = np.asarray(scores, dtype=np.float64).reshape(-1)
+    over = iou_matrix_oracle(boxes, boxes) > iou_thresh
+    if groups is not None:
+        labels = np.asarray(groups).reshape(-1)
+        over &= labels[:, None] == labels[None, :]
+    alive = np.ones(len(scores), dtype=bool)
+    kept = []
+    for i in sorted(range(len(scores)), key=lambda i: (-scores[i], i)):
+        if alive[i]:
+            kept.append(i)
+            alive &= ~over[i]
+    return kept
 
 
 def roi_pool_oracle(feat, box, bins, stride):
@@ -195,3 +232,38 @@ def decode_box_scalar(delta, anchor, side=None) -> list[float]:
     if side is not None:
         box = [min(max(v, 0.0), side) for v in box]
     return box
+
+
+def compute_loss(model, mb, tcfg):
+    """The training loss breakdown alone."""
+    return compute_gradients(model, mb, tcfg)[0]
+
+
+def finite_difference_check(model, mb, tcfg, eps: float = 1e-6, max_coords: int = 200,
+                            seed: int = 0) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    Relative error uses max(1, |analytic|, |numeric|) as the denominator. A
+    seeded subset of coordinates is swept when the trainable set is large.
+    """
+    if not 1e-8 <= eps <= 1e-4:
+        raise ParameterError(f"eps must lie in [1e-8, 1e-4], got {eps}")
+    _, grads = compute_gradients(model, mb, tcfg)
+    coords = [(key, flat) for key in sorted(grads) for flat in range(grads[key].size)]
+    if len(coords) > max_coords:
+        picked = np.random.default_rng(seed).choice(len(coords), size=max_coords, replace=False)
+        coords = [coords[int(i)] for i in sorted(picked)]
+    worst = 0.0
+    for key, flat in coords:
+        arr = model.params[key]
+        orig = arr.flat[flat]
+        arr.flat[flat] = orig + eps
+        plus = compute_loss(model, mb, tcfg).total
+        arr.flat[flat] = orig - eps
+        minus = compute_loss(model, mb, tcfg).total
+        arr.flat[flat] = orig
+        numeric = (plus - minus) / (2.0 * eps)
+        analytic = grads[key].flat[flat]
+        err = abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
+        worst = max(worst, err)
+    return worst

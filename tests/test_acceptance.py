@@ -23,9 +23,9 @@ from retentive.detector import (
     box_head_scores,
     detect,
     detect_base,
+    image_anchors,
     image_forward,
     init_base_model,
-    model_anchors,
     pad_base_logits,
     propose,
     roi_features,
@@ -33,12 +33,12 @@ from retentive.detector import (
     rpn_objectness_logits,
 )
 from retentive.evaluation import average_precision
-from retentive.losses import consistency_loss, finite_difference_check
+from retentive.losses import consistency_loss
 from retentive.synthgen import build_base_dataset, build_kshot_dataset, load_dataset, split_classes
 from retentive.tensorops import decode_boxes, nms, sigmoid, softmax
 from retentive.trainer import build_minibatch, finetune, load_checkpoint
 
-from oracles import ap_exhaustive_oracle, nms_oracle, random_ap_instance
+from oracles import ap_exhaustive_oracle, finite_difference_check, nms_oracle, random_ap_instance
 
 BENCH_SEEDS = (0, 1, 2, 3, 4)
 
@@ -389,7 +389,8 @@ def test_criterion_10_inference_contract(bench):
         fwd = image_forward(base, img)
         obj = sigmoid(rpn_objectness_logits(base, fwd.cells, "base"))
         deltas = rpn_box_deltas(base, fwd.cells)
-        props = propose(obj, deltas, model_anchors(base, img.shape[0]), dcfg, side)
+        anchors = image_anchors(img.shape[0], base.mcfg.feat_stride, base.mcfg.anchor_scales)
+        props = propose(obj, deltas, anchors, dcfg, side)
         logits, reg = box_head_scores(base, roi_features(base, fwd.feat, props.boxes), "base")
         probs = softmax(pad_base_logits(logits, base.num_novel))
         boxes = decode_boxes(reg, props.boxes, side=side)

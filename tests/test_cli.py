@@ -10,6 +10,7 @@ import pytest
 
 from retentive import cli
 from retentive import detector as D
+from retentive import trainer
 from retentive.cli import (
     RunPaths,
     STAGES,
@@ -25,7 +26,7 @@ from retentive.cli import (
     run_ablation,
     run_experiment,
 )
-from retentive.config import RPN_STRATEGIES, load_config
+from retentive.config import RPN_STRATEGIES, canonical_json, load_config
 from retentive.errors import ConfigError, CorruptCheckpointError, StalenessError
 from retentive.synthgen import load_dataset
 from retentive.trainer import load_checkpoint, save_checkpoint
@@ -549,6 +550,26 @@ def test_detect_with_replaced_checkpoint_exits_4(tiny_yaml, finished_run, tmp_pa
     assert err.count("\n") == 1 and "finetune stamp" in err
 
 
+def test_detect_with_flags_its_stage_would_not_write_exits_4(tiny_yaml, finished_run, tmp_path,
+                                                            capsys, monkeypatch):
+    """A retentive checkpoint rewritten with the pretraining flags, under a
+    valid hash and a stamp that records it, still stops detect at load."""
+    out = tmp_path / "copy"
+    shutil.copytree(finished_run, out)
+    paths = RunPaths(out, 3)
+    model = load_checkpoint(paths.checkpoint("retentive"))
+    with monkeypatch.context() as mp:
+        mp.setattr(trainer, "trainable_layers", lambda m: D.PRETRAIN_TRAINABLE)
+        digest = save_checkpoint(model, paths.checkpoint("retentive"))
+    stamp = _read_stamp(paths.stamp("finetune"))
+    stamp["outputs"]["retentive"] = digest
+    paths.stamp("finetune").write_text(canonical_json(stamp) + "\n", encoding="utf-8")
+    assert main(["detect", "--config", str(tiny_yaml), "--seed", "3", "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "would not write" in err
+    assert not paths.detections().exists()
+
+
 @pytest.mark.parametrize("replaced, stage", [
     ("datasets/base-train", "pretrain"),
     ("models/base.ckpt", "finetune"),
@@ -607,7 +628,7 @@ def test_eval_rejects_base_without_the_shared_frozen_arrays(tiny_cfg, finished_r
     shutil.copytree(finished_run, out)
     paths = RunPaths(out, 3)
     base = load_checkpoint(paths.checkpoint("base"))
-    base.params.arrays["rpn_box/b"][0] += 1e-9
+    base.params["rpn_box/b"][0] += 1e-9
     save_checkpoint(base, paths.checkpoint("base"))
     with pytest.raises(StalenessError, match="frozen arrays"):
         _evaluate_models(tiny_cfg, 3, paths, _upstream(paths))

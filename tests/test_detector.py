@@ -53,32 +53,32 @@ def scene(seed=5):
 
 def test_init_base_model_arrays_and_flags():
     m = fresh_base()
-    names = {k.split("/")[0] for k in m.params.arrays}
+    names = {k.split("/")[0] for k in m.params}
     assert names == set(D.BASE_LAYERS)
-    assert m.params.trainable == set(D.PRETRAIN_TRAINABLE)
-    assert m.params.arrays["cls_b/W"].shape == (9, 64)
-    assert m.params.arrays["rpn_obj_b/W"].shape == (3, 32)
-    assert m.params.arrays["rpn_box/W"].shape == (12, 32)
-    assert m.params.arrays["boxhead_proj/W"].shape == (64, 288)
+    assert D.trainable_layers(m) == D.PRETRAIN_TRAINABLE
+    assert m.params["cls_b/W"].shape == (9, 64)
+    assert m.params["rpn_obj_b/W"].shape == (3, 32)
+    assert m.params["rpn_box/W"].shape == (12, 32)
+    assert m.params["boxhead_proj/W"].shape == (64, 288)
 
 
 def test_frozen_arrays_depend_only_on_feat_seed():
     a = D.init_base_model(SPLIT, MCFG, feat_seed=7, seed=1)
     b = D.init_base_model(SPLIT, MCFG, feat_seed=7, seed=99)
-    assert a.params.arrays["rpn_shared/W"].tobytes() == b.params.arrays["rpn_shared/W"].tobytes()
-    assert a.params.arrays["boxhead_proj/W"].tobytes() == b.params.arrays["boxhead_proj/W"].tobytes()
-    assert a.params.arrays["cls_b/W"].tobytes() != b.params.arrays["cls_b/W"].tobytes()
+    assert a.params["rpn_shared/W"].tobytes() == b.params["rpn_shared/W"].tobytes()
+    assert a.params["boxhead_proj/W"].tobytes() == b.params["boxhead_proj/W"].tobytes()
+    assert a.params["cls_b/W"].tobytes() != b.params["cls_b/W"].tobytes()
 
 
 def test_extend_for_finetune_adds_three_layers():
     base = pseudo_trained_base()
     m = D.extend_for_finetune(base, 2, TrainConfig())
     assert m.stage == D.STAGE_RETENTIVE
-    assert m.params.trainable == set(D.FINETUNE_TRAINABLE)
-    assert m.params.arrays["cls_n/W"].shape == (13, 64)
-    assert "cls_n/b" not in m.params.arrays  # cosine head has no bias
-    assert m.params.arrays["rpn_obj_n/W"].tobytes() == m.params.arrays["rpn_obj_b/W"].tobytes()
-    assert m.base_subset_digest() == base.params.digest()
+    assert D.trainable_layers(m) == D.FINETUNE_TRAINABLE
+    assert m.params["cls_n/W"].shape == (13, 64)
+    assert "cls_n/b" not in m.params  # cosine head has no bias
+    assert m.params["rpn_obj_n/W"].tobytes() == m.params["rpn_obj_b/W"].tobytes()
+    assert m.base_subset_digest() == base.digest()
 
 
 def test_extend_requires_trained_base():
@@ -89,13 +89,13 @@ def test_extend_requires_trained_base():
 def test_extend_variants():
     base = pseudo_trained_base()
     fc = D.extend_for_finetune(base, 2, TrainConfig(classifier="fc"))
-    assert "cls_n/b" in fc.params.arrays
+    assert "cls_n/b" in fc.params
     novel_only = D.extend_for_finetune(base, 2, TrainConfig(head_domain="novel-only",
                                                             consistency="off"))
-    assert novel_only.params.arrays["cls_n/W"].shape == (5, 64)
+    assert novel_only.params["cls_n/W"].shape == (5, 64)
     assert D.head_classes(novel_only, "novel") == SPLIT.novel_ids
     rnd = D.extend_for_finetune(base, 2, TrainConfig(rpn_obj_init="random"))
-    assert rnd.params.arrays["rpn_obj_n/W"].tobytes() != rnd.params.arrays["rpn_obj_b/W"].tobytes()
+    assert rnd.params["rpn_obj_n/W"].tobytes() != rnd.params["rpn_obj_b/W"].tobytes()
     with pytest.raises(ConfigError):
         D.extend_for_finetune(base, 2, TrainConfig(head_init="copy"))  # needs fc over all classes
 
@@ -103,19 +103,20 @@ def test_extend_variants():
 def test_head_init_copy_pads_base_head():
     base = pseudo_trained_base()
     m = D.extend_for_finetune(base, 2, TrainConfig(classifier="fc", head_init="copy"))
-    w = m.params.arrays["cls_n/W"]
-    assert np.array_equal(w[:8], m.params.arrays["cls_b/W"][:8])
+    w = m.params["cls_n/W"]
+    assert np.array_equal(w[:8], m.params["cls_b/W"][:8])
     assert np.all(w[8:12] == 0.0)
-    assert np.array_equal(w[12], m.params.arrays["cls_b/W"][8])
-    assert np.array_equal(m.params.arrays["reg_n/W"], m.params.arrays["reg_b/W"])
+    assert np.array_equal(w[12], m.params["cls_b/W"][8])
+    assert np.array_equal(m.params["reg_n/W"], m.params["reg_b/W"])
 
 
 def test_digest_is_order_independent_and_layer_filtered():
     m = fresh_base()
-    full = m.params.digest()
-    again = m.params.copy().digest()
+    full = m.digest()
+    reversed_copy = {k: m.params[k].copy() for k in reversed(m.params)}
+    again = dataclasses.replace(m, params=reversed_copy).digest()
     assert full == again
-    assert m.params.digest(("cls_b",)) != m.params.digest(("reg_b",))
+    assert m.digest(("cls_b",)) != m.digest(("reg_b",))
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +199,14 @@ def test_unknown_strategy_rejected():
 # proposals
 # ---------------------------------------------------------------------------
 
+def test_image_anchors_are_one_read_only_array():
+    a = D.image_anchors(64, 4, (8.0, 16.0, 32.0))
+    assert a is D.image_anchors(64, 4, (8.0, 16.0, 32.0))
+    assert a.tobytes() == T.generate_anchors(16, 16, 4.0, (8.0, 16.0, 32.0)).tobytes()
+    with pytest.raises(ValueError):
+        a[0, 0] = 1.0
+
+
 def test_propose_tie_break_by_index():
     anchors = T.generate_anchors(4, 4, stride=4.0, scales=(8.0,))
     obj = np.full(16, 0.5)
@@ -206,7 +215,7 @@ def test_propose_tie_break_by_index():
     props = D.propose(obj, deltas, anchors, dcfg, side=16.0)
     # anchors overlap heavily; survivors must be the earliest-index representatives
     first = props.boxes[0]
-    want = T.clip_boxes(anchors.boxes[:1], 16.0)[0]
+    want = T.clip_boxes(anchors[:1], 16.0)[0]
     assert np.allclose(first, want)
 
 
@@ -232,7 +241,7 @@ def test_propose_matches_composed_oracle():
     idx = sorted(range(768), key=lambda i: (-obj[i], i))[:100]
     boxes, scores = [], []
     for i in idx:
-        b = T.decode_boxes(deltas[i:i + 1], anchors.boxes[i:i + 1], side=64.0)[0]
+        b = T.decode_boxes(deltas[i:i + 1], anchors[i:i + 1], side=64.0)[0]
         if b[2] - b[0] > 1e-6 and b[3] - b[1] > 1e-6:
             boxes.append(b)
             scores.append(obj[i])
@@ -416,7 +425,7 @@ def test_detect_requires_stages():
 def test_detect_zero_step_copy_matches_base_inference():
     base = pseudo_trained_base(seed=6)
     # sharpen the classifier so random logits are decisive rather than uniform
-    base.params.arrays["cls_b/W"] *= 400.0
+    base.params["cls_b/W"] *= 400.0
     m = D.extend_for_finetune(base, 2, TrainConfig(classifier="fc", head_init="copy",
                                                    rpn_obj_init="copy", rpn_strategy="base-only"))
     img = scene(seed=9)
@@ -433,7 +442,7 @@ def test_detect_zero_step_copy_matches_base_inference():
 
 def test_detection_contract_fields():
     base = pseudo_trained_base(seed=6)
-    base.params.arrays["cls_b/W"] *= 400.0
+    base.params["cls_b/W"] *= 400.0
     img = scene(seed=9)
     dets = D.detect_base(base, img, DetectConfig())
     assert dets, "sharpened random model should fire somewhere"
@@ -461,7 +470,7 @@ def test_ensembled_proposals_strategies():
 
 def test_detect_deterministic():
     base = pseudo_trained_base(seed=6)
-    base.params.arrays["cls_b/W"] *= 400.0
+    base.params["cls_b/W"] *= 400.0
     m = D.extend_for_finetune(base, 2, TrainConfig())
     img = scene(seed=9)
     a = D.detect(m, img, DetectConfig())

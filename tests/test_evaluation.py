@@ -345,7 +345,7 @@ def test_norms_match_scalar_recomputation():
     model = init_base_model(split, ModelConfig(), feat_seed=11, seed=11)
     got = roi_feature_norms(model, ds)
 
-    proj = model.params.arrays["boxhead_proj/W"]
+    proj = model.params["boxhead_proj/W"]
     sums, counts = {}, {}
     for img, rec in zip(ds.images, ds.records):
         feat = image_features(model, img)

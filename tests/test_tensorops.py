@@ -18,6 +18,7 @@ from oracles import (
     encode_box_scalar,
     grouped_nms_oracle,
     iou_scalar,
+    matrix_nms_oracle,
     nms_oracle,
     roi_pool_oracle,
 )
@@ -333,6 +334,25 @@ def test_nms_matches_oracle_random():
         assert got == nms_oracle(boxes, scores, thresh), f"trial {trial}"
 
 
+def test_matrix_nms_oracle_matches_list_oracles():
+    """The fast oracle the Hypothesis tests use agrees with the list oracles on
+    small problems with zero-area boxes, duplicates, ties and both extreme
+    thresholds."""
+    rng = np.random.default_rng(17)
+    for trial in range(300):
+        n = int(rng.integers(0, 13))
+        corner = rng.integers(0, 16, size=(n, 2))
+        boxes = np.hstack([corner, corner + rng.integers(0, 8, size=(n, 2))]).astype(np.float64)
+        if n > 1:
+            boxes[rng.integers(0, n)] = boxes[rng.integers(0, n)]
+        scores = rng.choice([0.1, 0.5, 0.9], size=n)
+        thresh = float(rng.choice([0.0, 0.3, 0.5, 0.7, 1.0]))
+        groups = rng.integers(0, 3, size=n).tolist()
+        assert matrix_nms_oracle(boxes, scores, thresh) == nms_oracle(boxes, scores, thresh), trial
+        assert matrix_nms_oracle(boxes, scores, thresh, groups) == \
+            grouped_nms_oracle(boxes, scores, thresh, groups), trial
+
+
 @st.composite
 def nms_problems(draw):
     """Up to 300 boxes on a coarse integer grid, so zero-area boxes, duplicate
@@ -359,7 +379,7 @@ def test_nms_max_keep_is_prefix_of_oracle(problem):
     boxes, scores, thresh, max_keep = problem
     got = T.nms(boxes, scores, thresh, max_keep=max_keep)
     assert got.dtype == np.int64
-    assert got.tolist() == nms_oracle(boxes, scores, thresh)[:max_keep]
+    assert got.tolist() == matrix_nms_oracle(boxes, scores, thresh)[:max_keep]
 
 
 @settings(deadline=None, max_examples=50)
@@ -372,6 +392,7 @@ def test_nms_result_does_not_depend_on_block_size(problem):
             mp.setattr(T, "NMS_BLOCK", block)
             results.append(T.nms(boxes, scores, thresh, max_keep=max_keep).tolist())
     assert all(r == results[0] for r in results)
+    assert results[0] == matrix_nms_oracle(boxes, scores, thresh)[:max_keep]
 
 
 @settings(deadline=None, max_examples=50)
@@ -380,7 +401,7 @@ def test_nms_groups_match_per_group_oracle(problem, data):
     boxes, scores, thresh, max_keep = problem
     groups = data.draw(st.lists(st.integers(0, 3), min_size=len(scores), max_size=len(scores)))
     got = T.nms(boxes, scores, thresh, max_keep=max_keep, groups=np.asarray(groups))
-    assert got.tolist() == grouped_nms_oracle(boxes, scores, thresh, groups)[:max_keep]
+    assert got.tolist() == matrix_nms_oracle(boxes, scores, thresh, groups)[:max_keep]
 
 
 def test_nms_rejects_misshapen_groups():
@@ -634,7 +655,7 @@ def test_roi_pool_bitwise_matches_oracle_on_large_windows(bins):
 def test_anchor_single_cell():
     grid = T.generate_anchors(1, 1, stride=4.0, scales=(8.0,))
     assert len(grid) == 1
-    assert np.allclose(grid.boxes[0], [-2.0, -2.0, 6.0, 6.0], atol=1e-15)
+    assert np.allclose(grid[0], [-2.0, -2.0, 6.0, 6.0], atol=1e-15)
 
 
 def test_anchor_count_and_ordering():
@@ -644,7 +665,7 @@ def test_anchor_count_and_ordering():
     cell = 5 * 16 + 7  # row 5, col 7
     idx = cell * 3 + 2
     cx, cy = (7 + 0.5) * 4.0, (5 + 0.5) * 4.0
-    assert np.allclose(grid.boxes[idx], [cx - 16, cy - 16, cx + 16, cy + 16], atol=1e-15)
+    assert np.allclose(grid[idx], [cx - 16, cy - 16, cx + 16, cy + 16], atol=1e-15)
     # the decomposition build_minibatch uses to find an anchor's scale and cell
     assert idx % 3 == 2
     assert idx // 3 == cell
@@ -652,7 +673,7 @@ def test_anchor_count_and_ordering():
 
 def test_anchor_centers_follow_cells():
     grid = T.generate_anchors(2, 3, stride=4.0, scales=(8.0, 16.0))
-    centers = 0.5 * (grid.boxes[:, 0:2] + grid.boxes[:, 2:4])
+    centers = 0.5 * (grid[:, 0:2] + grid[:, 2:4])
     assert centers.shape == (12, 2)
     assert np.allclose(centers[0], [2.0, 2.0], atol=1e-15)
     assert np.allclose(centers[-1], [10.0, 6.0], atol=1e-15)

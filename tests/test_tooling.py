@@ -1,11 +1,13 @@
 """Guards on names: the benchmark harness and the README reach into the package
-by name, and one module names the head layers."""
+by name, one module names the head layers, and the package holds no code that
+only tests call."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
 import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -110,3 +112,29 @@ def test_no_function_restates_a_config_choice_default():
                     if isinstance(default, ast.Constant) and default.value in choices:
                         found.append(f"{path.name}:{default.lineno}: {default.value!r}")
     assert not found, found
+
+
+# test-only on purpose: criterion 6 checks the value training optimises
+ONLY_TESTS_READ = {"consistency_loss"}
+
+
+def test_every_package_definition_is_read_outside_tests():
+    """Every module-level function and class of the package is named in src/
+    or perfbench/ beyond its own definition, and every public method is read
+    as an attribute there; code that only tests call belongs in tests/
+    (tests/oracles.py for oracles)."""
+    package = sorted((ROOT / "src" / "retentive").glob("*.py"))
+    text = "\n".join(p.read_text(encoding="utf-8") for p in package + sorted(PERFBENCH.glob("*.py")))
+    words = Counter(re.findall(r"\w+", text))
+    attributes = Counter(re.findall(r"\.(\w+)", text))
+    unread = []
+    for path in package:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and words[node.name] < 2:
+                unread.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                unread += [f"{node.name}.{m.name}" for m in node.body
+                           if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
+                           and not attributes[m.name]]
+    unread = sorted(set(unread) - ONLY_TESTS_READ)
+    assert not unread, f"nothing outside tests reads {unread}"

@@ -5,15 +5,17 @@ from hashlib import sha256
 import numpy as np
 import pytest
 
+from retentive import trainer
 from retentive.config import DatasetConfig, ExperimentConfig, TrainConfig
 from retentive.detector import (
     BASE_LAYERS,
     FINETUNE_TRAINABLE,
+    PRETRAIN_TRAINABLE,
     STAGE_BASE,
     STAGE_RETENTIVE,
-    ParamSet,
     extend_for_finetune,
     init_base_model,
+    trainable_layers,
 )
 from retentive.errors import (
     CorruptArtifactError,
@@ -63,38 +65,35 @@ def tiny_world(seed=7, **kw):
 
 def test_sgd_matches_hand_recursion_on_quadratic():
     # loss 0.5*w^2 has gradient w; scalar recursion from w=1, lr=0.1, mu=0.9
-    params = ParamSet(arrays={"w/W": np.array([1.0])}, trainable={"w"})
+    params = {"w/W": np.array([1.0])}
     velocity: dict = {}
     w, v = 1.0, 0.0
     for _ in range(6):
-        sgd_step(params, {"w/W": params.arrays["w/W"].copy()}, velocity, 0.1, 0.9)
+        sgd_step(params, {"w/W": params["w/W"].copy()}, velocity, 0.1, 0.9)
         v = 0.9 * v - 0.1 * w
         w = w + v
-        assert params.arrays["w/W"][0] == w
+        assert params["w/W"][0] == w
 
 
 def test_sgd_two_step_hand_values():
-    params = ParamSet(arrays={"w/W": np.array([1.0])}, trainable={"w"})
+    params = {"w/W": np.array([1.0])}
     velocity: dict = {}
-    sgd_step(params, {"w/W": params.arrays["w/W"].copy()}, velocity, 0.1, 0.9)
-    assert abs(params.arrays["w/W"][0] - 0.9) < 1e-15
-    sgd_step(params, {"w/W": params.arrays["w/W"].copy()}, velocity, 0.1, 0.9)
-    assert abs(params.arrays["w/W"][0] - 0.72) < 1e-15
+    sgd_step(params, {"w/W": params["w/W"].copy()}, velocity, 0.1, 0.9)
+    assert abs(params["w/W"][0] - 0.9) < 1e-15
+    sgd_step(params, {"w/W": params["w/W"].copy()}, velocity, 0.1, 0.9)
+    assert abs(params["w/W"][0] - 0.72) < 1e-15
 
 
 def test_sgd_leaves_ungraded_arrays_bitwise_intact():
-    params = ParamSet(
-        arrays={"a/W": np.ones((2, 2)), "b/W": np.full((3,), 0.123456789)},
-        trainable={"a"},
-    )
-    before = params.arrays["b/W"].tobytes()
+    params = {"a/W": np.ones((2, 2)), "b/W": np.full((3,), 0.123456789)}
+    before = params["b/W"].tobytes()
     sgd_step(params, {"a/W": np.ones((2, 2))}, {}, 0.1, 0.9)
-    assert params.arrays["b/W"].tobytes() == before
-    assert not np.array_equal(params.arrays["a/W"], np.ones((2, 2)))
+    assert params["b/W"].tobytes() == before
+    assert not np.array_equal(params["a/W"], np.ones((2, 2)))
 
 
 def test_sgd_rejects_bad_gradients():
-    params = ParamSet(arrays={"a/W": np.ones((2, 2))}, trainable={"a"})
+    params = {"a/W": np.ones((2, 2))}
     with pytest.raises(ParameterError):
         sgd_step(params, {"a/W": np.ones(3)}, {}, 0.1, 0.9)
     with pytest.raises(ParameterError):
@@ -299,8 +298,8 @@ def test_pretrain_loss_windowed_mean_drops():
     cfg, _, base_ds, _ = tiny_world(pre_iters=120, window=20)
     model, log = pretrain(base_ds, cfg, seed=7)
     assert model.stage == STAGE_BASE
-    assert set(model.params.trainable) == {"rpn_obj_b", "rpn_box", "cls_b", "reg_b"}
-    totals = log.totals()
+    assert set(trainable_layers(model)) == {"rpn_obj_b", "rpn_box", "cls_b", "reg_b"}
+    totals = [r["total"] for r in log.records]
     w = cfg.pretrain.convergence_window
     assert len(totals) >= 2 * w
     start = float(np.mean(totals[:w]))
@@ -315,16 +314,16 @@ def test_pretrain_is_bitwise_deterministic():
     cfg, _, base_ds, _ = tiny_world(pre_iters=25, window=60)
     m1, log1 = pretrain(base_ds, cfg, seed=13)
     m2, log2 = pretrain(base_ds, cfg, seed=13)
-    assert m1.params.digest() == m2.params.digest()
-    assert log1.totals() == log2.totals()
+    assert m1.digest() == m2.digest()
+    assert [r["total"] for r in log1.records] == [r["total"] for r in log2.records]
     m3, _ = pretrain(base_ds, cfg, seed=14)
-    assert m3.params.digest() != m1.params.digest()
+    assert m3.digest() != m1.digest()
 
 
 def test_training_error_on_non_finite_loss():
     cfg, split, base_ds, _ = tiny_world(pre_iters=5)
     model = init_base_model(split, cfg.model, feat_seed=7, seed=7)
-    model.params.arrays["rpn_obj_b/W"][0, 0] = np.nan
+    model.params["rpn_obj_b/W"][0, 0] = np.nan
     log = TrainLog(stage="pretrain", seed=7)
     with pytest.raises(TrainingError) as err:
         _run_stage(model, base_ds, cfg.pretrain, cfg.detect, 7, log)
@@ -335,14 +334,14 @@ def test_training_error_on_non_finite_loss():
 def test_finetune_keeps_base_subset_frozen():
     cfg, _, base_ds, kshot_ds = tiny_world(pre_iters=25, ft_iters=15, window=60)
     base, _ = pretrain(base_ds, cfg, seed=7)
-    before = base.params.digest(BASE_LAYERS)
+    before = base.digest(BASE_LAYERS)
     model, log = finetune(base, kshot_ds, cfg, seed=7)
     assert model.stage == STAGE_RETENTIVE
-    assert model.params.digest(BASE_LAYERS) == before
+    assert model.digest(BASE_LAYERS) == before
     assert len(log.records) == 15
     # the adaptation layers actually moved
     fresh = extend_for_finetune(base, 7, cfg.finetune)
-    assert model.params.digest(FINETUNE_TRAINABLE) != fresh.params.digest(FINETUNE_TRAINABLE)
+    assert model.digest(FINETUNE_TRAINABLE) != fresh.digest(FINETUNE_TRAINABLE)
 
 
 def test_finetune_zero_iterations_is_extension_only():
@@ -351,7 +350,7 @@ def test_finetune_zero_iterations_is_extension_only():
     model, log = finetune(base, kshot_ds, cfg, seed=7)
     assert log.records == []
     fresh = extend_for_finetune(base, 7, cfg.finetune)
-    assert model.params.digest() == fresh.params.digest()
+    assert model.digest() == fresh.digest()
 
 
 def test_finetune_consistency_gradient_reduces_the_term():
@@ -446,10 +445,10 @@ def test_checkpoint_roundtrip_is_bitwise(tmp_path):
     assert back.rpn_strategy == model.rpn_strategy
     assert back.split.to_dict() == model.split.to_dict()
     assert back.mcfg == model.mcfg
-    assert back.params.trainable == model.params.trainable
-    assert sorted(back.params.arrays) == sorted(model.params.arrays)
-    for key, arr in model.params.arrays.items():
-        assert back.params.arrays[key].tobytes() == arr.tobytes(), key
+    assert trainable_layers(back) == trainable_layers(model)
+    assert sorted(back.params) == sorted(model.params)
+    for key, arr in model.params.items():
+        assert back.params[key].tobytes() == arr.tobytes(), key
     # saving the loaded model reproduces the digest
     p2 = tmp_path / "again.ckpt"
     assert save_checkpoint(back, p2) == digest
@@ -462,7 +461,7 @@ def test_checkpoint_base_stage_roundtrip(tmp_path):
     save_checkpoint(base, p)
     back = load_checkpoint(p)
     assert back.stage == STAGE_BASE
-    assert "cls_n/W" not in back.params.arrays
+    assert "cls_n/W" not in back.params
 
 
 def test_checkpoint_rejects_corruption(tmp_path):
@@ -499,3 +498,24 @@ def test_checkpoint_rejects_corruption(tmp_path):
         for read in (load_checkpoint, verify_checkpoint):
             with pytest.raises(CorruptCheckpointError):
                 read(tmp_path / name)
+
+
+@pytest.mark.parametrize("stage, flagged", [
+    (STAGE_BASE, FINETUNE_TRAINABLE),
+    (STAGE_RETENTIVE, PRETRAIN_TRAINABLE),
+])
+def test_checkpoint_rejects_flags_its_stage_would_not_write(tmp_path, monkeypatch, stage, flagged):
+    """The stage alone decides what trains: per-array trainable flags that
+    disagree with it are corrupt, even under a valid hash."""
+    cfg, split, _, _ = tiny_world()
+    model = init_base_model(split, cfg.model, feat_seed=1, seed=1)
+    model.stage = STAGE_BASE
+    if stage == STAGE_RETENTIVE:
+        model = extend_for_finetune(model, 1, cfg.finetune)
+    p = tmp_path / "m.ckpt"
+    with monkeypatch.context() as mp:
+        mp.setattr(trainer, "trainable_layers", lambda m: flagged)
+        digest = save_checkpoint(model, p)
+    assert verify_checkpoint(p) == digest
+    with pytest.raises(CorruptCheckpointError, match="would not write"):
+        load_checkpoint(p)
