@@ -40,8 +40,8 @@ from .detector import (
     STAGE_RETENTIVE,
     detect,
     detect_base,
-    forward_proposals,
     image_forward,
+    strategy_proposals,
 )
 from .errors import (
     ConfigError,
@@ -208,7 +208,7 @@ def _evaluate_models(cfg: ExperimentConfig, seed: int, paths: RunPaths, up: dict
         props = {s: [] for s in RPN_STRATEGIES}
         for img in images:
             fwd = image_forward(model, img)
-            per = {s: forward_proposals(model, fwd, dcfg, s) for s in RPN_STRATEGIES}
+            per = strategy_proposals(model, fwd, dcfg, RPN_STRATEGIES)
             for s in RPN_STRATEGIES:
                 props[s].append(per[s])
             ret.append(detect(model, img, dcfg, forward=fwd,
@@ -226,13 +226,13 @@ def _evaluate_models(cfg: ExperimentConfig, seed: int, paths: RunPaths, up: dict
 
     recall: dict[str, float | None] = {}
     iou = ecfg.recall_iou
+    ret_cand_test = detections_to_candidates(ret_dets_test)
+    ret_cand_uar = detections_to_candidates(ret_dets_uar)
+    base_cand_uar = detections_to_candidates(base_dets_uar)
     for k in ecfg.recall_ks:
-        cand = detections_to_candidates(ret_dets_test)
-        recall[f"ar@{k}"] = average_recall(cand, test_ds.records, k, iou, "all")
-        cand = detections_to_candidates(ret_dets_uar)
-        recall[f"uar@{k}"] = average_recall(cand, uar_ds.records, k, iou, "unseen")
-        cand = detections_to_candidates(base_dets_uar)
-        recall[f"base_detection_uar@{k}"] = average_recall(cand, uar_ds.records, k,
+        recall[f"ar@{k}"] = average_recall(ret_cand_test, test_ds.records, k, iou, "all")
+        recall[f"uar@{k}"] = average_recall(ret_cand_uar, uar_ds.records, k, iou, "unseen")
+        recall[f"base_detection_uar@{k}"] = average_recall(base_cand_uar, uar_ds.records, k,
                                                            iou, "unseen")
         for s in RPN_STRATEGIES:
             cand = proposals_to_candidates(props_test[s])

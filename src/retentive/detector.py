@@ -285,22 +285,29 @@ def propose(objectness: np.ndarray, deltas: np.ndarray, anchors: np.ndarray,
     return Proposals(boxes=np.ascontiguousarray(boxes[kept]), scores=np.ascontiguousarray(scores[kept]))
 
 
-def forward_proposals(model: Model, forward: ImageForward, dcfg: DetectConfig,
-                      strategy: str) -> Proposals:
-    """Proposals from one image's forward under an objectness strategy.
+def strategy_proposals(model: Model, forward: ImageForward, dcfg: DetectConfig,
+                       strategies) -> dict[str, Proposals]:
+    """Proposals from one image's forward under each objectness strategy given.
 
-    "base-only" reads the base objectness head alone, so it also serves
+    The RPN heads run once for all of them: the base objectness and the box
+    deltas always, the finetuned objectness only if some strategy combines
+    it. "base-only" reads the base objectness head alone, so it also serves
     models without a finetuned head: pretraining and the base detector.
     """
     o_b = sigmoid(rpn_objectness_logits(model, forward.cells, "base"))
-    if strategy == "base-only":
-        obj = o_b
-    else:
+    if any(s != "base-only" for s in strategies):
         o_n = sigmoid(rpn_objectness_logits(model, forward.cells, "novel"))
-        obj = bias_balanced_objectness(o_b, o_n, strategy)
     deltas = rpn_box_deltas(model, forward.cells)
     anchors = image_anchors(forward.side, model.mcfg.feat_stride, model.mcfg.anchor_scales)
-    return propose(obj, deltas, anchors, dcfg, float(forward.side))
+    return {s: propose(o_b if s == "base-only" else bias_balanced_objectness(o_b, o_n, s),
+                       deltas, anchors, dcfg, float(forward.side))
+            for s in strategies}
+
+
+def forward_proposals(model: Model, forward: ImageForward, dcfg: DetectConfig,
+                      strategy: str) -> Proposals:
+    """Proposals from one image's forward under one objectness strategy."""
+    return strategy_proposals(model, forward, dcfg, (strategy,))[strategy]
 
 
 def roi_features(model: Model, feat: np.ndarray, boxes: np.ndarray) -> np.ndarray:

@@ -28,54 +28,9 @@ GROUP_UNSEEN = "unseen"
 GROUP_ALL = "all"
 
 
-def _det_rows(dets_per_image, class_id: int):
-    """Flatten one class's detections to (image, score, box) in stable order."""
-    rows = []
-    for img_idx, dets in enumerate(dets_per_image):
-        for det in dets:
-            if det.class_id == class_id:
-                rows.append((img_idx, float(det.score), np.asarray(det.box, dtype=np.float64)))
-    return rows
-
-
-def average_precision(dets_per_image, records, class_id: int,
-                      iou_thresh: float) -> float | None:
-    """Exact PR-curve area for one class; None when the class has no truth.
-
-    Detections are ranked by score with ties broken by arrival order. Each
-    detection greedily claims the highest-overlap still-unclaimed instance in
-    its image, counting as correct only at overlap >= iou_thresh.
-    """
-    if len(dets_per_image) != len(records):
-        raise ParameterError(f"{len(dets_per_image)} detection lists vs {len(records)} records")
-    gt_boxes = []
-    for rec in records:
-        mask = rec.gt.labels == class_id
-        gt_boxes.append(rec.gt.boxes[mask])
-    n_gt = int(sum(len(b) for b in gt_boxes))
-    if n_gt == 0:
-        return None
-
-    rows = _det_rows(dets_per_image, class_id)
-    if not rows:
-        return 0.0
-    scores = np.asarray([r[1] for r in rows])
-    order = np.argsort(-scores, kind="stable")
-
-    claimed = [np.zeros(len(b), dtype=bool) for b in gt_boxes]
-    tp = np.zeros(len(rows))
-    for rank, det_idx in enumerate(order):
-        img, _, box = rows[det_idx]
-        boxes = gt_boxes[img]
-        if len(boxes) == 0:
-            continue
-        overlaps = iou_matrix(box[None, :], boxes)[0]
-        overlaps = np.where(claimed[img], -1.0, overlaps)
-        best = int(np.argmax(overlaps))
-        if overlaps[best] >= iou_thresh:
-            claimed[img][best] = True
-            tp[rank] = 1.0
-
+def _pr_area(tp: np.ndarray, n_gt: int) -> float:
+    """Exact area under the enveloped precision-recall curve of one ranked
+    true-positive indicator row."""
     ctp = np.cumsum(tp)
     cfp = np.cumsum(1.0 - tp)
     recall = ctp / n_gt
@@ -86,17 +41,65 @@ def average_precision(dets_per_image, records, class_id: int,
     return float(np.sum((mrec[1:] - mrec[:-1]) * mpre[1:]))
 
 
+def average_precision(dets_per_image, records, class_id: int,
+                      iou_thresholds) -> dict[float, float | None]:
+    """Exact PR-curve area for one class at each IoU threshold; None at every
+    threshold when the class has no truth.
+
+    Detections are ranked by score with ties broken by arrival order. At each
+    threshold, each detection greedily claims the highest-overlap still-unclaimed
+    instance in its image, counting as correct only at overlap >= the threshold.
+    One IoU matrix per image, and one walk down the ranking with a claimed mask
+    per threshold, serve every threshold.
+    """
+    if len(dets_per_image) != len(records):
+        raise ParameterError(f"{len(dets_per_image)} detection lists vs {len(records)} records")
+    thresholds = [float(t) for t in iou_thresholds]
+    gt_boxes = [rec.gt.boxes[rec.gt.labels == class_id] for rec in records]
+    n_gt = int(sum(len(b) for b in gt_boxes))
+    if n_gt == 0:
+        return {t: None for t in thresholds}
+
+    # each detection's image and row within that image, in image-major order
+    det_img: list[int] = []
+    det_row: list[int] = []
+    scores: list[float] = []
+    overlaps: dict[int, np.ndarray] = {}
+    for img, (dets, truths) in enumerate(zip(dets_per_image, gt_boxes)):
+        mine = [d for d in dets if d.class_id == class_id]
+        det_img += [img] * len(mine)
+        det_row += range(len(mine))
+        scores += [float(d.score) for d in mine]
+        if mine and len(truths):
+            overlaps[img] = iou_matrix(np.asarray([d.box for d in mine], dtype=np.float64),
+                                       truths)
+    if not scores:
+        return {t: 0.0 for t in thresholds}
+    order = np.argsort(-np.asarray(scores), kind="stable")
+
+    levels = np.asarray(thresholds)
+    t_idx = np.arange(len(levels))
+    claimed = {img: np.zeros((len(levels), m.shape[1]), dtype=bool)
+               for img, m in overlaps.items()}
+    tp = np.zeros((len(levels), len(scores)))
+    for rank, i in enumerate(order):
+        img = det_img[i]
+        if img not in overlaps:
+            continue
+        masked = np.where(claimed[img], -1.0, overlaps[img][det_row[i]])
+        best = masked.argmax(axis=1)
+        hit = masked[t_idx, best] >= levels
+        claimed[img][t_idx[hit], best[hit]] = True
+        tp[hit, rank] = 1.0
+    return {t: _pr_area(tp[k], n_gt) for k, t in enumerate(thresholds)}
+
+
 def ap_table(dets_per_image, dataset: Dataset,
              iou_thresholds) -> dict[int, dict[float, float | None]]:
     """Per-class AP at every threshold, for every foreground class."""
-    table: dict[int, dict[float, float | None]] = {}
     classes = dataset.split.base_ids + dataset.split.novel_ids
-    for cid in classes:
-        table[cid] = {
-            float(t): average_precision(dets_per_image, dataset.records, cid, float(t))
-            for t in iou_thresholds
-        }
-    return table
+    return {cid: average_precision(dets_per_image, dataset.records, cid, iou_thresholds)
+            for cid in classes}
 
 
 def _group_mean(table, class_ids, thresholds) -> float | None:

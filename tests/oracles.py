@@ -169,6 +169,45 @@ def ap_exhaustive_oracle(rows, gt_boxes, iou_thresh) -> float | None:
     return ap
 
 
+def ap_single_threshold_oracle(dets_per_image, records, class_id, iou_thresh) -> float | None:
+    """AP of one class at one threshold, the way the evaluator computed it one
+    threshold at a time: one greedy claim walk over the ranked detections,
+    then the cumulative-sum PR curve with the precision envelope.
+
+    Takes the evaluator's own inputs (per-image ``Detection`` lists and scene
+    records), so its result can be compared with the evaluator's exactly.
+    """
+    gt_boxes = [rec.gt.boxes[rec.gt.labels == class_id] for rec in records]
+    n_gt = int(sum(len(b) for b in gt_boxes))
+    if n_gt == 0:
+        return None
+    rows = [(img, float(d.score), np.asarray(d.box, dtype=np.float64))
+            for img, dets in enumerate(dets_per_image) for d in dets if d.class_id == class_id]
+    if not rows:
+        return 0.0
+    order = np.argsort(-np.asarray([r[1] for r in rows]), kind="stable")
+    claimed = [np.zeros(len(b), dtype=bool) for b in gt_boxes]
+    tp = np.zeros(len(rows))
+    for rank, det_idx in enumerate(order):
+        img, _, box = rows[det_idx]
+        if len(gt_boxes[img]) == 0:
+            continue
+        overlaps = np.array([iou_scalar(box, g) for g in gt_boxes[img]])
+        overlaps = np.where(claimed[img], -1.0, overlaps)
+        best = int(np.argmax(overlaps))
+        if overlaps[best] >= iou_thresh:
+            claimed[img][best] = True
+            tp[rank] = 1.0
+    ctp = np.cumsum(tp)
+    cfp = np.cumsum(1.0 - tp)
+    recall = ctp / n_gt
+    precision = ctp / (ctp + cfp)
+    mrec = np.concatenate([[0.0], recall, [1.0]])
+    mpre = np.concatenate([[0.0], precision, [0.0]])
+    mpre = np.maximum.accumulate(mpre[::-1])[::-1]
+    return float(np.sum((mrec[1:] - mrec[:-1]) * mpre[1:]))
+
+
 def recall_exhaustive_oracle(candidates, gts, k, iou_thresh) -> float | None:
     """Covered-instance fraction by brute-force pair checks.
 

@@ -254,7 +254,7 @@ def test_criterion_07_oracle_equivalence():
                 annotated=np.ones(len(b), dtype=bool)))
             for i, b in enumerate(gt_boxes)
         ]
-        got = average_precision(dets, records, class_id=0, iou_thresh=iou)
+        got = average_precision(dets, records, class_id=0, iou_thresholds=(iou,))[iou]
         want = ap_exhaustive_oracle(rows, gt_boxes, iou)
         if got is None:
             ap_ok = want is None

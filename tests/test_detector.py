@@ -517,9 +517,15 @@ def test_shared_forward_matches_per_image_path(tiny_finetuned, strategy):
     n_dets = 0
     for img in images:
         fwd = D.image_forward(model, img)
-        shared = {s: D.forward_proposals(model, fwd, dcfg, s) for s in RPN_STRATEGIES}
+        shared = D.strategy_proposals(model, fwd, dcfg, RPN_STRATEGIES)
+        assert list(shared) == list(RPN_STRATEGIES)
+        for s in RPN_STRATEGIES:
+            assert prop_bits(shared[s]) == prop_bits(D.forward_proposals(model, fwd, dcfg, s))
         assert prop_bits(shared[strategy]) == prop_bits(
             D.ensembled_proposals(model, img, dcfg, strategy))
+        # the base model has no finetuned objectness head; "base-only" alone needs none
+        assert prop_bits(shared["base-only"]) == prop_bits(
+            D.strategy_proposals(base, fwd, dcfg, ("base-only",))["base-only"])
         got = D.detect(model, img, dcfg, forward=fwd, proposals=shared[strategy])
         assert det_bits(got) == det_bits(D.detect(model, img, dcfg))
         assert det_bits(got) == det_bits(D.detect(model, img, dcfg, forward=fwd))
@@ -542,6 +548,12 @@ def test_forward_proposals_rejects_unknown_strategy(tiny_finetuned):
     _, model, images, dcfg = tiny_finetuned
     with pytest.raises(ParameterError):
         D.forward_proposals(model, D.image_forward(model, images[0]), dcfg, "median")
+
+
+def test_strategy_proposals_rejects_unknown_strategy(tiny_finetuned):
+    _, model, images, dcfg = tiny_finetuned
+    with pytest.raises(ParameterError):
+        D.strategy_proposals(model, D.image_forward(model, images[0]), dcfg, ("max", "median"))
 
 
 def double_loop_candidates(heads, score_thresh):

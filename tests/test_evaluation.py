@@ -8,6 +8,7 @@ import pytest
 
 from oracles import (
     ap_exhaustive_oracle,
+    ap_single_threshold_oracle,
     random_ap_instance,
     recall_exhaustive_oracle,
 )
@@ -73,13 +74,13 @@ def test_ap_perfect_detections_score_one():
          Detection((50.0, 50.0, 60.0, 60.0), 0, 0.1, "base")],  # trailing junk
         [Detection((5.0, 5.0, 15.0, 15.0), 0, 0.7, "base")],
     ]
-    assert average_precision(dets, records, 0, 0.5) == pytest.approx(1.0, abs=1e-12)
+    assert average_precision(dets, records, 0, (0.5,))[0.5] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ap_no_detections_is_zero_and_no_truth_is_absent():
     records = make_records([np.array([[0.0, 0.0, 10.0, 10.0]])])
-    assert average_precision([[]], records, 0, 0.5) == 0.0
-    assert average_precision([[]], records, 3, 0.5) is None
+    assert average_precision([[]], records, 0, (0.5,))[0.5] == 0.0
+    assert average_precision([[]], records, 3, (0.5,))[0.5] is None
 
 
 def test_ap_false_positive_outranking_truth_halves_score():
@@ -88,7 +89,7 @@ def test_ap_false_positive_outranking_truth_halves_score():
         Detection((30.0, 30.0, 40.0, 40.0), 0, 0.9, "base"),
         Detection((0.0, 0.0, 10.0, 10.0), 0, 0.8, "base"),
     ]]
-    assert average_precision(dets, records, 0, 0.5) == pytest.approx(0.5, abs=1e-12)
+    assert average_precision(dets, records, 0, (0.5,))[0.5] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_ap_matches_exhaustive_cutoff_oracle():
@@ -97,8 +98,9 @@ def test_ap_matches_exhaustive_cutoff_oracle():
         rows, gts = random_ap_instance(rng)
         dets, flat = rows_to_eval_inputs(rows, gts)
         records = make_records(gts)
+        row = average_precision(dets, records, 0, (0.3, 0.5, 0.75))
         for thresh in (0.3, 0.5, 0.75):
-            got = average_precision(dets, records, 0, thresh)
+            got = row[thresh]
             want = ap_exhaustive_oracle(flat, gts, thresh)
             if want is None:
                 assert got is None
@@ -118,8 +120,8 @@ def test_ap_removing_a_false_positive_never_decreases():
         dets_with, _ = rows_to_eval_inputs(spiked, gts)
         dets_without, _ = rows_to_eval_inputs(rows, gts)
         records = make_records(gts)
-        with_fp = average_precision(dets_with, records, 0, 0.5)
-        without_fp = average_precision(dets_without, records, 0, 0.5)
+        with_fp = average_precision(dets_with, records, 0, (0.5,))[0.5]
+        without_fp = average_precision(dets_without, records, 0, (0.5,))[0.5]
         if with_fp is None:
             assert without_fp is None
         else:
@@ -132,7 +134,7 @@ def test_ap_stricter_overlap_never_scores_higher():
         rows, gts = random_ap_instance(rng)
         dets, _ = rows_to_eval_inputs(rows, gts)
         records = make_records(gts)
-        vals = [average_precision(dets, records, 0, t) for t in (0.5, 0.75, 0.95)]
+        vals = list(average_precision(dets, records, 0, (0.5, 0.75, 0.95)).values())
         if vals[0] is None:
             continue
         assert vals[0] >= vals[1] - 1e-12
@@ -142,7 +144,43 @@ def test_ap_stricter_overlap_never_scores_higher():
 def test_ap_rejects_mismatched_inputs():
     records = make_records([np.zeros((0, 4))])
     with pytest.raises(ParameterError):
-        average_precision([[], []], records, 0, 0.5)
+        average_precision([[], []], records, 0, (0.5,))
+
+
+COCO_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
+
+
+def test_ap_every_threshold_equals_single_threshold_oracle():
+    rng = np.random.default_rng(1212)
+    thresholds = (0.3,) + COCO_THRESHOLDS
+    scored = 0
+    for trial in range(150):
+        rows, gts = random_ap_instance(rng)
+        dets, _ = rows_to_eval_inputs(rows, gts)
+        # a second class shares the images, so class filtering is exercised
+        for img, extra in enumerate(random_ap_instance(rng)[1]):
+            dets[img] += [Detection(tuple(b), 1, 0.5, "novel") for b in extra]
+        records = make_records(gts)
+        row = average_precision(dets, records, 0, thresholds)
+        assert list(row) == list(thresholds)
+        for t in thresholds:
+            want = ap_single_threshold_oracle(dets, records, 0, t)
+            assert row[t] == want, f"trial {trial} iou {t}: {row[t]!r} != {want!r}"
+            scored += want is not None and want > 0
+    assert scored > 0
+
+
+def test_ap_truth_claimed_at_low_threshold_stays_free_at_high():
+    # the first-ranked detection overlaps the truth at 0.6, the second at 0.8
+    records = make_records([np.array([[0.0, 0.0, 10.0, 10.0]])])
+    dets = [[
+        Detection((0.0, 0.0, 10.0, 6.0), 0, 0.9, "base"),
+        Detection((0.0, 0.0, 10.0, 8.0), 0, 0.8, "base"),
+    ]]
+    row = average_precision(dets, records, 0, (0.5, 0.75))
+    assert row == {0.5: 1.0, 0.75: 0.5}
+    for t in (0.5, 0.75):
+        assert row[t] == ap_single_threshold_oracle(dets, records, 0, t)
 
 
 # ---------------------------------------------------------------------------
