@@ -47,8 +47,10 @@ from .errors import (
     ConfigError,
     CorruptArtifactError,
     GenerationError,
+    NumericError,
     ParameterError,
     StalenessError,
+    StateError,
     TrainingError,
 )
 from .evaluation import (
@@ -224,23 +226,19 @@ def _evaluate_models(cfg: ExperimentConfig, seed: int, paths: RunPaths, up: dict
     del test_feats
     ret_dets_uar, base_dets_uar, props_uar = infer(uar_ds.images)
 
-    recall: dict[str, float | None] = {}
-    iou = ecfg.recall_iou
-    ret_cand_test = detections_to_candidates(ret_dets_test)
-    ret_cand_uar = detections_to_candidates(ret_dets_uar)
-    base_cand_uar = detections_to_candidates(base_dets_uar)
-    for k in ecfg.recall_ks:
-        recall[f"ar@{k}"] = average_recall(ret_cand_test, test_ds.records, k, iou, "all")
-        recall[f"uar@{k}"] = average_recall(ret_cand_uar, uar_ds.records, k, iou, "unseen")
-        recall[f"base_detection_uar@{k}"] = average_recall(base_cand_uar, uar_ds.records, k,
-                                                           iou, "unseen")
-        for s in RPN_STRATEGIES:
-            cand = proposals_to_candidates(props_test[s])
-            recall[f"proposal_ar@{k}:{s}"] = average_recall(cand, test_ds.records, k,
-                                                            iou, "all")
-            cand = proposals_to_candidates(props_uar[s])
-            recall[f"proposal_uar@{k}:{s}"] = average_recall(cand, uar_ds.records, k,
-                                                             iou, "unseen")
+    # recall key template, candidates, their dataset, instance filter
+    recall_rows = [
+        ("ar@{k}", detections_to_candidates(ret_dets_test), test_ds, "all"),
+        ("uar@{k}", detections_to_candidates(ret_dets_uar), uar_ds, "unseen"),
+        ("base_detection_uar@{k}", detections_to_candidates(base_dets_uar), uar_ds, "unseen"),
+    ] + [(f"proposal_{name}@{{k}}:{s}", proposals_to_candidates(props[s]), ds, group)
+         for s in RPN_STRATEGIES
+         for name, props, ds, group in (("ar", props_test, test_ds, "all"),
+                                        ("uar", props_uar, uar_ds, "unseen"))]
+    recall = {key.format(k=k): value
+              for key, cand, ds, group in recall_rows
+              for k, value in average_recall(cand, ds.records, ecfg.recall_ks,
+                                             ecfg.recall_iou, group).items()}
 
     base_table = ap_table(base_dets_test, test_ds, ecfg.iou_thresholds)
     baseline = ap_summary(base_table, test_ds.split, ecfg.iou_thresholds)
@@ -348,14 +346,9 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_root,
 # ---------------------------------------------------------------------------
 
 def _flatten_metrics(report: dict) -> dict[str, float]:
-    out = {}
-    for key, val in report.get("summary", {}).items():
-        out[key] = val
-    for key, val in report.get("baseline_summary", {}).items():
-        out[f"baseline_{key}"] = val
-    for key, val in report.get("recall", {}).items():
-        if val is not None:
-            out[key] = val
+    out = dict(report.get("summary", {}))
+    out.update((f"baseline_{k}", v) for k, v in report.get("baseline_summary", {}).items())
+    out.update((k, v) for k, v in report.get("recall", {}).items() if v is not None)
     return out
 
 
@@ -373,8 +366,8 @@ def aggregate_metrics(per_seed: dict[int, dict[str, float]]) -> dict[str, dict]:
 
 # errors that fail one seed of a multirun without stopping the others (a dead
 # pool worker fails every seed still pending with BrokenProcessPool)
-_SEED_FAILURES = (ConfigError, ParameterError, GenerationError, TrainingError,
-                  StalenessError, CorruptArtifactError, OSError, BrokenProcessPool)
+_SEED_FAILURES = (ConfigError, ParameterError, GenerationError, TrainingError, NumericError,
+                  StalenessError, StateError, CorruptArtifactError, OSError, BrokenProcessPool)
 
 
 def multirun(cfg: ExperimentConfig, seeds, out_root, stages=STAGES,
@@ -703,7 +696,10 @@ def main(argv=None) -> int:
     except TrainingError as exc:
         print(f"training error: {exc}", file=sys.stderr)
         return 3
-    except (StalenessError, CorruptArtifactError, OSError) as exc:
+    except NumericError as exc:
+        print(f"numeric error: {exc}", file=sys.stderr)
+        return 3
+    except (StalenessError, StateError, CorruptArtifactError, OSError) as exc:
         print(f"artifact error: {exc}", file=sys.stderr)
         return 4
     except Exception:

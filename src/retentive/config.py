@@ -8,6 +8,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -236,6 +237,18 @@ def _merge_into(cfg, data: dict, path: str) -> None:
             setattr(cfg, key, tuple(value) if isinstance(current, tuple) else value)
 
 
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that reads every plain exponent float as a float, as YAML 1.2
+    does. YAML 1.1 wants a dot and an exponent sign, so it reads ``1e-5`` or
+    ``5e-2`` as a string. Quoted scalars stay strings."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"))
+
+
 def load_config(path: str | Path | None) -> ExperimentConfig:
     """Build an ExperimentConfig from defaults overlaid with a YAML file."""
     cfg = ExperimentConfig()
@@ -245,7 +258,7 @@ def load_config(path: str | Path | None) -> ExperimentConfig:
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         try:
-            data = yaml.safe_load(raw)
+            data = yaml.load(raw, Loader=_Loader)
         except yaml.YAMLError as exc:
             raise ConfigError(f"cannot parse config {path}: {exc}") from exc
         if data is None:

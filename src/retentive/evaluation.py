@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .config import canonical_json
-from .detector import Model, image_features, roi_features
+from .detector import Model, roi_features
 from .errors import ParameterError
 from .synthgen import ClassSplit, Dataset, SceneRecord
 from .tensorops import iou_matrix
@@ -136,12 +135,8 @@ def ap_summary(table: dict[int, dict[float, float | None]], split: ClassSplit,
 
 def detections_to_candidates(dets_per_image) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-image (boxes, scores) pairs from detection lists."""
-    out = []
-    for dets in dets_per_image:
-        boxes = np.asarray([d.box for d in dets], dtype=np.float64).reshape(-1, 4)
-        scores = np.asarray([d.score for d in dets], dtype=np.float64)
-        out.append((boxes, scores))
-    return out
+    return [(np.asarray([d.box for d in dets], dtype=np.float64).reshape(-1, 4),
+             np.asarray([d.score for d in dets], dtype=np.float64)) for dets in dets_per_image]
 
 
 def proposals_to_candidates(props_per_image) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -158,47 +153,49 @@ def _filter_mask(rec: SceneRecord, class_filter: str) -> np.ndarray:
     raise ParameterError(f"unknown class filter {class_filter!r}")
 
 
-def average_recall(candidates, records, k: int, iou_thresh: float,
-                   class_filter: str = GROUP_ALL) -> float | None:
-    """Fraction of filtered instances covered by any of the top-k candidates.
+def average_recall(candidates, records, ks, iou_thresh: float,
+                   class_filter: str = GROUP_ALL) -> dict[int, float | None]:
+    """Fraction of filtered instances covered by any of the top-k candidates,
+    for each k in ks; None at every k when the filter selects no instance.
 
     Candidates are (boxes, scores) per image; only the k best-scoring boxes
     per image count, ties resolved by arrival order. The unseen filter
-    selects instances whose labels were hidden at training time.
+    selects instances whose labels were hidden at training time. Each image
+    is ranked once and its IoU taken once against the top max(ks) boxes; an
+    instance counts at k when its best-ranked covering box ranks below k.
     """
     if len(candidates) != len(records):
         raise ParameterError(f"{len(candidates)} candidate lists vs {len(records)} records")
-    if k < 0:
-        raise ParameterError(f"k must be >= 0, got {k}")
-    matched = 0
+    matched = dict.fromkeys(ks, 0)
+    if any(k < 0 for k in matched):
+        raise ParameterError(f"k must be >= 0, got {min(matched)}")
+    top = max(matched, default=0)
     total = 0
     for (boxes, scores), rec in zip(candidates, records):
-        mask = _filter_mask(rec, class_filter)
-        gts = rec.gt.boxes[mask]
+        gts = rec.gt.boxes[_filter_mask(rec, class_filter)]
         total += len(gts)
-        if len(gts) == 0 or len(boxes) == 0 or k == 0:
+        if len(gts) == 0 or len(boxes) == 0:
             continue
-        order = np.lexsort((np.arange(len(scores)), -np.asarray(scores)))[:k]
-        overlaps = iou_matrix(gts, np.asarray(boxes, dtype=np.float64)[order])
-        matched += int((overlaps.max(axis=1) >= iou_thresh).sum())
-    if total == 0:
-        return None
-    return matched / total
+        order = np.lexsort((np.arange(len(scores)), -np.asarray(scores)))[:top]
+        covers = iou_matrix(gts, np.asarray(boxes, dtype=np.float64)[order]) >= iou_thresh
+        first = np.where(covers, np.arange(len(order)), np.inf).min(axis=1, initial=np.inf)
+        for k in matched:
+            matched[k] += int((first < k).sum())
+    return {k: None if total == 0 else n / total for k, n in matched.items()}
 
 
-def roi_feature_norms(model: Model, dataset: Dataset, feats=None) -> dict:
+def roi_feature_norms(model: Model, dataset: Dataset, feats) -> dict:
     """Mean feature magnitude the box head sees per class, with group means.
 
     Every instance's own box is pooled and projected; classes the split
     marks scarce form the unseen group regardless of per-instance flags.
-    feats, when given, holds the featurizer map of every dataset image.
+    feats holds the featurizer map of every dataset image.
     """
     sums: dict[int, float] = {}
     counts: dict[int, int] = {}
-    for i, (img, rec) in enumerate(zip(dataset.images, dataset.records)):
+    for feat, rec in zip(feats, dataset.records):
         if len(rec.gt.labels) == 0:
             continue
-        feat = image_features(model, img) if feats is None else feats[i]
         rows = roi_features(model, feat, rec.gt.boxes)
         norms = np.sqrt((rows * rows).sum(axis=1))
         for lbl, nrm in zip(rec.gt.labels, norms):
@@ -207,12 +204,11 @@ def roi_feature_norms(model: Model, dataset: Dataset, feats=None) -> dict:
             counts[cid] = counts.get(cid, 0) + 1
     per_class = {cid: sums[cid] / counts[cid] for cid in sorted(sums)}
     groups = {}
-    seen = [per_class[c] for c in dataset.split.base_ids if c in per_class]
-    unseen = [per_class[c] for c in dataset.split.novel_ids if c in per_class]
-    if seen:
-        groups[GROUP_SEEN] = float(np.mean(seen))
-    if unseen:
-        groups[GROUP_UNSEEN] = float(np.mean(unseen))
+    split = dataset.split
+    for group, ids in ((GROUP_SEEN, split.base_ids), (GROUP_UNSEEN, split.novel_ids)):
+        means = [per_class[c] for c in ids if c in per_class]
+        if means:
+            groups[group] = float(np.mean(means))
     return {"per_class": per_class, "groups": groups}
 
 
@@ -223,74 +219,47 @@ def roi_feature_norms(model: Model, dataset: Dataset, feats=None) -> dict:
 REPORT_SCHEMA_VERSION = 1
 
 
-@dataclass
-class EvalReport:
-    """Everything one evaluated model run produced, JSON-serializable."""
-
-    split: ClassSplit
-    iou_thresholds: tuple[float, ...]
-    per_class_ap: dict[int, dict[float, float | None]]
-    summary: dict[str, float]
-    recall: dict[str, float | None]
-    feature_norms: dict
-    baseline_summary: dict[str, float] = field(default_factory=dict)
-    metadata: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "split": self.split.to_dict(),
-            "iou_thresholds": [float(t) for t in self.iou_thresholds],
-            "per_class_ap": {
-                str(cid): {f"{t:.2f}": v for t, v in row.items()}
-                for cid, row in self.per_class_ap.items()
-            },
-            "summary": self.summary,
-            "recall": self.recall,
-            "feature_norms": {
-                "per_class": {str(c): v for c, v in self.feature_norms["per_class"].items()},
-                "groups": self.feature_norms["groups"],
-            },
-            "baseline_summary": self.baseline_summary,
-            "metadata": self.metadata,
-        }
-
-
 def build_report(dets_per_image, dataset: Dataset, iou_thresholds, recall: dict,
                  feature_norms: dict, metadata: dict | None = None,
-                 baseline_summary: dict | None = None) -> EvalReport:
+                 baseline_summary: dict | None = None) -> dict:
+    """report.json of one evaluated model run, class ids and thresholds as string keys."""
     table = ap_table(dets_per_image, dataset, iou_thresholds)
-    return EvalReport(
-        split=dataset.split,
-        iou_thresholds=tuple(float(t) for t in iou_thresholds),
-        per_class_ap=table,
-        summary=ap_summary(table, dataset.split, iou_thresholds),
-        recall=recall,
-        feature_norms=feature_norms,
-        baseline_summary=baseline_summary or {},
-        metadata=metadata or {},
-    )
+    return {
+        "schema_version": REPORT_SCHEMA_VERSION,
+        "split": dataset.split.to_dict(),
+        "iou_thresholds": [float(t) for t in iou_thresholds],
+        "per_class_ap": {str(cid): {f"{t:.2f}": v for t, v in row.items()}
+                         for cid, row in table.items()},
+        "summary": ap_summary(table, dataset.split, iou_thresholds),
+        "recall": recall,
+        "feature_norms": {
+            "per_class": {str(c): v for c, v in feature_norms["per_class"].items()},
+            "groups": feature_norms["groups"],
+        },
+        "baseline_summary": baseline_summary or {},
+        "metadata": metadata or {},
+    }
 
 
-def _csv_text(report: EvalReport) -> str:
+def _csv_text(report: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["class_id", "group", "iou", "ap"])
-    novel = set(report.split.novel_ids)
-    for cid in sorted(report.per_class_ap):
-        group = "novel" if cid in novel else "base"
-        row = report.per_class_ap[cid]
-        for t in sorted(row):
+    novel = set(report["split"]["novel_ids"])
+    for cid in sorted(report["per_class_ap"], key=int):
+        group = "novel" if int(cid) in novel else "base"
+        row = report["per_class_ap"][cid]
+        for t in sorted(row, key=float):
             v = row[t]
-            writer.writerow([cid, group, f"{t:.2f}", "" if v is None else repr(float(v))])
+            writer.writerow([cid, group, t, "" if v is None else repr(float(v))])
     return buf.getvalue()
 
 
-def _svg_text(report: EvalReport) -> str:
+def _svg_text(report: dict) -> str:
     """Bar chart of per-class feature norms, scarce classes color-coded."""
-    per_class = report.feature_norms["per_class"]
-    novel = set(report.split.novel_ids)
-    classes = sorted(per_class)
+    per_class = report["feature_norms"]["per_class"]
+    novel = set(report["split"]["novel_ids"])
+    classes = sorted(per_class, key=int)
     bar_w, gap, h, pad = 28, 10, 220, 30
     width = pad * 2 + max(len(classes), 1) * (bar_w + gap)
     height = h + 2 * pad + 20
@@ -307,7 +276,7 @@ def _svg_text(report: EvalReport) -> str:
         bh = 0.0 if top == 0 else h * v / top
         x = pad + i * (bar_w + gap)
         y = pad + h - bh
-        color = "#d95f02" if cid in novel else "#1b9e77"
+        color = "#d95f02" if int(cid) in novel else "#1b9e77"
         parts.append(f'<rect x="{x}" y="{y:.3f}" width="{bar_w}" height="{bh:.3f}" '
                      f'fill="{color}"/>')
         parts.append(f'<text x="{x + bar_w / 2}" y="{pad + h + 16}" font-size="11" '
@@ -318,16 +287,12 @@ def _svg_text(report: EvalReport) -> str:
     return "\n".join(parts) + "\n"
 
 
-def emit_report(report: EvalReport, out_dir) -> dict[str, Path]:
+def emit_report(report: dict, out_dir) -> dict[str, Path]:
     """Write report.json, metrics.csv, and norms.svg; returns the paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "json": out / "report.json",
-        "csv": out / "metrics.csv",
-        "svg": out / "norms.svg",
-    }
-    paths["json"].write_text(canonical_json(report.to_dict()) + "\n", encoding="utf-8")
+    paths = {"json": out / "report.json", "csv": out / "metrics.csv", "svg": out / "norms.svg"}
+    paths["json"].write_text(canonical_json(report) + "\n", encoding="utf-8")
     paths["csv"].write_text(_csv_text(report), encoding="utf-8")
     paths["svg"].write_text(_svg_text(report), encoding="utf-8")
     return paths

@@ -227,6 +227,32 @@ def recall_exhaustive_oracle(candidates, gts, k, iou_thresh) -> float | None:
     return matched / total
 
 
+def recall_single_k_oracle(candidates, records, k, iou_thresh, class_filter="all"):
+    """Recall at one k, the way the evaluator computed it one k at a time: per
+    image, rank the candidates by score with ties in arrival order, keep the
+    top k, and count the filtered instances that any kept box covers.
+
+    Takes the evaluator's own inputs (per-image (boxes, scores) and scene
+    records), so its result can be compared with the evaluator's exactly.
+    """
+    matched = 0
+    total = 0
+    for (boxes, scores), rec in zip(candidates, records):
+        keep = {"all": np.ones(len(rec.gt.labels), dtype=bool),
+                "seen": rec.gt.annotated, "unseen": ~rec.gt.annotated}[class_filter]
+        gts = rec.gt.boxes[keep]
+        total += len(gts)
+        if len(gts) == 0 or len(boxes) == 0 or k == 0:
+            continue
+        order = np.lexsort((np.arange(len(scores)), -np.asarray(scores)))[:k]
+        for g in gts:
+            if max(iou_scalar(g, boxes[i]) for i in order) >= iou_thresh:
+                matched += 1
+    if total == 0:
+        return None
+    return matched / total
+
+
 def random_ap_instance(rng, max_dets=10, max_gt=5, images=3):
     """A small random evaluation problem with score ties."""
     gt_boxes = []

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from retentive import cli
+from retentive import cli, errors
 from retentive import detector as D
 from retentive import trainer
 from retentive.cli import (
@@ -258,6 +258,54 @@ def test_multirun_dead_worker_is_a_failed_seed(tiny_yaml, tmp_path, monkeypatch,
     assert data["failures"]["31"].startswith("BrokenProcessPool")
 
 
+HOT_PRETRAIN_YAML = TINY_YAML.replace("pretrain:\n", "pretrain:\n  lr: 1.0e+3\n")
+
+
+def test_numeric_error_exits_3_with_one_line(tmp_path, capsys):
+    """A pretrain lr of 1e3 leaves a base head with no base-class mass; the
+    finetune's consistency term stops on it with a NumericError."""
+    cfg = tmp_path / "hot.yaml"
+    cfg.write_text(HOT_PRETRAIN_YAML, encoding="utf-8")
+    assert main(["finetune", "--config", str(cfg), "--seed", "3",
+                 "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == "numeric error: a probability row has no base-class mass"
+
+
+def test_multirun_numeric_error_is_a_failed_seed(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("RETENTIVE_THREADS", raising=False)
+    cfg = tmp_path / "hot.yaml"
+    cfg.write_text(HOT_PRETRAIN_YAML, encoding="utf-8")
+    out = tmp_path / "mr"
+    assert main(["multirun", "--config", str(cfg), "--seeds", "0,1", "--out", str(out)]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    data = json.loads((out / "aggregate.json").read_text(encoding="utf-8"))
+    assert data["incomplete"] is True
+    assert data["failures"]["0"].startswith("NumericError")
+    # the failed seed did not stop the next one
+    assert RunPaths(out, 1).stamp("pretrain").exists()
+
+
+_PACKAGE_ERRORS = sorted(
+    (c for c in vars(errors).values()
+     if isinstance(c, type) and issubclass(c, Exception) and c.__module__ == errors.__name__),
+    key=lambda c: c.__name__)
+
+
+@pytest.mark.parametrize("exc_type", _PACKAGE_ERRORS, ids=lambda c: c.__name__)
+def test_every_package_error_exits_with_a_code_and_one_line(exc_type, tmp_path, monkeypatch,
+                                                            capsys):
+    def fail(args, command):
+        raise exc_type("injected failure")
+
+    monkeypatch.setattr(cli, "_cmd_pipeline", fail)
+    assert main(["gen-data", "--seed", "1", "--out", str(tmp_path / "o")]) in (2, 3, 4)
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.rstrip("\n").endswith("injected failure")
+    assert issubclass(exc_type, cli._SEED_FAILURES)
+
+
 def test_aggregate_metrics_hand_values():
     table = aggregate_metrics({1: {"m": 2.0, "only": 5.0}, 2: {"m": 4.0}})
     assert table["m"]["mean"] == pytest.approx(3.0, abs=1e-15)
@@ -361,6 +409,8 @@ _BAD_CONFIGS = {  # test id -> YAML snippet
     "dataset.shots: 2.5": "dataset:\n  shots: 2.5\n",
     "finetune.lam: x": "finetune:\n  lam: x\n",
     "pretrain.max_iters: '3'": "pretrain:\n  max_iters: '3'\n",
+    "pretrain.max_iters: 1e3": "pretrain:\n  max_iters: 1e3\n",
+    "pretrain.convergence_rel_tol: '1e-5'": "pretrain:\n  convergence_rel_tol: '1e-5'\n",
     **{f"{section}.{entry}": f"{section}:\n  {entry}\n" for section, entry in (
         ("dataset", "max_glyph: 5"), ("dataset", "min_glyph: 4"),
         ("dataset", "min_instances: 6"), ("dataset", "base_train_images: -2"),
@@ -409,6 +459,16 @@ def test_train_config_accepts_sampling_boundary_values(tmp_path):
                     "  rpn_positive_fraction: 0\n  roi_positive_fraction: 1.0\n",
                     encoding="utf-8")
     assert load_config(path).pretrain.minibatch_images == 1
+
+
+@pytest.mark.parametrize("section,entry,want", [
+    ("pretrain", "convergence_rel_tol: 1e-5", 1e-5), ("finetune", "lr: 5e-2", 0.05),
+    ("finetune", "lr: 5E-2", 0.05), ("pretrain", "lr: .5e1", 5.0),
+    ("pretrain", "lr: 1.0e+3", 1000.0)])
+def test_exponent_floats_load_as_floats(tmp_path, section, entry, want):
+    path = tmp_path / "exp.yaml"
+    path.write_text(f"{section}:\n  {entry}\n", encoding="utf-8")
+    assert getattr(getattr(load_config(path), section), entry.split(":")[0]) == want
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):

@@ -11,12 +11,12 @@ from oracles import (
     ap_single_threshold_oracle,
     random_ap_instance,
     recall_exhaustive_oracle,
+    recall_single_k_oracle,
 )
 from retentive.config import DatasetConfig, ModelConfig
 from retentive.detector import Detection, init_base_model, roi_features, image_features
 from retentive.errors import ParameterError
 from retentive.evaluation import (
-    EvalReport,
     ap_summary,
     ap_table,
     average_precision,
@@ -244,13 +244,13 @@ def test_recall_perfect_candidates():
            np.array([[4.0, 4.0, 16.0, 16.0]])]
     records = make_records(gts)
     candidates = [(g, np.linspace(1.0, 0.5, len(g))) for g in gts]
-    assert average_recall(candidates, records, 10, 0.5) == 1.0
+    assert average_recall(candidates, records, [10], 0.5)[10] == 1.0
 
 
 def test_recall_zero_candidates_is_zero():
     records = make_records([np.array([[0.0, 0.0, 10.0, 10.0]])])
     candidates = [(np.zeros((0, 4)), np.zeros(0))]
-    assert average_recall(candidates, records, 10, 0.5) == 0.0
+    assert average_recall(candidates, records, [10], 0.5)[10] == 0.0
 
 
 def test_recall_two_image_hand_case_matches_oracle():
@@ -264,7 +264,7 @@ def test_recall_two_image_hand_case_matches_oracle():
         (np.array([[6.0, 6.0, 18.0, 18.0]]),   # near-miss jitter, still >= 0.5
          np.array([0.7])),
     ]
-    got = average_recall(candidates, records, 10, 0.5)
+    got = average_recall(candidates, records, [10], 0.5)[10]
     want = recall_exhaustive_oracle(candidates, gts, 10, 0.5)
     assert got == want == pytest.approx(2.0 / 3.0)
 
@@ -284,9 +284,49 @@ def test_recall_matches_oracle_on_random_instances():
             candidates.append((boxes, np.round(rng.random(p), 1)))
         records = make_records(gts)
         for k in (1, 3, 100):
-            got = average_recall(candidates, records, k, 0.5)
+            got = average_recall(candidates, records, [k], 0.5)[k]
             want = recall_exhaustive_oracle(candidates, gts, k, 0.5)
             assert got == want
+
+
+def test_recall_at_every_k_equals_the_single_k_oracle():
+    """One ranking per image serves every k: each k's value equals the
+    one-k-at-a-time computation exactly, for k of 0 and 1, k past the
+    candidate count, tied scores, every filter, and filters that select no
+    instance."""
+    rng = np.random.default_rng(47)
+    ks = (0, 1, 2, 3, 5, 12)
+    absent = grew = 0
+    for _ in range(40):
+        gts, annotated, candidates = [], [], []
+        for _ in range(int(rng.integers(1, 4))):
+            m = int(rng.integers(0, 4))
+            b = rng.uniform(0, 40, size=(m, 2))
+            gt = np.hstack([b, b + rng.uniform(5, 15, size=(m, 2))])
+            p = int(rng.integers(0, 9))
+            cb = rng.uniform(0, 40, size=(p, 2))
+            boxes = np.hstack([cb, cb + rng.uniform(5, 15, size=(p, 2))])
+            near = rng.random(p) < 0.5 if m else np.zeros(p, dtype=bool)
+            boxes[near] = gt[rng.integers(0, max(m, 1), size=int(near.sum()))] \
+                + rng.uniform(-3, 3, size=(int(near.sum()), 4))
+            gts.append(gt)
+            annotated.append(rng.random(m) < 0.5)
+            candidates.append((boxes, np.round(rng.random(p), 1)))  # coarse scores tie
+        records = make_records(gts, annotated=annotated)
+        for group in ("all", "seen", "unseen"):
+            got = average_recall(candidates, records, ks, 0.5, group)
+            assert list(got) == list(ks)
+            for k in ks:
+                assert got[k] == recall_single_k_oracle(candidates, records, k, 0.5, group)
+            absent += got[1] is None
+            grew += got[1] is not None and got[1] < got[12]
+    assert absent > 0 and grew > 0
+
+
+def test_recall_rejects_negative_k():
+    records = make_records([np.array([[0.0, 0.0, 10.0, 10.0]])])
+    with pytest.raises(ParameterError):
+        average_recall([(np.zeros((0, 4)), np.zeros(0))], records, [10, -1], 0.5)
 
 
 def test_recall_k_cut_uses_scores():
@@ -294,10 +334,9 @@ def test_recall_k_cut_uses_scores():
     records = make_records(gt)
     boxes = np.array([[50.0, 50.0, 60.0, 60.0], [0.0, 0.0, 10.0, 10.0]])
     scores = np.array([0.9, 0.5])
-    assert average_recall([(boxes, scores)], records, 1, 0.5) == 0.0
-    assert average_recall([(boxes, scores)], records, 2, 0.5) == 1.0
+    assert average_recall([(boxes, scores)], records, [1, 2], 0.5) == {1: 0.0, 2: 1.0}
     swapped = np.array([0.5, 0.9])
-    assert average_recall([(boxes, swapped)], records, 1, 0.5) == 1.0
+    assert average_recall([(boxes, swapped)], records, [1], 0.5)[1] == 1.0
 
 
 def test_recall_grows_with_k():
@@ -311,7 +350,7 @@ def test_recall_grows_with_k():
         boxes = np.hstack([cb, cb + 10.0])
         candidates.append((boxes, rng.random(30)))
     records = make_records(gts)
-    values = [average_recall(candidates, records, k, 0.5) for k in (1, 5, 10, 30)]
+    values = [average_recall(candidates, records, [k], 0.5)[k] for k in (1, 5, 10, 30)]
     assert all(a <= b for a, b in zip(values, values[1:]))
 
 
@@ -321,17 +360,17 @@ def test_recall_unseen_filter_counts_hidden_instances_only():
     annotated = [np.array([True, False])]
     records = make_records(gts, labels, annotated)
     candidates = [(np.array([[20.0, 20.0, 30.0, 30.0]]), np.array([0.9]))]
-    assert average_recall(candidates, records, 10, 0.5, "unseen") == 1.0
-    assert average_recall(candidates, records, 10, 0.5, "seen") == 0.0
-    assert average_recall(candidates, records, 10, 0.5, "all") == 0.5
+    assert average_recall(candidates, records, [10], 0.5, "unseen")[10] == 1.0
+    assert average_recall(candidates, records, [10], 0.5, "seen")[10] == 0.0
+    assert average_recall(candidates, records, [10], 0.5, "all")[10] == 0.5
 
 
 def test_recall_absent_when_filter_matches_nothing():
     records = make_records([np.array([[0.0, 0.0, 10.0, 10.0]])])
     candidates = [(np.zeros((0, 4)), np.zeros(0))]
-    assert average_recall(candidates, records, 10, 0.5, "unseen") is None
+    assert average_recall(candidates, records, [10], 0.5, "unseen")[10] is None
     with pytest.raises(ParameterError):
-        average_recall(candidates, records, 10, 0.5, "hidden")
+        average_recall(candidates, records, [10], 0.5, "hidden")
 
 
 # ---------------------------------------------------------------------------
@@ -347,11 +386,15 @@ def blank_dataset(split, side=48):
                    images=[np.zeros((side, side))], records=[rec])
 
 
+def feature_maps(model, ds):
+    return [image_features(model, img) for img in ds.images]
+
+
 def test_norms_zero_images_give_zero_norms():
     split = ClassSplit(num_classes=4, base_ids=(0, 1), novel_ids=(2, 3))
     ds = blank_dataset(split)
     model = init_base_model(split, ModelConfig(), feat_seed=3, seed=3)
-    norms = roi_feature_norms(model, ds)
+    norms = roi_feature_norms(model, ds, feature_maps(model, ds))
     assert norms["per_class"] == {0: 0.0, 2: 0.0}
     assert norms["groups"] == {"seen": 0.0, "unseen": 0.0}
 
@@ -362,7 +405,7 @@ def test_norms_duplicate_instance_leaves_mean_unchanged():
     split = split_classes(4, 1, 3)
     ds = build_test_dataset(cfg, split, seed=5)
     model = init_base_model(split, ModelConfig(), feat_seed=3, seed=3)
-    base = roi_feature_norms(model, ds)
+    base = roi_feature_norms(model, ds, feature_maps(model, ds))
 
     rec = ds.records[0]
     dup = SceneRecord(seed=rec.seed, gt=GroundTruth(
@@ -372,7 +415,8 @@ def test_norms_duplicate_instance_leaves_mean_unchanged():
     ))
     doubled = Dataset(split=split, mode="test", k=None, seed=0, side=ds.side,
                       images=[ds.images[0]], records=[dup])
-    assert roi_feature_norms(model, doubled)["per_class"] == pytest.approx(base["per_class"])
+    doubled_norms = roi_feature_norms(model, doubled, feature_maps(model, doubled))
+    assert doubled_norms["per_class"] == pytest.approx(base["per_class"])
 
 
 def test_norms_match_scalar_recomputation():
@@ -381,7 +425,7 @@ def test_norms_match_scalar_recomputation():
     split = split_classes(5, 2, 11)
     ds = build_test_dataset(cfg, split, seed=11)
     model = init_base_model(split, ModelConfig(), feat_seed=11, seed=11)
-    got = roi_feature_norms(model, ds)
+    got = roi_feature_norms(model, ds, feature_maps(model, ds))
 
     proj = model.params["boxhead_proj/W"]
     sums, counts = {}, {}
@@ -421,8 +465,8 @@ def small_report():
     thresholds = (0.5, 0.75)
     cands = detections_to_candidates(dets)
     recall = {
-        "ar@10": average_recall(cands, records, 10, 0.5, "all"),
-        "uar@10": average_recall(cands, records, 10, 0.5, "unseen"),
+        "ar@10": average_recall(cands, records, [10], 0.5, "all")[10],
+        "uar@10": average_recall(cands, records, [10], 0.5, "unseen")[10],
     }
     norms = {"per_class": {0: 1.5, 1: 2.5, 2: 0.5}, "groups": {"seen": 2.0, "unseen": 0.5}}
     return build_report(dets, ds, thresholds, recall, norms,
@@ -433,7 +477,7 @@ def test_report_json_roundtrip(tmp_path):
     report = small_report()
     paths = emit_report(report, tmp_path)
     loaded = json.loads(paths["json"].read_text())
-    assert loaded == report.to_dict()
+    assert loaded == report
     assert loaded["schema_version"] == 1
     assert loaded["summary"]["ap"] == pytest.approx(1.0)
     first = paths["json"].read_bytes()
@@ -463,11 +507,36 @@ def test_report_svg_structure(tmp_path):
     assert root.tag.endswith("svg")
     rects = [el for el in root.iter() if el.tag.endswith("rect")]
     # one backdrop plus one bar per class with a norm
-    assert len(rects) == 1 + len(report.feature_norms["per_class"])
+    assert len(rects) == 1 + len(report["feature_norms"]["per_class"])
     assert "href" not in text and "http://www.w3.org/2000/svg" in text
 
 
 def test_ap_table_covers_all_foreground_classes():
     report = small_report()
-    assert sorted(report.per_class_ap) == [0, 1, 2]
-    assert report.per_class_ap[1] == {0.5: None, 0.75: None}
+    assert sorted(map(int, report["per_class_ap"])) == [0, 1, 2]
+    assert report["per_class_ap"]["1"] == {"0.50": None, "0.75": None}
+
+
+def test_report_side_files_order_classes_numerically(tmp_path):
+    """Class ids are string keys in the report; 10 and 11 still come after 9
+    in metrics.csv and norms.svg, not between 1 and 2."""
+    split = ClassSplit(num_classes=12, base_ids=(0, 1, 3, 4, 5, 6, 8, 9),
+                       novel_ids=(2, 7, 10, 11))
+    records = make_records([np.array([[0.0, 0.0, 10.0, 10.0]] * 12)],
+                           labels=[np.arange(12)])
+    ds = Dataset(split=split, mode="test", k=None, seed=1, side=48,
+                 images=[np.zeros((48, 48))], records=records)
+    norms = {"per_class": {c: 1.0 + c for c in range(12)}, "groups": {}}
+    paths = emit_report(build_report([[]], ds, (0.5, 0.75), {}, norms), tmp_path)
+    cells = [ln.split(",") for ln in paths["csv"].read_text().splitlines()[1:]]
+    assert [c[0] for c in cells] == [str(c) for c in range(12) for _ in range(2)]
+    assert [c[2] for c in cells] == ["0.50", "0.75"] * 12
+    assert [c[1] for c in cells[::2]] == ["novel" if c in split.novel_ids else "base"
+                                          for c in range(12)]
+    root = ET.fromstring(paths["svg"].read_text())
+    labels = [el.text for el in root.iter() if el.tag.endswith("text")][:-1]
+    assert labels == [str(c) for c in range(12)]
+    bars = [el for el in root.iter() if el.tag.endswith("rect")][1:]
+    assert [b.get("fill") == "#d95f02" for b in bars] == [c in split.novel_ids
+                                                           for c in range(12)]
+    assert [float(b.get("height")) for b in bars] == sorted(float(b.get("height")) for b in bars)
