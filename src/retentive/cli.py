@@ -41,6 +41,7 @@ from .detector import (
     detect,
     detect_base,
     image_forward,
+    pool_proposals,
     strategy_proposals,
 )
 from .errors import (
@@ -204,8 +205,10 @@ def _evaluate_models(cfg: ExperimentConfig, seed: int, paths: RunPaths, up: dict
     ecfg = cfg.eval
 
     def infer(images, feats=None):
-        """Both detectors and every strategy's proposals from one forward per image
-        (the frozen arrays are shared, checked above); feats collects the maps."""
+        """Both detectors and every strategy's proposals from one frozen path per
+        image (the frozen arrays are shared, checked above): one forward, one
+        RPN evaluation and one roi_pool call over both detectors' proposals;
+        feats collects the maps."""
         ret, bas = [], []
         props = {s: [] for s in RPN_STRATEGIES}
         for img in images:
@@ -213,9 +216,12 @@ def _evaluate_models(cfg: ExperimentConfig, seed: int, paths: RunPaths, up: dict
             per = strategy_proposals(model, fwd, dcfg, RPN_STRATEGIES)
             for s in RPN_STRATEGIES:
                 props[s].append(per[s])
-            ret.append(detect(model, img, dcfg, forward=fwd,
-                              proposals=per.get(model.rpn_strategy)))
-            bas.append(detect_base(base, img, dcfg, forward=fwd, proposals=per["base-only"]))
+            mine, theirs = per[model.rpn_strategy], per["base-only"]
+            pooled_mine, pooled_theirs = pool_proposals(model, fwd, mine, theirs)
+            ret.append(detect(model, img, dcfg, forward=fwd, proposals=mine,
+                              pooled=pooled_mine))
+            bas.append(detect_base(base, img, dcfg, forward=fwd, proposals=theirs,
+                                   pooled=pooled_theirs))
             if feats is not None:
                 feats.append(fwd.feat)
         return ret, bas, props

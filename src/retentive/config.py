@@ -147,6 +147,18 @@ class EvalConfig:
     recall_ks: tuple[int, ...] = (10, 100)
     recall_iou: float = 0.5
 
+    def validate(self) -> None:
+        for k in self.recall_ks:
+            if isinstance(k, bool) or not isinstance(k, int) or k < 0:
+                raise ConfigError(f"eval.recall_ks must hold integers >= 0, got {k!r}")
+        for t in (self.recall_iou, *self.iou_thresholds):
+            if isinstance(t, bool) or not isinstance(t, (int, float)) or not 0.0 < t <= 1.0:
+                raise ConfigError(f"eval IoU thresholds must lie in (0, 1], got {t!r}")
+        labels = [f"{t:.2f}" for t in self.iou_thresholds]  # report.json keys
+        if len(set(labels)) != len(labels):
+            raise ConfigError(f"eval.iou_thresholds must differ at two decimals, got "
+                              f"{list(self.iou_thresholds)}")
+
 
 @dataclass
 class ExperimentConfig:
@@ -163,6 +175,7 @@ class ExperimentConfig:
         self.pretrain.validate()
         self.finetune.validate()
         self.detect.validate()
+        self.eval.validate()
         d = self.dataset
         if not 0 < d.num_novel < d.num_classes:
             raise ConfigError("need 0 < num_novel < num_classes")

@@ -261,28 +261,38 @@ def bias_balanced_objectness(o_b: np.ndarray, o_n: np.ndarray, strategy: str) ->
 
 @dataclass
 class Proposals:
-    boxes: np.ndarray   # (P, 4)
-    scores: np.ndarray  # (P,) objectness that survived
+    boxes: np.ndarray       # (P, 4)
+    scores: np.ndarray      # (P,) objectness that survived
+    anchor_ids: np.ndarray  # (P,) the anchor each box was decoded from
 
     def __len__(self) -> int:
         return self.boxes.shape[0]
 
 
-def propose(objectness: np.ndarray, deltas: np.ndarray, anchors: np.ndarray,
-            dcfg: DetectConfig, side: float) -> Proposals:
-    """Top-k by objectness, decode, clip, greedy NMS stopped at post_nms_k kept."""
+def top_anchors(objectness: np.ndarray, k: int) -> np.ndarray:
+    """The k anchors of highest objectness, best first, ties to the lower index."""
+    return np.lexsort((np.arange(len(objectness)), -objectness))[:k]
+
+
+def propose(objectness: np.ndarray, ranked: np.ndarray, boxes: np.ndarray,
+            dcfg: DetectConfig) -> Proposals:
+    """Greedy NMS over ranked anchors, stopped at post_nms_k kept.
+
+    ranked holds anchor ids best first (top_anchors), boxes their decoded,
+    clipped boxes row for row, and objectness the score of every anchor.
+    Boxes without positive width and height are dropped first.
+    """
     objectness = np.asarray(objectness, dtype=np.float64).reshape(-1)
-    if len(objectness) != len(anchors) or deltas.shape != (len(anchors), 4):
-        raise ParameterError("objectness/deltas not aligned with the anchor grid")
-    order = np.lexsort((np.arange(len(objectness)), -objectness))[:dcfg.pre_nms_k]
-    boxes = decode_boxes(deltas[order], anchors[order], side=side)
-    scores = objectness[order]
+    if boxes.shape != (len(ranked), 4):
+        raise ParameterError(f"boxes {boxes.shape} do not hold one row per ranked anchor")
     w = boxes[:, 2] - boxes[:, 0]
     h = boxes[:, 3] - boxes[:, 1]
     ok = (w > 1e-6) & (h > 1e-6)
-    boxes, scores = boxes[ok], scores[ok]
+    ids, boxes = ranked[ok], boxes[ok]
+    scores = objectness[ids]
     kept = nms(boxes, scores, dcfg.proposal_nms_iou, max_keep=dcfg.post_nms_k)
-    return Proposals(boxes=np.ascontiguousarray(boxes[kept]), scores=np.ascontiguousarray(scores[kept]))
+    return Proposals(boxes=np.ascontiguousarray(boxes[kept]),
+                     scores=np.ascontiguousarray(scores[kept]), anchor_ids=ids[kept])
 
 
 def strategy_proposals(model: Model, forward: ImageForward, dcfg: DetectConfig,
@@ -293,15 +303,26 @@ def strategy_proposals(model: Model, forward: ImageForward, dcfg: DetectConfig,
     deltas always, the finetuned objectness only if some strategy combines
     it. "base-only" reads the base objectness head alone, so it also serves
     models without a finetuned head: pretraining and the base detector.
+    Each anchor in some strategy's top pre_nms_k is decoded once.
     """
     o_b = sigmoid(rpn_objectness_logits(model, forward.cells, "base"))
     if any(s != "base-only" for s in strategies):
         o_n = sigmoid(rpn_objectness_logits(model, forward.cells, "novel"))
     deltas = rpn_box_deltas(model, forward.cells)
     anchors = image_anchors(forward.side, model.mcfg.feat_stride, model.mcfg.anchor_scales)
-    return {s: propose(o_b if s == "base-only" else bias_balanced_objectness(o_b, o_n, s),
-                       deltas, anchors, dcfg, float(forward.side))
-            for s in strategies}
+    if len(o_b) != len(anchors):
+        raise ParameterError("RPN outputs not aligned with the anchor grid")
+    objectness = {s: o_b if s == "base-only" else bias_balanced_objectness(o_b, o_n, s)
+                  for s in strategies}
+    ranked = {s: top_anchors(o, dcfg.pre_nms_k) for s, o in objectness.items()}
+    # one decode of every anchor some strategy ranks; decode_boxes works row by
+    # row, so each strategy reads the bits decoding its own rows would give
+    wanted = np.zeros(len(anchors), dtype=bool)
+    wanted[np.concatenate(list(ranked.values()))] = True
+    ids = np.flatnonzero(wanted)
+    decoded = decode_boxes(deltas[ids], anchors[ids], side=float(forward.side))
+    return {s: propose(objectness[s], r, decoded[np.searchsorted(ids, r)], dcfg)
+            for s, r in ranked.items()}
 
 
 def forward_proposals(model: Model, forward: ImageForward, dcfg: DetectConfig,
@@ -310,12 +331,43 @@ def forward_proposals(model: Model, forward: ImageForward, dcfg: DetectConfig,
     return strategy_proposals(model, forward, dcfg, (strategy,))[strategy]
 
 
+def pool_rois(model: Model, feat: np.ndarray, boxes: np.ndarray) -> np.ndarray:
+    """The roi_pool rows of boxes on a featurizer map, (P, C * bins * bins).
+
+    Each row depends on its own box only, so one call may pool the boxes of
+    several detectors and each takes its rows.
+    """
+    mcfg = model.mcfg
+    return roi_pool(feat, boxes, bins=mcfg.roi_pool_bins, stride=float(mcfg.feat_stride))
+
+
+def pool_proposals(model: Model, forward: ImageForward,
+                   *proposals: Proposals) -> list[np.ndarray]:
+    """Each proposal set's roi_pool rows, in its own order, from one pool_rois
+    call over the anchors any of the sets holds.
+
+    Proposals of one image with the same anchor id hold the same decoded box,
+    so each distinct anchor is pooled once.
+    """
+    _, first, row = np.unique(np.concatenate([p.anchor_ids for p in proposals]),
+                              return_index=True, return_inverse=True)
+    boxes = np.concatenate([p.boxes for p in proposals])[first]
+    pooled = pool_rois(model, forward.feat, boxes)[row]
+    return np.split(pooled, np.cumsum([len(p) for p in proposals])[:-1])
+
+
+def project_rois(model: Model, pooled: np.ndarray) -> np.ndarray:
+    """Projected, rectified ROI feature rows (P, head_dim) of pooled rows.
+
+    A GEMM row's bits may depend on the row count, so project exactly the
+    rows a head scores, never a superset.
+    """
+    return np.maximum(pooled @ model.params["boxhead_proj/W"].T, 0.0)
+
+
 def roi_features(model: Model, feat: np.ndarray, boxes: np.ndarray) -> np.ndarray:
     """Pooled, projected, rectified per-ROI feature rows (P, head_dim)."""
-    mcfg = model.mcfg
-    proj = model.params["boxhead_proj/W"]
-    pooled = roi_pool(feat, boxes, bins=mcfg.roi_pool_bins, stride=float(mcfg.feat_stride))
-    return np.maximum(pooled @ proj.T, 0.0)
+    return project_rois(model, pool_rois(model, feat, boxes))
 
 
 def box_head_scores(model: Model, rois: np.ndarray, head: str) -> tuple[np.ndarray, np.ndarray]:
@@ -417,55 +469,67 @@ def _merge_candidates(boxes: np.ndarray, classes: np.ndarray, raw: np.ndarray,
     ]
 
 
-def _detect_heads(model: Model, forward: ImageForward, props: Proposals,
-                  dcfg: DetectConfig, heads: tuple[str, ...]) -> list[Detection]:
-    """Score the proposals with the given box heads and merge their candidates."""
-    rois = roi_features(model, forward.feat, props.boxes)
+def _detect_heads(model: Model, image: np.ndarray, dcfg: DetectConfig,
+                  heads: tuple[str, ...], strategy: str, forward: ImageForward | None,
+                  proposals: Proposals | None, pooled: np.ndarray | None) -> list[Detection]:
+    """Score the image's proposals under strategy with the given box heads and
+    merge their candidates.
+
+    What the caller already holds of the image's frozen path is used instead
+    of recomputed: its forward, its proposals, and their roi_pool rows (one
+    per proposal, in order), which need the proposals they pool.
+    """
+    if pooled is not None and (proposals is None or len(pooled) != len(proposals)):
+        raise ParameterError("pooled rows need the proposals they pool, one row each")
+    forward = image_forward(model, image) if forward is None else forward
+    if proposals is None:
+        proposals = forward_proposals(model, forward, dcfg, strategy)
+    if pooled is None:
+        rois = roi_features(model, forward.feat, proposals.boxes)
+    else:
+        rois = project_rois(model, pooled)
     if len(rois) == 0:
         return []
     outputs = []
     for head in heads:
         probs, reg, ids = head_probs(model, rois, head)
-        boxes = decode_boxes(reg, props.boxes, side=float(forward.side))
+        boxes = decode_boxes(reg, proposals.boxes, side=float(forward.side))
         outputs.append((head == "base", probs, boxes, ids))
     return _merge_candidates(*_assemble_candidates(outputs, dcfg.score_thresh), dcfg)
 
 
 def detect_base(model: Model, image: np.ndarray, dcfg: DetectConfig,
-                forward: ImageForward | None = None,
-                proposals: Proposals | None = None) -> list[Detection]:
+                forward: ImageForward | None = None, proposals: Proposals | None = None,
+                pooled: np.ndarray | None = None) -> list[Detection]:
     """Base-detector inference: base RPN head, base box head, base classes.
 
     Scores come from the padded-logit softmax so they are comparable with
-    ensemble inference. A caller that already holds the image's forward, or
-    its "base-only" proposals, passes them in instead of recomputing them.
+    ensemble inference. A caller that already holds the image's forward, its
+    "base-only" proposals, or their roi_pool rows, passes them in instead of
+    recomputing them.
     """
     if model.stage == STAGE_INIT:
         raise StateError("cannot run inference on an untrained model")
-    forward = image_forward(model, image) if forward is None else forward
-    if proposals is None:
-        proposals = forward_proposals(model, forward, dcfg, "base-only")
-    return _detect_heads(model, forward, proposals, dcfg, ("base",))
+    return _detect_heads(model, image, dcfg, ("base",), "base-only", forward, proposals, pooled)
 
 
 def detect(model: Model, image: np.ndarray, dcfg: DetectConfig,
-           forward: ImageForward | None = None,
-           proposals: Proposals | None = None) -> list[Detection]:
+           forward: ImageForward | None = None, proposals: Proposals | None = None,
+           pooled: np.ndarray | None = None) -> list[Detection]:
     """Full ensemble inference.
 
     Proposals come from the objectness maps combined elementwise under the
     model's own strategy. Both box heads score every proposal, and the
     finetuned head's base-class predictions stay in the candidate pool.
     Base-head candidates get a rank-only bonus so NMS prefers them on ties.
-    A caller that already holds the image's forward, or its proposals under
-    any strategy, passes them in instead of recomputing them.
+    A caller that already holds the image's forward, its proposals under any
+    strategy, or their roi_pool rows, passes them in instead of recomputing
+    them.
     """
     if model.stage != STAGE_RETENTIVE:
         raise StateError(f"ensemble inference needs a finetuned model, got stage {model.stage!r}")
-    forward = image_forward(model, image) if forward is None else forward
-    if proposals is None:
-        proposals = forward_proposals(model, forward, dcfg, model.rpn_strategy)
-    return _detect_heads(model, forward, proposals, dcfg, ("base", "novel"))
+    return _detect_heads(model, image, dcfg, ("base", "novel"), model.rpn_strategy,
+                         forward, proposals, pooled)
 
 
 def ensembled_proposals(model: Model, image: np.ndarray, dcfg: DetectConfig,

@@ -96,14 +96,15 @@ def conv3x3(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
         raise ParameterError(f"weight shape {weights.shape} does not match input channels {cin}")
     padded = np.zeros((cin, h + 2, w + 2))
     padded[:, 1:-1, 1:-1] = x
-    cols = np.empty((h * w, cin * 9))
-    k = 0
-    for dy in range(3):
-        for dx in range(3):
-            cols[:, k * cin:(k + 1) * cin] = padded[:, dy:dy + h, dx:dx + w].reshape(cin, -1).T
-            k += 1
+    # im2col as one contiguous (Cin, H, W) slab per tap k = 3*dy + dx; the GEMM
+    # reads its transposed (H*W, 9*Cin) view, whose column k*Cin + c is tap k
+    # of channel c
+    cols = np.empty((9, cin, h, w))
+    for k in range(9):
+        dy, dx = divmod(k, 3)
+        cols[k] = padded[:, dy:dy + h, dx:dx + w]
     wmat = weights.transpose(2, 3, 1, 0).reshape(cin * 9, cout)
-    out = cols @ wmat
+    out = cols.reshape(cin * 9, h * w).T @ wmat
     return np.ascontiguousarray(out.T.reshape(cout, h, w))
 
 
@@ -303,11 +304,14 @@ def decode_boxes(deltas: np.ndarray, anchors: np.ndarray, side: float | None = N
         raise ParameterError("anchors must have positive width and height")
     acx = anchors[:, 0] + 0.5 * aw
     acy = anchors[:, 1] + 0.5 * ah
-    cx = deltas[:, 0] * aw + acx
-    cy = deltas[:, 1] * ah + acy
-    w = np.exp(deltas[:, 2]) * aw
-    h = np.exp(deltas[:, 3]) * ah
-    boxes = np.stack([cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h], axis=1)
+    # huge deltas overflow to inf or NaN quietly: clipping bounds inf rows, and
+    # propose drops rows without a positive size
+    with np.errstate(over="ignore", invalid="ignore"):
+        cx = deltas[:, 0] * aw + acx
+        cy = deltas[:, 1] * ah + acy
+        w = np.exp(deltas[:, 2]) * aw
+        h = np.exp(deltas[:, 3]) * ah
+        boxes = np.stack([cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h], axis=1)
     if side is not None:
         boxes = clip_boxes(boxes, side)
     return boxes

@@ -87,6 +87,31 @@ def matrix_nms_oracle(boxes, scores, iou_thresh, groups=None) -> list[int]:
     return kept
 
 
+def conv3x3_oracle(x, weights):
+    """Same-padding 3x3 convolution as one GEMM over an im2col matrix filled
+    one entry at a time: row y * W + x, column (3 * dy + dx) * Cin + c holds
+    input channel c at (y + dy - 1, x + dx - 1), zero outside the image.
+
+    The GEMM is numpy's on a C-contiguous matrix, so its bits match the
+    package's only if the package multiplies the same columns in the same
+    order, whatever memory layout it fills them in.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    cin, h, w = x.shape
+    cout = weights.shape[0]
+    cols = np.zeros((h * w, 9 * cin))
+    wmat = np.empty((9 * cin, cout))
+    for dy in range(3):
+        for dx in range(3):
+            for c in range(cin):
+                col = (3 * dy + dx) * cin + c
+                wmat[col] = weights[:, c, dy, dx]
+                for yy in range(max(1 - dy, 0), min(h + 1 - dy, h)):
+                    for xx in range(max(1 - dx, 0), min(w + 1 - dx, w)):
+                        cols[yy * w + xx, col] = x[c, yy + dy - 1, xx + dx - 1]
+    return np.ascontiguousarray((cols @ wmat).T.reshape(cout, h, w))
+
+
 def roi_pool_oracle(feat, box, bins, stride):
     """Adaptive average pooling of one box, one ``ndarray.mean`` per bin.
 

@@ -31,6 +31,7 @@ from retentive.detector import (
     roi_features,
     rpn_box_deltas,
     rpn_objectness_logits,
+    top_anchors,
 )
 from retentive.evaluation import average_precision
 from retentive.losses import consistency_loss
@@ -390,7 +391,9 @@ def test_criterion_10_inference_contract(bench):
         obj = sigmoid(rpn_objectness_logits(base, fwd.cells, "base"))
         deltas = rpn_box_deltas(base, fwd.cells)
         anchors = image_anchors(img.shape[0], base.mcfg.feat_stride, base.mcfg.anchor_scales)
-        props = propose(obj, deltas, anchors, dcfg, side)
+        ranked = top_anchors(obj, dcfg.pre_nms_k)
+        props = propose(obj, ranked, decode_boxes(deltas[ranked], anchors[ranked], side=side),
+                        dcfg)
         logits, reg = box_head_scores(base, roi_features(base, fwd.feat, props.boxes), "base")
         probs = softmax(pad_base_logits(logits, base.num_novel))
         boxes = decode_boxes(reg, props.boxes, side=side)

@@ -3,6 +3,7 @@
 import json
 import os
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from retentive.cli import (
     run_ablation,
     run_experiment,
 )
-from retentive.config import RPN_STRATEGIES, canonical_json, load_config
+from retentive.config import RPN_STRATEGIES, EvalConfig, canonical_json, load_config
 from retentive.errors import ConfigError, CorruptCheckpointError, StalenessError
 from retentive.synthgen import load_dataset
 from retentive.trainer import load_checkpoint, save_checkpoint
@@ -266,11 +267,15 @@ def test_numeric_error_exits_3_with_one_line(tmp_path, capsys):
     finetune's consistency term stops on it with a NumericError."""
     cfg = tmp_path / "hot.yaml"
     cfg.write_text(HOT_PRETRAIN_YAML, encoding="utf-8")
-    assert main(["finetune", "--config", str(cfg), "--seed", "3",
-                 "--out", str(tmp_path / "o")]) == 3
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert err.splitlines()[-1] == "numeric error: a probability row has no base-class mass"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["finetune", "--config", str(cfg), "--seed", "3",
+                     "--out", str(tmp_path / "o")])
+    assert code == 3
+    # numpy's warnings (box decoding overflows under such weights) would
+    # print before the message outside pytest
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == "numeric error: a probability row has no base-class mass\n"
 
 
 def test_multirun_numeric_error_is_a_failed_seed(tmp_path, monkeypatch, capsys):
@@ -278,7 +283,11 @@ def test_multirun_numeric_error_is_a_failed_seed(tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "hot.yaml"
     cfg.write_text(HOT_PRETRAIN_YAML, encoding="utf-8")
     out = tmp_path / "mr"
-    assert main(["multirun", "--config", str(cfg), "--seeds", "0,1", "--out", str(out)]) == 3
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["multirun", "--config", str(cfg), "--seeds", "0,1", "--out", str(out)])
+    assert code == 3
+    assert [str(w.message) for w in caught] == []
     assert "Traceback" not in capsys.readouterr().err
     data = json.loads((out / "aggregate.json").read_text(encoding="utf-8"))
     assert data["incomplete"] is True
@@ -415,7 +424,9 @@ _BAD_CONFIGS = {  # test id -> YAML snippet
         ("dataset", "max_glyph: 5"), ("dataset", "min_glyph: 4"),
         ("dataset", "min_instances: 6"), ("dataset", "base_train_images: -2"),
         ("dataset", "test_images: 0"), ("dataset", "uar_eval_images: 0"),
-        ("model", "anchor_scales: []"), ("model", "anchor_scales: [8, 0]"))},
+        ("model", "anchor_scales: []"), ("model", "anchor_scales: [8, 0]"),
+        ("eval", "recall_ks: [10, -1]"), ("eval", "iou_thresholds: [0.5, 0.501]"),
+        ("eval", "iou_thresholds: [0.0, 0.5]"), ("eval", "recall_iou: 1.5"))},
 }
 
 
@@ -428,6 +439,16 @@ def test_bad_detect_config_exits_2(tmp_path, snippet):
     code = main(["eval", "--config", str(bad), "--seed", "1",
                  "--out", str(tmp_path / "o")])
     assert code == 2
+    assert not list(tmp_path.glob("o/**/*.stamp.json"))
+
+
+def test_eval_config_validation(tmp_path):
+    with pytest.raises(ConfigError, match="recall_ks"):
+        EvalConfig(recall_ks=(10, True)).validate()  # YAML never yields a bool here
+    path = tmp_path / "edge.yaml"
+    path.write_text("eval:\n  recall_ks: [0, 1]\n  recall_iou: 1\n"
+                    "  iou_thresholds: [0.01, 0.5, 0.51, 1.0]\n", encoding="utf-8")
+    assert load_config(path).eval.iou_thresholds == (0.01, 0.5, 0.51, 1.0)
 
 
 def test_detect_config_accepts_boundary_values(tmp_path):
@@ -664,7 +685,7 @@ def test_eval_runs_one_image_forward_per_image(tiny_cfg, finished_run, tmp_path,
     out = tmp_path / "copy"
     shutil.copytree(finished_run, out)
     paths = RunPaths(out, 3)
-    calls = {"fixed_featurizer": 0, "propose": 0}
+    calls = {"fixed_featurizer": 0, "propose": 0, "roi_pool": 0}
 
     def counted(name):
         real = getattr(D, name)
@@ -678,7 +699,11 @@ def test_eval_runs_one_image_forward_per_image(tiny_cfg, finished_run, tmp_path,
         monkeypatch.setattr(D, name, counted(name))
     _evaluate_models(tiny_cfg, 3, paths, _upstream(paths))
     images = sum(len(load_dataset(paths.dataset_dir(n)).images) for n in ("test", "uar-eval"))
-    assert calls == {"fixed_featurizer": images, "propose": len(RPN_STRATEGIES) * images}
+    # one pooling per image serves both detectors; the feature norms pool
+    # every annotated test image's boxes once more
+    annotated = sum(len(r.gt.labels) > 0 for r in load_dataset(paths.dataset_dir("test")).records)
+    assert calls == {"fixed_featurizer": images, "propose": len(RPN_STRATEGIES) * images,
+                     "roi_pool": images + annotated}
     report = "eval/report.json"
     assert (out / "seed-3" / report).read_bytes() == (finished_run / "seed-3" / report).read_bytes()
 

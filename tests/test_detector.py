@@ -207,12 +207,27 @@ def test_image_anchors_are_one_read_only_array():
         a[0, 0] = 1.0
 
 
+def decoded_proposals(obj, deltas, anchors, dcfg, side):
+    """propose() over the top pre_nms_k anchors, each decoded from its own deltas."""
+    ranked = D.top_anchors(obj, dcfg.pre_nms_k)
+    return D.propose(obj, ranked, T.decode_boxes(deltas[ranked], anchors[ranked], side=side),
+                     dcfg)
+
+
+def test_propose_rejects_boxes_not_aligned_with_the_ranking():
+    obj = np.linspace(0.0, 1.0, 16)
+    ranked = D.top_anchors(obj, 8)
+    boxes = T.generate_anchors(4, 4, stride=4.0, scales=(8.0,))[ranked]
+    with pytest.raises(ParameterError):
+        D.propose(obj, ranked, boxes[:-1], DetectConfig())
+
+
 def test_propose_tie_break_by_index():
     anchors = T.generate_anchors(4, 4, stride=4.0, scales=(8.0,))
     obj = np.full(16, 0.5)
     deltas = np.zeros((16, 4))
     dcfg = DetectConfig(pre_nms_k=16, post_nms_k=16, proposal_nms_iou=0.7)
-    props = D.propose(obj, deltas, anchors, dcfg, side=16.0)
+    props = decoded_proposals(obj, deltas, anchors, dcfg, side=16.0)
     # anchors overlap heavily; survivors must be the earliest-index representatives
     first = props.boxes[0]
     want = T.clip_boxes(anchors[:1], 16.0)[0]
@@ -225,7 +240,7 @@ def test_propose_post_nms_k_one():
     obj = rng.random(16)
     deltas = rng.normal(0.0, 0.05, size=(16, 4))
     dcfg = DetectConfig(pre_nms_k=16, post_nms_k=1)
-    props = D.propose(obj, deltas, anchors, dcfg, side=16.0)
+    props = decoded_proposals(obj, deltas, anchors, dcfg, side=16.0)
     assert len(props) == 1
     assert props.scores[0] == obj.max()
 
@@ -236,7 +251,7 @@ def test_propose_matches_composed_oracle():
     obj = np.round(rng.random(768), 2)  # ties exercised
     deltas = rng.normal(0.0, 0.1, size=(768, 4))
     dcfg = DetectConfig(pre_nms_k=100, post_nms_k=20, proposal_nms_iou=0.7)
-    props = D.propose(obj, deltas, anchors, dcfg, side=64.0)
+    props = decoded_proposals(obj, deltas, anchors, dcfg, side=64.0)
 
     idx = sorted(range(768), key=lambda i: (-obj[i], i))[:100]
     boxes, scores = [], []
@@ -274,11 +289,11 @@ def test_propose_early_stop_matches_full_nms_then_cut(monkeypatch):
     obj = np.round(rng.random(768), 2)
     deltas = rng.normal(0.0, 0.2, size=(768, 4))
     dcfg = DetectConfig(pre_nms_k=256, post_nms_k=12, proposal_nms_iou=0.5)
-    got = D.propose(obj, deltas, anchors, dcfg, side=64.0)
+    got = decoded_proposals(obj, deltas, anchors, dcfg, side=64.0)
 
     kept_counts = []
     monkeypatch.setattr(D, "nms", _full_oracle_nms(kept_counts))
-    full = D.propose(obj, deltas, anchors, dcfg, side=64.0)
+    full = decoded_proposals(obj, deltas, anchors, dcfg, side=64.0)
     assert kept_counts[0] > dcfg.post_nms_k
     assert len(got) == dcfg.post_nms_k
     assert got.boxes.tobytes() == full.boxes[:dcfg.post_nms_k].tobytes()
@@ -507,7 +522,8 @@ def det_bits(dets):
 
 
 def prop_bits(props):
-    return props.boxes.view(np.uint64).tolist(), props.scores.view(np.uint64).tolist()
+    return (props.boxes.view(np.uint64).tolist(), props.scores.view(np.uint64).tolist(),
+            props.anchor_ids.tolist())
 
 
 @pytest.mark.parametrize("strategy", RPN_STRATEGIES)
@@ -534,6 +550,61 @@ def test_shared_forward_matches_per_image_path(tiny_finetuned, strategy):
         assert det_bits(got_base) == det_bits(D.detect_base(base, img, dcfg))
         n_dets += len(got) + len(got_base)
     assert n_dets > 0
+
+
+@pytest.mark.parametrize("strategy", RPN_STRATEGIES)
+def test_proposal_anchor_ids_name_the_decoded_anchor(tiny_finetuned, strategy):
+    _, model, images, dcfg = tiny_finetuned
+    for img in images:
+        fwd = D.image_forward(model, img)
+        deltas = D.rpn_box_deltas(model, fwd.cells)
+        anchors = D.image_anchors(fwd.side, model.mcfg.feat_stride, model.mcfg.anchor_scales)
+        for props in (D.forward_proposals(model, fwd, dcfg, strategy),
+                      D.strategy_proposals(model, fwd, dcfg, RPN_STRATEGIES)[strategy]):
+            ids = props.anchor_ids
+            assert len(ids) == len(props) > 0 and len(set(ids.tolist())) == len(ids)
+            want = T.decode_boxes(deltas[ids], anchors[ids], side=float(fwd.side))
+            assert props.boxes.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("strategy", RPN_STRATEGIES)
+def test_detectors_on_shared_pooled_rows_match_their_own_pooling(tiny_finetuned, strategy):
+    base, model, images, dcfg = tiny_finetuned
+    model = dataclasses.replace(model, rpn_strategy=strategy)
+    n_dets = 0
+    for img in images:
+        fwd = D.image_forward(model, img)
+        per = D.strategy_proposals(model, fwd, dcfg, RPN_STRATEGIES)
+        mine, theirs = per[strategy], per["base-only"]
+        pooled_mine, pooled_theirs = D.pool_proposals(model, fwd, mine, theirs)
+        assert pooled_mine.tobytes() == D.pool_rois(model, fwd.feat, mine.boxes).tobytes()
+        assert pooled_theirs.tobytes() == D.pool_rois(model, fwd.feat, theirs.boxes).tobytes()
+        got = D.detect(model, img, dcfg, forward=fwd, proposals=mine, pooled=pooled_mine)
+        assert det_bits(got) == det_bits(D.detect(model, img, dcfg))
+        got_base = D.detect_base(base, img, dcfg, forward=fwd, proposals=theirs,
+                                 pooled=pooled_theirs)
+        assert det_bits(got_base) == det_bits(D.detect_base(base, img, dcfg))
+        n_dets += len(got) + len(got_base)
+    assert n_dets > 0
+
+
+def test_pooled_rows_need_the_proposals_they_pool(tiny_finetuned):
+    base, model, images, dcfg = tiny_finetuned
+    fwd = D.image_forward(model, images[0])
+    props = D.forward_proposals(model, fwd, dcfg, "base-only")
+    (pooled,) = D.pool_proposals(model, fwd, props)
+    assert len(pooled) == len(props) > 0
+    with pytest.raises(ParameterError):
+        D.detect(model, images[0], dcfg, forward=fwd, pooled=pooled)
+    with pytest.raises(ParameterError):
+        D.detect_base(base, images[0], dcfg, forward=fwd, proposals=props, pooled=pooled[:-1])
+
+
+def test_strategy_proposals_reject_a_forward_off_the_anchor_grid(tiny_finetuned):
+    _, model, images, dcfg = tiny_finetuned
+    other = dataclasses.replace(model, mcfg=dataclasses.replace(model.mcfg, feat_stride=8))
+    with pytest.raises(ParameterError):
+        D.strategy_proposals(other, D.image_forward(model, images[0]), dcfg, ("base-only",))
 
 
 def test_strategies_differ_on_the_fixture(tiny_finetuned):

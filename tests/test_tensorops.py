@@ -14,6 +14,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    conv3x3_oracle,
     decode_box_scalar,
     encode_box_scalar,
     grouped_nms_oracle,
@@ -513,6 +514,24 @@ def test_decode_clips_to_bounds():
     deltas = np.array([[0.0, 0.0, 2.0, 2.0]])  # blows the box up well past the image
     box = T.decode_boxes(deltas, anchor, side=64.0)
     assert np.all(box >= 0.0) and np.all(box <= 64.0)
+
+
+# ---------------------------------------------------------------------------
+# conv3x3
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("cin,cout,side", [(1, 8, 64), (8, 32, 32), (32, 32, 16)])
+def test_conv3x3_bitwise_matches_loop_oracle(cin, cout, side):
+    """The featurizer's two convs and the RPN mixer, at the default sizes."""
+    gen = np.random.default_rng(cin)
+    x = gen.normal(size=(cin, side, side))
+    w = gen.normal(size=(cout, cin, 3, 3))
+    got = T.conv3x3(x, w)
+    assert got.tobytes() == conv3x3_oracle(x, w).tobytes()
+    padded = np.pad(x, ((0, 0), (1, 1), (1, 1)))
+    direct = sum(np.einsum("oc,chw->ohw", w[:, :, dy, dx], padded[:, dy:dy + side, dx:dx + side])
+                 for dy in range(3) for dx in range(3))
+    np.testing.assert_allclose(got, direct, rtol=1e-10, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
