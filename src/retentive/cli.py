@@ -204,33 +204,35 @@ def _evaluate_models(cfg: ExperimentConfig, seed: int, paths: RunPaths, up: dict
     dcfg = cfg.detect
     ecfg = cfg.eval
 
-    def infer(images, feats=None):
+    def infer(ds, gt_rows=None):
         """Both detectors and every strategy's proposals from one frozen path per
         image (the frozen arrays are shared, checked above): one forward, one
         RPN evaluation and one roi_pool call over both detectors' proposals;
-        feats collects the maps."""
+        gt_rows, when given, collects the rows of each image's ground-truth
+        boxes from that same call."""
         ret, bas = [], []
         props = {s: [] for s in RPN_STRATEGIES}
-        for img in images:
+        for img, rec in zip(ds.images, ds.records):
             fwd = image_forward(model, img)
             per = strategy_proposals(model, fwd, dcfg, RPN_STRATEGIES)
             for s in RPN_STRATEGIES:
                 props[s].append(per[s])
             mine, theirs = per[model.rpn_strategy], per["base-only"]
-            pooled_mine, pooled_theirs = pool_proposals(model, fwd, mine, theirs)
+            pooled = pool_proposals(model, fwd, mine, theirs,
+                                    boxes=None if gt_rows is None else rec.gt.boxes)
             ret.append(detect(model, img, dcfg, forward=fwd, proposals=mine,
-                              pooled=pooled_mine))
+                              pooled=pooled[0]))
             bas.append(detect_base(base, img, dcfg, forward=fwd, proposals=theirs,
-                                   pooled=pooled_theirs))
-            if feats is not None:
-                feats.append(fwd.feat)
+                                   pooled=pooled[1]))
+            if gt_rows is not None:
+                gt_rows.append(pooled[2])
         return ret, bas, props
 
-    test_feats: list[np.ndarray] = []
-    ret_dets_test, base_dets_test, props_test = infer(test_ds.images, test_feats)
-    norms = roi_feature_norms(base, test_ds, test_feats)
-    del test_feats
-    ret_dets_uar, base_dets_uar, props_uar = infer(uar_ds.images)
+    test_gt_rows: list[np.ndarray] = []
+    ret_dets_test, base_dets_test, props_test = infer(test_ds, test_gt_rows)
+    norms = roi_feature_norms(base, test_ds, test_gt_rows)
+    del test_gt_rows
+    ret_dets_uar, base_dets_uar, props_uar = infer(uar_ds)
 
     # recall key template, candidates, their dataset, instance filter
     recall_rows = [

@@ -21,6 +21,7 @@ CONSISTENCY_VARIANTS = ("kldiv", "l1", "cos", "off")
 CLASSIFIER_KINDS = ("cos", "fc")
 HEAD_DOMAINS = ("all", "novel-only")
 MIN_GLYPH = 6  # the smallest glyph raster synthgen draws
+FEATURIZER_STRIDE = 4  # the fixed featurizer's downsampling: it pools twice by 2
 
 
 @dataclass
@@ -56,6 +57,18 @@ class ModelConfig:
     anchor_scales: tuple[float, ...] = (8.0, 16.0, 32.0)
     cosine_scale: float = 20.0
     init_sigma: float = 0.01
+
+    def validate(self) -> None:
+        for name in ("feat_channels", "mixer_channels", "roi_pool_bins", "head_dim"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+                raise ConfigError(f"model.{name} must be an integer >= 1, got {v!r}")
+        if self.feat_stride != FEATURIZER_STRIDE:
+            raise ConfigError(f"model.feat_stride must be {FEATURIZER_STRIDE}, the fixed "
+                              f"featurizer's downsampling, got {self.feat_stride!r}")
+        if not self.anchor_scales or min(self.anchor_scales) <= 0:
+            raise ConfigError(f"model.anchor_scales must be positive sizes, "
+                              f"got {list(self.anchor_scales)}")
 
 
 @dataclass
@@ -172,6 +185,7 @@ class ExperimentConfig:
     eval: EvalConfig = field(default_factory=EvalConfig)
 
     def validate(self) -> None:
+        self.model.validate()
         self.pretrain.validate()
         self.finetune.validate()
         self.detect.validate()
@@ -190,9 +204,6 @@ class ExperimentConfig:
         if d.min_instances > d.max_instances:
             raise ConfigError(f"dataset.min_instances {d.min_instances} exceeds "
                               f"max_instances {d.max_instances}")
-        if not self.model.anchor_scales or min(self.model.anchor_scales) <= 0:
-            raise ConfigError(f"model.anchor_scales must be positive sizes, "
-                              f"got {list(self.model.anchor_scales)}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

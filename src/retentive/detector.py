@@ -341,19 +341,23 @@ def pool_rois(model: Model, feat: np.ndarray, boxes: np.ndarray) -> np.ndarray:
     return roi_pool(feat, boxes, bins=mcfg.roi_pool_bins, stride=float(mcfg.feat_stride))
 
 
-def pool_proposals(model: Model, forward: ImageForward,
-                   *proposals: Proposals) -> list[np.ndarray]:
+def pool_proposals(model: Model, forward: ImageForward, *proposals: Proposals,
+                   boxes: np.ndarray | None = None) -> list[np.ndarray]:
     """Each proposal set's roi_pool rows, in its own order, from one pool_rois
-    call over the anchors any of the sets holds.
+    call over the anchors any of the sets holds; given boxes, their rows in
+    order come from the same call as one more entry.
 
     Proposals of one image with the same anchor id hold the same decoded box,
     so each distinct anchor is pooled once.
     """
     _, first, row = np.unique(np.concatenate([p.anchor_ids for p in proposals]),
                               return_index=True, return_inverse=True)
-    boxes = np.concatenate([p.boxes for p in proposals])[first]
-    pooled = pool_rois(model, forward.feat, boxes)[row]
-    return np.split(pooled, np.cumsum([len(p) for p in proposals])[:-1])
+    distinct = np.concatenate([p.boxes for p in proposals])[first]
+    extra = np.empty((0, 4)) if boxes is None else boxes
+    pooled = pool_rois(model, forward.feat, np.concatenate([distinct, extra]))
+    rows = np.split(pooled[row], np.cumsum([len(p) for p in proposals])[:-1])
+    # a copy, so that a caller who keeps the boxes' rows does not keep all of pooled
+    return rows if boxes is None else [*rows, pooled[len(first):].copy()]
 
 
 def project_rois(model: Model, pooled: np.ndarray) -> np.ndarray:

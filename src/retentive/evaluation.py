@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import canonical_json
-from .detector import Model, roi_features
+from .detector import Model, project_rois
 from .errors import ParameterError
 from .synthgen import ClassSplit, Dataset, SceneRecord
 from .tensorops import iou_matrix
@@ -184,19 +184,20 @@ def average_recall(candidates, records, ks, iou_thresh: float,
     return {k: None if total == 0 else n / total for k, n in matched.items()}
 
 
-def roi_feature_norms(model: Model, dataset: Dataset, feats) -> dict:
+def roi_feature_norms(model: Model, dataset: Dataset, pooled) -> dict:
     """Mean feature magnitude the box head sees per class, with group means.
 
-    Every instance's own box is pooled and projected; classes the split
-    marks scarce form the unseen group regardless of per-instance flags.
-    feats holds the featurizer map of every dataset image.
+    Every instance's own box is projected from its pooled row; classes the
+    split marks scarce form the unseen group regardless of per-instance
+    flags. pooled holds, per dataset image, the roi_pool rows of its
+    ground-truth boxes in order.
     """
     sums: dict[int, float] = {}
     counts: dict[int, int] = {}
-    for feat, rec in zip(feats, dataset.records):
+    for rows, rec in zip(pooled, dataset.records):
         if len(rec.gt.labels) == 0:
             continue
-        rows = roi_features(model, feat, rec.gt.boxes)
+        rows = project_rois(model, rows)
         norms = np.sqrt((rows * rows).sum(axis=1))
         for lbl, nrm in zip(rec.gt.labels, norms):
             cid = int(lbl)

@@ -11,6 +11,7 @@ import functools
 
 import numpy as np
 
+from .config import FEATURIZER_STRIDE
 from .errors import NumericError, ParameterError
 
 EPS_COSINE = 1e-8
@@ -125,8 +126,8 @@ def fixed_featurizer(image: np.ndarray, feat_seed: int, channels: int = 32) -> n
     image = as_f64(image)
     if image.ndim != 2 or image.shape[0] != image.shape[1]:
         raise ParameterError(f"expected square 2-D image, got shape {image.shape}")
-    if image.shape[0] % 4 != 0:
-        raise ParameterError("image side must be divisible by 4")
+    if image.shape[0] % FEATURIZER_STRIDE != 0:
+        raise ParameterError(f"image side must be divisible by {FEATURIZER_STRIDE}")
     w1, w2 = _featurizer_banks(int(feat_seed), channels)
     x = conv3x3(image[None, :, :], w1)
     x = avgpool2(np.maximum(x, 0.0))
@@ -355,6 +356,38 @@ def _bin_edges(lo: np.ndarray, hi: np.ndarray, bins: int) -> tuple[np.ndarray, n
     return start, end - start
 
 
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """Sum of a (n, ...) array over its first axis in the order numpy's
+    add.reduce sums a contiguous row of n numbers. Each step is one
+    whole-array add in place in a; the sum is returned as the view a[0].
+
+    Under 8 terms: left to right. Up to 128: eight strided partial sums
+    r[j] = a[j] + a[j+8] + ..., combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
+    then the last n % 8 terms. Beyond: the sums of the two halves split at
+    n // 2 rounded down to a multiple of 8. Numpy's reduce starts from its
+    +0.0 identity, whose only effect is to turn a -0.0 sum into +0.0; adding
+    +0.0 at the end of every level has the same effect.
+    """
+    n = len(a)
+    if n > 128:
+        h = n // 2 - n // 2 % 8
+        s = _row_sum(a[:h])
+        s += _row_sum(a[h:])
+    else:
+        m = n - n % 8
+        if m:
+            for i in range(8, m, 8):
+                a[:8] += a[i:i + 8]
+            a[0:8:2] += a[1:8:2]
+            a[0:8:4] += a[2:8:4]
+            a[0] += a[4]
+        s = a[0]
+        for x in a[max(m, 1):]:
+            s += x
+    s += 0.0
+    return s
+
+
 def roi_pool(feat: np.ndarray, boxes, bins: int, stride: float) -> np.ndarray:
     """Adaptive average pooling of image-coordinate boxes over a feature map.
 
@@ -364,10 +397,13 @@ def roi_pool(feat: np.ndarray, boxes, bins: int, stride: float) -> np.ndarray:
     bin row, bin column; zero boxes give a (0, C * bins * bins) array.
 
     A bin's mean is bitwise that of ``feat[:, ys:ye, xs:xe].mean(axis=(1, 2))``:
-    numpy sums a window's cells pairwise in row-major order, so the windows are
-    grouped by cell count n, each group's cells are gathered into a C-contiguous
-    (C, K, n) array and averaged over the last axis. A summed-area table or a
-    zero-padded gather would change the low bits.
+    numpy sums a window's n cells in row-major order, pairwise (left to right
+    under 8 cells, eight strided partial sums up to 128, two halves beyond),
+    then divides by n. So the windows are grouped by n, each group's cells are
+    gathered channels-last as one (n, K, C) array, and ``_row_sum`` adds them
+    in that order with whole (K, C) adds, not one short reduction per window;
+    ``test_row_sum_matches_numpy_reduce`` guards the order against numpy's.
+    A summed-area table or a zero-padded gather would change the low bits.
     """
     feat = np.asarray(feat, dtype=np.float64)
     if feat.ndim != 3:
@@ -394,18 +430,18 @@ def roi_pool(feat: np.ndarray, boxes, bins: int, stride: float) -> np.ndarray:
     first = (ys[:, :, None] * fw + xs[:, None, :]).reshape(-1)
     width = np.broadcast_to(ws[:, None, :], (n, bins, bins)).reshape(-1)
     count = (hs[:, :, None] * ws[:, None, :]).reshape(-1)
-    flat = feat.reshape(c, fh * fw)
-    out = np.empty((c, len(count)))
+    table = np.ascontiguousarray(feat.reshape(c, fh * fw).T)  # (H*W, C)
+    out = np.empty((len(count), c))
     order = np.argsort(count, kind="stable")
     sizes, starts = np.unique(count[order], return_index=True)
     ends = [*starts[1:].tolist(), len(order)]
     for size, a, b in zip(sizes.tolist(), starts.tolist(), ends):
         sel = order[a:b]
-        j = np.arange(size)
-        w = width[sel, None]
-        cells = first[sel, None] + (j // w) * fw + j % w  # row-major within the window
-        out[:, sel] = np.take(flat, cells, axis=1).mean(axis=-1)
-    pooled = out.reshape(c, n, bins * bins).transpose(1, 0, 2)
+        j = np.arange(size)[:, None]
+        w = width[sel]
+        cells = first[sel] + (j // w) * fw + j % w  # (n, K), row-major within the window
+        out[sel] = _row_sum(table[cells]) / size
+    pooled = out.reshape(n, bins * bins, c).transpose(0, 2, 1)
     return np.ascontiguousarray(pooled).reshape(n, c * bins * bins)
 
 

@@ -427,11 +427,14 @@ _BAD_CONFIGS = {  # test id -> YAML snippet
         ("model", "anchor_scales: []"), ("model", "anchor_scales: [8, 0]"),
         ("eval", "recall_ks: [10, -1]"), ("eval", "iou_thresholds: [0.5, 0.501]"),
         ("eval", "iou_thresholds: [0.0, 0.5]"), ("eval", "recall_iou: 1.5"))},
+    **{f"model.{entry}": f"model:\n  {entry}\n" for entry in (
+        "feat_stride: 0", "feat_stride: 2", "feat_stride: 8", "feat_channels: 0",
+        "mixer_channels: 0", "roi_pool_bins: 0", "head_dim: 0", "head_dim: true")},
 }
 
 
 @pytest.mark.parametrize("snippet", list(_BAD_CONFIGS.values()), ids=list(_BAD_CONFIGS))
-def test_bad_detect_config_exits_2(tmp_path, snippet):
+def test_bad_detect_config_exits_2(tmp_path, capsys, snippet):
     bad = tmp_path / "bad.yaml"
     bad.write_text(snippet, encoding="utf-8")
     with pytest.raises(ConfigError):
@@ -439,6 +442,8 @@ def test_bad_detect_config_exits_2(tmp_path, snippet):
     code = main(["eval", "--config", str(bad), "--seed", "1",
                  "--out", str(tmp_path / "o")])
     assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:")
     assert not list(tmp_path.glob("o/**/*.stamp.json"))
 
 
@@ -472,6 +477,13 @@ def test_bad_sampling_config_exits_2_with_one_line(tmp_path, capsys, section, en
     assert err.count("\n") == 1 and err.startswith("config error:")
     assert entry.split(":")[0] in err
     assert not (tmp_path / "o").exists()
+
+
+def test_model_config_accepts_its_smallest_sizes(tmp_path):
+    path = tmp_path / "edge.yaml"
+    path.write_text("model:\n  feat_channels: 1\n  mixer_channels: 1\n  roi_pool_bins: 1\n"
+                    "  head_dim: 1\n  feat_stride: 4\n", encoding="utf-8")
+    assert load_config(path).model.head_dim == 1
 
 
 def test_train_config_accepts_sampling_boundary_values(tmp_path):
@@ -699,11 +711,10 @@ def test_eval_runs_one_image_forward_per_image(tiny_cfg, finished_run, tmp_path,
         monkeypatch.setattr(D, name, counted(name))
     _evaluate_models(tiny_cfg, 3, paths, _upstream(paths))
     images = sum(len(load_dataset(paths.dataset_dir(n)).images) for n in ("test", "uar-eval"))
-    # one pooling per image serves both detectors; the feature norms pool
-    # every annotated test image's boxes once more
-    annotated = sum(len(r.gt.labels) > 0 for r in load_dataset(paths.dataset_dir("test")).records)
+    # one pooling per image serves both detectors and, on test images, the
+    # feature norms' ground-truth boxes
     assert calls == {"fixed_featurizer": images, "propose": len(RPN_STRATEGIES) * images,
-                     "roi_pool": images + annotated}
+                     "roi_pool": images}
     report = "eval/report.json"
     assert (out / "seed-3" / report).read_bytes() == (finished_run / "seed-3" / report).read_bytes()
 

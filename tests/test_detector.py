@@ -579,6 +579,11 @@ def test_detectors_on_shared_pooled_rows_match_their_own_pooling(tiny_finetuned,
         pooled_mine, pooled_theirs = D.pool_proposals(model, fwd, mine, theirs)
         assert pooled_mine.tobytes() == D.pool_rois(model, fwd.feat, mine.boxes).tobytes()
         assert pooled_theirs.tobytes() == D.pool_rois(model, fwd.feat, theirs.boxes).tobytes()
+        side = float(img.shape[0])
+        boxes = np.array([[2.0, 3.0, side / 2, side - 5.0], [0.0, 0.0, side, side]])
+        *rows, pooled_boxes = D.pool_proposals(model, fwd, mine, theirs, boxes=boxes)
+        assert [r.tobytes() for r in rows] == [pooled_mine.tobytes(), pooled_theirs.tobytes()]
+        assert pooled_boxes.tobytes() == D.pool_rois(model, fwd.feat, boxes).tobytes()
         got = D.detect(model, img, dcfg, forward=fwd, proposals=mine, pooled=pooled_mine)
         assert det_bits(got) == det_bits(D.detect(model, img, dcfg))
         got_base = D.detect_base(base, img, dcfg, forward=fwd, proposals=theirs,

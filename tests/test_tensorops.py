@@ -672,6 +672,40 @@ def test_roi_pool_bitwise_matches_oracle_on_large_windows(bins):
     _assert_roi_pool_matches_oracle(feat, boxes, bins, 4.0)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_roi_pool_bitwise_matches_oracle_on_rectified_maps(seed):
+    # exact zeros as the featurizer's ReLU leaves them; the top-left 4x4 cells are
+    # all zero, and the 12x12 box at bins=1 is a window of 144 cells
+    raw = _spread_features(seed, (3, 16, 16))
+    raw[:, :4, :4] = -np.abs(raw[:, :4, :4])
+    feat = np.maximum(raw, 0.0)
+    rng = np.random.default_rng(seed)
+    x1, y1 = rng.uniform(-4.0, 60.0, (2, 20))
+    random_boxes = np.stack([x1, y1, x1 + rng.uniform(5.0, 40.0, 20),
+                             y1 + rng.uniform(5.0, 40.0, 20)], axis=1)
+    boxes = [(0.0, 0.0, 16.0, 16.0), (1.0, 2.0, 3.0, 4.0), (4.0, 8.0, 52.0, 56.0),
+             *random_boxes.tolist()]
+    for bins in (1, 2, 3):
+        _assert_roi_pool_matches_oracle(feat, boxes, bins, 4.0)
+    assert not T.roi_pool(feat, boxes[:1], bins=2, stride=4.0).any()
+
+
+@pytest.mark.parametrize("kind", ["spread", "signed zeros"])
+def test_row_sum_matches_numpy_reduce(kind):
+    # roi_pool's bits rest on _row_sum adding in numpy's own order for a
+    # contiguous row; the counts cross 8, 128 and 256, where that order changes
+    for n in range(1, 301):
+        if kind == "spread":
+            rows = _spread_features(n, (n, 3, 4))
+        else:
+            rows = np.where(np.random.default_rng(n).random((n, 3, 4)) < 0.5, -0.0, 0.0)
+            rows[:, 0, 0] = -0.0
+        want = np.add.reduce(np.ascontiguousarray(np.moveaxis(rows, 0, -1)), axis=-1)
+        got = T._row_sum(rows)
+        assert got.tobytes() == want.tobytes(), (
+            f"_row_sum of {n} terms differs from numpy {np.__version__}'s add.reduce")
+
+
 # ---------------------------------------------------------------------------
 # anchors
 # ---------------------------------------------------------------------------
