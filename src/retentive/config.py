@@ -1,13 +1,18 @@
 """Experiment configuration: dataclasses, YAML loading, canonical digests.
 
 Every knob that shapes an artifact lives here so that a single SHA-256 over
-the resolved configuration identifies a run.
+the resolved configuration identifies a run. Every field carries its ``Rule``
+as field metadata, which ``check`` tests; a section's ``validate`` adds the
+few rules that tie two fields together. A bad value is one ``ConfigError``:
+``{section}.{field} must be …, got …``.
 """
 from __future__ import annotations
 
 import dataclasses
 import hashlib
 import json
+import math
+import operator
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,157 +25,177 @@ RPN_STRATEGIES = ("max", "arith-avg", "geo-avg", "base-only")
 CONSISTENCY_VARIANTS = ("kldiv", "l1", "cos", "off")
 CLASSIFIER_KINDS = ("cos", "fc")
 HEAD_DOMAINS = ("all", "novel-only")
+INIT_KINDS = ("copy", "random")  # "copy" seeds a finetune layer from its base twin
 MIN_GLYPH = 6  # the smallest glyph raster synthgen draws
 FEATURIZER_STRIDE = 4  # the fixed featurizer's downsampling: it pools twice by 2
+
+_OPS = {">=": operator.ge, "<=": operator.le, ">": operator.gt, "<": operator.lt}
+
+
+@dataclass(frozen=True)
+class Rule:
+    """What one config field admits. The type is the default's: an int may
+    stand for a float, a bool is never a number and a float must be finite. A
+    tuple field takes a non-empty list whose items each meet the rule."""
+
+    kind: type
+    many: bool
+    bounds: tuple[tuple[str, float], ...]  # (comparison, bound) pairs, as in (">=", 0)
+    choices: tuple[str, ...] | None
+
+    def admits(self, value) -> bool:
+        items = value if self.many else (value,)
+        return isinstance(items, tuple) and bool(items) and all(map(self._admits_one, items))
+
+    def _admits_one(self, v) -> bool:
+        if isinstance(v, bool) or not isinstance(v, (int, float) if self.kind is float else self.kind):
+            return False
+        if isinstance(v, str):
+            return v in self.choices
+        return (not isinstance(v, float) or math.isfinite(v)) and all(
+            _OPS[op](v, bound) for op, bound in self.bounds)
+
+    def __str__(self) -> str:
+        if self.choices is not None:
+            return "one of " + ", ".join(map(repr, self.choices))
+        one, many = ("an integer", "integers") if self.kind is int else ("a finite number", "finite numbers")
+        text = f"a non-empty list of {many}" if self.many else one
+        return text + " and".join(f" {op} {bound:g}" for op, bound in self.bounds)
+
+
+def rule(default, lo=None, hi=None, *, above=None, below=None, choices=None):
+    """A dataclass field holding ``default`` whose values must meet this rule."""
+    many = isinstance(default, tuple)
+    bounds = tuple((op, b) for op, b in ((">=", lo), (">", above), ("<=", hi), ("<", below))
+                   if b is not None)
+    return field(default=default, metadata={
+        "rule": Rule(type(default[0] if many else default), many, bounds, choices)})
+
+
+def _need(ok: bool, name: str, must, got) -> None:
+    if not ok:
+        raise ConfigError(f"{name} must be {must}, got {got!r}")
+
+
+def check(section: str, cfg) -> None:
+    """Test every field of one config section against the rule it carries."""
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        _need(f.metadata["rule"].admits(value), f"{section}.{f.name}", f.metadata["rule"],
+              list(value) if isinstance(value, tuple) else value)
 
 
 @dataclass
 class DatasetConfig:
     """Synthetic benchmark sizing."""
 
-    image_side: int = 64
-    num_classes: int = 12
-    num_novel: int = 4
-    base_train_images: int = 500
-    test_images: int = 100
-    uar_eval_images: int = 100
-    shots: int = 5
-    min_instances: int = 2
-    max_instances: int = 5
-    min_glyph: int = 12
-    max_glyph: int = 28
-    novel_frequency: float = 0.3
-    overlap_iou_cap: float = 0.3
-    placement_retries: int = 50
-    noise: float = 0.0
+    image_side: int = rule(64, FEATURIZER_STRIDE)
+    num_classes: int = rule(12, 2)
+    num_novel: int = rule(4, 1)
+    base_train_images: int = rule(500, 1)
+    test_images: int = rule(100, 1)
+    uar_eval_images: int = rule(100, 1)
+    shots: int = rule(5, 1)
+    min_instances: int = rule(2, 0)
+    max_instances: int = rule(5, 1)
+    min_glyph: int = rule(12, MIN_GLYPH)
+    max_glyph: int = rule(28, MIN_GLYPH)
+    novel_frequency: float = rule(0.3, 0, 1)
+    overlap_iou_cap: float = rule(0.3, 0, 1)
+    placement_retries: int = rule(50, 1)
+    noise: float = rule(0.0, 0)
+
+    def validate(self, section: str = "dataset") -> None:
+        check(section, self)
+        _need(self.num_novel < self.num_classes, f"{section}.num_novel",
+              f"< num_classes ({self.num_classes})", self.num_novel)
+        _need(self.min_glyph <= self.max_glyph, f"{section}.min_glyph",
+              f"<= max_glyph ({self.max_glyph})", self.min_glyph)
+        _need(self.min_instances <= self.max_instances, f"{section}.min_instances",
+              f"<= max_instances ({self.max_instances})", self.min_instances)
 
 
 @dataclass
 class ModelConfig:
     """Frozen featurizer and head dimensions."""
 
-    feat_channels: int = 32
-    feat_stride: int = 4
-    mixer_channels: int = 32
-    roi_pool_bins: int = 3
-    head_dim: int = 64
-    anchor_scales: tuple[float, ...] = (8.0, 16.0, 32.0)
-    cosine_scale: float = 20.0
-    init_sigma: float = 0.01
+    feat_channels: int = rule(32, 1)
+    feat_stride: int = rule(FEATURIZER_STRIDE, FEATURIZER_STRIDE, FEATURIZER_STRIDE)
+    mixer_channels: int = rule(32, 1)
+    roi_pool_bins: int = rule(3, 1)
+    head_dim: int = rule(64, 1)
+    anchor_scales: tuple[float, ...] = rule((8.0, 16.0, 32.0), above=0)
+    cosine_scale: float = rule(20.0, above=0)
+    init_sigma: float = rule(0.01, 0)
 
-    def validate(self) -> None:
-        for name in ("feat_channels", "mixer_channels", "roi_pool_bins", "head_dim"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-                raise ConfigError(f"model.{name} must be an integer >= 1, got {v!r}")
-        if self.feat_stride != FEATURIZER_STRIDE:
-            raise ConfigError(f"model.feat_stride must be {FEATURIZER_STRIDE}, the fixed "
-                              f"featurizer's downsampling, got {self.feat_stride!r}")
-        if not self.anchor_scales or min(self.anchor_scales) <= 0:
-            raise ConfigError(f"model.anchor_scales must be positive sizes, "
-                              f"got {list(self.anchor_scales)}")
+    def validate(self, section: str = "model") -> None:
+        check(section, self)
 
 
 @dataclass
 class TrainConfig:
     """One training stage (pretrain or finetune)."""
 
-    lr: float = 0.05
-    momentum: float = 0.9
-    lam: float = 0.1
-    minibatch_images: int = 2
-    roi_per_image: int = 32
-    roi_positive_fraction: float = 0.25
-    rpn_per_image: int = 64
-    rpn_positive_fraction: float = 0.5
-    rpn_pos_iou: float = 0.7
-    rpn_neg_iou: float = 0.3
-    roi_pos_iou: float = 0.5
-    max_iters: int = 3000
-    convergence_window: int = 50
-    convergence_rel_tol: float = 1e-4
-    consistency: str = "kldiv"
-    rpn_strategy: str = "max"
-    classifier: str = "cos"
-    head_domain: str = "all"
-    rpn_obj_init: str = "copy"  # "copy" from base objectness head, or "random"
-    head_init: str = "random"   # "copy" seeds the box head from the padded base head
+    lr: float = rule(0.05, above=0)
+    momentum: float = rule(0.9, 0, below=1)
+    lam: float = rule(0.1, 0)
+    minibatch_images: int = rule(2, 1)
+    roi_per_image: int = rule(32, 1)
+    roi_positive_fraction: float = rule(0.25, 0, 1)
+    rpn_per_image: int = rule(64, 1)
+    rpn_positive_fraction: float = rule(0.5, 0, 1)
+    rpn_pos_iou: float = rule(0.7, 0, 1)
+    rpn_neg_iou: float = rule(0.3, 0, 1)
+    roi_pos_iou: float = rule(0.5, 0, 1)
+    max_iters: int = rule(3000, 0)
+    convergence_window: int = rule(50, 1)
+    convergence_rel_tol: float = rule(1e-4, 0)
+    consistency: str = rule("kldiv", choices=CONSISTENCY_VARIANTS)
+    rpn_strategy: str = rule("max", choices=RPN_STRATEGIES)
+    classifier: str = rule("cos", choices=CLASSIFIER_KINDS)
+    head_domain: str = rule("all", choices=HEAD_DOMAINS)
+    rpn_obj_init: str = rule("copy", choices=INIT_KINDS)  # the novel objectness head
+    head_init: str = rule("random", choices=INIT_KINDS)   # the novel box head
 
-    def validate(self) -> None:
-        if self.lam < 0:
-            raise ConfigError(f"consistency coefficient must be >= 0, got {self.lam}")
-        for name in ("rpn_pos_iou", "rpn_neg_iou", "roi_pos_iou"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1], got {v}")
-        if self.rpn_neg_iou > self.rpn_pos_iou:
-            raise ConfigError("rpn_neg_iou must not exceed rpn_pos_iou")
-        for name in ("minibatch_images", "rpn_per_image", "roi_per_image"):
-            v = getattr(self, name)
-            if v < 1:
-                raise ConfigError(f"{name} must be >= 1, got {v}")
-        for name in ("rpn_positive_fraction", "roi_positive_fraction"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1], got {v}")
-        if self.consistency not in CONSISTENCY_VARIANTS:
-            raise ConfigError(f"unknown consistency variant {self.consistency!r}")
-        if self.rpn_strategy not in RPN_STRATEGIES:
-            raise ConfigError(f"unknown rpn strategy {self.rpn_strategy!r}")
-        if self.classifier not in CLASSIFIER_KINDS:
-            raise ConfigError(f"unknown classifier {self.classifier!r}")
-        if self.head_domain not in HEAD_DOMAINS:
-            raise ConfigError(f"unknown head domain {self.head_domain!r}")
-        if self.head_domain == "novel-only" and self.consistency != "off":
-            raise ConfigError("novel-only head domain requires consistency='off'")
-        if self.rpn_obj_init not in ("copy", "random"):
-            raise ConfigError(f"rpn_obj_init must be 'copy' or 'random', got {self.rpn_obj_init!r}")
-        if self.head_init not in ("copy", "random"):
-            raise ConfigError(f"head_init must be 'copy' or 'random', got {self.head_init!r}")
-        if self.head_init == "copy" and (self.classifier != "fc" or self.head_domain != "all"):
-            raise ConfigError("head_init='copy' needs classifier='fc' and head_domain='all'")
+    def validate(self, section: str = "finetune") -> None:
+        check(section, self)
+        _need(self.rpn_neg_iou <= self.rpn_pos_iou, f"{section}.rpn_neg_iou",
+              f"<= rpn_pos_iou ({self.rpn_pos_iou})", self.rpn_neg_iou)
+        _need(self.head_domain != "novel-only" or self.consistency == "off",
+              f"{section}.consistency", "'off' with head_domain 'novel-only'", self.consistency)
+        _need(self.head_init != "copy" or (self.classifier, self.head_domain) == ("fc", "all"),
+              f"{section}.head_init", "'random' unless classifier is 'fc' and head_domain 'all'",
+              self.head_init)
 
 
 @dataclass
 class DetectConfig:
     """Proposal generation and final inference."""
 
-    pre_nms_k: int = 256
-    proposal_nms_iou: float = 0.7
-    post_nms_k: int = 64
-    score_thresh: float = 0.05
-    nms_iou: float = 0.5
-    max_dets: int = 20
-    base_bonus: float = 0.1
+    pre_nms_k: int = rule(256, 1)
+    proposal_nms_iou: float = rule(0.7, 0, 1)
+    post_nms_k: int = rule(64, 1)
+    score_thresh: float = rule(0.05, 0, 1)
+    nms_iou: float = rule(0.5, 0, 1)
+    max_dets: int = rule(20, 1)
+    base_bonus: float = rule(0.1)
 
-    def validate(self) -> None:
-        for name in ("pre_nms_k", "post_nms_k", "max_dets"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-                raise ConfigError(f"detect.{name} must be an integer >= 1, got {v!r}")
-        for name in ("proposal_nms_iou", "nms_iou", "score_thresh"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0.0 <= v <= 1.0:
-                raise ConfigError(f"detect.{name} must lie in [0, 1], got {v!r}")
+    def validate(self, section: str = "detect") -> None:
+        check(section, self)
 
 
 @dataclass
 class EvalConfig:
-    iou_thresholds: tuple[float, ...] = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
-    recall_ks: tuple[int, ...] = (10, 100)
-    recall_iou: float = 0.5
+    iou_thresholds: tuple[float, ...] = rule(tuple(round(0.5 + 0.05 * i, 2) for i in range(10)),
+                                             above=0, hi=1)
+    recall_ks: tuple[int, ...] = rule((10, 100), 0)
+    recall_iou: float = rule(0.5, above=0, hi=1)
 
-    def validate(self) -> None:
-        for k in self.recall_ks:
-            if isinstance(k, bool) or not isinstance(k, int) or k < 0:
-                raise ConfigError(f"eval.recall_ks must hold integers >= 0, got {k!r}")
-        for t in (self.recall_iou, *self.iou_thresholds):
-            if isinstance(t, bool) or not isinstance(t, (int, float)) or not 0.0 < t <= 1.0:
-                raise ConfigError(f"eval IoU thresholds must lie in (0, 1], got {t!r}")
-        labels = [f"{t:.2f}" for t in self.iou_thresholds]  # report.json keys
-        if len(set(labels)) != len(labels):
-            raise ConfigError(f"eval.iou_thresholds must differ at two decimals, got "
-                              f"{list(self.iou_thresholds)}")
+    def validate(self, section: str = "eval") -> None:
+        check(section, self)
+        labels = {f"{t:.2f}" for t in self.iou_thresholds}  # report.json keys
+        _need(len(labels) == len(self.iou_thresholds), f"{section}.iou_thresholds",
+              "distinct at two decimals", list(self.iou_thresholds))
 
 
 @dataclass
@@ -185,25 +210,10 @@ class ExperimentConfig:
     eval: EvalConfig = field(default_factory=EvalConfig)
 
     def validate(self) -> None:
-        self.model.validate()
-        self.pretrain.validate()
-        self.finetune.validate()
-        self.detect.validate()
-        self.eval.validate()
-        d = self.dataset
-        if not 0 < d.num_novel < d.num_classes:
-            raise ConfigError("need 0 < num_novel < num_classes")
-        if d.image_side % self.model.feat_stride != 0:
-            raise ConfigError("image side must be divisible by the featurizer stride")
-        for name in ("base_train_images", "test_images", "uar_eval_images"):
-            if getattr(d, name) < 1:
-                raise ConfigError(f"dataset.{name} must be >= 1, got {getattr(d, name)}")
-        if not MIN_GLYPH <= d.min_glyph <= d.max_glyph:
-            raise ConfigError(f"need {MIN_GLYPH} <= dataset.min_glyph <= dataset.max_glyph, "
-                              f"got {d.min_glyph} and {d.max_glyph}")
-        if d.min_instances > d.max_instances:
-            raise ConfigError(f"dataset.min_instances {d.min_instances} exceeds "
-                              f"max_instances {d.max_instances}")
+        for f in dataclasses.fields(self):
+            getattr(self, f.name).validate(f.name)
+        _need(self.dataset.image_side % self.model.feat_stride == 0, "dataset.image_side",
+              f"a multiple of model.feat_stride ({self.model.feat_stride})", self.dataset.image_side)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -233,21 +243,10 @@ def read_json_object(path: Path, kind: str, fields: dict[str, type]) -> dict:
     return data
 
 
-def _fits(default, value) -> bool:
-    """Whether a YAML value may replace a default: the same type, except that an
-    int may stand for a float and a list for a tuple; a bool is never a number."""
-    if isinstance(value, bool) != isinstance(default, bool):
-        return False
-    if isinstance(default, tuple):
-        return isinstance(value, list) and all(_fits(default[0], v) for v in value)
-    if isinstance(default, float):
-        return isinstance(value, (int, float))
-    return isinstance(value, type(default))
-
-
 def _merge_into(cfg, data: dict, path: str) -> None:
+    names = {f.name for f in dataclasses.fields(cfg)}
     for key, value in data.items():
-        if not hasattr(cfg, key):
+        if key not in names:
             raise ConfigError(f"unknown config key {path}{key!r}")
         current = getattr(cfg, key)
         if dataclasses.is_dataclass(current):
@@ -255,10 +254,7 @@ def _merge_into(cfg, data: dict, path: str) -> None:
                 raise ConfigError(f"config section {path}{key!r} must be a mapping")
             _merge_into(current, value, f"{path}{key}.")
         else:
-            if not _fits(current, value):
-                raise ConfigError(f"config value {path}{key} must be a "
-                                  f"{type(current).__name__}, got {value!r}")
-            setattr(cfg, key, tuple(value) if isinstance(current, tuple) else value)
+            setattr(cfg, key, tuple(value) if isinstance(value, list) else value)
 
 
 class _Loader(yaml.SafeLoader):

@@ -296,6 +296,7 @@ def _mixed_scene(cfg: DatasetConfig, split: ClassSplit, image_seed: int) -> tupl
 def build_base_dataset(cfg: DatasetConfig, split: ClassSplit, seed: int,
                        num_images: int | None = None) -> Dataset:
     """Abundant-data stage: novel instances appear but stay unannotated."""
+    cfg.validate()
     n = cfg.base_train_images if num_images is None else num_images
     images, records = [], []
     novel_set = set(split.novel_ids)
@@ -312,6 +313,7 @@ def build_base_dataset(cfg: DatasetConfig, split: ClassSplit, seed: int,
 def build_test_dataset(cfg: DatasetConfig, split: ClassSplit, seed: int,
                        num_images: int | None = None) -> Dataset:
     """Held-out scenes with every instance annotated."""
+    cfg.validate()
     n = cfg.test_images if num_images is None else num_images
     images, records = [], []
     for i in range(n):
@@ -325,6 +327,7 @@ def build_test_dataset(cfg: DatasetConfig, split: ClassSplit, seed: int,
 
 def build_kshot_dataset(cfg: DatasetConfig, split: ClassSplit, k: int, seed: int) -> Dataset:
     """Balanced adaptation set: exactly k annotated instances per class."""
+    cfg.validate()
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     gen = rng(seed, _TAG_COMPOSE)

@@ -1,6 +1,8 @@
 """Pipeline orchestration tests: stamps, staleness, aggregation, exit codes."""
 
+import dataclasses
 import json
+import math
 import os
 import shutil
 import warnings
@@ -8,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from retentive import cli, errors
 from retentive import detector as D
@@ -27,7 +30,15 @@ from retentive.cli import (
     run_ablation,
     run_experiment,
 )
-from retentive.config import RPN_STRATEGIES, EvalConfig, canonical_json, load_config
+from retentive.config import (
+    MIN_GLYPH,
+    RPN_STRATEGIES,
+    EvalConfig,
+    ExperimentConfig,
+    Rule,
+    canonical_json,
+    load_config,
+)
 from retentive.errors import ConfigError, CorruptCheckpointError, StalenessError
 from retentive.synthgen import load_dataset
 from retentive.trainer import load_checkpoint, save_checkpoint
@@ -502,6 +513,109 @@ def test_exponent_floats_load_as_floats(tmp_path, section, entry, want):
     path = tmp_path / "exp.yaml"
     path.write_text(f"{section}:\n  {entry}\n", encoding="utf-8")
     assert getattr(getattr(load_config(path), section), entry.split(":")[0]) == want
+
+
+# ---------------------------------------------------------------------------
+# the config rule table
+# ---------------------------------------------------------------------------
+
+def _rules() -> list[tuple[str, str, Rule]]:
+    """(section, field, rule) for every field of every config section."""
+    cfg = ExperimentConfig()
+    return [(s.name, f.name, f.metadata.get("rule")) for s in dataclasses.fields(cfg)
+            for f in dataclasses.fields(getattr(cfg, s.name))]
+
+
+def test_every_config_field_has_a_rule_its_default_meets():
+    cfg = ExperimentConfig()
+    for section, name, rule in _rules():
+        assert isinstance(rule, Rule), f"{section}.{name} has no rule"
+        assert rule.admits(getattr(getattr(cfg, section), name)), f"{section}.{name}"
+
+
+# a field whose bound value breaks a cross-field rule at the defaults loads with these
+_COMPANIONS = {"num_classes": {"num_novel": 1}, "max_glyph": {"min_glyph": MIN_GLYPH},
+               "max_instances": {"min_instances": 0}, "rpn_pos_iou": {"rpn_neg_iou": 0.0},
+               "rpn_neg_iou": {"rpn_pos_iou": 1.0}}
+
+
+def _next(rule: Rule, value, direction: int):
+    """The closest value of the rule's type above (direction 1) or below (-1) value."""
+    return value + direction if rule.kind is int else math.nextafter(value, direction * math.inf)
+
+
+def _bound_cases():
+    """(section, field, rule, value just past a bound, value on the bound's admitted side)."""
+    cases = []
+    for section, name, rule in _rules():
+        for op, bound in rule.bounds:
+            inward = 1 if op.startswith(">") else -1
+            if op.endswith("="):
+                cases.append((section, name, rule, _next(rule, bound, -inward), bound))
+            else:
+                cases.append((section, name, rule, bound, _next(rule, bound, inward)))
+    return cases
+
+
+def _section_yaml(section: str, name: str, rule: Rule, value) -> str:
+    text = repr(float(value)) if rule.kind is float else str(value)
+    entries = {name: f"[{text}]" if rule.many else text, **_COMPANIONS.get(name, {})}
+    return f"{section}:\n" + "".join(f"  {k}: {v}\n" for k, v in entries.items())
+
+
+_BOUND_CASES = _bound_cases()
+
+
+@pytest.mark.parametrize("section,name,rule,outside,inside", _BOUND_CASES,
+                         ids=[f"{c[0]}.{c[1]}={c[3]!r}" for c in _BOUND_CASES])
+def test_value_past_a_bound_exits_2_and_the_bound_side_loads(tmp_path, capsys, section, name,
+                                                            rule, outside, inside):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(_section_yaml(section, name, rule, outside), encoding="utf-8")
+    assert main(["eval", "--config", str(bad), "--seed", "1", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"config error: {section}.{name} must be ")
+    assert not list(tmp_path.glob("o/**/*.stamp.json"))
+    edge = tmp_path / "edge.yaml"
+    edge.write_text(_section_yaml(section, name, rule, inside), encoding="utf-8")
+    got = getattr(getattr(load_config(edge), section), name)
+    assert got == ((inside,) if rule.many else inside)
+
+
+_FLOAT_FIELDS = [c for c in _rules() if c[2].kind is float]
+
+
+@pytest.mark.parametrize("section,name,rule", _FLOAT_FIELDS,
+                         ids=[f"{s}.{n}" for s, n, _ in _FLOAT_FIELDS])
+def test_non_finite_number_is_rejected(tmp_path, section, name, rule):
+    path = tmp_path / "nonfinite.yaml"
+    for value in (".nan", ".inf", "-.inf"):
+        path.write_text(f"{section}:\n  {name}: {f'[{value}]' if rule.many else value}\n",
+                        encoding="utf-8")
+        with pytest.raises(ConfigError, match=rf"^{section}\.{name} must be "):
+            load_config(path)
+
+
+_MEASURED_HOLES = (  # each once ran a stage: to exit 0, to a traceback, or to exit 3
+    "pretrain.lr: -1.0", "pretrain.max_iters: -3", "pretrain.convergence_window: 0",
+    "pretrain.convergence_rel_tol: -1.0", "dataset.novel_frequency: 2.0", "dataset.noise: -1.0",
+    "dataset.noise: .nan", "model.cosine_scale: 0.0", "model.anchor_scales: [8, .inf]",
+    "eval.iou_thresholds: []", "model.init_sigma: -1.0", "dataset.placement_retries: -1",
+    "pretrain.momentum: 5.0")
+
+
+@pytest.mark.parametrize("entry", _MEASURED_HOLES)
+def test_measured_config_hole_exits_2_before_any_stamp(tmp_path, capsys, entry):
+    key, value = entry.split(": ")
+    section, name = key.split(".")
+    data = yaml.safe_load(TINY_YAML)
+    data.setdefault(section, {})[name] = yaml.safe_load(value)
+    path = tmp_path / "hole.yaml"
+    path.write_text(yaml.safe_dump(data), encoding="utf-8")
+    assert main(["eval", "--config", str(path), "--seed", "3", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"config error: {key} must be ")
+    assert not list(tmp_path.glob("o/**/*.stamp.json"))
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):

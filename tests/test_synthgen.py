@@ -7,7 +7,7 @@ import pytest
 from oracles import iou_scalar
 from retentive import synthgen as G
 from retentive.config import DatasetConfig
-from retentive.errors import CorruptArtifactError, GenerationError, ParameterError
+from retentive.errors import ConfigError, CorruptArtifactError, GenerationError, ParameterError
 
 
 def small_cfg(**kw) -> DatasetConfig:
@@ -228,6 +228,16 @@ def test_kshot_rejects_bad_k():
     split = G.split_classes(12, 4, seed=8)
     with pytest.raises(ParameterError):
         G.build_kshot_dataset(cfg, split, k=0, seed=1)
+
+
+def test_builders_check_their_dataset_config():
+    split = G.split_classes(12, 4, seed=8)
+    with pytest.raises(ConfigError, match=r"^dataset\.placement_retries must be "):
+        G.build_base_dataset(DatasetConfig(placement_retries=-1), split, seed=1)
+    with pytest.raises(ConfigError, match=r"^dataset\.noise must be "):
+        G.build_test_dataset(small_cfg(noise=float("nan")), split, seed=1)
+    with pytest.raises(ConfigError, match=r"^dataset\.shots must be "):
+        G.build_kshot_dataset(small_cfg(shots=0), split, k=0, seed=1)
 
 
 def test_test_dataset_fully_annotated():

@@ -3,6 +3,7 @@ by name, one module names the head layers, and the package holds no code that
 only tests call."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -98,10 +99,12 @@ def test_head_layer_names_live_in_detector_only():
 def test_no_function_restates_a_config_choice_default():
     """A choice a config holds reaches the code through that config; a parameter
     defaulting to one of its values is a second, silently diverging default."""
-    from retentive import config
+    from retentive.config import ExperimentConfig
 
-    choices = {v for name, vals in vars(config).items() if name.isupper()
-               and isinstance(vals, tuple) for v in vals} | {"copy", "random"}
+    cfg = ExperimentConfig()
+    choices = {c for section in dataclasses.fields(cfg)
+               for f in dataclasses.fields(getattr(cfg, section.name))
+               for c in f.metadata["rule"].choices or ()}
     found = []
     for path in sorted((ROOT / "src" / "retentive").glob("*.py")):
         if path.name == "config.py":
