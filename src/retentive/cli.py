@@ -26,12 +26,13 @@ from pathlib import Path
 import numpy as np
 
 from .config import (
-    CLASSIFIER_KINDS,
-    CONSISTENCY_VARIANTS,
-    HEAD_DOMAINS,
     RPN_STRATEGIES,
     ExperimentConfig,
+    Rule,
+    TrainConfig,
     canonical_json,
+    check_value,
+    field_rules,
     load_config,
     read_json_object,
 )
@@ -430,22 +431,20 @@ def multirun(cfg: ExperimentConfig, seeds, out_root, stages=STAGES,
 # ablation grid
 # ---------------------------------------------------------------------------
 
-_ABLATION_AXES = {
-    "rpn_strategy": RPN_STRATEGIES,
-    "consistency": CONSISTENCY_VARIANTS,
-    "classifier": CLASSIFIER_KINDS,
-    "head_domain": HEAD_DOMAINS,
-}
+# the finetune fields a command line sets by flag and an ablation varies by axis
+_ABLATION_AXES = ("rpn_strategy", "consistency", "classifier", "head_domain")
+_AXIS_RULE = Rule(str, False, (), _ABLATION_AXES)
+_FINETUNE_RULES = field_rules(TrainConfig)
 
 
 def ablation_cells(axes: dict[str, list[str]]):
-    """Lazy cross product of the requested axis values, validated up front."""
+    """Lazy cross product of the requested axis values, validated up front:
+    each axis is one of _ABLATION_AXES, and each value meets its finetune
+    field's rule."""
     for axis, values in axes.items():
-        if axis not in _ABLATION_AXES:
-            raise ConfigError(f"unknown ablation axis {axis!r}")
+        check_value("ablation axis", _AXIS_RULE, axis)
         for v in values:
-            if v not in _ABLATION_AXES[axis]:
-                raise ConfigError(f"{axis} value {v!r} not in {_ABLATION_AXES[axis]}")
+            check_value(f"finetune.{axis}", _FINETUNE_RULES[axis], v)
     names = sorted(axes)
     for combo in itertools.product(*(axes[n] for n in names)):
         yield dict(zip(names, combo))
@@ -504,10 +503,9 @@ def _add_common(p: argparse.ArgumentParser, seeds: bool = False) -> None:
                        help="comma-separated seed list")
     else:
         p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rpn-strategy", choices=RPN_STRATEGIES, default=None)
-    p.add_argument("--consistency", choices=CONSISTENCY_VARIANTS, default=None)
-    p.add_argument("--classifier", choices=CLASSIFIER_KINDS, default=None)
-    p.add_argument("--head-domain", choices=HEAD_DOMAINS, default=None)
+    for axis in _ABLATION_AXES:
+        p.add_argument("--" + axis.replace("_", "-"), choices=_FINETUNE_RULES[axis].choices,
+                       default=None)
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="consistency loss weight")
     p.add_argument("--shots", type=int, default=None, help="instances per class")
@@ -558,7 +556,7 @@ def _resolve_config(args) -> ExperimentConfig:
         cfg.dataset.shots = args.shots
     if getattr(args, "lam", None) is not None:
         cfg.finetune.lam = args.lam
-    for axis in ("rpn_strategy", "consistency", "classifier", "head_domain"):
+    for axis in _ABLATION_AXES:
         v = getattr(args, axis, None)
         if v is not None:
             setattr(cfg.finetune, axis, v)

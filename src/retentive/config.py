@@ -77,12 +77,20 @@ def _need(ok: bool, name: str, must, got) -> None:
         raise ConfigError(f"{name} must be {must}, got {got!r}")
 
 
+def field_rules(section_type) -> dict[str, Rule]:
+    """Each field of a config section type, with the rule its values must meet."""
+    return {f.name: f.metadata["rule"] for f in dataclasses.fields(section_type)}
+
+
+def check_value(name: str, r: Rule, value) -> None:
+    """Test one value against a rule; a miss is the one ConfigError form."""
+    _need(r.admits(value), name, r, list(value) if isinstance(value, tuple) else value)
+
+
 def check(section: str, cfg) -> None:
     """Test every field of one config section against the rule it carries."""
-    for f in dataclasses.fields(cfg):
-        value = getattr(cfg, f.name)
-        _need(f.metadata["rule"].admits(value), f"{section}.{f.name}", f.metadata["rule"],
-              list(value) if isinstance(value, tuple) else value)
+    for name, r in field_rules(cfg).items():
+        check_value(f"{section}.{name}", r, getattr(cfg, name))
 
 
 @dataclass

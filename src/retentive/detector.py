@@ -331,14 +331,17 @@ def forward_proposals(model: Model, forward: ImageForward, dcfg: DetectConfig,
     return strategy_proposals(model, forward, dcfg, (strategy,))[strategy]
 
 
-def pool_rois(model: Model, feat: np.ndarray, boxes: np.ndarray) -> np.ndarray:
-    """The roi_pool rows of boxes on a featurizer map, (P, C * bins * bins).
+def pool_rois(model: Model, feat: np.ndarray, boxes: np.ndarray,
+              batch_idx: np.ndarray | None = None) -> np.ndarray:
+    """The roi_pool rows of boxes on a featurizer map, (P, C * bins * bins);
+    given a stack of maps, batch_idx names each box's map.
 
-    Each row depends on its own box only, so one call may pool the boxes of
-    several detectors and each takes its rows.
+    Each row depends on its own box and map only, so one call may pool the
+    boxes of several detectors or images and each takes its rows.
     """
     mcfg = model.mcfg
-    return roi_pool(feat, boxes, bins=mcfg.roi_pool_bins, stride=float(mcfg.feat_stride))
+    return roi_pool(feat, boxes, bins=mcfg.roi_pool_bins, stride=float(mcfg.feat_stride),
+                    batch_idx=batch_idx)
 
 
 def pool_proposals(model: Model, forward: ImageForward, *proposals: Proposals,

@@ -209,9 +209,16 @@ def _pair_iou(a: np.ndarray, b: np.ndarray, area_a: np.ndarray, area_b: np.ndarr
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise IoU, (N,4) x (M,4) -> (N,M)."""
+    """Pairwise IoU, (N,4) x (M,4) -> (N,M).
+
+    The longer set goes on the inner axis, where the broadcasts run over long
+    contiguous rows: for N > M the (M,N) result is returned as its transposed
+    view, bitwise the (N,M) one because ``_pair_iou`` is symmetric.
+    """
     a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
     b = np.asarray(b, dtype=np.float64).reshape(-1, 4)
+    if len(a) > len(b):
+        return _pair_iou(b, a, box_area(b), box_area(a)).T
     return _pair_iou(a, b, box_area(a), box_area(b))
 
 
@@ -388,13 +395,18 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
     return s
 
 
-def roi_pool(feat: np.ndarray, boxes, bins: int, stride: float) -> np.ndarray:
-    """Adaptive average pooling of image-coordinate boxes over a feature map.
+def roi_pool(feat: np.ndarray, boxes, bins: int, stride: float,
+             batch_idx=None) -> np.ndarray:
+    """Adaptive average pooling of image-coordinate boxes over feature maps.
 
-    Each (x1, y1, x2, y2) row is mapped into feature cells, clamped to cover at
-    least one cell, split into bins x bins integer cell ranges, and each bin
-    averages its cells. Returns (N, C * bins * bins) rows ordered channel,
-    bin row, bin column; zero boxes give a (0, C * bins * bins) array.
+    feat is one (C,H,W) map or a (B,C,H,W) stack of maps. batch_idx holds
+    each box's map in the stack, as torchvision's batch index does; it is
+    required for a stack, and one map is a stack of one whose boxes all lie
+    on map 0. Each (x1, y1, x2, y2) row is mapped into feature cells, clamped
+    to cover at least one cell, split into bins x bins integer cell ranges,
+    and each bin averages its cells. Returns (N, C * bins * bins) rows
+    ordered channel, bin row, bin column; zero boxes give a
+    (0, C * bins * bins) array.
 
     A bin's mean is bitwise that of ``feat[:, ys:ye, xs:xe].mean(axis=(1, 2))``:
     numpy sums a window's n cells in row-major order, pairwise (left to right
@@ -404,15 +416,25 @@ def roi_pool(feat: np.ndarray, boxes, bins: int, stride: float) -> np.ndarray:
     in that order with whole (K, C) adds, not one short reduction per window;
     ``test_row_sum_matches_numpy_reduce`` guards the order against numpy's.
     A summed-area table or a zero-padded gather would change the low bits.
+    Every window is summed on its own, so a box's row has the same bits
+    whichever other boxes and maps share the call.
     """
     feat = np.asarray(feat, dtype=np.float64)
-    if feat.ndim != 3:
-        raise ParameterError(f"feature map must be (C,H,W), got {feat.shape}")
+    if feat.ndim == 3:
+        feat = feat[None]
+    elif feat.ndim != 4 or batch_idx is None:
+        raise ParameterError(f"feature maps must be one (C,H,W) map or a (B,C,H,W) stack "
+                             f"with a batch index per box, got {feat.shape}")
     if bins < 1:
         raise ParameterError(f"bins must be >= 1, got {bins}")
-    c, fh, fw = feat.shape
+    nb, c, fh, fw = feat.shape
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
     n = len(boxes)
+    batch = np.zeros(n, dtype=np.int64) if batch_idx is None else np.asarray(batch_idx)
+    if batch.shape != (n,) or batch.dtype.kind not in "iu" or (
+            n and not 0 <= batch.min() <= batch.max() < nb):
+        raise ParameterError(f"batch_idx must hold one map index in [0, {nb}) per box, "
+                             f"got {batch.dtype} {batch.shape} for {n} boxes")
     x1, y1, x2, y2 = (boxes / stride).T
     bad = ~(np.isfinite(boxes).all(axis=1) & (x2 > 0) & (y2 > 0) & (x1 < fw)
             & (y1 < fh) & (x2 > x1) & (y2 > y1))
@@ -426,11 +448,12 @@ def roi_pool(feat: np.ndarray, boxes, bins: int, stride: float) -> np.ndarray:
     cy2 = np.maximum(np.minimum(np.ceil(y2), fh).astype(np.int64), cy1 + 1)
     ys, hs = _bin_edges(cy1, cy2, bins)
     xs, ws = _bin_edges(cx1, cx2, bins)
-    # one window per (box, bin row, bin column), in output order
-    first = (ys[:, :, None] * fw + xs[:, None, :]).reshape(-1)
+    # one window per (box, bin row, bin column), in output order; its first
+    # cell indexes the stack's cells, map-major then row-major
+    first = (batch[:, None, None] * (fh * fw) + ys[:, :, None] * fw + xs[:, None, :]).reshape(-1)
     width = np.broadcast_to(ws[:, None, :], (n, bins, bins)).reshape(-1)
     count = (hs[:, :, None] * ws[:, None, :]).reshape(-1)
-    table = np.ascontiguousarray(feat.reshape(c, fh * fw).T)  # (H*W, C)
+    table = np.ascontiguousarray(feat.transpose(0, 2, 3, 1)).reshape(-1, c)  # (B*H*W, C)
     out = np.empty((len(count), c))
     order = np.argsort(count, kind="stable")
     sizes, starts = np.unique(count[order], return_index=True)

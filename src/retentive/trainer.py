@@ -30,7 +30,8 @@ from .detector import (
     image_anchors,
     image_forward,
     init_base_model,
-    roi_features,
+    pool_rois,
+    project_rois,
     trainable_layers,
     trained_head,
 )
@@ -73,8 +74,37 @@ class TargetAssignment:
     sample_pos: np.ndarray
 
 
+def _label_boxes(boxes: np.ndarray, gt_boxes: np.ndarray, gt_labels: np.ndarray,
+                 mode: str, tcfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and best-match annotation indices of candidate boxes, as
+    assign_targets describes them; mode is "rpn" or "roi"."""
+    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    gt_boxes = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
+    gt_labels = np.asarray(gt_labels, dtype=np.int64).reshape(-1)
+    if len(gt_boxes) != len(gt_labels):
+        raise ParameterError(f"{len(gt_boxes)} annotation boxes vs {len(gt_labels)} labels")
+    n = len(boxes)
+    if len(gt_boxes) == 0:
+        labels = np.zeros(n, dtype=np.int64) if mode == "rpn" else np.full(n, -1, dtype=np.int64)
+        return labels, np.full(n, -1, dtype=np.int64)
+    overlaps = iou_matrix(boxes, gt_boxes)
+    matched = overlaps.argmax(axis=1).astype(np.int64)
+    best = overlaps[np.arange(n), matched]
+    if mode == "rpn":
+        labels = np.full(n, -1, dtype=np.int64)
+        labels[best >= tcfg.rpn_pos_iou] = 1
+        labels[best <= tcfg.rpn_neg_iou] = 0
+        # every annotation claims its best-overlap anchor, ties to the
+        # lowest anchor index
+        labels[overlaps.argmax(axis=0)] = 1
+    else:
+        labels = np.where(best >= tcfg.roi_pos_iou, gt_labels[matched], -1)
+    return labels, matched
+
+
 def assign_targets(boxes: np.ndarray, gt_boxes: np.ndarray, gt_labels: np.ndarray,
-                   mode: str, tcfg: TrainConfig, seed: int) -> TargetAssignment:
+                   mode: str, tcfg: TrainConfig, seed: int,
+                   labelled: tuple[np.ndarray, np.ndarray] | None = None) -> TargetAssignment:
     """Label candidate boxes against annotations and draw a training subset.
 
     Anchor mode: overlap >= rpn_pos_iou is positive, <= rpn_neg_iou is
@@ -83,15 +113,10 @@ def assign_targets(boxes: np.ndarray, gt_boxes: np.ndarray, gt_labels: np.ndarra
     ROI mode: overlap >= roi_pos_iou takes the annotation's class, everything
     else is background. Sampling fills a fixed budget with a capped positive
     share; the remainder is background/negative rows.
-    """
-    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
-    gt_boxes = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
-    gt_labels = np.asarray(gt_labels, dtype=np.int64).reshape(-1)
-    if len(gt_boxes) != len(gt_labels):
-        raise ParameterError(f"{len(gt_boxes)} annotation boxes vs {len(gt_labels)} labels")
-    n = len(boxes)
-    gen = rng(seed)
 
+    A caller that already holds the (labels, matched_gt) these arguments give
+    passes them as labelled; only the seeded draw then runs.
+    """
     if mode == "rpn":
         budget = tcfg.rpn_per_image
         pos_cap = int(round(budget * tcfg.rpn_positive_fraction))
@@ -100,23 +125,10 @@ def assign_targets(boxes: np.ndarray, gt_boxes: np.ndarray, gt_labels: np.ndarra
         pos_cap = int(round(budget * tcfg.roi_positive_fraction))
     else:
         raise ParameterError(f"unknown assignment mode {mode!r}; expected 'rpn' or 'roi'")
-
-    if len(gt_boxes) == 0:
-        labels = np.zeros(n, dtype=np.int64) if mode == "rpn" else np.full(n, -1, dtype=np.int64)
-        matched = np.full(n, -1, dtype=np.int64)
-    else:
-        overlaps = iou_matrix(boxes, gt_boxes)
-        matched = overlaps.argmax(axis=1).astype(np.int64)
-        best = overlaps[np.arange(n), matched]
-        if mode == "rpn":
-            labels = np.full(n, -1, dtype=np.int64)
-            labels[best >= tcfg.rpn_pos_iou] = 1
-            labels[best <= tcfg.rpn_neg_iou] = 0
-            # every annotation claims its best-overlap anchor, ties to the
-            # lowest anchor index
-            labels[overlaps.argmax(axis=0)] = 1
-        else:
-            labels = np.where(best >= tcfg.roi_pos_iou, gt_labels[matched], -1)
+    if labelled is None:
+        labelled = _label_boxes(boxes, gt_boxes, gt_labels, mode, tcfg)
+    labels, matched = labelled
+    gen = rng(seed)
 
     pos_pool = np.flatnonzero(labels >= 1) if mode == "rpn" else np.flatnonzero(labels >= 0)
     neg_pool = np.flatnonzero(labels == 0) if mode == "rpn" else np.flatnonzero(labels == -1)
@@ -137,9 +149,40 @@ def assign_targets(boxes: np.ndarray, gt_boxes: np.ndarray, gt_labels: np.ndarra
 # minibatch materialization
 # ---------------------------------------------------------------------------
 
+@dataclass
+class StageImage:
+    """What a training stage holds of one image between its visits.
+
+    forward is the image's frozen forward; ann_boxes and ann_labels are its
+    annotated instances; anchor_labels and anchor_matched are its anchors'
+    "rpn" labels and best-match annotation indices. The forward reads only
+    the frozen featurizer and mixer, and the anchor targets only the anchor
+    grid, the annotations and the stage's thresholds, so one record serves
+    every step of the stage whatever its trainable arrays hold. It serves
+    one stage only: another stage's thresholds may differ.
+    """
+
+    forward: ImageForward
+    ann_boxes: np.ndarray
+    ann_labels: np.ndarray
+    anchor_labels: np.ndarray
+    anchor_matched: np.ndarray
+
+
+def _stage_image(model: Model, dataset: Dataset, img_idx: int, tcfg: TrainConfig) -> StageImage:
+    gt = dataset.records[img_idx].gt
+    ann_boxes = gt.boxes[gt.annotated]
+    ann_labels = gt.labels[gt.annotated]
+    anchors = image_anchors(dataset.side, model.mcfg.feat_stride, model.mcfg.anchor_scales)
+    labels, matched = _label_boxes(anchors, ann_boxes, ann_labels, "rpn", tcfg)
+    return StageImage(forward=image_forward(model, dataset.images[img_idx]),
+                      ann_boxes=ann_boxes, ann_labels=ann_labels,
+                      anchor_labels=labels, anchor_matched=matched)
+
+
 def build_minibatch(model: Model, dataset: Dataset, image_indices, tcfg: TrainConfig,
                     dcfg: DetectConfig, seed: int, iteration: int,
-                    cache: dict[int, ImageForward] | None = None) -> Minibatch:
+                    cache: dict[int, StageImage] | None = None) -> Minibatch:
     """Materialize one training step's targets and frozen-path activations.
 
     Proposals are regenerated from the current region network each call, so
@@ -147,7 +190,8 @@ def build_minibatch(model: Model, dataset: Dataset, image_indices, tcfg: TrainCo
     produce. Annotated ground-truth boxes are appended to the proposal pool
     to guarantee positive ROI rows from the first iteration. The model's stage
     names the head whose targets are built; the finetuned head trains on
-    proposals under the model's own RPN strategy, as inference does.
+    proposals under the model's own RPN strategy, as inference does. cache
+    keeps each image's StageImage across the steps of one stage.
     """
     if cache is None:
         cache = {}
@@ -160,26 +204,26 @@ def build_minibatch(model: Model, dataset: Dataset, image_indices, tcfg: TrainCo
     strategy = model.rpn_strategy if head == "novel" else "base-only"
 
     a_cells, a_scale, a_label, a_delta = [], [], [], []
-    r_feats, r_label, r_pos, r_delta, r_probs = [], [], [], [], []
+    maps, r_boxes, r_label, r_pos, r_delta = [], [], [], [], []
 
     for img_idx in image_indices:
         img_idx = int(img_idx)
-        fwd = cache.get(img_idx)
-        if fwd is None:
-            fwd = cache[img_idx] = image_forward(model, dataset.images[img_idx])
-        gt = dataset.records[img_idx].gt
-        ann_boxes = gt.boxes[gt.annotated]
-        ann_labels = gt.labels[gt.annotated]
+        rec = cache.get(img_idx)
+        if rec is None:
+            rec = cache[img_idx] = _stage_image(model, dataset, img_idx, tcfg)
+        fwd, ann_boxes, ann_labels = rec.forward, rec.ann_boxes, rec.ann_labels
 
         rpn = assign_targets(anchors, ann_boxes, ann_labels, "rpn", tcfg,
-                             subseed(seed, _TAG_RPN_SAMPLE, iteration, img_idx))
+                             subseed(seed, _TAG_RPN_SAMPLE, iteration, img_idx),
+                             labelled=(rec.anchor_labels, rec.anchor_matched))
         idx = rpn.sample_idx
         a_cells.append(fwd.cells[idx // n_scales])
         a_scale.append((idx % n_scales).astype(np.int64))
         a_label.append(rpn.sample_pos.astype(np.float64))
         deltas = np.zeros((len(idx), 4))
-        pos = idx[rpn.sample_pos]
-        deltas[rpn.sample_pos] = encode_boxes(ann_boxes[rpn.matched_gt[pos]], anchors[pos])
+        if head == "base":  # the RPN box layer trains with the base head only
+            pos = idx[rpn.sample_pos]
+            deltas[rpn.sample_pos] = encode_boxes(ann_boxes[rpn.matched_gt[pos]], anchors[pos])
         a_delta.append(deltas)
 
         proposals = forward_proposals(model, fwd, dcfg, strategy).boxes
@@ -193,16 +237,27 @@ def build_minibatch(model: Model, dataset: Dataset, image_indices, tcfg: TrainCo
         # classes outside the head's domain train as background
         outside = is_pos & np.asarray([int(c) not in slot_map for c in labels], dtype=bool)
         is_pos &= ~outside
-        feats = roi_features(model, fwd.feat, boxes)
-        r_feats.append(feats)
+        maps.append(fwd.feat)
+        r_boxes.append(boxes)
         r_label.append(np.asarray([slot_map[int(c)] if p else bg_slot
                                    for c, p in zip(labels, is_pos)], dtype=np.int64))
         r_pos.append(is_pos)
         deltas = np.zeros((len(idx), 4))
         deltas[is_pos] = encode_boxes(ann_boxes[roi.matched_gt[idx[is_pos]]], boxes[is_pos])
         r_delta.append(deltas)
+
+    # one roi_pool call over every image's sampled rows; each image's rows are
+    # projected apart, at the row count one image gives, because a GEMM row's
+    # bits may depend on the row count
+    r_feats, r_probs = [], []
+    if maps:
+        counts = [len(b) for b in r_boxes]
+        pooled = pool_rois(model, np.stack(maps), np.concatenate(r_boxes),
+                           batch_idx=np.repeat(np.arange(len(maps)), counts))
+        r_feats = [project_rois(model, rows)
+                   for rows in np.split(pooled, np.cumsum(counts)[:-1])]
         if want_base_probs:
-            r_probs.append(head_probs(model, feats, "base")[0])
+            r_probs = [head_probs(model, feats, "base")[0] for feats in r_feats]
 
     d = model.mcfg.head_dim
     c = model.mcfg.mixer_channels
@@ -319,7 +374,7 @@ def _run_stage(model: Model, dataset: Dataset, tcfg: TrainConfig,
     if len(dataset) == 0:
         raise ParameterError("cannot train on an empty dataset")
     velocity: dict[str, np.ndarray] = {}
-    cache: dict[int, ImageForward] = {}
+    cache: dict[int, StageImage] = {}
     mb_size = min(tcfg.minibatch_images, len(dataset))
     totals: list[float] = []
     t0 = time.monotonic()

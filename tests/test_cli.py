@@ -357,6 +357,16 @@ def test_ablation_rejects_unknown_axis_and_value():
         list(ablation_cells({"rpn_strategy": ["mean"]}))
 
 
+def test_ablation_reports_a_bad_axis_or_value_in_the_config_form():
+    with pytest.raises(ConfigError, match=r"^ablation axis must be one of 'rpn_strategy', "
+                                          r"'consistency', 'classifier', 'head_domain', "
+                                          r"got 'optimizer'$"):
+        list(ablation_cells({"optimizer": ["sgd"]}))
+    with pytest.raises(ConfigError, match=r"^finetune\.head_domain must be one of 'all', "
+                                          r"'novel-only', got 'base'$"):
+        list(ablation_cells({"rpn_strategy": ["max"], "head_domain": ["all", "base"]}))
+
+
 def test_run_ablation_distinct_digests(tiny_cfg, tmp_path):
     table = run_ablation(tiny_cfg, {"rpn_strategy": ["max", "base-only"]}, 3, tmp_path)
     assert len(table["rows"]) == 2
@@ -707,6 +717,27 @@ def test_foreign_checkpoint_magic_exits_4(tiny_yaml, finished_run, tmp_path, cap
                  "--out", str(out)]) == 4
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "magic" in err
+
+
+def test_checkpoint_without_its_finetuned_head_reaches_state_error_and_exits_4(
+        tiny_yaml, finished_run, tmp_path, capsys):
+    """A CLI path to StateError: the finetune stamp records the retentive
+    checkpoint's digest, not what the checkpoint holds, so a checkpoint
+    re-saved without its finetuned head, its stamp re-recorded, loads; detect
+    then asks the model for a head it lacks."""
+    out = tmp_path / "copy"
+    shutil.copytree(finished_run, out)
+    paths = RunPaths(out, 3)
+    model = load_checkpoint(paths.checkpoint("retentive"))
+    for key in [k for k in model.params if k.split("/")[0] in D.FINETUNE_TRAINABLE]:
+        del model.params[key]
+    stamp = _read_stamp(paths.stamp("finetune"))
+    stamp["outputs"]["retentive"] = save_checkpoint(model, paths.checkpoint("retentive"))
+    paths.stamp("finetune").write_text(canonical_json(stamp) + "\n", encoding="utf-8")
+    assert main(["detect", "--config", str(tiny_yaml), "--seed", "3",
+                 "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("model has no novel head\n")
 
 
 @pytest.mark.parametrize("content", ["truncate", "[1, 2]"])

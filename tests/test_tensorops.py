@@ -690,6 +690,70 @@ def test_roi_pool_bitwise_matches_oracle_on_rectified_maps(seed):
     assert not T.roi_pool(feat, boxes[:1], bins=2, stride=4.0).any()
 
 
+def _stack_problem(seed: int, n_maps: int, boxes_per_map):
+    """Spread maps of shape (3, 16, 16) and random boxes, with each box's map index."""
+    rng = np.random.default_rng(seed)
+    maps = _spread_features(seed, (n_maps, 3, 16, 16))
+    counts = list(boxes_per_map)
+    x1, y1 = rng.uniform(-4.0, 60.0, (2, sum(counts)))
+    boxes = np.stack([x1, y1, x1 + rng.uniform(0.5, 40.0, len(x1)),
+                      y1 + rng.uniform(0.5, 40.0, len(x1))], axis=1)
+    batch = rng.permutation(np.repeat(np.arange(n_maps), counts))
+    return maps, boxes, batch
+
+
+@pytest.mark.parametrize("boxes_per_map", [(5, 0, 7), (0, 0, 9), (4, 6), (3,)],
+                         ids=["empty-middle-map", "last-map-only", "two-maps", "one-map"])
+@pytest.mark.parametrize("bins", [1, 3])
+def test_roi_pool_over_a_stack_matches_one_call_per_map(boxes_per_map, bins):
+    maps, boxes, batch = _stack_problem(len(boxes_per_map) + bins, len(boxes_per_map),
+                                        boxes_per_map)
+    got = T.roi_pool(maps, boxes, bins=bins, stride=4.0, batch_idx=batch)
+    want = np.empty_like(got)
+    for m, feat in enumerate(maps):
+        mine = batch == m
+        want[mine] = T.roi_pool(feat, boxes[mine], bins=bins, stride=4.0)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_roi_pool_one_map_is_a_stack_of_one():
+    maps, boxes, batch = _stack_problem(5, 1, (8,))
+    alone = T.roi_pool(maps[0], boxes, bins=2, stride=4.0)
+    assert alone.tobytes() == T.roi_pool(maps, boxes, bins=2, stride=4.0,
+                                         batch_idx=batch).tobytes()
+    assert alone.tobytes() == T.roi_pool(maps[0], boxes, bins=2, stride=4.0,
+                                         batch_idx=np.zeros(8, dtype=np.int64)).tobytes()
+
+
+@pytest.mark.parametrize("feat, batch", [
+    (np.ones((2, 1, 4, 4)), None),                       # a stack needs batch_idx
+    (np.ones((2, 1, 4, 4)), np.array([0, 2])),           # index past the stack
+    (np.ones((2, 1, 4, 4)), np.array([-1, 0])),
+    (np.ones((2, 1, 4, 4)), np.array([0])),              # one index per box
+    (np.ones((2, 1, 4, 4)), np.array([0.0, 1.0])),       # integer indices only
+    (np.ones((1, 4, 4)), np.array([0, 1])),              # one map is map 0
+    (np.ones((4, 4)), None),
+])
+def test_roi_pool_rejects_bad_stacks_and_batch_indices(feat, batch):
+    with pytest.raises(ParameterError):
+        T.roi_pool(feat, [(0.0, 0.0, 8.0, 8.0), (4.0, 4.0, 12.0, 12.0)], bins=2, stride=4.0,
+                   batch_idx=batch)
+
+
+def test_iou_matrix_on_anchor_grids_matches_the_unswapped_orientation():
+    # 768 anchors against 4 boxes and back: the longer side now runs on the
+    # inner axis, and every entry keeps the bits of the (N, M) computation
+    anchors = T.generate_anchors(16, 16, 4.0, (8.0, 16.0, 32.0))
+    rng = np.random.default_rng(3)
+    lo = rng.uniform(0.0, 40.0, (4, 2))
+    gt = np.concatenate([lo, lo + rng.uniform(6.0, 24.0, (4, 2))], axis=1)
+    for a, b in ((anchors, gt), (gt, anchors)):
+        want = T._pair_iou(a, b, T.box_area(a), T.box_area(b))
+        got = T.iou_matrix(a, b)
+        assert got.shape == want.shape == (len(a), len(b))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 @pytest.mark.parametrize("kind", ["spread", "signed zeros"])
 def test_row_sum_matches_numpy_reduce(kind):
     # roi_pool's bits rest on _row_sum adding in numpy's own order for a

@@ -1,5 +1,6 @@
 """Optimizer, target assignment, stage loops, and checkpoint format."""
 
+import dataclasses
 from hashlib import sha256
 
 import numpy as np
@@ -288,6 +289,63 @@ def test_minibatch_rejects_unknown_stage():
     assert rois("base-only", "max") == rois("base-only", "base-only")
     assert rois("max", "base-only") == rois("max", "max")
     assert rois("base-only", "max") != rois("max", "max")
+
+
+def _stage_world(stage: str):
+    """A model, dataset and config of one training stage, on the tiny world."""
+    cfg, split, base_ds, kshot_ds = tiny_world()
+    model = init_base_model(split, cfg.model, feat_seed=7, seed=7)
+    if stage == "pretrain":
+        return model, base_ds, cfg.pretrain, cfg
+    model.stage = STAGE_BASE
+    return extend_for_finetune(model, 9, cfg.finetune), kshot_ds, cfg.finetune, cfg
+
+
+def _assert_same_arrays(a, b) -> None:
+    """Every field of two dataclass records, arrays bit for bit, nested records too."""
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if dataclasses.is_dataclass(x):
+            _assert_same_arrays(x, y)
+        elif isinstance(x, np.ndarray):
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), f.name
+        else:
+            assert x == y, f.name
+
+
+@pytest.mark.parametrize("stage", ["pretrain", "finetune"])
+def test_minibatch_from_a_warm_stage_cache_is_bitwise_a_cold_one(stage):
+    model, ds, tcfg, cfg = _stage_world(stage)
+    cache = {}
+    build_minibatch(model, ds, [0, 1], tcfg, cfg.detect, seed=7, iteration=0, cache=cache)
+    records = dict(cache)
+    unmoved = build_minibatch(model, ds, [0, 1], tcfg, cfg.detect, seed=7, iteration=1)
+    # move every array the stage trains, as its SGD steps would
+    gen = np.random.default_rng(5)
+    for key, arr in model.params.items():
+        if key.split("/")[0] in trainable_layers(model):
+            arr += gen.normal(0.0, 0.5, size=arr.shape)
+    warm = build_minibatch(model, ds, [0, 1], tcfg, cfg.detect, seed=7, iteration=1, cache=cache)
+    fresh = {}
+    cold = build_minibatch(model, ds, [0, 1], tcfg, cfg.detect, seed=7, iteration=1, cache=fresh)
+    assert cache.keys() == records.keys() and all(cache[i] is records[i] for i in records)
+    assert unmoved.roi_feats.tobytes() != cold.roi_feats.tobytes()  # the move reached the batch
+    _assert_same_arrays(warm, cold)
+    # a record holds nothing that a trainable array feeds
+    for i in records:
+        _assert_same_arrays(records[i], fresh[i])
+
+
+def test_finetune_minibatch_leaves_rpn_box_targets_zero():
+    """Only the base head trains the RPN box layer, so the finetuned head's
+    minibatch keeps anchor_delta_t at its shape, all zeros."""
+    for stage in ("pretrain", "finetune"):
+        model, ds, tcfg, cfg = _stage_world(stage)
+        mb = build_minibatch(model, ds, [0, 1], tcfg, cfg.detect, seed=7, iteration=0)
+        pos = mb.anchor_label > 0.5
+        assert pos.any() and mb.anchor_delta_t.shape == (mb.num_anchors, 4)
+        assert (mb.anchor_delta_t[pos] != 0.0).any() == (stage == "pretrain")
+        assert not mb.anchor_delta_t[~pos].any()
 
 
 # ---------------------------------------------------------------------------
