@@ -205,35 +205,31 @@ def _evaluate_models(cfg: ExperimentConfig, seed: int, paths: RunPaths, up: dict
     dcfg = cfg.detect
     ecfg = cfg.eval
 
-    def infer(ds, gt_rows=None):
+    def infer(ds, with_gt: bool):
         """Both detectors and every strategy's proposals from one frozen path per
         image (the frozen arrays are shared, checked above): one forward, one
-        RPN evaluation and one roi_pool call over both detectors' proposals;
-        gt_rows, when given, collects the rows of each image's ground-truth
-        boxes from that same call."""
-        ret, bas = [], []
+        RPN evaluation and one roi_pool call over both detectors' proposals.
+        With with_gt, that call also pools each image's ground-truth boxes,
+        whose rows come back per image."""
+        ret, bas, gt_rows = [], [], []
         props = {s: [] for s in RPN_STRATEGIES}
         for img, rec in zip(ds.images, ds.records):
             fwd = image_forward(model, img)
             per = strategy_proposals(model, fwd, dcfg, RPN_STRATEGIES)
             for s in RPN_STRATEGIES:
                 props[s].append(per[s])
-            mine, theirs = per[model.rpn_strategy], per["base-only"]
-            pooled = pool_proposals(model, fwd, mine, theirs,
-                                    boxes=None if gt_rows is None else rec.gt.boxes)
-            ret.append(detect(model, img, dcfg, forward=fwd, proposals=mine,
-                              pooled=pooled[0]))
-            bas.append(detect_base(base, img, dcfg, forward=fwd, proposals=theirs,
-                                   pooled=pooled[1]))
-            if gt_rows is not None:
-                gt_rows.append(pooled[2])
-        return ret, bas, props
+            (mine, theirs), rows = pool_proposals(
+                model, fwd, [per[model.rpn_strategy], per["base-only"]],
+                rec.gt.boxes if with_gt else np.empty((0, 4)))
+            ret.append(detect(model, img, dcfg, mine))
+            bas.append(detect_base(base, img, dcfg, theirs))
+            gt_rows.append(rows)
+        return ret, bas, props, gt_rows
 
-    test_gt_rows: list[np.ndarray] = []
-    ret_dets_test, base_dets_test, props_test = infer(test_ds, test_gt_rows)
-    norms = roi_feature_norms(base, test_ds, test_gt_rows)
-    del test_gt_rows
-    ret_dets_uar, base_dets_uar, props_uar = infer(uar_ds)
+    ret_dets_test, base_dets_test, props_test, gt_rows = infer(test_ds, with_gt=True)
+    norms = roi_feature_norms(base, test_ds, gt_rows)
+    del gt_rows
+    ret_dets_uar, base_dets_uar, props_uar, _ = infer(uar_ds, with_gt=False)
 
     # recall key template, candidates, their dataset, instance filter
     recall_rows = [
@@ -578,8 +574,12 @@ def _parse_axes(text: str) -> dict[str, list[str]]:
             continue
         if "=" not in part:
             raise ConfigError(f"axis spec {part!r} must look like name=v1,v2")
-        name, values = part.split("=", 1)
-        axes[name.strip()] = [v.strip() for v in values.split(",") if v.strip()]
+        name, values = (x.strip() for x in part.split("=", 1))
+        if name in axes:
+            raise ConfigError(f"axis {name!r} given twice")
+        axes[name] = [v.strip() for v in values.split(",") if v.strip()]
+        if not axes[name]:
+            raise ConfigError(f"axis {name!r} has no values")
     if not axes:
         raise ConfigError("no ablation axes given")
     return axes

@@ -13,7 +13,7 @@ Canonical logit ordering everywhere: [base..., novel..., background].
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from hashlib import sha256
 
 import numpy as np
@@ -264,6 +264,7 @@ class Proposals:
     boxes: np.ndarray       # (P, 4)
     scores: np.ndarray      # (P,) objectness that survived
     anchor_ids: np.ndarray  # (P,) the anchor each box was decoded from
+    rows: np.ndarray | None = None  # (P, C*bins*bins) roi_pool rows, once pool_proposals ran
 
     def __len__(self) -> int:
         return self.boxes.shape[0]
@@ -325,12 +326,6 @@ def strategy_proposals(model: Model, forward: ImageForward, dcfg: DetectConfig,
             for s, r in ranked.items()}
 
 
-def forward_proposals(model: Model, forward: ImageForward, dcfg: DetectConfig,
-                      strategy: str) -> Proposals:
-    """Proposals from one image's forward under one objectness strategy."""
-    return strategy_proposals(model, forward, dcfg, (strategy,))[strategy]
-
-
 def pool_rois(model: Model, feat: np.ndarray, boxes: np.ndarray,
               batch_idx: np.ndarray | None = None) -> np.ndarray:
     """The roi_pool rows of boxes on a featurizer map, (P, C * bins * bins);
@@ -344,23 +339,23 @@ def pool_rois(model: Model, feat: np.ndarray, boxes: np.ndarray,
                     batch_idx=batch_idx)
 
 
-def pool_proposals(model: Model, forward: ImageForward, *proposals: Proposals,
-                   boxes: np.ndarray | None = None) -> list[np.ndarray]:
-    """Each proposal set's roi_pool rows, in its own order, from one pool_rois
-    call over the anchors any of the sets holds; given boxes, their rows in
-    order come from the same call as one more entry.
+def pool_proposals(model: Model, forward: ImageForward, proposal_sets,
+                   boxes: np.ndarray) -> tuple[list[Proposals], np.ndarray]:
+    """Each proposal set with its roi_pool rows attached, and the rows of boxes
+    in order, all from one pool_rois call over the anchors any set holds plus
+    boxes.
 
     Proposals of one image with the same anchor id hold the same decoded box,
     so each distinct anchor is pooled once.
     """
-    _, first, row = np.unique(np.concatenate([p.anchor_ids for p in proposals]),
+    _, first, row = np.unique(np.concatenate([p.anchor_ids for p in proposal_sets]),
                               return_index=True, return_inverse=True)
-    distinct = np.concatenate([p.boxes for p in proposals])[first]
-    extra = np.empty((0, 4)) if boxes is None else boxes
-    pooled = pool_rois(model, forward.feat, np.concatenate([distinct, extra]))
-    rows = np.split(pooled[row], np.cumsum([len(p) for p in proposals])[:-1])
+    distinct = np.concatenate([p.boxes for p in proposal_sets])[first]
+    pooled = pool_rois(model, forward.feat, np.concatenate([distinct, boxes]))
+    rows = np.split(pooled[row], np.cumsum([len(p) for p in proposal_sets])[:-1])
     # a copy, so that a caller who keeps the boxes' rows does not keep all of pooled
-    return rows if boxes is None else [*rows, pooled[len(first):].copy()]
+    return ([replace(p, rows=r) for p, r in zip(proposal_sets, rows)],
+            pooled[len(first):].copy())
 
 
 def project_rois(model: Model, pooled: np.ndarray) -> np.ndarray:
@@ -477,66 +472,61 @@ def _merge_candidates(boxes: np.ndarray, classes: np.ndarray, raw: np.ndarray,
 
 
 def _detect_heads(model: Model, image: np.ndarray, dcfg: DetectConfig,
-                  heads: tuple[str, ...], strategy: str, forward: ImageForward | None,
-                  proposals: Proposals | None, pooled: np.ndarray | None) -> list[Detection]:
-    """Score the image's proposals under strategy with the given box heads and
-    merge their candidates.
+                  heads: tuple[str, ...], strategy: str,
+                  proposals: Proposals | None) -> list[Detection]:
+    """Score the image's proposals with the given box heads and merge their
+    candidates.
 
-    What the caller already holds of the image's frozen path is used instead
-    of recomputed: its forward, its proposals, and their roi_pool rows (one
-    per proposal, in order), which need the proposals they pool.
+    Without proposals, the image's own forward proposes under strategy and
+    pools them; given proposals must carry their roi_pool rows
+    (pool_proposals), which are projected as they are.
     """
-    if pooled is not None and (proposals is None or len(pooled) != len(proposals)):
-        raise ParameterError("pooled rows need the proposals they pool, one row each")
-    forward = image_forward(model, image) if forward is None else forward
     if proposals is None:
-        proposals = forward_proposals(model, forward, dcfg, strategy)
-    if pooled is None:
+        forward = image_forward(model, image)
+        proposals = strategy_proposals(model, forward, dcfg, (strategy,))[strategy]
         rois = roi_features(model, forward.feat, proposals.boxes)
+    elif proposals.rows is None or len(proposals.rows) != len(proposals):
+        raise ParameterError("proposals need their roi_pool rows, one per box (pool_proposals)")
     else:
-        rois = project_rois(model, pooled)
+        rois = project_rois(model, proposals.rows)
     if len(rois) == 0:
         return []
     outputs = []
     for head in heads:
         probs, reg, ids = head_probs(model, rois, head)
-        boxes = decode_boxes(reg, proposals.boxes, side=float(forward.side))
+        boxes = decode_boxes(reg, proposals.boxes, side=float(image.shape[0]))
         outputs.append((head == "base", probs, boxes, ids))
     return _merge_candidates(*_assemble_candidates(outputs, dcfg.score_thresh), dcfg)
 
 
 def detect_base(model: Model, image: np.ndarray, dcfg: DetectConfig,
-                forward: ImageForward | None = None, proposals: Proposals | None = None,
-                pooled: np.ndarray | None = None) -> list[Detection]:
+                proposals: Proposals | None = None) -> list[Detection]:
     """Base-detector inference: base RPN head, base box head, base classes.
 
     Scores come from the padded-logit softmax so they are comparable with
-    ensemble inference. A caller that already holds the image's forward, its
-    "base-only" proposals, or their roi_pool rows, passes them in instead of
-    recomputing them.
+    ensemble inference. A caller that already holds the image's "base-only"
+    proposals with their pooled rows passes them in instead of recomputing
+    them.
     """
     if model.stage == STAGE_INIT:
         raise StateError("cannot run inference on an untrained model")
-    return _detect_heads(model, image, dcfg, ("base",), "base-only", forward, proposals, pooled)
+    return _detect_heads(model, image, dcfg, ("base",), "base-only", proposals)
 
 
 def detect(model: Model, image: np.ndarray, dcfg: DetectConfig,
-           forward: ImageForward | None = None, proposals: Proposals | None = None,
-           pooled: np.ndarray | None = None) -> list[Detection]:
+           proposals: Proposals | None = None) -> list[Detection]:
     """Full ensemble inference.
 
     Proposals come from the objectness maps combined elementwise under the
     model's own strategy. Both box heads score every proposal, and the
     finetuned head's base-class predictions stay in the candidate pool.
     Base-head candidates get a rank-only bonus so NMS prefers them on ties.
-    A caller that already holds the image's forward, its proposals under any
-    strategy, or their roi_pool rows, passes them in instead of recomputing
-    them.
+    A caller that already holds the image's proposals under any strategy,
+    with their pooled rows, passes them in instead of recomputing them.
     """
     if model.stage != STAGE_RETENTIVE:
         raise StateError(f"ensemble inference needs a finetuned model, got stage {model.stage!r}")
-    return _detect_heads(model, image, dcfg, ("base", "novel"), model.rpn_strategy,
-                         forward, proposals, pooled)
+    return _detect_heads(model, image, dcfg, ("base", "novel"), model.rpn_strategy, proposals)
 
 
 def ensembled_proposals(model: Model, image: np.ndarray, dcfg: DetectConfig,
@@ -544,4 +534,4 @@ def ensembled_proposals(model: Model, image: np.ndarray, dcfg: DetectConfig,
     """Proposal stage only, under an explicit combination strategy."""
     if model.stage == STAGE_INIT:
         raise StateError("cannot run inference on an untrained model")
-    return forward_proposals(model, image_forward(model, image), dcfg, strategy)
+    return strategy_proposals(model, image_forward(model, image), dcfg, (strategy,))[strategy]

@@ -293,21 +293,32 @@ def _mixed_scene(cfg: DatasetConfig, split: ClassSplit, image_seed: int) -> tupl
     return render_scene(spec, image_seed)
 
 
+def _dataset(cfg: DatasetConfig, split: ClassSplit, mode: str, k: int | None, seed: int,
+             n: int, scene) -> Dataset:
+    """n images, image i rendered by scene(i, image_seed) under its own sub-seed."""
+    images, records = [], []
+    for i in range(n):
+        image_seed = subseed(seed, _TAG_IMAGE, i)
+        img, gt = scene(i, image_seed)
+        images.append(img)
+        records.append(SceneRecord(seed=image_seed, gt=gt))
+    return Dataset(split=split, mode=mode, k=k, seed=seed,
+                   side=cfg.image_side, images=images, records=records)
+
+
 def build_base_dataset(cfg: DatasetConfig, split: ClassSplit, seed: int,
                        num_images: int | None = None) -> Dataset:
     """Abundant-data stage: novel instances appear but stay unannotated."""
     cfg.validate()
     n = cfg.base_train_images if num_images is None else num_images
-    images, records = [], []
     novel_set = set(split.novel_ids)
-    for i in range(n):
-        image_seed = subseed(seed, _TAG_IMAGE, i)
+
+    def scene(_, image_seed):
         img, gt = _mixed_scene(cfg, split, image_seed)
         gt.annotated = np.asarray([lbl not in novel_set for lbl in gt.labels], dtype=bool)
-        images.append(img)
-        records.append(SceneRecord(seed=image_seed, gt=gt))
-    return Dataset(split=split, mode="base-train", k=None, seed=seed,
-                   side=cfg.image_side, images=images, records=records)
+        return img, gt
+
+    return _dataset(cfg, split, "base-train", None, seed, n, scene)
 
 
 def build_test_dataset(cfg: DatasetConfig, split: ClassSplit, seed: int,
@@ -315,14 +326,8 @@ def build_test_dataset(cfg: DatasetConfig, split: ClassSplit, seed: int,
     """Held-out scenes with every instance annotated."""
     cfg.validate()
     n = cfg.test_images if num_images is None else num_images
-    images, records = [], []
-    for i in range(n):
-        image_seed = subseed(seed, _TAG_IMAGE, i)
-        img, gt = _mixed_scene(cfg, split, image_seed)
-        images.append(img)
-        records.append(SceneRecord(seed=image_seed, gt=gt))
-    return Dataset(split=split, mode="test", k=None, seed=seed,
-                   side=cfg.image_side, images=images, records=records)
+    return _dataset(cfg, split, "test", None, seed, n,
+                    lambda _, image_seed: _mixed_scene(cfg, split, image_seed))
 
 
 def build_kshot_dataset(cfg: DatasetConfig, split: ClassSplit, k: int, seed: int) -> Dataset:
@@ -339,15 +344,9 @@ def build_kshot_dataset(cfg: DatasetConfig, split: ClassSplit, k: int, seed: int
         take = int(gen.integers(cfg.min_instances, cfg.max_instances + 1))
         groups.append(pool[:take])
         pool = pool[take:]
-    images, records = [], []
-    for i, group in enumerate(groups):
-        image_seed = subseed(seed, _TAG_IMAGE, i)
-        spec = _scene_spec(cfg, tuple(InstanceSpec(class_id=c) for c in group))
-        img, gt = render_scene(spec, image_seed)
-        images.append(img)
-        records.append(SceneRecord(seed=image_seed, gt=gt))
-    return Dataset(split=split, mode="kshot", k=k, seed=seed,
-                   side=cfg.image_side, images=images, records=records)
+    specs = [_scene_spec(cfg, tuple(InstanceSpec(class_id=c) for c in group)) for group in groups]
+    return _dataset(cfg, split, "kshot", k, seed, len(specs),
+                    lambda i, image_seed: render_scene(specs[i], image_seed))
 
 
 # ---------------------------------------------------------------------------

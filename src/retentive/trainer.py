@@ -24,7 +24,6 @@ from .detector import (
     ImageForward,
     Model,
     extend_for_finetune,
-    forward_proposals,
     head_classes,
     head_probs,
     image_anchors,
@@ -32,6 +31,7 @@ from .detector import (
     init_base_model,
     pool_rois,
     project_rois,
+    strategy_proposals,
     trainable_layers,
     trained_head,
 )
@@ -226,7 +226,7 @@ def build_minibatch(model: Model, dataset: Dataset, image_indices, tcfg: TrainCo
             deltas[rpn.sample_pos] = encode_boxes(ann_boxes[rpn.matched_gt[pos]], anchors[pos])
         a_delta.append(deltas)
 
-        proposals = forward_proposals(model, fwd, dcfg, strategy).boxes
+        proposals = strategy_proposals(model, fwd, dcfg, (strategy,))[strategy].boxes
         pool = np.vstack([proposals, ann_boxes]) if len(ann_boxes) else proposals
         roi = assign_targets(pool, ann_boxes, ann_labels, "roi", tcfg,
                              subseed(seed, _TAG_ROI_SAMPLE, iteration, img_idx))

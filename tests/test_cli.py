@@ -943,6 +943,17 @@ def test_parse_axes():
         _parse_axes("")
 
 
+@pytest.mark.parametrize("axes", ["rpn_strategy=", "rpn_strategy= , ;consistency=off",
+                                  "rpn_strategy=max;rpn_strategy=base-only"])
+def test_ablate_rejects_an_empty_or_repeated_axis(tiny_yaml, tmp_path, capsys, axes):
+    out = tmp_path / "o"
+    assert main(["ablate", "--config", str(tiny_yaml), "--axes", axes, "--seed", "0",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:") and "rpn_strategy" in err
+    assert not out.exists()
+
+
 def test_parse_seeds():
     assert _parse_seeds("3,1,2") == [3, 1, 2]
     with pytest.raises(ConfigError):

@@ -159,7 +159,7 @@ def test_rpn_novel_head_missing_is_state_error():
     m = pseudo_trained_base()
     fwd = D.image_forward(m, scene())
     with pytest.raises(StateError):
-        D.forward_proposals(m, fwd, DetectConfig(), "max")
+        D.strategy_proposals(m, fwd, DetectConfig(), ("max",))
 
 
 # ---------------------------------------------------------------------------
@@ -536,17 +536,22 @@ def test_shared_forward_matches_per_image_path(tiny_finetuned, strategy):
         shared = D.strategy_proposals(model, fwd, dcfg, RPN_STRATEGIES)
         assert list(shared) == list(RPN_STRATEGIES)
         for s in RPN_STRATEGIES:
-            assert prop_bits(shared[s]) == prop_bits(D.forward_proposals(model, fwd, dcfg, s))
+            assert prop_bits(shared[s]) == prop_bits(
+                D.strategy_proposals(model, fwd, dcfg, (s,))[s])
         assert prop_bits(shared[strategy]) == prop_bits(
             D.ensembled_proposals(model, img, dcfg, strategy))
         # the base model has no finetuned objectness head; "base-only" alone needs none
         assert prop_bits(shared["base-only"]) == prop_bits(
             D.strategy_proposals(base, fwd, dcfg, ("base-only",))["base-only"])
-        got = D.detect(model, img, dcfg, forward=fwd, proposals=shared[strategy])
+        (mine,), _ = D.pool_proposals(model, fwd, [shared[strategy]], np.empty((0, 4)))
+        got = D.detect(model, img, dcfg, mine)
         assert det_bits(got) == det_bits(D.detect(model, img, dcfg))
-        assert det_bits(got) == det_bits(D.detect(model, img, dcfg, forward=fwd))
+        (alone,), _ = D.pool_proposals(model, fwd, [D.strategy_proposals(
+            model, fwd, dcfg, (strategy,))[strategy]], np.empty((0, 4)))
+        assert det_bits(got) == det_bits(D.detect(model, img, dcfg, alone))
         # the base detector's own forward and proposals are the retentive model's
-        got_base = D.detect_base(base, img, dcfg, forward=fwd, proposals=shared["base-only"])
+        (theirs,), _ = D.pool_proposals(model, fwd, [shared["base-only"]], np.empty((0, 4)))
+        got_base = D.detect_base(base, img, dcfg, theirs)
         assert det_bits(got_base) == det_bits(D.detect_base(base, img, dcfg))
         n_dets += len(got) + len(got_base)
     assert n_dets > 0
@@ -559,7 +564,7 @@ def test_proposal_anchor_ids_name_the_decoded_anchor(tiny_finetuned, strategy):
         fwd = D.image_forward(model, img)
         deltas = D.rpn_box_deltas(model, fwd.cells)
         anchors = D.image_anchors(fwd.side, model.mcfg.feat_stride, model.mcfg.anchor_scales)
-        for props in (D.forward_proposals(model, fwd, dcfg, strategy),
+        for props in (D.strategy_proposals(model, fwd, dcfg, (strategy,))[strategy],
                       D.strategy_proposals(model, fwd, dcfg, RPN_STRATEGIES)[strategy]):
             ids = props.anchor_ids
             assert len(ids) == len(props) > 0 and len(set(ids.tolist())) == len(ids)
@@ -576,18 +581,20 @@ def test_detectors_on_shared_pooled_rows_match_their_own_pooling(tiny_finetuned,
         fwd = D.image_forward(model, img)
         per = D.strategy_proposals(model, fwd, dcfg, RPN_STRATEGIES)
         mine, theirs = per[strategy], per["base-only"]
-        pooled_mine, pooled_theirs = D.pool_proposals(model, fwd, mine, theirs)
+        (mine, theirs), no_rows = D.pool_proposals(model, fwd, [mine, theirs], np.empty((0, 4)))
+        assert len(no_rows) == 0
+        pooled_mine, pooled_theirs = mine.rows, theirs.rows
         assert pooled_mine.tobytes() == D.pool_rois(model, fwd.feat, mine.boxes).tobytes()
         assert pooled_theirs.tobytes() == D.pool_rois(model, fwd.feat, theirs.boxes).tobytes()
         side = float(img.shape[0])
         boxes = np.array([[2.0, 3.0, side / 2, side - 5.0], [0.0, 0.0, side, side]])
-        *rows, pooled_boxes = D.pool_proposals(model, fwd, mine, theirs, boxes=boxes)
-        assert [r.tobytes() for r in rows] == [pooled_mine.tobytes(), pooled_theirs.tobytes()]
+        sets, pooled_boxes = D.pool_proposals(model, fwd, [mine, theirs], boxes)
+        assert [p.rows.tobytes() for p in sets] == [pooled_mine.tobytes(),
+                                                    pooled_theirs.tobytes()]
         assert pooled_boxes.tobytes() == D.pool_rois(model, fwd.feat, boxes).tobytes()
-        got = D.detect(model, img, dcfg, forward=fwd, proposals=mine, pooled=pooled_mine)
+        got = D.detect(model, img, dcfg, mine)
         assert det_bits(got) == det_bits(D.detect(model, img, dcfg))
-        got_base = D.detect_base(base, img, dcfg, forward=fwd, proposals=theirs,
-                                 pooled=pooled_theirs)
+        got_base = D.detect_base(base, img, dcfg, theirs)
         assert det_bits(got_base) == det_bits(D.detect_base(base, img, dcfg))
         n_dets += len(got) + len(got_base)
     assert n_dets > 0
@@ -596,13 +603,14 @@ def test_detectors_on_shared_pooled_rows_match_their_own_pooling(tiny_finetuned,
 def test_pooled_rows_need_the_proposals_they_pool(tiny_finetuned):
     base, model, images, dcfg = tiny_finetuned
     fwd = D.image_forward(model, images[0])
-    props = D.forward_proposals(model, fwd, dcfg, "base-only")
-    (pooled,) = D.pool_proposals(model, fwd, props)
-    assert len(pooled) == len(props) > 0
+    props = D.strategy_proposals(model, fwd, dcfg, ("base-only",))["base-only"]
+    assert props.rows is None
+    (pooled,), _ = D.pool_proposals(model, fwd, [props], np.empty((0, 4)))
+    assert len(pooled.rows) == len(props) > 0
     with pytest.raises(ParameterError):
-        D.detect(model, images[0], dcfg, forward=fwd, pooled=pooled)
+        D.detect(model, images[0], dcfg, props)
     with pytest.raises(ParameterError):
-        D.detect_base(base, images[0], dcfg, forward=fwd, proposals=props, pooled=pooled[:-1])
+        D.detect_base(base, images[0], dcfg, dataclasses.replace(pooled, rows=pooled.rows[:-1]))
 
 
 def test_strategy_proposals_reject_a_forward_off_the_anchor_grid(tiny_finetuned):
@@ -615,7 +623,7 @@ def test_strategy_proposals_reject_a_forward_off_the_anchor_grid(tiny_finetuned)
 def test_strategies_differ_on_the_fixture(tiny_finetuned):
     _, model, images, dcfg = tiny_finetuned
     fwd = D.image_forward(model, images[0])
-    scores = {tuple(D.forward_proposals(model, fwd, dcfg, s).scores.tolist())
+    scores = {tuple(D.strategy_proposals(model, fwd, dcfg, (s,))[s].scores.tolist())
               for s in RPN_STRATEGIES}
     assert len(scores) == len(RPN_STRATEGIES)
 
@@ -623,7 +631,7 @@ def test_strategies_differ_on_the_fixture(tiny_finetuned):
 def test_forward_proposals_rejects_unknown_strategy(tiny_finetuned):
     _, model, images, dcfg = tiny_finetuned
     with pytest.raises(ParameterError):
-        D.forward_proposals(model, D.image_forward(model, images[0]), dcfg, "median")
+        D.strategy_proposals(model, D.image_forward(model, images[0]), dcfg, ("median",))
 
 
 def test_strategy_proposals_rejects_unknown_strategy(tiny_finetuned):
