@@ -14,19 +14,20 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import itertools
 import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
 from hashlib import sha256
 from pathlib import Path
 
 import numpy as np
 
 from .config import (
-    RPN_STRATEGIES,
     ExperimentConfig,
     Rule,
     TrainConfig,
@@ -36,15 +37,7 @@ from .config import (
     load_config,
     read_json_object,
 )
-from .detector import (
-    STAGE_BASE,
-    STAGE_RETENTIVE,
-    detect,
-    detect_base,
-    image_forward,
-    pool_proposals,
-    strategy_proposals,
-)
+from .detector import STAGE_BASE, STAGE_RETENTIVE, detect
 from .errors import (
     ConfigError,
     CorruptArtifactError,
@@ -55,18 +48,8 @@ from .errors import (
     StateError,
     TrainingError,
 )
-from .evaluation import (
-    ap_summary,
-    ap_table,
-    average_recall,
-    build_report,
-    detections_to_candidates,
-    emit_report,
-    proposals_to_candidates,
-    roi_feature_norms,
-)
+from .evaluation import emit_report, evaluate
 from .synthgen import (
-    Dataset,
     build_base_dataset,
     build_kshot_dataset,
     build_test_dataset,
@@ -148,9 +131,9 @@ def _read_report(path: Path) -> dict:
 # stages
 # ---------------------------------------------------------------------------
 
-def _build_datasets(cfg: ExperimentConfig, seed: int) -> dict[str, Dataset]:
+def _run_gen(cfg: ExperimentConfig, seed: int, paths: RunPaths, up: dict) -> dict:
     split = split_classes(cfg.dataset.num_classes, cfg.dataset.num_novel, seed)
-    return {
+    built = {
         "base-train": build_base_dataset(cfg.dataset, split,
                                          subseed(seed, _DS_TAGS["base-train"])),
         "kshot": build_kshot_dataset(cfg.dataset, split, cfg.dataset.shots,
@@ -161,10 +144,6 @@ def _build_datasets(cfg: ExperimentConfig, seed: int) -> dict[str, Dataset]:
                                        subseed(seed, _DS_TAGS["uar-eval"]),
                                        num_images=cfg.dataset.uar_eval_images),
     }
-
-
-def _run_gen(cfg: ExperimentConfig, seed: int, paths: RunPaths, up: dict) -> dict:
-    built = _build_datasets(cfg, seed)
     return {name: save_dataset(built[name], paths.dataset_dir(name)) for name in DATASET_NAMES}
 
 
@@ -194,71 +173,11 @@ def _evaluate_models(cfg: ExperimentConfig, seed: int, paths: RunPaths, up: dict
     model = load_checkpoint(paths.checkpoint("retentive"))
     if model.stage != STAGE_RETENTIVE:
         raise StalenessError(f"expected an adapted checkpoint, found stage {model.stage!r}")
-    subset_digests = {"base": base.base_subset_digest(), "retentive": model.base_subset_digest()}
-    if (subset_digests["base"] != subset_digests["retentive"]
-            or (base.feat_seed, base.mcfg) != (model.feat_seed, model.mcfg)):
-        raise StalenessError(
-            f"{paths.checkpoint('retentive')} does not share the frozen arrays of "
-            f"{paths.checkpoint('base')}")
-    test_ds = load_dataset(paths.dataset_dir("test"))
-    uar_ds = load_dataset(paths.dataset_dir("uar-eval"))
-    dcfg = cfg.detect
-    ecfg = cfg.eval
-
-    def infer(ds, with_gt: bool):
-        """Both detectors and every strategy's proposals from one frozen path per
-        image (the frozen arrays are shared, checked above): one forward, one
-        RPN evaluation and one roi_pool call over both detectors' proposals.
-        With with_gt, that call also pools each image's ground-truth boxes,
-        whose rows come back per image."""
-        ret, bas, gt_rows = [], [], []
-        props = {s: [] for s in RPN_STRATEGIES}
-        for img, rec in zip(ds.images, ds.records):
-            fwd = image_forward(model, img)
-            per = strategy_proposals(model, fwd, dcfg, RPN_STRATEGIES)
-            for s in RPN_STRATEGIES:
-                props[s].append(per[s])
-            (mine, theirs), rows = pool_proposals(
-                model, fwd, [per[model.rpn_strategy], per["base-only"]],
-                rec.gt.boxes if with_gt else np.empty((0, 4)))
-            ret.append(detect(model, img, dcfg, mine))
-            bas.append(detect_base(base, img, dcfg, theirs))
-            gt_rows.append(rows)
-        return ret, bas, props, gt_rows
-
-    ret_dets_test, base_dets_test, props_test, gt_rows = infer(test_ds, with_gt=True)
-    norms = roi_feature_norms(base, test_ds, gt_rows)
-    del gt_rows
-    ret_dets_uar, base_dets_uar, props_uar, _ = infer(uar_ds, with_gt=False)
-
-    # recall key template, candidates, their dataset, instance filter
-    recall_rows = [
-        ("ar@{k}", detections_to_candidates(ret_dets_test), test_ds, "all"),
-        ("uar@{k}", detections_to_candidates(ret_dets_uar), uar_ds, "unseen"),
-        ("base_detection_uar@{k}", detections_to_candidates(base_dets_uar), uar_ds, "unseen"),
-    ] + [(f"proposal_{name}@{{k}}:{s}", proposals_to_candidates(props[s]), ds, group)
-         for s in RPN_STRATEGIES
-         for name, props, ds, group in (("ar", props_test, test_ds, "all"),
-                                        ("uar", props_uar, uar_ds, "unseen"))]
-    recall = {key.format(k=k): value
-              for key, cand, ds, group in recall_rows
-              for k, value in average_recall(cand, ds.records, ecfg.recall_ks,
-                                             ecfg.recall_iou, group).items()}
-
-    base_table = ap_table(base_dets_test, test_ds, ecfg.iou_thresholds)
-    baseline = ap_summary(base_table, test_ds.split, ecfg.iou_thresholds)
-    metadata = {
-        "seed": seed,
-        "config_digest": cfg.digest(),
-        "dataset_digests": {n: up[n] for n in DATASET_NAMES},
-        "checkpoint_digests": {"base": up["base"], "retentive": up["retentive"]},
-        "base_subset_digests": subset_digests,
-        "rpn_strategy": model.rpn_strategy,
-        "classifier": model.classifier,
-        "head_domain": model.head_domain,
-    }
-    report = build_report(ret_dets_test, test_ds, ecfg.iou_thresholds, recall,
-                          norms, metadata=metadata, baseline_summary=baseline)
+    metadata = {"seed": seed, "config_digest": cfg.digest(),
+                "dataset_digests": {n: up[n] for n in DATASET_NAMES},
+                "checkpoint_digests": {"base": up["base"], "retentive": up["retentive"]}}
+    report = evaluate(base, model, load_dataset(paths.dataset_dir("test")),
+                      load_dataset(paths.dataset_dir("uar-eval")), cfg, metadata)
     emit_report(report, paths.eval_dir())
     return {"report": _report_digest_on_disk(paths)}
 
@@ -347,10 +266,15 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_root,
 
 
 # ---------------------------------------------------------------------------
-# multirun aggregation
+# multirun and ablation: one runner, one table writer
 # ---------------------------------------------------------------------------
 
-def _flatten_metrics(report: dict) -> dict[str, float]:
+def _run_metrics(out_root, seed: int) -> dict[str, float] | None:
+    """One run's summary, baseline_* summary and recall in one dict; None without a report."""
+    path = RunPaths(out_root, seed).eval_dir() / "report.json"
+    if not path.exists():
+        return None
+    report = _read_report(path)
     out = dict(report.get("summary", {}))
     out.update((f"baseline_{k}", v) for k, v in report.get("baseline_summary", {}).items())
     out.update((k, v) for k, v in report.get("recall", {}).items() if v is not None)
@@ -369,10 +293,47 @@ def aggregate_metrics(per_seed: dict[int, dict[str, float]]) -> dict[str, dict]:
     return table
 
 
-# errors that fail one seed of a multirun without stopping the others (a dead
-# pool worker fails every seed still pending with BrokenProcessPool)
-_SEED_FAILURES = (ConfigError, ParameterError, GenerationError, TrainingError, NumericError,
-                  StalenessError, StateError, CorruptArtifactError, OSError, BrokenProcessPool)
+# package failure -> (message prefix, exit code); each prints one line
+_FAILURES = (
+    ((ConfigError, ParameterError, GenerationError), "config error", 2),
+    ((TrainingError,), "training error", 3),
+    ((NumericError,), "numeric error", 3),
+    ((MemoryError,), "memory error", 3),
+    ((StalenessError, StateError, CorruptArtifactError, OSError), "artifact error", 4),
+)
+_CODED_ERRORS = tuple(t for types, _, _ in _FAILURES for t in types)
+# errors that fail one unit of a multirun or ablation without stopping the
+# others (a dead pool worker fails every unit still pending with BrokenProcessPool)
+_SEED_FAILURES = _CODED_ERRORS + (BrokenProcessPool,)
+
+
+def _run_units(units: dict, workers: int) -> dict:
+    """run_experiment(*args) for each unit key -> args; on a process pool
+    with more than one worker, in this process, in key order, with one.
+    Returns the one-line reason of every unit that failed."""
+    failures = {}
+    workers = min(workers, len(units))
+    pool = ProcessPoolExecutor(workers) if workers > 1 else None
+    with pool or nullcontext():
+        calls = {k: pool.submit(run_experiment, *args).result if pool
+                 else functools.partial(run_experiment, *args) for k, args in units.items()}
+        for k, call in calls.items():
+            try:
+                call()
+            except _SEED_FAILURES as exc:
+                failures[k] = f"{type(exc).__name__}: {exc}"
+    return failures
+
+
+def _write_table(out_root, stem: str, table: dict, rows: list[list]) -> None:
+    """{stem}.json, the canonical JSON of table, and {stem}.csv, one line per
+    row: a string cell as it is, None empty, a number as its repr."""
+    out = Path(out_root)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / f"{stem}.json").write_text(canonical_json(table) + "\n", encoding="utf-8")
+    text = "".join(",".join(v if isinstance(v, str) else "" if v is None else repr(v) for v in r)
+                   + "\n" for r in rows)
+    (out / f"{stem}.csv").write_text(text, encoding="utf-8")
 
 
 def multirun(cfg: ExperimentConfig, seeds, out_root, stages=STAGES,
@@ -381,29 +342,9 @@ def multirun(cfg: ExperimentConfig, seeds, out_root, stages=STAGES,
     seeds = list(seeds)
     if len(seeds) < 2:
         raise ConfigError(f"multirun needs at least 2 seeds, got {len(seeds)}")
-    unique = sorted(set(seeds))
-    failures: dict[int, str] = {}
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(unique))) as pool:
-            futs = {s: pool.submit(run_experiment, cfg, s, out_root, stages)
-                    for s in unique}
-            for s, fut in futs.items():
-                try:
-                    fut.result()
-                except _SEED_FAILURES as exc:
-                    failures[s] = f"{type(exc).__name__}: {exc}"
-    else:
-        for s in unique:
-            try:
-                run_experiment(cfg, s, out_root, stages)
-            except _SEED_FAILURES as exc:
-                failures[s] = f"{type(exc).__name__}: {exc}"
-
-    per_seed: dict[int, dict[str, float]] = {}
-    for s in seeds:
-        report_path = RunPaths(out_root, s).eval_dir() / "report.json"
-        if s not in failures and report_path.exists():
-            per_seed[s] = _flatten_metrics(_read_report(report_path))
+    failures = _run_units({s: (cfg, s, out_root, stages) for s in sorted(set(seeds))}, workers)
+    per_seed = {s: m for s in seeds
+                if s not in failures and (m := _run_metrics(out_root, s)) is not None}
     aggregate = {
         "seeds": seeds,
         "config_digest": cfg.digest(),
@@ -411,21 +352,12 @@ def multirun(cfg: ExperimentConfig, seeds, out_root, stages=STAGES,
         "failures": {str(s): msg for s, msg in sorted(failures.items())},
         "metrics": aggregate_metrics(per_seed) if per_seed else {},
     }
-    out = Path(out_root)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "aggregate.json").write_text(canonical_json(aggregate) + "\n", encoding="utf-8")
-    lines = ["metric,mean,stddev,n"]
-    for name in sorted(aggregate["metrics"]):
-        row = aggregate["metrics"][name]
-        std = "" if row["stddev"] is None else repr(row["stddev"])
-        lines.append(f"{name},{row['mean']!r},{std},{row['n']}")
-    (out / "aggregate.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    metrics = aggregate["metrics"]
+    _write_table(out_root, "aggregate", aggregate, [["metric", "mean", "stddev", "n"]] + [
+        [name, metrics[name]["mean"], metrics[name]["stddev"], metrics[name]["n"]]
+        for name in sorted(metrics)])
     return aggregate
 
-
-# ---------------------------------------------------------------------------
-# ablation grid
-# ---------------------------------------------------------------------------
 
 # the finetune fields a command line sets by flag and an ablation varies by axis
 _ABLATION_AXES = ("rpn_strategy", "consistency", "classifier", "head_domain")
@@ -451,14 +383,17 @@ def _cell_name(cell: dict[str, str]) -> str:
 
 
 def run_ablation(cfg: ExperimentConfig, axes: dict[str, list[str]], seed: int,
-                 out_root, stages=STAGES) -> dict:
+                 out_root, stages=STAGES, workers: int = 1) -> dict:
     """Full pipeline per distinct cell config; rows collected into ablation.json/csv.
 
-    A cell whose resolved config repeats an earlier cell's (novel-only heads
-    force consistency off) shares that cell's metrics and gets no directory.
+    Every cell's config is built and validated before any cell runs. A cell
+    whose resolved config repeats an earlier cell's (novel-only heads force
+    consistency off) shares that cell's metrics and gets no directory. A
+    cell that fails is listed under failures; it, or one that ends without a
+    report, keeps empty metrics and marks the table incomplete. The other
+    cells still run.
     """
-    rows = []
-    metrics: dict[str, dict] = {}
+    cells, units = [], {}  # (cell, config digest) in grid order; digest -> run_experiment args
     for cell in ablation_cells(axes):
         cell_cfg = copy.deepcopy(cfg)
         for axis, value in cell.items():
@@ -467,23 +402,19 @@ def run_ablation(cfg: ExperimentConfig, axes: dict[str, list[str]], seed: int,
             cell_cfg.finetune.consistency = "off"
         cell_cfg.validate()
         digest = cell_cfg.digest()
-        if digest not in metrics:
-            cell_dir = Path(out_root) / _cell_name(cell)
-            run_experiment(cell_cfg, seed, cell_dir, stages)
-            report = _read_report(RunPaths(cell_dir, seed).eval_dir() / "report.json")
-            metrics[digest] = _flatten_metrics(report)
-        rows.append({"cell": cell, "config_digest": digest, "metrics": metrics[digest]})
-    table = {"seed": seed, "rows": rows}
-    out = Path(out_root)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "ablation.json").write_text(canonical_json(table) + "\n", encoding="utf-8")
-    metric_names = sorted({m for r in rows for m in r["metrics"]})
-    lines = ["cell," + ",".join(metric_names)]
-    for r in rows:
-        vals = [("" if m not in r["metrics"] else repr(r["metrics"][m]))
-                for m in metric_names]
-        lines.append(f"\"{_cell_name(r['cell'])}\"," + ",".join(vals))
-    (out / "ablation.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cells.append((cell, digest))
+        units.setdefault(digest, (cell_cfg, seed, Path(out_root) / _cell_name(cell), stages))
+    failures = _run_units(units, workers)
+    metrics = {d: None if d in failures else _run_metrics(cell_dir, seed)
+               for d, (_, _, cell_dir, _) in units.items()}
+    rows = [{"cell": cell, "config_digest": d, "metrics": metrics[d] or {}} for cell, d in cells]
+    table = {"seed": seed, "rows": rows, "incomplete": None in metrics.values(),
+             "failures": {_cell_name(r["cell"]): failures[r["config_digest"]]
+                          for r in rows if r["config_digest"] in failures}}
+    names = sorted({m for r in rows for m in r["metrics"]})
+    _write_table(out_root, "ablation", table, [["cell"] + names] + [
+        [f"\"{_cell_name(r['cell'])}\""] + [r["metrics"].get(m) for m in names]
+        for r in rows])
     return table
 
 
@@ -637,21 +568,26 @@ def _cmd_detect(args) -> int:
     return 0
 
 
+def _finished(command: str, units: str, table: dict, path: Path) -> int:
+    """One status line for a multirun or ablation; exit 3 if it is incomplete."""
+    status = "incomplete" if table["incomplete"] else "complete"
+    print(f"{command}: {units}, {status}; written to {path}")
+    return 3 if table["incomplete"] else 0
+
+
 def _cmd_ablate(args) -> int:
-    cfg = _resolve_config(args)
-    axes = _parse_axes(args.axes)
-    table = run_ablation(cfg, axes, args.seed, args.out)
-    print(f"ablate: {len(table['rows'])} cells written to {Path(args.out) / 'ablation.json'}")
-    return 0
+    table = run_ablation(_resolve_config(args), _parse_axes(args.axes), args.seed, args.out,
+                         workers=_workers_from_env())
+    return _finished("ablate", f"{len(table['rows'])} cells", table,
+                     Path(args.out) / "ablation.json")
 
 
 def _cmd_multirun(args) -> int:
     cfg = _resolve_config(args)
     seeds = _parse_seeds(args.seeds)
     aggregate = multirun(cfg, seeds, args.out, workers=_workers_from_env())
-    status = "incomplete" if aggregate["incomplete"] else "complete"
-    print(f"multirun: {len(seeds)} seeds, {status}; aggregate in {Path(args.out)}")
-    return 0 if not aggregate["incomplete"] else 3
+    return _finished("multirun", f"{len(seeds)} seeds", aggregate,
+                     Path(args.out) / "aggregate.json")
 
 
 def _cmd_report(args) -> int:
@@ -687,27 +623,12 @@ def main(argv=None) -> int:
     try:
         if args.command in _PIPELINE_COMMANDS:
             return _cmd_pipeline(args, args.command)
-        if args.command == "detect":
-            return _cmd_detect(args)
-        if args.command == "ablate":
-            return _cmd_ablate(args)
-        if args.command == "multirun":
-            return _cmd_multirun(args)
-        if args.command == "report":
-            return _cmd_report(args)
-        raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, ParameterError, GenerationError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except TrainingError as exc:
-        print(f"training error: {exc}", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return 3
-    except (StalenessError, StateError, CorruptArtifactError, OSError) as exc:
-        print(f"artifact error: {exc}", file=sys.stderr)
-        return 4
+        return {"detect": _cmd_detect, "ablate": _cmd_ablate, "multirun": _cmd_multirun,
+                "report": _cmd_report}[args.command](args)
+    except _CODED_ERRORS as exc:
+        prefix, code = next((p, c) for types, p, c in _FAILURES if isinstance(exc, types))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
     except Exception:
         traceback.print_exc()
         return 1

@@ -91,34 +91,41 @@ class Model:
         return self.digest(BASE_LAYERS)
 
 
+def array_shapes(model: Model) -> dict[str, tuple[int, ...]]:
+    """Every array a model of its stage, split, config, classifier and head
+    domain holds, with its shape: the base detector's, plus once finetuned
+    the novel head's, whose classifier has a bias only in fc form."""
+    mcfg = model.mcfg
+    c, d, n_scales = mcfg.mixer_channels, mcfg.head_dim, len(mcfg.anchor_scales)
+    shapes = {
+        "rpn_shared/W": (c, mcfg.feat_channels, 3, 3),
+        "boxhead_proj/W": (d, mcfg.feat_channels * mcfg.roi_pool_bins ** 2),
+        "rpn_box/W": (4 * n_scales, c), "rpn_box/b": (4 * n_scales,),
+    }
+    for head in ("base", "novel") if model.stage == STAGE_RETENTIVE else ("base",):
+        obj, cls, reg = HEAD_LAYERS[head]
+        n_out = len(head_classes(model, head)) + 1
+        shapes.update({f"{obj}/W": (n_scales, c), f"{obj}/b": (n_scales,),
+                       f"{cls}/W": (n_out, d), f"{reg}/W": (4, d), f"{reg}/b": (4,)})
+        if head == "base" or model.classifier == "fc":
+            shapes[f"{cls}/b"] = (n_out,)
+    return shapes
+
+
 def init_base_model(split: ClassSplit, mcfg: ModelConfig, feat_seed: int, seed: int) -> Model:
     """Fresh untrained base detector; frozen arrays derive from feat_seed only."""
-    c = mcfg.mixer_channels
-    d = mcfg.head_dim
-    pooled = mcfg.feat_channels * mcfg.roi_pool_bins ** 2
-    n_scales = len(mcfg.anchor_scales)
-    nb = split.num_base
-
-    arrays: dict[str, np.ndarray] = {}
-    rng_frozen = rng(feat_seed, _TAG_MIXER)
-    arrays["rpn_shared/W"] = rng_frozen.normal(0.0, 1.0 / np.sqrt(9.0 * mcfg.feat_channels),
-                                               size=(c, mcfg.feat_channels, 3, 3))
-    rng_proj = rng(feat_seed, _TAG_PROJ)
-    arrays["boxhead_proj/W"] = rng_proj.normal(0.0, 1.0 / np.sqrt(pooled), size=(d, pooled))
-
+    model = Model(params={}, split=split, mcfg=mcfg, feat_seed=feat_seed, stage=STAGE_INIT)
+    shape = array_shapes(model)
+    a = model.params
+    for layer, tag in (("rpn_shared", _TAG_MIXER), ("boxhead_proj", _TAG_PROJ)):
+        size = shape[f"{layer}/W"]
+        scale = 1.0 / np.sqrt(np.prod(size[1:]))  # of its fan-in
+        a[f"{layer}/W"] = rng(feat_seed, tag).normal(0.0, scale, size=size)
     gen = rng(seed, _TAG_BASE_INIT)
-    sig = mcfg.init_sigma
-    arrays["rpn_obj_b/W"] = gen.normal(0.0, sig, size=(n_scales, c))
-    arrays["rpn_obj_b/b"] = np.zeros(n_scales)
-    arrays["rpn_box/W"] = gen.normal(0.0, sig, size=(4 * n_scales, c))
-    arrays["rpn_box/b"] = np.zeros(4 * n_scales)
-    arrays["cls_b/W"] = gen.normal(0.0, sig, size=(nb + 1, d))
-    arrays["cls_b/b"] = np.zeros(nb + 1)
-    arrays["reg_b/W"] = gen.normal(0.0, sig, size=(4, d))
-    arrays["reg_b/b"] = np.zeros(4)
-
-    return Model(params={k: np.ascontiguousarray(v) for k, v in arrays.items()}, split=split,
-                 mcfg=mcfg, feat_seed=feat_seed, stage=STAGE_INIT)
+    for layer in ("rpn_obj_b", "rpn_box", "cls_b", "reg_b"):  # the draw order
+        a[f"{layer}/W"] = gen.normal(0.0, mcfg.init_sigma, size=shape[f"{layer}/W"])
+        a[f"{layer}/b"] = np.zeros(shape[f"{layer}/b"])
+    return model
 
 
 def extend_for_finetune(base: Model, seed: int, tcfg: TrainConfig) -> Model:
@@ -131,6 +138,7 @@ def extend_for_finetune(base: Model, seed: int, tcfg: TrainConfig) -> Model:
                   mcfg=base.mcfg, feat_seed=base.feat_seed, stage=STAGE_RETENTIVE,
                   classifier=tcfg.classifier, head_domain=tcfg.head_domain,
                   rpn_strategy=tcfg.rpn_strategy)
+    shape = array_shapes(model)
     a = model.params
     sig = base.mcfg.init_sigma
     gen = rng(seed, _TAG_NOVEL_INIT)
@@ -139,8 +147,8 @@ def extend_for_finetune(base: Model, seed: int, tcfg: TrainConfig) -> Model:
         a["rpn_obj_n/W"] = a["rpn_obj_b/W"].copy()
         a["rpn_obj_n/b"] = a["rpn_obj_b/b"].copy()
     else:
-        a["rpn_obj_n/W"] = gen.normal(0.0, sig, size=a["rpn_obj_b/W"].shape)
-        a["rpn_obj_n/b"] = np.zeros_like(a["rpn_obj_b/b"])
+        a["rpn_obj_n/W"] = gen.normal(0.0, sig, size=shape["rpn_obj_n/W"])
+        a["rpn_obj_n/b"] = np.zeros(shape["rpn_obj_n/b"])
 
     if tcfg.head_init == "copy":  # the base head, zero-padded on novel classes
         a["cls_n/W"] = np.ascontiguousarray(pad_base_logits(a["cls_b/W"].T, base.num_novel).T)
@@ -148,12 +156,11 @@ def extend_for_finetune(base: Model, seed: int, tcfg: TrainConfig) -> Model:
         a["reg_n/W"] = a["reg_b/W"].copy()
         a["reg_n/b"] = a["reg_b/b"].copy()
     else:
-        n_out = len(head_classes(model, "novel")) + 1
-        a["cls_n/W"] = gen.normal(0.0, sig, size=(n_out, base.mcfg.head_dim))
-        if tcfg.classifier == "fc":
-            a["cls_n/b"] = np.zeros(n_out)
-        a["reg_n/W"] = gen.normal(0.0, sig, size=(4, base.mcfg.head_dim))
-        a["reg_n/b"] = np.zeros(4)
+        a["cls_n/W"] = gen.normal(0.0, sig, size=shape["cls_n/W"])
+        if "cls_n/b" in shape:
+            a["cls_n/b"] = np.zeros(shape["cls_n/b"])
+        a["reg_n/W"] = gen.normal(0.0, sig, size=shape["reg_n/W"])
+        a["reg_n/b"] = np.zeros(shape["reg_n/b"])
     return model
 
 

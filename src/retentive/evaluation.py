@@ -1,4 +1,5 @@
-"""Detection metrics: class-wise AP, recall at K, and ROI feature norms.
+"""Detection metrics: class-wise AP, recall at K, and ROI feature norms,
+and the eval stage that scores an adapted model beside its base detector.
 
 AP is the exact area under the precision-recall curve (all score cutoffs)
 with the precision envelope applied, computed per class and averaged
@@ -16,9 +17,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import canonical_json
-from .detector import Model, project_rois
-from .errors import ParameterError
+from .config import RPN_STRATEGIES, ExperimentConfig, canonical_json
+from .detector import (
+    Model,
+    detect,
+    detect_base,
+    image_forward,
+    pool_proposals,
+    project_rois,
+    strategy_proposals,
+)
+from .errors import ParameterError, StalenessError
 from .synthgen import ClassSplit, Dataset, SceneRecord
 from .tensorops import iou_matrix
 
@@ -139,10 +148,6 @@ def detections_to_candidates(dets_per_image) -> list[tuple[np.ndarray, np.ndarra
              np.asarray([d.score for d in dets], dtype=np.float64)) for dets in dets_per_image]
 
 
-def proposals_to_candidates(props_per_image) -> list[tuple[np.ndarray, np.ndarray]]:
-    return [(p.boxes, p.scores) for p in props_per_image]
-
-
 def _filter_mask(rec: SceneRecord, class_filter: str) -> np.ndarray:
     if class_filter == GROUP_ALL:
         return np.ones(len(rec.gt.labels), dtype=bool)
@@ -240,6 +245,69 @@ def build_report(dets_per_image, dataset: Dataset, iou_thresholds, recall: dict,
         "baseline_summary": baseline_summary or {},
         "metadata": metadata or {},
     }
+
+
+def _infer(base: Model, model: Model, ds: Dataset, cfg: ExperimentConfig, with_gt: bool):
+    """Both detectors and every strategy's proposals from one frozen path per
+    image: one forward, one RPN evaluation and one roi_pool call over both
+    detectors' proposals. With with_gt, that call also pools each image's
+    ground-truth boxes, whose rows come back per image. Proposals come back
+    per image, keyed by strategy."""
+    ret, bas, props, gt_rows = [], [], [], []
+    for img, rec in zip(ds.images, ds.records):
+        fwd = image_forward(model, img)
+        per = strategy_proposals(model, fwd, cfg.detect, RPN_STRATEGIES)
+        props.append(per)
+        (mine, theirs), rows = pool_proposals(
+            model, fwd, [per[model.rpn_strategy], per["base-only"]],
+            rec.gt.boxes if with_gt else np.empty((0, 4)))
+        ret.append(detect(model, img, cfg.detect, mine))
+        bas.append(detect_base(base, img, cfg.detect, theirs))
+        gt_rows.append(rows)
+    return ret, bas, props, gt_rows
+
+
+def evaluate(base: Model, model: Model, test_ds: Dataset, uar_ds: Dataset,
+             cfg: ExperimentConfig, metadata: dict) -> dict:
+    """report.json of an adapted model scored beside its base detector on one test set.
+
+    Both detectors share one frozen path per image (_infer), so the two models
+    must hold the same frozen arrays, or StalenessError. The report's metadata
+    is the given dict plus the models' base-subset digests, RPN strategy,
+    classifier and head domain.
+    """
+    subset_digests = {"base": base.base_subset_digest(), "retentive": model.base_subset_digest()}
+    if (subset_digests["base"] != subset_digests["retentive"]
+            or (base.feat_seed, base.mcfg) != (model.feat_seed, model.mcfg)):
+        raise StalenessError("the adapted model does not share the frozen arrays of its "
+                             "base detector")
+    ecfg = cfg.eval
+    ret_dets_test, base_dets_test, props_test, gt_rows = _infer(base, model, test_ds, cfg, True)
+    norms = roi_feature_norms(base, test_ds, gt_rows)
+    del gt_rows
+    ret_dets_uar, base_dets_uar, props_uar, _ = _infer(base, model, uar_ds, cfg, False)
+
+    # recall key template, candidates, their dataset, instance filter
+    recall_rows = [
+        ("ar@{k}", detections_to_candidates(ret_dets_test), test_ds, GROUP_ALL),
+        ("uar@{k}", detections_to_candidates(ret_dets_uar), uar_ds, GROUP_UNSEEN),
+        ("base_detection_uar@{k}", detections_to_candidates(base_dets_uar), uar_ds, GROUP_UNSEEN),
+    ] + [(f"proposal_{name}@{{k}}:{s}", [(p[s].boxes, p[s].scores) for p in props], ds, group)
+         for s in RPN_STRATEGIES
+         for name, props, ds, group in (("ar", props_test, test_ds, GROUP_ALL),
+                                        ("uar", props_uar, uar_ds, GROUP_UNSEEN))]
+    recall = {key.format(k=k): value
+              for key, cand, ds, group in recall_rows
+              for k, value in average_recall(cand, ds.records, ecfg.recall_ks,
+                                             ecfg.recall_iou, group).items()}
+
+    base_table = ap_table(base_dets_test, test_ds, ecfg.iou_thresholds)
+    baseline = ap_summary(base_table, test_ds.split, ecfg.iou_thresholds)
+    metadata = {**metadata, "base_subset_digests": subset_digests,
+                "rpn_strategy": model.rpn_strategy, "classifier": model.classifier,
+                "head_domain": model.head_domain}
+    return build_report(ret_dets_test, test_ds, ecfg.iou_thresholds, recall,
+                        norms, metadata=metadata, baseline_summary=baseline)
 
 
 def _csv_text(report: dict) -> str:

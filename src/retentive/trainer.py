@@ -23,6 +23,7 @@ from .detector import (
     STAGE_BASE,
     ImageForward,
     Model,
+    array_shapes,
     extend_for_finetune,
     head_classes,
     head_probs,
@@ -199,7 +200,9 @@ def build_minibatch(model: Model, dataset: Dataset, image_indices, tcfg: TrainCo
     n_scales = len(model.mcfg.anchor_scales)
     head = trained_head(model)
     fg = head_classes(model, head)
-    slot_map, bg_slot = {cid: i for i, cid in enumerate(fg)}, len(fg)
+    # head slot per class id, background outside the head's domain and at the -1 label
+    slots = np.full(model.split.num_classes + 1, len(fg), dtype=np.int64)
+    slots[list(fg)] = np.arange(len(fg))
     want_base_probs = head == "novel" and tcfg.consistency != "off"
     strategy = model.rpn_strategy if head == "novel" else "base-only"
 
@@ -232,15 +235,11 @@ def build_minibatch(model: Model, dataset: Dataset, image_indices, tcfg: TrainCo
                              subseed(seed, _TAG_ROI_SAMPLE, iteration, img_idx))
         idx = roi.sample_idx
         boxes = pool[idx]
-        labels = roi.labels[idx]
-        is_pos = roi.sample_pos.copy()
-        # classes outside the head's domain train as background
-        outside = is_pos & np.asarray([int(c) not in slot_map for c in labels], dtype=bool)
-        is_pos &= ~outside
+        labels = slots[roi.labels[idx]]
+        is_pos = roi.sample_pos & (labels < len(fg))
         maps.append(fwd.feat)
         r_boxes.append(boxes)
-        r_label.append(np.asarray([slot_map[int(c)] if p else bg_slot
-                                   for c, p in zip(labels, is_pos)], dtype=np.int64))
+        r_label.append(labels)
         r_pos.append(is_pos)
         deltas = np.zeros((len(idx), 4))
         deltas[is_pos] = encode_boxes(ann_boxes[roi.matched_gt[idx[is_pos]]], boxes[is_pos])
@@ -425,7 +424,7 @@ def finetune(base: Model, dataset: Dataset, cfg: ExperimentConfig,
 # checkpoints
 # ---------------------------------------------------------------------------
 
-def _model_header(model: Model, names: list[str]) -> dict:
+def _model_header(model: Model, shapes: dict[str, tuple[int, ...]]) -> dict:
     trainable = trainable_layers(model)
     return {
         "version": CHECKPOINT_VERSION,
@@ -436,21 +435,16 @@ def _model_header(model: Model, names: list[str]) -> dict:
         "rpn_strategy": model.rpn_strategy,
         "split": model.split.to_dict(),
         "model_config": asdict(model.mcfg),
-        "arrays": [
-            {
-                "name": name,
-                "shape": list(model.params[name].shape),
-                "trainable": name.split("/")[0] in trainable,
-            }
-            for name in names
-        ],
+        "arrays": [{"name": n, "shape": list(shapes[n]), "trainable": n.split("/")[0] in trainable}
+                   for n in sorted(shapes)],
     }
 
 
 def save_checkpoint(model: Model, path) -> str:
     """Write the model to disk; returns the hex digest stored in the file."""
     names = sorted(model.params)
-    header = canonical_json(_model_header(model, names)).encode("utf-8")
+    shapes = {n: a.shape for n, a in model.params.items()}
+    header = canonical_json(_model_header(model, shapes)).encode("utf-8")
     payload = b"".join(
         np.ascontiguousarray(model.params[n], dtype=np.float64).tobytes()
         for n in names
@@ -501,7 +495,9 @@ def verify_checkpoint(path) -> str:
 
 def load_checkpoint(path) -> Model:
     """Read a checkpoint; any structural or hash defect raises, and so does a
-    header other than the one the loaded model would write."""
+    header other than the one the loaded model would write: one whose arrays
+    are not those its stage, split, config, classifier and head domain call
+    for (detector.array_shapes), or whose flags disagree with its stage."""
     header, payload, _ = _verified_parts(path)
     try:
         arrays: dict[str, np.ndarray] = {}
@@ -523,10 +519,11 @@ def load_checkpoint(path) -> Model:
             head_domain=header["head_domain"],
             rpn_strategy=header["rpn_strategy"],
         )
+        want = canonical_json(_model_header(model, array_shapes(model)))
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptCheckpointError(
             f"checkpoint {path} has an unreadable header: {exc!r}") from exc
-    if canonical_json(header) != canonical_json(_model_header(model, sorted(arrays))):
+    if canonical_json(header) != want:
         raise CorruptCheckpointError(
             f"checkpoint {path} has a header its {model.stage} model would not write")
     return model

@@ -8,9 +8,14 @@ small fixtures.
 """
 
 import copy
+import ctypes
+import importlib.util
 import json
 import os
+import sys
 import time
+from hashlib import sha256
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -42,6 +47,8 @@ from retentive.trainer import build_minibatch, finetune, load_checkpoint
 from oracles import ap_exhaustive_oracle, finite_difference_check, nms_oracle, random_ap_instance
 
 BENCH_SEEDS = (0, 1, 2, 3, 4)
+GOLDEN_DEFAULT = Path(__file__).with_name("golden_default.json")
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -412,3 +419,76 @@ def test_criterion_10_inference_contract(bench):
              f"{n_extras} novel-slot candidates all carry the base head's padded "
              f"mass: {extras_explained}; padded softmax rows sum to 1 +- 1e-12: "
              f"{rows_ok}; no reported score includes the ranking bonus: {unbonused}")
+
+
+# ---------------------------------------------------------------------------
+# golden digests: the default config's checkpoints and reports stay byte-identical
+# ---------------------------------------------------------------------------
+
+_OPENBLAS_CORENAME = ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                      "openblas_get_corename64_", "openblas_get_corename")
+
+
+def _machine_key() -> dict:
+    """The OpenBLAS kernel and numpy's SIMD extensions this process runs on.
+    Matrix products and exp/log round differently under another of either, so
+    the golden digests hold only where both match the recorded ones."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    core = None
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            libs = sorted({f[5].strip() for f in (line.split(None, 5) for line in maps)
+                           if len(f) == 6 and "openblas" in f[5].lower()})
+    except OSError:
+        libs = []
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        name = next((n for n in _OPENBLAS_CORENAME if hasattr(lib, n)), None)
+        if name is not None:
+            getter = getattr(lib, name)
+            getter.argtypes, getter.restype = [], ctypes.c_char_p
+            core = getter().decode()
+    return {"openblas_core": core,
+            "simd_found": sorted(k for k, found in __cpu_features__.items() if found)}
+
+
+def _check_golden(got: dict, want: dict) -> None:
+    recorded = json.loads(GOLDEN_DEFAULT.read_text(encoding="utf-8"))["machine"]
+    here = _machine_key()
+    if here != recorded:
+        pytest.skip(f"machine key {here} is not the recorded {recorded}; "
+                    f"digests on this machine: {got}")
+    assert got == want
+
+
+def test_golden_digests_of_the_default_config(bench):
+    got = {}
+    for s in BENCH_SEEDS:
+        paths = RunPaths(bench.out, s)
+        got[str(s)] = {name: sha256(path.read_bytes()).hexdigest() for name, path in (
+            ("base.ckpt", paths.checkpoint("base")),
+            ("retentive.ckpt", paths.checkpoint("retentive")),
+            ("report.json", paths.eval_dir() / "report.json"))}
+    _check_golden(got, json.loads(GOLDEN_DEFAULT.read_text(encoding="utf-8"))["seeds"])
+
+
+def _load_script(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_golden_digests_of_two_bench_seeds(tmp_path, monkeypatch):
+    """perfbench/golden.json gates every benchmark run; two of its seeds,
+    recorded the way perfbench/golden.py records them."""
+    monkeypatch.setitem(sys.modules, "run", _load_script("run"))  # golden.py imports run
+    golden = _load_script("golden")
+    table = json.loads((PERFBENCH / "golden.json").read_text(encoding="utf-8"))
+    cfg = load_config(PERFBENCH / "bench.yaml")
+    assert cfg.digest() == table["config_digest"]
+    got = {str(s): golden.record_seed(cfg, s, tmp_path) for s in (0, 31)}
+    _check_golden(got, {s: table["seeds"][s] for s in got})

@@ -313,7 +313,7 @@ _PACKAGE_ERRORS = sorted(
     key=lambda c: c.__name__)
 
 
-@pytest.mark.parametrize("exc_type", _PACKAGE_ERRORS, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("exc_type", _PACKAGE_ERRORS + [MemoryError], ids=lambda c: c.__name__)
 def test_every_package_error_exits_with_a_code_and_one_line(exc_type, tmp_path, monkeypatch,
                                                             capsys):
     def fail(args, command):
@@ -324,6 +324,28 @@ def test_every_package_error_exits_with_a_code_and_one_line(exc_type, tmp_path, 
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.rstrip("\n").endswith("injected failure")
     assert issubclass(exc_type, cli._SEED_FAILURES)
+
+
+def test_memory_error_exits_3_with_one_line(tmp_path, monkeypatch, capsys):
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 7.5 TiB for an array")
+
+    monkeypatch.setattr(cli, "run_experiment", exhausted)
+    assert main(["gen-data", "--seed", "1", "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == "memory error: Unable to allocate 7.5 TiB for an array\n"
+
+
+def test_multirun_memory_error_is_a_failed_seed(tiny_cfg, tmp_path, monkeypatch):
+    def exhausted_on_seed_41(cfg, seed, out_root, stages):
+        if seed == 41:
+            raise MemoryError("Unable to allocate 7.5 TiB for an array")
+        return run_experiment(cfg, seed, out_root, stages)
+
+    monkeypatch.setattr(cli, "run_experiment", exhausted_on_seed_41)
+    agg = multirun(tiny_cfg, [40, 41], tmp_path)
+    assert agg["incomplete"]
+    assert agg["failures"] == {"41": "MemoryError: Unable to allocate 7.5 TiB for an array"}
+    assert (RunPaths(tmp_path, 40).eval_dir() / "report.json").exists()
 
 
 def test_aggregate_metrics_hand_values():
@@ -406,6 +428,68 @@ def test_novel_only_cell_runs_without_consistency(tiny_cfg, tmp_path):
     assert cfg_blob["config"]["finetune"]["consistency"] == "off"
     assert cfg_blob["config"]["finetune"]["head_domain"] == "novel-only"
     assert "ap" in row["metrics"]
+
+
+def test_run_ablation_workers_write_identical_bytes(tiny_cfg, tmp_path):
+    axes = {"rpn_strategy": ["max", "base-only"]}
+    runs = {w: tmp_path / f"workers-{w}" for w in (1, 2)}
+    for w, out in runs.items():
+        assert not run_ablation(tiny_cfg, axes, 3, out, workers=w)["incomplete"]
+    for name in ("ablation.json", "ablation.csv", "rpn_strategy=max/seed-3/eval/report.json",
+                 "rpn_strategy=base-only/seed-3/eval/report.json"):
+        assert (runs[1] / name).read_bytes() == (runs[2] / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_ablate_failing_cell_leaves_the_others_and_exits_3(tiny_yaml, tmp_path, monkeypatch,
+                                                           capsys, threads):
+    monkeypatch.setenv("RETENTIVE_THREADS", threads)
+    pools = []
+
+    class RecordedPool(cli.ProcessPoolExecutor):
+        def __init__(self, workers):
+            pools.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordedPool)
+    out = tmp_path / "grid"
+    # poison one cell's run with a stamp from a different configuration
+    poisoned = RunPaths(out / "rpn_strategy=base-only", 0)
+    poisoned.root.mkdir(parents=True)
+    poisoned.stamp("gen").write_text(json.dumps(
+        {"stage": "gen", "seed": 0, "config_digest": "deadbeef",
+         "inputs": {}, "outputs": {}}), encoding="utf-8")
+    assert main(["ablate", "--config", str(tiny_yaml), "--axes", "rpn_strategy=max,base-only",
+                 "--seed", "0", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == ""
+    assert pools == ([] if threads == "1" else [2])
+    table = json.loads((out / "ablation.json").read_text(encoding="utf-8"))
+    assert table["incomplete"] is True
+    assert list(table["failures"]) == ["rpn_strategy=base-only"]
+    assert table["failures"]["rpn_strategy=base-only"].startswith("StalenessError")
+    healthy, failed = table["rows"]
+    assert "ap" in healthy["metrics"] and failed["metrics"] == {}
+    assert (RunPaths(out / "rpn_strategy=max", 0).eval_dir() / "report.json").exists()
+    csv_rows = (out / "ablation.csv").read_text(encoding="utf-8").splitlines()
+    assert csv_rows[2] == '"rpn_strategy=base-only"' + "," * (len(csv_rows[0].split(",")) - 1)
+
+
+def test_ablation_without_reports_is_incomplete(tiny_cfg, tmp_path):
+    table = run_ablation(tiny_cfg, {"rpn_strategy": ["max"]}, 3, tmp_path, stages=("gen",))
+    assert table["incomplete"] is True and table["failures"] == {}
+    assert table["rows"][0]["metrics"] == {}
+
+
+def test_ablate_invalid_cell_exits_2_before_any_cell_runs(tmp_path, capsys):
+    """The fc cell is valid and comes first; the cos cell breaks head_init's rule."""
+    cfg = tmp_path / "copy-head.yaml"
+    cfg.write_text(TINY_YAML + "  head_init: copy\n  classifier: fc\n", encoding="utf-8")
+    out = tmp_path / "grid"
+    assert main(["ablate", "--config", str(cfg), "--axes", "classifier=fc,cos",
+                 "--seed", "0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error: finetune.head_init")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -721,10 +805,10 @@ def test_foreign_checkpoint_magic_exits_4(tiny_yaml, finished_run, tmp_path, cap
 
 def test_checkpoint_without_its_finetuned_head_reaches_state_error_and_exits_4(
         tiny_yaml, finished_run, tmp_path, capsys):
-    """A CLI path to StateError: the finetune stamp records the retentive
-    checkpoint's digest, not what the checkpoint holds, so a checkpoint
-    re-saved without its finetuned head, its stamp re-recorded, loads; detect
-    then asks the model for a head it lacks."""
+    """The finetune stamp records the retentive checkpoint's digest, not what
+    the checkpoint holds, so a checkpoint re-saved without its finetuned head,
+    its stamp re-recorded, passes the walk; loading it then finds the arrays
+    its stage calls for missing, before detect could ask for the head."""
     out = tmp_path / "copy"
     shutil.copytree(finished_run, out)
     paths = RunPaths(out, 3)
@@ -737,7 +821,8 @@ def test_checkpoint_without_its_finetuned_head_reaches_state_error_and_exits_4(
     assert main(["detect", "--config", str(tiny_yaml), "--seed", "3",
                  "--out", str(out)]) == 4
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.endswith("model has no novel head\n")
+    assert err.count("\n") == 1 and err.endswith("header its retentive model would not write\n")
+    assert not paths.detections().exists()
 
 
 @pytest.mark.parametrize("content", ["truncate", "[1, 2]"])
@@ -873,6 +958,22 @@ def test_eval_rejects_base_without_the_shared_frozen_arrays(tiny_cfg, finished_r
     save_checkpoint(base, paths.checkpoint("base"))
     with pytest.raises(StalenessError, match="frozen arrays"):
         _evaluate_models(tiny_cfg, 3, paths, _upstream(paths))
+
+
+def test_evaluate_gives_the_report_the_eval_stage_writes(tiny_cfg, finished_run):
+    from retentive import evaluate
+
+    paths = RunPaths(finished_run, 3)
+    up = _upstream(paths)
+    metadata = {"seed": 3, "config_digest": tiny_cfg.digest(),
+                "dataset_digests": {n: up[n] for n in cli.DATASET_NAMES},
+                "checkpoint_digests": {n: up[n] for n in ("base", "retentive")}}
+    report = evaluate(load_checkpoint(paths.checkpoint("base")),
+                      load_checkpoint(paths.checkpoint("retentive")),
+                      load_dataset(paths.dataset_dir("test")),
+                      load_dataset(paths.dataset_dir("uar-eval")), tiny_cfg, metadata)
+    want = (paths.eval_dir() / "report.json").read_bytes()
+    assert (canonical_json(report) + "\n").encode("utf-8") == want
 
 
 @pytest.fixture

@@ -11,10 +11,13 @@ from retentive.config import DatasetConfig, ExperimentConfig, TrainConfig
 from retentive.detector import (
     BASE_LAYERS,
     FINETUNE_TRAINABLE,
+    HEAD_LAYERS,
     PRETRAIN_TRAINABLE,
     STAGE_BASE,
     STAGE_RETENTIVE,
+    array_shapes,
     extend_for_finetune,
+    head_classes,
     init_base_model,
     trainable_layers,
 )
@@ -256,6 +259,42 @@ def test_minibatch_novel_only_demotes_base_instances():
         labels.extend(mb.roi_label[mb.roi_pos].tolist())
     assert labels, "expected at least one scarce-class positive"
     assert max(labels) < split.num_novel
+
+
+@pytest.mark.parametrize("head_domain", [None, "all", "novel-only"])
+def test_minibatch_slots_match_a_per_row_lookup(monkeypatch, head_domain):
+    """The slot array gives, row for row, what a per-row dict lookup of each
+    sampled RoI's class gives; None trains the base head of a fresh model."""
+    cfg, split, _, kshot_ds = tiny_world()
+    model = init_base_model(split, cfg.model, feat_seed=7, seed=7)
+    tcfg, head = cfg.pretrain, "base"
+    if head_domain is not None:
+        model.stage = STAGE_BASE
+        tcfg = dataclasses.replace(cfg.finetune, head_domain=head_domain, consistency="off")
+        model, head = extend_for_finetune(model, 9, tcfg), "novel"
+    drawn = []
+
+    def recorded(*args, **kwargs):
+        out = assign_targets(*args, **kwargs)
+        if args[3] == "roi":
+            drawn.append(out)
+        return out
+
+    monkeypatch.setattr(trainer, "assign_targets", recorded)
+    mb = build_minibatch(model, kshot_ds, range(len(kshot_ds)), tcfg, cfg.detect, seed=9,
+                         iteration=0)
+    slot = {cid: i for i, cid in enumerate(head_classes(model, head))}
+    want_label, want_pos, demoted = [], [], 0
+    for roi in drawn:
+        for c, p in zip(roi.labels[roi.sample_idx], roi.sample_pos):
+            inside = bool(p) and int(c) in slot  # a class outside the domain is background
+            demoted += bool(p) and not inside
+            want_pos.append(inside)
+            want_label.append(slot[int(c)] if inside else len(slot))
+    assert mb.roi_label.tolist() == want_label
+    assert mb.roi_pos.tolist() == want_pos
+    assert 0 < sum(want_pos) < len(want_pos)
+    assert (demoted > 0) == (head_domain != "all")
 
 
 def test_minibatch_is_deterministic():
@@ -575,5 +614,49 @@ def test_checkpoint_rejects_flags_its_stage_would_not_write(tmp_path, monkeypatc
         mp.setattr(trainer, "trainable_layers", lambda m: flagged)
         digest = save_checkpoint(model, p)
     assert verify_checkpoint(p) == digest
+    with pytest.raises(CorruptCheckpointError, match="would not write"):
+        load_checkpoint(p)
+
+
+# every finetune head form the config admits: (classifier, head_domain, head_init)
+_HEAD_FORMS = [("cos", "all", "random"), ("cos", "novel-only", "random"),
+               ("fc", "all", "random"), ("fc", "novel-only", "random"), ("fc", "all", "copy")]
+
+
+@pytest.mark.parametrize("classifier, head_domain, head_init", _HEAD_FORMS)
+def test_every_head_form_holds_the_arrays_its_stage_calls_for(tmp_path, classifier,
+                                                               head_domain, head_init):
+    cfg, split, _, _ = tiny_world()
+    base = init_base_model(split, cfg.model, feat_seed=1, seed=1)
+    assert {k: v.shape for k, v in base.params.items()} == array_shapes(base)
+    base.stage = STAGE_BASE
+    tcfg = dataclasses.replace(cfg.finetune, classifier=classifier, head_domain=head_domain,
+                               head_init=head_init,
+                               consistency="off" if head_domain == "novel-only" else "kldiv")
+    model = extend_for_finetune(base, 1, tcfg)
+    assert {k: v.shape for k, v in model.params.items()} == array_shapes(model)
+    save_checkpoint(model, tmp_path / "m.ckpt")
+    assert sorted(load_checkpoint(tmp_path / "m.ckpt").params) == sorted(model.params)
+
+
+@pytest.mark.parametrize("defect", ["missing", "extra", "misshapen"])
+def test_checkpoint_rejects_arrays_its_stage_does_not_call_for(tmp_path, defect):
+    """A hash-valid checkpoint whose header lists the arrays it holds still
+    fails at load when they are not the arrays its stage, split, config,
+    classifier and head domain call for."""
+    cfg, split, _, _ = tiny_world()
+    model = init_base_model(split, cfg.model, feat_seed=1, seed=1)
+    model.stage = STAGE_BASE
+    model = extend_for_finetune(model, 1, cfg.finetune)  # cosine: no classifier bias
+    cls = HEAD_LAYERS["novel"][1]
+    weights = model.params[f"{cls}/W"]
+    if defect == "missing":
+        del model.params[f"{cls}/W"]
+    elif defect == "extra":
+        model.params[f"{cls}/b"] = np.zeros(len(weights))
+    else:
+        model.params[f"{cls}/W"] = weights[:-1]
+    p = tmp_path / "m.ckpt"
+    assert save_checkpoint(model, p) == verify_checkpoint(p)
     with pytest.raises(CorruptCheckpointError, match="would not write"):
         load_checkpoint(p)
