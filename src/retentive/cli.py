@@ -176,8 +176,13 @@ def _evaluate_models(cfg: ExperimentConfig, seed: int, paths: RunPaths, up: dict
     metadata = {"seed": seed, "config_digest": cfg.digest(),
                 "dataset_digests": {n: up[n] for n in DATASET_NAMES},
                 "checkpoint_digests": {"base": up["base"], "retentive": up["retentive"]}}
-    report = evaluate(base, model, load_dataset(paths.dataset_dir("test")),
-                      load_dataset(paths.dataset_dir("uar-eval")), cfg, metadata)
+    test_ds = load_dataset(paths.dataset_dir("test"))
+    uar_ds = load_dataset(paths.dataset_dir("uar-eval"))
+    try:
+        report = evaluate(base, model, test_ds, uar_ds, cfg, metadata)
+    except StalenessError as exc:  # evaluate is given models; name their files
+        raise StalenessError(f"{exc}: {paths.checkpoint('retentive')} and "
+                             f"{paths.checkpoint('base')}") from exc
     emit_report(report, paths.eval_dir())
     return {"report": _report_digest_on_disk(paths)}
 
@@ -269,12 +274,9 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_root,
 # multirun and ablation: one runner, one table writer
 # ---------------------------------------------------------------------------
 
-def _run_metrics(out_root, seed: int) -> dict[str, float] | None:
-    """One run's summary, baseline_* summary and recall in one dict; None without a report."""
-    path = RunPaths(out_root, seed).eval_dir() / "report.json"
-    if not path.exists():
-        return None
-    report = _read_report(path)
+def _run_metrics(out_root, seed: int) -> dict[str, float]:
+    """One run's summary, baseline_* summary and recall in one dict."""
+    report = _read_report(RunPaths(out_root, seed).eval_dir() / "report.json")
     out = dict(report.get("summary", {}))
     out.update((f"baseline_{k}", v) for k, v in report.get("baseline_summary", {}).items())
     out.update((k, v) for k, v in report.get("recall", {}).items() if v is not None)
@@ -336,21 +338,19 @@ def _write_table(out_root, stem: str, table: dict, rows: list[list]) -> None:
     (out / f"{stem}.csv").write_text(text, encoding="utf-8")
 
 
-def multirun(cfg: ExperimentConfig, seeds, out_root, stages=STAGES,
-             workers: int = 1) -> dict:
+def multirun(cfg: ExperimentConfig, seeds, out_root, workers: int) -> dict:
     """Run every seed, then fold the per-seed reports into aggregate files."""
     seeds = list(seeds)
     if len(seeds) < 2:
         raise ConfigError(f"multirun needs at least 2 seeds, got {len(seeds)}")
-    failures = _run_units({s: (cfg, s, out_root, stages) for s in sorted(set(seeds))}, workers)
-    per_seed = {s: m for s in seeds
-                if s not in failures and (m := _run_metrics(out_root, s)) is not None}
+    failures = _run_units({s: (cfg, s, out_root) for s in sorted(set(seeds))}, workers)
+    per_seed = {s: _run_metrics(out_root, s) for s in seeds if s not in failures}
     aggregate = {
         "seeds": seeds,
         "config_digest": cfg.digest(),
-        "incomplete": bool(failures) or len(per_seed) < len(set(seeds)),
+        "incomplete": bool(failures),
         "failures": {str(s): msg for s, msg in sorted(failures.items())},
-        "metrics": aggregate_metrics(per_seed) if per_seed else {},
+        "metrics": aggregate_metrics(per_seed),
     }
     metrics = aggregate["metrics"]
     _write_table(out_root, "aggregate", aggregate, [["metric", "mean", "stddev", "n"]] + [
@@ -383,15 +383,14 @@ def _cell_name(cell: dict[str, str]) -> str:
 
 
 def run_ablation(cfg: ExperimentConfig, axes: dict[str, list[str]], seed: int,
-                 out_root, stages=STAGES, workers: int = 1) -> dict:
+                 out_root, workers: int) -> dict:
     """Full pipeline per distinct cell config; rows collected into ablation.json/csv.
 
     Every cell's config is built and validated before any cell runs. A cell
     whose resolved config repeats an earlier cell's (novel-only heads force
     consistency off) shares that cell's metrics and gets no directory. A
-    cell that fails is listed under failures; it, or one that ends without a
-    report, keeps empty metrics and marks the table incomplete. The other
-    cells still run.
+    cell that fails is listed under failures; it keeps empty metrics and
+    marks the table incomplete. The other cells still run.
     """
     cells, units = [], {}  # (cell, config digest) in grid order; digest -> run_experiment args
     for cell in ablation_cells(axes):
@@ -403,12 +402,12 @@ def run_ablation(cfg: ExperimentConfig, axes: dict[str, list[str]], seed: int,
         cell_cfg.validate()
         digest = cell_cfg.digest()
         cells.append((cell, digest))
-        units.setdefault(digest, (cell_cfg, seed, Path(out_root) / _cell_name(cell), stages))
+        units.setdefault(digest, (cell_cfg, seed, Path(out_root) / _cell_name(cell)))
     failures = _run_units(units, workers)
-    metrics = {d: None if d in failures else _run_metrics(cell_dir, seed)
-               for d, (_, _, cell_dir, _) in units.items()}
-    rows = [{"cell": cell, "config_digest": d, "metrics": metrics[d] or {}} for cell, d in cells]
-    table = {"seed": seed, "rows": rows, "incomplete": None in metrics.values(),
+    metrics = {d: _run_metrics(cell_dir, seed)
+               for d, (_, _, cell_dir) in units.items() if d not in failures}
+    rows = [{"cell": cell, "config_digest": d, "metrics": metrics.get(d, {})} for cell, d in cells]
+    table = {"seed": seed, "rows": rows, "incomplete": bool(failures),
              "failures": {_cell_name(r["cell"]): failures[r["config_digest"]]
                           for r in rows if r["config_digest"] in failures}}
     names = sorted({m for r in rows for m in r["metrics"]})

@@ -180,10 +180,6 @@ def image_anchors(side: int, stride: int, scales: tuple[float, ...]) -> np.ndarr
     return anchors
 
 
-def image_features(model: Model, image: np.ndarray) -> np.ndarray:
-    return fixed_featurizer(image, model.feat_seed, model.mcfg.feat_channels)
-
-
 @dataclass
 class ImageForward:
     """The frozen part of one image's forward: feat, the featurizer map the box
@@ -198,7 +194,7 @@ class ImageForward:
 
 
 def image_forward(model: Model, image: np.ndarray) -> ImageForward:
-    feat = image_features(model, image)
+    feat = fixed_featurizer(image, model.feat_seed, model.mcfg.feat_channels)
     mixed = np.maximum(conv3x3(feat, model.params["rpn_shared/W"]), 0.0)
     cells = np.ascontiguousarray(mixed.reshape(mixed.shape[0], -1).T)
     return ImageForward(feat=feat, cells=cells, side=int(image.shape[0]))
@@ -416,8 +412,6 @@ def pad_base_logits(logits_b: np.ndarray, num_novel: int) -> np.ndarray:
         raise StateError(f"base logits must be (N, num_base+1), got {logits_b.shape}")
     if num_novel < 0:
         raise StateError(f"negative novel count {num_novel}")
-    if num_novel == 0:
-        return logits_b.copy()
     n, wb = logits_b.shape
     out = np.zeros((n, wb + num_novel))
     out[:, :wb - 1] = logits_b[:, :-1]

@@ -151,8 +151,6 @@ def detections_to_candidates(dets_per_image) -> list[tuple[np.ndarray, np.ndarra
 def _filter_mask(rec: SceneRecord, class_filter: str) -> np.ndarray:
     if class_filter == GROUP_ALL:
         return np.ones(len(rec.gt.labels), dtype=bool)
-    if class_filter == GROUP_SEEN:
-        return rec.gt.annotated.copy()
     if class_filter == GROUP_UNSEEN:
         return ~rec.gt.annotated
     raise ParameterError(f"unknown class filter {class_filter!r}")
@@ -226,8 +224,7 @@ REPORT_SCHEMA_VERSION = 1
 
 
 def build_report(dets_per_image, dataset: Dataset, iou_thresholds, recall: dict,
-                 feature_norms: dict, metadata: dict | None = None,
-                 baseline_summary: dict | None = None) -> dict:
+                 feature_norms: dict, metadata: dict, baseline_summary: dict) -> dict:
     """report.json of one evaluated model run, class ids and thresholds as string keys."""
     table = ap_table(dets_per_image, dataset, iou_thresholds)
     return {
@@ -242,8 +239,8 @@ def build_report(dets_per_image, dataset: Dataset, iou_thresholds, recall: dict,
             "per_class": {str(c): v for c, v in feature_norms["per_class"].items()},
             "groups": feature_norms["groups"],
         },
-        "baseline_summary": baseline_summary or {},
-        "metadata": metadata or {},
+        "baseline_summary": baseline_summary,
+        "metadata": metadata,
     }
 
 

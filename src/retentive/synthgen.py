@@ -158,10 +158,10 @@ class InstanceSpec:
 class SceneSpec:
     side: int
     instances: tuple[InstanceSpec, ...]
-    size_range: tuple[int, int] = (12, 28)
-    overlap_iou_cap: float = 0.3
-    placement_retries: int = 50
-    noise: float = 0.0
+    size_range: tuple[int, int] = (DatasetConfig.min_glyph, DatasetConfig.max_glyph)
+    overlap_iou_cap: float = DatasetConfig.overlap_iou_cap
+    placement_retries: int = DatasetConfig.placement_retries
+    noise: float = DatasetConfig.noise
 
 
 @dataclass
@@ -321,12 +321,10 @@ def build_base_dataset(cfg: DatasetConfig, split: ClassSplit, seed: int,
     return _dataset(cfg, split, "base-train", None, seed, n, scene)
 
 
-def build_test_dataset(cfg: DatasetConfig, split: ClassSplit, seed: int,
-                       num_images: int | None = None) -> Dataset:
+def build_test_dataset(cfg: DatasetConfig, split: ClassSplit, seed: int) -> Dataset:
     """Held-out scenes with every instance annotated."""
     cfg.validate()
-    n = cfg.test_images if num_images is None else num_images
-    return _dataset(cfg, split, "test", None, seed, n,
+    return _dataset(cfg, split, "test", None, seed, cfg.test_images,
                     lambda _, image_seed: _mixed_scene(cfg, split, image_seed))
 
 

@@ -117,7 +117,7 @@ def avgpool2(x: np.ndarray) -> np.ndarray:
     return 0.25 * (x[:, 0::2, 0::2] + x[:, 0::2, 1::2] + x[:, 1::2, 0::2] + x[:, 1::2, 1::2])
 
 
-def fixed_featurizer(image: np.ndarray, feat_seed: int, channels: int = 32) -> np.ndarray:
+def fixed_featurizer(image: np.ndarray, feat_seed: int, channels: int) -> np.ndarray:
     """Frozen random two-layer conv stack: (S,S) image -> (channels, S/4, S/4).
 
     Rectified, bias-free, stride-2 pooled twice; weights depend only on

@@ -181,9 +181,18 @@ def _stage_image(model: Model, dataset: Dataset, img_idx: int, tcfg: TrainConfig
                       anchor_labels=labels, anchor_matched=matched)
 
 
+def _box_targets(ann_boxes: np.ndarray, matched: np.ndarray, pos: np.ndarray,
+                 boxes: np.ndarray) -> np.ndarray:
+    """Box-delta targets of candidate rows: zeros, and at each positive row its
+    matched annotation encoded against its own candidate box."""
+    deltas = np.zeros((len(boxes), 4))
+    deltas[pos] = encode_boxes(ann_boxes[matched[pos]], boxes[pos])
+    return deltas
+
+
 def build_minibatch(model: Model, dataset: Dataset, image_indices, tcfg: TrainConfig,
                     dcfg: DetectConfig, seed: int, iteration: int,
-                    cache: dict[int, StageImage] | None = None) -> Minibatch:
+                    cache: dict[int, StageImage]) -> Minibatch:
     """Materialize one training step's targets and frozen-path activations.
 
     Proposals are regenerated from the current region network each call, so
@@ -194,8 +203,9 @@ def build_minibatch(model: Model, dataset: Dataset, image_indices, tcfg: TrainCo
     proposals under the model's own RPN strategy, as inference does. cache
     keeps each image's StageImage across the steps of one stage.
     """
-    if cache is None:
-        cache = {}
+    image_indices = [int(i) for i in image_indices]
+    if not image_indices:
+        raise ParameterError("a minibatch needs at least one image")
     anchors = image_anchors(dataset.side, model.mcfg.feat_stride, model.mcfg.anchor_scales)
     n_scales = len(model.mcfg.anchor_scales)
     head = trained_head(model)
@@ -206,11 +216,8 @@ def build_minibatch(model: Model, dataset: Dataset, image_indices, tcfg: TrainCo
     want_base_probs = head == "novel" and tcfg.consistency != "off"
     strategy = model.rpn_strategy if head == "novel" else "base-only"
 
-    a_cells, a_scale, a_label, a_delta = [], [], [], []
-    maps, r_boxes, r_label, r_pos, r_delta = [], [], [], [], []
-
+    parts = []  # per image: its feature map, its sampled ROI boxes and its Minibatch rows
     for img_idx in image_indices:
-        img_idx = int(img_idx)
         rec = cache.get(img_idx)
         if rec is None:
             rec = cache[img_idx] = _stage_image(model, dataset, img_idx, tcfg)
@@ -219,58 +226,39 @@ def build_minibatch(model: Model, dataset: Dataset, image_indices, tcfg: TrainCo
         rpn = assign_targets(anchors, ann_boxes, ann_labels, "rpn", tcfg,
                              subseed(seed, _TAG_RPN_SAMPLE, iteration, img_idx),
                              labelled=(rec.anchor_labels, rec.anchor_matched))
-        idx = rpn.sample_idx
-        a_cells.append(fwd.cells[idx // n_scales])
-        a_scale.append((idx % n_scales).astype(np.int64))
-        a_label.append(rpn.sample_pos.astype(np.float64))
-        deltas = np.zeros((len(idx), 4))
-        if head == "base":  # the RPN box layer trains with the base head only
-            pos = idx[rpn.sample_pos]
-            deltas[rpn.sample_pos] = encode_boxes(ann_boxes[rpn.matched_gt[pos]], anchors[pos])
-        a_delta.append(deltas)
-
+        a_idx = rpn.sample_idx
         proposals = strategy_proposals(model, fwd, dcfg, (strategy,))[strategy].boxes
-        pool = np.vstack([proposals, ann_boxes]) if len(ann_boxes) else proposals
+        pool = np.vstack([proposals, ann_boxes])
         roi = assign_targets(pool, ann_boxes, ann_labels, "roi", tcfg,
                              subseed(seed, _TAG_ROI_SAMPLE, iteration, img_idx))
-        idx = roi.sample_idx
-        boxes = pool[idx]
-        labels = slots[roi.labels[idx]]
+        r_idx = roi.sample_idx
+        labels = slots[roi.labels[r_idx]]
         is_pos = roi.sample_pos & (labels < len(fg))
-        maps.append(fwd.feat)
-        r_boxes.append(boxes)
-        r_label.append(labels)
-        r_pos.append(is_pos)
-        deltas = np.zeros((len(idx), 4))
-        deltas[is_pos] = encode_boxes(ann_boxes[roi.matched_gt[idx[is_pos]]], boxes[is_pos])
-        r_delta.append(deltas)
+        r_boxes = pool[r_idx]
+        parts.append((fwd.feat, r_boxes, {
+            "anchor_cells": fwd.cells[a_idx // n_scales],
+            "anchor_scale": (a_idx % n_scales).astype(np.int64),
+            "anchor_label": rpn.sample_pos.astype(np.float64),
+            # the RPN box layer trains with the base head only
+            "anchor_delta_t": _box_targets(ann_boxes, rpn.matched_gt[a_idx],
+                                           rpn.sample_pos & (head == "base"), anchors[a_idx]),
+            "roi_label": labels,
+            "roi_pos": is_pos,
+            "roi_delta_t": _box_targets(ann_boxes, roi.matched_gt[r_idx], is_pos, r_boxes),
+        }))
 
     # one roi_pool call over every image's sampled rows; each image's rows are
     # projected apart, at the row count one image gives, because a GEMM row's
     # bits may depend on the row count
-    r_feats, r_probs = [], []
-    if maps:
-        counts = [len(b) for b in r_boxes]
-        pooled = pool_rois(model, np.stack(maps), np.concatenate(r_boxes),
-                           batch_idx=np.repeat(np.arange(len(maps)), counts))
-        r_feats = [project_rois(model, rows)
-                   for rows in np.split(pooled, np.cumsum(counts)[:-1])]
+    maps, boxes, rows = zip(*parts)
+    counts = [len(b) for b in boxes]
+    pooled = pool_rois(model, np.stack(maps), np.concatenate(boxes),
+                       batch_idx=np.repeat(np.arange(len(maps)), counts))
+    for image_rows, feats in zip(rows, np.split(pooled, np.cumsum(counts)[:-1])):
+        image_rows["roi_feats"] = project_rois(model, feats)
         if want_base_probs:
-            r_probs = [head_probs(model, feats, "base")[0] for feats in r_feats]
-
-    d = model.mcfg.head_dim
-    c = model.mcfg.mixer_channels
-    return Minibatch(
-        anchor_cells=np.concatenate(a_cells) if a_cells else np.zeros((0, c)),
-        anchor_scale=np.concatenate(a_scale) if a_scale else np.zeros(0, dtype=np.int64),
-        anchor_label=np.concatenate(a_label) if a_label else np.zeros(0),
-        anchor_delta_t=np.concatenate(a_delta) if a_delta else np.zeros((0, 4)),
-        roi_feats=np.concatenate(r_feats) if r_feats else np.zeros((0, d)),
-        roi_label=np.concatenate(r_label) if r_label else np.zeros(0, dtype=np.int64),
-        roi_pos=np.concatenate(r_pos) if r_pos else np.zeros(0, dtype=bool),
-        roi_delta_t=np.concatenate(r_delta) if r_delta else np.zeros((0, 4)),
-        roi_base_probs=np.concatenate(r_probs) if want_base_probs else None,
-    )
+            image_rows["roi_base_probs"] = head_probs(model, image_rows["roi_feats"], "base")[0]
+    return Minibatch(**{name: np.concatenate([r[name] for r in rows]) for name in rows[0]})
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +358,9 @@ def _converged(totals, window: int, rel_tol: float) -> bool:
 
 def _run_stage(model: Model, dataset: Dataset, tcfg: TrainConfig,
                dcfg: DetectConfig, seed: int, log: TrainLog) -> None:
+    """Train the model's stage in place; the log's last record states why it
+    stopped, "converged@<iteration>" or "max_iters". A stage of zero
+    iterations writes no record, so it states no reason."""
     if len(dataset) == 0:
         raise ParameterError("cannot train on an empty dataset")
     velocity: dict[str, np.ndarray] = {}
@@ -389,7 +380,10 @@ def _run_stage(model: Model, dataset: Dataset, tcfg: TrainConfig,
         log.append(it, breakdown, tcfg.lr, time.monotonic() - t0)
         totals.append(breakdown.total)
         if _converged(totals, tcfg.convergence_window, tcfg.convergence_rel_tol):
-            break
+            log.records[-1]["stop_reason"] = f"converged@{it}"
+            return
+    if log.records:
+        log.records[-1]["stop_reason"] = "max_iters"
 
 
 def pretrain(dataset: Dataset, cfg: ExperimentConfig, seed: int) -> tuple[Model, TrainLog]:

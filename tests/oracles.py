@@ -264,7 +264,7 @@ def recall_single_k_oracle(candidates, records, k, iou_thresh, class_filter="all
     total = 0
     for (boxes, scores), rec in zip(candidates, records):
         keep = {"all": np.ones(len(rec.gt.labels), dtype=bool),
-                "seen": rec.gt.annotated, "unseen": ~rec.gt.annotated}[class_filter]
+                "unseen": ~rec.gt.annotated}[class_filter]
         gts = rec.gt.boxes[keep]
         total += len(gts)
         if len(gts) == 0 or len(boxes) == 0 or k == 0:

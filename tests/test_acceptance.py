@@ -158,7 +158,7 @@ def test_criterion_05_gradient_correctness():
 
     tcfg = TrainConfig()
     mb = build_minibatch(base, base_ds, [0, 1], tcfg, dcfg, seed=11,
-                         iteration=0)
+                         iteration=0, cache={})
     worst["pretrain"] = finite_difference_check(base, mb, tcfg,
                                                 max_coords=150, seed=1)
 
@@ -167,7 +167,7 @@ def test_criterion_05_gradient_correctness():
         for lam in (0.0, 0.1):
             tcfg = TrainConfig(consistency=variant, lam=lam)
             mb = build_minibatch(ret, kshot_ds, [0, 1], tcfg, dcfg,
-                                 seed=17, iteration=0)
+                                 seed=17, iteration=0, cache={})
             worst[f"{variant}/lam={lam}"] = finite_difference_check(
                 ret, mb, tcfg, max_coords=150, seed=2)
     elapsed = time.monotonic() - start

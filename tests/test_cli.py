@@ -184,7 +184,7 @@ def test_gen_data_stage_only_builds_datasets(tiny_cfg, tmp_path):
 
 def test_multirun_aggregate_matches_reports(tiny_cfg, tmp_path):
     out = tmp_path / "mr"
-    agg = multirun(tiny_cfg, [11, 12], out)
+    agg = multirun(tiny_cfg, [11, 12], out, workers=1)
     assert not agg["incomplete"]
     per_seed = {}
     for s in (11, 12):
@@ -210,11 +210,11 @@ def test_multirun_aggregate_matches_reports(tiny_cfg, tmp_path):
 
 def test_multirun_needs_two_seeds(tiny_cfg, tmp_path):
     with pytest.raises(ConfigError):
-        multirun(tiny_cfg, [7], tmp_path)
+        multirun(tiny_cfg, [7], tmp_path, workers=1)
 
 
 def test_multirun_duplicate_seeds_collapse(tiny_cfg, tmp_path):
-    agg = multirun(tiny_cfg, [9, 9], tmp_path)
+    agg = multirun(tiny_cfg, [9, 9], tmp_path, workers=1)
     assert agg["seeds"] == [9, 9]
     assert not agg["incomplete"]
     for row in agg["metrics"].values():
@@ -229,7 +229,7 @@ def test_multirun_failed_seed_marks_incomplete(tiny_cfg, tmp_path):
     paths.stamp("gen").write_text(json.dumps(
         {"stage": "gen", "seed": 21, "config_digest": "deadbeef",
          "inputs": {}, "outputs": {}}), encoding="utf-8")
-    agg = multirun(tiny_cfg, [20, 21], out)
+    agg = multirun(tiny_cfg, [20, 21], out, workers=1)
     assert agg["incomplete"]
     assert "21" in agg["failures"]
     # the healthy seed still produced its full report
@@ -252,10 +252,12 @@ def test_multirun_workers_write_identical_bytes(tiny_cfg, tmp_path):
                 == (b.eval_dir() / "report.json").read_bytes())
 
 
-def _die_on_seed_31(cfg, seed, out_root, stages):
-    """Stands in for run_experiment in a pool worker: seed 31's worker dies."""
+def _die_on_seed_31(cfg, seed, out_root):
+    """Stands in for run_experiment in a pool worker: seed 31's worker dies,
+    and any other seed runs, so one that finishes first leaves its report."""
     if seed == 31:
         os._exit(1)
+    return run_experiment(cfg, seed, out_root)
 
 
 def test_multirun_dead_worker_is_a_failed_seed(tiny_yaml, tmp_path, monkeypatch, capsys):
@@ -336,13 +338,13 @@ def test_memory_error_exits_3_with_one_line(tmp_path, monkeypatch, capsys):
 
 
 def test_multirun_memory_error_is_a_failed_seed(tiny_cfg, tmp_path, monkeypatch):
-    def exhausted_on_seed_41(cfg, seed, out_root, stages):
+    def exhausted_on_seed_41(cfg, seed, out_root):
         if seed == 41:
             raise MemoryError("Unable to allocate 7.5 TiB for an array")
-        return run_experiment(cfg, seed, out_root, stages)
+        return run_experiment(cfg, seed, out_root)
 
     monkeypatch.setattr(cli, "run_experiment", exhausted_on_seed_41)
-    agg = multirun(tiny_cfg, [40, 41], tmp_path)
+    agg = multirun(tiny_cfg, [40, 41], tmp_path, workers=1)
     assert agg["incomplete"]
     assert agg["failures"] == {"41": "MemoryError: Unable to allocate 7.5 TiB for an array"}
     assert (RunPaths(tmp_path, 40).eval_dir() / "report.json").exists()
@@ -390,7 +392,7 @@ def test_ablation_reports_a_bad_axis_or_value_in_the_config_form():
 
 
 def test_run_ablation_distinct_digests(tiny_cfg, tmp_path):
-    table = run_ablation(tiny_cfg, {"rpn_strategy": ["max", "base-only"]}, 3, tmp_path)
+    table = run_ablation(tiny_cfg, {"rpn_strategy": ["max", "base-only"]}, 3, tmp_path, workers=1)
     assert len(table["rows"]) == 2
     digests = {r["config_digest"] for r in table["rows"]}
     assert len(digests) == 2
@@ -410,7 +412,7 @@ def test_ablation_runs_each_distinct_config_once(tiny_cfg, tmp_path, monkeypatch
 
     monkeypatch.setattr(cli, "run_experiment", counted)
     table = run_ablation(tiny_cfg, {"head_domain": ["novel-only"],
-                                    "consistency": ["kldiv", "off"]}, 3, tmp_path)
+                                    "consistency": ["kldiv", "off"]}, 3, tmp_path, workers=1)
     assert len(table["rows"]) == 2 and len(calls) == 1
     first, second = table["rows"]
     assert first["config_digest"] == second["config_digest"]
@@ -420,7 +422,7 @@ def test_ablation_runs_each_distinct_config_once(tiny_cfg, tmp_path, monkeypatch
 
 
 def test_novel_only_cell_runs_without_consistency(tiny_cfg, tmp_path):
-    table = run_ablation(tiny_cfg, {"head_domain": ["novel-only"]}, 3, tmp_path)
+    table = run_ablation(tiny_cfg, {"head_domain": ["novel-only"]}, 3, tmp_path, workers=1)
     row = table["rows"][0]
     cell_dir = tmp_path / "head_domain=novel-only"
     cfg_blob = json.loads((RunPaths(cell_dir, 3).root / "config.json")
@@ -472,12 +474,6 @@ def test_ablate_failing_cell_leaves_the_others_and_exits_3(tiny_yaml, tmp_path, 
     assert (RunPaths(out / "rpn_strategy=max", 0).eval_dir() / "report.json").exists()
     csv_rows = (out / "ablation.csv").read_text(encoding="utf-8").splitlines()
     assert csv_rows[2] == '"rpn_strategy=base-only"' + "," * (len(csv_rows[0].split(",")) - 1)
-
-
-def test_ablation_without_reports_is_incomplete(tiny_cfg, tmp_path):
-    table = run_ablation(tiny_cfg, {"rpn_strategy": ["max"]}, 3, tmp_path, stages=("gen",))
-    assert table["incomplete"] is True and table["failures"] == {}
-    assert table["rows"][0]["metrics"] == {}
 
 
 def test_ablate_invalid_cell_exits_2_before_any_cell_runs(tmp_path, capsys):
@@ -803,7 +799,7 @@ def test_foreign_checkpoint_magic_exits_4(tiny_yaml, finished_run, tmp_path, cap
     assert err.count("\n") == 1 and "magic" in err
 
 
-def test_checkpoint_without_its_finetuned_head_reaches_state_error_and_exits_4(
+def test_checkpoint_without_its_finetuned_head_is_corrupt_at_load_and_exits_4(
         tiny_yaml, finished_run, tmp_path, capsys):
     """The finetune stamp records the retentive checkpoint's digest, not what
     the checkpoint holds, so a checkpoint re-saved without its finetuned head,
@@ -956,8 +952,10 @@ def test_eval_rejects_base_without_the_shared_frozen_arrays(tiny_cfg, finished_r
     base = load_checkpoint(paths.checkpoint("base"))
     base.params["rpn_box/b"][0] += 1e-9
     save_checkpoint(base, paths.checkpoint("base"))
-    with pytest.raises(StalenessError, match="frozen arrays"):
+    with pytest.raises(StalenessError, match="frozen arrays") as err:
         _evaluate_models(tiny_cfg, 3, paths, _upstream(paths))
+    assert str(paths.checkpoint("base")) in str(err.value)
+    assert str(paths.checkpoint("retentive")) in str(err.value)
 
 
 def test_evaluate_gives_the_report_the_eval_stage_writes(tiny_cfg, finished_run):

@@ -306,7 +306,7 @@ def test_propose_early_stop_matches_full_nms_then_cut(monkeypatch):
 
 def test_roi_head_duplicate_proposals_identical_rows():
     m = pseudo_trained_base()
-    feat = D.image_features(m, scene())
+    feat = D.image_forward(m, scene()).feat
     boxes = np.array([[10.0, 10.0, 30.0, 30.0], [10.0, 10.0, 30.0, 30.0]])
     logits, deltas = D.box_head_scores(m, D.roi_features(m, feat, boxes), "base")
     assert np.array_equal(logits[0], logits[1])
@@ -316,7 +316,7 @@ def test_roi_head_duplicate_proposals_identical_rows():
 
 def test_roi_head_empty_proposals():
     m = pseudo_trained_base()
-    feat = D.image_features(m, scene())
+    feat = D.image_forward(m, scene()).feat
     logits, deltas = D.box_head_scores(m, D.roi_features(m, feat, np.zeros((0, 4))), "base")
     assert logits.shape == (0, 9) and deltas.shape == (0, 4)
 

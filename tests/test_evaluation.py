@@ -14,7 +14,7 @@ from oracles import (
     recall_single_k_oracle,
 )
 from retentive.config import DatasetConfig, ModelConfig
-from retentive.detector import Detection, init_base_model, image_features, pool_rois
+from retentive.detector import Detection, image_forward, init_base_model, pool_rois
 from retentive.errors import ParameterError
 from retentive.evaluation import (
     ap_summary,
@@ -313,7 +313,7 @@ def test_recall_at_every_k_equals_the_single_k_oracle():
             annotated.append(rng.random(m) < 0.5)
             candidates.append((boxes, np.round(rng.random(p), 1)))  # coarse scores tie
         records = make_records(gts, annotated=annotated)
-        for group in ("all", "seen", "unseen"):
+        for group in ("all", "unseen"):
             got = average_recall(candidates, records, ks, 0.5, group)
             assert list(got) == list(ks)
             for k in ks:
@@ -361,7 +361,6 @@ def test_recall_unseen_filter_counts_hidden_instances_only():
     records = make_records(gts, labels, annotated)
     candidates = [(np.array([[20.0, 20.0, 30.0, 30.0]]), np.array([0.9]))]
     assert average_recall(candidates, records, [10], 0.5, "unseen")[10] == 1.0
-    assert average_recall(candidates, records, [10], 0.5, "seen")[10] == 0.0
     assert average_recall(candidates, records, [10], 0.5, "all")[10] == 0.5
 
 
@@ -388,7 +387,7 @@ def blank_dataset(split, side=48):
 
 def gt_rows(model, ds):
     """Each image's pooled ground-truth rows, as the eval stage hands them over."""
-    return [pool_rois(model, image_features(model, img), rec.gt.boxes)
+    return [pool_rois(model, image_forward(model, img).feat, rec.gt.boxes)
             for img, rec in zip(ds.images, ds.records)]
 
 
@@ -432,7 +431,7 @@ def test_norms_match_scalar_recomputation():
     proj = model.params["boxhead_proj/W"]
     sums, counts = {}, {}
     for img, rec in zip(ds.images, ds.records):
-        feat = image_features(model, img)
+        feat = image_forward(model, img).feat
         pooled_rows = roi_pool(feat, rec.gt.boxes, bins=model.mcfg.roi_pool_bins,
                                stride=float(model.mcfg.feat_stride))
         for pooled, lbl in zip(pooled_rows, rec.gt.labels):
@@ -472,7 +471,7 @@ def small_report():
     }
     norms = {"per_class": {0: 1.5, 1: 2.5, 2: 0.5}, "groups": {"seen": 2.0, "unseen": 0.5}}
     return build_report(dets, ds, thresholds, recall, norms,
-                        metadata={"seed": 1, "model_digest": "abc"})
+                        metadata={"seed": 1, "model_digest": "abc"}, baseline_summary={})
 
 
 def test_report_json_roundtrip(tmp_path):
@@ -529,7 +528,8 @@ def test_report_side_files_order_classes_numerically(tmp_path):
     ds = Dataset(split=split, mode="test", k=None, seed=1, side=48,
                  images=[np.zeros((48, 48))], records=records)
     norms = {"per_class": {c: 1.0 + c for c in range(12)}, "groups": {}}
-    paths = emit_report(build_report([[]], ds, (0.5, 0.75), {}, norms), tmp_path)
+    paths = emit_report(build_report([[]], ds, (0.5, 0.75), {}, norms, metadata={},
+                                    baseline_summary={}), tmp_path)
     cells = [ln.split(",") for ln in paths["csv"].read_text().splitlines()[1:]]
     assert [c[0] for c in cells] == [str(c) for c in range(12) for _ in range(2)]
     assert [c[2] for c in cells] == ["0.50", "0.75"] * 12

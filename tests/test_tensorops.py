@@ -84,7 +84,7 @@ def test_pool_children_run_openblas_on_one_thread(method):
 # ---------------------------------------------------------------------------
 
 def test_featurizer_zero_image_gives_zero_features():
-    feats = T.fixed_featurizer(np.zeros((64, 64)), feat_seed=7)
+    feats = T.fixed_featurizer(np.zeros((64, 64)), feat_seed=7, channels=32)
     assert feats.shape == (32, 16, 16)
     assert np.all(feats == 0.0)
 
@@ -92,8 +92,8 @@ def test_featurizer_zero_image_gives_zero_features():
 def test_featurizer_bitwise_repeatable():
     rng = np.random.default_rng(0)
     img = rng.random((64, 64))
-    a = T.fixed_featurizer(img, feat_seed=123)
-    b = T.fixed_featurizer(img.copy(), feat_seed=123)
+    a = T.fixed_featurizer(img, feat_seed=123, channels=32)
+    b = T.fixed_featurizer(img.copy(), feat_seed=123, channels=32)
     assert a.tobytes() == b.tobytes()
 
 
@@ -102,15 +102,15 @@ def test_featurizer_distinct_images_differ():
     img1[10:20, 10:20] = 1.0
     img2 = np.zeros((64, 64))
     img2[30:50, 30:50] = 1.0
-    a = T.fixed_featurizer(img1, feat_seed=5)
-    b = T.fixed_featurizer(img2, feat_seed=5)
+    a = T.fixed_featurizer(img1, feat_seed=5, channels=32)
+    b = T.fixed_featurizer(img2, feat_seed=5, channels=32)
     assert np.any(a != b)
 
 
 def test_featurizer_seed_changes_weights():
     img = np.ones((64, 64))
-    a = T.fixed_featurizer(img, feat_seed=1)
-    b = T.fixed_featurizer(img, feat_seed=2)
+    a = T.fixed_featurizer(img, feat_seed=1, channels=32)
+    b = T.fixed_featurizer(img, feat_seed=2, channels=32)
     assert np.any(a != b)
 
 
@@ -118,7 +118,7 @@ def test_featurizer_rejects_non_finite_image():
     img = np.zeros((64, 64))
     img[10, 20] = np.nan
     with pytest.raises(NumericError):
-        T.fixed_featurizer(img, feat_seed=1)
+        T.fixed_featurizer(img, feat_seed=1, channels=32)
 
 
 def test_package_has_no_bare_assert():
@@ -154,9 +154,9 @@ def test_seed_sequence_is_built_in_one_function():
 
 def test_featurizer_rejects_bad_shapes():
     with pytest.raises(ParameterError):
-        T.fixed_featurizer(np.zeros((64, 32)), feat_seed=1)
+        T.fixed_featurizer(np.zeros((64, 32)), feat_seed=1, channels=32)
     with pytest.raises(ParameterError):
-        T.fixed_featurizer(np.zeros((30, 30)), feat_seed=1)
+        T.fixed_featurizer(np.zeros((30, 30)), feat_seed=1, channels=32)
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,40 @@ def test_no_function_restates_a_config_choice_default():
     assert not found, found
 
 
+def _literal(node: ast.AST | None):
+    """The value of a literal expression; any other node comes back as itself."""
+    try:
+        return ast.literal_eval(node)
+    except ValueError:
+        return node
+
+
+def test_no_literal_restates_a_config_number_default():
+    """A size or threshold a config holds reaches the code through that config:
+    no parameter defaults to a numeric literal, and no dataclass outside
+    config.py gives a field named after a DatasetConfig field a literal
+    default (SceneSpec reads its defaults from DatasetConfig)."""
+    from retentive.config import DatasetConfig
+
+    dataset_fields = {f.name for f in dataclasses.fields(DatasetConfig)}
+    found = []
+    for path in sorted((ROOT / "src" / "retentive").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                for default in node.args.defaults + node.args.kw_defaults:
+                    value = _literal(default)
+                    if isinstance(value, (int, float)) and not isinstance(value, bool):
+                        found.append(f"{path.name}:{default.lineno}: {value!r}")
+            if path.name != "config.py" and isinstance(node, ast.ClassDef) \
+                    and any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.AnnAssign) and stmt.value is not None \
+                            and getattr(stmt.target, "id", None) in dataset_fields \
+                            and _literal(stmt.value) is not stmt.value:
+                        found.append(f"{path.name}:{stmt.lineno}: {node.name}.{stmt.target.id}")
+    assert not found, found
+
+
 # test-only on purpose: criterion 6 checks the value training optimises
 ONLY_TESTS_READ = {"consistency_loss"}
 

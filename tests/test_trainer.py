@@ -203,7 +203,7 @@ def test_minibatch_shapes_and_slots_pretrain():
     cfg, split, base_ds, _ = tiny_world()
     model = init_base_model(split, cfg.model, feat_seed=7, seed=7)
     mb = build_minibatch(model, base_ds, [0, 1], cfg.pretrain,
-                         cfg.detect, seed=7, iteration=0)
+                         cfg.detect, seed=7, iteration=0, cache={})
     assert mb.anchor_cells.shape[1] == cfg.model.mixer_channels
     assert mb.roi_feats.shape[1] == cfg.model.head_dim
     assert mb.num_anchors == len(mb.anchor_scale) == len(mb.anchor_delta_t)
@@ -223,7 +223,7 @@ def test_minibatch_finetune_carries_reference_probs():
     base.stage = STAGE_BASE
     model = extend_for_finetune(base, 9, cfg.finetune)
     mb = build_minibatch(model, kshot_ds, [0, 1], cfg.finetune,
-                         cfg.detect, seed=9, iteration=3)
+                         cfg.detect, seed=9, iteration=3, cache={})
     width = split.num_classes + 1
     assert mb.roi_base_probs is not None
     assert mb.roi_base_probs.shape == (mb.num_rois, width)
@@ -238,7 +238,7 @@ def test_minibatch_consistency_off_skips_reference_probs():
     base.stage = STAGE_BASE
     model = extend_for_finetune(base, 9, cfg.finetune)
     mb = build_minibatch(model, kshot_ds, [0], cfg.finetune,
-                         cfg.detect, seed=9, iteration=0)
+                         cfg.detect, seed=9, iteration=0, cache={})
     assert mb.roi_base_probs is None
 
 
@@ -254,7 +254,7 @@ def test_minibatch_novel_only_demotes_base_instances():
     labels = []
     for i in range(len(kshot_ds)):
         mb = build_minibatch(model, kshot_ds, [i], cfg.finetune,
-                             cfg.detect, seed=9, iteration=0)
+                             cfg.detect, seed=9, iteration=0, cache={})
         assert mb.roi_label.max() <= split.num_novel
         labels.extend(mb.roi_label[mb.roi_pos].tolist())
     assert labels, "expected at least one scarce-class positive"
@@ -282,7 +282,7 @@ def test_minibatch_slots_match_a_per_row_lookup(monkeypatch, head_domain):
 
     monkeypatch.setattr(trainer, "assign_targets", recorded)
     mb = build_minibatch(model, kshot_ds, range(len(kshot_ds)), tcfg, cfg.detect, seed=9,
-                         iteration=0)
+                         iteration=0, cache={})
     slot = {cid: i for i, cid in enumerate(head_classes(model, head))}
     want_label, want_pos, demoted = [], [], 0
     for roi in drawn:
@@ -301,9 +301,9 @@ def test_minibatch_is_deterministic():
     cfg, split, base_ds, _ = tiny_world()
     model = init_base_model(split, cfg.model, feat_seed=7, seed=7)
     a = build_minibatch(model, base_ds, [2, 5], cfg.pretrain,
-                        cfg.detect, seed=7, iteration=11)
+                        cfg.detect, seed=7, iteration=11, cache={})
     b = build_minibatch(model, base_ds, [2, 5], cfg.pretrain,
-                        cfg.detect, seed=7, iteration=11)
+                        cfg.detect, seed=7, iteration=11, cache={})
     assert a.anchor_cells.tobytes() == b.anchor_cells.tobytes()
     assert a.roi_feats.tobytes() == b.roi_feats.tobytes()
     assert a.roi_label.tolist() == b.roi_label.tolist()
@@ -323,7 +323,7 @@ def test_minibatch_rejects_unknown_stage():
         model.rpn_strategy = rpn_strategy
         tcfg = TrainConfig(rpn_strategy=tcfg_strategy)
         return build_minibatch(model, kshot_ds, [0, 1], tcfg, cfg.detect,
-                               seed=9, iteration=0).roi_feats.tobytes()
+                               seed=9, iteration=0, cache={}).roi_feats.tobytes()
 
     assert rois("base-only", "max") == rois("base-only", "base-only")
     assert rois("max", "base-only") == rois("max", "max")
@@ -358,7 +358,7 @@ def test_minibatch_from_a_warm_stage_cache_is_bitwise_a_cold_one(stage):
     cache = {}
     build_minibatch(model, ds, [0, 1], tcfg, cfg.detect, seed=7, iteration=0, cache=cache)
     records = dict(cache)
-    unmoved = build_minibatch(model, ds, [0, 1], tcfg, cfg.detect, seed=7, iteration=1)
+    unmoved = build_minibatch(model, ds, [0, 1], tcfg, cfg.detect, seed=7, iteration=1, cache={})
     # move every array the stage trains, as its SGD steps would
     gen = np.random.default_rng(5)
     for key, arr in model.params.items():
@@ -380,7 +380,7 @@ def test_finetune_minibatch_leaves_rpn_box_targets_zero():
     minibatch keeps anchor_delta_t at its shape, all zeros."""
     for stage in ("pretrain", "finetune"):
         model, ds, tcfg, cfg = _stage_world(stage)
-        mb = build_minibatch(model, ds, [0, 1], tcfg, cfg.detect, seed=7, iteration=0)
+        mb = build_minibatch(model, ds, [0, 1], tcfg, cfg.detect, seed=7, iteration=0, cache={})
         pos = mb.anchor_label > 0.5
         assert pos.any() and mb.anchor_delta_t.shape == (mb.num_anchors, 4)
         assert (mb.anchor_delta_t[pos] != 0.0).any() == (stage == "pretrain")
@@ -436,6 +436,9 @@ def test_finetune_keeps_base_subset_frozen():
     assert model.stage == STAGE_RETENTIVE
     assert model.digest(BASE_LAYERS) == before
     assert len(log.records) == 15
+    # a window longer than the budget never converges
+    assert log.records[-1]["stop_reason"] == "max_iters"
+    assert not any("stop_reason" in r for r in log.records[:-1])
     # the adaptation layers actually moved
     fresh = extend_for_finetune(base, 7, cfg.finetune)
     assert model.digest(FINETUNE_TRAINABLE) != fresh.digest(FINETUNE_TRAINABLE)
@@ -461,7 +464,7 @@ def test_finetune_consistency_gradient_reduces_the_term():
     base, _ = pretrain(base_ds, cfg, seed=7)
     model = extend_for_finetune(base, 7, tcfg)
     mb = build_minibatch(model, kshot_ds, [0, 1], tcfg, cfg.detect,
-                         seed=7, iteration=0)
+                         seed=7, iteration=0, cache={})
     velocity: dict = {}
     trace = []
     for _ in range(120):
@@ -480,6 +483,8 @@ def test_convergence_uses_windowed_relative_change():
     cfg.pretrain.convergence_rel_tol = 1e9  # first possible check stops it
     _, log = pretrain(base_ds, cfg, seed=7)
     assert len(log.records) == 10
+    assert log.records[-1]["stop_reason"] == "converged@9"
+    assert not any("stop_reason" in r for r in log.records[:-1])
 
 
 # ---------------------------------------------------------------------------
