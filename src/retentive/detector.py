@@ -62,10 +62,10 @@ class Model:
     split: ClassSplit
     mcfg: ModelConfig
     feat_seed: int
-    stage: str = STAGE_INIT
-    classifier: str = "cos"     # novel-head form: cosine or fc
-    head_domain: str = "all"    # novel-head class domain: all or novel-only
-    rpn_strategy: str = "max"
+    stage: str
+    classifier: str    # novel-head form: cosine or fc
+    head_domain: str   # novel-head class domain: all or novel-only
+    rpn_strategy: str
 
     @property
     def num_base(self) -> int:
@@ -114,7 +114,9 @@ def array_shapes(model: Model) -> dict[str, tuple[int, ...]]:
 
 def init_base_model(split: ClassSplit, mcfg: ModelConfig, feat_seed: int, seed: int) -> Model:
     """Fresh untrained base detector; frozen arrays derive from feat_seed only."""
-    model = Model(params={}, split=split, mcfg=mcfg, feat_seed=feat_seed, stage=STAGE_INIT)
+    model = Model(params={}, split=split, mcfg=mcfg, feat_seed=feat_seed, stage=STAGE_INIT,
+                  classifier=TrainConfig.classifier, head_domain=TrainConfig.head_domain,
+                  rpn_strategy=TrainConfig.rpn_strategy)
     shape = array_shapes(model)
     a = model.params
     for layer, tag in (("rpn_shared", _TAG_MIXER), ("boxhead_proj", _TAG_PROJ)):

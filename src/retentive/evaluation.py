@@ -63,7 +63,7 @@ def average_precision(dets_per_image, records, class_id: int,
     if len(dets_per_image) != len(records):
         raise ParameterError(f"{len(dets_per_image)} detection lists vs {len(records)} records")
     thresholds = [float(t) for t in iou_thresholds]
-    gt_boxes = [rec.gt.boxes[rec.gt.labels == class_id] for rec in records]
+    gt_boxes = [rec.boxes[rec.labels == class_id] for rec in records]
     n_gt = int(sum(len(b) for b in gt_boxes))
     if n_gt == 0:
         return {t: None for t in thresholds}
@@ -150,14 +150,14 @@ def detections_to_candidates(dets_per_image) -> list[tuple[np.ndarray, np.ndarra
 
 def _filter_mask(rec: SceneRecord, class_filter: str) -> np.ndarray:
     if class_filter == GROUP_ALL:
-        return np.ones(len(rec.gt.labels), dtype=bool)
+        return np.ones(len(rec.labels), dtype=bool)
     if class_filter == GROUP_UNSEEN:
-        return ~rec.gt.annotated
+        return ~rec.annotated
     raise ParameterError(f"unknown class filter {class_filter!r}")
 
 
 def average_recall(candidates, records, ks, iou_thresh: float,
-                   class_filter: str = GROUP_ALL) -> dict[int, float | None]:
+                   class_filter: str) -> dict[int, float | None]:
     """Fraction of filtered instances covered by any of the top-k candidates,
     for each k in ks; None at every k when the filter selects no instance.
 
@@ -175,7 +175,7 @@ def average_recall(candidates, records, ks, iou_thresh: float,
     top = max(matched, default=0)
     total = 0
     for (boxes, scores), rec in zip(candidates, records):
-        gts = rec.gt.boxes[_filter_mask(rec, class_filter)]
+        gts = rec.boxes[_filter_mask(rec, class_filter)]
         total += len(gts)
         if len(gts) == 0 or len(boxes) == 0:
             continue
@@ -198,11 +198,11 @@ def roi_feature_norms(model: Model, dataset: Dataset, pooled) -> dict:
     sums: dict[int, float] = {}
     counts: dict[int, int] = {}
     for rows, rec in zip(pooled, dataset.records):
-        if len(rec.gt.labels) == 0:
+        if len(rec.labels) == 0:
             continue
         rows = project_rois(model, rows)
         norms = np.sqrt((rows * rows).sum(axis=1))
-        for lbl, nrm in zip(rec.gt.labels, norms):
+        for lbl, nrm in zip(rec.labels, norms):
             cid = int(lbl)
             sums[cid] = sums.get(cid, 0.0) + float(nrm)
             counts[cid] = counts.get(cid, 0) + 1
@@ -257,7 +257,7 @@ def _infer(base: Model, model: Model, ds: Dataset, cfg: ExperimentConfig, with_g
         props.append(per)
         (mine, theirs), rows = pool_proposals(
             model, fwd, [per[model.rpn_strategy], per["base-only"]],
-            rec.gt.boxes if with_gt else np.empty((0, 4)))
+            rec.boxes if with_gt else np.empty((0, 4)))
         ret.append(detect(model, img, cfg.detect, mine))
         bas.append(detect_base(base, img, cfg.detect, theirs))
         gt_rows.append(rows)

@@ -67,9 +67,9 @@ class LossBreakdown:
     l_obj: float
     l_cls: float
     l_box: float
+    lam: float
     l_con: float = 0.0
     l_box_rpn: float = 0.0
-    lam: float = 0.0
     empty: tuple[str, ...] = ()
 
     @property

@@ -144,28 +144,12 @@ def glyph_stamp(class_id: int, size: int) -> np.ndarray:
 # scenes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InstanceSpec:
-    """One requested glyph; unset fields are drawn from the scene seed."""
-
-    class_id: int
-    size: int | None = None
-    center: tuple[float, float] | None = None
-    intensity: float | None = None
-
-
-@dataclass(frozen=True)
-class SceneSpec:
-    side: int
-    instances: tuple[InstanceSpec, ...]
-    size_range: tuple[int, int] = (DatasetConfig.min_glyph, DatasetConfig.max_glyph)
-    overlap_iou_cap: float = DatasetConfig.overlap_iou_cap
-    placement_retries: int = DatasetConfig.placement_retries
-    noise: float = DatasetConfig.noise
-
-
 @dataclass
-class GroundTruth:
+class SceneRecord:
+    """One scene: its seed and every instance drawn in it, each flagged with
+    whether its label is revealed."""
+
+    seed: int
     boxes: np.ndarray      # (M, 4) float64 pixel corners
     labels: np.ndarray     # (M,) int64 foreground class ids
     annotated: np.ndarray  # (M,) bool
@@ -175,59 +159,45 @@ def _pairwise_iou_ok(box, others, cap: float) -> bool:
     return not others or bool((iou_matrix(box, others) <= cap).all())
 
 
-def render_scene(spec: SceneSpec, seed: int) -> tuple[np.ndarray, GroundTruth]:
-    """Rasterize a scene; pure function of (spec, seed)."""
+def render_scene(cfg: DatasetConfig, classes, seed: int) -> tuple[np.ndarray, SceneRecord]:
+    """Rasterize one glyph per class id, every instance annotated; pure
+    function of (cfg, classes, seed). Each glyph draws its size, then its
+    intensity, then its placement; the noise is drawn last."""
     gen = rng(seed, _TAG_SCENE)
-    side = spec.side
+    side = cfg.image_side
     canvas = np.zeros((side, side))
     boxes: list[tuple[float, float, float, float]] = []
-    labels: list[int] = []
-    for inst in spec.instances:
-        size = inst.size if inst.size is not None else int(gen.integers(spec.size_range[0], spec.size_range[1] + 1))
-        intensity = inst.intensity if inst.intensity is not None else float(gen.uniform(*INTENSITY_RANGE))
-        stamp = glyph_stamp(inst.class_id, size)
+    for class_id in classes:
+        size = int(gen.integers(cfg.min_glyph, cfg.max_glyph + 1))
+        intensity = float(gen.uniform(*INTENSITY_RANGE))
+        stamp = glyph_stamp(class_id, size)
         h, w = stamp.shape
         if h > side or w > side:
             raise GenerationError(f"glyph of size {size} does not fit a {side}px scene")
-        if inst.center is not None:
-            x0 = int(round(inst.center[0] - w / 2.0))
-            y0 = int(round(inst.center[1] - h / 2.0))
-            x0 = min(max(x0, 0), side - w)
-            y0 = min(max(y0, 0), side - h)
-        else:
-            for attempt in range(spec.placement_retries + 1):
-                if attempt == spec.placement_retries:
-                    raise GenerationError(
-                        f"could not place a size-{size} glyph below IoU cap "
-                        f"{spec.overlap_iou_cap} in {spec.placement_retries} tries"
-                    )
-                x0 = int(gen.integers(0, side - w + 1))
-                y0 = int(gen.integers(0, side - h + 1))
-                if _pairwise_iou_ok((x0, y0, x0 + w, y0 + h), boxes, spec.overlap_iou_cap):
-                    break
+        for attempt in range(cfg.placement_retries + 1):
+            if attempt == cfg.placement_retries:
+                raise GenerationError(
+                    f"could not place a size-{size} glyph below IoU cap "
+                    f"{cfg.overlap_iou_cap} in {cfg.placement_retries} tries"
+                )
+            x0 = int(gen.integers(0, side - w + 1))
+            y0 = int(gen.integers(0, side - h + 1))
+            if _pairwise_iou_ok((x0, y0, x0 + w, y0 + h), boxes, cfg.overlap_iou_cap):
+                break
         region = canvas[y0:y0 + h, x0:x0 + w]
         np.maximum(region, stamp * intensity, out=region)
         boxes.append((float(x0), float(y0), float(x0 + w), float(y0 + h)))
-        labels.append(inst.class_id)
-    if spec.noise > 0.0:
-        canvas = np.clip(canvas + gen.uniform(0.0, spec.noise, size=canvas.shape), 0.0, 1.0)
-    gt = GroundTruth(
-        boxes=np.asarray(boxes, dtype=np.float64).reshape(-1, 4),
-        labels=np.asarray(labels, dtype=np.int64),
-        annotated=np.ones(len(labels), dtype=bool),
-    )
-    return canvas, gt
+    if cfg.noise > 0.0:
+        canvas = np.clip(canvas + gen.uniform(0.0, cfg.noise, size=canvas.shape), 0.0, 1.0)
+    return canvas, SceneRecord(seed=seed,
+                               boxes=np.asarray(boxes, dtype=np.float64).reshape(-1, 4),
+                               labels=np.asarray(classes, dtype=np.int64),
+                               annotated=np.ones(len(boxes), dtype=bool))
 
 
 # ---------------------------------------------------------------------------
 # datasets
 # ---------------------------------------------------------------------------
-
-@dataclass
-class SceneRecord:
-    seed: int
-    gt: GroundTruth
-
 
 @dataclass
 class Dataset:
@@ -253,9 +223,9 @@ class Dataset:
             "items": [
                 {
                     "seed": rec.seed,
-                    "boxes": [[float(v) for v in row] for row in rec.gt.boxes],
-                    "labels": [int(v) for v in rec.gt.labels],
-                    "annotated": [bool(v) for v in rec.gt.annotated],
+                    "boxes": [[float(v) for v in row] for row in rec.boxes],
+                    "labels": [int(v) for v in rec.labels],
+                    "annotated": [bool(v) for v in rec.annotated],
                 }
                 for rec in self.records
             ],
@@ -268,19 +238,8 @@ class Dataset:
         return h.hexdigest()
 
 
-def _scene_spec(cfg: DatasetConfig, instances: tuple[InstanceSpec, ...]) -> SceneSpec:
-    return SceneSpec(
-        side=cfg.image_side,
-        instances=instances,
-        size_range=(cfg.min_glyph, cfg.max_glyph),
-        overlap_iou_cap=cfg.overlap_iou_cap,
-        placement_retries=cfg.placement_retries,
-        noise=cfg.noise,
-    )
-
-
-def _mixed_scene(cfg: DatasetConfig, split: ClassSplit, image_seed: int) -> tuple[np.ndarray, GroundTruth]:
-    """One scene with a seed-driven base/novel class mix."""
+def _mixed_classes(cfg: DatasetConfig, split: ClassSplit, image_seed: int) -> list[int]:
+    """The class ids of one scene, a seed-driven base/novel mix."""
     gen = rng(image_seed, _TAG_COMPOSE)
     count = int(gen.integers(cfg.min_instances, cfg.max_instances + 1))
     classes = []
@@ -289,19 +248,19 @@ def _mixed_scene(cfg: DatasetConfig, split: ClassSplit, image_seed: int) -> tupl
             classes.append(int(gen.choice(split.novel_ids)))
         else:
             classes.append(int(gen.choice(split.base_ids)))
-    spec = _scene_spec(cfg, tuple(InstanceSpec(class_id=c) for c in classes))
-    return render_scene(spec, image_seed)
+    return classes
 
 
 def _dataset(cfg: DatasetConfig, split: ClassSplit, mode: str, k: int | None, seed: int,
-             n: int, scene) -> Dataset:
-    """n images, image i rendered by scene(i, image_seed) under its own sub-seed."""
+             n: int, classes) -> Dataset:
+    """n scenes, scene i holding the glyphs classes(i, image_seed) names and
+    rendered under its own sub-seed."""
     images, records = [], []
     for i in range(n):
         image_seed = subseed(seed, _TAG_IMAGE, i)
-        img, gt = scene(i, image_seed)
+        img, rec = render_scene(cfg, classes(i, image_seed), image_seed)
         images.append(img)
-        records.append(SceneRecord(seed=image_seed, gt=gt))
+        records.append(rec)
     return Dataset(split=split, mode=mode, k=k, seed=seed,
                    side=cfg.image_side, images=images, records=records)
 
@@ -311,21 +270,19 @@ def build_base_dataset(cfg: DatasetConfig, split: ClassSplit, seed: int,
     """Abundant-data stage: novel instances appear but stay unannotated."""
     cfg.validate()
     n = cfg.base_train_images if num_images is None else num_images
-    novel_set = set(split.novel_ids)
-
-    def scene(_, image_seed):
-        img, gt = _mixed_scene(cfg, split, image_seed)
-        gt.annotated = np.asarray([lbl not in novel_set for lbl in gt.labels], dtype=bool)
-        return img, gt
-
-    return _dataset(cfg, split, "base-train", None, seed, n, scene)
+    ds = _dataset(cfg, split, "base-train", None, seed, n,
+                  lambda _, image_seed: _mixed_classes(cfg, split, image_seed))
+    novel = set(split.novel_ids)
+    for rec in ds.records:
+        rec.annotated = np.asarray([lbl not in novel for lbl in rec.labels], dtype=bool)
+    return ds
 
 
 def build_test_dataset(cfg: DatasetConfig, split: ClassSplit, seed: int) -> Dataset:
     """Held-out scenes with every instance annotated."""
     cfg.validate()
     return _dataset(cfg, split, "test", None, seed, cfg.test_images,
-                    lambda _, image_seed: _mixed_scene(cfg, split, image_seed))
+                    lambda _, image_seed: _mixed_classes(cfg, split, image_seed))
 
 
 def build_kshot_dataset(cfg: DatasetConfig, split: ClassSplit, k: int, seed: int) -> Dataset:
@@ -342,9 +299,7 @@ def build_kshot_dataset(cfg: DatasetConfig, split: ClassSplit, k: int, seed: int
         take = int(gen.integers(cfg.min_instances, cfg.max_instances + 1))
         groups.append(pool[:take])
         pool = pool[take:]
-    specs = [_scene_spec(cfg, tuple(InstanceSpec(class_id=c) for c in group)) for group in groups]
-    return _dataset(cfg, split, "kshot", k, seed, len(specs),
-                    lambda i, image_seed: render_scene(specs[i], image_seed))
+    return _dataset(cfg, split, "kshot", k, seed, len(groups), lambda i, _: groups[i])
 
 
 # ---------------------------------------------------------------------------
@@ -392,11 +347,9 @@ def load_dataset(dirpath: str | Path) -> Dataset:
         records = [
             SceneRecord(
                 seed=int(item["seed"]),
-                gt=GroundTruth(
-                    boxes=np.asarray(item["boxes"], dtype=np.float64).reshape(-1, 4),
-                    labels=np.asarray(item["labels"], dtype=np.int64),
-                    annotated=np.asarray(item["annotated"], dtype=bool),
-                ),
+                boxes=np.asarray(item["boxes"], dtype=np.float64).reshape(-1, 4),
+                labels=np.asarray(item["labels"], dtype=np.int64),
+                annotated=np.asarray(item["annotated"], dtype=bool),
             )
             for item in manifest["items"]
         ]

@@ -171,9 +171,9 @@ class StageImage:
 
 
 def _stage_image(model: Model, dataset: Dataset, img_idx: int, tcfg: TrainConfig) -> StageImage:
-    gt = dataset.records[img_idx].gt
-    ann_boxes = gt.boxes[gt.annotated]
-    ann_labels = gt.labels[gt.annotated]
+    rec = dataset.records[img_idx]
+    ann_boxes = rec.boxes[rec.annotated]
+    ann_labels = rec.labels[rec.annotated]
     anchors = image_anchors(dataset.side, model.mcfg.feat_stride, model.mcfg.anchor_scales)
     labels, matched = _label_boxes(anchors, ann_boxes, ann_labels, "rpn", tcfg)
     return StageImage(forward=image_forward(model, dataset.images[img_idx]),

@@ -202,7 +202,7 @@ def ap_single_threshold_oracle(dets_per_image, records, class_id, iou_thresh) ->
     Takes the evaluator's own inputs (per-image ``Detection`` lists and scene
     records), so its result can be compared with the evaluator's exactly.
     """
-    gt_boxes = [rec.gt.boxes[rec.gt.labels == class_id] for rec in records]
+    gt_boxes = [rec.boxes[rec.labels == class_id] for rec in records]
     n_gt = int(sum(len(b) for b in gt_boxes))
     if n_gt == 0:
         return None
@@ -263,9 +263,9 @@ def recall_single_k_oracle(candidates, records, k, iou_thresh, class_filter="all
     matched = 0
     total = 0
     for (boxes, scores), rec in zip(candidates, records):
-        keep = {"all": np.ones(len(rec.gt.labels), dtype=bool),
-                "unseen": ~rec.gt.annotated}[class_filter]
-        gts = rec.gt.boxes[keep]
+        keep = {"all": np.ones(len(rec.labels), dtype=bool),
+                "unseen": ~rec.annotated}[class_filter]
+        gts = rec.boxes[keep]
         total += len(gts)
         if len(gts) == 0 or len(boxes) == 0 or k == 0:
             continue

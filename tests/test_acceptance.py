@@ -242,7 +242,7 @@ def test_criterion_06_consistency_law():
 
 def test_criterion_07_oracle_equivalence():
     from retentive.detector import Detection
-    from retentive.synthgen import GroundTruth, SceneRecord
+    from retentive.synthgen import SceneRecord
 
     rng = np.random.default_rng(707)
     worst_ap = 0.0
@@ -256,10 +256,9 @@ def test_criterion_07_oracle_equivalence():
             dets[img].append(Detection(box=tuple(box), class_id=0,
                                        score=score, source_head="base"))
         records = [
-            SceneRecord(seed=i, gt=GroundTruth(
-                boxes=np.asarray(b, dtype=np.float64).reshape(-1, 4),
-                labels=np.zeros(len(b), dtype=np.int64),
-                annotated=np.ones(len(b), dtype=bool)))
+            SceneRecord(seed=i, boxes=np.asarray(b, dtype=np.float64).reshape(-1, 4),
+                        labels=np.zeros(len(b), dtype=np.int64),
+                        annotated=np.ones(len(b), dtype=bool))
             for i, b in enumerate(gt_boxes)
         ]
         got = average_precision(dets, records, class_id=0, iou_thresholds=(iou,))[iou]

@@ -16,8 +16,6 @@ from retentive.config import (
 )
 from retentive.errors import ConfigError, ParameterError, StateError
 from retentive.synthgen import (
-    InstanceSpec,
-    SceneSpec,
     build_base_dataset,
     build_kshot_dataset,
     build_test_dataset,
@@ -42,8 +40,7 @@ def pseudo_trained_base(seed=1) -> D.Model:
 
 
 def scene(seed=5):
-    spec = SceneSpec(side=64, instances=tuple(InstanceSpec(class_id=c) for c in (0, 4, 9)))
-    img, _ = render_scene(spec, seed=seed)
+    img, _ = render_scene(DatasetConfig(), (0, 4, 9), seed)
     return img
 
 

@@ -17,6 +17,7 @@ from retentive.config import DatasetConfig, ModelConfig
 from retentive.detector import Detection, image_forward, init_base_model, pool_rois
 from retentive.errors import ParameterError
 from retentive.evaluation import (
+    GROUP_ALL,
     ap_summary,
     ap_table,
     average_precision,
@@ -29,7 +30,6 @@ from retentive.evaluation import (
 from retentive.synthgen import (
     ClassSplit,
     Dataset,
-    GroundTruth,
     SceneRecord,
     build_test_dataset,
     split_classes,
@@ -44,7 +44,7 @@ def make_records(gt_boxes, labels=None, annotated=None):
         n = len(boxes)
         lab = np.zeros(n, dtype=np.int64) if labels is None else np.asarray(labels[i], dtype=np.int64)
         ann = np.ones(n, dtype=bool) if annotated is None else np.asarray(annotated[i], dtype=bool)
-        records.append(SceneRecord(seed=i, gt=GroundTruth(boxes=boxes, labels=lab, annotated=ann)))
+        records.append(SceneRecord(seed=i, boxes=boxes, labels=lab, annotated=ann))
     return records
 
 
@@ -244,13 +244,13 @@ def test_recall_perfect_candidates():
            np.array([[4.0, 4.0, 16.0, 16.0]])]
     records = make_records(gts)
     candidates = [(g, np.linspace(1.0, 0.5, len(g))) for g in gts]
-    assert average_recall(candidates, records, [10], 0.5)[10] == 1.0
+    assert average_recall(candidates, records, [10], 0.5, GROUP_ALL)[10] == 1.0
 
 
 def test_recall_zero_candidates_is_zero():
     records = make_records([np.array([[0.0, 0.0, 10.0, 10.0]])])
     candidates = [(np.zeros((0, 4)), np.zeros(0))]
-    assert average_recall(candidates, records, [10], 0.5)[10] == 0.0
+    assert average_recall(candidates, records, [10], 0.5, GROUP_ALL)[10] == 0.0
 
 
 def test_recall_two_image_hand_case_matches_oracle():
@@ -264,7 +264,7 @@ def test_recall_two_image_hand_case_matches_oracle():
         (np.array([[6.0, 6.0, 18.0, 18.0]]),   # near-miss jitter, still >= 0.5
          np.array([0.7])),
     ]
-    got = average_recall(candidates, records, [10], 0.5)[10]
+    got = average_recall(candidates, records, [10], 0.5, GROUP_ALL)[10]
     want = recall_exhaustive_oracle(candidates, gts, 10, 0.5)
     assert got == want == pytest.approx(2.0 / 3.0)
 
@@ -284,7 +284,7 @@ def test_recall_matches_oracle_on_random_instances():
             candidates.append((boxes, np.round(rng.random(p), 1)))
         records = make_records(gts)
         for k in (1, 3, 100):
-            got = average_recall(candidates, records, [k], 0.5)[k]
+            got = average_recall(candidates, records, [k], 0.5, GROUP_ALL)[k]
             want = recall_exhaustive_oracle(candidates, gts, k, 0.5)
             assert got == want
 
@@ -326,7 +326,7 @@ def test_recall_at_every_k_equals_the_single_k_oracle():
 def test_recall_rejects_negative_k():
     records = make_records([np.array([[0.0, 0.0, 10.0, 10.0]])])
     with pytest.raises(ParameterError):
-        average_recall([(np.zeros((0, 4)), np.zeros(0))], records, [10, -1], 0.5)
+        average_recall([(np.zeros((0, 4)), np.zeros(0))], records, [10, -1], 0.5, GROUP_ALL)
 
 
 def test_recall_k_cut_uses_scores():
@@ -334,9 +334,9 @@ def test_recall_k_cut_uses_scores():
     records = make_records(gt)
     boxes = np.array([[50.0, 50.0, 60.0, 60.0], [0.0, 0.0, 10.0, 10.0]])
     scores = np.array([0.9, 0.5])
-    assert average_recall([(boxes, scores)], records, [1, 2], 0.5) == {1: 0.0, 2: 1.0}
+    assert average_recall([(boxes, scores)], records, [1, 2], 0.5, GROUP_ALL) == {1: 0.0, 2: 1.0}
     swapped = np.array([0.5, 0.9])
-    assert average_recall([(boxes, swapped)], records, [1], 0.5)[1] == 1.0
+    assert average_recall([(boxes, swapped)], records, [1], 0.5, GROUP_ALL)[1] == 1.0
 
 
 def test_recall_grows_with_k():
@@ -350,7 +350,7 @@ def test_recall_grows_with_k():
         boxes = np.hstack([cb, cb + 10.0])
         candidates.append((boxes, rng.random(30)))
     records = make_records(gts)
-    values = [average_recall(candidates, records, [k], 0.5)[k] for k in (1, 5, 10, 30)]
+    values = [average_recall(candidates, records, [k], 0.5, GROUP_ALL)[k] for k in (1, 5, 10, 30)]
     assert all(a <= b for a, b in zip(values, values[1:]))
 
 
@@ -379,15 +379,14 @@ def test_recall_absent_when_filter_matches_nothing():
 def blank_dataset(split, side=48):
     boxes = np.array([[8.0, 8.0, 24.0, 24.0], [28.0, 28.0, 44.0, 44.0]])
     labels = np.array([split.base_ids[0], split.novel_ids[0]], dtype=np.int64)
-    rec = SceneRecord(seed=0, gt=GroundTruth(boxes=boxes, labels=labels,
-                                             annotated=np.array([True, False])))
+    rec = SceneRecord(seed=0, boxes=boxes, labels=labels, annotated=np.array([True, False]))
     return Dataset(split=split, mode="test", k=None, seed=0, side=side,
                    images=[np.zeros((side, side))], records=[rec])
 
 
 def gt_rows(model, ds):
     """Each image's pooled ground-truth rows, as the eval stage hands them over."""
-    return [pool_rois(model, image_forward(model, img).feat, rec.gt.boxes)
+    return [pool_rois(model, image_forward(model, img).feat, rec.boxes)
             for img, rec in zip(ds.images, ds.records)]
 
 
@@ -409,11 +408,12 @@ def test_norms_duplicate_instance_leaves_mean_unchanged():
     base = roi_feature_norms(model, ds, gt_rows(model, ds))
 
     rec = ds.records[0]
-    dup = SceneRecord(seed=rec.seed, gt=GroundTruth(
-        boxes=np.vstack([rec.gt.boxes, rec.gt.boxes]),
-        labels=np.concatenate([rec.gt.labels, rec.gt.labels]),
-        annotated=np.concatenate([rec.gt.annotated, rec.gt.annotated]),
-    ))
+    dup = SceneRecord(
+        seed=rec.seed,
+        boxes=np.vstack([rec.boxes, rec.boxes]),
+        labels=np.concatenate([rec.labels, rec.labels]),
+        annotated=np.concatenate([rec.annotated, rec.annotated]),
+    )
     doubled = Dataset(split=split, mode="test", k=None, seed=0, side=ds.side,
                       images=[ds.images[0]], records=[dup])
     doubled_norms = roi_feature_norms(model, doubled, gt_rows(model, doubled))
@@ -432,9 +432,9 @@ def test_norms_match_scalar_recomputation():
     sums, counts = {}, {}
     for img, rec in zip(ds.images, ds.records):
         feat = image_forward(model, img).feat
-        pooled_rows = roi_pool(feat, rec.gt.boxes, bins=model.mcfg.roi_pool_bins,
+        pooled_rows = roi_pool(feat, rec.boxes, bins=model.mcfg.roi_pool_bins,
                                stride=float(model.mcfg.feat_stride))
-        for pooled, lbl in zip(pooled_rows, rec.gt.labels):
+        for pooled, lbl in zip(pooled_rows, rec.labels):
             vec = np.maximum(pooled @ proj.T, 0.0)
             acc = 0.0
             for v in vec:

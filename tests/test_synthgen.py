@@ -88,64 +88,57 @@ def test_glyph_rejects_bad_args():
 # ---------------------------------------------------------------------------
 
 def test_empty_scene_is_blank():
-    img, gt = G.render_scene(G.SceneSpec(side=64, instances=()), seed=1)
+    img, rec = G.render_scene(DatasetConfig(), (), seed=1)
     assert img.shape == (64, 64)
     assert np.all(img == 0.0)
-    assert gt.boxes.shape == (0, 4)
+    assert rec.boxes.shape == (0, 4)
 
 
-def test_centered_disk_box():
-    spec = G.SceneSpec(side=64, instances=(G.InstanceSpec(class_id=0, size=16, center=(32.0, 32.0)),))
-    img, gt = G.render_scene(spec, seed=1)
-    assert gt.boxes.shape == (1, 4)
-    assert gt.boxes[0].tolist() == [24.0, 24.0, 40.0, 40.0]
-    assert gt.labels.tolist() == [0]
+def test_one_glyph_box_has_its_stamp_shape():
+    img, rec = G.render_scene(DatasetConfig(min_glyph=16, max_glyph=16), (0,), seed=1)
+    assert rec.boxes.shape == (1, 4)
+    x0, y0, x1, y1 = (int(v) for v in rec.boxes[0])
+    assert (y1 - y0, x1 - x0) == G.glyph_stamp(0, 16).shape
+    assert rec.labels.tolist() == [0]
     # nothing rendered outside the box
     outside = img.copy()
-    outside[24:40, 24:40] = 0.0
+    outside[y0:y1, x0:x1] = 0.0
     assert np.all(outside == 0.0)
 
 
 def test_render_bitwise_repeatable():
-    spec = G.SceneSpec(side=64, instances=tuple(G.InstanceSpec(class_id=c) for c in (0, 3, 7)))
-    a_img, a_gt = G.render_scene(spec, seed=42)
-    b_img, b_gt = G.render_scene(spec, seed=42)
+    a_img, a_rec = G.render_scene(DatasetConfig(), (0, 3, 7), seed=42)
+    b_img, b_rec = G.render_scene(DatasetConfig(), (0, 3, 7), seed=42)
     assert a_img.tobytes() == b_img.tobytes()
-    assert np.array_equal(a_gt.boxes, b_gt.boxes)
+    assert np.array_equal(a_rec.boxes, b_rec.boxes)
 
 
 def test_render_respects_overlap_cap():
-    spec = G.SceneSpec(side=64, instances=tuple(G.InstanceSpec(class_id=c % 12) for c in range(5)))
-    _, gt = G.render_scene(spec, seed=7)
-    n = len(gt.labels)
+    cfg = DatasetConfig()
+    _, rec = G.render_scene(cfg, [c % 12 for c in range(5)], seed=7)
+    n = len(rec.labels)
     for i in range(n):
         for j in range(i + 1, n):
-            assert iou_scalar(gt.boxes[i], gt.boxes[j]) <= spec.overlap_iou_cap + 1e-12
+            assert iou_scalar(rec.boxes[i], rec.boxes[j]) <= cfg.overlap_iou_cap + 1e-12
 
 
 def test_render_boxes_inside_image_and_tight():
-    spec = G.SceneSpec(side=64, instances=tuple(G.InstanceSpec(class_id=c) for c in range(4)))
-    img, gt = G.render_scene(spec, seed=11)
-    assert np.all(gt.boxes >= 0.0) and np.all(gt.boxes <= 64.0)
+    img, rec = G.render_scene(DatasetConfig(), range(4), seed=11)
+    assert np.all(rec.boxes >= 0.0) and np.all(rec.boxes <= 64.0)
     assert img.min() >= 0.0 and img.max() <= 1.0
 
 
 def test_unplaceable_scene_raises():
     # ten max-size squares cannot coexist under a tiny overlap cap
-    spec = G.SceneSpec(
-        side=64,
-        instances=tuple(G.InstanceSpec(class_id=1, size=60) for _ in range(10)),
-        overlap_iou_cap=0.01,
-        placement_retries=5,
-    )
+    cfg = DatasetConfig(min_glyph=60, max_glyph=60, overlap_iou_cap=0.01, placement_retries=5)
     with pytest.raises(GenerationError):
-        G.render_scene(spec, seed=3)
+        G.render_scene(cfg, (1,) * 10, seed=3)
 
 
 def test_oversized_glyph_raises():
-    spec = G.SceneSpec(side=32, instances=(G.InstanceSpec(class_id=1, size=40),))
+    cfg = DatasetConfig(image_side=32, min_glyph=40, max_glyph=40)
     with pytest.raises(GenerationError):
-        G.render_scene(spec, seed=3)
+        G.render_scene(cfg, (1,), seed=3)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +153,7 @@ def test_base_dataset_annotates_only_base_classes():
     novel = set(split.novel_ids)
     saw_unannotated = False
     for rec in ds.records:
-        for lbl, ann in zip(rec.gt.labels, rec.gt.annotated):
+        for lbl, ann in zip(rec.labels, rec.annotated):
             if int(lbl) in novel:
                 assert not ann
                 saw_unannotated = True
@@ -173,8 +166,8 @@ def test_base_dataset_novel_frequency():
     cfg = small_cfg(base_train_images=120)
     split = G.split_classes(cfg.num_classes, cfg.num_novel, seed=4)
     ds = G.build_base_dataset(cfg, split, seed=4)
-    total = sum(len(r.gt.labels) for r in ds.records)
-    unann = sum(int((~r.gt.annotated).sum()) for r in ds.records)
+    total = sum(len(r.labels) for r in ds.records)
+    unann = sum(int((~r.annotated).sum()) for r in ds.records)
     assert total > 200
     assert 0.2 < unann / total < 0.4
 
@@ -193,15 +186,15 @@ def test_kshot_one_shot_counts():
     cfg = small_cfg()
     split = G.split_classes(12, 4, seed=1)
     ds = G.build_kshot_dataset(cfg, split, k=1, seed=1)
-    total = sum(len(r.gt.labels) for r in ds.records)
+    total = sum(len(r.labels) for r in ds.records)
     assert total == 12
-    assert all(r.gt.annotated.all() for r in ds.records)
+    assert all(r.annotated.all() for r in ds.records)
 
 
 def _label_histogram(ds):
     counts = {}
     for rec in ds.records:
-        for lbl in rec.gt.labels:
+        for lbl in rec.labels:
             counts[int(lbl)] = counts.get(int(lbl), 0) + 1
     return counts
 
@@ -245,8 +238,8 @@ def test_test_dataset_fully_annotated():
     split = G.split_classes(12, 4, seed=3)
     ds = G.build_test_dataset(cfg, split, seed=3)
     assert len(ds) == 10
-    assert all(rec.gt.annotated.all() for rec in ds.records)
-    labels = {int(l) for rec in ds.records for l in rec.gt.labels}
+    assert all(rec.annotated.all() for rec in ds.records)
+    labels = {int(l) for rec in ds.records for l in rec.labels}
     assert labels & set(split.novel_ids)
 
 
@@ -265,9 +258,9 @@ def test_dataset_roundtrip(tmp_path: Path):
     for a, b in zip(ds.images, back.images):
         assert a.tobytes() == b.tobytes()
     for ra, rb in zip(ds.records, back.records):
-        assert np.array_equal(ra.gt.boxes, rb.gt.boxes)
-        assert np.array_equal(ra.gt.labels, rb.gt.labels)
-        assert np.array_equal(ra.gt.annotated, rb.gt.annotated)
+        assert np.array_equal(ra.boxes, rb.boxes)
+        assert np.array_equal(ra.labels, rb.labels)
+        assert np.array_equal(ra.annotated, rb.annotated)
 
 
 def test_dataset_load_detects_tamper(tmp_path: Path):

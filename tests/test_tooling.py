@@ -126,13 +126,20 @@ def _literal(node: ast.AST | None):
 
 
 def test_no_literal_restates_a_config_number_default():
-    """A size or threshold a config holds reaches the code through that config:
-    no parameter defaults to a numeric literal, and no dataclass outside
-    config.py gives a field named after a DatasetConfig field a literal
-    default (SceneSpec reads its defaults from DatasetConfig)."""
-    from retentive.config import DatasetConfig
+    """A size, threshold or choice a config holds reaches the code through that
+    config: no parameter defaults to a numeric literal, and no dataclass
+    outside config.py gives a literal default to a field named after a field
+    of any config section, nor a config choice as a literal default to any
+    field (detector.Model takes its classifier, head domain and RPN strategy
+    from its caller)."""
+    from retentive.config import ExperimentConfig
 
-    dataset_fields = {f.name for f in dataclasses.fields(DatasetConfig)}
+    cfg = ExperimentConfig()
+    config_fields = {f.name for section in dataclasses.fields(cfg)
+                     for f in dataclasses.fields(getattr(cfg, section.name))}
+    choices = {c for section in dataclasses.fields(cfg)
+               for f in dataclasses.fields(getattr(cfg, section.name))
+               for c in f.metadata["rule"].choices or ()}
     found = []
     for path in sorted((ROOT / "src" / "retentive").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -144,10 +151,12 @@ def test_no_literal_restates_a_config_number_default():
             if path.name != "config.py" and isinstance(node, ast.ClassDef) \
                     and any("dataclass" in ast.unparse(d) for d in node.decorator_list):
                 for stmt in node.body:
-                    if isinstance(stmt, ast.AnnAssign) and stmt.value is not None \
-                            and getattr(stmt.target, "id", None) in dataset_fields \
-                            and _literal(stmt.value) is not stmt.value:
-                        found.append(f"{path.name}:{stmt.lineno}: {node.name}.{stmt.target.id}")
+                    if not isinstance(stmt, ast.AnnAssign) or stmt.value is None:
+                        continue
+                    value, name = _literal(stmt.value), getattr(stmt.target, "id", None)
+                    if value is not stmt.value and (name in config_fields
+                                                    or isinstance(value, str) and value in choices):
+                        found.append(f"{path.name}:{stmt.lineno}: {node.name}.{name}")
     assert not found, found
 
 
