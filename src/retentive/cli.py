@@ -60,14 +60,13 @@ from .synthgen import (
 from .tensorops import subseed
 from .trainer import finetune, load_checkpoint, pretrain, save_checkpoint, verify_checkpoint
 
-DATASET_NAMES = ("base-train", "kshot", "test", "uar-eval")
-
 _DS_TAGS = {
     "base-train": 0xD5B1,
     "kshot": 0xD5B2,
     "test": 0xD5B3,
     "uar-eval": 0xD5B4,
 }
+DATASET_NAMES = tuple(_DS_TAGS)
 
 
 # ---------------------------------------------------------------------------
@@ -131,44 +130,42 @@ def _read_report(path: Path) -> dict:
 # stages
 # ---------------------------------------------------------------------------
 
-def _run_gen(cfg: ExperimentConfig, seed: int, paths: RunPaths, up: dict) -> dict:
+def _run_gen(cfg: ExperimentConfig, seed: int, paths: RunPaths, up: dict) -> None:
     split = split_classes(cfg.dataset.num_classes, cfg.dataset.num_novel, seed)
     built = {
         "base-train": build_base_dataset(cfg.dataset, split,
                                          subseed(seed, _DS_TAGS["base-train"])),
-        "kshot": build_kshot_dataset(cfg.dataset, split, cfg.dataset.shots,
-                                     subseed(seed, _DS_TAGS["kshot"])),
+        "kshot": build_kshot_dataset(cfg.dataset, split, subseed(seed, _DS_TAGS["kshot"])),
         "test": build_test_dataset(cfg.dataset, split,
                                    subseed(seed, _DS_TAGS["test"])),
         "uar-eval": build_base_dataset(cfg.dataset, split,
                                        subseed(seed, _DS_TAGS["uar-eval"]),
                                        num_images=cfg.dataset.uar_eval_images),
     }
-    return {name: save_dataset(built[name], paths.dataset_dir(name)) for name in DATASET_NAMES}
+    for name in DATASET_NAMES:
+        save_dataset(built[name], paths.dataset_dir(name))
 
 
-def _run_pretrain(cfg: ExperimentConfig, seed: int, paths: RunPaths, up: dict) -> dict:
+def _run_pretrain(cfg: ExperimentConfig, seed: int, paths: RunPaths, up: dict) -> None:
     dataset = load_dataset(paths.dataset_dir("base-train"))
     model, log = pretrain(dataset, cfg, seed)
     paths.checkpoint("base").parent.mkdir(parents=True, exist_ok=True)
-    digest = save_checkpoint(model, paths.checkpoint("base"))
+    save_checkpoint(model, paths.checkpoint("base"))
     log.save(paths.train_log("pretrain"))
-    return {"base": digest}
 
 
-def _run_finetune(cfg: ExperimentConfig, seed: int, paths: RunPaths, up: dict) -> dict:
+def _run_finetune(cfg: ExperimentConfig, seed: int, paths: RunPaths, up: dict) -> None:
     base = load_checkpoint(paths.checkpoint("base"))
     if base.stage != STAGE_BASE:
         raise StalenessError(
             f"expected a pretrained checkpoint, found stage {base.stage!r}")
     dataset = load_dataset(paths.dataset_dir("kshot"))
     model, log = finetune(base, dataset, cfg, seed)
-    digest = save_checkpoint(model, paths.checkpoint("retentive"))
+    save_checkpoint(model, paths.checkpoint("retentive"))
     log.save(paths.train_log("finetune"))
-    return {"retentive": digest}
 
 
-def _evaluate_models(cfg: ExperimentConfig, seed: int, paths: RunPaths, up: dict) -> dict:
+def _evaluate_models(cfg: ExperimentConfig, seed: int, paths: RunPaths, up: dict) -> None:
     base = load_checkpoint(paths.checkpoint("base"))
     model = load_checkpoint(paths.checkpoint("retentive"))
     if model.stage != STAGE_RETENTIVE:
@@ -184,7 +181,6 @@ def _evaluate_models(cfg: ExperimentConfig, seed: int, paths: RunPaths, up: dict
         raise StalenessError(f"{exc}: {paths.checkpoint('retentive')} and "
                              f"{paths.checkpoint('base')}") from exc
     emit_report(report, paths.eval_dir())
-    return {"report": _report_digest_on_disk(paths)}
 
 
 # stage -> (upstream outputs it reads, its outputs as found on disk, its runner);
@@ -231,7 +227,8 @@ def _verified(paths: RunPaths, stage: str, config_digest: str, inputs: dict,
 def _walk(cfg: ExperimentConfig, seed: int, paths: RunPaths, run: tuple[str, ...],
           last: str) -> dict:
     """Every stage through `last` in order: a stamped one is verified, one in
-    `run` without a stamp runs and is stamped, and any other stops the walk."""
+    `run` without a stamp runs and is stamped with its outputs as its check
+    reads them from disk, and any other stops the walk."""
     config_digest = cfg.digest()
     up: dict[str, str] = {}
     done: dict[str, dict] = {}
@@ -241,7 +238,8 @@ def _walk(cfg: ExperimentConfig, seed: int, paths: RunPaths, run: tuple[str, ...
         if paths.stamp(stage).exists():
             outputs = _verified(paths, stage, config_digest, inputs, on_disk)
         elif stage in run:
-            outputs = runner(cfg, seed, paths, up)
+            runner(cfg, seed, paths, up)
+            outputs = on_disk(paths)
             _write_stamp(paths.stamp(stage), stage, seed, config_digest, inputs, outputs)
         else:
             raise StalenessError(

@@ -248,8 +248,13 @@ def rpn_box_deltas(model: Model, cells: np.ndarray) -> np.ndarray:
     return d.reshape(-1, n_scales, 4).reshape(-1, 4)
 
 
-def bias_balanced_objectness(o_b: np.ndarray, o_n: np.ndarray, strategy: str) -> np.ndarray:
+def bias_balanced_objectness(o_b: np.ndarray, o_n: np.ndarray | None,
+                             strategy: str) -> np.ndarray:
+    """The objectness a strategy ranks anchors by; "base-only" is the base
+    objectness itself and reads no finetuned objectness (o_n may be None)."""
     o_b = np.asarray(o_b, dtype=np.float64)
+    if strategy == "base-only":
+        return o_b
     o_n = np.asarray(o_n, dtype=np.float64)
     if o_b.shape != o_n.shape:
         raise ParameterError(f"objectness shapes differ: {o_b.shape} vs {o_n.shape}")
@@ -259,8 +264,6 @@ def bias_balanced_objectness(o_b: np.ndarray, o_n: np.ndarray, strategy: str) ->
         return 0.5 * (o_b + o_n)
     if strategy == "geo-avg":
         return np.sqrt(o_b * o_n)
-    if strategy == "base-only":
-        return o_b.copy()
     raise ParameterError(f"unknown rpn strategy {strategy!r}; expected one of {RPN_STRATEGIES}")
 
 
@@ -312,14 +315,13 @@ def strategy_proposals(model: Model, forward: ImageForward, dcfg: DetectConfig,
     Each anchor in some strategy's top pre_nms_k is decoded once.
     """
     o_b = sigmoid(rpn_objectness_logits(model, forward.cells, "base"))
-    if any(s != "base-only" for s in strategies):
-        o_n = sigmoid(rpn_objectness_logits(model, forward.cells, "novel"))
+    o_n = (sigmoid(rpn_objectness_logits(model, forward.cells, "novel"))
+           if any(s != "base-only" for s in strategies) else None)
     deltas = rpn_box_deltas(model, forward.cells)
     anchors = image_anchors(forward.side, model.mcfg.feat_stride, model.mcfg.anchor_scales)
     if len(o_b) != len(anchors):
         raise ParameterError("RPN outputs not aligned with the anchor grid")
-    objectness = {s: o_b if s == "base-only" else bias_balanced_objectness(o_b, o_n, s)
-                  for s in strategies}
+    objectness = {s: bias_balanced_objectness(o_b, o_n, s) for s in strategies}
     ranked = {s: top_anchors(o, dcfg.pre_nms_k) for s, o in objectness.items()}
     # one decode of every anchor some strategy ranks; decode_boxes works row by
     # row, so each strategy reads the bits decoding its own rows would give

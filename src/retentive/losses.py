@@ -68,9 +68,9 @@ class LossBreakdown:
     l_cls: float
     l_box: float
     lam: float
-    l_con: float = 0.0
-    l_box_rpn: float = 0.0
-    empty: tuple[str, ...] = ()
+    l_con: float
+    l_box_rpn: float
+    empty: tuple[str, ...]
 
     @property
     def total(self) -> float:
@@ -105,27 +105,17 @@ def _base_marginals(p: np.ndarray, base_slots: np.ndarray) -> tuple[np.ndarray, 
     return tilde, mass
 
 
-def consistency_loss(p_n: np.ndarray, p_b: np.ndarray, base_slots,
-                     variant: str) -> float:
-    """Divergence between renormalized base-class marginals, averaged over rows.
+def consistency_loss(p_n: np.ndarray, p_b: np.ndarray, base_slots: np.ndarray,
+                     variant: str) -> tuple[float, np.ndarray]:
+    """(value, dL/dp_n) of the divergence between renormalized base-class
+    marginals, averaged over rows (at least one).
 
     Background and novel entries never enter the marginal; any change of
     probability mass that preserves base-class ratios leaves the value
-    untouched. The value comes from the code training differentiates.
+    untouched. Training and its checks call this one function.
     """
-    p_n = np.asarray(p_n, dtype=np.float64)
-    p_b = np.asarray(p_b, dtype=np.float64)
-    base_slots = np.asarray(base_slots, dtype=np.int64)
     if p_n.shape != p_b.shape:
         raise ParameterError(f"probability shapes differ: {p_n.shape} vs {p_b.shape}")
-    if p_n.shape[0] == 0:
-        return 0.0
-    return _consistency_grad_wrt_probs(p_n, p_b, base_slots, variant)[0]
-
-
-def _consistency_grad_wrt_probs(p_n: np.ndarray, p_b: np.ndarray, base_slots: np.ndarray,
-                                variant: str) -> tuple[float, np.ndarray]:
-    """(value, dL/dp_n) for the mean-over-rows consistency term."""
     n = p_n.shape[0]
     pt, mass = _base_marginals(p_n, base_slots)
     qt, _ = _base_marginals(p_b, base_slots)
@@ -254,8 +244,7 @@ def compute_gradients(model: Model, mb: Minibatch,
         if consistency:
             base_slots = np.arange(model.num_base)
             p_n = softmax(z_cls)
-            l_con, dp = _consistency_grad_wrt_probs(p_n, mb.roi_base_probs, base_slots,
-                                                    tcfg.consistency)
+            l_con, dp = consistency_loss(p_n, mb.roi_base_probs, base_slots, tcfg.consistency)
             # softmax backward: dz = p * (dp - <dp, p>)
             inner = np.sum(dp * p_n, axis=1, keepdims=True)
             dz = dz + tcfg.lam * (p_n * (dp - inner))

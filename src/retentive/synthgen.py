@@ -285,13 +285,11 @@ def build_test_dataset(cfg: DatasetConfig, split: ClassSplit, seed: int) -> Data
                     lambda _, image_seed: _mixed_classes(cfg, split, image_seed))
 
 
-def build_kshot_dataset(cfg: DatasetConfig, split: ClassSplit, k: int, seed: int) -> Dataset:
-    """Balanced adaptation set: exactly k annotated instances per class."""
+def build_kshot_dataset(cfg: DatasetConfig, split: ClassSplit, seed: int) -> Dataset:
+    """Balanced adaptation set: exactly cfg.shots annotated instances per class."""
     cfg.validate()
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
     gen = rng(seed, _TAG_COMPOSE)
-    pool = [c for c in split.base_ids + split.novel_ids for _ in range(k)]
+    pool = [c for c in split.base_ids + split.novel_ids for _ in range(cfg.shots)]
     order = gen.permutation(len(pool))
     pool = [pool[int(i)] for i in order]
     groups: list[list[int]] = []
@@ -299,7 +297,7 @@ def build_kshot_dataset(cfg: DatasetConfig, split: ClassSplit, k: int, seed: int
         take = int(gen.integers(cfg.min_instances, cfg.max_instances + 1))
         groups.append(pool[:take])
         pool = pool[take:]
-    return _dataset(cfg, split, "kshot", k, seed, len(groups), lambda i, _: groups[i])
+    return _dataset(cfg, split, "kshot", cfg.shots, seed, len(groups), lambda i, _: groups[i])
 
 
 # ---------------------------------------------------------------------------

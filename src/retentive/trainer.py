@@ -348,8 +348,8 @@ def windowed_means(totals, window: int) -> tuple[float, float] | None:
     return earlier, recent
 
 
-def _converged(totals, window: int, rel_tol: float) -> bool:
-    pair = windowed_means(totals, window)
+def _converged(records: list[dict], window: int, rel_tol: float) -> bool:
+    pair = windowed_means([r["total"] for r in records[-2 * window:]], window)
     if pair is None:
         return False
     earlier, recent = pair
@@ -366,7 +366,6 @@ def _run_stage(model: Model, dataset: Dataset, tcfg: TrainConfig,
     velocity: dict[str, np.ndarray] = {}
     cache: dict[int, StageImage] = {}
     mb_size = min(tcfg.minibatch_images, len(dataset))
-    totals: list[float] = []
     t0 = time.monotonic()
     for it in range(tcfg.max_iters):
         picks = np.sort(rng(seed, _TAG_PICK, it).choice(len(dataset), size=mb_size,
@@ -378,8 +377,7 @@ def _run_stage(model: Model, dataset: Dataset, tcfg: TrainConfig,
                                 iteration=it, diagnostics=breakdown.to_dict())
         sgd_step(model.params, grads, velocity, tcfg.lr, tcfg.momentum)
         log.append(it, breakdown, tcfg.lr, time.monotonic() - t0)
-        totals.append(breakdown.total)
-        if _converged(totals, tcfg.convergence_window, tcfg.convergence_rel_tol):
+        if _converged(log.records, tcfg.convergence_window, tcfg.convergence_rel_tol):
             log.records[-1]["stop_reason"] = f"converged@{it}"
             return
     if log.records:
@@ -449,8 +447,9 @@ def save_checkpoint(model: Model, path) -> str:
     return digest.hex()
 
 
-def _verified_parts(path) -> tuple[dict, bytes, bytes]:
-    """Header, payload and stored digest of a checkpoint that passes every check."""
+def _verified_parts(path) -> tuple[dict, list[np.ndarray], bytes]:
+    """Header, flat arrays in header order and stored digest of a checkpoint
+    that passes every check."""
     try:
         data = Path(path).read_bytes()
     except FileNotFoundError as exc:
@@ -479,7 +478,8 @@ def _verified_parts(path) -> tuple[dict, bytes, bytes]:
     if len(payload) != 8 * sum(counts):
         raise CorruptCheckpointError(
             f"checkpoint payload is {len(payload)} bytes; expected {8 * sum(counts)}")
-    return header, payload, want
+    flat = np.frombuffer(payload, dtype=np.float64)
+    return header, np.split(flat, np.cumsum(counts)[:-1]), want
 
 
 def verify_checkpoint(path) -> str:
@@ -492,15 +492,9 @@ def load_checkpoint(path) -> Model:
     header other than the one the loaded model would write: one whose arrays
     are not those its stage, split, config, classifier and head domain call
     for (detector.array_shapes), or whose flags disagree with its stage."""
-    header, payload, _ = _verified_parts(path)
+    header, flat, _ = _verified_parts(path)
     try:
-        arrays: dict[str, np.ndarray] = {}
-        off = 0
-        for entry in header["arrays"]:
-            count = int(np.prod(entry["shape"], dtype=np.int64))
-            arr = np.frombuffer(payload, dtype=np.float64, count=count, offset=off)
-            arrays[entry["name"]] = arr.reshape(entry["shape"]).copy()
-            off += 8 * count
+        arrays = {e["name"]: a.reshape(e["shape"]).copy() for e, a in zip(header["arrays"], flat)}
         mc = dict(header["model_config"])
         mc["anchor_scales"] = tuple(mc["anchor_scales"])
         model = Model(

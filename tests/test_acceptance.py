@@ -140,7 +140,7 @@ def _small_world(seed: int = 7):
                            min_glyph=12, max_glyph=20)
     split = split_classes(ds_cfg.num_classes, ds_cfg.num_novel, seed)
     base_ds = build_base_dataset(ds_cfg, split, seed)
-    kshot_ds = build_kshot_dataset(ds_cfg, split, ds_cfg.shots, seed + 1)
+    kshot_ds = build_kshot_dataset(ds_cfg, split, seed + 1)
     mcfg = ModelConfig()
     model = init_base_model(split, mcfg, feat_seed=seed, seed=seed)
     model.stage = "base"   # gradient checks need no actual pretraining
@@ -195,7 +195,7 @@ def test_criterion_06_consistency_law():
     p_n = _random_rows(rng, n, width)
     p_b = _random_rows(rng, n, width)
 
-    per_row = np.array([consistency_loss(p_n[i:i + 1], p_b[i:i + 1], slots, "kldiv")
+    per_row = np.array([consistency_loss(p_n[i:i + 1], p_b[i:i + 1], slots, "kldiv")[0]
                         for i in range(n)])
     nonneg = bool(np.all(per_row >= 0.0))
 
@@ -206,7 +206,7 @@ def test_criterion_06_consistency_law():
         scale = 0.2 + 2.0 * rng.random()
         q[num_base:] *= scale
         q /= q.sum()
-        val = consistency_loss(q[None, :], p_b[i][None, :], slots, "kldiv")
+        val = consistency_loss(q[None, :], p_b[i][None, :], slots, "kldiv")[0]
         eq_ok = eq_ok and abs(val) <= 1e-12
 
     # perturbed base ratios must leave zero
@@ -216,17 +216,17 @@ def test_criterion_06_consistency_law():
         j = int(rng.integers(num_base))
         q[j] *= 1.5
         q /= q.sum()
-        val = consistency_loss(q[None, :], p_b[i][None, :], slots, "kldiv")
+        val = consistency_loss(q[None, :], p_b[i][None, :], slots, "kldiv")[0]
         neq_ok = neq_ok and val > 1e-12
 
     # invariance under novel-mass perturbations preserving base ratios
     inv_ok = True
     for i in range(200):
-        ref = consistency_loss(p_n[i][None, :], p_b[i][None, :], slots, "kldiv")
+        ref = consistency_loss(p_n[i][None, :], p_b[i][None, :], slots, "kldiv")[0]
         q = p_n[i].copy()
         q[num_base:] *= 0.1 + 3.0 * rng.random()
         q /= q.sum()
-        val = consistency_loss(q[None, :], p_b[i][None, :], slots, "kldiv")
+        val = consistency_loss(q[None, :], p_b[i][None, :], slots, "kldiv")[0]
         inv_ok = inv_ok and abs(val - ref) <= 1e-12
 
     ok = nonneg and eq_ok and neq_ok and inv_ok

@@ -506,7 +506,7 @@ def tiny_finetuned():
     )
     split = split_classes(6, 2, seed=4)
     base, _ = pretrain(build_base_dataset(cfg.dataset, split, 41), cfg, 4)
-    model, _ = finetune(base, build_kshot_dataset(cfg.dataset, split, 2, 42), cfg, 4)
+    model, _ = finetune(base, build_kshot_dataset(cfg.dataset, split, 42), cfg, 4)
     return base, model, build_test_dataset(cfg.dataset, split, 43).images, cfg.detect
 
 

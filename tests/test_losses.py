@@ -73,24 +73,24 @@ def test_consistency_zero_when_marginals_equal():
     p_n = np.array([[0.4, 0.1, 0.3, 0.2]])
     p_b = np.array([[0.08, 0.02, 0.5, 0.4]])
     for variant in ("kldiv", "l1", "cos"):
-        assert abs(L.consistency_loss(p_n, p_b, BASE_SLOTS, variant)) < 1e-12
+        assert abs(L.consistency_loss(p_n, p_b, BASE_SLOTS, variant)[0]) < 1e-12
 
 
 def test_consistency_kldiv_hand_value():
     p_n = np.array([[0.4, 0.1, 0.3, 0.2]])   # marginal (0.8, 0.2)
     p_b = np.array([[0.25, 0.25, 0.3, 0.2]])  # marginal (0.5, 0.5)
     want = 0.8 * np.log(1.6) + 0.2 * np.log(0.4)
-    got = L.consistency_loss(p_n, p_b, BASE_SLOTS, "kldiv")
+    got = L.consistency_loss(p_n, p_b, BASE_SLOTS, "kldiv")[0]
     assert abs(got - want) < 1e-12
 
 
 def test_consistency_l1_and_cos_hand_values():
     p_n = np.array([[0.4, 0.1, 0.3, 0.2]])
     p_b = np.array([[0.25, 0.25, 0.3, 0.2]])
-    assert abs(L.consistency_loss(p_n, p_b, BASE_SLOTS, "l1") - (0.3 + 0.3)) < 1e-12
+    assert abs(L.consistency_loss(p_n, p_b, BASE_SLOTS, "l1")[0] - (0.3 + 0.3)) < 1e-12
     pt, qt = np.array([0.8, 0.2]), np.array([0.5, 0.5])
     want = 1.0 - pt @ qt / (np.linalg.norm(pt) * np.linalg.norm(qt))
-    assert abs(L.consistency_loss(p_n, p_b, BASE_SLOTS, "cos") - want) < 1e-12
+    assert abs(L.consistency_loss(p_n, p_b, BASE_SLOTS, "cos")[0] - want) < 1e-12
 
 
 def test_consistency_kldiv_nonnegative_random():
@@ -98,21 +98,21 @@ def test_consistency_kldiv_nonnegative_random():
     p_n = rng.dirichlet(np.ones(4), size=1000)
     p_b = rng.dirichlet(np.ones(4), size=1000)
     for i in range(0, 1000, 50):
-        v = L.consistency_loss(p_n[i:i + 1], p_b[i:i + 1], BASE_SLOTS, "kldiv")
+        v = L.consistency_loss(p_n[i:i + 1], p_b[i:i + 1], BASE_SLOTS, "kldiv")[0]
         assert v >= 0.0
-    assert L.consistency_loss(p_n, p_b, BASE_SLOTS, "kldiv") >= 0.0
+    assert L.consistency_loss(p_n, p_b, BASE_SLOTS, "kldiv")[0] >= 0.0
 
 
 def test_consistency_invariant_to_novel_mass():
     rng = np.random.default_rng(1)
     p_n = rng.dirichlet(np.ones(4), size=64)
     p_b = rng.dirichlet(np.ones(4), size=64)
-    ref = L.consistency_loss(p_n, p_b, BASE_SLOTS, "kldiv")
+    ref = L.consistency_loss(p_n, p_b, BASE_SLOTS, "kldiv")[0]
     # move half the base mass into the novel slot, keeping base ratios
     moved = p_n.copy()
     moved[:, BASE_SLOTS] *= 0.5
     moved[:, 2] += p_n[:, BASE_SLOTS].sum(axis=1) * 0.5
-    got = L.consistency_loss(moved, p_b, BASE_SLOTS, "kldiv")
+    got = L.consistency_loss(moved, p_b, BASE_SLOTS, "kldiv")[0]
     assert abs(got - ref) < 1e-12
 
 
@@ -134,12 +134,14 @@ def test_consistency_unknown_variant():
 # ---------------------------------------------------------------------------
 
 def test_total_arithmetic():
-    b = L.LossBreakdown(l_obj=1.0, l_cls=2.0, l_box=3.0, l_con=4.0, lam=0.1)
+    b = L.LossBreakdown(l_obj=1.0, l_cls=2.0, l_box=3.0, l_con=4.0, l_box_rpn=0.0, lam=0.1,
+                        empty=())
     assert abs(b.total - 6.4) < 1e-12
 
 
 def test_total_lambda_zero_reports_but_excludes():
-    b = L.LossBreakdown(l_obj=1.0, l_cls=2.0, l_box=3.0, l_con=4.0, lam=0.0)
+    b = L.LossBreakdown(l_obj=1.0, l_cls=2.0, l_box=3.0, l_con=4.0, l_box_rpn=0.0, lam=0.0,
+                        empty=())
     assert b.l_con == 4.0
     assert abs(b.total - 6.0) < 1e-12
 
@@ -150,7 +152,8 @@ def test_total_negative_lambda_rejected():
 
 
 def test_breakdown_total_recomputes():
-    b = L.LossBreakdown(l_obj=0.5, l_cls=1.5, l_box=0.25, l_con=2.0, l_box_rpn=0.75, lam=0.1)
+    b = L.LossBreakdown(l_obj=0.5, l_cls=1.5, l_box=0.25, l_con=2.0, l_box_rpn=0.75, lam=0.1,
+                        empty=())
     assert abs(b.total - (0.5 + 1.5 + 0.25 + 0.75 + 0.2)) < 1e-12
     d = b.to_dict()
     assert abs(d["total"] - b.total) < 1e-15
@@ -254,7 +257,7 @@ def test_consistency_loss_is_the_value_training_optimises(variant):
     mb = random_minibatch(r, rng, with_base_probs=True)
     got = compute_loss(r, mb, TrainConfig(consistency=variant)).l_con
     z_cls, _ = D.box_head_scores(r, mb.roi_feats, "novel")
-    want = L.consistency_loss(softmax(z_cls), mb.roi_base_probs, np.arange(r.num_base), variant)
+    want = L.consistency_loss(softmax(z_cls), mb.roi_base_probs, np.arange(r.num_base), variant)[0]
     assert got > 0.0
     assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
 

@@ -183,9 +183,9 @@ def test_base_dataset_digest_stable():
 
 
 def test_kshot_one_shot_counts():
-    cfg = small_cfg()
+    cfg = small_cfg(shots=1)
     split = G.split_classes(12, 4, seed=1)
-    ds = G.build_kshot_dataset(cfg, split, k=1, seed=1)
+    ds = G.build_kshot_dataset(cfg, split, seed=1)
     total = sum(len(r.labels) for r in ds.records)
     assert total == 12
     assert all(r.annotated.all() for r in ds.records)
@@ -200,27 +200,20 @@ def _label_histogram(ds):
 
 
 def test_kshot_balance_histogram():
-    cfg = small_cfg()
+    cfg = small_cfg(shots=5)
     split = G.split_classes(12, 4, seed=8)
-    ds = G.build_kshot_dataset(cfg, split, k=5, seed=8)
+    ds = G.build_kshot_dataset(cfg, split, seed=8)
     counts = _label_histogram(ds)
     assert counts == {c: 5 for c in range(12)}
 
 
 def test_kshot_seed_changes_layout_not_histogram():
-    cfg = small_cfg()
+    cfg = small_cfg(shots=3)
     split = G.split_classes(12, 4, seed=8)
-    a = G.build_kshot_dataset(cfg, split, k=3, seed=1)
-    b = G.build_kshot_dataset(cfg, split, k=3, seed=2)
+    a = G.build_kshot_dataset(cfg, split, seed=1)
+    b = G.build_kshot_dataset(cfg, split, seed=2)
     assert _label_histogram(a) == _label_histogram(b) == {c: 3 for c in range(12)}
     assert a.digest() != b.digest()
-
-
-def test_kshot_rejects_bad_k():
-    cfg = small_cfg()
-    split = G.split_classes(12, 4, seed=8)
-    with pytest.raises(ParameterError):
-        G.build_kshot_dataset(cfg, split, k=0, seed=1)
 
 
 def test_builders_check_their_dataset_config():
@@ -230,7 +223,7 @@ def test_builders_check_their_dataset_config():
     with pytest.raises(ConfigError, match=r"^dataset\.noise must be "):
         G.build_test_dataset(small_cfg(noise=float("nan")), split, seed=1)
     with pytest.raises(ConfigError, match=r"^dataset\.shots must be "):
-        G.build_kshot_dataset(small_cfg(shots=0), split, k=0, seed=1)
+        G.build_kshot_dataset(small_cfg(shots=0), split, seed=1)
 
 
 def test_test_dataset_fully_annotated():

@@ -59,7 +59,7 @@ def tiny_world(seed=7, **kw):
     cfg = tiny_cfg(**kw)
     split = split_classes(cfg.dataset.num_classes, cfg.dataset.num_novel, seed)
     base_ds = build_base_dataset(cfg.dataset, split, seed)
-    kshot_ds = build_kshot_dataset(cfg.dataset, split, cfg.dataset.shots, seed)
+    kshot_ds = build_kshot_dataset(cfg.dataset, split, seed)
     return cfg, split, base_ds, kshot_ds
 
 
