@@ -13,7 +13,7 @@ Canonical logit ordering everywhere: [base..., novel..., background].
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from hashlib import sha256
 
 import numpy as np
@@ -75,20 +75,16 @@ class Model:
     def num_novel(self) -> int:
         return self.split.num_novel
 
-    def digest(self, layers: tuple[str, ...] | None = None) -> str:
-        """SHA-256 over the arrays of the given layers (all by default), by name."""
+    def base_subset_digest(self) -> str:
+        """SHA-256 over the arrays of the base layers, by name."""
         h = sha256()
         for key in sorted(self.params):
-            if layers is not None and key.split("/")[0] not in layers:
-                continue
-            arr = self.params[key]
-            h.update(key.encode())
-            h.update(str(arr.shape).encode())
-            h.update(arr.tobytes())
+            if key.split("/")[0] in BASE_LAYERS:
+                arr = self.params[key]
+                h.update(key.encode())
+                h.update(str(arr.shape).encode())
+                h.update(arr.tobytes())
         return h.hexdigest()
-
-    def base_subset_digest(self) -> str:
-        return self.digest(BASE_LAYERS)
 
 
 def array_shapes(model: Model) -> dict[str, tuple[int, ...]]:
@@ -272,7 +268,6 @@ class Proposals:
     boxes: np.ndarray       # (P, 4)
     scores: np.ndarray      # (P,) objectness that survived
     anchor_ids: np.ndarray  # (P,) the anchor each box was decoded from
-    rows: np.ndarray | None = None  # (P, C*bins*bins) roi_pool rows, once pool_proposals ran
 
     def __len__(self) -> int:
         return self.boxes.shape[0]
@@ -347,10 +342,9 @@ def pool_rois(model: Model, feat: np.ndarray, boxes: np.ndarray,
 
 
 def pool_proposals(model: Model, forward: ImageForward, proposal_sets,
-                   boxes: np.ndarray) -> tuple[list[Proposals], np.ndarray]:
-    """Each proposal set with its roi_pool rows attached, and the rows of boxes
-    in order, all from one pool_rois call over the anchors any set holds plus
-    boxes.
+                   boxes: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """The roi_pool rows of each proposal set, and those of boxes, in order,
+    all from one pool_rois call over the anchors any set holds plus boxes.
 
     Proposals of one image with the same anchor id hold the same decoded box,
     so each distinct anchor is pooled once.
@@ -361,8 +355,7 @@ def pool_proposals(model: Model, forward: ImageForward, proposal_sets,
     pooled = pool_rois(model, forward.feat, np.concatenate([distinct, boxes]))
     rows = np.split(pooled[row], np.cumsum([len(p) for p in proposal_sets])[:-1])
     # a copy, so that a caller who keeps the boxes' rows does not keep all of pooled
-    return ([replace(p, rows=r) for p, r in zip(proposal_sets, rows)],
-            pooled[len(first):].copy())
+    return rows, pooled[len(first):].copy()
 
 
 def project_rois(model: Model, pooled: np.ndarray) -> np.ndarray:
@@ -476,62 +469,57 @@ def _merge_candidates(boxes: np.ndarray, classes: np.ndarray, raw: np.ndarray,
     ]
 
 
-def _detect_heads(model: Model, image: np.ndarray, dcfg: DetectConfig,
-                  heads: tuple[str, ...], strategy: str,
-                  proposals: Proposals | None) -> list[Detection]:
-    """Score the image's proposals with the given box heads and merge their
-    candidates.
+def score_proposals(model: Model, proposals: Proposals, rois: np.ndarray, side: int,
+                    dcfg: DetectConfig, heads: tuple[str, ...]) -> list[Detection]:
+    """Score proposals with the given box heads and merge their candidates.
 
-    Without proposals, the image's own forward proposes under strategy and
-    pools them; given proposals must carry their roi_pool rows
-    (pool_proposals), which are projected as they are.
+    rois holds the proposals' ROI feature rows, one per box (roi_features,
+    or project_rois over pool_proposals' rows); side is the image's.
     """
-    if proposals is None:
-        forward = image_forward(model, image)
-        proposals = strategy_proposals(model, forward, dcfg, (strategy,))[strategy]
-        rois = roi_features(model, forward.feat, proposals.boxes)
-    elif proposals.rows is None or len(proposals.rows) != len(proposals):
-        raise ParameterError("proposals need their roi_pool rows, one per box (pool_proposals)")
-    else:
-        rois = project_rois(model, proposals.rows)
+    if len(rois) != len(proposals):
+        raise ParameterError(f"{len(rois)} ROI feature rows for {len(proposals)} proposals")
     if len(rois) == 0:
         return []
     outputs = []
     for head in heads:
         probs, reg, ids = head_probs(model, rois, head)
-        boxes = decode_boxes(reg, proposals.boxes, side=float(image.shape[0]))
+        boxes = decode_boxes(reg, proposals.boxes, side=float(side))
         outputs.append((head == "base", probs, boxes, ids))
     return _merge_candidates(*_assemble_candidates(outputs, dcfg.score_thresh), dcfg)
 
 
-def detect_base(model: Model, image: np.ndarray, dcfg: DetectConfig,
-                proposals: Proposals | None = None) -> list[Detection]:
+def _detect_heads(model: Model, image: np.ndarray, dcfg: DetectConfig,
+                  heads: tuple[str, ...], strategy: str) -> list[Detection]:
+    """The image's own forward proposes under strategy; its pooled proposals
+    are scored with the given box heads."""
+    forward = image_forward(model, image)
+    proposals = strategy_proposals(model, forward, dcfg, (strategy,))[strategy]
+    rois = roi_features(model, forward.feat, proposals.boxes)
+    return score_proposals(model, proposals, rois, forward.side, dcfg, heads)
+
+
+def detect_base(model: Model, image: np.ndarray, dcfg: DetectConfig) -> list[Detection]:
     """Base-detector inference: base RPN head, base box head, base classes.
 
     Scores come from the padded-logit softmax so they are comparable with
-    ensemble inference. A caller that already holds the image's "base-only"
-    proposals with their pooled rows passes them in instead of recomputing
-    them.
+    ensemble inference.
     """
     if model.stage == STAGE_INIT:
         raise StateError("cannot run inference on an untrained model")
-    return _detect_heads(model, image, dcfg, ("base",), "base-only", proposals)
+    return _detect_heads(model, image, dcfg, ("base",), "base-only")
 
 
-def detect(model: Model, image: np.ndarray, dcfg: DetectConfig,
-           proposals: Proposals | None = None) -> list[Detection]:
+def detect(model: Model, image: np.ndarray, dcfg: DetectConfig) -> list[Detection]:
     """Full ensemble inference.
 
     Proposals come from the objectness maps combined elementwise under the
     model's own strategy. Both box heads score every proposal, and the
     finetuned head's base-class predictions stay in the candidate pool.
     Base-head candidates get a rank-only bonus so NMS prefers them on ties.
-    A caller that already holds the image's proposals under any strategy,
-    with their pooled rows, passes them in instead of recomputing them.
     """
     if model.stage != STAGE_RETENTIVE:
         raise StateError(f"ensemble inference needs a finetuned model, got stage {model.stage!r}")
-    return _detect_heads(model, image, dcfg, ("base", "novel"), model.rpn_strategy, proposals)
+    return _detect_heads(model, image, dcfg, ("base", "novel"), model.rpn_strategy)
 
 
 def ensembled_proposals(model: Model, image: np.ndarray, dcfg: DetectConfig,

@@ -20,11 +20,10 @@ import numpy as np
 from .config import RPN_STRATEGIES, ExperimentConfig, canonical_json
 from .detector import (
     Model,
-    detect,
-    detect_base,
     image_forward,
     pool_proposals,
     project_rois,
+    score_proposals,
     strategy_proposals,
 )
 from .errors import ParameterError, StalenessError
@@ -255,11 +254,13 @@ def _infer(base: Model, model: Model, ds: Dataset, cfg: ExperimentConfig, with_g
         fwd = image_forward(model, img)
         per = strategy_proposals(model, fwd, cfg.detect, RPN_STRATEGIES)
         props.append(per)
-        (mine, theirs), rows = pool_proposals(
-            model, fwd, [per[model.rpn_strategy], per["base-only"]],
-            rec.boxes if with_gt else np.empty((0, 4)))
-        ret.append(detect(model, img, cfg.detect, mine))
-        bas.append(detect_base(base, img, cfg.detect, theirs))
+        mine, theirs = per[model.rpn_strategy], per["base-only"]
+        (mine_rows, their_rows), rows = pool_proposals(
+            model, fwd, [mine, theirs], rec.boxes if with_gt else np.empty((0, 4)))
+        ret.append(score_proposals(model, mine, project_rois(model, mine_rows), fwd.side,
+                                   cfg.detect, ("base", "novel")))
+        bas.append(score_proposals(base, theirs, project_rois(base, their_rows), fwd.side,
+                                   cfg.detect, ("base",)))
         gt_rows.append(rows)
     return ret, bas, props, gt_rows
 
@@ -339,7 +340,7 @@ def _svg_text(report: dict) -> str:
     ]
     for i, cid in enumerate(classes):
         v = per_class[cid]
-        bh = 0.0 if top == 0 else h * v / top
+        bh = h * v / top
         x = pad + i * (bar_w + gap)
         y = pad + h - bh
         color = "#d95f02" if int(cid) in novel else "#1b9e77"

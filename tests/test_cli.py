@@ -5,7 +5,9 @@ import json
 import math
 import os
 import shutil
+import struct
 import warnings
+from hashlib import sha256
 from pathlib import Path
 
 import numpy as np
@@ -319,7 +321,8 @@ _PACKAGE_ERRORS = sorted(
 def test_every_package_error_exits_with_a_code_and_one_line(exc_type, tmp_path, monkeypatch,
                                                             capsys):
     def fail(args, command):
-        raise exc_type("injected failure")
+        raise (exc_type("injected failure", 0, {}) if exc_type is errors.TrainingError
+               else exc_type("injected failure"))
 
     monkeypatch.setattr(cli, "_cmd_pipeline", fail)
     assert main(["gen-data", "--seed", "1", "--out", str(tmp_path / "o")]) in (2, 3, 4)
@@ -886,6 +889,22 @@ def test_detect_with_flags_its_stage_would_not_write_exits_4(tiny_yaml, finished
     assert main(["detect", "--config", str(tiny_yaml), "--seed", "3", "--out", str(out)]) == 4
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "would not write" in err
+    assert not paths.detections().exists()
+
+
+def test_detect_with_an_empty_header_checkpoint_exits_4(tiny_yaml, finished_run, tmp_path,
+                                                      capsys):
+    """A retentive.ckpt of just its fixed fields, header length 0 and the
+    digest of its empty body: no traceback, one line, no detections."""
+    out = tmp_path / "copy"
+    shutil.copytree(finished_run, out)
+    paths = RunPaths(out, 3)
+    paths.checkpoint("retentive").write_bytes(
+        trainer.CHECKPOINT_MAGIC + struct.pack("<II", trainer.CHECKPOINT_VERSION, 0)
+        + sha256(b"").digest())
+    assert main(["detect", "--config", str(tiny_yaml), "--seed", "3", "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "unreadable header" in err
     assert not paths.detections().exists()
 
 

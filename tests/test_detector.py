@@ -1,4 +1,5 @@
 import dataclasses
+from hashlib import sha256
 
 import numpy as np
 import pytest
@@ -75,7 +76,7 @@ def test_extend_for_finetune_adds_three_layers():
     assert m.params["cls_n/W"].shape == (13, 64)
     assert "cls_n/b" not in m.params  # cosine head has no bias
     assert m.params["rpn_obj_n/W"].tobytes() == m.params["rpn_obj_b/W"].tobytes()
-    assert m.base_subset_digest() == base.digest()
+    assert all(m.params[k].tobytes() == a.tobytes() for k, a in base.params.items())
 
 
 def test_extend_requires_trained_base():
@@ -107,13 +108,21 @@ def test_head_init_copy_pads_base_head():
     assert np.array_equal(m.params["reg_n/W"], m.params["reg_b/W"])
 
 
-def test_digest_is_order_independent_and_layer_filtered():
-    m = fresh_base()
-    full = m.digest()
+def test_base_subset_digest_hashes_the_base_layers_by_name():
+    base = pseudo_trained_base()
+    want = sha256()
+    for key in sorted(base.params):  # a base detector holds the base layers only
+        want.update(key.encode())
+        want.update(str(base.params[key].shape).encode())
+        want.update(base.params[key].tobytes())
+    m = D.extend_for_finetune(base, 2, TrainConfig())
+    assert base.base_subset_digest() == m.base_subset_digest() == want.hexdigest()
     reversed_copy = {k: m.params[k].copy() for k in reversed(m.params)}
-    again = dataclasses.replace(m, params=reversed_copy).digest()
-    assert full == again
-    assert m.digest(("cls_b",)) != m.digest(("reg_b",))
+    assert dataclasses.replace(m, params=reversed_copy).base_subset_digest() == want.hexdigest()
+    m.params["cls_n/W"][0, 0] += 1.0
+    assert m.base_subset_digest() == want.hexdigest()
+    m.params["reg_b/b"][0] += 1.0
+    assert m.base_subset_digest() != want.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +527,12 @@ def det_bits(dets):
             [d.class_id for d in dets], [d.source_head for d in dets])
 
 
+def scored(model, props, rows, img, dcfg, heads):
+    """Detections of the given heads over proposals and their roi_pool rows."""
+    return D.score_proposals(model, props, D.project_rois(model, rows), img.shape[0], dcfg,
+                             heads)
+
+
 def prop_bits(props):
     return (props.boxes.view(np.uint64).tolist(), props.scores.view(np.uint64).tolist(),
             props.anchor_ids.tolist())
@@ -540,15 +555,15 @@ def test_shared_forward_matches_per_image_path(tiny_finetuned, strategy):
         # the base model has no finetuned objectness head; "base-only" alone needs none
         assert prop_bits(shared["base-only"]) == prop_bits(
             D.strategy_proposals(base, fwd, dcfg, ("base-only",))["base-only"])
-        (mine,), _ = D.pool_proposals(model, fwd, [shared[strategy]], np.empty((0, 4)))
-        got = D.detect(model, img, dcfg, mine)
+        (rows,), _ = D.pool_proposals(model, fwd, [shared[strategy]], np.empty((0, 4)))
+        got = scored(model, shared[strategy], rows, img, dcfg, ("base", "novel"))
         assert det_bits(got) == det_bits(D.detect(model, img, dcfg))
-        (alone,), _ = D.pool_proposals(model, fwd, [D.strategy_proposals(
-            model, fwd, dcfg, (strategy,))[strategy]], np.empty((0, 4)))
-        assert det_bits(got) == det_bits(D.detect(model, img, dcfg, alone))
+        alone = D.strategy_proposals(model, fwd, dcfg, (strategy,))[strategy]
+        (rows,), _ = D.pool_proposals(model, fwd, [alone], np.empty((0, 4)))
+        assert det_bits(got) == det_bits(scored(model, alone, rows, img, dcfg, ("base", "novel")))
         # the base detector's own forward and proposals are the retentive model's
-        (theirs,), _ = D.pool_proposals(model, fwd, [shared["base-only"]], np.empty((0, 4)))
-        got_base = D.detect_base(base, img, dcfg, theirs)
+        (rows,), _ = D.pool_proposals(model, fwd, [shared["base-only"]], np.empty((0, 4)))
+        got_base = scored(base, shared["base-only"], rows, img, dcfg, ("base",))
         assert det_bits(got_base) == det_bits(D.detect_base(base, img, dcfg))
         n_dets += len(got) + len(got_base)
     assert n_dets > 0
@@ -578,20 +593,19 @@ def test_detectors_on_shared_pooled_rows_match_their_own_pooling(tiny_finetuned,
         fwd = D.image_forward(model, img)
         per = D.strategy_proposals(model, fwd, dcfg, RPN_STRATEGIES)
         mine, theirs = per[strategy], per["base-only"]
-        (mine, theirs), no_rows = D.pool_proposals(model, fwd, [mine, theirs], np.empty((0, 4)))
+        (pooled_mine, pooled_theirs), no_rows = D.pool_proposals(model, fwd, [mine, theirs],
+                                                                 np.empty((0, 4)))
         assert len(no_rows) == 0
-        pooled_mine, pooled_theirs = mine.rows, theirs.rows
         assert pooled_mine.tobytes() == D.pool_rois(model, fwd.feat, mine.boxes).tobytes()
         assert pooled_theirs.tobytes() == D.pool_rois(model, fwd.feat, theirs.boxes).tobytes()
         side = float(img.shape[0])
         boxes = np.array([[2.0, 3.0, side / 2, side - 5.0], [0.0, 0.0, side, side]])
         sets, pooled_boxes = D.pool_proposals(model, fwd, [mine, theirs], boxes)
-        assert [p.rows.tobytes() for p in sets] == [pooled_mine.tobytes(),
-                                                    pooled_theirs.tobytes()]
+        assert [r.tobytes() for r in sets] == [pooled_mine.tobytes(), pooled_theirs.tobytes()]
         assert pooled_boxes.tobytes() == D.pool_rois(model, fwd.feat, boxes).tobytes()
-        got = D.detect(model, img, dcfg, mine)
+        got = scored(model, mine, pooled_mine, img, dcfg, ("base", "novel"))
         assert det_bits(got) == det_bits(D.detect(model, img, dcfg))
-        got_base = D.detect_base(base, img, dcfg, theirs)
+        got_base = scored(base, theirs, pooled_theirs, img, dcfg, ("base",))
         assert det_bits(got_base) == det_bits(D.detect_base(base, img, dcfg))
         n_dets += len(got) + len(got_base)
     assert n_dets > 0
@@ -601,13 +615,11 @@ def test_pooled_rows_need_the_proposals_they_pool(tiny_finetuned):
     base, model, images, dcfg = tiny_finetuned
     fwd = D.image_forward(model, images[0])
     props = D.strategy_proposals(model, fwd, dcfg, ("base-only",))["base-only"]
-    assert props.rows is None
-    (pooled,), _ = D.pool_proposals(model, fwd, [props], np.empty((0, 4)))
-    assert len(pooled.rows) == len(props) > 0
-    with pytest.raises(ParameterError):
-        D.detect(model, images[0], dcfg, props)
-    with pytest.raises(ParameterError):
-        D.detect_base(base, images[0], dcfg, dataclasses.replace(pooled, rows=pooled.rows[:-1]))
+    (rows,), _ = D.pool_proposals(model, fwd, [props], np.empty((0, 4)))
+    assert len(rows) == len(props) > 0
+    for short in (rows[:-1], np.empty((0, rows.shape[1]))):
+        with pytest.raises(ParameterError, match="ROI feature rows"):
+            scored(base, props, short, images[0], dcfg, ("base",))
 
 
 def test_strategy_proposals_reject_a_forward_off_the_anchor_grid(tiny_finetuned):

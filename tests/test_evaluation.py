@@ -141,6 +141,13 @@ def test_ap_stricter_overlap_never_scores_higher():
         assert vals[1] >= vals[2] - 1e-12
 
 
+def test_ap_detection_overlapping_at_exactly_the_threshold_is_correct():
+    # (0,0,10,10) against (0,0,10,20) overlaps by exactly 100 / 200 = 0.5
+    records = make_records([np.array([[0.0, 0.0, 10.0, 20.0]])])
+    dets = [[Detection((0.0, 0.0, 10.0, 10.0), 0, 0.9, "base")]]
+    assert average_precision(dets, records, 0, [0.5]) == {0.5: 1.0}
+
+
 def test_ap_rejects_mismatched_inputs():
     records = make_records([np.zeros((0, 4))])
     with pytest.raises(ParameterError):
@@ -327,6 +334,12 @@ def test_recall_rejects_negative_k():
     records = make_records([np.array([[0.0, 0.0, 10.0, 10.0]])])
     with pytest.raises(ParameterError):
         average_recall([(np.zeros((0, 4)), np.zeros(0))], records, [10, -1], 0.5, GROUP_ALL)
+
+
+def test_recall_candidate_overlapping_at_exactly_the_threshold_covers():
+    records = make_records([np.array([[0.0, 0.0, 10.0, 20.0]])])
+    cands = [(np.array([[0.0, 0.0, 10.0, 10.0]]), np.array([0.9]))]  # IoU exactly 0.5
+    assert average_recall(cands, records, [1], 0.5, GROUP_ALL) == {1: 1.0}
 
 
 def test_recall_k_cut_uses_scores():
@@ -542,3 +555,57 @@ def test_report_side_files_order_classes_numerically(tmp_path):
     assert [b.get("fill") == "#d95f02" for b in bars] == [c in split.novel_ids
                                                            for c in range(12)]
     assert [float(b.get("height")) for b in bars] == sorted(float(b.get("height")) for b in bars)
+
+
+# norms.svg layout: outer padding, bar width, gap between bars, plot height
+_PAD, _BAR, _GAP, _PLOT = 30, 28, 10, 220
+
+
+@pytest.mark.parametrize("norms", [
+    {c: 0.25 + (7 * c) % 5 for c in range(12)},
+    {c: 0.0 for c in range(3)},
+    {},
+], ids=["varied", "all-zero", "empty"])
+def test_norms_svg_bars_read_back_against_report_json(tmp_path, norms):
+    """Every bar of norms.svg, read back against the report.json beside it:
+    one per class in numeric order, its height the class's norm over the
+    largest, scarce classes in the novel colour, and the frame around them."""
+    split = ClassSplit(num_classes=12, base_ids=(0, 1, 3, 4, 5, 6, 8, 9),
+                       novel_ids=(2, 7, 10, 11))
+    records = make_records([np.empty((0, 4))])
+    ds = Dataset(split=split, mode="test", k=None, seed=1, side=48,
+                 images=[np.zeros((48, 48))], records=records)
+    paths = emit_report(build_report([[]], ds, (0.5,), {}, {"per_class": norms, "groups": {}},
+                                     metadata={}, baseline_summary={}), tmp_path)
+    report = json.loads(paths["json"].read_text(encoding="utf-8"))
+    per_class = report["feature_norms"]["per_class"]
+    novel = set(report["split"]["novel_ids"])
+    classes = sorted(per_class, key=int)
+    assert classes == [str(c) for c in sorted(norms)]
+    top = max(per_class.values(), default=0.0)
+
+    root = ET.fromstring(paths["svg"].read_text(encoding="utf-8"))
+    width = 2 * _PAD + max(len(classes), 1) * (_BAR + _GAP)
+    height = _PLOT + 2 * _PAD + 20
+    assert (root.get("width"), root.get("height"), root.get("viewBox")) == (
+        str(width), str(height), f"0 0 {width} {height}")
+    backdrop, *bars = [el for el in root.iter() if el.tag.endswith("rect")]
+    assert [backdrop.get(a) for a in ("x", "y", "width", "height", "fill")] == [
+        "0", "0", str(width), str(height), "white"]
+    (axis,) = [el for el in root.iter() if el.tag.endswith("line")]
+    assert [axis.get(a) for a in ("x1", "y1", "x2", "y2")] == [
+        str(_PAD), str(_PAD + _PLOT), str(width - _PAD), str(_PAD + _PLOT)]
+    *labels, title = [el for el in root.iter() if el.tag.endswith("text")]
+    assert (title.get("x"), title.get("y")) == (str(_PAD), str(_PAD - 10))
+
+    assert len(bars) == len(labels) == len(classes)
+    for i, (cid, bar, label) in enumerate(zip(classes, bars, labels)):
+        x = _PAD + i * (_BAR + _GAP)
+        bh = _PLOT * per_class[cid] / top if top else 0.0
+        assert [bar.get(a) for a in ("x", "y", "width", "height", "fill")] == [
+            str(x), f"{_PAD + _PLOT - bh:.3f}", str(_BAR), f"{bh:.3f}",
+            "#d95f02" if int(cid) in novel else "#1b9e77"]
+        assert (label.text, label.get("x"), label.get("y")) == (
+            cid, str(x + _BAR / 2), str(_PAD + _PLOT + 16))
+    assert {int(c) for c, b in zip(classes, bars) if b.get("fill") == "#d95f02"} == \
+        novel & set(norms)

@@ -179,3 +179,89 @@ def test_every_package_definition_is_read_outside_tests():
                            if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
                            and not attributes[m.name]]
     assert not unread, f"nothing outside tests reads {unread}"
+
+
+# Every defaulted parameter of the package, keyed module.function.parameter,
+# with the package code that calls the function; the comment above an entry
+# says which value each caller passes. A new default needs an entry, and an
+# entry's callers must exist and call the function. A caller is module.name
+# of a top-level function or class, or the module itself for its own statements.
+ALLOWED_DEFAULTS = {
+    # _cmd_pipeline passes a command's stage prefix; _run_units runs every stage
+    "cli.run_experiment.stages": ("cli._cmd_pipeline", "cli._run_units"),
+    # multirun's parser passes seeds=True; every other command's leaves it out
+    "cli._add_common.seeds": ("cli.build_parser",),
+    # the module's __main__ block (and the retentive console script) leave it
+    # out, so argparse reads sys.argv
+    "cli.main.argv": ("cli",),
+    # each config section passes some bounds and choices and leaves the rest
+    "config.rule.lo": ("config.DatasetConfig", "config.ModelConfig"),
+    "config.rule.hi": ("config.DatasetConfig", "config.EvalConfig"),
+    "config.rule.above": ("config.ModelConfig", "config.TrainConfig"),
+    "config.rule.below": ("config.TrainConfig",),
+    "config.rule.choices": ("config.TrainConfig",),
+    # ExperimentConfig passes each section's field name; a builder that
+    # validates the one section it reads leaves the name out (no package code
+    # validates a model, detect or eval section on its own)
+    "config.DatasetConfig.validate.section": ("config.ExperimentConfig",
+                                              "synthgen.build_base_dataset",
+                                              "synthgen.build_test_dataset",
+                                              "synthgen.build_kshot_dataset"),
+    "config.ModelConfig.validate.section": ("config.ExperimentConfig",),
+    "config.TrainConfig.validate.section": ("config.ExperimentConfig",
+                                            "detector.extend_for_finetune"),
+    "config.DetectConfig.validate.section": ("config.ExperimentConfig",),
+    "config.EvalConfig.validate.section": ("config.ExperimentConfig",),
+    # build_minibatch pools a stack of maps; one image's pooling leaves it out
+    "detector.pool_rois.batch_idx": ("trainer.build_minibatch", "detector.pool_proposals",
+                                     "detector.roi_features"),
+    # _run_gen passes uar_eval_images for uar-eval, base_train_images by default
+    "synthgen.build_base_dataset.num_images": ("cli._run_gen",),
+    # proposal NMS stops at post_nms_k, the merge at max_dets; neither leaves it out
+    "tensorops.nms.max_keep": ("detector.propose", "detector._merge_candidates"),
+    # the merge passes class ids; proposal NMS leaves them out
+    "tensorops.nms.groups": ("detector._merge_candidates", "detector.propose"),
+    # both decodes clip to their image's side; neither leaves it out
+    "tensorops.decode_boxes.side": ("detector.strategy_proposals", "detector.score_proposals"),
+    # pool_rois passes its own batch_idx: None for one map, map ids for a stack
+    "tensorops.roi_pool.batch_idx": ("detector.pool_rois",),
+    # the RPN draw passes the stage cache's labels; the ROI draw leaves them out
+    "trainer.assign_targets.labelled": ("trainer.build_minibatch",),
+}
+
+
+def test_every_defaulted_parameter_names_the_package_callers_it_serves():
+    """A default is a second way to call a function; it stays only where the
+    package's own callers differ on it. Lists every defaulted parameter of
+    the package by AST, and requires it in ALLOWED_DEFAULTS with callers that
+    each name the function."""
+    found, refs = set(), {}
+
+    def collect(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                positional = a.posonlyargs + a.args
+                defaulted = positional[len(positional) - len(a.defaults):] + [
+                    arg for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                found.update(f"{prefix}{child.name}.{arg.arg}" for arg in defaulted)
+                collect(child, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.ClassDef):
+                collect(child, f"{prefix}{child.name}.")
+
+    for path in sorted((ROOT / "src" / "retentive").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        collect(tree, f"{path.stem}.")
+        for stmt in tree.body:
+            owner = (f"{path.stem}.{stmt.name}" if isinstance(
+                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else path.stem)
+            refs.setdefault(owner, set()).update(
+                n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(stmt)
+                if isinstance(n, (ast.Name, ast.Attribute)))
+    assert sorted(found - set(ALLOWED_DEFAULTS)) == [], "defaults no entry allows"
+    assert sorted(set(ALLOWED_DEFAULTS) - found) == [], "entries for defaults that are gone"
+    for key, callers in ALLOWED_DEFAULTS.items():
+        function = key.split(".")[-2]
+        assert callers, key
+        for caller in callers:
+            assert function in refs.get(caller, ()), f"{caller} does not call {key}"

@@ -1,6 +1,8 @@
 """Optimizer, target assignment, stage loops, and checkpoint format."""
 
 import dataclasses
+import pickle
+import struct
 from hashlib import sha256
 
 import numpy as np
@@ -133,6 +135,25 @@ def test_rpn_best_anchor_forced_positive_below_threshold():
     gt = np.array([[0.0, 0.0, 8.0, 8.0]])
     ta = assign_targets(anchors, gt, np.array([1]), "rpn", tcfg, seed=0)
     assert ta.labels.tolist() == [1, 0]
+
+
+# (0,0,10,20) against (0,0,10,10) overlaps by exactly 100 / 200 = 0.5
+_HALF = np.array([0.0, 0.0, 10.0, 20.0])
+_UNIT = np.array([0.0, 0.0, 10.0, 10.0])
+
+
+def test_rpn_overlap_equal_to_the_positive_threshold_is_positive():
+    tcfg = TrainConfig(rpn_pos_iou=0.5, rpn_neg_iou=0.3)
+    # the second anchor equals the annotation, so the best-anchor rule claims
+    # it and the first is positive only by the threshold
+    ta = assign_targets(np.stack([_HALF, _UNIT]), _UNIT[None], np.array([3]), "rpn", tcfg, 0)
+    assert ta.labels.tolist() == [1, 1]
+
+
+def test_roi_overlap_equal_to_the_positive_threshold_takes_the_class():
+    tcfg = TrainConfig(roi_pos_iou=0.5)
+    ta = assign_targets(_HALF[None], _UNIT[None], np.array([4]), "roi", tcfg, seed=1)
+    assert ta.labels.tolist() == [4]
 
 
 def test_rpn_assignment_no_annotations_all_negative():
@@ -407,14 +428,20 @@ def test_pretrain_loss_windowed_mean_drops():
     assert all(r["stage"] == "pretrain" for r in log.records)
 
 
+def param_bytes(model, layers=None):
+    """A model's arrays as (shape, bytes) by name, of the given layers (all by default)."""
+    return {k: (a.shape, a.tobytes()) for k, a in model.params.items()
+            if layers is None or k.split("/")[0] in layers}
+
+
 def test_pretrain_is_bitwise_deterministic():
     cfg, _, base_ds, _ = tiny_world(pre_iters=25, window=60)
     m1, log1 = pretrain(base_ds, cfg, seed=13)
     m2, log2 = pretrain(base_ds, cfg, seed=13)
-    assert m1.digest() == m2.digest()
+    assert param_bytes(m1) == param_bytes(m2)
     assert [r["total"] for r in log1.records] == [r["total"] for r in log2.records]
     m3, _ = pretrain(base_ds, cfg, seed=14)
-    assert m3.digest() != m1.digest()
+    assert param_bytes(m3) != param_bytes(m1)
 
 
 def test_training_error_on_non_finite_loss():
@@ -426,22 +453,26 @@ def test_training_error_on_non_finite_loss():
         _run_stage(model, base_ds, cfg.pretrain, cfg.detect, 7, log)
     assert err.value.iteration == 0
     assert "l_obj" in err.value.diagnostics
+    # a multirun worker's error reaches the parent by pickle, fields and all
+    back = pickle.loads(pickle.dumps(err.value))
+    assert (str(back), back.iteration, repr(back.diagnostics)) == (  # repr: nan != nan
+        str(err.value), err.value.iteration, repr(err.value.diagnostics))
 
 
 def test_finetune_keeps_base_subset_frozen():
     cfg, _, base_ds, kshot_ds = tiny_world(pre_iters=25, ft_iters=15, window=60)
     base, _ = pretrain(base_ds, cfg, seed=7)
-    before = base.digest(BASE_LAYERS)
+    before = param_bytes(base, BASE_LAYERS)
     model, log = finetune(base, kshot_ds, cfg, seed=7)
     assert model.stage == STAGE_RETENTIVE
-    assert model.digest(BASE_LAYERS) == before
+    assert param_bytes(model, BASE_LAYERS) == before
     assert len(log.records) == 15
     # a window longer than the budget never converges
     assert log.records[-1]["stop_reason"] == "max_iters"
     assert not any("stop_reason" in r for r in log.records[:-1])
     # the adaptation layers actually moved
     fresh = extend_for_finetune(base, 7, cfg.finetune)
-    assert model.digest(FINETUNE_TRAINABLE) != fresh.digest(FINETUNE_TRAINABLE)
+    assert param_bytes(model, FINETUNE_TRAINABLE) != param_bytes(fresh, FINETUNE_TRAINABLE)
 
 
 def test_finetune_zero_iterations_is_extension_only():
@@ -450,7 +481,7 @@ def test_finetune_zero_iterations_is_extension_only():
     model, log = finetune(base, kshot_ds, cfg, seed=7)
     assert log.records == []
     fresh = extend_for_finetune(base, 7, cfg.finetune)
-    assert model.digest() == fresh.digest()
+    assert param_bytes(model) == param_bytes(fresh)
 
 
 def test_finetune_consistency_gradient_reduces_the_term():
@@ -600,6 +631,43 @@ def test_checkpoint_rejects_corruption(tmp_path):
         for read in (load_checkpoint, verify_checkpoint):
             with pytest.raises(CorruptCheckpointError):
                 read(tmp_path / name)
+
+
+def _framed(header_len: int, body: bytes) -> bytes:
+    """A checkpoint file around body: magic, version, header_len, body and
+    body's own digest, so it passes the hash check."""
+    return (trainer.CHECKPOINT_MAGIC + struct.pack("<II", trainer.CHECKPOINT_VERSION, header_len)
+            + body + sha256(body).digest())
+
+
+def test_checkpoint_shorter_than_its_fixed_fields_is_truncated(tmp_path):
+    cfg, split, _, _ = tiny_world()
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(init_base_model(split, cfg.model, feat_seed=1, seed=1), p)
+    blob = p.read_bytes()
+    magic = len(trainer.CHECKPOINT_MAGIC)
+    for k in range(8 + 32):  # the version and length fields, then the digest
+        p.write_bytes(blob[:magic + k])
+        with pytest.raises(CorruptCheckpointError, match="truncated"):
+            verify_checkpoint(p)
+
+
+@pytest.mark.parametrize("past", [1, 2 ** 32 - 3])
+def test_header_length_past_the_file_is_truncated(tmp_path, past):
+    body = b"{}"
+    p = tmp_path / "m.ckpt"
+    p.write_bytes(_framed(len(body) + past, body))
+    with pytest.raises(CorruptCheckpointError, match="truncated"):
+        verify_checkpoint(p)
+
+
+def test_empty_header_filling_the_file_exactly_is_unreadable_not_truncated(tmp_path):
+    p = tmp_path / "m.ckpt"
+    p.write_bytes(_framed(0, b""))
+    assert len(p.read_bytes()) == len(trainer.CHECKPOINT_MAGIC) + 8 + 32
+    for read in (verify_checkpoint, load_checkpoint):
+        with pytest.raises(CorruptCheckpointError, match="unreadable header"):
+            read(p)
 
 
 @pytest.mark.parametrize("stage, flagged", [
