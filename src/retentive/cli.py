@@ -48,7 +48,7 @@ from .errors import (
     StateError,
     TrainingError,
 )
-from .evaluation import emit_report, evaluate
+from .evaluation import NUMBER, emit_report, evaluate, report_metrics
 from .synthgen import (
     build_base_dataset,
     build_kshot_dataset,
@@ -120,10 +120,6 @@ def _write_stamp(path: Path, stage: str, seed: int, config_digest: str,
 def _read_stamp(path: Path) -> dict:
     """A stamp as _write_stamp wrote it; anything else is a corrupt artifact."""
     return read_json_object(path, "stamp", {"outputs": dict})
-
-
-def _read_report(path: Path) -> dict:
-    return read_json_object(path, "report", {"metadata": dict})
 
 
 # ---------------------------------------------------------------------------
@@ -272,24 +268,13 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_root,
 # multirun and ablation: one runner, one table writer
 # ---------------------------------------------------------------------------
 
-def _run_metrics(out_root, seed: int) -> dict[str, float]:
-    """One run's summary, baseline_* summary and recall in one dict."""
-    report = _read_report(RunPaths(out_root, seed).eval_dir() / "report.json")
-    out = dict(report.get("summary", {}))
-    out.update((f"baseline_{k}", v) for k, v in report.get("baseline_summary", {}).items())
-    out.update((k, v) for k, v in report.get("recall", {}).items() if v is not None)
-    return out
-
-
 def aggregate_metrics(per_seed: dict[int, dict[str, float]]) -> dict[str, dict]:
     """Mean and sample standard deviation per metric over sorted seeds."""
-    names = sorted({k for vals in per_seed.values() for k in vals})
     table = {}
-    for name in names:
+    for name in sorted({k for vals in per_seed.values() for k in vals}):
         xs = [per_seed[s][name] for s in sorted(per_seed) if name in per_seed[s]]
-        mean = float(np.mean(xs))
-        std = float(np.std(xs, ddof=1)) if len(xs) >= 2 else None
-        table[name] = {"mean": mean, "stddev": std, "n": len(xs)}
+        table[name] = {"mean": float(np.mean(xs)), "n": len(xs),
+                       "stddev": float(np.std(xs, ddof=1)) if len(xs) >= 2 else None}
     return table
 
 
@@ -342,7 +327,8 @@ def multirun(cfg: ExperimentConfig, seeds, out_root, workers: int) -> dict:
     if len(seeds) < 2:
         raise ConfigError(f"multirun needs at least 2 seeds, got {len(seeds)}")
     failures = _run_units({s: (cfg, s, out_root) for s in sorted(set(seeds))}, workers)
-    per_seed = {s: _run_metrics(out_root, s) for s in seeds if s not in failures}
+    per_seed = {s: report_metrics(RunPaths(out_root, s).eval_dir() / "report.json")
+                for s in seeds if s not in failures}
     aggregate = {
         "seeds": seeds,
         "config_digest": cfg.digest(),
@@ -402,7 +388,7 @@ def run_ablation(cfg: ExperimentConfig, axes: dict[str, list[str]], seed: int,
         cells.append((cell, digest))
         units.setdefault(digest, (cell_cfg, seed, Path(out_root) / _cell_name(cell)))
     failures = _run_units(units, workers)
-    metrics = {d: _run_metrics(cell_dir, seed)
+    metrics = {d: report_metrics(RunPaths(cell_dir, seed).eval_dir() / "report.json")
                for d, (_, _, cell_dir) in units.items() if d not in failures}
     rows = [{"cell": cell, "config_digest": d, "metrics": metrics.get(d, {})} for cell, d in cells]
     table = {"seed": seed, "rows": rows, "incomplete": bool(failures),
@@ -588,30 +574,30 @@ def _cmd_multirun(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    out = Path(args.out)
-    agg = out / "aggregate.json"
+    """A multirun's aggregate, or one seed's report as a one-seed aggregate:
+    one row per metric, as aggregate_metrics makes it."""
+    agg = Path(args.out) / "aggregate.json"
     if args.seed is None and agg.exists():
         data = read_json_object(agg, "aggregate", {"seeds": list, "incomplete": bool,
                                                     "metrics": dict})
+        metrics = data["metrics"]
+        for name, row in metrics.items():
+            row = row if isinstance(row, dict) else {}
+            std = row.get("stddev", "")
+            if not (NUMBER.admits(row.get("mean")) and type(row.get("n")) is int
+                    and (std is None or NUMBER.admits(std))):
+                raise CorruptArtifactError(f"aggregate {agg}: {name!r} lacks a numeric mean and n")
         print(f"seeds: {data['seeds']}  incomplete: {data['incomplete']}")
-        for name in sorted(data["metrics"]):
-            row = data["metrics"][name]
-            std = "n/a" if row["stddev"] is None else f"{row['stddev']:.6f}"
-            print(f"{name:32s} mean {row['mean']:.6f}  stddev {std}  n {row['n']}")
-        return 0
-    seed = args.seed if args.seed is not None else 0
-    report_path = RunPaths(out, seed).eval_dir() / "report.json"
-    if not report_path.exists():
-        raise StalenessError(f"no report at {report_path}")
-    report = _read_report(report_path)
-    print(f"seed {seed}  config {report['metadata'].get('config_digest', '')[:12]}")
-    for section in ("summary", "baseline_summary"):
-        for key in sorted(report.get(section, {})):
-            print(f"{section}.{key:24s} {report[section][key]:.6f}")
-    for key in sorted(report.get("recall", {})):
-        val = report["recall"][key]
-        if val is not None:
-            print(f"recall.{key:32s} {val:.6f}")
+    else:
+        seed = 0 if args.seed is None else args.seed
+        paths = RunPaths(args.out, seed)
+        metrics = aggregate_metrics({seed: report_metrics(paths.eval_dir() / "report.json")})
+        stamp = read_json_object(paths.stamp("eval"), "stamp", {"config_digest": str})
+        print(f"seed {seed}  config {stamp['config_digest'][:12]}")
+    for name in sorted(metrics):
+        row = metrics[name]
+        std = "n/a" if row["stddev"] is None else f"{row['stddev']:.6f}"
+        print(f"{name:32s} mean {row['mean']:.6f}  stddev {std}  n {row['n']}")
     return 0
 
 

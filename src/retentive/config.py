@@ -136,7 +136,7 @@ class ModelConfig:
     cosine_scale: float = rule(20.0, above=0)
     init_sigma: float = rule(0.01, 0)
 
-    def validate(self, section: str = "model") -> None:
+    def validate(self, section: str) -> None:
         check(section, self)
 
 
@@ -188,7 +188,7 @@ class DetectConfig:
     max_dets: int = rule(20, 1)
     base_bonus: float = rule(0.1)
 
-    def validate(self, section: str = "detect") -> None:
+    def validate(self, section: str) -> None:
         check(section, self)
 
 
@@ -199,7 +199,7 @@ class EvalConfig:
     recall_ks: tuple[int, ...] = rule((10, 100), 0)
     recall_iou: float = rule(0.5, above=0, hi=1)
 
-    def validate(self, section: str = "eval") -> None:
+    def validate(self, section: str) -> None:
         check(section, self)
         labels = {f"{t:.2f}" for t in self.iou_thresholds}  # report.json keys
         _need(len(labels) == len(self.iou_thresholds), f"{section}.iou_thresholds",

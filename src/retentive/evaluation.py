@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RPN_STRATEGIES, ExperimentConfig, canonical_json
+from .config import RPN_STRATEGIES, ExperimentConfig, Rule, canonical_json, read_json_object
 from .detector import (
     Model,
     image_forward,
@@ -26,7 +26,7 @@ from .detector import (
     score_proposals,
     strategy_proposals,
 )
-from .errors import ParameterError, StalenessError
+from .errors import CorruptArtifactError, ParameterError, StalenessError
 from .synthgen import ClassSplit, Dataset, SceneRecord
 from .tensorops import iou_matrix
 
@@ -220,6 +220,9 @@ def roi_feature_norms(model: Model, dataset: Dataset, pooled) -> dict:
 # ---------------------------------------------------------------------------
 
 REPORT_SCHEMA_VERSION = 1
+# the report.json sections that hold a run's metrics, with their names' prefix
+_METRIC_SECTIONS = (("summary", ""), ("baseline_summary", "baseline_"), ("recall", ""))
+NUMBER = Rule(float, False, (), None)  # a metric's value: a finite number, never a bool
 
 
 def build_report(dets_per_image, dataset: Dataset, iou_thresholds, recall: dict,
@@ -363,3 +366,17 @@ def emit_report(report: dict, out_dir) -> dict[str, Path]:
     paths["csv"].write_text(_csv_text(report), encoding="utf-8")
     paths["svg"].write_text(_svg_text(report), encoding="utf-8")
     return paths
+
+
+def report_metrics(path) -> dict[str, float]:
+    """One run's metrics from its report.json, under the names every table and
+    printer uses: the AP summary's keys bare, the base detector's summary as
+    baseline_*, and each recall key whose value is not None. A file without
+    those three objects of numbers (recall may also hold None) is corrupt."""
+    report = read_json_object(Path(path), "report", {s: dict for s, _ in _METRIC_SECTIONS})
+    metrics = {prefix + k: v for s, prefix in _METRIC_SECTIONS for k, v in report[s].items()
+               if v is not None or s != "recall"}
+    bad = [k for k, v in metrics.items() if not NUMBER.admits(v)]
+    if bad:
+        raise CorruptArtifactError(f"report {path}: {bad[0]!r} is not a number")
+    return metrics

@@ -226,12 +226,12 @@ NMS_BLOCK = 64
 
 
 def nms(boxes: np.ndarray, scores: np.ndarray, iou_thresh: float,
-        max_keep: int | None = None, groups: np.ndarray | None = None) -> np.ndarray:
+        max_keep: int, groups: np.ndarray | None = None) -> np.ndarray:
     """Greedy suppression by descending score, ties broken by lower index.
 
-    Returns kept indices ordered by (score desc, index asc). With ``max_keep``
-    the pass stops once that many boxes are kept, so the result is the first
-    ``max_keep`` entries of the unlimited result. With ``groups`` (one label
+    Returns kept indices ordered by (score desc, index asc). The pass stops
+    once ``max_keep`` boxes are kept, so the result is the first ``max_keep``
+    entries of the unlimited result. With ``groups`` (one label
     per box) only boxes of the same group suppress each other; the result is
     then every group's own greedy result merged in (score desc, index asc)
     order, because the pass visits each group's boxes in that group's own
@@ -252,9 +252,9 @@ def nms(boxes: np.ndarray, scores: np.ndarray, iou_thresh: float,
         raise ParameterError("boxes and scores lengths differ")
     if groups is not None and np.shape(groups) != (n,):
         raise ParameterError(f"groups must hold one label per box, got shape {np.shape(groups)}")
-    if max_keep is not None and max_keep < 0:
+    if max_keep < 0:
         raise ParameterError(f"max_keep must be >= 0, got {max_keep}")
-    limit = n if max_keep is None else min(int(max_keep), n)
+    limit = min(int(max_keep), n)
     order = np.lexsort((np.arange(n), -scores))
     ranked = boxes[order]
     area = box_area(ranked)
@@ -302,8 +302,8 @@ def encode_boxes(boxes: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     return np.stack([(cx - acx) / aw, (cy - acy) / ah, np.log(w / aw), np.log(h / ah)], axis=1)
 
 
-def decode_boxes(deltas: np.ndarray, anchors: np.ndarray, side: float | None = None) -> np.ndarray:
-    """Inverse of encode_boxes; optionally clips to [0, side]."""
+def decode_boxes(deltas: np.ndarray, anchors: np.ndarray, side: float) -> np.ndarray:
+    """Inverse of encode_boxes, clipped to [0, side]."""
     deltas = np.asarray(deltas, dtype=np.float64).reshape(-1, 4)
     anchors = np.asarray(anchors, dtype=np.float64).reshape(-1, 4)
     aw = anchors[:, 2] - anchors[:, 0]
@@ -320,9 +320,7 @@ def decode_boxes(deltas: np.ndarray, anchors: np.ndarray, side: float | None = N
         w = np.exp(deltas[:, 2]) * aw
         h = np.exp(deltas[:, 3]) * ah
         boxes = np.stack([cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h], axis=1)
-    if side is not None:
-        boxes = clip_boxes(boxes, side)
-    return boxes
+    return clip_boxes(boxes, side)
 
 
 # ---------------------------------------------------------------------------
@@ -395,18 +393,16 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
     return s
 
 
-def roi_pool(feat: np.ndarray, boxes, bins: int, stride: float,
-             batch_idx=None) -> np.ndarray:
+def roi_pool(feat: np.ndarray, boxes, bins: int, stride: float, batch_idx) -> np.ndarray:
     """Adaptive average pooling of image-coordinate boxes over feature maps.
 
     feat is one (C,H,W) map or a (B,C,H,W) stack of maps. batch_idx holds
     each box's map in the stack, as torchvision's batch index does; it is
-    required for a stack, and one map is a stack of one whose boxes all lie
-    on map 0. Each (x1, y1, x2, y2) row is mapped into feature cells, clamped
-    to cover at least one cell, split into bins x bins integer cell ranges,
-    and each bin averages its cells. Returns (N, C * bins * bins) rows
-    ordered channel, bin row, bin column; zero boxes give a
-    (0, C * bins * bins) array.
+    None for one map, a stack of one whose boxes all lie on map 0. Each
+    (x1, y1, x2, y2) row is mapped into feature cells, clamped to cover at
+    least one cell, split into bins x bins integer cell ranges, and each bin
+    averages its cells. Returns (N, C * bins * bins) rows ordered channel,
+    bin row, bin column; zero boxes give a (0, C * bins * bins) array.
 
     A bin's mean is bitwise that of ``feat[:, ys:ye, xs:xe].mean(axis=(1, 2))``:
     numpy sums a window's n cells in row-major order, pairwise (left to right

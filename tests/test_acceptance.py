@@ -279,7 +279,7 @@ def test_criterion_07_oracle_equivalence():
         boxes = np.concatenate([centers - sizes / 2, centers + sizes / 2], axis=1)
         scores = np.round(rng.random(m), 1)
         thresh = float(rng.choice([0.3, 0.5, 0.7]))
-        got = nms(boxes, scores, thresh).tolist()
+        got = nms(boxes, scores, thresh, max_keep=m).tolist()
         want = nms_oracle(boxes, scores, thresh)
         nms_ok = nms_ok and got == want
 

@@ -502,8 +502,45 @@ def test_main_eval_and_report_roundtrip(tiny_yaml, tmp_path, capsys):
     assert code == 0
     code = main(["report", "--out", str(out), "--seed", "4"])
     assert code == 0
-    text = capsys.readouterr().out
-    assert "summary.ap" in text and "recall." in text
+    rows = [line.split() for line in capsys.readouterr().out.splitlines() if " mean " in line]
+    assert {"ap", "baseline_ap", "ar@100"} <= {row[0] for row in rows}
+    assert all(row[1::2] == ["mean", "stddev", "n"] and row[4:] == ["n/a", "n", "1"]
+               for row in rows)
+
+
+def test_report_without_a_seed_or_aggregate_prints_seed_0(tiny_cfg, finished_run, tmp_path,
+                                                          capsys):
+    out = tmp_path / "copy"
+    shutil.copytree(RunPaths(finished_run, 3).root, RunPaths(out, 0).root)
+    shutil.copytree(RunPaths(finished_run, 3).root, RunPaths(out, 3).root)
+    assert main(["report", "--out", str(out), "--seed", "3"]) == 0
+    seed_3 = capsys.readouterr().out.splitlines()
+    assert main(["report", "--out", str(out)]) == 0
+    seed_0 = capsys.readouterr().out.splitlines()
+    assert seed_3[0] == f"seed 3  config {tiny_cfg.digest()[:12]}"
+    assert seed_0 == ["seed 0" + seed_3[0][len("seed 3"):]] + seed_3[1:]
+
+
+def _printed_metric_names(text: str) -> list[str]:
+    """The metric column of report's rows, in printed order."""
+    return [line.split()[0] for line in text.splitlines() if " mean " in line]
+
+
+def test_report_on_one_seed_and_on_a_multirun_prints_the_aggregate_names(
+        tiny_yaml, tmp_path, capsys):
+    out = tmp_path / "cli"
+    for seed in ("5", "6"):
+        assert main(["eval", "--config", str(tiny_yaml), "--seed", seed, "--out", str(out)]) == 0
+    assert main(["multirun", "--config", str(tiny_yaml), "--seeds", "5,6",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    agg = json.loads((out / "aggregate.json").read_text(encoding="utf-8"))
+    printed = {}
+    for args in (["--seed", "5"], ["--seed", "6"], []):
+        assert main(["report", "--out", str(out)] + args) == 0
+        printed[" ".join(args)] = _printed_metric_names(capsys.readouterr().out)
+    assert printed[""] == sorted(agg["metrics"])
+    assert printed["--seed 5"] == printed["--seed 6"] == printed[""]
 
 
 def test_main_exit_code_for_bad_config(tmp_path):
@@ -553,7 +590,7 @@ def test_bad_detect_config_exits_2(tmp_path, capsys, snippet):
 
 def test_eval_config_validation(tmp_path):
     with pytest.raises(ConfigError, match="recall_ks"):
-        EvalConfig(recall_ks=(10, True)).validate()  # YAML never yields a bool here
+        EvalConfig(recall_ks=(10, True)).validate("eval")  # YAML never yields a bool here
     path = tmp_path / "edge.yaml"
     path.write_text("eval:\n  recall_ks: [0, 1]\n  recall_iou: 1\n"
                     "  iou_thresholds: [0.01, 0.5, 0.51, 1.0]\n", encoding="utf-8")
@@ -824,7 +861,11 @@ def test_checkpoint_without_its_finetuned_head_is_corrupt_at_load_and_exits_4(
     assert not paths.detections().exists()
 
 
-@pytest.mark.parametrize("content", ["truncate", "[1, 2]"])
+@pytest.mark.parametrize("content", [
+    "truncate", "[1, 2]", '{"metadata": {}}',
+    '{"summary": {"ap": "x"}, "baseline_summary": {}, "recall": {}}',
+    '{"summary": {}, "baseline_summary": {"ap": null}, "recall": {}}',
+    '{"summary": {}, "baseline_summary": {}, "recall": {"ar@10": true}}'])
 def test_unreadable_report_exits_4(finished_run, tmp_path, capsys, content):
     out = tmp_path / "copy"
     shutil.copytree(finished_run, out)
@@ -837,7 +878,14 @@ def test_unreadable_report_exits_4(finished_run, tmp_path, capsys, content):
     assert err.count("\n") == 1 and "report.json" in err
 
 
-@pytest.mark.parametrize("content", ["truncate", "[1, 2]", '{"seeds": [1, 2]}'])
+@pytest.mark.parametrize("content", [
+    "truncate", "[1, 2]", '{"seeds": [1, 2]}',
+    '{"seeds": [1, 2], "incomplete": false, "metrics": {"ap": {"stddev": 0.1, "n": 2}}}',
+    '{"seeds": [1, 2], "incomplete": false, "metrics": {"ap": {"mean": 0.5, "stddev": null}}}',
+    '{"seeds": [1, 2], "incomplete": false, "metrics": {"ap": {"mean": 0.5, "n": 2}}}',
+    '{"seeds": [1, 2], "incomplete": false, '
+    '"metrics": {"ap": {"mean": 0.5, "stddev": "x", "n": 2}}}',
+    '{"seeds": [1, 2], "incomplete": false, "metrics": {"ap": [0.5, 0.1, 2]}}'])
 def test_unreadable_aggregate_exits_4(tmp_path, capsys, content):
     agg = tmp_path / "aggregate.json"
     text = json.dumps({"seeds": [1, 2], "incomplete": False,

@@ -446,7 +446,7 @@ def test_norms_match_scalar_recomputation():
     for img, rec in zip(ds.images, ds.records):
         feat = image_forward(model, img).feat
         pooled_rows = roi_pool(feat, rec.boxes, bins=model.mcfg.roi_pool_bins,
-                               stride=float(model.mcfg.feat_stride))
+                               stride=float(model.mcfg.feat_stride), batch_idx=None)
         for pooled, lbl in zip(pooled_rows, rec.labels):
             vec = np.maximum(pooled @ proj.T, 0.0)
             acc = 0.0

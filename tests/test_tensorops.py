@@ -307,19 +307,19 @@ def test_iou_matrix_matches_scalar_oracle(pair):
 
 
 def test_nms_single_box():
-    kept = T.nms(np.array([[0, 0, 4, 4.0]]), np.array([0.5]), 0.5)
+    kept = T.nms(np.array([[0, 0, 4, 4.0]]), np.array([0.5]), 0.5, max_keep=1)
     assert kept.tolist() == [0]
 
 
 def test_nms_duplicate_boxes():
     boxes = np.array([[0, 0, 4, 4.0], [0, 0, 4, 4.0]])
-    kept = T.nms(boxes, np.array([0.8, 0.9]), 0.5)
+    kept = T.nms(boxes, np.array([0.8, 0.9]), 0.5, max_keep=len(boxes))
     assert kept.tolist() == [1]
 
 
 def test_nms_tie_break_lower_index():
     boxes = np.array([[0, 0, 4, 4.0], [0, 0, 4, 4.0], [20, 20, 24, 24.0]])
-    kept = T.nms(boxes, np.array([0.7, 0.7, 0.7]), 0.5)
+    kept = T.nms(boxes, np.array([0.7, 0.7, 0.7]), 0.5, max_keep=len(boxes))
     assert kept.tolist() == [0, 2]
 
 
@@ -331,7 +331,7 @@ def test_nms_matches_oracle_random():
         boxes = np.concatenate([pts.min(axis=1), pts.max(axis=1)], axis=1)
         scores = np.round(rng.random(n), 2)  # rounding forces occasional ties
         thresh = float(rng.choice([0.2, 0.5, 0.7]))
-        got = T.nms(boxes, scores, thresh).tolist()
+        got = T.nms(boxes, scores, thresh, max_keep=len(boxes)).tolist()
         assert got == nms_oracle(boxes, scores, thresh), f"trial {trial}"
 
 
@@ -375,7 +375,7 @@ def nms_problems(draw):
     score = st.sampled_from([0.1, 0.5, 0.9]) | st.floats(0.0, 1.0)
     scores = np.array(draw(st.lists(score, min_size=n, max_size=n)), dtype=np.float64)
     thresh = draw(st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]))
-    max_keep = draw(st.none() | st.integers(0, n))
+    max_keep = draw(st.just(n) | st.integers(0, n))  # n keeps every box NMS would
     return boxes, scores, thresh, max_keep
 
 
@@ -412,7 +412,7 @@ def test_nms_groups_match_per_group_oracle(problem, data):
 
 def test_nms_rejects_misshapen_groups():
     with pytest.raises(ParameterError):
-        T.nms(np.zeros((3, 4)), np.zeros(3), 0.5, groups=np.zeros(2))
+        T.nms(np.zeros((3, 4)), np.zeros(3), 0.5, max_keep=3, groups=np.zeros(2))
 
 
 @settings(deadline=None, max_examples=50, phases=UNSHRUNK)
@@ -433,7 +433,7 @@ def test_nms_output_sorted_by_score_desc():
     pts = rng.random((8, 2, 2)) * 30
     boxes = np.concatenate([pts.min(axis=1), pts.max(axis=1)], axis=1)
     scores = rng.random(8)
-    kept = T.nms(boxes, scores, 0.5)
+    kept = T.nms(boxes, scores, 0.5, max_keep=len(boxes))
     assert np.all(np.diff(scores[kept]) <= 0)
 
 
@@ -463,13 +463,13 @@ def test_codec_roundtrip_random():
         bx, by = rng.random(2) * 40
         bw, bh = 1 + rng.random(2) * 20
         box = np.array([[bx, by, bx + bw, by + bh]])
-        back = T.decode_boxes(T.encode_boxes(box, anchor), anchor)
+        back = T.decode_boxes(T.encode_boxes(box, anchor), anchor, side=64.0)
         assert np.max(np.abs(back - box)) < 1e-9
 
 
 @st.composite
 def codec_problems(draw):
-    """Anchors and boxes of positive size, delta rows, and an optional clip side."""
+    """Anchors and boxes of positive size, delta rows, and a clip side."""
     n = draw(st.integers(1, 12))
     coord, size = st.floats(-50.0, 150.0), st.floats(0.25, 120.0)
 
@@ -481,7 +481,7 @@ def codec_problems(draw):
     shift, log_size = st.floats(-3.0, 3.0), st.floats(-4.0, 4.0)
     deltas = np.array(draw(st.lists(st.tuples(shift, shift, log_size, log_size),
                                     min_size=n, max_size=n)))
-    side = draw(st.none() | st.floats(1.0, 128.0))
+    side = draw(st.floats(1.0, 128.0))
     return anchors, targets, deltas, side
 
 
@@ -498,15 +498,14 @@ def test_box_codec_matches_scalar_oracle(problem):
     scale = 1.0 + max(abs(v) for d, a in zip(deltas, anchors) for v in decode_box_scalar(d, a))
     got = T.decode_boxes(deltas, anchors, side=side)
     np.testing.assert_allclose(got, want, rtol=0, atol=8 * eps * scale)
-    if side is not None:
-        assert np.all((got >= 0.0) & (got <= side))
+    assert np.all((got >= 0.0) & (got <= side))
 
 
 def test_codec_degenerate_anchor():
     with pytest.raises(ParameterError):
         T.encode_boxes(np.array([[0, 0, 4, 4.0]]), np.array([[2, 2, 2, 6.0]]))
     with pytest.raises(ParameterError):
-        T.decode_boxes(np.zeros((1, 4)), np.array([[2, 2, 2, 6.0]]))
+        T.decode_boxes(np.zeros((1, 4)), np.array([[2, 2, 2, 6.0]]), side=64.0)
 
 
 def test_decode_clips_to_bounds():
@@ -540,7 +539,7 @@ def test_conv3x3_bitwise_matches_loop_oracle(cin, cout, side):
 
 def test_roi_pool_constant_map():
     feat = np.full((2, 16, 16), 3.5)
-    out = T.roi_pool(feat, [(5.0, 5.0, 40.0, 40.0)], bins=3, stride=4.0)
+    out = T.roi_pool(feat, [(5.0, 5.0, 40.0, 40.0)], bins=3, stride=4.0, batch_idx=None)
     assert out.shape == (1, 18)
     assert np.allclose(out, 3.5, atol=1e-15)
 
@@ -548,21 +547,21 @@ def test_roi_pool_constant_map():
 def test_roi_pool_full_map_single_bin():
     rng = np.random.default_rng(2)
     feat = rng.random((4, 16, 16))
-    out = T.roi_pool(feat, [(0.0, 0.0, 64.0, 64.0)], bins=1, stride=4.0)
+    out = T.roi_pool(feat, [(0.0, 0.0, 64.0, 64.0)], bins=1, stride=4.0, batch_idx=None)
     assert np.allclose(out[0], feat.mean(axis=(1, 2)), atol=1e-12)
 
 
 def test_roi_pool_hand_case():
     # 4x4 single-channel map; box covers feature cells [0:2, 0:2] with 2x2 bins
     feat = np.arange(16, dtype=np.float64).reshape(1, 4, 4)
-    out = T.roi_pool(feat, [(0.0, 0.0, 2.0, 2.0)], bins=2, stride=1.0)
+    out = T.roi_pool(feat, [(0.0, 0.0, 2.0, 2.0)], bins=2, stride=1.0, batch_idx=None)
     # one cell per bin: values 0, 1, 4, 5
     assert np.allclose(out[0], [0.0, 1.0, 4.0, 5.0], atol=1e-15)
 
 
 def test_roi_pool_subcell_box_clamps():
     feat = np.arange(16, dtype=np.float64).reshape(1, 4, 4)
-    out = T.roi_pool(feat, [(4.1, 4.2, 4.3, 4.4)], bins=1, stride=4.0)
+    out = T.roi_pool(feat, [(4.1, 4.2, 4.3, 4.4)], bins=1, stride=4.0, batch_idx=None)
     assert out.shape == (1, 1)
     assert out[0, 0] == feat[0, 1, 1]
 
@@ -570,30 +569,32 @@ def test_roi_pool_subcell_box_clamps():
 def test_roi_pool_rejects_outside_box():
     feat = np.zeros((1, 4, 4))
     with pytest.raises(ParameterError):
-        T.roi_pool(feat, [(100.0, 100.0, 120.0, 120.0)], bins=2, stride=4.0)
+        T.roi_pool(feat, [(100.0, 100.0, 120.0, 120.0)], bins=2, stride=4.0, batch_idx=None)
     with pytest.raises(ParameterError):
-        T.roi_pool(feat, [(8.0, 8.0, 8.0, 8.0)], bins=2, stride=4.0)
+        T.roi_pool(feat, [(8.0, 8.0, 8.0, 8.0)], bins=2, stride=4.0, batch_idx=None)
 
 
 def test_roi_pool_error_names_first_bad_row():
     feat = np.zeros((1, 4, 4))
     boxes = [(0.0, 0.0, 8.0, 8.0), (100.0, 100.0, 120.0, 120.0), (8.0, 8.0, 8.0, 8.0)]
     with pytest.raises(ParameterError, match=r"row 1 \(100\.0, 100\.0, 120\.0, 120\.0\)"):
-        T.roi_pool(feat, boxes, bins=2, stride=4.0)
+        T.roi_pool(feat, boxes, bins=2, stride=4.0, batch_idx=None)
     with pytest.raises(ParameterError, match=r"row 0 \(0\.0, 0\.0, 8\.0, nan\)"):
-        T.roi_pool(feat, [(0.0, 0.0, 8.0, np.nan)], bins=2, stride=4.0)
+        T.roi_pool(feat, [(0.0, 0.0, 8.0, np.nan)], bins=2, stride=4.0, batch_idx=None)
     with pytest.raises(ParameterError, match="row 2"):
-        T.roi_pool(feat, boxes[:1] * 2 + [(-np.inf, 0.0, 8.0, 8.0)], bins=2, stride=4.0)
+        T.roi_pool(feat, boxes[:1] * 2 + [(-np.inf, 0.0, 8.0, 8.0)], bins=2, stride=4.0,
+                   batch_idx=None)
 
 
 @pytest.mark.parametrize("bins", [0, -1])
 def test_roi_pool_rejects_bad_bins(bins):
     with pytest.raises(ParameterError):
-        T.roi_pool(np.ones((1, 4, 4)), [(0.0, 0.0, 8.0, 8.0)], bins=bins, stride=4.0)
+        T.roi_pool(np.ones((1, 4, 4)), [(0.0, 0.0, 8.0, 8.0)], bins=bins, stride=4.0,
+                   batch_idx=None)
 
 
 def test_roi_pool_zero_boxes():
-    out = T.roi_pool(np.ones((3, 4, 4)), np.zeros((0, 4)), bins=2, stride=4.0)
+    out = T.roi_pool(np.ones((3, 4, 4)), np.zeros((0, 4)), bins=2, stride=4.0, batch_idx=None)
     assert out.shape == (0, 12) and out.dtype == np.float64
 
 
@@ -601,7 +602,7 @@ def test_roi_pool_scalar_loop_oracle():
     rng = np.random.default_rng(8)
     feat = rng.random((3, 16, 16))
     box = (6.0, 3.0, 47.0, 52.0)
-    got = T.roi_pool(feat, [box], bins=3, stride=4.0)[0].reshape(3, 3, 3)
+    got = T.roi_pool(feat, [box], bins=3, stride=4.0, batch_idx=None)[0].reshape(3, 3, 3)
     # independent scalar recomputation
     x1, y1, x2, y2 = (v / 4.0 for v in box)
     cx1, cy1 = int(np.floor(x1)), int(np.floor(y1))
@@ -624,7 +625,7 @@ def _spread_features(seed: int, shape) -> np.ndarray:
 
 
 def _assert_roi_pool_matches_oracle(feat, boxes, bins, stride):
-    got = T.roi_pool(feat, boxes, bins=bins, stride=stride)
+    got = T.roi_pool(feat, boxes, bins=bins, stride=stride, batch_idx=None)
     want = np.stack([roi_pool_oracle(feat, box, bins, stride) for box in boxes])
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -687,7 +688,7 @@ def test_roi_pool_bitwise_matches_oracle_on_rectified_maps(seed):
              *random_boxes.tolist()]
     for bins in (1, 2, 3):
         _assert_roi_pool_matches_oracle(feat, boxes, bins, 4.0)
-    assert not T.roi_pool(feat, boxes[:1], bins=2, stride=4.0).any()
+    assert not T.roi_pool(feat, boxes[:1], bins=2, stride=4.0, batch_idx=None).any()
 
 
 def _stack_problem(seed: int, n_maps: int, boxes_per_map):
@@ -712,13 +713,13 @@ def test_roi_pool_over_a_stack_matches_one_call_per_map(boxes_per_map, bins):
     want = np.empty_like(got)
     for m, feat in enumerate(maps):
         mine = batch == m
-        want[mine] = T.roi_pool(feat, boxes[mine], bins=bins, stride=4.0)
+        want[mine] = T.roi_pool(feat, boxes[mine], bins=bins, stride=4.0, batch_idx=None)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_roi_pool_one_map_is_a_stack_of_one():
     maps, boxes, batch = _stack_problem(5, 1, (8,))
-    alone = T.roi_pool(maps[0], boxes, bins=2, stride=4.0)
+    alone = T.roi_pool(maps[0], boxes, bins=2, stride=4.0, batch_idx=None)
     assert alone.tobytes() == T.roi_pool(maps, boxes, bins=2, stride=4.0,
                                          batch_idx=batch).tobytes()
     assert alone.tobytes() == T.roi_pool(maps[0], boxes, bins=2, stride=4.0,

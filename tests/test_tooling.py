@@ -1,6 +1,6 @@
 """Guards on names: the benchmark harness and the README reach into the package
-by name, one module names the head layers, and the package holds no code that
-only tests call."""
+by name, one module names the head layers, one reads report.json's metric
+sections, and the package holds no code that only tests call."""
 
 import ast
 import dataclasses
@@ -92,6 +92,21 @@ def test_head_layer_names_live_in_detector_only():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Constant) and isinstance(node.value, str) \
                     and layer.search(node.value):
+                found.append(f"{path.name}:{node.lineno}: {node.value!r}")
+    assert not found, found
+
+
+def test_report_sections_are_named_in_evaluation_only():
+    """Every printer and table reads a run's metrics under the same names only
+    if one module reads them out of report.json."""
+    sections = {"summary", "baseline_summary", "recall"}
+    found = []
+    for path in sorted((ROOT / "src" / "retentive").glob("*.py")):
+        if path.name == "evaluation.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and (node.value in sections or node.value.startswith("baseline_")):
                 found.append(f"{path.name}:{node.lineno}: {node.value!r}")
     assert not found, found
 
@@ -201,30 +216,20 @@ ALLOWED_DEFAULTS = {
     "config.rule.below": ("config.TrainConfig",),
     "config.rule.choices": ("config.TrainConfig",),
     # ExperimentConfig passes each section's field name; a builder that
-    # validates the one section it reads leaves the name out (no package code
-    # validates a model, detect or eval section on its own)
+    # validates the one section it reads leaves the name out
     "config.DatasetConfig.validate.section": ("config.ExperimentConfig",
                                               "synthgen.build_base_dataset",
                                               "synthgen.build_test_dataset",
                                               "synthgen.build_kshot_dataset"),
-    "config.ModelConfig.validate.section": ("config.ExperimentConfig",),
     "config.TrainConfig.validate.section": ("config.ExperimentConfig",
                                             "detector.extend_for_finetune"),
-    "config.DetectConfig.validate.section": ("config.ExperimentConfig",),
-    "config.EvalConfig.validate.section": ("config.ExperimentConfig",),
     # build_minibatch pools a stack of maps; one image's pooling leaves it out
     "detector.pool_rois.batch_idx": ("trainer.build_minibatch", "detector.pool_proposals",
                                      "detector.roi_features"),
     # _run_gen passes uar_eval_images for uar-eval, base_train_images by default
     "synthgen.build_base_dataset.num_images": ("cli._run_gen",),
-    # proposal NMS stops at post_nms_k, the merge at max_dets; neither leaves it out
-    "tensorops.nms.max_keep": ("detector.propose", "detector._merge_candidates"),
     # the merge passes class ids; proposal NMS leaves them out
     "tensorops.nms.groups": ("detector._merge_candidates", "detector.propose"),
-    # both decodes clip to their image's side; neither leaves it out
-    "tensorops.decode_boxes.side": ("detector.strategy_proposals", "detector.score_proposals"),
-    # pool_rois passes its own batch_idx: None for one map, map ids for a stack
-    "tensorops.roi_pool.batch_idx": ("detector.pool_rois",),
     # the RPN draw passes the stage cache's labels; the ROI draw leaves them out
     "trainer.assign_targets.labelled": ("trainer.build_minibatch",),
 }
