@@ -592,7 +592,11 @@ def _cmd_report(args) -> int:
         seed = 0 if args.seed is None else args.seed
         paths = RunPaths(args.out, seed)
         metrics = aggregate_metrics({seed: report_metrics(paths.eval_dir() / "report.json")})
-        stamp = read_json_object(paths.stamp("eval"), "stamp", {"config_digest": str})
+        stamp = read_json_object(paths.stamp("eval"), "stamp", {"config_digest": str,
+                                                                "outputs": dict})
+        if stamp["outputs"].get("report") != _report_digest_on_disk(paths):
+            raise StalenessError(f"{paths.eval_dir() / 'report.json'} does not match the "
+                                 f"hash its eval stamp recorded")
         print(f"seed {seed}  config {stamp['config_digest'][:12]}")
     for name in sorted(metrics):
         row = metrics[name]

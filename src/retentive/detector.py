@@ -29,6 +29,7 @@ from .tensorops import (
     generate_anchors,
     linear_forward,
     nms,
+    rank,
     rng,
     roi_pool,
     sigmoid,
@@ -180,11 +181,11 @@ def image_anchors(side: int, stride: int, scales: tuple[float, ...]) -> np.ndarr
 
 @dataclass
 class ImageForward:
-    """The frozen part of one image's forward: feat, the featurizer map the box
-    heads pool from, and cells, the rectified 3x3 mixer output as (H*W, C) rows
-    in row-major cell order, which both objectness heads and the box-delta layer
-    read. Neither depends on a trainable array, so one record serves every head,
-    strategy and training iteration."""
+    """The frozen part of one image's forward: feat, the (H,W,C) featurizer map
+    the box heads pool from, and cells, the rectified 3x3 mixer output as
+    (H*W, C) rows in row-major cell order, which both objectness heads and the
+    box-delta layer read. Neither depends on a trainable array, so one record
+    serves both detectors, every strategy and every training iteration."""
 
     feat: np.ndarray
     cells: np.ndarray
@@ -193,8 +194,7 @@ class ImageForward:
 
 def image_forward(model: Model, image: np.ndarray) -> ImageForward:
     feat = fixed_featurizer(image, model.feat_seed, model.mcfg.feat_channels)
-    mixed = np.maximum(conv3x3(feat, model.params["rpn_shared/W"]), 0.0)
-    cells = np.ascontiguousarray(mixed.reshape(mixed.shape[0], -1).T)
+    cells = np.maximum(conv3x3(feat, model.params["rpn_shared/W"]), 0.0)
     return ImageForward(feat=feat, cells=cells, side=int(image.shape[0]))
 
 
@@ -273,17 +273,12 @@ class Proposals:
         return self.boxes.shape[0]
 
 
-def top_anchors(objectness: np.ndarray, k: int) -> np.ndarray:
-    """The k anchors of highest objectness, best first, ties to the lower index."""
-    return np.lexsort((np.arange(len(objectness)), -objectness))[:k]
-
-
 def propose(objectness: np.ndarray, ranked: np.ndarray, boxes: np.ndarray,
             dcfg: DetectConfig) -> Proposals:
     """Greedy NMS over ranked anchors, stopped at post_nms_k kept.
 
-    ranked holds anchor ids best first (top_anchors), boxes their decoded,
-    clipped boxes row for row, and objectness the score of every anchor.
+    ranked holds a prefix of rank(objectness), best first, boxes their
+    decoded, clipped boxes row for row, and objectness the score of every anchor.
     Boxes without positive width and height are dropped first.
     """
     objectness = np.asarray(objectness, dtype=np.float64).reshape(-1)
@@ -317,7 +312,7 @@ def strategy_proposals(model: Model, forward: ImageForward, dcfg: DetectConfig,
     if len(o_b) != len(anchors):
         raise ParameterError("RPN outputs not aligned with the anchor grid")
     objectness = {s: bias_balanced_objectness(o_b, o_n, s) for s in strategies}
-    ranked = {s: top_anchors(o, dcfg.pre_nms_k) for s, o in objectness.items()}
+    ranked = {s: rank(o)[:dcfg.pre_nms_k] for s, o in objectness.items()}
     # one decode of every anchor some strategy ranks; decode_boxes works row by
     # row, so each strategy reads the bits decoding its own rows would give
     wanted = np.zeros(len(anchors), dtype=bool)

@@ -28,7 +28,7 @@ from .detector import (
 )
 from .errors import CorruptArtifactError, ParameterError, StalenessError
 from .synthgen import ClassSplit, Dataset, SceneRecord
-from .tensorops import iou_matrix
+from .tensorops import iou_matrix, rank
 
 GROUP_SEEN = "seen"
 GROUP_UNSEEN = "unseen"
@@ -82,14 +82,14 @@ def average_precision(dets_per_image, records, class_id: int,
                                        truths)
     if not scores:
         return {t: 0.0 for t in thresholds}
-    order = np.argsort(-np.asarray(scores), kind="stable")
+    order = rank(scores)
 
     levels = np.asarray(thresholds)
     t_idx = np.arange(len(levels))
     claimed = {img: np.zeros((len(levels), m.shape[1]), dtype=bool)
                for img, m in overlaps.items()}
     tp = np.zeros((len(levels), len(scores)))
-    for rank, i in enumerate(order):
+    for pos, i in enumerate(order):
         img = det_img[i]
         if img not in overlaps:
             continue
@@ -97,7 +97,7 @@ def average_precision(dets_per_image, records, class_id: int,
         best = masked.argmax(axis=1)
         hit = masked[t_idx, best] >= levels
         claimed[img][t_idx[hit], best[hit]] = True
-        tp[hit, rank] = 1.0
+        tp[hit, pos] = 1.0
     return {t: _pr_area(tp[k], n_gt) for k, t in enumerate(thresholds)}
 
 
@@ -178,7 +178,7 @@ def average_recall(candidates, records, ks, iou_thresh: float,
         total += len(gts)
         if len(gts) == 0 or len(boxes) == 0:
             continue
-        order = np.lexsort((np.arange(len(scores)), -np.asarray(scores)))[:top]
+        order = rank(scores)[:top]
         covers = iou_matrix(gts, np.asarray(boxes, dtype=np.float64)[order]) >= iou_thresh
         first = np.where(covers, np.arange(len(order)), np.inf).min(axis=1, initial=np.inf)
         for k in matched:

@@ -90,35 +90,36 @@ def _featurizer_banks(feat_seed: int, channels: int) -> tuple[np.ndarray, np.nda
 
 
 def conv3x3(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Same-padding 3x3 convolution, (Cin,H,W) x (Cout,Cin,3,3) -> (Cout,H,W)."""
-    cin, h, w = x.shape
+    """Same-padding 3x3 convolution, (H,W,Cin) x (Cout,Cin,3,3) -> (H*W, Cout):
+    the output map's rows in row-major cell order, as the GEMM returns them."""
+    h, w, cin = x.shape
     cout = weights.shape[0]
     if weights.shape != (cout, cin, 3, 3):
         raise ParameterError(f"weight shape {weights.shape} does not match input channels {cin}")
-    padded = np.zeros((cin, h + 2, w + 2))
-    padded[:, 1:-1, 1:-1] = x
+    padded = np.zeros((h + 2, w + 2, cin))
+    padded[1:-1, 1:-1] = x
     # im2col as one contiguous (Cin, H, W) slab per tap k = 3*dy + dx; the GEMM
     # reads its transposed (H*W, 9*Cin) view, whose column k*Cin + c is tap k
-    # of channel c
+    # of channel c. The slabs stay channels-first: a C-contiguous or swapped
+    # operand may send the GEMM to another BLAS kernel and move low bits.
     cols = np.empty((9, cin, h, w))
     for k in range(9):
         dy, dx = divmod(k, 3)
-        cols[k] = padded[:, dy:dy + h, dx:dx + w]
+        cols[k] = padded[dy:dy + h, dx:dx + w].transpose(2, 0, 1)
     wmat = weights.transpose(2, 3, 1, 0).reshape(cin * 9, cout)
-    out = cols.reshape(cin * 9, h * w).T @ wmat
-    return np.ascontiguousarray(out.T.reshape(cout, h, w))
+    return cols.reshape(cin * 9, h * w).T @ wmat
 
 
 def avgpool2(x: np.ndarray) -> np.ndarray:
-    """2x2 average pooling with stride 2 over (C,H,W)."""
-    c, h, w = x.shape
+    """2x2 average pooling with stride 2 over (H,W,C)."""
+    h, w, _ = x.shape
     if h % 2 or w % 2:
         raise ParameterError(f"pooling needs even spatial dims, got {h}x{w}")
-    return 0.25 * (x[:, 0::2, 0::2] + x[:, 0::2, 1::2] + x[:, 1::2, 0::2] + x[:, 1::2, 1::2])
+    return 0.25 * (x[0::2, 0::2] + x[0::2, 1::2] + x[1::2, 0::2] + x[1::2, 1::2])
 
 
 def fixed_featurizer(image: np.ndarray, feat_seed: int, channels: int) -> np.ndarray:
-    """Frozen random two-layer conv stack: (S,S) image -> (channels, S/4, S/4).
+    """Frozen random two-layer conv stack: (S,S) image -> (S/4, S/4, channels).
 
     Rectified, bias-free, stride-2 pooled twice; weights depend only on
     feat_seed, so pretrain and finetune see identical features.
@@ -128,11 +129,9 @@ def fixed_featurizer(image: np.ndarray, feat_seed: int, channels: int) -> np.nda
         raise ParameterError(f"expected square 2-D image, got shape {image.shape}")
     if image.shape[0] % FEATURIZER_STRIDE != 0:
         raise ParameterError(f"image side must be divisible by {FEATURIZER_STRIDE}")
-    w1, w2 = _featurizer_banks(int(feat_seed), channels)
-    x = conv3x3(image[None, :, :], w1)
-    x = avgpool2(np.maximum(x, 0.0))
-    x = conv3x3(x, w2)
-    x = avgpool2(np.maximum(x, 0.0))
+    x = image[:, :, None]
+    for weights in _featurizer_banks(int(feat_seed), channels):
+        x = avgpool2(np.maximum(conv3x3(x, weights).reshape(*x.shape[:2], -1), 0.0))
     if not np.isfinite(x).all():
         raise NumericError("featurizer output is not finite; the image holds NaN or inf")
     return x
@@ -222,6 +221,11 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _pair_iou(a, b, box_area(a), box_area(b))
 
 
+def rank(scores) -> np.ndarray:
+    """Indices by descending score, ties to the lower index: the package's one ranking."""
+    return np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
+
+
 NMS_BLOCK = 64
 
 
@@ -255,7 +259,7 @@ def nms(boxes: np.ndarray, scores: np.ndarray, iou_thresh: float,
     if max_keep < 0:
         raise ParameterError(f"max_keep must be >= 0, got {max_keep}")
     limit = min(int(max_keep), n)
-    order = np.lexsort((np.arange(n), -scores))
+    order = rank(scores)
     ranked = boxes[order]
     area = box_area(ranked)
     group = None if groups is None else np.asarray(groups)[order]
@@ -396,7 +400,7 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
 def roi_pool(feat: np.ndarray, boxes, bins: int, stride: float, batch_idx) -> np.ndarray:
     """Adaptive average pooling of image-coordinate boxes over feature maps.
 
-    feat is one (C,H,W) map or a (B,C,H,W) stack of maps. batch_idx holds
+    feat is one (H,W,C) map or a (B,H,W,C) stack of maps. batch_idx holds
     each box's map in the stack, as torchvision's batch index does; it is
     None for one map, a stack of one whose boxes all lie on map 0. Each
     (x1, y1, x2, y2) row is mapped into feature cells, clamped to cover at
@@ -404,13 +408,15 @@ def roi_pool(feat: np.ndarray, boxes, bins: int, stride: float, batch_idx) -> np
     averages its cells. Returns (N, C * bins * bins) rows ordered channel,
     bin row, bin column; zero boxes give a (0, C * bins * bins) array.
 
-    A bin's mean is bitwise that of ``feat[:, ys:ye, xs:xe].mean(axis=(1, 2))``:
-    numpy sums a window's n cells in row-major order, pairwise (left to right
-    under 8 cells, eight strided partial sums up to 128, two halves beyond),
-    then divides by n. So the windows are grouped by n, each group's cells are
-    gathered channels-last as one (n, K, C) array, and ``_row_sum`` adds them
-    in that order with whole (K, C) adds, not one short reduction per window;
-    ``test_row_sum_matches_numpy_reduce`` guards the order against numpy's.
+    A bin's mean is bitwise numpy's mean of each channel's window,
+    ``np.moveaxis(feat, -1, 0)[:, ys:ye, xs:xe].mean(axis=(1, 2))``: numpy sums
+    a window's n cells in row-major order, pairwise (left to right under 8
+    cells, eight strided partial sums up to 128, two halves beyond), then
+    divides by n. So the windows are grouped by n, each group's cells are
+    gathered from the maps' (cells, C) rows as one (n, K, C) array, and
+    ``_row_sum`` adds them in that order with whole (K, C) adds, not one short
+    reduction per window; ``test_row_sum_matches_numpy_reduce`` guards the
+    order against numpy's.
     A summed-area table or a zero-padded gather would change the low bits.
     Every window is summed on its own, so a box's row has the same bits
     whichever other boxes and maps share the call.
@@ -419,11 +425,11 @@ def roi_pool(feat: np.ndarray, boxes, bins: int, stride: float, batch_idx) -> np
     if feat.ndim == 3:
         feat = feat[None]
     elif feat.ndim != 4 or batch_idx is None:
-        raise ParameterError(f"feature maps must be one (C,H,W) map or a (B,C,H,W) stack "
+        raise ParameterError(f"feature maps must be one (H,W,C) map or a (B,H,W,C) stack "
                              f"with a batch index per box, got {feat.shape}")
     if bins < 1:
         raise ParameterError(f"bins must be >= 1, got {bins}")
-    nb, c, fh, fw = feat.shape
+    nb, fh, fw, c = feat.shape
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
     n = len(boxes)
     batch = np.zeros(n, dtype=np.int64) if batch_idx is None else np.asarray(batch_idx)
@@ -449,7 +455,7 @@ def roi_pool(feat: np.ndarray, boxes, bins: int, stride: float, batch_idx) -> np
     first = (batch[:, None, None] * (fh * fw) + ys[:, :, None] * fw + xs[:, None, :]).reshape(-1)
     width = np.broadcast_to(ws[:, None, :], (n, bins, bins)).reshape(-1)
     count = (hs[:, :, None] * ws[:, None, :]).reshape(-1)
-    table = np.ascontiguousarray(feat.transpose(0, 2, 3, 1)).reshape(-1, c)  # (B*H*W, C)
+    table = feat.reshape(-1, c)  # (B*H*W, C)
     out = np.empty((len(count), c))
     order = np.argsort(count, kind="stable")
     sizes, starts = np.unique(count[order], return_index=True)

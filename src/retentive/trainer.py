@@ -21,7 +21,6 @@ import numpy as np
 from .config import DetectConfig, ExperimentConfig, ModelConfig, TrainConfig, canonical_json
 from .detector import (
     STAGE_BASE,
-    ImageForward,
     Model,
     array_shapes,
     extend_for_finetune,
@@ -150,37 +149,6 @@ def assign_targets(boxes: np.ndarray, gt_boxes: np.ndarray, gt_labels: np.ndarra
 # minibatch materialization
 # ---------------------------------------------------------------------------
 
-@dataclass
-class StageImage:
-    """What a training stage holds of one image between its visits.
-
-    forward is the image's frozen forward; ann_boxes and ann_labels are its
-    annotated instances; anchor_labels and anchor_matched are its anchors'
-    "rpn" labels and best-match annotation indices. The forward reads only
-    the frozen featurizer and mixer, and the anchor targets only the anchor
-    grid, the annotations and the stage's thresholds, so one record serves
-    every step of the stage whatever its trainable arrays hold. It serves
-    one stage only: another stage's thresholds may differ.
-    """
-
-    forward: ImageForward
-    ann_boxes: np.ndarray
-    ann_labels: np.ndarray
-    anchor_labels: np.ndarray
-    anchor_matched: np.ndarray
-
-
-def _stage_image(model: Model, dataset: Dataset, img_idx: int, tcfg: TrainConfig) -> StageImage:
-    rec = dataset.records[img_idx]
-    ann_boxes = rec.boxes[rec.annotated]
-    ann_labels = rec.labels[rec.annotated]
-    anchors = image_anchors(dataset.side, model.mcfg.feat_stride, model.mcfg.anchor_scales)
-    labels, matched = _label_boxes(anchors, ann_boxes, ann_labels, "rpn", tcfg)
-    return StageImage(forward=image_forward(model, dataset.images[img_idx]),
-                      ann_boxes=ann_boxes, ann_labels=ann_labels,
-                      anchor_labels=labels, anchor_matched=matched)
-
-
 def _box_targets(ann_boxes: np.ndarray, matched: np.ndarray, pos: np.ndarray,
                  boxes: np.ndarray) -> np.ndarray:
     """Box-delta targets of candidate rows: zeros, and at each positive row its
@@ -192,7 +160,7 @@ def _box_targets(ann_boxes: np.ndarray, matched: np.ndarray, pos: np.ndarray,
 
 def build_minibatch(model: Model, dataset: Dataset, image_indices, tcfg: TrainConfig,
                     dcfg: DetectConfig, seed: int, iteration: int,
-                    cache: dict[int, StageImage]) -> Minibatch:
+                    cache: dict[int, tuple]) -> Minibatch:
     """Materialize one training step's targets and frozen-path activations.
 
     Proposals are regenerated from the current region network each call, so
@@ -201,7 +169,10 @@ def build_minibatch(model: Model, dataset: Dataset, image_indices, tcfg: TrainCo
     to guarantee positive ROI rows from the first iteration. The model's stage
     names the head whose targets are built; the finetuned head trains on
     proposals under the model's own RPN strategy, as inference does. cache
-    keeps each image's StageImage across the steps of one stage.
+    maps an image index to its ImageForward and its anchors' "rpn" (labels,
+    matches) for assign_targets. Both read only frozen arrays, the anchor
+    grid, the annotations and the stage's thresholds, so an entry serves
+    every step of one stage, but not another stage, whose thresholds may differ.
     """
     image_indices = [int(i) for i in image_indices]
     if not image_indices:
@@ -218,14 +189,16 @@ def build_minibatch(model: Model, dataset: Dataset, image_indices, tcfg: TrainCo
 
     parts = []  # per image: its feature map, its sampled ROI boxes and its Minibatch rows
     for img_idx in image_indices:
-        rec = cache.get(img_idx)
-        if rec is None:
-            rec = cache[img_idx] = _stage_image(model, dataset, img_idx, tcfg)
-        fwd, ann_boxes, ann_labels = rec.forward, rec.ann_boxes, rec.ann_labels
+        rec = dataset.records[img_idx]
+        ann_boxes, ann_labels = rec.boxes[rec.annotated], rec.labels[rec.annotated]
+        if img_idx not in cache:
+            cache[img_idx] = (image_forward(model, dataset.images[img_idx]),
+                              _label_boxes(anchors, ann_boxes, ann_labels, "rpn", tcfg))
+        fwd, anchor_targets = cache[img_idx]
 
         rpn = assign_targets(anchors, ann_boxes, ann_labels, "rpn", tcfg,
                              subseed(seed, _TAG_RPN_SAMPLE, iteration, img_idx),
-                             labelled=(rec.anchor_labels, rec.anchor_matched))
+                             labelled=anchor_targets)
         a_idx = rpn.sample_idx
         proposals = strategy_proposals(model, fwd, dcfg, (strategy,))[strategy].boxes
         pool = np.vstack([proposals, ann_boxes])
@@ -364,7 +337,7 @@ def _run_stage(model: Model, dataset: Dataset, tcfg: TrainConfig,
     if len(dataset) == 0:
         raise ParameterError("cannot train on an empty dataset")
     velocity: dict[str, np.ndarray] = {}
-    cache: dict[int, StageImage] = {}
+    cache: dict[int, tuple] = {}
     mb_size = min(tcfg.minibatch_images, len(dataset))
     t0 = time.monotonic()
     for it in range(tcfg.max_iters):

@@ -36,12 +36,11 @@ from retentive.detector import (
     roi_features,
     rpn_box_deltas,
     rpn_objectness_logits,
-    top_anchors,
 )
 from retentive.evaluation import average_precision
 from retentive.losses import consistency_loss
 from retentive.synthgen import build_base_dataset, build_kshot_dataset, load_dataset, split_classes
-from retentive.tensorops import decode_boxes, nms, sigmoid, softmax
+from retentive.tensorops import decode_boxes, nms, rank, sigmoid, softmax
 from retentive.trainer import build_minibatch, finetune, load_checkpoint
 
 from oracles import ap_exhaustive_oracle, finite_difference_check, nms_oracle, random_ap_instance
@@ -397,7 +396,7 @@ def test_criterion_10_inference_contract(bench):
         obj = sigmoid(rpn_objectness_logits(base, fwd.cells, "base"))
         deltas = rpn_box_deltas(base, fwd.cells)
         anchors = image_anchors(img.shape[0], base.mcfg.feat_stride, base.mcfg.anchor_scales)
-        ranked = top_anchors(obj, dcfg.pre_nms_k)
+        ranked = rank(obj)[:dcfg.pre_nms_k]
         props = propose(obj, ranked, decode_boxes(deltas[ranked], anchors[ranked], side=side),
                         dcfg)
         logits, reg = box_head_scores(base, roi_features(base, fwd.feat, props.boxes), "base")

@@ -878,6 +878,43 @@ def test_unreadable_report_exits_4(finished_run, tmp_path, capsys, content):
     assert err.count("\n") == 1 and "report.json" in err
 
 
+def test_report_edited_after_eval_is_stale_for_report_as_for_eval(tiny_yaml, finished_run,
+                                                                  tmp_path, capsys):
+    """A well-formed report.json whose bytes its eval stamp did not record
+    exits 4 with one line from report, as it does from eval."""
+    out = tmp_path / "copy"
+    shutil.copytree(finished_run, out)
+    report = RunPaths(out, 3).eval_dir() / "report.json"
+    data = json.loads(report.read_text(encoding="utf-8"))
+    data["summary"]["bap"] = 0.9
+    report.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["report", "--out", str(out), "--seed", "3"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "report.json" in captured.err
+    assert main(["eval", "--config", str(tiny_yaml), "--seed", "3", "--out", str(out)]) == 4
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_eval_on_a_truncated_or_overlong_header_checkpoint_exits_4(tiny_yaml, finished_run,
+                                                                   tmp_path, capsys):
+    """Every prefix of base.ckpt up to its fixed fields plus digest, and a
+    header_len pointing past the end, exit 4 with one line, never a
+    struct.error traceback."""
+    out = tmp_path / "copy"
+    shutil.copytree(finished_run, out)
+    ckpt = RunPaths(out, 3).checkpoint("base")
+    blob = ckpt.read_bytes()
+    fixed = len(trainer.CHECKPOINT_MAGIC) + 8
+    overlong = blob[:fixed - 4] + struct.pack("<I", len(blob)) + blob[fixed:]
+    for data in [blob[:n] for n in range(fixed + 32 + 1)] + [overlong]:
+        ckpt.write_bytes(data)
+        assert main(["eval", "--config", str(tiny_yaml), "--seed", "3",
+                     "--out", str(out)]) == 4, len(data)
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.endswith("is truncated\n"), err
+
+
 @pytest.mark.parametrize("content", [
     "truncate", "[1, 2]", '{"seeds": [1, 2]}',
     '{"seeds": [1, 2], "incomplete": false, "metrics": {"ap": {"stddev": 0.1, "n": 2}}}',

@@ -4,7 +4,7 @@ from hashlib import sha256
 import numpy as np
 import pytest
 
-from oracles import grouped_nms_oracle, iou_scalar
+from oracles import conv3x3_oracle, grouped_nms_oracle, iou_scalar
 from retentive import detector as D
 from retentive import tensorops as T
 from retentive.config import (
@@ -135,10 +135,27 @@ def rpn_outputs(m, fwd, head):
     return obj, D.rpn_box_deltas(m, fwd.cells)
 
 
+def test_image_forward_is_the_loop_oracle_stack_channels_last():
+    """feat is the two oracle convs, each rectified and 2x2-pooled, and cells the
+    rectified oracle mixer over feat, both moved channels-last, bit for bit."""
+    m = pseudo_trained_base()
+    img = scene()
+    x = img[None]
+    for w in T._featurizer_banks(m.feat_seed, m.mcfg.feat_channels):
+        y = np.maximum(conv3x3_oracle(x, w), 0.0)
+        x = 0.25 * (y[:, 0::2, 0::2] + y[:, 0::2, 1::2] + y[:, 1::2, 0::2] + y[:, 1::2, 1::2])
+    mixed = np.maximum(conv3x3_oracle(x, m.params["rpn_shared/W"]), 0.0)
+    fwd = D.image_forward(m, img)
+    assert fwd.feat.shape == (16, 16, 32) and fwd.cells.shape == (256, 32)
+    assert fwd.feat.tobytes() == np.moveaxis(x, 0, -1).tobytes()
+    assert fwd.cells.tobytes() == np.moveaxis(mixed, 0, -1).reshape(256, 32).tobytes()
+
+
 def test_rpn_forward_shapes_and_range():
     m = pseudo_trained_base()
     fwd = D.image_forward(m, scene())
-    assert fwd.feat.shape == (32, 16, 16) and fwd.cells.shape == (256, 32) and fwd.side == 64
+    assert np.moveaxis(fwd.feat, -1, 0).shape == (32, 16, 16)
+    assert fwd.cells.shape == (256, 32) and fwd.side == 64
     obj, deltas = rpn_outputs(m, fwd, "base")
     assert obj.shape == (768,)
     assert deltas.shape == (768, 4)
@@ -215,14 +232,14 @@ def test_image_anchors_are_one_read_only_array():
 
 def decoded_proposals(obj, deltas, anchors, dcfg, side):
     """propose() over the top pre_nms_k anchors, each decoded from its own deltas."""
-    ranked = D.top_anchors(obj, dcfg.pre_nms_k)
+    ranked = T.rank(obj)[:dcfg.pre_nms_k]
     return D.propose(obj, ranked, T.decode_boxes(deltas[ranked], anchors[ranked], side=side),
                      dcfg)
 
 
 def test_propose_rejects_boxes_not_aligned_with_the_ranking():
     obj = np.linspace(0.0, 1.0, 16)
-    ranked = D.top_anchors(obj, 8)
+    ranked = T.rank(obj)[:8]
     boxes = T.generate_anchors(4, 4, stride=4.0, scales=(8.0,))[ranked]
     with pytest.raises(ParameterError):
         D.propose(obj, ranked, boxes[:-1], DetectConfig())

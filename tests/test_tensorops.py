@@ -85,7 +85,7 @@ def test_pool_children_run_openblas_on_one_thread(method):
 
 def test_featurizer_zero_image_gives_zero_features():
     feats = T.fixed_featurizer(np.zeros((64, 64)), feat_seed=7, channels=32)
-    assert feats.shape == (32, 16, 16)
+    assert np.moveaxis(feats, -1, 0).shape == (32, 16, 16)
     assert np.all(feats == 0.0)
 
 
@@ -323,6 +323,18 @@ def test_nms_tie_break_lower_index():
     assert kept.tolist() == [0, 2]
 
 
+def test_nms_suppresses_only_above_the_threshold():
+    # (0,0,10,10) against (0,0,10,20) overlaps by exactly 100 / 200 = 0.5
+    boxes = np.array([[0.0, 0.0, 10.0, 20.0], [0.0, 0.0, 10.0, 10.0]])
+    assert T.iou_matrix(boxes[:1], boxes[1:])[0, 0] == 0.5
+    assert T.nms(boxes, np.array([0.9, 0.8]), 0.5, max_keep=2).tolist() == [0, 1]
+    assert T.nms(boxes, np.array([0.9, 0.8]), 0.4999, max_keep=2).tolist() == [0]
+    # zero-area boxes overlap by 0, so they suppress nothing even at threshold 0
+    flat = np.array([[3.0, 3.0, 3.0, 3.0], [3.0, 3.0, 3.0, 3.0], [3.0, 1.0, 3.0, 5.0]])
+    assert T.iou_matrix(flat, flat).tolist() == [[0.0] * 3] * 3
+    assert T.nms(flat, np.array([0.9, 0.8, 0.7]), 0.0, max_keep=3).tolist() == [0, 1, 2]
+
+
 def test_nms_matches_oracle_random():
     rng = np.random.default_rng(99)
     for trial in range(200):
@@ -519,13 +531,18 @@ def test_decode_clips_to_bounds():
 # conv3x3
 # ---------------------------------------------------------------------------
 
+def _hwc(feat):
+    """A (C,H,W) map or (B,C,H,W) stack channels-last, as the package holds maps."""
+    return np.moveaxis(feat, -3, -1)
+
+
 @pytest.mark.parametrize("cin,cout,side", [(1, 8, 64), (8, 32, 32), (32, 32, 16)])
 def test_conv3x3_bitwise_matches_loop_oracle(cin, cout, side):
     """The featurizer's two convs and the RPN mixer, at the default sizes."""
     gen = np.random.default_rng(cin)
     x = gen.normal(size=(cin, side, side))
     w = gen.normal(size=(cout, cin, 3, 3))
-    got = T.conv3x3(x, w)
+    got = np.moveaxis(T.conv3x3(_hwc(x), w).reshape(side, side, cout), -1, 0)
     assert got.tobytes() == conv3x3_oracle(x, w).tobytes()
     padded = np.pad(x, ((0, 0), (1, 1), (1, 1)))
     direct = sum(np.einsum("oc,chw->ohw", w[:, :, dy, dx], padded[:, dy:dy + side, dx:dx + side])
@@ -539,7 +556,7 @@ def test_conv3x3_bitwise_matches_loop_oracle(cin, cout, side):
 
 def test_roi_pool_constant_map():
     feat = np.full((2, 16, 16), 3.5)
-    out = T.roi_pool(feat, [(5.0, 5.0, 40.0, 40.0)], bins=3, stride=4.0, batch_idx=None)
+    out = T.roi_pool(_hwc(feat), [(5.0, 5.0, 40.0, 40.0)], bins=3, stride=4.0, batch_idx=None)
     assert out.shape == (1, 18)
     assert np.allclose(out, 3.5, atol=1e-15)
 
@@ -547,27 +564,27 @@ def test_roi_pool_constant_map():
 def test_roi_pool_full_map_single_bin():
     rng = np.random.default_rng(2)
     feat = rng.random((4, 16, 16))
-    out = T.roi_pool(feat, [(0.0, 0.0, 64.0, 64.0)], bins=1, stride=4.0, batch_idx=None)
+    out = T.roi_pool(_hwc(feat), [(0.0, 0.0, 64.0, 64.0)], bins=1, stride=4.0, batch_idx=None)
     assert np.allclose(out[0], feat.mean(axis=(1, 2)), atol=1e-12)
 
 
 def test_roi_pool_hand_case():
     # 4x4 single-channel map; box covers feature cells [0:2, 0:2] with 2x2 bins
     feat = np.arange(16, dtype=np.float64).reshape(1, 4, 4)
-    out = T.roi_pool(feat, [(0.0, 0.0, 2.0, 2.0)], bins=2, stride=1.0, batch_idx=None)
+    out = T.roi_pool(_hwc(feat), [(0.0, 0.0, 2.0, 2.0)], bins=2, stride=1.0, batch_idx=None)
     # one cell per bin: values 0, 1, 4, 5
     assert np.allclose(out[0], [0.0, 1.0, 4.0, 5.0], atol=1e-15)
 
 
 def test_roi_pool_subcell_box_clamps():
     feat = np.arange(16, dtype=np.float64).reshape(1, 4, 4)
-    out = T.roi_pool(feat, [(4.1, 4.2, 4.3, 4.4)], bins=1, stride=4.0, batch_idx=None)
+    out = T.roi_pool(_hwc(feat), [(4.1, 4.2, 4.3, 4.4)], bins=1, stride=4.0, batch_idx=None)
     assert out.shape == (1, 1)
     assert out[0, 0] == feat[0, 1, 1]
 
 
 def test_roi_pool_rejects_outside_box():
-    feat = np.zeros((1, 4, 4))
+    feat = _hwc(np.zeros((1, 4, 4)))
     with pytest.raises(ParameterError):
         T.roi_pool(feat, [(100.0, 100.0, 120.0, 120.0)], bins=2, stride=4.0, batch_idx=None)
     with pytest.raises(ParameterError):
@@ -575,7 +592,7 @@ def test_roi_pool_rejects_outside_box():
 
 
 def test_roi_pool_error_names_first_bad_row():
-    feat = np.zeros((1, 4, 4))
+    feat = _hwc(np.zeros((1, 4, 4)))
     boxes = [(0.0, 0.0, 8.0, 8.0), (100.0, 100.0, 120.0, 120.0), (8.0, 8.0, 8.0, 8.0)]
     with pytest.raises(ParameterError, match=r"row 1 \(100\.0, 100\.0, 120\.0, 120\.0\)"):
         T.roi_pool(feat, boxes, bins=2, stride=4.0, batch_idx=None)
@@ -589,12 +606,13 @@ def test_roi_pool_error_names_first_bad_row():
 @pytest.mark.parametrize("bins", [0, -1])
 def test_roi_pool_rejects_bad_bins(bins):
     with pytest.raises(ParameterError):
-        T.roi_pool(np.ones((1, 4, 4)), [(0.0, 0.0, 8.0, 8.0)], bins=bins, stride=4.0,
+        T.roi_pool(_hwc(np.ones((1, 4, 4))), [(0.0, 0.0, 8.0, 8.0)], bins=bins, stride=4.0,
                    batch_idx=None)
 
 
 def test_roi_pool_zero_boxes():
-    out = T.roi_pool(np.ones((3, 4, 4)), np.zeros((0, 4)), bins=2, stride=4.0, batch_idx=None)
+    out = T.roi_pool(_hwc(np.ones((3, 4, 4))), np.zeros((0, 4)), bins=2, stride=4.0,
+                     batch_idx=None)
     assert out.shape == (0, 12) and out.dtype == np.float64
 
 
@@ -602,7 +620,7 @@ def test_roi_pool_scalar_loop_oracle():
     rng = np.random.default_rng(8)
     feat = rng.random((3, 16, 16))
     box = (6.0, 3.0, 47.0, 52.0)
-    got = T.roi_pool(feat, [box], bins=3, stride=4.0, batch_idx=None)[0].reshape(3, 3, 3)
+    got = T.roi_pool(_hwc(feat), [box], bins=3, stride=4.0, batch_idx=None)[0].reshape(3, 3, 3)
     # independent scalar recomputation
     x1, y1, x2, y2 = (v / 4.0 for v in box)
     cx1, cy1 = int(np.floor(x1)), int(np.floor(y1))
@@ -625,7 +643,7 @@ def _spread_features(seed: int, shape) -> np.ndarray:
 
 
 def _assert_roi_pool_matches_oracle(feat, boxes, bins, stride):
-    got = T.roi_pool(feat, boxes, bins=bins, stride=stride, batch_idx=None)
+    got = T.roi_pool(_hwc(feat), boxes, bins=bins, stride=stride, batch_idx=None)
     want = np.stack([roi_pool_oracle(feat, box, bins, stride) for box in boxes])
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -688,7 +706,7 @@ def test_roi_pool_bitwise_matches_oracle_on_rectified_maps(seed):
              *random_boxes.tolist()]
     for bins in (1, 2, 3):
         _assert_roi_pool_matches_oracle(feat, boxes, bins, 4.0)
-    assert not T.roi_pool(feat, boxes[:1], bins=2, stride=4.0, batch_idx=None).any()
+    assert not T.roi_pool(_hwc(feat), boxes[:1], bins=2, stride=4.0, batch_idx=None).any()
 
 
 def _stack_problem(seed: int, n_maps: int, boxes_per_map):
@@ -709,30 +727,30 @@ def _stack_problem(seed: int, n_maps: int, boxes_per_map):
 def test_roi_pool_over_a_stack_matches_one_call_per_map(boxes_per_map, bins):
     maps, boxes, batch = _stack_problem(len(boxes_per_map) + bins, len(boxes_per_map),
                                         boxes_per_map)
-    got = T.roi_pool(maps, boxes, bins=bins, stride=4.0, batch_idx=batch)
+    got = T.roi_pool(_hwc(maps), boxes, bins=bins, stride=4.0, batch_idx=batch)
     want = np.empty_like(got)
     for m, feat in enumerate(maps):
         mine = batch == m
-        want[mine] = T.roi_pool(feat, boxes[mine], bins=bins, stride=4.0, batch_idx=None)
+        want[mine] = T.roi_pool(_hwc(feat), boxes[mine], bins=bins, stride=4.0, batch_idx=None)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_roi_pool_one_map_is_a_stack_of_one():
     maps, boxes, batch = _stack_problem(5, 1, (8,))
-    alone = T.roi_pool(maps[0], boxes, bins=2, stride=4.0, batch_idx=None)
-    assert alone.tobytes() == T.roi_pool(maps, boxes, bins=2, stride=4.0,
+    alone = T.roi_pool(_hwc(maps[0]), boxes, bins=2, stride=4.0, batch_idx=None)
+    assert alone.tobytes() == T.roi_pool(_hwc(maps), boxes, bins=2, stride=4.0,
                                          batch_idx=batch).tobytes()
-    assert alone.tobytes() == T.roi_pool(maps[0], boxes, bins=2, stride=4.0,
+    assert alone.tobytes() == T.roi_pool(_hwc(maps[0]), boxes, bins=2, stride=4.0,
                                          batch_idx=np.zeros(8, dtype=np.int64)).tobytes()
 
 
 @pytest.mark.parametrize("feat, batch", [
-    (np.ones((2, 1, 4, 4)), None),                       # a stack needs batch_idx
-    (np.ones((2, 1, 4, 4)), np.array([0, 2])),           # index past the stack
-    (np.ones((2, 1, 4, 4)), np.array([-1, 0])),
-    (np.ones((2, 1, 4, 4)), np.array([0])),              # one index per box
-    (np.ones((2, 1, 4, 4)), np.array([0.0, 1.0])),       # integer indices only
-    (np.ones((1, 4, 4)), np.array([0, 1])),              # one map is map 0
+    (np.ones((2, 4, 4, 1)), None),                       # a stack needs batch_idx
+    (np.ones((2, 4, 4, 1)), np.array([0, 2])),           # index past the stack
+    (np.ones((2, 4, 4, 1)), np.array([-1, 0])),
+    (np.ones((2, 4, 4, 1)), np.array([0])),              # one index per box
+    (np.ones((2, 4, 4, 1)), np.array([0.0, 1.0])),       # integer indices only
+    (np.ones((4, 4, 1)), np.array([0, 1])),              # one map is map 0
     (np.ones((4, 4)), None),
 ])
 def test_roi_pool_rejects_bad_stacks_and_batch_indices(feat, batch):

@@ -361,16 +361,20 @@ def _stage_world(stage: str):
     return extend_for_finetune(model, 9, cfg.finetune), kshot_ds, cfg.finetune, cfg
 
 
-def _assert_same_arrays(a, b) -> None:
-    """Every field of two dataclass records, arrays bit for bit, nested records too."""
-    for f in dataclasses.fields(a):
-        x, y = getattr(a, f.name), getattr(b, f.name)
-        if dataclasses.is_dataclass(x):
-            _assert_same_arrays(x, y)
-        elif isinstance(x, np.ndarray):
-            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), f.name
-        else:
-            assert x == y, f.name
+def _assert_same_arrays(a, b, name: str = "") -> None:
+    """Two records equal, arrays bit for bit: every field of a dataclass and
+    every item of a tuple, nested records too."""
+    if isinstance(a, tuple):
+        assert type(b) is tuple and len(a) == len(b), name
+        for k, (x, y) in enumerate(zip(a, b)):
+            _assert_same_arrays(x, y, f"{name}[{k}]")
+    elif dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            _assert_same_arrays(getattr(a, f.name), getattr(b, f.name), f"{name}.{f.name}")
+    elif isinstance(a, np.ndarray):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    else:
+        assert a == b, name
 
 
 @pytest.mark.parametrize("stage", ["pretrain", "finetune"])
@@ -391,7 +395,8 @@ def test_minibatch_from_a_warm_stage_cache_is_bitwise_a_cold_one(stage):
     assert cache.keys() == records.keys() and all(cache[i] is records[i] for i in records)
     assert unmoved.roi_feats.tobytes() != cold.roi_feats.tobytes()  # the move reached the batch
     _assert_same_arrays(warm, cold)
-    # a record holds nothing that a trainable array feeds
+    # an entry, (ImageForward, (anchor labels, matches)), holds nothing that a
+    # trainable array feeds
     for i in records:
         _assert_same_arrays(records[i], fresh[i])
 
@@ -645,11 +650,13 @@ def test_checkpoint_shorter_than_its_fixed_fields_is_truncated(tmp_path):
     p = tmp_path / "m.ckpt"
     save_checkpoint(init_base_model(split, cfg.model, feat_seed=1, seed=1), p)
     blob = p.read_bytes()
-    magic = len(trainer.CHECKPOINT_MAGIC)
-    for k in range(8 + 32):  # the version and length fields, then the digest
-        p.write_bytes(blob[:magic + k])
-        with pytest.raises(CorruptCheckpointError, match="truncated"):
-            verify_checkpoint(p)
+    # every prefix through the magic, the version and length fields and the
+    # digest; none may reach struct.unpack_from with too few bytes
+    for n in range(len(trainer.CHECKPOINT_MAGIC) + 8 + 32 + 1):
+        p.write_bytes(blob[:n])
+        for read in (verify_checkpoint, load_checkpoint):
+            with pytest.raises(CorruptCheckpointError, match="truncated"):
+                read(p)
 
 
 @pytest.mark.parametrize("past", [1, 2 ** 32 - 3])
@@ -657,8 +664,9 @@ def test_header_length_past_the_file_is_truncated(tmp_path, past):
     body = b"{}"
     p = tmp_path / "m.ckpt"
     p.write_bytes(_framed(len(body) + past, body))
-    with pytest.raises(CorruptCheckpointError, match="truncated"):
-        verify_checkpoint(p)
+    for read in (verify_checkpoint, load_checkpoint):
+        with pytest.raises(CorruptCheckpointError, match="truncated"):
+            read(p)
 
 
 def test_empty_header_filling_the_file_exactly_is_unreadable_not_truncated(tmp_path):
