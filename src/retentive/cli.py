@@ -37,7 +37,7 @@ from .config import (
     load_config,
     read_json_object,
 )
-from .detector import STAGE_BASE, STAGE_RETENTIVE, detect
+from .detector import detect
 from .errors import (
     ConfigError,
     CorruptArtifactError,
@@ -117,16 +117,14 @@ def _write_stamp(path: Path, stage: str, seed: int, config_digest: str,
     path.write_text(canonical_json(payload) + "\n", encoding="utf-8")
 
 
-def _read_stamp(path: Path) -> dict:
-    """A stamp as _write_stamp wrote it; anything else is a corrupt artifact."""
-    return read_json_object(path, "stamp", {"outputs": dict})
-
-
 # ---------------------------------------------------------------------------
 # stages
 # ---------------------------------------------------------------------------
 
 def _run_gen(cfg: ExperimentConfig, seed: int, paths: RunPaths, up: dict) -> None:
+    (paths.root / "config.json").write_text(
+        canonical_json({"config": cfg.to_dict(), "digest": cfg.digest(), "seed": seed}) + "\n",
+        encoding="utf-8")
     split = split_classes(cfg.dataset.num_classes, cfg.dataset.num_novel, seed)
     built = {
         "base-train": build_base_dataset(cfg.dataset, split,
@@ -152,9 +150,6 @@ def _run_pretrain(cfg: ExperimentConfig, seed: int, paths: RunPaths, up: dict) -
 
 def _run_finetune(cfg: ExperimentConfig, seed: int, paths: RunPaths, up: dict) -> None:
     base = load_checkpoint(paths.checkpoint("base"))
-    if base.stage != STAGE_BASE:
-        raise StalenessError(
-            f"expected a pretrained checkpoint, found stage {base.stage!r}")
     dataset = load_dataset(paths.dataset_dir("kshot"))
     model, log = finetune(base, dataset, cfg, seed)
     save_checkpoint(model, paths.checkpoint("retentive"))
@@ -164,8 +159,6 @@ def _run_finetune(cfg: ExperimentConfig, seed: int, paths: RunPaths, up: dict) -
 def _evaluate_models(cfg: ExperimentConfig, seed: int, paths: RunPaths, up: dict) -> None:
     base = load_checkpoint(paths.checkpoint("base"))
     model = load_checkpoint(paths.checkpoint("retentive"))
-    if model.stage != STAGE_RETENTIVE:
-        raise StalenessError(f"expected an adapted checkpoint, found stage {model.stage!r}")
     metadata = {"seed": seed, "config_digest": cfg.digest(),
                 "dataset_digests": {n: up[n] for n in DATASET_NAMES},
                 "checkpoint_digests": {"base": up["base"], "retentive": up["retentive"]}}
@@ -204,35 +197,41 @@ def _checked_stages(stages) -> tuple[str, ...]:
     return stages
 
 
-def _verified(paths: RunPaths, stage: str, config_digest: str, inputs: dict,
-              on_disk) -> dict:
-    """A stamped stage's outputs, once its config, inputs and files all agree."""
-    stamp = _read_stamp(paths.stamp(stage))
-    if stamp.get("config_digest") != config_digest:
+def _read_stamp(paths: RunPaths, stage: str) -> dict:
+    """A stage's stamp as _write_stamp wrote it, once the outputs it records
+    are the ones on disk; anything else is a corrupt or stale artifact."""
+    stamp = read_json_object(paths.stamp(stage), "stamp",
+                             {"config_digest": str, "inputs": dict, "outputs": dict})
+    if _PIPELINE[stage][1](paths) != stamp["outputs"]:
+        raise StalenessError(
+            f"{stage}: outputs on disk do not match what the {stage} stamp recorded")
+    return stamp
+
+
+def _verified(paths: RunPaths, stage: str, config_digest: str, inputs: dict) -> dict:
+    """A stamped stage's outputs, once its files, config and inputs all agree."""
+    stamp = _read_stamp(paths, stage)
+    if stamp["config_digest"] != config_digest:
         raise StalenessError(
             f"{stage}: artifacts in {paths.root} were produced under a different "
             f"configuration; use a fresh output directory")
-    if stamp.get("inputs") != inputs:
+    if stamp["inputs"] != inputs:
         raise StalenessError(f"{stage}: recorded inputs no longer match upstream artifacts")
-    if on_disk(paths) != stamp["outputs"]:
-        raise StalenessError(
-            f"{stage}: outputs on disk do not match what the {stage} stamp recorded")
     return stamp["outputs"]
 
 
 def _walk(cfg: ExperimentConfig, seed: int, paths: RunPaths, run: tuple[str, ...],
-          last: str) -> dict:
+          last: str) -> None:
     """Every stage through `last` in order: a stamped one is verified, one in
     `run` without a stamp runs and is stamped with its outputs as its check
     reads them from disk, and any other stops the walk."""
     config_digest = cfg.digest()
     up: dict[str, str] = {}
-    done: dict[str, dict] = {}
     for stage in STAGES[:STAGES.index(last) + 1]:
         reads, on_disk, runner = _PIPELINE[stage]
         inputs = {n: up[n] for n in reads}
         if paths.stamp(stage).exists():
-            outputs = _verified(paths, stage, config_digest, inputs, on_disk)
+            outputs = _verified(paths, stage, config_digest, inputs)
         elif stage in run:
             runner(cfg, seed, paths, up)
             outputs = on_disk(paths)
@@ -241,27 +240,16 @@ def _walk(cfg: ExperimentConfig, seed: int, paths: RunPaths, run: tuple[str, ...
             raise StalenessError(
                 f"stage {stage!r} has not been run for seed {seed}; run it first")
         up.update(outputs)
-        done[stage] = outputs
-    return done
 
 
-def run_experiment(cfg: ExperimentConfig, seed: int, out_root,
-                   stages=STAGES) -> dict:
+def run_experiment(cfg: ExperimentConfig, seed: int, out_root, stages=STAGES) -> None:
     """Execute the requested stages for one seed, reusing intact artifacts."""
     stages = _checked_stages(stages)
     cfg.validate()
-    config_digest = cfg.digest()
     paths = RunPaths(out_root, seed)
     paths.root.mkdir(parents=True, exist_ok=True)
-    cfg_blob = canonical_json({"config": cfg.to_dict(), "digest": config_digest,
-                               "seed": seed}) + "\n"
-    cfg_path = paths.root / "config.json"
-    if not cfg_path.exists() or cfg_path.read_text(encoding="utf-8") != cfg_blob:
-        cfg_path.write_text(cfg_blob, encoding="utf-8")
-    if not stages:
-        return {}
-    done = _walk(cfg, seed, paths, stages, max(stages, key=STAGES.index))
-    return {s: out for s, out in done.items() if s in stages}
+    if stages:
+        _walk(cfg, seed, paths, stages, max(stages, key=STAGES.index))
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (_, help_text) in _PIPELINE_COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
-        p.add_argument("--stage", type=str, default=None,
+        p.add_argument("--stage", dest="stages", type=str, default=None,
                        help="comma list overriding the default stage prefix")
 
     p = sub.add_parser("detect", help="run inference and dump detections")
@@ -521,7 +509,7 @@ def _workers_from_env() -> int:
 def _cmd_pipeline(args, command: str) -> int:
     cfg = _resolve_config(args)
     last = _PIPELINE_COMMANDS[command][0]
-    stages = _parse_stage_list(args.stage, STAGES[:STAGES.index(last) + 1])
+    stages = _parse_stage_list(args.stages, STAGES[:STAGES.index(last) + 1])
     run_experiment(cfg, args.seed, args.out, stages)
     print(f"{command}: seed {args.seed} complete in {Path(args.out) / f'seed-{args.seed}'}")
     return 0
@@ -530,11 +518,8 @@ def _cmd_pipeline(args, command: str) -> int:
 def _cmd_detect(args) -> int:
     cfg = _resolve_config(args)
     paths = RunPaths(args.out, args.seed)
-    ckpt = paths.checkpoint("retentive")
-    if not ckpt.exists():
-        raise StalenessError(f"no checkpoint at {ckpt}; run finetune for seed {args.seed} first")
     _walk(cfg, args.seed, paths, (), "finetune")
-    model = load_checkpoint(ckpt)
+    model = load_checkpoint(paths.checkpoint("retentive"))
     test_ds = load_dataset(paths.dataset_dir("test"))
     lines = []
     for i, img in enumerate(test_ds.images):
@@ -592,11 +577,7 @@ def _cmd_report(args) -> int:
         seed = 0 if args.seed is None else args.seed
         paths = RunPaths(args.out, seed)
         metrics = aggregate_metrics({seed: report_metrics(paths.eval_dir() / "report.json")})
-        stamp = read_json_object(paths.stamp("eval"), "stamp", {"config_digest": str,
-                                                                "outputs": dict})
-        if stamp["outputs"].get("report") != _report_digest_on_disk(paths):
-            raise StalenessError(f"{paths.eval_dir() / 'report.json'} does not match the "
-                                 f"hash its eval stamp recorded")
+        stamp = _read_stamp(paths, "eval")
         print(f"seed {seed}  config {stamp['config_digest'][:12]}")
     for name in sorted(metrics):
         row = metrics[name]

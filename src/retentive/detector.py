@@ -129,7 +129,7 @@ def init_base_model(split: ClassSplit, mcfg: ModelConfig, feat_seed: int, seed: 
 
 def extend_for_finetune(base: Model, seed: int, tcfg: TrainConfig) -> Model:
     """Add the three finetune layers as the finetune config says; base arrays
-    are shared bit-for-bit."""
+    are copied bit-for-bit and made read-only."""
     tcfg.validate()
     if base.stage != STAGE_BASE:
         raise StateError(f"finetune extension requires a pretrained model, got stage {base.stage!r}")
@@ -137,6 +137,8 @@ def extend_for_finetune(base: Model, seed: int, tcfg: TrainConfig) -> Model:
                   mcfg=base.mcfg, feat_seed=base.feat_seed, stage=STAGE_RETENTIVE,
                   classifier=tcfg.classifier, head_domain=tcfg.head_domain,
                   rpn_strategy=tcfg.rpn_strategy)
+    for frozen in model.params.values():
+        frozen.flags.writeable = False
     shape = array_shapes(model)
     a = model.params
     sig = base.mcfg.init_sigma

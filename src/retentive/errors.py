@@ -18,15 +18,7 @@ class StateError(RuntimeError):
 
 
 class TrainingError(RuntimeError):
-    """Training diverged or otherwise failed; carries diagnostic state."""
-
-    def __init__(self, message: str, iteration: int, diagnostics: dict):
-        super().__init__(message)
-        self.iteration = iteration
-        self.diagnostics = diagnostics
-
-    def __reduce__(self):  # a multirun worker's error crosses to the parent by pickle
-        return type(self), (self.args[0], self.iteration, self.diagnostics)
+    """Training diverged or otherwise failed."""
 
 
 class CorruptArtifactError(RuntimeError):

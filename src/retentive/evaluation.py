@@ -19,6 +19,7 @@ import numpy as np
 
 from .config import RPN_STRATEGIES, ExperimentConfig, Rule, canonical_json, read_json_object
 from .detector import (
+    STAGE_RETENTIVE,
     Model,
     image_forward,
     pool_proposals,
@@ -26,7 +27,7 @@ from .detector import (
     score_proposals,
     strategy_proposals,
 )
-from .errors import CorruptArtifactError, ParameterError, StalenessError
+from .errors import CorruptArtifactError, ParameterError, StalenessError, StateError
 from .synthgen import ClassSplit, Dataset, SceneRecord
 from .tensorops import iou_matrix, rank
 
@@ -272,11 +273,14 @@ def evaluate(base: Model, model: Model, test_ds: Dataset, uar_ds: Dataset,
              cfg: ExperimentConfig, metadata: dict) -> dict:
     """report.json of an adapted model scored beside its base detector on one test set.
 
-    Both detectors share one frozen path per image (_infer), so the two models
-    must hold the same frozen arrays, or StalenessError. The report's metadata
-    is the given dict plus the models' base-subset digests, RPN strategy,
-    classifier and head domain.
+    The adapted model must be finetuned, or StateError. Both detectors share
+    one frozen path per image (_infer), so the two models must hold the same
+    frozen arrays, or StalenessError. The report's metadata is the given dict
+    plus the models' base-subset digests, RPN strategy, classifier and head
+    domain.
     """
+    if model.stage != STAGE_RETENTIVE:
+        raise StateError(f"expected an adapted model, found stage {model.stage!r}")
     subset_digests = {"base": base.base_subset_digest(), "retentive": model.base_subset_digest()}
     if (subset_digests["base"] != subset_digests["retentive"]
             or (base.feat_seed, base.mcfg) != (model.feat_seed, model.mcfg)):

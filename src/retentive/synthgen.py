@@ -328,6 +328,8 @@ def load_dataset(dirpath: str | Path) -> Dataset:
         raise CorruptArtifactError(f"unsupported manifest version {manifest['version']}")
     blob = (dirpath / "images.bin").read_bytes()
     head = struct.calcsize("<III")
+    if len(blob) < 8 + head:
+        raise CorruptArtifactError(f"{dirpath / 'images.bin'} is truncated")
     if blob[:8] != IMAGES_MAGIC:
         raise CorruptArtifactError("bad images.bin magic")
     version, side, count = struct.unpack("<III", blob[8:8 + head])

@@ -21,7 +21,6 @@ from retentive.cli import (
     RunPaths,
     STAGES,
     _evaluate_models,
-    _read_stamp,
     _parse_axes,
     _parse_seeds,
     _parse_stage_list,
@@ -321,8 +320,7 @@ _PACKAGE_ERRORS = sorted(
 def test_every_package_error_exits_with_a_code_and_one_line(exc_type, tmp_path, monkeypatch,
                                                             capsys):
     def fail(args, command):
-        raise (exc_type("injected failure", 0, {}) if exc_type is errors.TrainingError
-               else exc_type("injected failure"))
+        raise exc_type("injected failure")
 
     monkeypatch.setattr(cli, "_cmd_pipeline", fail)
     assert main(["gen-data", "--seed", "1", "--out", str(tmp_path / "o")]) in (2, 3, 4)
@@ -798,7 +796,7 @@ def test_detect_without_checkpoint_exits_4(tiny_yaml, tmp_path, capsys):
     assert main(["detect", "--config", str(tiny_yaml), "--seed", "5",
                  "--out", str(out)]) == 4
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "no checkpoint" in err
+    assert err.count("\n") == 1 and "stage 'pretrain' has not been run for seed 5" in err
 
 
 @pytest.mark.parametrize("content", ["truncate", "[1, 2]"])
@@ -813,6 +811,24 @@ def test_unreadable_stamp_exits_4(tiny_yaml, finished_run, tmp_path, capsys, con
                  "--out", str(out)]) == 4
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "eval.stamp.json" in err
+
+
+def test_pretrain_on_a_truncated_images_bin_exits_4(tiny_yaml, tmp_path, capsys):
+    """Every prefix of base-train's images.bin through its fixed fields, and
+    one that cuts the payload, exit 4 with one line, never a traceback."""
+    out = tmp_path / "t"
+    assert main(["gen-data", "--config", str(tiny_yaml), "--seed", "2", "--out", str(out)]) == 0
+    paths = RunPaths(out, 2)
+    images = paths.dataset_dir("base-train") / "images.bin"
+    blob = images.read_bytes()
+    for data in [blob[:n] for n in range(21)] + [blob[:-1]]:
+        images.write_bytes(data)
+        capsys.readouterr()
+        assert main(["pretrain", "--config", str(tiny_yaml), "--seed", "2",
+                     "--out", str(out)]) == 4, len(data)
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("artifact error:"), err
+    assert not paths.stamp("pretrain").exists()
 
 
 @pytest.mark.parametrize("content", ["truncate", "[1, 2]"])
@@ -851,7 +867,7 @@ def test_checkpoint_without_its_finetuned_head_is_corrupt_at_load_and_exits_4(
     model = load_checkpoint(paths.checkpoint("retentive"))
     for key in [k for k in model.params if k.split("/")[0] in D.FINETUNE_TRAINABLE]:
         del model.params[key]
-    stamp = _read_stamp(paths.stamp("finetune"))
+    stamp = json.loads(paths.stamp("finetune").read_text(encoding="utf-8"))
     stamp["outputs"]["retentive"] = save_checkpoint(model, paths.checkpoint("retentive"))
     paths.stamp("finetune").write_text(canonical_json(stamp) + "\n", encoding="utf-8")
     assert main(["detect", "--config", str(tiny_yaml), "--seed", "3",
@@ -891,7 +907,8 @@ def test_report_edited_after_eval_is_stale_for_report_as_for_eval(tiny_yaml, fin
     assert main(["report", "--out", str(out), "--seed", "3"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.count("\n") == 1 and "report.json" in captured.err
+    assert captured.err.count("\n") == 1 \
+        and "eval: outputs on disk do not match what the eval stamp recorded" in captured.err
     assert main(["eval", "--config", str(tiny_yaml), "--seed", "3", "--out", str(out)]) == 4
     assert capsys.readouterr().err.count("\n") == 1
 
@@ -947,6 +964,23 @@ def test_detect_under_another_config_exits_4(tiny_yaml, finished_run, tmp_path, 
     assert not RunPaths(out, 3).detections().exists()
 
 
+def test_refused_command_leaves_the_run_directory_untouched(tiny_yaml, finished_run, tmp_path,
+                                                           capsys):
+    """eval under a changed config stops at the walk's config check before
+    anything is written: config.json and every stamp keep their bytes."""
+    out = tmp_path / "copy"
+    shutil.copytree(finished_run, out)
+    paths = RunPaths(out, 3)
+    files = [paths.root / "config.json"] + [paths.stamp(s) for s in STAGES]
+    before, state = {p: p.read_bytes() for p in files}, _tree_state(paths.root)
+    assert main(["eval", "--config", str(tiny_yaml), "--seed", "3", "--out", str(out),
+                 "--lambda", "0.9"]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "different configuration" in err
+    assert {p: p.read_bytes() for p in files} == before
+    assert _tree_state(paths.root) == state
+
+
 def test_detect_with_replaced_checkpoint_exits_4(tiny_yaml, finished_run, tmp_path, capsys):
     out = tmp_path / "copy"
     shutil.copytree(finished_run, out)
@@ -968,7 +1002,7 @@ def test_detect_with_flags_its_stage_would_not_write_exits_4(tiny_yaml, finished
     with monkeypatch.context() as mp:
         mp.setattr(trainer, "trainable_layers", lambda m: D.PRETRAIN_TRAINABLE)
         digest = save_checkpoint(model, paths.checkpoint("retentive"))
-    stamp = _read_stamp(paths.stamp("finetune"))
+    stamp = json.loads(paths.stamp("finetune").read_text(encoding="utf-8"))
     stamp["outputs"]["retentive"] = digest
     paths.stamp("finetune").write_text(canonical_json(stamp) + "\n", encoding="utf-8")
     assert main(["detect", "--config", str(tiny_yaml), "--seed", "3", "--out", str(out)]) == 4
@@ -1019,8 +1053,9 @@ def test_replaced_upstream_artifact_exits_4(tiny_yaml, finished_run, other_seed_
 
 
 def _upstream(paths):
-    return {name: digest for s in ("gen", "pretrain", "finetune")
-            for name, digest in _read_stamp(paths.stamp(s))["outputs"].items()}
+    stamps = [json.loads(paths.stamp(s).read_text(encoding="utf-8"))
+              for s in ("gen", "pretrain", "finetune")]
+    return {name: digest for stamp in stamps for name, digest in stamp["outputs"].items()}
 
 
 def test_eval_runs_one_image_forward_per_image(tiny_cfg, finished_run, tmp_path, monkeypatch):
@@ -1076,6 +1111,16 @@ def test_evaluate_gives_the_report_the_eval_stage_writes(tiny_cfg, finished_run)
                       load_dataset(paths.dataset_dir("uar-eval")), tiny_cfg, metadata)
     want = (paths.eval_dir() / "report.json").read_bytes()
     assert (canonical_json(report) + "\n").encode("utf-8") == want
+
+
+def test_evaluate_rejects_a_model_that_is_not_finetuned(tiny_cfg, finished_run):
+    from retentive import evaluate
+
+    paths = RunPaths(finished_run, 3)
+    base = load_checkpoint(paths.checkpoint("base"))
+    with pytest.raises(errors.StateError, match="expected an adapted model, found stage 'base'"):
+        evaluate(base, base, load_dataset(paths.dataset_dir("test")),
+                 load_dataset(paths.dataset_dir("uar-eval")), tiny_cfg, {})
 
 
 @pytest.fixture

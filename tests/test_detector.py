@@ -121,8 +121,25 @@ def test_base_subset_digest_hashes_the_base_layers_by_name():
     assert dataclasses.replace(m, params=reversed_copy).base_subset_digest() == want.hexdigest()
     m.params["cls_n/W"][0, 0] += 1.0
     assert m.base_subset_digest() == want.hexdigest()
-    m.params["reg_b/b"][0] += 1.0
+    m.params["reg_b/b"] = m.params["reg_b/b"] + 1.0  # the extended model's own is read-only
     assert m.base_subset_digest() != want.hexdigest()
+
+
+def test_extended_model_base_arrays_are_read_only():
+    """A stray in-place update of a frozen array raises at the write; the
+    layers finetuning trains and the base model's own arrays stay writeable."""
+    base = pseudo_trained_base()
+    m = D.extend_for_finetune(base, 2, TrainConfig())
+    for key, arr in m.params.items():
+        layer = key.split("/")[0]
+        assert layer in D.BASE_LAYERS or layer in D.FINETUNE_TRAINABLE, key
+        assert arr.flags.writeable == (layer in D.FINETUNE_TRAINABLE), key
+        if layer in D.BASE_LAYERS:
+            with pytest.raises(ValueError, match="read-only"):
+                arr += 1.0
+    m.params["cls_n/W"] += 1.0
+    assert all(arr.flags.writeable for arr in base.params.values())
+    base.params["reg_b/b"] += 1.0
 
 
 # ---------------------------------------------------------------------------

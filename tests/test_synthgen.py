@@ -269,14 +269,19 @@ def test_dataset_load_detects_tamper(tmp_path: Path):
 
 
 def test_dataset_load_detects_truncation(tmp_path: Path):
+    """A cut payload is corrupt, and every images.bin shorter than its magic
+    plus fixed fields is truncated, never a struct.error."""
     cfg = small_cfg(base_train_images=3)
     split = G.split_classes(12, 4, seed=5)
     ds = G.build_base_dataset(cfg, split, seed=5)
     G.save_dataset(ds, tmp_path / "d")
-    blob = (tmp_path / "d" / "images.bin").read_bytes()
-    (tmp_path / "d" / "images.bin").write_bytes(blob[:-17])
-    with pytest.raises(CorruptArtifactError):
-        G.load_dataset(tmp_path / "d")
+    path = tmp_path / "d" / "images.bin"
+    blob = path.read_bytes()
+    for n in [len(blob) - 17] + list(range(21)):
+        path.write_bytes(blob[:n])
+        match = "is truncated" if n < 20 else "payload length mismatch"
+        with pytest.raises(CorruptArtifactError, match=match):
+            G.load_dataset(tmp_path / "d")
 
 
 @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[]", b'{"version": 1}',

@@ -1,6 +1,7 @@
 """Guards on names: the benchmark harness and the README reach into the package
 by name, one module names the head layers, one reads report.json's metric
-sections, and the package holds no code that only tests call."""
+sections, the run orchestration reads no model stage, and the package holds
+no code that only tests call."""
 
 import ast
 import dataclasses
@@ -93,6 +94,18 @@ def test_head_layer_names_live_in_detector_only():
             if isinstance(node, ast.Constant) and isinstance(node.value, str) \
                     and layer.search(node.value):
                 found.append(f"{path.name}:{node.lineno}: {node.value!r}")
+    assert not found, found
+
+
+def test_model_stage_rules_live_in_the_library():
+    """What a model's stage allows is checked where the model is used, so the
+    run orchestration names no STAGE_* constant and reads no .stage attribute."""
+    tree = ast.parse((ROOT / "src" / "retentive" / "cli.py").read_text(encoding="utf-8"))
+    found = [f"cli.py:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.alias) and node.name.startswith("STAGE_")
+             or isinstance(node, ast.Name) and node.id.startswith("STAGE_")
+             or isinstance(node, ast.Attribute)
+             and (node.attr == "stage" or node.attr.startswith("STAGE_"))]
     assert not found, found
 
 

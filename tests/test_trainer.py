@@ -456,12 +456,11 @@ def test_training_error_on_non_finite_loss():
     log = TrainLog(stage="pretrain", seed=7)
     with pytest.raises(TrainingError) as err:
         _run_stage(model, base_ds, cfg.pretrain, cfg.detect, 7, log)
-    assert err.value.iteration == 0
-    assert "l_obj" in err.value.diagnostics
-    # a multirun worker's error reaches the parent by pickle, fields and all
+    # the one line names the iteration and the term that went non-finite
+    assert "at iteration 0:" in str(err.value) and "'l_obj': nan" in str(err.value)
+    # a multirun worker's error reaches the parent by pickle, type and text
     back = pickle.loads(pickle.dumps(err.value))
-    assert (str(back), back.iteration, repr(back.diagnostics)) == (  # repr: nan != nan
-        str(err.value), err.value.iteration, repr(err.value.diagnostics))
+    assert (type(back), str(back)) == (TrainingError, str(err.value))
 
 
 def test_finetune_keeps_base_subset_frozen():
