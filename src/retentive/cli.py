@@ -7,7 +7,8 @@ stages whose stamps and outputs are intact. Every stage a command needs,
 whether it runs or is only read from, is checked against its stamp before
 use, and any digest disagreement
 between what a stamp recorded and what is on disk stops the run instead of
-silently recomputing or reusing mismatched artifacts.
+silently recomputing or reusing mismatched artifacts. A command loads a
+stage's training or evaluation code only when it runs or reads that stage.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import itertools
 import os
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from hashlib import sha256
 from pathlib import Path
@@ -37,7 +36,6 @@ from .config import (
     load_config,
     read_json_object,
 )
-from .detector import detect
 from .errors import (
     ConfigError,
     CorruptArtifactError,
@@ -48,7 +46,6 @@ from .errors import (
     StateError,
     TrainingError,
 )
-from .evaluation import NUMBER, emit_report, evaluate, report_metrics
 from .synthgen import (
     build_base_dataset,
     build_kshot_dataset,
@@ -58,7 +55,6 @@ from .synthgen import (
     split_classes,
 )
 from .tensorops import subseed
-from .trainer import finetune, load_checkpoint, pretrain, save_checkpoint, verify_checkpoint
 
 _DS_TAGS = {
     "base-train": 0xD5B1,
@@ -103,6 +99,12 @@ def _dataset_digest_on_disk(path: Path) -> str:
     return read_json_object(manifest, "manifest", {"digest": str})["digest"]
 
 
+def _checkpoint_digest_on_disk(paths: RunPaths, name: str) -> str:
+    from .trainer import verify_checkpoint
+
+    return verify_checkpoint(paths.checkpoint(name))
+
+
 def _report_digest_on_disk(paths: RunPaths) -> str:
     report = paths.eval_dir() / "report.json"
     if not report.exists():
@@ -122,6 +124,7 @@ def _write_stamp(path: Path, stage: str, seed: int, config_digest: str,
 # ---------------------------------------------------------------------------
 
 def _run_gen(cfg: ExperimentConfig, seed: int, paths: RunPaths, up: dict) -> None:
+    paths.root.mkdir(parents=True, exist_ok=True)
     (paths.root / "config.json").write_text(
         canonical_json({"config": cfg.to_dict(), "digest": cfg.digest(), "seed": seed}) + "\n",
         encoding="utf-8")
@@ -141,6 +144,8 @@ def _run_gen(cfg: ExperimentConfig, seed: int, paths: RunPaths, up: dict) -> Non
 
 
 def _run_pretrain(cfg: ExperimentConfig, seed: int, paths: RunPaths, up: dict) -> None:
+    from .trainer import pretrain, save_checkpoint
+
     dataset = load_dataset(paths.dataset_dir("base-train"))
     model, log = pretrain(dataset, cfg, seed)
     paths.checkpoint("base").parent.mkdir(parents=True, exist_ok=True)
@@ -149,6 +154,8 @@ def _run_pretrain(cfg: ExperimentConfig, seed: int, paths: RunPaths, up: dict) -
 
 
 def _run_finetune(cfg: ExperimentConfig, seed: int, paths: RunPaths, up: dict) -> None:
+    from .trainer import finetune, load_checkpoint, save_checkpoint
+
     base = load_checkpoint(paths.checkpoint("base"))
     dataset = load_dataset(paths.dataset_dir("kshot"))
     model, log = finetune(base, dataset, cfg, seed)
@@ -157,6 +164,9 @@ def _run_finetune(cfg: ExperimentConfig, seed: int, paths: RunPaths, up: dict) -
 
 
 def _evaluate_models(cfg: ExperimentConfig, seed: int, paths: RunPaths, up: dict) -> None:
+    from .evaluation import emit_report, evaluate
+    from .trainer import load_checkpoint
+
     base = load_checkpoint(paths.checkpoint("base"))
     model = load_checkpoint(paths.checkpoint("retentive"))
     metadata = {"seed": seed, "config_digest": cfg.digest(),
@@ -178,10 +188,10 @@ _PIPELINE = {
     "gen": ((), lambda paths: {n: _dataset_digest_on_disk(paths.dataset_dir(n))
                                for n in DATASET_NAMES}, _run_gen),
     "pretrain": (("base-train",),
-                 lambda paths: {"base": verify_checkpoint(paths.checkpoint("base"))},
+                 lambda paths: {"base": _checkpoint_digest_on_disk(paths, "base")},
                  _run_pretrain),
     "finetune": (("kshot", "base"),
-                 lambda paths: {"retentive": verify_checkpoint(paths.checkpoint("retentive"))},
+                 lambda paths: {"retentive": _checkpoint_digest_on_disk(paths, "retentive")},
                  _run_finetune),
     "eval": (("test", "uar-eval", "base", "retentive"),
              lambda paths: {"report": _report_digest_on_disk(paths)}, _evaluate_models),
@@ -246,10 +256,8 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_root, stages=STAGES) ->
     """Execute the requested stages for one seed, reusing intact artifacts."""
     stages = _checked_stages(stages)
     cfg.validate()
-    paths = RunPaths(out_root, seed)
-    paths.root.mkdir(parents=True, exist_ok=True)
     if stages:
-        _walk(cfg, seed, paths, stages, max(stages, key=STAGES.index))
+        _walk(cfg, seed, RunPaths(out_root, seed), stages, max(stages, key=STAGES.index))
 
 
 # ---------------------------------------------------------------------------
@@ -275,25 +283,26 @@ _FAILURES = (
     ((StalenessError, StateError, CorruptArtifactError, OSError), "artifact error", 4),
 )
 _CODED_ERRORS = tuple(t for types, _, _ in _FAILURES for t in types)
-# errors that fail one unit of a multirun or ablation without stopping the
-# others (a dead pool worker fails every unit still pending with BrokenProcessPool)
-_SEED_FAILURES = _CODED_ERRORS + (BrokenProcessPool,)
 
 
 def _run_units(units: dict, workers: int) -> dict:
     """run_experiment(*args) for each unit key -> args; on a process pool
     with more than one worker, in this process, in key order, with one.
-    Returns the one-line reason of every unit that failed."""
+    Returns the one-line reason of every unit that failed: a coded error, or
+    BrokenProcessPool for every unit still pending when a pool worker dies."""
+    import concurrent.futures
+    from concurrent.futures.process import BrokenProcessPool
+
     failures = {}
     workers = min(workers, len(units))
-    pool = ProcessPoolExecutor(workers) if workers > 1 else None
+    pool = concurrent.futures.ProcessPoolExecutor(workers) if workers > 1 else None
     with pool or nullcontext():
         calls = {k: pool.submit(run_experiment, *args).result if pool
                  else functools.partial(run_experiment, *args) for k, args in units.items()}
         for k, call in calls.items():
             try:
                 call()
-            except _SEED_FAILURES as exc:
+            except _CODED_ERRORS + (BrokenProcessPool,) as exc:
                 failures[k] = f"{type(exc).__name__}: {exc}"
     return failures
 
@@ -309,12 +318,25 @@ def _write_table(out_root, stem: str, table: dict, rows: list[list]) -> None:
     (out / f"{stem}.csv").write_text(text, encoding="utf-8")
 
 
+def _check_distinct(what: str, items) -> None:
+    """Each item at most once: a repeated seed or axis value would run one
+    unit twice and count its metrics twice."""
+    seen = set()
+    for x in items:
+        if x in seen:
+            raise ConfigError(f"{what} {x!r} given twice")
+        seen.add(x)
+
+
 def multirun(cfg: ExperimentConfig, seeds, out_root, workers: int) -> dict:
     """Run every seed, then fold the per-seed reports into aggregate files."""
+    from .evaluation import report_metrics
+
     seeds = list(seeds)
     if len(seeds) < 2:
         raise ConfigError(f"multirun needs at least 2 seeds, got {len(seeds)}")
-    failures = _run_units({s: (cfg, s, out_root) for s in sorted(set(seeds))}, workers)
+    _check_distinct("seed", seeds)
+    failures = _run_units({s: (cfg, s, out_root) for s in sorted(seeds)}, workers)
     per_seed = {s: report_metrics(RunPaths(out_root, s).eval_dir() / "report.json")
                 for s in seeds if s not in failures}
     aggregate = {
@@ -340,9 +362,10 @@ _FINETUNE_RULES = field_rules(TrainConfig)
 def ablation_cells(axes: dict[str, list[str]]):
     """Lazy cross product of the requested axis values, validated up front:
     each axis is one of _ABLATION_AXES, and each value meets its finetune
-    field's rule."""
+    field's rule and is given once."""
     for axis, values in axes.items():
         check_value("ablation axis", _AXIS_RULE, axis)
+        _check_distinct(f"axis {axis!r} value", values)
         for v in values:
             check_value(f"finetune.{axis}", _FINETUNE_RULES[axis], v)
     names = sorted(axes)
@@ -364,6 +387,8 @@ def run_ablation(cfg: ExperimentConfig, axes: dict[str, list[str]], seed: int,
     cell that fails is listed under failures; it keeps empty metrics and
     marks the table incomplete. The other cells still run.
     """
+    from .evaluation import report_metrics
+
     cells, units = [], {}  # (cell, config digest) in grid order; digest -> run_experiment args
     for cell in ablation_cells(axes):
         cell_cfg = copy.deepcopy(cfg)
@@ -516,6 +541,9 @@ def _cmd_pipeline(args, command: str) -> int:
 
 
 def _cmd_detect(args) -> int:
+    from .detector import detect
+    from .trainer import load_checkpoint
+
     cfg = _resolve_config(args)
     paths = RunPaths(args.out, args.seed)
     _walk(cfg, args.seed, paths, (), "finetune")
@@ -561,6 +589,8 @@ def _cmd_multirun(args) -> int:
 def _cmd_report(args) -> int:
     """A multirun's aggregate, or one seed's report as a one-seed aggregate:
     one row per metric, as aggregate_metrics makes it."""
+    from .evaluation import NUMBER, report_metrics
+
     agg = Path(args.out) / "aggregate.json"
     if args.seed is None and agg.exists():
         data = read_json_object(agg, "aggregate", {"seeds": list, "incomplete": bool,

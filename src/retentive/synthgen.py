@@ -13,6 +13,7 @@ parallel and serial generation bitwise identical.
 """
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from hashlib import sha256
@@ -97,8 +98,12 @@ def split_classes(num_classes: int, num_novel: int, seed: int) -> ClassSplit:
 # glyph catalogue
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def glyph_stamp(class_id: int, size: int) -> np.ndarray:
-    """Binary (size, size) raster of one glyph, evaluated at pixel centers."""
+    """Binary raster of one glyph, evaluated at pixel centers of a (size,
+    size) grid and cropped to its occupied rows and columns. Drawn once per
+    (class, size) and shared, so the array is read-only; the cache holds one
+    raster per class and glyph size drawn (204 for the default config)."""
     if not 0 <= class_id < len(GLYPH_NAMES):
         raise ParameterError(f"unknown glyph class {class_id}")
     if size < MIN_GLYPH:
@@ -137,7 +142,9 @@ def glyph_stamp(class_id: int, size: int) -> np.ndarray:
     # crop to the occupied rows/columns so the placement box is always tight
     rows = np.flatnonzero(stamp.any(axis=1))
     cols = np.flatnonzero(stamp.any(axis=0))
-    return np.ascontiguousarray(stamp[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1])
+    stamp = np.ascontiguousarray(stamp[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1])
+    stamp.flags.writeable = False
+    return stamp
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Pipeline orchestration tests: stamps, staleness, aggregation, exit codes."""
 
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -214,12 +215,19 @@ def test_multirun_needs_two_seeds(tiny_cfg, tmp_path):
         multirun(tiny_cfg, [7], tmp_path, workers=1)
 
 
-def test_multirun_duplicate_seeds_collapse(tiny_cfg, tmp_path):
-    agg = multirun(tiny_cfg, [9, 9], tmp_path, workers=1)
-    assert agg["seeds"] == [9, 9]
-    assert not agg["incomplete"]
-    for row in agg["metrics"].values():
-        assert row["n"] == 1 and row["stddev"] is None
+def test_multirun_rejects_a_repeated_seed(tiny_cfg, tmp_path):
+    """[9, 9] would run one seed and aggregate it as two."""
+    with pytest.raises(ConfigError, match="seed 9 given twice"):
+        multirun(tiny_cfg, [9, 9], tmp_path, workers=1)
+    assert not tmp_path.joinpath("seed-9").exists()
+
+
+def test_multirun_repeated_seed_exits_2_and_writes_nothing(tiny_yaml, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["multirun", "--config", str(tiny_yaml), "--seeds", "1,2,1",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: seed 1 given twice\n"
+    assert not out.exists()
 
 
 def test_multirun_failed_seed_marks_incomplete(tiny_cfg, tmp_path):
@@ -326,7 +334,7 @@ def test_every_package_error_exits_with_a_code_and_one_line(exc_type, tmp_path, 
     assert main(["gen-data", "--seed", "1", "--out", str(tmp_path / "o")]) in (2, 3, 4)
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.rstrip("\n").endswith("injected failure")
-    assert issubclass(exc_type, cli._SEED_FAILURES)
+    assert issubclass(exc_type, cli._CODED_ERRORS)
 
 
 def test_memory_error_exits_3_with_one_line(tmp_path, monkeypatch, capsys):
@@ -390,6 +398,8 @@ def test_ablation_reports_a_bad_axis_or_value_in_the_config_form():
     with pytest.raises(ConfigError, match=r"^finetune\.head_domain must be one of 'all', "
                                           r"'novel-only', got 'base'$"):
         list(ablation_cells({"rpn_strategy": ["max"], "head_domain": ["all", "base"]}))
+    with pytest.raises(ConfigError, match=r"^axis 'rpn_strategy' value 'max' given twice$"):
+        list(ablation_cells({"rpn_strategy": ["max", "base-only", "max"]}))
 
 
 def test_run_ablation_distinct_digests(tiny_cfg, tmp_path):
@@ -449,12 +459,12 @@ def test_ablate_failing_cell_leaves_the_others_and_exits_3(tiny_yaml, tmp_path, 
     monkeypatch.setenv("RETENTIVE_THREADS", threads)
     pools = []
 
-    class RecordedPool(cli.ProcessPoolExecutor):
+    class RecordedPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, workers):
             pools.append(workers)
             super().__init__(workers)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordedPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
     out = tmp_path / "grid"
     # poison one cell's run with a stamp from a different configuration
     poisoned = RunPaths(out / "rpn_strategy=base-only", 0)
@@ -981,6 +991,15 @@ def test_refused_command_leaves_the_run_directory_untouched(tiny_yaml, finished_
     assert _tree_state(paths.root) == state
 
 
+def test_refused_command_leaves_no_run_directory(tiny_yaml, tmp_path, capsys):
+    """The walk refuses eval before gen has run; nothing is created under --out."""
+    out = tmp_path / "fresh"
+    assert main(["eval", "--stage", "eval", "--config", str(tiny_yaml), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "has not been run" in err
+    assert not RunPaths(out, 0).root.exists()
+
+
 def test_detect_with_replaced_checkpoint_exits_4(tiny_yaml, finished_run, tmp_path, capsys):
     out = tmp_path / "copy"
     shutil.copytree(finished_run, out)
@@ -1192,7 +1211,8 @@ def test_parse_axes():
 
 
 @pytest.mark.parametrize("axes", ["rpn_strategy=", "rpn_strategy= , ;consistency=off",
-                                  "rpn_strategy=max;rpn_strategy=base-only"])
+                                  "rpn_strategy=max;rpn_strategy=base-only",
+                                  "rpn_strategy=max,max"])
 def test_ablate_rejects_an_empty_or_repeated_axis(tiny_yaml, tmp_path, capsys, axes):
     out = tmp_path / "o"
     assert main(["ablate", "--config", str(tiny_yaml), "--axes", axes, "--seed", "0",

@@ -6,7 +6,7 @@ import pytest
 
 from oracles import iou_scalar
 from retentive import synthgen as G
-from retentive.config import DatasetConfig
+from retentive.config import MIN_GLYPH, DatasetConfig
 from retentive.errors import ConfigError, CorruptArtifactError, GenerationError, ParameterError
 
 
@@ -74,6 +74,25 @@ def test_glyph_stamps_are_tight():
             assert stamp.any(axis=1)[0] and stamp.any(axis=1)[-1]
             assert stamp.any(axis=0)[0] and stamp.any(axis=0)[-1]
             assert stamp.min() >= 0.0 and stamp.max() <= 1.0
+
+
+def test_glyph_stamp_is_drawn_once_and_read_only():
+    stamp = G.glyph_stamp(3, 17)
+    assert G.glyph_stamp(3, 17) is stamp
+    assert not stamp.flags.writeable
+    with pytest.raises(ValueError):
+        stamp[0, 0] = 0.5
+    with pytest.raises(ValueError):
+        stamp *= 2.0
+
+
+def test_memoized_glyph_stamps_equal_fresh_rasters():
+    for c in range(len(G.GLYPH_NAMES)):
+        for size in range(MIN_GLYPH, 65):
+            fresh = G.glyph_stamp.__wrapped__(c, size)
+            memo = G.glyph_stamp(c, size)
+            assert memo.dtype == fresh.dtype and memo.shape == fresh.shape, (c, size)
+            assert np.array_equal(memo, fresh), (c, size)
 
 
 def test_glyph_rejects_bad_args():

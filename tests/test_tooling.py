@@ -1,14 +1,20 @@
 """Guards on names: the benchmark harness and the README reach into the package
 by name, one module names the head layers, one reads report.json's metric
-sections, the run orchestration reads no model stage, and the package holds
-no code that only tests call."""
+sections, the run orchestration reads no model stage, the package holds
+no code that only tests call, and a process that only generates data
+imports no training code."""
 
 import ast
 import dataclasses
 import importlib
 import importlib.util
 import inspect
+import json
+import os
 import re
+import subprocess
+import sys
+import textwrap
 from collections import Counter
 from pathlib import Path
 
@@ -81,6 +87,36 @@ def test_readme_library_block_uses_the_package_surface():
                     top_level.append(alias.name)
     assert top_level
     assert set(top_level) <= set(retentive.__all__)
+
+
+GEN_ONLY_PROBE = textwrap.dedent("""\
+    import json, sys
+    import retentive
+    after_import = sorted(m for m in sys.modules if m.split(".")[0] == "retentive")
+    from retentive.cli import run_experiment
+    from retentive.config import load_config
+    run_experiment(load_config(sys.argv[1]), 0, sys.argv[2], stages=("gen",))
+    print(json.dumps([after_import, sorted(sys.modules)]))
+""")
+
+
+def test_gen_only_process_imports_no_training_code(tmp_path):
+    """A fresh interpreter that imports the package and runs gen loads
+    neither the training and evaluation modules nor the process pool."""
+    cfg = tmp_path / "tiny.yaml"
+    cfg.write_text("dataset:\n  image_side: 48\n  num_classes: 6\n  num_novel: 2\n"
+                   "  base_train_images: 2\n  test_images: 2\n  uar_eval_images: 2\n"
+                   "  shots: 1\n  min_glyph: 12\n  max_glyph: 20\n", encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", GEN_ONLY_PROBE, str(cfg), str(tmp_path / "run")],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    after_import, after_gen = json.loads(done.stdout)
+    assert after_import == ["retentive", "retentive.config", "retentive.errors",
+                            "retentive.tensorops"]
+    assert (tmp_path / "run" / "seed-0" / "gen.stamp.json").exists()
+    training = {"retentive.detector", "retentive.losses", "retentive.trainer",
+                "retentive.evaluation", "concurrent.futures.process"}
+    assert training.isdisjoint(after_gen), sorted(training & set(after_gen))
 
 
 def test_head_layer_names_live_in_detector_only():
