@@ -14,7 +14,6 @@ stage's training or evaluation code only when it runs or reads that stage.
 from __future__ import annotations
 
 import argparse
-import copy
 import functools
 import itertools
 import os
@@ -34,6 +33,7 @@ from .config import (
     check_value,
     field_rules,
     load_config,
+    override,
     read_json_object,
 )
 from .errors import (
@@ -201,6 +201,8 @@ STAGES = tuple(_PIPELINE)
 
 def _checked_stages(stages) -> tuple[str, ...]:
     stages = tuple(stages)
+    if not stages:
+        raise ConfigError("no stages given")
     for s in stages:
         if s not in _PIPELINE:
             raise ConfigError(f"unknown stage {s!r}; expected subset of {STAGES}")
@@ -255,9 +257,7 @@ def _walk(cfg: ExperimentConfig, seed: int, paths: RunPaths, run: tuple[str, ...
 def run_experiment(cfg: ExperimentConfig, seed: int, out_root, stages=STAGES) -> None:
     """Execute the requested stages for one seed, reusing intact artifacts."""
     stages = _checked_stages(stages)
-    cfg.validate()
-    if stages:
-        _walk(cfg, seed, RunPaths(out_root, seed), stages, max(stages, key=STAGES.index))
+    _walk(cfg, seed, RunPaths(out_root, seed), stages, max(stages, key=STAGES.index))
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +336,11 @@ def multirun(cfg: ExperimentConfig, seeds, out_root, workers: int) -> dict:
     if len(seeds) < 2:
         raise ConfigError(f"multirun needs at least 2 seeds, got {len(seeds)}")
     _check_distinct("seed", seeds)
+    written = Path(out_root) / "aggregate.json"
+    if written.exists() and cfg.digest() != read_json_object(
+            written, "aggregate", {"config_digest": str})["config_digest"]:
+        raise StalenessError(f"{written}: seeds were run under a different configuration; "
+                             f"use a fresh output directory")
     failures = _run_units({s: (cfg, s, out_root) for s in sorted(seeds)}, workers)
     per_seed = {s: report_metrics(RunPaths(out_root, s).eval_dir() / "report.json")
                 for s in seeds if s not in failures}
@@ -381,7 +386,8 @@ def run_ablation(cfg: ExperimentConfig, axes: dict[str, list[str]], seed: int,
                  out_root, workers: int) -> dict:
     """Full pipeline per distinct cell config; rows collected into ablation.json/csv.
 
-    Every cell's config is built and validated before any cell runs. A cell
+    Every cell's config is built and checked, and compared with the row of
+    the same name in an existing ablation.json, before any cell runs. A cell
     whose resolved config repeats an earlier cell's (novel-only heads force
     consistency off) shares that cell's metrics and gets no directory. A
     cell that fails is listed under failures; it keeps empty metrics and
@@ -391,15 +397,20 @@ def run_ablation(cfg: ExperimentConfig, axes: dict[str, list[str]], seed: int,
 
     cells, units = [], {}  # (cell, config digest) in grid order; digest -> run_experiment args
     for cell in ablation_cells(axes):
-        cell_cfg = copy.deepcopy(cfg)
-        for axis, value in cell.items():
-            setattr(cell_cfg.finetune, axis, value)
-        if cell_cfg.finetune.head_domain == "novel-only":
-            cell_cfg.finetune.consistency = "off"
-        cell_cfg.validate()
+        finetune = dict(cell)
+        if cell.get("head_domain", cfg.finetune.head_domain) == "novel-only":
+            finetune["consistency"] = "off"
+        cell_cfg = override(cfg, {"finetune": finetune})
         digest = cell_cfg.digest()
         cells.append((cell, digest))
         units.setdefault(digest, (cell_cfg, seed, Path(out_root) / _cell_name(cell)))
+    written = Path(out_root) / "ablation.json"
+    old = read_json_object(written, "ablation", {"rows": list})["rows"] if written.exists() else []
+    for cell, digest in cells:
+        if any(isinstance(r, dict) and r.get("cell") == cell and r.get("config_digest") != digest
+               for r in old):
+            raise StalenessError(f"{written}: cell {_cell_name(cell)!r} was run under a "
+                                 f"different configuration; use a fresh output directory")
     failures = _run_units(units, workers)
     metrics = {d: report_metrics(RunPaths(cell_dir, seed).eval_dir() / "report.json")
                for d, (_, _, cell_dir) in units.items() if d not in failures}
@@ -474,17 +485,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args) -> ExperimentConfig:
-    cfg = load_config(args.config)
-    if getattr(args, "shots", None) is not None:
-        cfg.dataset.shots = args.shots
-    if getattr(args, "lam", None) is not None:
-        cfg.finetune.lam = args.lam
-    for axis in _ABLATION_AXES:
-        v = getattr(args, axis, None)
-        if v is not None:
-            setattr(cfg.finetune, axis, v)
-    cfg.validate()
-    return cfg
+    """The --config file with the flags that were given laid over it."""
+    given = {k: v for k, v in vars(args).items() if v is not None}
+    flags = {"dataset": ("shots",), "finetune": ("lam",) + _ABLATION_AXES}  # _add_common's flags
+    return override(load_config(args.config), {
+        section: {k: given[k] for k in names if k in given} for section, names in flags.items()})
 
 
 def _parse_stage_list(text: str | None, default: tuple[str, ...]) -> tuple[str, ...]:

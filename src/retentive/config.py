@@ -1,10 +1,11 @@
 """Experiment configuration: dataclasses, YAML loading, canonical digests.
 
 Every knob that shapes an artifact lives here so that a single SHA-256 over
-the resolved configuration identifies a run. Every field carries its ``Rule``
-as field metadata, which ``check`` tests; a section's ``validate`` adds the
-few rules that tie two fields together. A bad value is one ``ConfigError``:
-``{section}.{field} must be …, got …``.
+the resolved configuration identifies a run. Sections are frozen and check
+themselves when built: ``check`` tests each field's ``Rule`` (its metadata) and
+``__post_init__`` the few rules that tie two fields together. ``override``
+derives one config from another. A bad value is one ``ConfigError``:
+``{field} must be …, got …``; ``override`` names the field by its path.
 """
 from __future__ import annotations
 
@@ -87,13 +88,13 @@ def check_value(name: str, r: Rule, value) -> None:
     _need(r.admits(value), name, r, list(value) if isinstance(value, tuple) else value)
 
 
-def check(section: str, cfg) -> None:
+def check(cfg) -> None:
     """Test every field of one config section against the rule it carries."""
     for name, r in field_rules(cfg).items():
-        check_value(f"{section}.{name}", r, getattr(cfg, name))
+        check_value(name, r, getattr(cfg, name))
 
 
-@dataclass
+@dataclass(frozen=True)
 class DatasetConfig:
     """Synthetic benchmark sizing."""
 
@@ -113,17 +114,17 @@ class DatasetConfig:
     placement_retries: int = rule(50, 1)
     noise: float = rule(0.0, 0)
 
-    def validate(self, section: str = "dataset") -> None:
-        check(section, self)
-        _need(self.num_novel < self.num_classes, f"{section}.num_novel",
+    def __post_init__(self) -> None:
+        check(self)
+        _need(self.num_novel < self.num_classes, "num_novel",
               f"< num_classes ({self.num_classes})", self.num_novel)
-        _need(self.min_glyph <= self.max_glyph, f"{section}.min_glyph",
+        _need(self.min_glyph <= self.max_glyph, "min_glyph",
               f"<= max_glyph ({self.max_glyph})", self.min_glyph)
-        _need(self.min_instances <= self.max_instances, f"{section}.min_instances",
+        _need(self.min_instances <= self.max_instances, "min_instances",
               f"<= max_instances ({self.max_instances})", self.min_instances)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     """Frozen featurizer and head dimensions."""
 
@@ -136,11 +137,10 @@ class ModelConfig:
     cosine_scale: float = rule(20.0, above=0)
     init_sigma: float = rule(0.01, 0)
 
-    def validate(self, section: str) -> None:
-        check(section, self)
+    __post_init__ = check
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """One training stage (pretrain or finetune)."""
 
@@ -165,18 +165,18 @@ class TrainConfig:
     rpn_obj_init: str = rule("copy", choices=INIT_KINDS)  # the novel objectness head
     head_init: str = rule("random", choices=INIT_KINDS)   # the novel box head
 
-    def validate(self, section: str = "finetune") -> None:
-        check(section, self)
-        _need(self.rpn_neg_iou <= self.rpn_pos_iou, f"{section}.rpn_neg_iou",
+    def __post_init__(self) -> None:
+        check(self)
+        _need(self.rpn_neg_iou <= self.rpn_pos_iou, "rpn_neg_iou",
               f"<= rpn_pos_iou ({self.rpn_pos_iou})", self.rpn_neg_iou)
         _need(self.head_domain != "novel-only" or self.consistency == "off",
-              f"{section}.consistency", "'off' with head_domain 'novel-only'", self.consistency)
+              "consistency", "'off' with head_domain 'novel-only'", self.consistency)
         _need(self.head_init != "copy" or (self.classifier, self.head_domain) == ("fc", "all"),
-              f"{section}.head_init", "'random' unless classifier is 'fc' and head_domain 'all'",
+              "head_init", "'random' unless classifier is 'fc' and head_domain 'all'",
               self.head_init)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DetectConfig:
     """Proposal generation and final inference."""
 
@@ -188,38 +188,35 @@ class DetectConfig:
     max_dets: int = rule(20, 1)
     base_bonus: float = rule(0.1)
 
-    def validate(self, section: str) -> None:
-        check(section, self)
+    __post_init__ = check
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvalConfig:
     iou_thresholds: tuple[float, ...] = rule(tuple(round(0.5 + 0.05 * i, 2) for i in range(10)),
                                              above=0, hi=1)
     recall_ks: tuple[int, ...] = rule((10, 100), 0)
     recall_iou: float = rule(0.5, above=0, hi=1)
 
-    def validate(self, section: str) -> None:
-        check(section, self)
+    def __post_init__(self) -> None:
+        check(self)
         labels = {f"{t:.2f}" for t in self.iou_thresholds}  # report.json keys
-        _need(len(labels) == len(self.iou_thresholds), f"{section}.iou_thresholds",
+        _need(len(labels) == len(self.iou_thresholds), "iou_thresholds",
               "distinct at two decimals", list(self.iou_thresholds))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a full gen/pretrain/finetune/eval run depends on."""
 
-    dataset: DatasetConfig = field(default_factory=DatasetConfig)
-    model: ModelConfig = field(default_factory=ModelConfig)
-    pretrain: TrainConfig = field(default_factory=lambda: TrainConfig(max_iters=3000))
-    finetune: TrainConfig = field(default_factory=lambda: TrainConfig(max_iters=800))
-    detect: DetectConfig = field(default_factory=DetectConfig)
-    eval: EvalConfig = field(default_factory=EvalConfig)
+    dataset: DatasetConfig = DatasetConfig()
+    model: ModelConfig = ModelConfig()
+    pretrain: TrainConfig = TrainConfig(max_iters=3000)
+    finetune: TrainConfig = TrainConfig(max_iters=800)
+    detect: DetectConfig = DetectConfig()
+    eval: EvalConfig = EvalConfig()
 
-    def validate(self) -> None:
-        for f in dataclasses.fields(self):
-            getattr(self, f.name).validate(f.name)
+    def __post_init__(self) -> None:
         _need(self.dataset.image_side % self.model.feat_stride == 0, "dataset.image_side",
               f"a multiple of model.feat_stride ({self.model.feat_stride})", self.dataset.image_side)
 
@@ -251,18 +248,27 @@ def read_json_object(path: Path, kind: str, fields: dict[str, type]) -> dict:
     return data
 
 
-def _merge_into(cfg, data: dict, path: str) -> None:
-    names = {f.name for f in dataclasses.fields(cfg)}
+def override(cfg, data: dict):
+    """A new config (or section) like ``cfg`` but with the values of a nested
+    mapping, built and checked bottom-up; a list becomes a tuple."""
+    return _override(cfg, data, "")
+
+
+def _override(cfg, data: dict, path: str):
+    changes = {}
     for key, value in data.items():
-        if key not in names:
+        if key not in {f.name for f in dataclasses.fields(cfg)}:
             raise ConfigError(f"unknown config key {path}{key!r}")
         current = getattr(cfg, key)
         if dataclasses.is_dataclass(current):
             if not isinstance(value, dict):
                 raise ConfigError(f"config section {path}{key!r} must be a mapping")
-            _merge_into(current, value, f"{path}{key}.")
-        else:
-            setattr(cfg, key, tuple(value) if isinstance(value, list) else value)
+            value = _override(current, value, f"{path}{key}.")
+        changes[key] = tuple(value) if isinstance(value, list) else value
+    try:
+        return dataclasses.replace(cfg, **changes)
+    except ConfigError as exc:  # a section names its field; add the path to it
+        raise ConfigError(f"{path}{exc}") from None
 
 
 class _Loader(yaml.SafeLoader):
@@ -279,20 +285,16 @@ _Loader.add_implicit_resolver(
 
 def load_config(path: str | Path | None) -> ExperimentConfig:
     """Build an ExperimentConfig from defaults overlaid with a YAML file."""
-    cfg = ExperimentConfig()
-    if path is not None:
-        try:
-            raw = Path(path).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        try:
-            data = yaml.load(raw, Loader=_Loader)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"cannot parse config {path}: {exc}") from exc
-        if data is None:
-            data = {}
-        if not isinstance(data, dict):
-            raise ConfigError(f"config root of {path} must be a mapping")
-        _merge_into(cfg, data, "")
-    cfg.validate()
-    return cfg
+    if path is None:
+        return ExperimentConfig()
+    try:
+        raw = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    try:
+        data = yaml.load(raw, Loader=_Loader)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+    if data is not None and not isinstance(data, dict):
+        raise ConfigError(f"config root of {path} must be a mapping")
+    return override(ExperimentConfig(), data or {})

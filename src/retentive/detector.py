@@ -130,7 +130,6 @@ def init_base_model(split: ClassSplit, mcfg: ModelConfig, feat_seed: int, seed: 
 def extend_for_finetune(base: Model, seed: int, tcfg: TrainConfig) -> Model:
     """Add the three finetune layers as the finetune config says; base arrays
     are copied bit-for-bit and made read-only."""
-    tcfg.validate()
     if base.stage != STAGE_BASE:
         raise StateError(f"finetune extension requires a pretrained model, got stage {base.stage!r}")
     model = Model(params={k: v.copy() for k, v in base.params.items()}, split=base.split,

@@ -275,7 +275,6 @@ def _dataset(cfg: DatasetConfig, split: ClassSplit, mode: str, k: int | None, se
 def build_base_dataset(cfg: DatasetConfig, split: ClassSplit, seed: int,
                        num_images: int | None = None) -> Dataset:
     """Abundant-data stage: novel instances appear but stay unannotated."""
-    cfg.validate()
     n = cfg.base_train_images if num_images is None else num_images
     ds = _dataset(cfg, split, "base-train", None, seed, n,
                   lambda _, image_seed: _mixed_classes(cfg, split, image_seed))
@@ -287,14 +286,12 @@ def build_base_dataset(cfg: DatasetConfig, split: ClassSplit, seed: int,
 
 def build_test_dataset(cfg: DatasetConfig, split: ClassSplit, seed: int) -> Dataset:
     """Held-out scenes with every instance annotated."""
-    cfg.validate()
     return _dataset(cfg, split, "test", None, seed, cfg.test_images,
                     lambda _, image_seed: _mixed_classes(cfg, split, image_seed))
 
 
 def build_kshot_dataset(cfg: DatasetConfig, split: ClassSplit, seed: int) -> Dataset:
     """Balanced adaptation set: exactly cfg.shots annotated instances per class."""
-    cfg.validate()
     gen = rng(seed, _TAG_COMPOSE)
     pool = [c for c in split.base_ids + split.novel_ids for _ in range(cfg.shots)]
     order = gen.permutation(len(pool))

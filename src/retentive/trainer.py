@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import DetectConfig, ExperimentConfig, ModelConfig, TrainConfig, canonical_json
+from .config import DetectConfig, ExperimentConfig, ModelConfig, TrainConfig, canonical_json, override
 from .detector import (
     STAGE_BASE,
     Model,
@@ -358,7 +358,6 @@ def _run_stage(model: Model, dataset: Dataset, tcfg: TrainConfig,
 
 def pretrain(dataset: Dataset, cfg: ExperimentConfig, seed: int) -> tuple[Model, TrainLog]:
     """Train the base detector from scratch on abundant annotated data."""
-    cfg.validate()
     model = init_base_model(dataset.split, cfg.model, feat_seed=seed, seed=seed)
     log = TrainLog(stage="pretrain", seed=seed)
     _run_stage(model, dataset, cfg.pretrain, cfg.detect, seed, log)
@@ -374,7 +373,6 @@ def finetune(base: Model, dataset: Dataset, cfg: ExperimentConfig,
     are read-only, so a write to one raises. Zero iterations is a valid
     configuration and returns the freshly extended model.
     """
-    cfg.validate()
     model = extend_for_finetune(base, seed, cfg.finetune)
     log = TrainLog(stage="finetune", seed=seed)
     _run_stage(model, dataset, cfg.finetune, cfg.detect, seed, log)
@@ -464,12 +462,10 @@ def load_checkpoint(path) -> Model:
     header, flat, _ = _verified_parts(path)
     try:
         arrays = {e["name"]: a.reshape(e["shape"]).copy() for e, a in zip(header["arrays"], flat)}
-        mc = dict(header["model_config"])
-        mc["anchor_scales"] = tuple(mc["anchor_scales"])
         model = Model(
             params=arrays,
             split=ClassSplit.from_dict(header["split"]),
-            mcfg=ModelConfig(**mc),
+            mcfg=override(ModelConfig(), header["model_config"]),
             feat_seed=int(header["feat_seed"]),
             stage=header["stage"],
             classifier=header["classifier"],
@@ -477,7 +473,7 @@ def load_checkpoint(path) -> Model:
             rpn_strategy=header["rpn_strategy"],
         )
         want = canonical_json(_model_header(model, array_shapes(model)))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # ConfigError too
         raise CorruptCheckpointError(
             f"checkpoint {path} has an unreadable header: {exc!r}") from exc
     if canonical_json(header) != want:

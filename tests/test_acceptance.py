@@ -7,7 +7,6 @@ shared by the report-level criteria; the remaining criteria build their own
 small fixtures.
 """
 
-import copy
 import ctypes
 import importlib.util
 import json
@@ -22,7 +21,7 @@ import numpy as np
 import pytest
 
 from retentive.cli import RunPaths, multirun, run_experiment
-from retentive.config import DatasetConfig, ModelConfig, TrainConfig, load_config
+from retentive.config import DatasetConfig, ModelConfig, TrainConfig, load_config, override
 from retentive.detector import (
     bias_balanced_objectness,
     box_head_scores,
@@ -358,15 +357,9 @@ def test_criterion_10_inference_contract(bench):
     kshot = load_dataset(paths.dataset_dir("kshot"))
     test_ds = load_dataset(paths.dataset_dir("test"))
 
-    cfg = copy.deepcopy(bench.cfg)
-    cfg.finetune.max_iters = 0
-    cfg.finetune.classifier = "fc"
-    cfg.finetune.head_domain = "all"
-    cfg.finetune.head_init = "copy"
-    cfg.finetune.rpn_obj_init = "copy"
-    cfg.finetune.rpn_strategy = "base-only"
-    cfg.finetune.consistency = "off"
-    cfg.validate()
+    cfg = override(bench.cfg, {"finetune": {
+        "max_iters": 0, "classifier": "fc", "head_domain": "all", "head_init": "copy",
+        "rpn_obj_init": "copy", "rpn_strategy": "base-only", "consistency": "off"}})
     model, log = finetune(base, kshot, cfg, 0)
     assert len(log.records) == 0
 

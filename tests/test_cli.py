@@ -35,11 +35,16 @@ from retentive.cli import (
 from retentive.config import (
     MIN_GLYPH,
     RPN_STRATEGIES,
+    DatasetConfig,
+    DetectConfig,
     EvalConfig,
     ExperimentConfig,
+    ModelConfig,
     Rule,
+    TrainConfig,
     canonical_json,
     load_config,
+    override,
 )
 from retentive.errors import ConfigError, CorruptCheckpointError, StalenessError
 from retentive.synthgen import load_dataset
@@ -133,9 +138,7 @@ def test_rerun_skips_every_stage(tiny_cfg, finished_run):
 
 
 def test_config_change_raises_staleness(tiny_cfg, finished_run):
-    import copy
-    cfg = copy.deepcopy(tiny_cfg)
-    cfg.dataset.shots = 3
+    cfg = dataclasses.replace(tiny_cfg, dataset=dataclasses.replace(tiny_cfg.dataset, shots=3))
     with pytest.raises(StalenessError):
         run_experiment(cfg, 3, finished_run)
 
@@ -259,6 +262,30 @@ def test_multirun_workers_write_identical_bytes(tiny_cfg, tmp_path):
             assert a.checkpoint(name).read_bytes() == b.checkpoint(name).read_bytes()
         assert ((a.eval_dir() / "report.json").read_bytes()
                 == (b.eval_dir() / "report.json").read_bytes())
+
+
+def _table_bytes(out: Path, stem: str) -> dict[str, bytes]:
+    return {name: (out / name).read_bytes() for name in (f"{stem}.json", f"{stem}.csv")}
+
+
+@pytest.mark.parametrize("command, extra, stem", [
+    ("multirun", ["--seeds", "0,1"], "aggregate"),
+    ("ablate", ["--seed", "0", "--axes", "rpn_strategy=max"], "ablation"),
+])
+def test_run_under_another_config_exits_4_and_keeps_the_table(tiny_yaml, tmp_path, capsys,
+                                                              command, extra, stem):
+    out = tmp_path / "o"
+    argv = [command, "--config", str(tiny_yaml), "--out", str(out)] + extra
+    assert main(argv) == 0
+    before, tree = _table_bytes(out, stem), _tree_state(out)
+    capsys.readouterr()
+    assert main(argv + ["--lambda", "0.5"]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"artifact error: {out / stem}.json")
+    assert "different configuration" in err
+    assert _table_bytes(out, stem) == before and _tree_state(out) == tree
+    assert main(argv) == 0  # the same config still resumes
+    assert _table_bytes(out, stem) == before
 
 
 def _die_on_seed_31(cfg, seed, out_root):
@@ -598,7 +625,7 @@ def test_bad_detect_config_exits_2(tmp_path, capsys, snippet):
 
 def test_eval_config_validation(tmp_path):
     with pytest.raises(ConfigError, match="recall_ks"):
-        EvalConfig(recall_ks=(10, True)).validate("eval")  # YAML never yields a bool here
+        EvalConfig(recall_ks=(10, True))  # YAML never yields a bool here
     path = tmp_path / "edge.yaml"
     path.write_text("eval:\n  recall_ks: [0, 1]\n  recall_iou: 1\n"
                     "  iou_thresholds: [0.01, 0.5, 0.51, 1.0]\n", encoding="utf-8")
@@ -669,6 +696,51 @@ def test_every_config_field_has_a_rule_its_default_meets():
     for section, name, rule in _rules():
         assert isinstance(rule, Rule), f"{section}.{name} has no rule"
         assert rule.admits(getattr(getattr(cfg, section), name)), f"{section}.{name}"
+
+
+_ONE_BAD_VALUE = {  # section type -> (field, a value its rule or a cross-field rule refuses)
+    DatasetConfig: ("shots", 0), ModelConfig: ("head_dim", 0), TrainConfig: ("lam", -0.5),
+    DetectConfig: ("nms_iou", 1.5), EvalConfig: ("recall_iou", 0.0),
+    ExperimentConfig: ("dataset", DatasetConfig(image_side=50)),
+}
+
+
+@pytest.mark.parametrize("section", list(_ONE_BAD_VALUE), ids=lambda t: t.__name__)
+def test_a_config_section_is_checked_when_built_and_never_changes(section):
+    name, bad = _ONE_BAD_VALUE[section]
+    cfg = section()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(cfg, name, getattr(cfg, name))
+    field = f"{name}.image_side" if section is ExperimentConfig else name
+    with pytest.raises(ConfigError, match=rf"^{field} must be "):
+        section(**{name: bad})
+
+
+def test_override_derives_a_checked_copy_and_keeps_the_original():
+    cfg = ExperimentConfig()
+    got = override(cfg, {"finetune": {"lam": 0.5}, "model": {"anchor_scales": [8, 16]}})
+    assert (got.finetune.lam, got.model.anchor_scales) == (0.5, (8, 16))
+    assert got.pretrain is cfg.pretrain and cfg == ExperimentConfig()
+    assert override(cfg, {}) == cfg and override(cfg, {}).digest() == cfg.digest()
+    with pytest.raises(ConfigError, match=r"^finetune\.lam must be a finite number >= 0, got -1$"):
+        override(cfg, {"finetune": {"lam": -1}})
+    with pytest.raises(ConfigError, match=r"^unknown config key finetune\.'lambda'$"):
+        override(cfg, {"finetune": {"lambda": 1}})
+    with pytest.raises(ConfigError, match=r"^config section 'eval' must be a mapping$"):
+        override(cfg, {"eval": [0.5]})
+
+
+@pytest.mark.parametrize("flag, message", [
+    (["--lambda", "-1"], "finetune.lam must be a finite number >= 0, got -1.0"),
+    (["--shots", "0"], "dataset.shots must be an integer >= 1, got 0"),
+    (["--head-domain", "novel-only"],
+     "finetune.consistency must be 'off' with head_domain 'novel-only', got 'kldiv'"),
+])
+def test_bad_flag_exits_2_in_the_config_form(tiny_yaml, tmp_path, capsys, flag, message):
+    assert main(["eval", "--config", str(tiny_yaml), "--seed", "1",
+                 "--out", str(tmp_path / "o")] + flag) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "o").exists()
 
 
 # a field whose bound value breaks a cross-field rule at the defaults loads with these
@@ -1188,6 +1260,15 @@ def test_stage_flag_overrides_prefix(tiny_yaml, tmp_path):
     paths = RunPaths(out, 2)
     assert paths.stamp("gen").exists()
     assert not paths.stamp("pretrain").exists()
+
+
+@pytest.mark.parametrize("stages", ["", " , "])
+def test_empty_stage_list_exits_2_and_runs_nothing(tiny_yaml, tmp_path, capsys, stages):
+    out = tmp_path / "st"
+    assert main(["eval", "--config", str(tiny_yaml), "--stage", stages, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "config error: no stages given\n")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -658,7 +658,9 @@ def test_pooled_rows_need_the_proposals_they_pool(tiny_finetuned):
 
 def test_strategy_proposals_reject_a_forward_off_the_anchor_grid(tiny_finetuned):
     _, model, images, dcfg = tiny_finetuned
-    other = dataclasses.replace(model, mcfg=dataclasses.replace(model.mcfg, feat_stride=8))
+    # two anchors per cell where the forward's RPN outputs hold three
+    other = dataclasses.replace(model, mcfg=dataclasses.replace(model.mcfg,
+                                                                anchor_scales=(8.0, 16.0)))
     with pytest.raises(ParameterError):
         D.strategy_proposals(other, D.image_forward(model, images[0]), dcfg, ("base-only",))
 

@@ -148,7 +148,7 @@ def test_total_lambda_zero_reports_but_excludes():
 
 def test_total_negative_lambda_rejected():
     with pytest.raises(ConfigError):
-        TrainConfig(lam=-0.5).validate()
+        TrainConfig(lam=-0.5)
 
 
 def test_breakdown_total_recomputes():

@@ -236,12 +236,14 @@ def test_kshot_seed_changes_layout_not_histogram():
 
 
 def test_builders_check_their_dataset_config():
+    # a bad section raises when it is built, so no builder is handed one; a
+    # section built directly names the field alone (YAML adds "dataset.")
     split = G.split_classes(12, 4, seed=8)
-    with pytest.raises(ConfigError, match=r"^dataset\.placement_retries must be "):
+    with pytest.raises(ConfigError, match=r"^placement_retries must be "):
         G.build_base_dataset(DatasetConfig(placement_retries=-1), split, seed=1)
-    with pytest.raises(ConfigError, match=r"^dataset\.noise must be "):
+    with pytest.raises(ConfigError, match=r"^noise must be "):
         G.build_test_dataset(small_cfg(noise=float("nan")), split, seed=1)
-    with pytest.raises(ConfigError, match=r"^dataset\.shots must be "):
+    with pytest.raises(ConfigError, match=r"^shots must be "):
         G.build_kshot_dataset(small_cfg(shots=0), split, seed=1)
 
 

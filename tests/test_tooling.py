@@ -1,8 +1,8 @@
 """Guards on names: the benchmark harness and the README reach into the package
 by name, one module names the head layers, one reads report.json's metric
 sections, the run orchestration reads no model stage, the package holds
-no code that only tests call, and a process that only generates data
-imports no training code."""
+no code that only tests call, a process that only generates data
+imports no training code, and a config cannot change once built."""
 
 import ast
 import dataclasses
@@ -245,6 +245,25 @@ def test_every_package_definition_is_read_outside_tests():
     assert not unread, f"nothing outside tests reads {unread}"
 
 
+def test_config_sections_are_frozen():
+    """A config is checked once, when it is built, and never changes after:
+    every dataclass in config.py is frozen, and no module re-checks a config
+    by calling a .validate method."""
+    from retentive import config
+
+    classes = [c for c in vars(config).values()
+               if dataclasses.is_dataclass(c) and c.__module__ == config.__name__]
+    assert {c.__name__ for c in classes} >= {"ExperimentConfig", "DatasetConfig", "TrainConfig"}
+    assert [c.__name__ for c in classes if not c.__dataclass_params__.frozen] == []
+    found = []
+    for path in sorted((ROOT / "src" / "retentive").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "validate":
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
 # Every defaulted parameter of the package, keyed module.function.parameter,
 # with the package code that calls the function; the comment above an entry
 # says which value each caller passes. A new default needs an entry, and an
@@ -264,14 +283,6 @@ ALLOWED_DEFAULTS = {
     "config.rule.above": ("config.ModelConfig", "config.TrainConfig"),
     "config.rule.below": ("config.TrainConfig",),
     "config.rule.choices": ("config.TrainConfig",),
-    # ExperimentConfig passes each section's field name; a builder that
-    # validates the one section it reads leaves the name out
-    "config.DatasetConfig.validate.section": ("config.ExperimentConfig",
-                                              "synthgen.build_base_dataset",
-                                              "synthgen.build_test_dataset",
-                                              "synthgen.build_kshot_dataset"),
-    "config.TrainConfig.validate.section": ("config.ExperimentConfig",
-                                            "detector.extend_for_finetune"),
     # build_minibatch pools a stack of maps; one image's pooling leaves it out
     "detector.pool_rois.batch_idx": ("trainer.build_minibatch", "detector.pool_proposals",
                                      "detector.roi_features"),

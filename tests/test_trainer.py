@@ -254,7 +254,7 @@ def test_minibatch_finetune_carries_reference_probs():
 
 def test_minibatch_consistency_off_skips_reference_probs():
     cfg, split, _, kshot_ds = tiny_world()
-    cfg.finetune.consistency = "off"
+    cfg = dataclasses.replace(cfg, finetune=dataclasses.replace(cfg.finetune, consistency="off"))
     base = init_base_model(split, cfg.model, feat_seed=7, seed=7)
     base.stage = STAGE_BASE
     model = extend_for_finetune(base, 9, cfg.finetune)
@@ -265,8 +265,8 @@ def test_minibatch_consistency_off_skips_reference_probs():
 
 def test_minibatch_novel_only_demotes_base_instances():
     cfg, split, _, kshot_ds = tiny_world()
-    cfg.finetune.consistency = "off"
-    cfg.finetune.head_domain = "novel-only"
+    cfg = dataclasses.replace(cfg, finetune=dataclasses.replace(
+        cfg.finetune, consistency="off", head_domain="novel-only"))
     base = init_base_model(split, cfg.model, feat_seed=7, seed=7)
     base.stage = STAGE_BASE
     model = extend_for_finetune(base, 9, cfg.finetune)
@@ -515,7 +515,8 @@ def test_convergence_uses_windowed_relative_change():
     assert windowed_means([1.0] * 10, 5) == (1.0, 1.0)
     assert windowed_means([1.0] * 9, 5) is None
     cfg, _, base_ds, _ = tiny_world(pre_iters=400, window=5)
-    cfg.pretrain.convergence_rel_tol = 1e9  # first possible check stops it
+    loose = dataclasses.replace(cfg.pretrain, convergence_rel_tol=1e9)  # first check stops it
+    cfg = dataclasses.replace(cfg, pretrain=loose)
     _, log = pretrain(base_ds, cfg, seed=7)
     assert len(log.records) == 10
     assert log.records[-1]["stop_reason"] == "converged@9"
@@ -599,6 +600,20 @@ def test_checkpoint_base_stage_roundtrip(tmp_path):
     back = load_checkpoint(p)
     assert back.stage == STAGE_BASE
     assert "cls_n/W" not in back.params
+
+
+def test_checkpoint_whose_model_config_breaks_a_rule_is_corrupt(tmp_path):
+    """The header's model config is built like any other config, so a value no
+    ModelConfig admits is a corrupt checkpoint even under a valid digest."""
+    cfg, split, _, _ = tiny_world()
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(init_base_model(split, cfg.model, feat_seed=1, seed=1), p)
+    blob = p.read_bytes()
+    body = blob[:-32].replace(b'"cosine_scale":20.0', b'"cosine_scale":-2.0', 1)
+    assert body != blob[:-32]
+    p.write_bytes(body + sha256(body[16:]).digest())
+    with pytest.raises(CorruptCheckpointError, match="cosine_scale must be"):
+        load_checkpoint(p)
 
 
 def test_checkpoint_rejects_corruption(tmp_path):
