@@ -35,6 +35,7 @@ from .config import (
     load_config,
     override,
     read_json_object,
+    write_artifact,
 )
 from .errors import (
     ConfigError,
@@ -112,22 +113,13 @@ def _report_digest_on_disk(paths: RunPaths) -> str:
     return sha256(report.read_bytes()).hexdigest()
 
 
-def _write_stamp(path: Path, stage: str, seed: int, config_digest: str,
-                 inputs: dict, outputs: dict) -> None:
-    payload = {"stage": stage, "seed": seed, "config_digest": config_digest,
-               "inputs": inputs, "outputs": outputs}
-    path.write_text(canonical_json(payload) + "\n", encoding="utf-8")
-
-
 # ---------------------------------------------------------------------------
 # stages
 # ---------------------------------------------------------------------------
 
 def _run_gen(cfg: ExperimentConfig, seed: int, paths: RunPaths, up: dict) -> None:
-    paths.root.mkdir(parents=True, exist_ok=True)
-    (paths.root / "config.json").write_text(
-        canonical_json({"config": cfg.to_dict(), "digest": cfg.digest(), "seed": seed}) + "\n",
-        encoding="utf-8")
+    write_artifact(paths.root / "config.json", canonical_json(
+        {"config": cfg.to_dict(), "digest": cfg.digest(), "seed": seed}) + "\n")
     split = split_classes(cfg.dataset.num_classes, cfg.dataset.num_novel, seed)
     built = {
         "base-train": build_base_dataset(cfg.dataset, split,
@@ -148,7 +140,6 @@ def _run_pretrain(cfg: ExperimentConfig, seed: int, paths: RunPaths, up: dict) -
 
     dataset = load_dataset(paths.dataset_dir("base-train"))
     model, log = pretrain(dataset, cfg, seed)
-    paths.checkpoint("base").parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model, paths.checkpoint("base"))
     log.save(paths.train_log("pretrain"))
 
@@ -210,7 +201,7 @@ def _checked_stages(stages) -> tuple[str, ...]:
 
 
 def _read_stamp(paths: RunPaths, stage: str) -> dict:
-    """A stage's stamp as _write_stamp wrote it, once the outputs it records
+    """A stage's stamp as _walk wrote it, once the outputs it records
     are the ones on disk; anything else is a corrupt or stale artifact."""
     stamp = read_json_object(paths.stamp(stage), "stamp",
                              {"config_digest": str, "inputs": dict, "outputs": dict})
@@ -247,7 +238,9 @@ def _walk(cfg: ExperimentConfig, seed: int, paths: RunPaths, run: tuple[str, ...
         elif stage in run:
             runner(cfg, seed, paths, up)
             outputs = on_disk(paths)
-            _write_stamp(paths.stamp(stage), stage, seed, config_digest, inputs, outputs)
+            write_artifact(paths.stamp(stage), canonical_json(
+                {"stage": stage, "seed": seed, "config_digest": config_digest,
+                 "inputs": inputs, "outputs": outputs}) + "\n")
         else:
             raise StalenessError(
                 f"stage {stage!r} has not been run for seed {seed}; run it first")
@@ -310,12 +303,10 @@ def _run_units(units: dict, workers: int) -> dict:
 def _write_table(out_root, stem: str, table: dict, rows: list[list]) -> None:
     """{stem}.json, the canonical JSON of table, and {stem}.csv, one line per
     row: a string cell as it is, None empty, a number as its repr."""
-    out = Path(out_root)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / f"{stem}.json").write_text(canonical_json(table) + "\n", encoding="utf-8")
-    text = "".join(",".join(v if isinstance(v, str) else "" if v is None else repr(v) for v in r)
-                   + "\n" for r in rows)
-    (out / f"{stem}.csv").write_text(text, encoding="utf-8")
+    write_artifact(Path(out_root) / f"{stem}.json", canonical_json(table) + "\n")
+    write_artifact(Path(out_root) / f"{stem}.csv", *(
+        ",".join(v if isinstance(v, str) else "" if v is None else repr(v) for v in r) + "\n"
+        for r in rows))
 
 
 def _check_distinct(what: str, items) -> None:
@@ -328,8 +319,18 @@ def _check_distinct(what: str, items) -> None:
         seen.add(x)
 
 
+def _check_superset(written: Path, unit: str, listed: list, given: list) -> None:
+    """Every unit the table on disk lists is given again: the table is
+    rewritten whole, so a unit left out would lose its row beside its run."""
+    missing = [u for u in listed if u not in given]
+    if missing:
+        raise StalenessError(f"{written}: {unit} {missing[0]!r} is listed there but not given; "
+                             f"name every {unit} it lists, or use a fresh output directory")
+
+
 def multirun(cfg: ExperimentConfig, seeds, out_root, workers: int) -> dict:
-    """Run every seed, then fold the per-seed reports into aggregate files."""
+    """Run every seed, then fold the per-seed reports into aggregate files. An
+    existing aggregate.json must share the config and list no other seed."""
     from .evaluation import report_metrics
 
     seeds = list(seeds)
@@ -337,10 +338,12 @@ def multirun(cfg: ExperimentConfig, seeds, out_root, workers: int) -> dict:
         raise ConfigError(f"multirun needs at least 2 seeds, got {len(seeds)}")
     _check_distinct("seed", seeds)
     written = Path(out_root) / "aggregate.json"
-    if written.exists() and cfg.digest() != read_json_object(
-            written, "aggregate", {"config_digest": str})["config_digest"]:
-        raise StalenessError(f"{written}: seeds were run under a different configuration; "
-                             f"use a fresh output directory")
+    if written.exists():
+        old = read_json_object(written, "aggregate", {"config_digest": str, "seeds": list})
+        if cfg.digest() != old["config_digest"]:
+            raise StalenessError(f"{written}: seeds were run under a different configuration; "
+                                 f"use a fresh output directory")
+        _check_superset(written, "seed", old["seeds"], seeds)
     failures = _run_units({s: (cfg, s, out_root) for s in sorted(seeds)}, workers)
     per_seed = {s: report_metrics(RunPaths(out_root, s).eval_dir() / "report.json")
                 for s in seeds if s not in failures}
@@ -386,12 +389,13 @@ def run_ablation(cfg: ExperimentConfig, axes: dict[str, list[str]], seed: int,
                  out_root, workers: int) -> dict:
     """Full pipeline per distinct cell config; rows collected into ablation.json/csv.
 
-    Every cell's config is built and checked, and compared with the row of
-    the same name in an existing ablation.json, before any cell runs. A cell
-    whose resolved config repeats an earlier cell's (novel-only heads force
-    consistency off) shares that cell's metrics and gets no directory. A
-    cell that fails is listed under failures; it keeps empty metrics and
-    marks the table incomplete. The other cells still run.
+    Every cell's config is built and checked before any cell runs, and each
+    row of an existing ablation.json must name a cell of this grid run under
+    that cell's config. A cell whose resolved config repeats an earlier
+    cell's (novel-only heads force consistency off) shares that cell's
+    metrics and gets no directory. A cell that fails is listed under
+    failures; it keeps empty metrics and marks the table incomplete. The
+    other cells still run.
     """
     from .evaluation import report_metrics
 
@@ -406,10 +410,13 @@ def run_ablation(cfg: ExperimentConfig, axes: dict[str, list[str]], seed: int,
         units.setdefault(digest, (cell_cfg, seed, Path(out_root) / _cell_name(cell)))
     written = Path(out_root) / "ablation.json"
     old = read_json_object(written, "ablation", {"rows": list})["rows"] if written.exists() else []
-    for cell, digest in cells:
-        if any(isinstance(r, dict) and r.get("cell") == cell and r.get("config_digest") != digest
-               for r in old):
-            raise StalenessError(f"{written}: cell {_cell_name(cell)!r} was run under a "
+    if not all(isinstance(r, dict) and isinstance(r.get("cell"), dict) for r in old):
+        raise CorruptArtifactError(f"ablation {written} holds a row without a cell")
+    given = {_cell_name(cell): digest for cell, digest in cells}
+    _check_superset(written, "cell", [_cell_name(r["cell"]) for r in old], list(given))
+    for r in old:
+        if r.get("config_digest") != given[_cell_name(r["cell"])]:
+            raise StalenessError(f"{written}: cell {_cell_name(r['cell'])!r} was run under a "
                                  f"different configuration; use a fresh output directory")
     failures = _run_units(units, workers)
     metrics = {d: report_metrics(RunPaths(cell_dir, seed).eval_dir() / "report.json")
@@ -564,7 +571,7 @@ def _cmd_detect(args) -> int:
             "scores": [d.score for d in dets],
             "heads": [d.source_head for d in dets],
         }))
-    paths.detections().write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_artifact(paths.detections(), "\n".join(lines) + "\n")
     print(f"detect: wrote {len(lines)} image records to {paths.detections()}")
     return 0
 

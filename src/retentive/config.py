@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import operator
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,6 +30,11 @@ HEAD_DOMAINS = ("all", "novel-only")
 INIT_KINDS = ("copy", "random")  # "copy" seeds a finetune layer from its base twin
 MIN_GLYPH = 6  # the smallest glyph raster synthgen draws
 FEATURIZER_STRIDE = 4  # the fixed featurizer's downsampling: it pools twice by 2
+# the TrainConfig fields only finetuning reads, which pretrain keeps at their
+# defaults; head_domain and head_init precede the fields their rules need, so a
+# refusal names the field that was set
+_FINETUNE_ONLY = ("lam", "rpn_strategy", "head_domain", "head_init", "consistency",
+                  "classifier", "rpn_obj_init")
 
 _OPS = {">=": operator.ge, "<=": operator.le, ">": operator.gt, "<": operator.lt}
 
@@ -219,6 +225,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         _need(self.dataset.image_side % self.model.feat_stride == 0, "dataset.image_side",
               f"a multiple of model.feat_stride ({self.model.feat_stride})", self.dataset.image_side)
+        for name in _FINETUNE_ONLY:
+            default = getattr(TrainConfig, name)
+            _need(getattr(self.pretrain, name) == default, f"pretrain.{name}",
+                  f"{default!r} (only finetune reads it)", getattr(self.pretrain, name))
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -246,6 +256,21 @@ def read_json_object(path: Path, kind: str, fields: dict[str, type]) -> dict:
                                              for k, t in fields.items()):
         raise CorruptArtifactError(f"{kind} {path} does not hold a {kind} object")
     return data
+
+
+def write_artifact(path: str | Path, *parts) -> None:
+    """Write bytes-like parts (a str as UTF-8) to ``<path>.tmp``, made with its
+    directory, then move it onto path: path holds its old bytes or all the new."""
+    tmp = Path(f"{path}.tmp")
+    tmp.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        with open(tmp, "wb") as fh:
+            for part in parts:
+                fh.write(part.encode("utf-8") if isinstance(part, str) else part)
+        os.replace(tmp, path)
+    except BaseException:  # the temporary file goes; path is as it was
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def override(cfg, data: dict):

@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RPN_STRATEGIES, ExperimentConfig, Rule, canonical_json, read_json_object
+from .config import (RPN_STRATEGIES, ExperimentConfig, Rule, canonical_json, read_json_object,
+                     write_artifact)
 from .detector import (
     STAGE_RETENTIVE,
     Model,
@@ -364,11 +365,10 @@ def _svg_text(report: dict) -> str:
 def emit_report(report: dict, out_dir) -> dict[str, Path]:
     """Write report.json, metrics.csv, and norms.svg; returns the paths."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     paths = {"json": out / "report.json", "csv": out / "metrics.csv", "svg": out / "norms.svg"}
-    paths["json"].write_text(canonical_json(report) + "\n", encoding="utf-8")
-    paths["csv"].write_text(_csv_text(report), encoding="utf-8")
-    paths["svg"].write_text(_svg_text(report), encoding="utf-8")
+    write_artifact(paths["json"], canonical_json(report) + "\n")
+    write_artifact(paths["csv"], _csv_text(report))
+    write_artifact(paths["svg"], _svg_text(report))
     return paths
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import MIN_GLYPH, DatasetConfig, canonical_json, read_json_object
+from .config import MIN_GLYPH, DatasetConfig, canonical_json, read_json_object, write_artifact
 from .errors import CorruptArtifactError, GenerationError, ParameterError
 from .tensorops import iou_matrix, rng, subseed
 
@@ -311,17 +311,12 @@ def build_kshot_dataset(cfg: DatasetConfig, split: ClassSplit, seed: int) -> Dat
 def save_dataset(ds: Dataset, dirpath: str | Path) -> str:
     """Write manifest.json and images.bin; returns the dataset digest."""
     dirpath = Path(dirpath)
-    dirpath.mkdir(parents=True, exist_ok=True)
-    digest = ds.digest()
-    manifest = ds.manifest_dict()
-    manifest["digest"] = digest
-    (dirpath / "manifest.json").write_text(canonical_json(manifest))
-    with open(dirpath / "images.bin", "wb") as fh:
-        fh.write(IMAGES_MAGIC)
-        fh.write(struct.pack("<III", IMAGES_VERSION, ds.side, len(ds.images)))
-        for img in ds.images:
-            fh.write(np.ascontiguousarray(img, dtype=np.float64).tobytes())
-    return digest
+    manifest = dict(ds.manifest_dict(), digest=ds.digest())
+    write_artifact(dirpath / "manifest.json", canonical_json(manifest))
+    write_artifact(dirpath / "images.bin", IMAGES_MAGIC,
+                   struct.pack("<III", IMAGES_VERSION, ds.side, len(ds.images)),
+                   *(np.ascontiguousarray(img, dtype=np.float64) for img in ds.images))
+    return manifest["digest"]
 
 
 def load_dataset(dirpath: str | Path) -> Dataset:

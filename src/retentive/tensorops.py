@@ -289,16 +289,20 @@ def clip_boxes(boxes: np.ndarray, side: float) -> np.ndarray:
     return np.clip(boxes, 0.0, float(side))
 
 
-def encode_boxes(boxes: np.ndarray, anchors: np.ndarray) -> np.ndarray:
-    """Center/log-size deltas of boxes relative to anchors, (N,4) each."""
-    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+def _anchor_frame(anchors: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Widths, heights and centre x, y of (N,4) anchors of positive size."""
     anchors = np.asarray(anchors, dtype=np.float64).reshape(-1, 4)
     aw = anchors[:, 2] - anchors[:, 0]
     ah = anchors[:, 3] - anchors[:, 1]
     if np.any(aw <= 0) or np.any(ah <= 0):
         raise ParameterError("anchors must have positive width and height")
-    acx = anchors[:, 0] + 0.5 * aw
-    acy = anchors[:, 1] + 0.5 * ah
+    return aw, ah, anchors[:, 0] + 0.5 * aw, anchors[:, 1] + 0.5 * ah
+
+
+def encode_boxes(boxes: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    """Center/log-size deltas of boxes relative to anchors, (N,4) each."""
+    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    aw, ah, acx, acy = _anchor_frame(anchors)
     w = boxes[:, 2] - boxes[:, 0]
     h = boxes[:, 3] - boxes[:, 1]
     cx = boxes[:, 0] + 0.5 * w
@@ -309,13 +313,7 @@ def encode_boxes(boxes: np.ndarray, anchors: np.ndarray) -> np.ndarray:
 def decode_boxes(deltas: np.ndarray, anchors: np.ndarray, side: float) -> np.ndarray:
     """Inverse of encode_boxes, clipped to [0, side]."""
     deltas = np.asarray(deltas, dtype=np.float64).reshape(-1, 4)
-    anchors = np.asarray(anchors, dtype=np.float64).reshape(-1, 4)
-    aw = anchors[:, 2] - anchors[:, 0]
-    ah = anchors[:, 3] - anchors[:, 1]
-    if np.any(aw <= 0) or np.any(ah <= 0):
-        raise ParameterError("anchors must have positive width and height")
-    acx = anchors[:, 0] + 0.5 * aw
-    acy = anchors[:, 1] + 0.5 * ah
+    aw, ah, acx, acy = _anchor_frame(anchors)
     # huge deltas overflow to inf or NaN quietly: clipping bounds inf rows, and
     # propose drops rows without a positive size
     with np.errstate(over="ignore", invalid="ignore"):

@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import DetectConfig, ExperimentConfig, ModelConfig, TrainConfig, canonical_json, override
+from .config import (DetectConfig, ExperimentConfig, ModelConfig, TrainConfig, canonical_json,
+                     override, write_artifact)
 from .detector import (
     STAGE_BASE,
     Model,
@@ -278,8 +279,7 @@ class TrainLog:
         self.records.append(rec)
 
     def save(self, path) -> None:
-        lines = [canonical_json(r) for r in self.records]
-        Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+        write_artifact(path, *(canonical_json(r) + "\n" for r in self.records))
 
     @staticmethod
     def load(path) -> "TrainLog":
@@ -410,7 +410,7 @@ def save_checkpoint(model: Model, path) -> str:
     )
     digest = sha256(header + payload).digest()
     blob = CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(header))
-    Path(path).write_bytes(blob + header + payload + digest)
+    write_artifact(path, blob, header, payload, digest)
     return digest.hex()
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import yaml
 
-from retentive import cli, errors
+from retentive import cli, config, errors
 from retentive import detector as D
 from retentive import trainer
 from retentive.cli import (
@@ -45,6 +45,7 @@ from retentive.config import (
     canonical_json,
     load_config,
     override,
+    write_artifact,
 )
 from retentive.errors import ConfigError, CorruptCheckpointError, StalenessError
 from retentive.synthgen import load_dataset
@@ -115,6 +116,7 @@ def test_run_experiment_writes_expected_artifacts(finished_run):
     assert paths.train_log("finetune").exists()
     for stage in STAGES:
         assert paths.stamp(stage).exists()
+    assert not list(finished_run.rglob("*.tmp"))  # every write moved its file into place
     report = json.loads((paths.eval_dir() / "report.json").read_text(encoding="utf-8"))
     assert "summary" in report and "baseline_summary" in report
     assert report["metadata"]["seed"] == 3
@@ -286,6 +288,118 @@ def test_run_under_another_config_exits_4_and_keeps_the_table(tiny_yaml, tmp_pat
     assert _table_bytes(out, stem) == before and _tree_state(out) == tree
     assert main(argv) == 0  # the same config still resumes
     assert _table_bytes(out, stem) == before
+
+
+@pytest.mark.parametrize("command, first, second, missing", [
+    ("multirun", ["--seeds", "0,1"], ["--seeds", "2,3"], "seed 0"),
+    ("ablate", ["--seed", "0", "--axes", "rpn_strategy=max"],
+     ["--seed", "0", "--axes", "rpn_strategy=base-only"], "cell 'rpn_strategy=max'"),
+])
+def test_run_that_leaves_out_a_listed_unit_exits_4_and_keeps_the_table(
+        tiny_yaml, tmp_path, capsys, command, first, second, missing):
+    """The table is rewritten whole from the command's units, so one that left
+    out a unit the table lists would drop its row beside its run directory."""
+    out = tmp_path / "o"
+    argv = [command, "--config", str(tiny_yaml), "--out", str(out)]
+    stem = "aggregate" if command == "multirun" else "ablation"
+    assert main(argv + first) == 0
+    before, tree = _table_bytes(out, stem), _tree_state(out)
+    capsys.readouterr()
+    assert main(argv + second) == 4
+    assert capsys.readouterr().err == (
+        f"artifact error: {out / stem}.json: {missing} is listed there but not given; "
+        f"name every {missing.split()[0]} it lists, or use a fresh output directory\n")
+    assert _table_bytes(out, stem) == before and _tree_state(out) == tree
+
+
+@pytest.mark.parametrize("command, first, superset", [
+    ("multirun", ["--seeds", "5,6"], ["--seeds", "7,6,5"]),
+    ("ablate", ["--seed", "0", "--axes", "rpn_strategy=max"],
+     ["--seed", "0", "--axes", "rpn_strategy=base-only,max"]),
+])
+def test_superset_rerun_resumes_the_listed_units_and_lists_every_unit(
+        tiny_yaml, tmp_path, command, first, superset):
+    out = tmp_path / "o"
+    argv = [command, "--config", str(tiny_yaml), "--out", str(out)]
+    assert main(argv + first) == 0
+    ran = _tree_state(out)
+    assert main(argv + superset) == 0
+    after = _tree_state(out)
+    assert all(after[k] == v for k, v in ran.items() if not k.startswith(("aggregate", "ablation")))
+    if command == "multirun":
+        table = json.loads((out / "aggregate.json").read_text(encoding="utf-8"))
+        assert table["seeds"] == [7, 6, 5]
+        assert {row["n"] for row in table["metrics"].values()} == {3}
+    else:
+        table = json.loads((out / "ablation.json").read_text(encoding="utf-8"))
+        assert [r["cell"] for r in table["rows"]] == [{"rpn_strategy": "base-only"},
+                                                       {"rpn_strategy": "max"}]
+        assert all("ap" in r["metrics"] for r in table["rows"])
+
+
+# ---------------------------------------------------------------------------
+# interrupted writes
+# ---------------------------------------------------------------------------
+
+def test_write_artifact_whose_part_fails_leaves_the_old_bytes_or_no_file(tmp_path):
+    path = tmp_path / "made" / "a.json"
+    write_artifact(path, "old", b"\n")
+    assert path.read_bytes() == b"old\n"
+    with pytest.raises(UnicodeEncodeError):
+        write_artifact(path, "new", "\ud800")  # a lone surrogate has no UTF-8 form
+    assert path.read_bytes() == b"old\n"
+    fresh = tmp_path / "b.bin"
+    with pytest.raises(TypeError):
+        write_artifact(fresh, b"new", 3)  # an int is not bytes-like
+    assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["a.json"]
+
+
+def _fail_replace_onto(monkeypatch, suffix: str) -> list:
+    """os.replace raises OSError the first time its target ends with suffix;
+    returns the list of targets it refused."""
+    real, refused = os.replace, []
+
+    def replace(src, dst):
+        if str(dst).endswith(suffix) and not refused:
+            refused.append(Path(dst))
+            raise OSError(28, "No space left on device")
+        return real(src, dst)
+
+    monkeypatch.setattr(config.os, "replace", replace)
+    return refused
+
+
+def test_interrupted_stamp_write_exits_4_and_the_stage_runs_again(
+        tiny_yaml, finished_run, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "o"
+    argv = ["--config", str(tiny_yaml), "--seed", "3", "--out", str(out)]
+    assert main(["gen-data"] + argv) == 0
+    paths = RunPaths(out, 3)
+    refused = _fail_replace_onto(monkeypatch, ".stamp.json")
+    capsys.readouterr()
+    assert main(["pretrain"] + argv) == 4
+    err = capsys.readouterr().err
+    assert refused == [paths.stamp("pretrain")]
+    assert err.count("\n") == 1 and err.startswith("artifact error: ")
+    assert not paths.stamp("pretrain").exists() and not list(out.rglob("*.tmp"))
+    monkeypatch.undo()
+    assert main(["pretrain"] + argv) == 0
+    assert (paths.checkpoint("base").read_bytes()
+            == RunPaths(finished_run, 3).checkpoint("base").read_bytes())
+
+
+def test_failed_table_replace_keeps_the_previous_table(tiny_yaml, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("RETENTIVE_THREADS", raising=False)
+    out = tmp_path / "o"
+    argv = ["multirun", "--config", str(tiny_yaml), "--out", str(out)]
+    assert main(argv + ["--seeds", "8,9"]) == 0
+    before = _table_bytes(out, "aggregate")
+    _fail_replace_onto(monkeypatch, "aggregate.json")
+    capsys.readouterr()
+    assert main(argv + ["--seeds", "8,9,10"]) == 4
+    assert capsys.readouterr().err.startswith("artifact error: ")
+    assert _table_bytes(out, "aggregate") == before
+    assert not list(out.glob("aggregate.*.tmp"))
 
 
 def _die_on_seed_31(cfg, seed, out_root):
@@ -743,6 +857,44 @@ def test_bad_flag_exits_2_in_the_config_form(tiny_yaml, tmp_path, capsys, flag, 
     assert not (tmp_path / "o").exists()
 
 
+# the TrainConfig fields only finetuning reads -> a value other than the default,
+# with the fields a cross-field rule needs beside it
+PRETRAIN_UNREAD = {
+    "lam": {"lam": 0.5}, "consistency": {"consistency": "l1"},
+    "rpn_strategy": {"rpn_strategy": "base-only"}, "classifier": {"classifier": "fc"},
+    "head_domain": {"head_domain": "novel-only", "consistency": "off"},
+    "rpn_obj_init": {"rpn_obj_init": "random"},
+    "head_init": {"head_init": "copy", "classifier": "fc"},
+}
+
+
+@pytest.mark.parametrize("name", list(PRETRAIN_UNREAD))
+def test_a_field_only_finetune_reads_is_refused_under_pretrain(tmp_path, capsys, name):
+    """Pretraining never reads these, so a value there would change the config
+    digest and no artifact; the same keys still load under finetune."""
+    entries = PRETRAIN_UNREAD[name]
+    text = "".join(f"  {k}: {json.dumps(v)}\n" for k, v in entries.items())
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("pretrain:\n" + text, encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["pretrain", "--config", str(bad), "--seed", "0", "--out", str(out)]) == 2
+    default = getattr(TrainConfig(), name)
+    assert capsys.readouterr().err == (f"config error: pretrain.{name} must be {default!r} "
+                                       f"(only finetune reads it), got {entries[name]!r}\n")
+    assert not out.exists()
+    good = tmp_path / "good.yaml"
+    good.write_text("finetune:\n" + text, encoding="utf-8")
+    assert getattr(load_config(good).finetune, name) == entries[name]
+
+
+def test_pretrain_fields_only_finetune_reads_keep_the_digest_at_their_defaults(tmp_path):
+    path = tmp_path / "defaults.yaml"
+    defaults = TrainConfig()
+    path.write_text("pretrain:\n" + "".join(f"  {name}: {json.dumps(getattr(defaults, name))}\n"
+                                            for name in PRETRAIN_UNREAD), encoding="utf-8")
+    assert load_config(path).digest() == ExperimentConfig().digest()
+
+
 # a field whose bound value breaks a cross-field rule at the defaults loads with these
 _COMPANIONS = {"num_classes": {"num_novel": 1}, "max_glyph": {"min_glyph": MIN_GLYPH},
                "max_instances": {"min_instances": 0}, "rpn_pos_iou": {"rpn_neg_iou": 0.0},
@@ -786,6 +938,10 @@ def test_value_past_a_bound_exits_2_and_the_bound_side_loads(tmp_path, capsys, s
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"config error: {section}.{name} must be ")
     assert not list(tmp_path.glob("o/**/*.stamp.json"))
+    # pretrain keeps the defaults of the fields only finetune reads, so their
+    # bound side loads in the section that reads them
+    if section == "pretrain" and name in PRETRAIN_UNREAD:
+        section = "finetune"
     edge = tmp_path / "edge.yaml"
     edge.write_text(_section_yaml(section, name, rule, inside), encoding="utf-8")
     got = getattr(getattr(load_config(edge), section), name)
@@ -1034,6 +1190,20 @@ def test_unreadable_aggregate_exits_4(tmp_path, capsys, content):
     assert main(["report", "--out", str(tmp_path)]) == 4
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "aggregate.json" in err
+
+
+@pytest.mark.parametrize("content", ['{"rows": [', '{"rows": [1]}',
+                                     '{"rows": [{"cell": "rpn_strategy=max"}]}'])
+def test_unreadable_ablation_table_exits_4_before_any_cell_runs(tiny_yaml, tmp_path, capsys,
+                                                               content):
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "ablation.json").write_text(content, encoding="utf-8")
+    assert main(["ablate", "--config", str(tiny_yaml), "--axes", "rpn_strategy=max",
+                 "--seed", "0", "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"artifact error: ablation {out}")
+    assert [p.name for p in out.iterdir()] == ["ablation.json"]
 
 
 def test_detect_under_another_config_exits_4(tiny_yaml, finished_run, tmp_path, capsys):

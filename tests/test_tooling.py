@@ -2,7 +2,8 @@
 by name, one module names the head layers, one reads report.json's metric
 sections, the run orchestration reads no model stage, the package holds
 no code that only tests call, a process that only generates data
-imports no training code, and a config cannot change once built."""
+imports no training code, a config cannot change once built, and one
+function writes every file."""
 
 import ast
 import dataclasses
@@ -117,6 +118,53 @@ def test_gen_only_process_imports_no_training_code(tmp_path):
     training = {"retentive.detector", "retentive.losses", "retentive.trainer",
                 "retentive.evaluation", "concurrent.futures.process"}
     assert training.isdisjoint(after_gen), sorted(training & set(after_gen))
+
+
+def _file_writes(tree: ast.AST) -> list[int]:
+    """Lines of calls that write or move a file, or make a directory:
+    ``.write_text``, ``.write_bytes``, ``.mkdir``, ``os.replace``, and an
+    ``open`` whose mode is not a constant free of w, a and x."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name == "open":  # open(file, mode) or path.open(mode)
+            at = 0 if isinstance(func, ast.Attribute) else 1
+            mode = node.args[at] if len(node.args) > at else next(
+                (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+            writes = not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                          and not set(mode.value) & set("wax"))
+        else:
+            writes = name in ("write_text", "write_bytes", "mkdir") or name == "replace" \
+                and getattr(getattr(func, "value", None), "id", None) == "os"
+        if writes:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_files_are_written_by_write_artifact_only():
+    """Every file of a run is written whole through config.write_artifact, which
+    makes its directory and replaces the file in one step; reading stays open."""
+    writes = [ast.parse(line) for line in (
+        'p.write_text("x")', "p.write_bytes(b)", "p.mkdir(parents=True)", "os.replace(a, b)",
+        'open(p, "wb")', 'open(p, mode="a")', 'p.open("x")', "open(p, mode)")]
+    reads = [ast.parse(line) for line in (
+        'open("/proc/self/maps", encoding="utf-8")', 'open(p, "rb")', "p.open()",
+        "p.read_text()", "s.replace(a, b)")]
+    got = [bool(_file_writes(t)) for t in writes + reads]
+    assert got == [True] * len(writes) + [False] * len(reads)  # the scan sees what it must
+    found = []
+    for path in sorted((ROOT / "src" / "retentive").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.name == "config.py":
+            writer = next(n for n in tree.body
+                          if isinstance(n, ast.FunctionDef) and n.name == "write_artifact")
+            tree.body.remove(writer)
+            assert _file_writes(writer)
+        found += [f"{path.name}:{line}" for line in _file_writes(tree)]
+    assert not found, found
 
 
 def test_head_layer_names_live_in_detector_only():
