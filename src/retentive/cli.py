@@ -190,16 +190,6 @@ _PIPELINE = {
 STAGES = tuple(_PIPELINE)
 
 
-def _checked_stages(stages) -> tuple[str, ...]:
-    stages = tuple(stages)
-    if not stages:
-        raise ConfigError("no stages given")
-    for s in stages:
-        if s not in _PIPELINE:
-            raise ConfigError(f"unknown stage {s!r}; expected subset of {STAGES}")
-    return stages
-
-
 def _read_stamp(paths: RunPaths, stage: str) -> dict:
     """A stage's stamp as _walk wrote it, once the outputs it records
     are the ones on disk; anything else is a corrupt or stale artifact."""
@@ -207,8 +197,17 @@ def _read_stamp(paths: RunPaths, stage: str) -> dict:
                              {"config_digest": str, "inputs": dict, "outputs": dict})
     if _PIPELINE[stage][1](paths) != stamp["outputs"]:
         raise StalenessError(
-            f"{stage}: outputs on disk do not match what the {stage} stamp recorded")
+            f"{stage}: outputs on disk do not match what the {stage} stamp recorded "
+            f"in {paths.root}")
     return stamp
+
+
+def _finished_run(paths: RunPaths) -> tuple[str, dict[str, float]]:
+    """A seed's config digest and the metrics of the report its eval stamp recorded."""
+    from .evaluation import report_metrics
+
+    metrics = report_metrics(paths.eval_dir() / "report.json")
+    return _read_stamp(paths, "eval")["config_digest"], metrics
 
 
 def _verified(paths: RunPaths, stage: str, config_digest: str, inputs: dict) -> dict:
@@ -249,7 +248,12 @@ def _walk(cfg: ExperimentConfig, seed: int, paths: RunPaths, run: tuple[str, ...
 
 def run_experiment(cfg: ExperimentConfig, seed: int, out_root, stages=STAGES) -> None:
     """Execute the requested stages for one seed, reusing intact artifacts."""
-    stages = _checked_stages(stages)
+    stages = tuple(stages)
+    if not stages:
+        raise ConfigError("no stages given")
+    for s in stages:
+        if s not in _PIPELINE:
+            raise ConfigError(f"unknown stage {s!r}; expected subset of {STAGES}")
     _walk(cfg, seed, RunPaths(out_root, seed), stages, max(stages, key=STAGES.index))
 
 
@@ -319,42 +323,45 @@ def _check_distinct(what: str, items) -> None:
         seen.add(x)
 
 
-def _check_superset(written: Path, unit: str, listed: list, given: list) -> None:
-    """Every unit the table on disk lists is given again: the table is
-    rewritten whole, so a unit left out would lose its row beside its run."""
-    missing = [u for u in listed if u not in given]
-    if missing:
-        raise StalenessError(f"{written}: {unit} {missing[0]!r} is listed there but not given; "
-                             f"name every {unit} it lists, or use a fresh output directory")
+def _check_table(written: Path, unit: str, listed: dict, given: dict) -> None:
+    """Every unit the table on disk lists (name -> config digest) is given again under
+    that config: the table is rewritten whole, so it must not lose a row or mix configs."""
+    for name, digest in listed.items():
+        if name not in given:
+            raise StalenessError(f"{written}: {unit} {name!r} is listed there but not given; "
+                                 f"name every {unit} it lists, or use a fresh output directory")
+        if given[name] != digest:
+            raise StalenessError(f"{written}: {unit} {name!r} was run under a different "
+                                 f"configuration; use a fresh output directory")
+
+
+def _read_aggregate(path: Path) -> dict:
+    """aggregate.json as multirun writes it: anything else is corrupt."""
+    data = read_json_object(path, "aggregate", {"seeds": list, "incomplete": bool,
+                                                "failures": dict, "config_digest": str})
+    if not all(type(s) is int for s in data["seeds"]):
+        raise CorruptArtifactError(f"aggregate {path} lists a seed that is not an integer")
+    return data
 
 
 def multirun(cfg: ExperimentConfig, seeds, out_root, workers: int) -> dict:
     """Run every seed, then fold the per-seed reports into aggregate files. An
     existing aggregate.json must share the config and list no other seed."""
-    from .evaluation import report_metrics
-
     seeds = list(seeds)
     if len(seeds) < 2:
         raise ConfigError(f"multirun needs at least 2 seeds, got {len(seeds)}")
     _check_distinct("seed", seeds)
     written = Path(out_root) / "aggregate.json"
     if written.exists():
-        old = read_json_object(written, "aggregate", {"config_digest": str, "seeds": list})
-        if cfg.digest() != old["config_digest"]:
-            raise StalenessError(f"{written}: seeds were run under a different configuration; "
-                                 f"use a fresh output directory")
-        _check_superset(written, "seed", old["seeds"], seeds)
+        old = _read_aggregate(written)
+        _check_table(written, "seed", dict.fromkeys(old["seeds"], old["config_digest"]),
+                     dict.fromkeys(seeds, cfg.digest()))
     failures = _run_units({s: (cfg, s, out_root) for s in sorted(seeds)}, workers)
-    per_seed = {s: report_metrics(RunPaths(out_root, s).eval_dir() / "report.json")
-                for s in seeds if s not in failures}
-    aggregate = {
-        "seeds": seeds,
-        "config_digest": cfg.digest(),
-        "incomplete": bool(failures),
-        "failures": {str(s): msg for s, msg in sorted(failures.items())},
-        "metrics": aggregate_metrics(per_seed),
-    }
-    metrics = aggregate["metrics"]
+    metrics = aggregate_metrics({s: _finished_run(RunPaths(out_root, s))[1]
+                                 for s in seeds if s not in failures})
+    aggregate = {"seeds": seeds, "config_digest": cfg.digest(), "incomplete": bool(failures),
+                 "failures": {str(s): msg for s, msg in sorted(failures.items())},
+                 "metrics": metrics}
     _write_table(out_root, "aggregate", aggregate, [["metric", "mean", "stddev", "n"]] + [
         [name, metrics[name]["mean"], metrics[name]["stddev"], metrics[name]["n"]]
         for name in sorted(metrics)])
@@ -397,8 +404,6 @@ def run_ablation(cfg: ExperimentConfig, axes: dict[str, list[str]], seed: int,
     failures; it keeps empty metrics and marks the table incomplete. The
     other cells still run.
     """
-    from .evaluation import report_metrics
-
     cells, units = [], {}  # (cell, config digest) in grid order; digest -> run_experiment args
     for cell in ablation_cells(axes):
         finetune = dict(cell)
@@ -412,14 +417,10 @@ def run_ablation(cfg: ExperimentConfig, axes: dict[str, list[str]], seed: int,
     old = read_json_object(written, "ablation", {"rows": list})["rows"] if written.exists() else []
     if not all(isinstance(r, dict) and isinstance(r.get("cell"), dict) for r in old):
         raise CorruptArtifactError(f"ablation {written} holds a row without a cell")
-    given = {_cell_name(cell): digest for cell, digest in cells}
-    _check_superset(written, "cell", [_cell_name(r["cell"]) for r in old], list(given))
-    for r in old:
-        if r.get("config_digest") != given[_cell_name(r["cell"])]:
-            raise StalenessError(f"{written}: cell {_cell_name(r['cell'])!r} was run under a "
-                                 f"different configuration; use a fresh output directory")
+    _check_table(written, "cell", {_cell_name(r["cell"]): r.get("config_digest") for r in old},
+                 {_cell_name(cell): digest for cell, digest in cells})
     failures = _run_units(units, workers)
-    metrics = {d: report_metrics(RunPaths(cell_dir, seed).eval_dir() / "report.json")
+    metrics = {d: _finished_run(RunPaths(cell_dir, seed))[1]
                for d, (_, _, cell_dir) in units.items() if d not in failures}
     rows = [{"cell": cell, "config_digest": d, "metrics": metrics.get(d, {})} for cell, d in cells]
     table = {"seed": seed, "rows": rows, "incomplete": bool(failures),
@@ -435,6 +436,13 @@ def run_ablation(cfg: ExperimentConfig, axes: dict[str, list[str]], seed: int,
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
+
+class _Parser(argparse.ArgumentParser):
+    """An argument error is one config error line, not a usage block and exit 2."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
 
 def _add_common(p: argparse.ArgumentParser, seeds: bool = False) -> None:
     p.add_argument("--config", type=Path, default=None, help="YAML overrides")
@@ -462,7 +470,7 @@ _PIPELINE_COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="retentive",
         description="Few-shot detector that keeps its base-class behavior.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -497,12 +505,6 @@ def _resolve_config(args) -> ExperimentConfig:
     flags = {"dataset": ("shots",), "finetune": ("lam",) + _ABLATION_AXES}  # _add_common's flags
     return override(load_config(args.config), {
         section: {k: given[k] for k in names if k in given} for section, names in flags.items()})
-
-
-def _parse_stage_list(text: str | None, default: tuple[str, ...]) -> tuple[str, ...]:
-    if text is None:
-        return default
-    return _checked_stages(s.strip() for s in text.split(",") if s.strip())
 
 
 def _parse_axes(text: str) -> dict[str, list[str]]:
@@ -546,7 +548,8 @@ def _workers_from_env() -> int:
 def _cmd_pipeline(args, command: str) -> int:
     cfg = _resolve_config(args)
     last = _PIPELINE_COMMANDS[command][0]
-    stages = _parse_stage_list(args.stages, STAGES[:STAGES.index(last) + 1])
+    stages = STAGES[:STAGES.index(last) + 1] if args.stages is None else [
+        s.strip() for s in args.stages.split(",") if s.strip()]
     run_experiment(cfg, args.seed, args.out, stages)
     print(f"{command}: seed {args.seed} complete in {Path(args.out) / f'seed-{args.seed}'}")
     return 0
@@ -599,28 +602,21 @@ def _cmd_multirun(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    """A multirun's aggregate, or one seed's report as a one-seed aggregate:
-    one row per metric, as aggregate_metrics makes it."""
-    from .evaluation import NUMBER, report_metrics
-
+    """A multirun's finished seeds, or one seed, aggregated from the reports their
+    eval stamps recorded: one row per metric, as aggregate_metrics makes it."""
     agg = Path(args.out) / "aggregate.json"
     if args.seed is None and agg.exists():
-        data = read_json_object(agg, "aggregate", {"seeds": list, "incomplete": bool,
-                                                    "metrics": dict})
-        metrics = data["metrics"]
-        for name, row in metrics.items():
-            row = row if isinstance(row, dict) else {}
-            std = row.get("stddev", "")
-            if not (NUMBER.admits(row.get("mean")) and type(row.get("n")) is int
-                    and (std is None or NUMBER.admits(std))):
-                raise CorruptArtifactError(f"aggregate {agg}: {name!r} lacks a numeric mean and n")
+        data = _read_aggregate(agg)
+        runs = {s: _finished_run(RunPaths(args.out, s)) for s in data["seeds"]
+                if str(s) not in data["failures"]}
+        _check_table(agg, "seed", dict.fromkeys(runs, data["config_digest"]),
+                     {s: digest for s, (digest, _) in runs.items()})
         print(f"seeds: {data['seeds']}  incomplete: {data['incomplete']}")
     else:
         seed = 0 if args.seed is None else args.seed
-        paths = RunPaths(args.out, seed)
-        metrics = aggregate_metrics({seed: report_metrics(paths.eval_dir() / "report.json")})
-        stamp = _read_stamp(paths, "eval")
-        print(f"seed {seed}  config {stamp['config_digest'][:12]}")
+        runs = {seed: _finished_run(RunPaths(args.out, seed))}
+        print(f"seed {seed}  config {runs[seed][0][:12]}")
+    metrics = aggregate_metrics({s: m for s, (_, m) in runs.items()})
     for name in sorted(metrics):
         row = metrics[name]
         std = "n/a" if row["stddev"] is None else f"{row['stddev']:.6f}"
@@ -629,8 +625,8 @@ def _cmd_report(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command in _PIPELINE_COMMANDS:
             return _cmd_pipeline(args, args.command)
         return {"detect": _cmd_detect, "ablate": _cmd_ablate, "multirun": _cmd_multirun,

@@ -29,6 +29,7 @@ CLASSIFIER_KINDS = ("cos", "fc")
 HEAD_DOMAINS = ("all", "novel-only")
 INIT_KINDS = ("copy", "random")  # "copy" seeds a finetune layer from its base twin
 MIN_GLYPH = 6  # the smallest glyph raster synthgen draws
+NUM_GLYPHS = 12  # the classes synthgen can draw: one glyph each
 FEATURIZER_STRIDE = 4  # the fixed featurizer's downsampling: it pools twice by 2
 # the TrainConfig fields only finetuning reads, which pretrain keeps at their
 # defaults; head_domain and head_init precede the fields their rules need, so a
@@ -95,9 +96,13 @@ def check_value(name: str, r: Rule, value) -> None:
 
 
 def check(cfg) -> None:
-    """Test every field of one config section against the rule it carries."""
+    """Test every field of one config section against the rule it carries, and
+    store an integer given for a float as a float: one config, one digest."""
     for name, r in field_rules(cfg).items():
-        check_value(name, r, getattr(cfg, name))
+        value = getattr(cfg, name)
+        check_value(name, r, value)
+        if r.kind is float:
+            object.__setattr__(cfg, name, tuple(map(float, value)) if r.many else float(value))
 
 
 @dataclass(frozen=True)
@@ -105,7 +110,7 @@ class DatasetConfig:
     """Synthetic benchmark sizing."""
 
     image_side: int = rule(64, FEATURIZER_STRIDE)
-    num_classes: int = rule(12, 2)
+    num_classes: int = rule(NUM_GLYPHS, 2, NUM_GLYPHS)
     num_novel: int = rule(4, 1)
     base_train_images: int = rule(500, 1)
     test_images: int = rule(100, 1)
@@ -299,13 +304,24 @@ def _override(cfg, data: dict, path: str):
 class _Loader(yaml.SafeLoader):
     """SafeLoader that reads every plain exponent float as a float, as YAML 1.2
     does. YAML 1.1 wants a dot and an exponent sign, so it reads ``1e-5`` or
-    ``5e-2`` as a string. Quoted scalars stay strings."""
+    ``5e-2`` as a string. Quoted scalars stay strings. A key given twice in one
+    mapping is an error, where SafeLoader would keep the last value."""
+
+
+def _unique_keys(loader: _Loader, node: yaml.MappingNode) -> dict:
+    keys = [(loader.construct_object(k, deep=True), k.start_mark.line + 1)
+            for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]
+    for i, (key, line) in enumerate(keys):
+        if key in [k for k, _ in keys[:i]]:
+            raise ConfigError(f"config key {key!r} given twice, at line {line}")
+    return loader.construct_mapping(node, deep=True)
 
 
 _Loader.add_implicit_resolver(
     "tag:yaml.org,2002:float",
     re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
     list("-+.0123456789"))
+_Loader.add_constructor(yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, _unique_keys)
 
 
 def load_config(path: str | Path | None) -> ExperimentConfig:

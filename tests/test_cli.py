@@ -24,7 +24,6 @@ from retentive.cli import (
     _evaluate_models,
     _parse_axes,
     _parse_seeds,
-    _parse_stage_list,
     ablation_cells,
     aggregate_metrics,
     main,
@@ -89,6 +88,13 @@ def tiny_cfg(tiny_yaml):
 def finished_run(tiny_cfg, tmp_path_factory):
     out = tmp_path_factory.mktemp("run")
     run_experiment(tiny_cfg, 3, out)
+    return out
+
+
+@pytest.fixture(scope="module")
+def finished_multirun(tiny_yaml, tmp_path_factory):
+    out = tmp_path_factory.mktemp("multirun")
+    assert main(["multirun", "--config", str(tiny_yaml), "--seeds", "1,2", "--out", str(out)]) == 0
     return out
 
 
@@ -794,6 +800,53 @@ def test_exponent_floats_load_as_floats(tmp_path, section, entry, want):
     assert getattr(getattr(load_config(path), section), entry.split(":")[0]) == want
 
 
+@pytest.mark.parametrize("text, key", [
+    ("finetune:\n  lam: 0.5\nfinetune:\n  shots: 3\n", "'finetune' given twice, at line 3"),
+    ("dataset:\n  shots: 3\n  shots: 7\n", "'shots' given twice, at line 3"),
+])
+def test_repeated_yaml_key_exits_2_and_writes_nothing(tmp_path, capsys, text, key):
+    """YAML would keep the last value and silently drop the first."""
+    path = tmp_path / "twice.yaml"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["gen-data", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: config key {key}\n"
+    assert not out.exists()
+
+
+def test_an_integer_in_a_float_field_is_stored_as_a_float():
+    """The rules let an integer stand for a float; both spellings are one config."""
+    cfg = ExperimentConfig()
+    as_int = override(cfg, {"finetune": {"lam": 1}, "model": {"anchor_scales": [8, 16, 32]}})
+    assert type(as_int.finetune.lam) is float and as_int.finetune.lam == 1.0
+    assert [type(v) for v in as_int.model.anchor_scales] == [float] * 3
+    assert as_int.digest() == override(cfg, {"finetune": {"lam": 1.0}}).digest()
+    assert override(cfg, {"model": {"anchor_scales": [8, 16, 32]}}).digest() == cfg.digest()
+
+
+def test_an_integer_lambda_in_yaml_resumes_under_the_lambda_flag(tmp_path):
+    """argparse gives --lambda 1 as 1.0; the YAML spelling 1 is the same config."""
+    path = tmp_path / "lam.yaml"
+    path.write_text(TINY_YAML.replace("finetune:\n", "finetune:\n  lam: 1\n"), encoding="utf-8")
+    argv = ["gen-data", "--seed", "1", "--out", str(tmp_path / "o")]
+    assert main(argv + ["--config", str(path)]) == 0
+    tiny = tmp_path / "tiny.yaml"
+    tiny.write_text(TINY_YAML, encoding="utf-8")
+    assert main(argv + ["--config", str(tiny), "--lambda", "1"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--rpn-strategy", "bogus", "--out", "o"], ["eval", "--seed", "abc", "--out", "o"],
+    ["eval", "--lambda", "x", "--out", "o"], ["eval"], ["bogus"]])
+def test_argument_error_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("config error: retentive")
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # the config rule table
 # ---------------------------------------------------------------------------
@@ -1172,24 +1225,64 @@ def test_eval_on_a_truncated_or_overlong_header_checkpoint_exits_4(tiny_yaml, fi
 
 @pytest.mark.parametrize("content", [
     "truncate", "[1, 2]", '{"seeds": [1, 2]}',
-    '{"seeds": [1, 2], "incomplete": false, "metrics": {"ap": {"stddev": 0.1, "n": 2}}}',
-    '{"seeds": [1, 2], "incomplete": false, "metrics": {"ap": {"mean": 0.5, "stddev": null}}}',
-    '{"seeds": [1, 2], "incomplete": false, "metrics": {"ap": {"mean": 0.5, "n": 2}}}',
-    '{"seeds": [1, 2], "incomplete": false, '
-    '"metrics": {"ap": {"mean": 0.5, "stddev": "x", "n": 2}}}',
-    '{"seeds": [1, 2], "incomplete": false, "metrics": {"ap": [0.5, 0.1, 2]}}'])
-def test_unreadable_aggregate_exits_4(tmp_path, capsys, content):
-    agg = tmp_path / "aggregate.json"
-    text = json.dumps({"seeds": [1, 2], "incomplete": False,
-                       "metrics": {"ap": {"mean": 0.5, "stddev": 0.1, "n": 2}}})
-    agg.write_text(text, encoding="utf-8")
-    assert main(["report", "--out", str(tmp_path)]) == 0
+    '{"seeds": [[1], 2], "incomplete": false, "failures": {}, "config_digest": "x"}'])
+def test_unreadable_aggregate_exits_4(finished_multirun, tmp_path, capsys, content):
+    out = tmp_path / "copy"
+    shutil.copytree(finished_multirun, out)
+    assert main(["report", "--out", str(out)]) == 0
     assert "ap" in capsys.readouterr().out
+    agg = out / "aggregate.json"
+    text = agg.read_text(encoding="utf-8")
     agg.write_text(text[:len(text) // 2] if content == "truncate" else content,
                    encoding="utf-8")
-    assert main(["report", "--out", str(tmp_path)]) == 4
+    assert main(["report", "--out", str(out)]) == 4
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "aggregate.json" in err
+
+
+def test_report_on_a_multirun_prints_the_seed_reports_not_the_stored_means(
+        finished_multirun, tmp_path, capsys):
+    """aggregate.json's metrics are written for readers of the table and never
+    read back: report aggregates the reports the seeds' eval stamps recorded."""
+    out = tmp_path / "copy"
+    shutil.copytree(finished_multirun, out)
+    assert main(["report", "--out", str(out)]) == 0
+    untouched = capsys.readouterr().out
+    agg = out / "aggregate.json"
+    data = json.loads(agg.read_text(encoding="utf-8"))
+    data["metrics"]["bap"]["mean"] = 0.99
+    agg.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["report", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == untouched
+    assert "0.990000" not in untouched
+
+
+def test_report_on_a_multirun_with_an_edited_seed_report_exits_4(finished_multirun, tmp_path,
+                                                                 capsys):
+    out = tmp_path / "copy"
+    shutil.copytree(finished_multirun, out)
+    report = RunPaths(out, 2).eval_dir() / "report.json"
+    data = json.loads(report.read_text(encoding="utf-8"))
+    data["summary"]["bap"] = 0.99
+    report.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["report", "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        f"artifact error: eval: outputs on disk do not match what the eval stamp recorded "
+        f"in {RunPaths(out, 2).root}\n")
+
+
+def test_report_on_a_multirun_under_another_config_exits_4(finished_multirun, tmp_path, capsys):
+    out = tmp_path / "copy"
+    shutil.copytree(finished_multirun, out)
+    agg = out / "aggregate.json"
+    data = json.loads(agg.read_text(encoding="utf-8"))
+    data["config_digest"] = "0" * 64
+    agg.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["report", "--out", str(out)]) == 4
+    assert capsys.readouterr().err == (
+        f"artifact error: {agg}: seed 1 was run under a different configuration; "
+        f"use a fresh output directory\n")
 
 
 @pytest.mark.parametrize("content", ['{"rows": [', '{"rows": [1]}',
@@ -1432,6 +1525,19 @@ def test_stage_flag_overrides_prefix(tiny_yaml, tmp_path):
     assert not paths.stamp("pretrain").exists()
 
 
+def test_stage_flag_takes_a_comma_list_and_refuses_an_unknown_stage(tiny_yaml, tmp_path, capsys):
+    out = tmp_path / "st"
+    argv = ["eval", "--config", str(tiny_yaml), "--seed", "2", "--out", str(out)]
+    assert main(argv + ["--stage", "gen, pretrain"]) == 0
+    paths = RunPaths(out, 2)
+    assert paths.stamp("gen").exists() and paths.stamp("pretrain").exists()
+    assert not paths.stamp("finetune").exists()
+    capsys.readouterr()
+    assert main(argv + ["--stage", "gen,launch"]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: unknown stage 'launch'; expected subset of {STAGES}\n")
+
+
 @pytest.mark.parametrize("stages", ["", " , "])
 def test_empty_stage_list_exits_2_and_runs_nothing(tiny_yaml, tmp_path, capsys, stages):
     out = tmp_path / "st"
@@ -1444,13 +1550,6 @@ def test_empty_stage_list_exits_2_and_runs_nothing(tiny_yaml, tmp_path, capsys, 
 # ---------------------------------------------------------------------------
 # parsing helpers
 # ---------------------------------------------------------------------------
-
-def test_parse_stage_list():
-    assert _parse_stage_list(None, ("gen",)) == ("gen",)
-    assert _parse_stage_list("gen, pretrain", STAGES) == ("gen", "pretrain")
-    with pytest.raises(ConfigError):
-        _parse_stage_list("gen,launch", STAGES)
-
 
 def test_parse_axes():
     axes = _parse_axes("rpn_strategy=max,base-only;consistency=off")

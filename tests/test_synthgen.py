@@ -6,7 +6,7 @@ import pytest
 
 from oracles import iou_scalar
 from retentive import synthgen as G
-from retentive.config import MIN_GLYPH, DatasetConfig
+from retentive.config import MIN_GLYPH, NUM_GLYPHS, DatasetConfig
 from retentive.errors import ConfigError, CorruptArtifactError, GenerationError, ParameterError
 
 
@@ -19,6 +19,11 @@ def small_cfg(**kw) -> DatasetConfig:
 # ---------------------------------------------------------------------------
 # split_classes
 # ---------------------------------------------------------------------------
+
+def test_config_bounds_num_classes_by_the_glyph_catalogue():
+    """config cannot import synthgen, so it restates the catalogue's size."""
+    assert len(G.GLYPH_NAMES) == NUM_GLYPHS
+
 
 def test_split_counts_and_disjointness():
     split = G.split_classes(12, 4, seed=3)

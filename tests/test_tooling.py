@@ -1,9 +1,9 @@
 """Guards on names: the benchmark harness and the README reach into the package
 by name, one module names the head layers, one reads report.json's metric
-sections, the run orchestration reads no model stage, the package holds
-no code that only tests call, a process that only generates data
-imports no training code, a config cannot change once built, and one
-function writes every file."""
+sections, cli reads them through the eval stamp only, the run orchestration
+reads no model stage, the package holds no code that only tests call, a
+process that only generates data imports no training code, a config cannot
+change once built, and one function writes every file."""
 
 import ast
 import dataclasses
@@ -206,6 +206,22 @@ def test_report_sections_are_named_in_evaluation_only():
                     and (node.value in sections or node.value.startswith("baseline_")):
                 found.append(f"{path.name}:{node.lineno}: {node.value!r}")
     assert not found, found
+
+
+def test_cli_reads_metrics_only_through_the_eval_stamp():
+    """Every metric cli prints or tabulates is read by _finished_run, which
+    checks report.json against its eval stamp; a second reader of
+    report_metrics would print numbers no stamp vouches for."""
+    tree = ast.parse((ROOT / "src" / "retentive" / "cli.py").read_text(encoding="utf-8"))
+    readers = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            called = {getattr(n.func, "id", getattr(n.func, "attr", None))
+                      for n in ast.walk(fn) if isinstance(n, ast.Call)}
+            if "report_metrics" in called:
+                readers[fn.name] = called
+    assert list(readers) == ["_finished_run"], sorted(readers)
+    assert "_read_stamp" in readers["_finished_run"]
 
 
 def test_no_function_restates_a_config_choice_default():
