@@ -415,9 +415,11 @@ def run_ablation(cfg: ExperimentConfig, axes: dict[str, list[str]], seed: int,
         units.setdefault(digest, (cell_cfg, seed, Path(out_root) / _cell_name(cell)))
     written = Path(out_root) / "ablation.json"
     old = read_json_object(written, "ablation", {"rows": list})["rows"] if written.exists() else []
-    if not all(isinstance(r, dict) and isinstance(r.get("cell"), dict) for r in old):
-        raise CorruptArtifactError(f"ablation {written} holds a row without a cell")
-    _check_table(written, "cell", {_cell_name(r["cell"]): r.get("config_digest") for r in old},
+    if not all(isinstance(r, dict) and isinstance(r.get("cell"), dict)
+               and isinstance(r.get("config_digest"), str) for r in old):
+        raise CorruptArtifactError(
+            f"ablation {written} holds a row without a cell or config digest")
+    _check_table(written, "cell", {_cell_name(r["cell"]): r["config_digest"] for r in old},
                  {_cell_name(cell): digest for cell, digest in cells})
     failures = _run_units(units, workers)
     metrics = {d: _finished_run(RunPaths(cell_dir, seed))[1]

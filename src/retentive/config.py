@@ -16,6 +16,7 @@ import math
 import operator
 import os
 import re
+import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -278,6 +279,51 @@ def write_artifact(path: str | Path, *parts) -> None:
         raise
 
 
+def write_framed(path: str | Path, magic: bytes, version: int, header: dict, *payload) -> str:
+    """Write a self-hashing file through write_artifact: magic, version and
+    header length (two little-endian uint32), the canonical JSON header, the
+    bytes-like payload parts and the SHA-256 of header plus payload, whose hex
+    it returns."""
+    head = canonical_json(header).encode("utf-8")
+    h = hashlib.sha256(head)
+    for part in payload:
+        h.update(part)
+    digest = h.digest()
+    write_artifact(path, magic, struct.pack("<II", version, len(head)), head, *payload, digest)
+    return digest.hex()
+
+
+def read_framed(path: str | Path, kind: str, magic: bytes, version: int,
+                error: type[Exception]) -> tuple[dict, memoryview, str]:
+    """(header, payload, digest hex) of a file write_framed wrote; the payload
+    is a memoryview of the bytes read. A missing or truncated file, a foreign
+    magic, another version, a failed hash or an unreadable header raises
+    ``error`` with one line naming ``kind``."""
+    try:
+        data = memoryview(Path(path).read_bytes())
+    except FileNotFoundError as exc:
+        raise error(f"{kind} {path} is missing") from exc
+    fixed = len(magic) + 8
+    if len(data) < fixed + 32:
+        raise error(f"{kind} {path} is truncated")
+    if data[:len(magic)] != magic:
+        raise error(f"{kind} {path} has a foreign magic header")
+    found, header_len = struct.unpack_from("<II", data, len(magic))
+    if found != version:
+        raise error(f"{kind} version {found} unsupported; expected {version}")
+    if len(data) < fixed + header_len + 32:
+        raise error(f"{kind} {path} is truncated")
+    body, want = data[fixed:-32], data[-32:]  # the digest covers header plus payload
+    digest = hashlib.sha256(body).digest()
+    if digest != want:
+        raise error(f"{kind} {path} failed hash verification")
+    try:
+        header = json.loads(str(body[:header_len], "utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError too
+        raise error(f"{kind} {path} has an unreadable header: {exc!r}") from exc
+    return header, body[header_len:], digest.hex()
+
+
 def override(cfg, data: dict):
     """A new config (or section) like ``cfg`` but with the values of a nested
     mapping, built and checked bottom-up; a list becomes a tuple."""
@@ -334,8 +380,11 @@ def load_config(path: str | Path | None) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         data = yaml.load(raw, Loader=_Loader)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+    except yaml.YAMLError as exc:  # one line: the problem and where it is
+        mark = getattr(exc, "problem_mark", None)
+        text = (f"{exc.problem}, at line {mark.line + 1}, column {mark.column + 1}" if mark
+                else " ".join(str(exc).split()))
+        raise ConfigError(f"cannot parse config {path}: {text}") from exc
     if data is not None and not isinstance(data, dict):
         raise ConfigError(f"config root of {path} must be a mapping")
     return override(ExperimentConfig(), data or {})

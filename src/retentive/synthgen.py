@@ -14,14 +14,13 @@ parallel and serial generation bitwise identical.
 from __future__ import annotations
 
 import functools
-import struct
 from dataclasses import dataclass
-from hashlib import sha256
 from pathlib import Path
 
 import numpy as np
 
-from .config import MIN_GLYPH, DatasetConfig, canonical_json, read_json_object, write_artifact
+from .config import (MIN_GLYPH, DatasetConfig, canonical_json, read_framed, read_json_object,
+                     write_artifact, write_framed)
 from .errors import CorruptArtifactError, GenerationError, ParameterError
 from .tensorops import iou_matrix, rng, subseed
 
@@ -33,8 +32,8 @@ _TAG_COMPOSE = 0xC0DE
 INTENSITY_RANGE = (0.55, 1.0)
 
 IMAGES_MAGIC = b"RRIMG001"
-IMAGES_VERSION = 1
-MANIFEST_VERSION = 1
+IMAGES_VERSION = 2
+MANIFEST_VERSION = 1  # part of the digested manifest: a new value changes every dataset digest
 
 GLYPH_NAMES = (
     "disk", "square", "ring", "cross", "bars", "triangle",
@@ -238,12 +237,6 @@ class Dataset:
             ],
         }
 
-    def digest(self) -> str:
-        h = sha256(canonical_json(self.manifest_dict()).encode("utf-8"))
-        for img in self.images:
-            h.update(np.ascontiguousarray(img, dtype=np.float64).tobytes())
-        return h.hexdigest()
-
 
 def _mixed_classes(cfg: DatasetConfig, split: ClassSplit, image_seed: int) -> list[int]:
     """The class ids of one scene, a seed-driven base/novel mix."""
@@ -309,62 +302,42 @@ def build_kshot_dataset(cfg: DatasetConfig, split: ClassSplit, seed: int) -> Dat
 # ---------------------------------------------------------------------------
 
 def save_dataset(ds: Dataset, dirpath: str | Path) -> str:
-    """Write manifest.json and images.bin; returns the dataset digest."""
+    """Write images.bin, framed with the manifest as its header, then
+    manifest.json: the manifest plus the frame's digest, which is the dataset
+    digest. Returns it."""
     dirpath = Path(dirpath)
-    manifest = dict(ds.manifest_dict(), digest=ds.digest())
-    write_artifact(dirpath / "manifest.json", canonical_json(manifest))
-    write_artifact(dirpath / "images.bin", IMAGES_MAGIC,
-                   struct.pack("<III", IMAGES_VERSION, ds.side, len(ds.images)),
-                   *(np.ascontiguousarray(img, dtype=np.float64) for img in ds.images))
-    return manifest["digest"]
+    manifest = ds.manifest_dict()
+    digest = write_framed(dirpath / "images.bin", IMAGES_MAGIC, IMAGES_VERSION, manifest,
+                          *(np.ascontiguousarray(img, dtype=np.float64) for img in ds.images))
+    write_artifact(dirpath / "manifest.json", canonical_json(dict(manifest, digest=digest)))
+    return digest
 
 
 def load_dataset(dirpath: str | Path) -> Dataset:
+    """The dataset in images.bin, whose frame header is its manifest;
+    manifest.json must hold that header and the frame's digest."""
     dirpath = Path(dirpath)
-    manifest = read_json_object(dirpath / "manifest.json", "manifest",
-                                {"version": int, "items": list})
-    if manifest["version"] != MANIFEST_VERSION:
-        raise CorruptArtifactError(f"unsupported manifest version {manifest['version']}")
-    blob = (dirpath / "images.bin").read_bytes()
-    head = struct.calcsize("<III")
-    if len(blob) < 8 + head:
-        raise CorruptArtifactError(f"{dirpath / 'images.bin'} is truncated")
-    if blob[:8] != IMAGES_MAGIC:
-        raise CorruptArtifactError("bad images.bin magic")
-    version, side, count = struct.unpack("<III", blob[8:8 + head])
-    if version != IMAGES_VERSION:
-        raise CorruptArtifactError(f"unsupported images.bin version {version}")
-    frame = side * side * 8
-    payload = blob[8 + head:]
-    if len(payload) != frame * count:
-        raise CorruptArtifactError("images.bin payload length mismatch")
-    images = [
-        np.frombuffer(payload[i * frame:(i + 1) * frame], dtype=np.float64).reshape(side, side).copy()
-        for i in range(count)
-    ]
+    header, payload, digest = read_framed(dirpath / "images.bin", "images", IMAGES_MAGIC,
+                                          IMAGES_VERSION, CorruptArtifactError)
+    listed = read_json_object(dirpath / "manifest.json", "manifest",
+                              {"version": int, "items": list})
+    if listed.pop("digest", None) != digest or canonical_json(listed) != canonical_json(header):
+        raise CorruptArtifactError(f"manifest in {dirpath} does not match its images.bin")
+    if header["version"] != MANIFEST_VERSION:
+        raise CorruptArtifactError(f"unsupported manifest version {header['version']}")
     try:
-        records = [
-            SceneRecord(
-                seed=int(item["seed"]),
-                boxes=np.asarray(item["boxes"], dtype=np.float64).reshape(-1, 4),
-                labels=np.asarray(item["labels"], dtype=np.int64),
-                annotated=np.asarray(item["annotated"], dtype=bool),
-            )
-            for item in manifest["items"]
-        ]
-        ds = Dataset(
-            split=ClassSplit.from_dict(manifest["split"]),
-            mode=manifest["mode"],
-            k=manifest["k"],
-            seed=int(manifest["seed"]),
-            side=side,
-            images=images,
-            records=records,
-        )
+        side, items = int(header["side"]), header["items"]
+        want = 8 * side * side * len(items)
+        if len(payload) != want:
+            raise CorruptArtifactError(f"images payload is {len(payload)} bytes; expected {want}")
+        stack = np.frombuffer(payload, dtype=np.float64).reshape(len(items), side, side)
+        records = [SceneRecord(seed=int(item["seed"]),
+                               boxes=np.asarray(item["boxes"], dtype=np.float64).reshape(-1, 4),
+                               labels=np.asarray(item["labels"], dtype=np.int64),
+                               annotated=np.asarray(item["annotated"], dtype=bool))
+                   for item in items]
+        return Dataset(split=ClassSplit.from_dict(header["split"]), mode=header["mode"],
+                       k=header["k"], seed=int(header["seed"]), side=side,
+                       images=[img.copy() for img in stack], records=records)
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptArtifactError(f"manifest in {dirpath} is malformed: {exc!r}") from exc
-    want = manifest.get("digest")
-    got = ds.digest()
-    if want != got:
-        raise CorruptArtifactError(f"dataset digest mismatch: manifest says {want}, payload gives {got}")
-    return ds

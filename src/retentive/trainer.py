@@ -10,16 +10,14 @@ pure function of the trainable arrays.
 from __future__ import annotations
 
 import json
-import struct
 import time
 from dataclasses import asdict, dataclass, field
-from hashlib import sha256
 from pathlib import Path
 
 import numpy as np
 
 from .config import (DetectConfig, ExperimentConfig, ModelConfig, TrainConfig, canonical_json,
-                     override, write_artifact)
+                     override, read_framed, write_artifact, write_framed)
 from .detector import (
     STAGE_BASE,
     Model,
@@ -401,57 +399,32 @@ def _model_header(model: Model, shapes: dict[str, tuple[int, ...]]) -> dict:
 
 def save_checkpoint(model: Model, path) -> str:
     """Write the model to disk; returns the hex digest stored in the file."""
-    names = sorted(model.params)
     shapes = {n: a.shape for n, a in model.params.items()}
-    header = canonical_json(_model_header(model, shapes)).encode("utf-8")
-    payload = b"".join(
-        np.ascontiguousarray(model.params[n], dtype=np.float64).tobytes()
-        for n in names
-    )
-    digest = sha256(header + payload).digest()
-    blob = CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(header))
-    write_artifact(path, blob, header, payload, digest)
-    return digest.hex()
+    return write_framed(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, _model_header(model, shapes),
+                        *(np.ascontiguousarray(model.params[n], dtype=np.float64)
+                          for n in sorted(model.params)))
 
 
-def _verified_parts(path) -> tuple[dict, list[np.ndarray], bytes]:
-    """Header, flat arrays in header order and stored digest of a checkpoint
+def _verified_parts(path) -> tuple[dict, list[np.ndarray], str]:
+    """Header, flat arrays in header order and digest hex of a checkpoint
     that passes every check."""
+    header, payload, digest = read_framed(path, "checkpoint", CHECKPOINT_MAGIC,
+                                          CHECKPOINT_VERSION, CorruptCheckpointError)
     try:
-        data = Path(path).read_bytes()
-    except FileNotFoundError as exc:
-        raise CorruptCheckpointError(f"checkpoint {path} is missing") from exc
-    fixed = len(CHECKPOINT_MAGIC) + 8
-    if len(data) < fixed + 32:
-        raise CorruptCheckpointError(f"checkpoint {path} is truncated")
-    if data[:len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise CorruptCheckpointError(f"checkpoint {path} has a foreign magic header")
-    version, header_len = struct.unpack_from("<II", data, len(CHECKPOINT_MAGIC))
-    if version != CHECKPOINT_VERSION:
-        raise CorruptCheckpointError(
-            f"checkpoint version {version} unsupported; expected {CHECKPOINT_VERSION}")
-    if len(data) < fixed + header_len + 32:
-        raise CorruptCheckpointError(f"checkpoint {path} is truncated")
-    body, want = data[fixed:-32], data[-32:]  # the digest covers header plus payload
-    if sha256(body).digest() != want:
-        raise CorruptCheckpointError(f"checkpoint {path} failed hash verification")
-    try:
-        header = json.loads(body[:header_len].decode("utf-8"))
         counts = [int(np.prod(e["shape"], dtype=np.int64)) for e in header["arrays"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptCheckpointError(
             f"checkpoint {path} has an unreadable header: {exc!r}") from exc
-    payload = body[header_len:]
     if len(payload) != 8 * sum(counts):
         raise CorruptCheckpointError(
             f"checkpoint payload is {len(payload)} bytes; expected {8 * sum(counts)}")
     flat = np.frombuffer(payload, dtype=np.float64)
-    return header, np.split(flat, np.cumsum(counts)[:-1]), want
+    return header, np.split(flat, np.cumsum(counts)[:-1]), digest
 
 
 def verify_checkpoint(path) -> str:
     """Stored digest of a checkpoint; a bad magic, version, length or hash raises."""
-    return _verified_parts(path)[2].hex()
+    return _verified_parts(path)[2]
 
 
 def load_checkpoint(path) -> Model:

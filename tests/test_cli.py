@@ -47,7 +47,7 @@ from retentive.config import (
     write_artifact,
 )
 from retentive.errors import ConfigError, CorruptCheckpointError, StalenessError
-from retentive.synthgen import load_dataset
+from retentive.synthgen import IMAGES_MAGIC, load_dataset
 from retentive.trainer import load_checkpoint, save_checkpoint
 
 TINY_YAML = """\
@@ -814,6 +814,21 @@ def test_repeated_yaml_key_exits_2_and_writes_nothing(tmp_path, capsys, text, ke
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, where", [
+    ("dataset:\n  shots: [3", "expected ',' or ']', but got '<stream end>', at line 2, column 12"),
+    ("a:\n\t- b", "found character '\\t' that cannot start any token, at line 2, column 1"),
+], ids=["open-flow-sequence", "tab-indent"])
+def test_yaml_syntax_error_exits_2_with_one_line(tmp_path, capsys, text, where):
+    """PyYAML's own message spans five to seven lines; the problem and its
+    line and column make one."""
+    path = tmp_path / "bad.yaml"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["gen-data", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: cannot parse config {path}: {where}\n"
+    assert not out.exists()
+
+
 def test_an_integer_in_a_float_field_is_stored_as_a_float():
     """The rules let an integer stand for a float; both spellings are one config."""
     cfg = ExperimentConfig()
@@ -1105,20 +1120,39 @@ def test_unreadable_stamp_exits_4(tiny_yaml, finished_run, tmp_path, capsys, con
 
 
 def test_pretrain_on_a_truncated_images_bin_exits_4(tiny_yaml, tmp_path, capsys):
-    """Every prefix of base-train's images.bin through its fixed fields, and
-    one that cuts the payload, exit 4 with one line, never a traceback."""
+    """Every prefix of base-train's images.bin through its fixed fields and
+    digest, and one that cuts the payload, exit 4 with one line, never a
+    traceback."""
     out = tmp_path / "t"
     assert main(["gen-data", "--config", str(tiny_yaml), "--seed", "2", "--out", str(out)]) == 0
     paths = RunPaths(out, 2)
     images = paths.dataset_dir("base-train") / "images.bin"
     blob = images.read_bytes()
-    for data in [blob[:n] for n in range(21)] + [blob[:-1]]:
+    fixed = len(IMAGES_MAGIC) + 8  # magic, version and header length
+    for data in [blob[:n] for n in range(fixed + 32 + 1)] + [blob[:-1]]:
         images.write_bytes(data)
         capsys.readouterr()
         assert main(["pretrain", "--config", str(tiny_yaml), "--seed", "2",
                      "--out", str(out)]) == 4, len(data)
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("artifact error:"), err
+    assert not paths.stamp("pretrain").exists()
+
+
+def test_a_version_1_images_bin_exits_4_with_one_line(tiny_yaml, tmp_path, capsys):
+    """A run directory written before images.bin was framed keeps its
+    manifest.json, so the walk's gen check passes; its first dataset load
+    exits 4 naming the version."""
+    out = tmp_path / "t"
+    assert main(["gen-data", "--config", str(tiny_yaml), "--seed", "2", "--out", str(out)]) == 0
+    paths = RunPaths(out, 2)
+    ds = load_dataset(paths.dataset_dir("base-train"))
+    (paths.dataset_dir("base-train") / "images.bin").write_bytes(
+        IMAGES_MAGIC + struct.pack("<III", 1, ds.side, len(ds)) + b"".join(
+            img.tobytes() for img in ds.images))
+    capsys.readouterr()
+    assert main(["pretrain", "--config", str(tiny_yaml), "--seed", "2", "--out", str(out)]) == 4
+    assert capsys.readouterr().err == "artifact error: images version 1 unsupported; expected 2\n"
     assert not paths.stamp("pretrain").exists()
 
 
@@ -1286,7 +1320,10 @@ def test_report_on_a_multirun_under_another_config_exits_4(finished_multirun, tm
 
 
 @pytest.mark.parametrize("content", ['{"rows": [', '{"rows": [1]}',
-                                     '{"rows": [{"cell": "rpn_strategy=max"}]}'])
+                                     '{"rows": [{"cell": "rpn_strategy=max"}]}',
+                                     '{"rows": [{"cell": {"rpn_strategy": "max"}}]}',
+                                     '{"rows": [{"cell": {"rpn_strategy": "max"}, '
+                                     '"config_digest": 7}]}'])
 def test_unreadable_ablation_table_exits_4_before_any_cell_runs(tiny_yaml, tmp_path, capsys,
                                                                content):
     out = tmp_path / "o"

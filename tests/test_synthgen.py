@@ -196,14 +196,14 @@ def test_base_dataset_novel_frequency():
     assert 0.2 < unann / total < 0.4
 
 
-def test_base_dataset_digest_stable():
+def test_base_dataset_digest_stable(tmp_path: Path):
     cfg = small_cfg(base_train_images=8)
     split = G.split_classes(cfg.num_classes, cfg.num_novel, seed=6)
     a = G.build_base_dataset(cfg, split, seed=6)
     b = G.build_base_dataset(cfg, split, seed=6)
-    assert a.digest() == b.digest()
+    assert G.save_dataset(a, tmp_path / "a") == G.save_dataset(b, tmp_path / "b")
     c = G.build_base_dataset(cfg, split, seed=7)
-    assert a.digest() != c.digest()
+    assert G.save_dataset(a, tmp_path / "a") != G.save_dataset(c, tmp_path / "c")
 
 
 def test_kshot_one_shot_counts():
@@ -231,13 +231,13 @@ def test_kshot_balance_histogram():
     assert counts == {c: 5 for c in range(12)}
 
 
-def test_kshot_seed_changes_layout_not_histogram():
+def test_kshot_seed_changes_layout_not_histogram(tmp_path: Path):
     cfg = small_cfg(shots=3)
     split = G.split_classes(12, 4, seed=8)
     a = G.build_kshot_dataset(cfg, split, seed=1)
     b = G.build_kshot_dataset(cfg, split, seed=2)
     assert _label_histogram(a) == _label_histogram(b) == {c: 3 for c in range(12)}
-    assert a.digest() != b.digest()
+    assert G.save_dataset(a, tmp_path / "a") != G.save_dataset(b, tmp_path / "b")
 
 
 def test_builders_check_their_dataset_config():
@@ -272,7 +272,7 @@ def test_dataset_roundtrip(tmp_path: Path):
     ds = G.build_base_dataset(cfg, split, seed=5)
     digest = G.save_dataset(ds, tmp_path / "d")
     back = G.load_dataset(tmp_path / "d")
-    assert back.digest() == digest
+    assert G.save_dataset(back, tmp_path / "again") == digest
     assert back.mode == ds.mode and back.split == ds.split
     for a, b in zip(ds.images, back.images):
         assert a.tobytes() == b.tobytes()
@@ -294,18 +294,27 @@ def test_dataset_load_detects_tamper(tmp_path: Path):
         G.load_dataset(tmp_path / "d")
 
 
+# images.bin's fixed part: magic, then version and header length as two uint32
+FIXED = len(G.IMAGES_MAGIC) + 8
+
+
 def test_dataset_load_detects_truncation(tmp_path: Path):
-    """A cut payload is corrupt, and every images.bin shorter than its magic
-    plus fixed fields is truncated, never a struct.error."""
+    """A cut payload fails the hash, and every images.bin shorter than its
+    fixed part and digest, or than its header and digest, is truncated,
+    never a struct.error."""
     cfg = small_cfg(base_train_images=3)
     split = G.split_classes(12, 4, seed=5)
     ds = G.build_base_dataset(cfg, split, seed=5)
     G.save_dataset(ds, tmp_path / "d")
     path = tmp_path / "d" / "images.bin"
     blob = path.read_bytes()
-    for n in [len(blob) - 17] + list(range(21)):
+    header_len = int.from_bytes(blob[FIXED - 4:FIXED], "little")
+    assert G.IMAGES_MAGIC + G.IMAGES_VERSION.to_bytes(4, "little") == blob[:FIXED - 4]
+    cuts = {n: "is truncated" for n in [*range(FIXED + 32 + 1), FIXED + header_len + 31]}
+    cuts.update({FIXED + header_len + 32: "failed hash verification",
+                 len(blob) - 17: "failed hash verification"})
+    for n, match in cuts.items():
         path.write_bytes(blob[:n])
-        match = "is truncated" if n < 20 else "payload length mismatch"
         with pytest.raises(CorruptArtifactError, match=match):
             G.load_dataset(tmp_path / "d")
 
@@ -332,3 +341,32 @@ def test_dataset_load_detects_manifest_edit(tmp_path: Path):
     (tmp_path / "d" / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(CorruptArtifactError):
         G.load_dataset(tmp_path / "d")
+
+
+def test_dataset_load_refuses_a_manifest_that_differs_from_the_frame_in_one_label(tmp_path: Path):
+    """manifest.json rewritten canonically, its digest kept, with one label
+    changed: the frame's header still holds the drawn label."""
+    cfg = small_cfg(base_train_images=3)
+    split = G.split_classes(12, 4, seed=5)
+    G.save_dataset(G.build_base_dataset(cfg, split, seed=5), tmp_path / "d")
+    path = tmp_path / "d" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    labels = manifest["items"][0]["labels"]
+    labels[0] = (labels[0] + 1) % 12
+    path.write_text(json.dumps(manifest, sort_keys=True, separators=(",", ":")))
+    with pytest.raises(CorruptArtifactError, match="does not match its images.bin"):
+        G.load_dataset(tmp_path / "d")
+
+
+def test_images_bin_is_framed_with_the_manifest_as_its_header(tmp_path: Path):
+    """The frame's header is manifest.json without its digest, and its hash
+    is that digest: one digest for the dataset, the frame and the manifest."""
+    cfg = small_cfg(base_train_images=3)
+    split = G.split_classes(12, 4, seed=5)
+    digest = G.save_dataset(G.build_base_dataset(cfg, split, seed=5), tmp_path / "d")
+    blob = (tmp_path / "d" / "images.bin").read_bytes()
+    manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
+    header_len = int.from_bytes(blob[FIXED - 4:FIXED], "little")
+    assert manifest.pop("digest") == digest == blob[-32:].hex()
+    assert json.loads(blob[FIXED:FIXED + header_len]) == manifest
+    assert len(blob) == FIXED + header_len + 3 * 8 * cfg.image_side ** 2 + 32

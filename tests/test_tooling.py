@@ -3,7 +3,8 @@ by name, one module names the head layers, one reads report.json's metric
 sections, cli reads them through the eval stamp only, the run orchestration
 reads no model stage, the package holds no code that only tests call, a
 process that only generates data imports no training code, a config cannot
-change once built, and one function writes every file."""
+change once built, one function writes every file, and one module frames
+binary files."""
 
 import ast
 import dataclasses
@@ -164,6 +165,21 @@ def test_files_are_written_by_write_artifact_only():
             tree.body.remove(writer)
             assert _file_writes(writer)
         found += [f"{path.name}:{line}" for line in _file_writes(tree)]
+    assert not found, found
+
+
+def test_binary_framing_lives_in_config_only():
+    """Checkpoints and images.bin are framed and hashed by config.write_framed
+    and read by config.read_framed; a module packing its own binary fields
+    would be a second frame format beside them."""
+    found = []
+    for path in sorted((ROOT / "src" / "retentive").glob("*.py")):
+        if path.name == "config.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            found += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] == "struct"]
     assert not found, found
 
 
