@@ -70,8 +70,18 @@ DATASET_NAMES = tuple(_DS_TAGS)
 # run directory layout
 # ---------------------------------------------------------------------------
 
+def _check_seed(seed) -> None:
+    """A seed is an integer in [0, 2**64): the seeded draws take it mod 2**64,
+    so any other seed would rerun one of those under another name."""
+    if type(seed) is not int or not 0 <= seed < 2 ** 64:
+        raise ConfigError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+
+
 class RunPaths:
+    """The files of one seed's run; every command reaches a run directory here."""
+
     def __init__(self, out_root, seed: int):
+        _check_seed(seed)
         self.root = Path(out_root) / f"seed-{seed}"
 
     def dataset_dir(self, name: str) -> Path:
@@ -350,6 +360,8 @@ def multirun(cfg: ExperimentConfig, seeds, out_root, workers: int) -> dict:
     seeds = list(seeds)
     if len(seeds) < 2:
         raise ConfigError(f"multirun needs at least 2 seeds, got {len(seeds)}")
+    for s in seeds:
+        _check_seed(s)
     _check_distinct("seed", seeds)
     written = Path(out_root) / "aggregate.json"
     if written.exists():
@@ -404,6 +416,7 @@ def run_ablation(cfg: ExperimentConfig, axes: dict[str, list[str]], seed: int,
     failures; it keeps empty metrics and marks the table incomplete. The
     other cells still run.
     """
+    _check_seed(seed)
     cells, units = [], {}  # (cell, config digest) in grid order; digest -> run_experiment args
     for cell in ablation_cells(axes):
         finetune = dict(cell)

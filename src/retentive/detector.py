@@ -339,8 +339,10 @@ def pool_rois(model: Model, feat: np.ndarray, boxes: np.ndarray,
 
 def pool_proposals(model: Model, forward: ImageForward, proposal_sets,
                    boxes: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """The roi_pool rows of each proposal set, and those of boxes, in order,
-    all from one pool_rois call over the anchors any set holds plus boxes.
+    """The ROI feature rows of each proposal set, and those of boxes, in order,
+    as roi_features gives them, all from one pool_rois call over the anchors
+    any set holds plus boxes. Each set, and boxes, is projected apart, at its
+    own row count.
 
     Proposals of one image with the same anchor id hold the same decoded box,
     so each distinct anchor is pooled once.
@@ -350,8 +352,8 @@ def pool_proposals(model: Model, forward: ImageForward, proposal_sets,
     distinct = np.concatenate([p.boxes for p in proposal_sets])[first]
     pooled = pool_rois(model, forward.feat, np.concatenate([distinct, boxes]))
     rows = np.split(pooled[row], np.cumsum([len(p) for p in proposal_sets])[:-1])
-    # a copy, so that a caller who keeps the boxes' rows does not keep all of pooled
-    return rows, pooled[len(first):].copy()
+    return ([project_rois(model, r) for r in rows],
+            project_rois(model, pooled[len(first):]))
 
 
 def project_rois(model: Model, pooled: np.ndarray) -> np.ndarray:
@@ -469,8 +471,8 @@ def score_proposals(model: Model, proposals: Proposals, rois: np.ndarray, side: 
                     dcfg: DetectConfig, heads: tuple[str, ...]) -> list[Detection]:
     """Score proposals with the given box heads and merge their candidates.
 
-    rois holds the proposals' ROI feature rows, one per box (roi_features,
-    or project_rois over pool_proposals' rows); side is the image's.
+    rois holds the proposals' ROI feature rows, one per box, as roi_features
+    or pool_proposals gives them; side is the image's.
     """
     if len(rois) != len(proposals):
         raise ParameterError(f"{len(rois)} ROI feature rows for {len(proposals)} proposals")

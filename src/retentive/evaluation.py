@@ -24,7 +24,6 @@ from .detector import (
     Model,
     image_forward,
     pool_proposals,
-    project_rois,
     score_proposals,
     strategy_proposals,
 )
@@ -188,20 +187,16 @@ def average_recall(candidates, records, ks, iou_thresh: float,
     return {k: None if total == 0 else n / total for k, n in matched.items()}
 
 
-def roi_feature_norms(model: Model, dataset: Dataset, pooled) -> dict:
+def roi_feature_norms(dataset: Dataset, rois) -> dict:
     """Mean feature magnitude the box head sees per class, with group means.
 
-    Every instance's own box is projected from its pooled row; classes the
-    split marks scarce form the unseen group regardless of per-instance
-    flags. pooled holds, per dataset image, the roi_pool rows of its
-    ground-truth boxes in order.
+    rois holds, per dataset image, the ROI feature rows of its ground-truth
+    boxes in order; classes the split marks scarce form the unseen group
+    regardless of per-instance flags.
     """
     sums: dict[int, float] = {}
     counts: dict[int, int] = {}
-    for rows, rec in zip(pooled, dataset.records):
-        if len(rec.labels) == 0:
-            continue
-        rows = project_rois(model, rows)
+    for rows, rec in zip(rois, dataset.records):
         norms = np.sqrt((rows * rows).sum(axis=1))
         for lbl, nrm in zip(rec.labels, norms):
             cid = int(lbl)
@@ -248,24 +243,23 @@ def build_report(dets_per_image, dataset: Dataset, iou_thresholds, recall: dict,
     }
 
 
-def _infer(base: Model, model: Model, ds: Dataset, cfg: ExperimentConfig, with_gt: bool):
+def _infer(base: Model, model: Model, ds: Dataset, cfg: ExperimentConfig):
     """Both detectors and every strategy's proposals from one frozen path per
     image: one forward, one RPN evaluation and one roi_pool call over both
-    detectors' proposals. With with_gt, that call also pools each image's
-    ground-truth boxes, whose rows come back per image. Proposals come back
-    per image, keyed by strategy."""
+    detectors' proposals and the image's ground-truth boxes. The models share
+    their frozen arrays, so the adapted model's projection serves the base
+    detector too. Proposals come back per image, keyed by strategy, and so do
+    the ground-truth boxes' ROI feature rows."""
     ret, bas, props, gt_rows = [], [], [], []
     for img, rec in zip(ds.images, ds.records):
         fwd = image_forward(model, img)
         per = strategy_proposals(model, fwd, cfg.detect, RPN_STRATEGIES)
         props.append(per)
         mine, theirs = per[model.rpn_strategy], per["base-only"]
-        (mine_rows, their_rows), rows = pool_proposals(
-            model, fwd, [mine, theirs], rec.boxes if with_gt else np.empty((0, 4)))
-        ret.append(score_proposals(model, mine, project_rois(model, mine_rows), fwd.side,
-                                   cfg.detect, ("base", "novel")))
-        bas.append(score_proposals(base, theirs, project_rois(base, their_rows), fwd.side,
-                                   cfg.detect, ("base",)))
+        (mine_rows, their_rows), rows = pool_proposals(model, fwd, [mine, theirs], rec.boxes)
+        ret.append(score_proposals(model, mine, mine_rows, fwd.side, cfg.detect,
+                                   ("base", "novel")))
+        bas.append(score_proposals(base, theirs, their_rows, fwd.side, cfg.detect, ("base",)))
         gt_rows.append(rows)
     return ret, bas, props, gt_rows
 
@@ -288,10 +282,9 @@ def evaluate(base: Model, model: Model, test_ds: Dataset, uar_ds: Dataset,
         raise StalenessError("the adapted model does not share the frozen arrays of its "
                              "base detector")
     ecfg = cfg.eval
-    ret_dets_test, base_dets_test, props_test, gt_rows = _infer(base, model, test_ds, cfg, True)
-    norms = roi_feature_norms(base, test_ds, gt_rows)
-    del gt_rows
-    ret_dets_uar, base_dets_uar, props_uar, _ = _infer(base, model, uar_ds, cfg, False)
+    ret_dets_test, base_dets_test, props_test, gt_rows = _infer(base, model, test_ds, cfg)
+    norms = roi_feature_norms(test_ds, gt_rows)
+    ret_dets_uar, base_dets_uar, props_uar, _ = _infer(base, model, uar_ds, cfg)
 
     # recall key template, candidates, their dataset, instance filter
     recall_rows = [

@@ -53,41 +53,6 @@ class Minibatch:
     roi_delta_t: np.ndarray            # (Nr, 4)
     roi_base_probs: np.ndarray | None = None  # (Nr, C_all+1), finetune only
 
-    @property
-    def num_anchors(self) -> int:
-        return len(self.anchor_label)
-
-    @property
-    def num_rois(self) -> int:
-        return len(self.roi_label)
-
-
-@dataclass
-class LossBreakdown:
-    l_obj: float
-    l_cls: float
-    l_box: float
-    lam: float
-    l_con: float
-    l_box_rpn: float
-    empty: tuple[str, ...]
-
-    @property
-    def total(self) -> float:
-        return self.l_obj + self.l_cls + self.l_box + self.l_box_rpn + self.lam * self.l_con
-
-    def to_dict(self) -> dict:
-        return {
-            "l_obj": self.l_obj,
-            "l_cls": self.l_cls,
-            "l_box": self.l_box,
-            "l_con": self.l_con,
-            "l_box_rpn": self.l_box_rpn,
-            "lambda": self.lam,
-            "total": self.total,
-            "empty": list(self.empty),
-        }
-
 
 # ---------------------------------------------------------------------------
 # consistency term
@@ -189,12 +154,16 @@ def _cosine_backward(dz: np.ndarray, z: np.ndarray, rois: np.ndarray, w: np.ndar
 
 
 def compute_gradients(model: Model, mb: Minibatch,
-                      tcfg: TrainConfig) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
+                      tcfg: TrainConfig) -> tuple[dict, dict[str, np.ndarray]]:
     """Training loss and its exact gradients, through the heads inference runs.
 
     The model's stage names the head that trains: before finetuning, the base
     head and the RPN box layer; after, the finetuned head. Every array of
     trainable_layers(model) gets a gradient, zero where its term has no rows.
+    The losses come back as the record a training-log line carries: each term
+    (zero where it has no rows, and l_con reported even where lambda is zero),
+    the lambda it is weighted by (zero for the base head), their total and the
+    names of the terms that had no rows.
     """
     head = trained_head(model)
     obj_layer, cls_layer, reg_layer = _head_layers(model, head)
@@ -202,8 +171,8 @@ def compute_gradients(model: Model, mb: Minibatch,
     trainable = trainable_layers(model)
     grads = {k: np.zeros_like(v) for k, v in a.items() if k.split("/")[0] in trainable}
     empty: list[str] = []
-    na = mb.num_anchors
-    nr = mb.num_rois
+    na = len(mb.anchor_label)
+    nr = len(mb.roi_label)
     n_scales = a[f"{obj_layer}/W"].shape[0]
     scale_rows = [mb.anchor_scale == s_idx for s_idx in range(n_scales)]
 
@@ -268,6 +237,6 @@ def compute_gradients(model: Model, mb: Minibatch,
         empty.append("box")
 
     lam = tcfg.lam if head == "novel" else 0.0
-    breakdown = LossBreakdown(l_obj=l_obj, l_cls=l_cls, l_box=l_box, l_con=l_con,
-                              l_box_rpn=l_box_rpn, lam=lam, empty=tuple(empty))
-    return breakdown, grads
+    return {"l_obj": l_obj, "l_cls": l_cls, "l_box": l_box, "l_con": l_con,
+            "l_box_rpn": l_box_rpn, "lambda": lam,
+            "total": l_obj + l_cls + l_box + l_box_rpn + lam * l_con, "empty": empty}, grads

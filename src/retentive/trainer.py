@@ -40,7 +40,7 @@ from .errors import (
     ParameterError,
     TrainingError,
 )
-from .losses import LossBreakdown, Minibatch, compute_gradients
+from .losses import Minibatch, compute_gradients
 from .synthgen import ClassSplit, Dataset
 from .tensorops import encode_boxes, iou_matrix, rng, subseed
 
@@ -263,18 +263,13 @@ def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
 
 @dataclass
 class TrainLog:
-    """Per-iteration loss trace for one stage, serializable as JSONL."""
+    """Per-iteration loss trace for one stage, serializable as JSONL: one
+    record per step, compute_gradients' losses plus the step's iteration,
+    stage, seed, lr and wall_clock."""
 
     stage: str
     seed: int
     records: list[dict] = field(default_factory=list)
-
-    def append(self, iteration: int, breakdown: LossBreakdown, lr: float,
-               wall_clock: float) -> None:
-        rec = {"iteration": iteration, "stage": self.stage, "seed": self.seed,
-               "lr": lr, "wall_clock": wall_clock}
-        rec.update(breakdown.to_dict())
-        self.records.append(rec)
 
     def save(self, path) -> None:
         write_artifact(path, *(canonical_json(r) + "\n" for r in self.records))
@@ -309,20 +304,14 @@ class TrainLog:
 # stage loops
 # ---------------------------------------------------------------------------
 
-def windowed_means(totals, window: int) -> tuple[float, float] | None:
-    """Means of the two most recent disjoint windows, or None if too short."""
-    if window < 1 or len(totals) < 2 * window:
-        return None
-    recent = float(np.mean(totals[-window:]))
-    earlier = float(np.mean(totals[-2 * window:-window]))
-    return earlier, recent
-
-
 def _converged(records: list[dict], window: int, rel_tol: float) -> bool:
-    pair = windowed_means([r["total"] for r in records[-2 * window:]], window)
-    if pair is None:
+    """Whether the mean total of the last window records moved by less than
+    rel_tol relative to that of the window before; False before two windows."""
+    if len(records) < 2 * window:
         return False
-    earlier, recent = pair
+    totals = [r["total"] for r in records[-2 * window:]]
+    earlier = float(np.mean(totals[:window]))
+    recent = float(np.mean(totals[window:]))
     return abs(recent - earlier) / max(abs(earlier), 1e-12) < rel_tol
 
 
@@ -341,12 +330,12 @@ def _run_stage(model: Model, dataset: Dataset, tcfg: TrainConfig,
         picks = np.sort(rng(seed, _TAG_PICK, it).choice(len(dataset), size=mb_size,
                                                          replace=False))
         mb = build_minibatch(model, dataset, picks, tcfg, dcfg, seed, it, cache)
-        breakdown, grads = compute_gradients(model, mb, tcfg)
-        if not np.isfinite(breakdown.total):
-            raise TrainingError(
-                f"{log.stage} loss is not finite at iteration {it}: {breakdown.to_dict()}")
+        losses, grads = compute_gradients(model, mb, tcfg)
+        if not np.isfinite(losses["total"]):
+            raise TrainingError(f"{log.stage} loss is not finite at iteration {it}: {losses}")
         sgd_step(model.params, grads, velocity, tcfg.lr, tcfg.momentum)
-        log.append(it, breakdown, tcfg.lr, time.monotonic() - t0)
+        log.records.append({"iteration": it, "stage": log.stage, "seed": log.seed,
+                            "lr": tcfg.lr, "wall_clock": time.monotonic() - t0, **losses})
         if _converged(log.records, tcfg.convergence_window, tcfg.convergence_rel_tol):
             log.records[-1]["stop_reason"] = f"converged@{it}"
             return

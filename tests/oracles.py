@@ -325,7 +325,7 @@ def decode_box_scalar(delta, anchor, side=None) -> list[float]:
 
 
 def compute_loss(model, mb, tcfg):
-    """The training loss breakdown alone."""
+    """The training loss record alone."""
     return compute_gradients(model, mb, tcfg)[0]
 
 
@@ -348,9 +348,9 @@ def finite_difference_check(model, mb, tcfg, eps: float = 1e-6, max_coords: int 
         arr = model.params[key]
         orig = arr.flat[flat]
         arr.flat[flat] = orig + eps
-        plus = compute_loss(model, mb, tcfg).total
+        plus = compute_loss(model, mb, tcfg)["total"]
         arr.flat[flat] = orig - eps
-        minus = compute_loss(model, mb, tcfg).total
+        minus = compute_loss(model, mb, tcfg)["total"]
         arr.flat[flat] = orig
         numeric = (plus - minus) / (2.0 * eps)
         analytic = grads[key].flat[flat]

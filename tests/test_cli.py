@@ -241,6 +241,37 @@ def test_multirun_repeated_seed_exits_2_and_writes_nothing(tiny_yaml, tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, seed", [
+    (["multirun", "--seeds", "0,18446744073709551616"], 2 ** 64),
+    (["gen-data", "--seed", "-1"], -1),
+    (["ablate", "--seed", "18446744073709551616", "--axes", "rpn_strategy=max,base-only"],
+     2 ** 64),
+])
+def test_a_seed_outside_64_bits_exits_2_and_writes_nothing(tiny_yaml, tmp_path, capsys,
+                                                            argv, seed):
+    """The seeded draws take a seed mod 2**64: 2**64 would rerun seed 0 and -1
+    seed 2**64 - 1, each under another name."""
+    out = tmp_path / "o"
+    assert main(argv + ["--config", str(tiny_yaml), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: seed must be an integer in [0, 2**64), got {seed}\n")
+    assert not out.exists()
+
+
+def test_a_bool_is_not_a_seed(tiny_cfg, tmp_path):
+    """True would name seed-True and draw as seed 1."""
+    with pytest.raises(ConfigError, match=r"seed must be an integer in \[0, 2\*\*64\), got True"):
+        run_experiment(tiny_cfg, True, tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_largest_seed_runs_gen(tiny_yaml, tmp_path):
+    seed = 2 ** 64 - 1
+    assert main(["gen-data", "--config", str(tiny_yaml), "--seed", str(seed),
+                 "--out", str(tmp_path)]) == 0
+    assert (RunPaths(tmp_path, seed).stamp("gen")).exists()
+
+
 def test_multirun_failed_seed_marks_incomplete(tiny_cfg, tmp_path):
     out = tmp_path / "mr"
     # poison one seed dir with a stamp from a different configuration

@@ -562,9 +562,8 @@ def det_bits(dets):
 
 
 def scored(model, props, rows, img, dcfg, heads):
-    """Detections of the given heads over proposals and their roi_pool rows."""
-    return D.score_proposals(model, props, D.project_rois(model, rows), img.shape[0], dcfg,
-                             heads)
+    """Detections of the given heads over proposals and their ROI feature rows."""
+    return D.score_proposals(model, props, rows, img.shape[0], dcfg, heads)
 
 
 def prop_bits(props):
@@ -627,19 +626,20 @@ def test_detectors_on_shared_pooled_rows_match_their_own_pooling(tiny_finetuned,
         fwd = D.image_forward(model, img)
         per = D.strategy_proposals(model, fwd, dcfg, RPN_STRATEGIES)
         mine, theirs = per[strategy], per["base-only"]
-        (pooled_mine, pooled_theirs), no_rows = D.pool_proposals(model, fwd, [mine, theirs],
-                                                                 np.empty((0, 4)))
+        (mine_rows, their_rows), no_rows = D.pool_proposals(model, fwd, [mine, theirs],
+                                                            np.empty((0, 4)))
         assert len(no_rows) == 0
-        assert pooled_mine.tobytes() == D.pool_rois(model, fwd.feat, mine.boxes).tobytes()
-        assert pooled_theirs.tobytes() == D.pool_rois(model, fwd.feat, theirs.boxes).tobytes()
+        assert mine_rows.tobytes() == D.roi_features(model, fwd.feat, mine.boxes).tobytes()
+        # the models share their projection, so the adapted one serves the base detector
+        assert their_rows.tobytes() == D.roi_features(base, fwd.feat, theirs.boxes).tobytes()
         side = float(img.shape[0])
         boxes = np.array([[2.0, 3.0, side / 2, side - 5.0], [0.0, 0.0, side, side]])
-        sets, pooled_boxes = D.pool_proposals(model, fwd, [mine, theirs], boxes)
-        assert [r.tobytes() for r in sets] == [pooled_mine.tobytes(), pooled_theirs.tobytes()]
-        assert pooled_boxes.tobytes() == D.pool_rois(model, fwd.feat, boxes).tobytes()
-        got = scored(model, mine, pooled_mine, img, dcfg, ("base", "novel"))
+        sets, box_rows = D.pool_proposals(model, fwd, [mine, theirs], boxes)
+        assert [r.tobytes() for r in sets] == [mine_rows.tobytes(), their_rows.tobytes()]
+        assert box_rows.tobytes() == D.roi_features(model, fwd.feat, boxes).tobytes()
+        got = scored(model, mine, mine_rows, img, dcfg, ("base", "novel"))
         assert det_bits(got) == det_bits(D.detect(model, img, dcfg))
-        got_base = scored(base, theirs, pooled_theirs, img, dcfg, ("base",))
+        got_base = scored(base, theirs, their_rows, img, dcfg, ("base",))
         assert det_bits(got_base) == det_bits(D.detect_base(base, img, dcfg))
         n_dets += len(got) + len(got_base)
     assert n_dets > 0

@@ -14,7 +14,7 @@ from oracles import (
     recall_single_k_oracle,
 )
 from retentive.config import DatasetConfig, ModelConfig
-from retentive.detector import Detection, image_forward, init_base_model, pool_rois
+from retentive.detector import Detection, image_forward, init_base_model, roi_features
 from retentive.errors import ParameterError
 from retentive.evaluation import (
     GROUP_ALL,
@@ -398,8 +398,8 @@ def blank_dataset(split, side=48):
 
 
 def gt_rows(model, ds):
-    """Each image's pooled ground-truth rows, as the eval stage hands them over."""
-    return [pool_rois(model, image_forward(model, img).feat, rec.boxes)
+    """Each image's ground-truth ROI feature rows, as the eval stage hands them over."""
+    return [roi_features(model, image_forward(model, img).feat, rec.boxes)
             for img, rec in zip(ds.images, ds.records)]
 
 
@@ -407,7 +407,7 @@ def test_norms_zero_images_give_zero_norms():
     split = ClassSplit(num_classes=4, base_ids=(0, 1), novel_ids=(2, 3))
     ds = blank_dataset(split)
     model = init_base_model(split, ModelConfig(), feat_seed=3, seed=3)
-    norms = roi_feature_norms(model, ds, gt_rows(model, ds))
+    norms = roi_feature_norms(ds, gt_rows(model, ds))
     assert norms["per_class"] == {0: 0.0, 2: 0.0}
     assert norms["groups"] == {"seen": 0.0, "unseen": 0.0}
 
@@ -418,7 +418,7 @@ def test_norms_duplicate_instance_leaves_mean_unchanged():
     split = split_classes(4, 1, 3)
     ds = build_test_dataset(cfg, split, seed=5)
     model = init_base_model(split, ModelConfig(), feat_seed=3, seed=3)
-    base = roi_feature_norms(model, ds, gt_rows(model, ds))
+    base = roi_feature_norms(ds, gt_rows(model, ds))
 
     rec = ds.records[0]
     dup = SceneRecord(
@@ -429,7 +429,7 @@ def test_norms_duplicate_instance_leaves_mean_unchanged():
     )
     doubled = Dataset(split=split, mode="test", k=None, seed=0, side=ds.side,
                       images=[ds.images[0]], records=[dup])
-    doubled_norms = roi_feature_norms(model, doubled, gt_rows(model, doubled))
+    doubled_norms = roi_feature_norms(doubled, gt_rows(model, doubled))
     assert doubled_norms["per_class"] == pytest.approx(base["per_class"])
 
 
@@ -439,7 +439,7 @@ def test_norms_match_scalar_recomputation():
     split = split_classes(5, 2, 11)
     ds = build_test_dataset(cfg, split, seed=11)
     model = init_base_model(split, ModelConfig(), feat_seed=11, seed=11)
-    got = roi_feature_norms(model, ds, gt_rows(model, ds))
+    got = roi_feature_norms(ds, gt_rows(model, ds))
 
     proj = model.params["boxhead_proj/W"]
     sums, counts = {}, {}

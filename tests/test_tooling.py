@@ -3,8 +3,8 @@ by name, one module names the head layers, one reads report.json's metric
 sections, cli reads them through the eval stamp only, the run orchestration
 reads no model stage, the package holds no code that only tests call, a
 process that only generates data imports no training code, a config cannot
-change once built, one function writes every file, and one module frames
-binary files."""
+change once built, one function writes every file, one module frames
+binary files, and every record field is read outside its class."""
 
 import ast
 import dataclasses
@@ -323,6 +323,48 @@ def test_every_package_definition_is_read_outside_tests():
                            if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
                            and not attributes[m.name]]
     assert not unread, f"nothing outside tests reads {unread}"
+
+
+# Dataclass fields that nothing outside their own class reads, with the reason each stays.
+UNREAD_FIELDS = {
+    # Dataset.manifest_dict writes both into the manifest the dataset digest covers
+    "Dataset.mode", "Dataset.k",
+    # Rule's own admits and __str__ read it; config fields carry Rules built by rule()
+    "Rule.bounds",
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for d in node.decorator_list:
+        d = d.func if isinstance(d, ast.Call) else d
+        if (d.id if isinstance(d, ast.Name) else getattr(d, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def test_every_record_field_is_read_outside_its_class():
+    """Every annotated field of a package dataclass is read as an attribute in
+    src/ or perfbench/ outside its own class body: a field only its class
+    reads restates a value the class could compute or a caller already holds."""
+    trees = {p: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted((ROOT / "src").rglob("*.py")) + sorted(PERFBENCH.glob("*.py"))}
+    reads = [n for tree in trees.values() for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)]
+    unread = []
+    for path, tree in trees.items():
+        if path.parent.name != "retentive":
+            continue
+        for cls in ast.walk(tree):
+            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
+                continue
+            inside = {id(n) for n in ast.walk(cls)}
+            for stmt in cls.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    name = stmt.target.id
+                    if not any(n.attr == name and id(n) not in inside for n in reads):
+                        unread.append(f"{cls.name}.{name}")
+    assert sorted(set(unread) - UNREAD_FIELDS) == [], "fields only their class reads"
+    assert sorted(UNREAD_FIELDS - set(unread)) == [], "exceptions for fields now read"
 
 
 def test_config_sections_are_frozen():

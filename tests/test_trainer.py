@@ -41,7 +41,6 @@ from retentive.trainer import (
     save_checkpoint,
     sgd_step,
     verify_checkpoint,
-    windowed_means,
 )
 
 
@@ -227,7 +226,7 @@ def test_minibatch_shapes_and_slots_pretrain():
                          cfg.detect, seed=7, iteration=0, cache={})
     assert mb.anchor_cells.shape[1] == cfg.model.mixer_channels
     assert mb.roi_feats.shape[1] == cfg.model.head_dim
-    assert mb.num_anchors == len(mb.anchor_scale) == len(mb.anchor_delta_t)
+    assert len(mb.anchor_label) == len(mb.anchor_scale) == len(mb.anchor_delta_t)
     assert mb.roi_base_probs is None
     # slots live in [0, num_base] with background last
     assert mb.roi_label.min() >= 0
@@ -247,7 +246,7 @@ def test_minibatch_finetune_carries_reference_probs():
                          cfg.detect, seed=9, iteration=3, cache={})
     width = split.num_classes + 1
     assert mb.roi_base_probs is not None
-    assert mb.roi_base_probs.shape == (mb.num_rois, width)
+    assert mb.roi_base_probs.shape == (len(mb.roi_label), width)
     np.testing.assert_allclose(mb.roi_base_probs.sum(axis=1), 1.0, atol=1e-12)
     assert mb.roi_label.max() <= split.num_classes
 
@@ -408,7 +407,7 @@ def test_finetune_minibatch_leaves_rpn_box_targets_zero():
         model, ds, tcfg, cfg = _stage_world(stage)
         mb = build_minibatch(model, ds, [0, 1], tcfg, cfg.detect, seed=7, iteration=0, cache={})
         pos = mb.anchor_label > 0.5
-        assert pos.any() and mb.anchor_delta_t.shape == (mb.num_anchors, 4)
+        assert pos.any() and mb.anchor_delta_t.shape == (len(mb.anchor_label), 4)
         assert (mb.anchor_delta_t[pos] != 0.0).any() == (stage == "pretrain")
         assert not mb.anchor_delta_t[~pos].any()
 
@@ -503,8 +502,8 @@ def test_finetune_consistency_gradient_reduces_the_term():
     velocity: dict = {}
     trace = []
     for _ in range(120):
-        breakdown, grads = compute_gradients(model, mb, tcfg)
-        trace.append(breakdown.l_con)
+        losses, grads = compute_gradients(model, mb, tcfg)
+        trace.append(losses["l_con"])
         sgd_step(model.params, grads, velocity, tcfg.lr, tcfg.momentum)
     assert trace[-1] < trace[0]
     # supervision bumps the term early; from the peak it must come well down
@@ -512,8 +511,8 @@ def test_finetune_consistency_gradient_reduces_the_term():
 
 
 def test_convergence_uses_windowed_relative_change():
-    assert windowed_means([1.0] * 10, 5) == (1.0, 1.0)
-    assert windowed_means([1.0] * 9, 5) is None
+    assert trainer._converged([{"total": 1.0}] * 10, 5, 1e-9)
+    assert not trainer._converged([{"total": 1.0}] * 9, 5, 1e9)
     cfg, _, base_ds, _ = tiny_world(pre_iters=400, window=5)
     loose = dataclasses.replace(cfg.pretrain, convergence_rel_tol=1e9)  # first check stops it
     cfg = dataclasses.replace(cfg, pretrain=loose)
@@ -521,6 +520,58 @@ def test_convergence_uses_windowed_relative_change():
     assert len(log.records) == 10
     assert log.records[-1]["stop_reason"] == "converged@9"
     assert not any("stop_reason" in r for r in log.records[:-1])
+
+
+def _totals(*totals):
+    return [{"total": t} for t in totals]
+
+
+def test_convergence_boundaries():
+    # one record short of two windows never converges, whatever the tolerance
+    assert not trainer._converged(_totals(*[1.0] * 7), 4, 1e9)
+    assert trainer._converged(_totals(*[1.0] * 8), 4, 1e-9)
+    # the relative change must fall strictly below rel_tol: 1.0 -> 1.5 is 0.5 exactly
+    assert not trainer._converged(_totals(1.0, 1.0, 1.5, 1.5), 2, 0.5)
+    assert trainer._converged(_totals(1.0, 1.0, 1.5, 1.5), 2, 0.5000001)
+    # the windows are the last 2 * window records split in half: 1.1 -> 1.4 is 0.2727
+    assert trainer._converged(_totals(9.0, 1.0, 1.2, 1.3, 1.5), 2, 0.28)
+    assert not trainer._converged(_totals(9.0, 1.0, 1.2, 1.3, 1.5), 2, 0.27)
+
+
+LOSS_TERMS = ("l_obj", "l_cls", "l_box", "l_box_rpn", "l_con")
+
+
+def test_a_step_total_sums_its_terms_in_order():
+    """total is l_obj + l_cls + l_box + l_box_rpn + lambda * l_con, in that
+    order, on a real step of each stage; between the two every term is non-zero."""
+    from retentive.losses import compute_gradients
+
+    non_zero = set()
+    for stage in ("pretrain", "finetune"):
+        model, ds, tcfg, cfg = _stage_world(stage)
+        mb = build_minibatch(model, ds, [0, 1], tcfg, cfg.detect, seed=7, iteration=0, cache={})
+        rec = compute_gradients(model, mb, tcfg)[0]
+        assert rec["lambda"] == (0.1 if stage == "finetune" else 0.0)
+        assert rec["total"] == (rec["l_obj"] + rec["l_cls"] + rec["l_box"] + rec["l_box_rpn"]
+                                + rec["lambda"] * rec["l_con"])
+        non_zero |= {k for k in LOSS_TERMS if rec[k] != 0.0}
+        if stage == "finetune":
+            assert rec["lambda"] * rec["l_con"] > 1e-9 * rec["total"]
+    assert non_zero == set(LOSS_TERMS)
+
+
+def test_a_log_record_is_the_step_losses_and_its_place():
+    """Every record holds the keys TrainLog.load checks, the wall_clock the
+    benchmark harness reads and the step's losses; the last adds stop_reason."""
+    cfg, _, base_ds, _ = tiny_world(pre_iters=3, window=60)
+    _, log = pretrain(base_ds, cfg, seed=7)
+    keys = {"iteration", "stage", "seed", "lr", "wall_clock", "lambda", "total", "empty",
+            *LOSS_TERMS}
+    assert [set(r) for r in log.records] == [keys, keys, keys | {"stop_reason"}]
+    assert [(r["iteration"], r["stage"], r["seed"]) for r in log.records] == [
+        (0, "pretrain", 7), (1, "pretrain", 7), (2, "pretrain", 7)]
+    clocks = [r["wall_clock"] for r in log.records]
+    assert clocks == sorted(clocks) and all(type(c) is float for c in clocks)
 
 
 # ---------------------------------------------------------------------------
