@@ -51,6 +51,7 @@ from .synthgen import (
     build_base_dataset,
     build_kshot_dataset,
     build_test_dataset,
+    dataset_digest,
     load_dataset,
     save_dataset,
     split_classes,
@@ -71,8 +72,8 @@ DATASET_NAMES = tuple(_DS_TAGS)
 # ---------------------------------------------------------------------------
 
 def _check_seed(seed) -> None:
-    """A seed is an integer in [0, 2**64): the seeded draws take it mod 2**64,
-    so any other seed would rerun one of those under another name."""
+    """A seed is an integer in [0, 2**64), the keys the seeded draws admit;
+    refused here, another seed is a config error before any directory exists."""
     if type(seed) is not int or not 0 <= seed < 2 ** 64:
         raise ConfigError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
@@ -101,13 +102,6 @@ class RunPaths:
 
     def detections(self) -> Path:
         return self.root / "detections.jsonl"
-
-
-def _dataset_digest_on_disk(path: Path) -> str:
-    manifest = path / "manifest.json"
-    if not manifest.exists():
-        raise StalenessError(f"dataset missing at {path}")
-    return read_json_object(manifest, "manifest", {"digest": str})["digest"]
 
 
 def _checkpoint_digest_on_disk(paths: RunPaths, name: str) -> str:
@@ -186,8 +180,8 @@ def _evaluate_models(cfg: ExperimentConfig, seed: int, paths: RunPaths, up: dict
 # stage -> (upstream outputs it reads, its outputs as found on disk, its runner);
 # output names are unique across stages, so upstream outputs share one dict
 _PIPELINE = {
-    "gen": ((), lambda paths: {n: _dataset_digest_on_disk(paths.dataset_dir(n))
-                               for n in DATASET_NAMES}, _run_gen),
+    "gen": ((), lambda paths: {n: dataset_digest(paths.dataset_dir(n)) for n in DATASET_NAMES},
+            _run_gen),
     "pretrain": (("base-train",),
                  lambda paths: {"base": _checkpoint_digest_on_disk(paths, "base")},
                  _run_pretrain),

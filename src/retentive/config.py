@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import operator
@@ -20,6 +21,7 @@ import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from .errors import ConfigError, CorruptArtifactError
@@ -294,10 +296,11 @@ def write_framed(path: str | Path, magic: bytes, version: int, header: dict, *pa
 
 
 def read_framed(path: str | Path, kind: str, magic: bytes, version: int,
-                error: type[Exception]) -> tuple[dict, memoryview, str]:
-    """(header, payload, digest hex) of a file write_framed wrote; the payload
-    is a memoryview of the bytes read. A missing or truncated file, a foreign
-    magic, another version, a failed hash or an unreadable header raises
+                error: type[Exception], shapes) -> tuple[dict, list[np.ndarray], str]:
+    """(header, arrays, digest hex) of a file write_framed wrote: its payload as
+    the float64 arrays of the shapes ``shapes(header)`` lists, read-only views of
+    the bytes read. A missing or truncated file, a foreign magic, another version,
+    a failed hash, an unreadable header or a payload of another length raises
     ``error`` with one line naming ``kind``."""
     try:
         data = memoryview(Path(path).read_bytes())
@@ -319,9 +322,18 @@ def read_framed(path: str | Path, kind: str, magic: bytes, version: int,
         raise error(f"{kind} {path} failed hash verification")
     try:
         header = json.loads(str(body[:header_len], "utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError too
+        dims = [tuple(map(int, shape)) for shape in shapes(header)]
+        if any(n < 0 for shape in dims for n in shape):
+            raise ValueError(f"negative array dimension in {dims}")
+    except (KeyError, TypeError, ValueError) as exc:  # UnicodeDecodeError and JSONDecodeError too
         raise error(f"{kind} {path} has an unreadable header: {exc!r}") from exc
-    return header, body[header_len:], digest.hex()
+    sizes = [math.prod(shape) for shape in dims]
+    payload = body[header_len:]
+    if len(payload) != 8 * sum(sizes):
+        raise error(f"{kind} payload is {len(payload)} bytes; expected {8 * sum(sizes)}")
+    flat = np.frombuffer(payload, dtype=np.float64)
+    return header, [flat[end - n:end].reshape(shape) for shape, n, end
+                    in zip(dims, sizes, itertools.accumulate(sizes))], digest.hex()
 
 
 def override(cfg, data: dict):

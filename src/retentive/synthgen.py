@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (MIN_GLYPH, DatasetConfig, canonical_json, read_framed, read_json_object,
-                     write_artifact, write_framed)
+from .config import (MIN_GLYPH, DatasetConfig, canonical_json, read_framed, write_artifact,
+                     write_framed)
 from .errors import CorruptArtifactError, GenerationError, ParameterError
 from .tensorops import iou_matrix, rng, subseed
 
@@ -298,13 +298,18 @@ def build_kshot_dataset(cfg: DatasetConfig, split: ClassSplit, seed: int) -> Dat
 
 
 # ---------------------------------------------------------------------------
-# on-disk format: manifest.json + images.bin
+# on-disk format
 # ---------------------------------------------------------------------------
+
+# read_framed's arguments after the path: a manifest lists one (side, side) image per item
+_IMAGES_FRAME = ("images", IMAGES_MAGIC, IMAGES_VERSION, CorruptArtifactError,
+                 lambda header: [(header["side"], header["side"])] * len(header["items"]))
+
 
 def save_dataset(ds: Dataset, dirpath: str | Path) -> str:
     """Write images.bin, framed with the manifest as its header, then
     manifest.json: the manifest plus the frame's digest, which is the dataset
-    digest. Returns it."""
+    digest. Returns it. manifest.json is an export; no module reads it."""
     dirpath = Path(dirpath)
     manifest = ds.manifest_dict()
     digest = write_framed(dirpath / "images.bin", IMAGES_MAGIC, IMAGES_VERSION, manifest,
@@ -313,31 +318,24 @@ def save_dataset(ds: Dataset, dirpath: str | Path) -> str:
     return digest
 
 
+def dataset_digest(dirpath: str | Path) -> str:
+    """The dataset digest of images.bin; a bad magic, version, length or hash raises."""
+    return read_framed(Path(dirpath) / "images.bin", *_IMAGES_FRAME)[2]
+
+
 def load_dataset(dirpath: str | Path) -> Dataset:
-    """The dataset in images.bin, whose frame header is its manifest;
-    manifest.json must hold that header and the frame's digest."""
-    dirpath = Path(dirpath)
-    header, payload, digest = read_framed(dirpath / "images.bin", "images", IMAGES_MAGIC,
-                                          IMAGES_VERSION, CorruptArtifactError)
-    listed = read_json_object(dirpath / "manifest.json", "manifest",
-                              {"version": int, "items": list})
-    if listed.pop("digest", None) != digest or canonical_json(listed) != canonical_json(header):
-        raise CorruptArtifactError(f"manifest in {dirpath} does not match its images.bin")
-    if header["version"] != MANIFEST_VERSION:
-        raise CorruptArtifactError(f"unsupported manifest version {header['version']}")
+    """The dataset in images.bin, whose frame header is its manifest."""
+    header, images, _ = read_framed(Path(dirpath) / "images.bin", *_IMAGES_FRAME)
     try:
-        side, items = int(header["side"]), header["items"]
-        want = 8 * side * side * len(items)
-        if len(payload) != want:
-            raise CorruptArtifactError(f"images payload is {len(payload)} bytes; expected {want}")
-        stack = np.frombuffer(payload, dtype=np.float64).reshape(len(items), side, side)
+        if header["version"] != MANIFEST_VERSION:
+            raise CorruptArtifactError(f"unsupported manifest version {header['version']}")
         records = [SceneRecord(seed=int(item["seed"]),
                                boxes=np.asarray(item["boxes"], dtype=np.float64).reshape(-1, 4),
                                labels=np.asarray(item["labels"], dtype=np.int64),
                                annotated=np.asarray(item["annotated"], dtype=bool))
-                   for item in items]
+                   for item in header["items"]]
         return Dataset(split=ClassSplit.from_dict(header["split"]), mode=header["mode"],
-                       k=header["k"], seed=int(header["seed"]), side=side,
-                       images=[img.copy() for img in stack], records=records)
+                       k=header["k"], seed=int(header["seed"]), side=int(header["side"]),
+                       images=[img.copy() for img in images], records=records)
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptArtifactError(f"manifest in {dirpath} is malformed: {exc!r}") from exc

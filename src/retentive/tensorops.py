@@ -16,7 +16,6 @@ from .errors import NumericError, ParameterError
 
 EPS_COSINE = 1e-8
 
-_SEED_MASK = 0xFFFFFFFFFFFFFFFF
 _TAG_FEATURIZER = 0xFEA7
 
 _OPENBLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
@@ -63,8 +62,12 @@ def as_f64(x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _seed_sequence(keys) -> np.random.SeedSequence:
-    """Every seeded draw in the package starts here; keys are taken mod 2**64."""
-    return np.random.SeedSequence([int(k) & _SEED_MASK for k in keys])
+    """Every seeded draw in the package starts here. Each key is an integer in
+    [0, 2**64), so two different keys never name one draw."""
+    keys = [int(k) for k in keys]
+    if not all(0 <= k < 2 ** 64 for k in keys):
+        raise ParameterError(f"seed keys must be integers in [0, 2**64), got {keys}")
+    return np.random.SeedSequence(keys)
 
 
 def rng(*keys: int) -> np.random.Generator:
@@ -226,7 +229,7 @@ def rank(scores) -> np.ndarray:
     return np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
 
 
-NMS_BLOCK = 64
+NMS_BLOCK = 32
 
 
 def nms(boxes: np.ndarray, scores: np.ndarray, iou_thresh: float,

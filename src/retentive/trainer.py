@@ -394,26 +394,14 @@ def save_checkpoint(model: Model, path) -> str:
                           for n in sorted(model.params)))
 
 
-def _verified_parts(path) -> tuple[dict, list[np.ndarray], str]:
-    """Header, flat arrays in header order and digest hex of a checkpoint
-    that passes every check."""
-    header, payload, digest = read_framed(path, "checkpoint", CHECKPOINT_MAGIC,
-                                          CHECKPOINT_VERSION, CorruptCheckpointError)
-    try:
-        counts = [int(np.prod(e["shape"], dtype=np.int64)) for e in header["arrays"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptCheckpointError(
-            f"checkpoint {path} has an unreadable header: {exc!r}") from exc
-    if len(payload) != 8 * sum(counts):
-        raise CorruptCheckpointError(
-            f"checkpoint payload is {len(payload)} bytes; expected {8 * sum(counts)}")
-    flat = np.frombuffer(payload, dtype=np.float64)
-    return header, np.split(flat, np.cumsum(counts)[:-1]), digest
+# read_framed's arguments after the path: a checkpoint header lists its arrays
+_CHECKPOINT_FRAME = ("checkpoint", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, CorruptCheckpointError,
+                     lambda header: [e["shape"] for e in header["arrays"]])
 
 
 def verify_checkpoint(path) -> str:
     """Stored digest of a checkpoint; a bad magic, version, length or hash raises."""
-    return _verified_parts(path)[2]
+    return read_framed(path, *_CHECKPOINT_FRAME)[2]
 
 
 def load_checkpoint(path) -> Model:
@@ -421,11 +409,11 @@ def load_checkpoint(path) -> Model:
     header other than the one the loaded model would write: one whose arrays
     are not those its stage, split, config, classifier and head domain call
     for (detector.array_shapes), or whose flags disagree with its stage."""
-    header, flat, _ = _verified_parts(path)
+    header, arrays, _ = read_framed(path, *_CHECKPOINT_FRAME)
     try:
-        arrays = {e["name"]: a.reshape(e["shape"]).copy() for e, a in zip(header["arrays"], flat)}
+        params = {e["name"]: a.copy() for e, a in zip(header["arrays"], arrays)}
         model = Model(
-            params=arrays,
+            params=params,
             split=ClassSplit.from_dict(header["split"]),
             mcfg=override(ModelConfig(), header["model_config"]),
             feat_seed=int(header["feat_seed"]),

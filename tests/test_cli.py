@@ -644,7 +644,7 @@ def test_ablate_failing_cell_leaves_the_others_and_exits_3(tiny_yaml, tmp_path, 
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
     out = tmp_path / "grid"
-    # poison one cell's run with a stamp from a different configuration
+    # poison one cell's run with a gen stamp whose datasets are not on disk
     poisoned = RunPaths(out / "rpn_strategy=base-only", 0)
     poisoned.root.mkdir(parents=True)
     poisoned.stamp("gen").write_text(json.dumps(
@@ -657,7 +657,8 @@ def test_ablate_failing_cell_leaves_the_others_and_exits_3(tiny_yaml, tmp_path, 
     table = json.loads((out / "ablation.json").read_text(encoding="utf-8"))
     assert table["incomplete"] is True
     assert list(table["failures"]) == ["rpn_strategy=base-only"]
-    assert table["failures"]["rpn_strategy=base-only"].startswith("StalenessError")
+    assert table["failures"]["rpn_strategy=base-only"].startswith(
+        "CorruptArtifactError: images ")
     healthy, failed = table["rows"]
     assert "ap" in healthy["metrics"] and failed["metrics"] == {}
     assert (RunPaths(out / "rpn_strategy=max", 0).eval_dir() / "report.json").exists()
@@ -1171,9 +1172,10 @@ def test_pretrain_on_a_truncated_images_bin_exits_4(tiny_yaml, tmp_path, capsys)
 
 
 def test_a_version_1_images_bin_exits_4_with_one_line(tiny_yaml, tmp_path, capsys):
-    """A run directory written before images.bin was framed keeps its
-    manifest.json, so the walk's gen check passes; its first dataset load
-    exits 4 naming the version."""
+    """A run directory written before images.bin was framed holds a
+    version-1 images.bin: the walk's gen check verifies that frame, so the run
+    stops there, before the pretrain stage loads the dataset, and exits 4
+    naming the version."""
     out = tmp_path / "t"
     assert main(["gen-data", "--config", str(tiny_yaml), "--seed", "2", "--out", str(out)]) == 0
     paths = RunPaths(out, 2)
@@ -1187,17 +1189,65 @@ def test_a_version_1_images_bin_exits_4_with_one_line(tiny_yaml, tmp_path, capsy
     assert not paths.stamp("pretrain").exists()
 
 
-@pytest.mark.parametrize("content", ["truncate", "[1, 2]"])
-def test_unreadable_manifest_exits_4(tiny_yaml, finished_run, tmp_path, capsys, content):
+def _flip_payload_byte(images: Path) -> None:
+    blob = bytearray(images.read_bytes())
+    blob[-100] ^= 0xFF  # a pixel of the last image: the header is intact
+    images.write_bytes(bytes(blob))
+
+
+def test_eval_on_a_finished_run_with_a_flipped_images_byte_exits_4(tiny_yaml, finished_run,
+                                                                  tmp_path, capsys):
+    """The walk's gen check verifies every images.bin frame, so one flipped
+    payload byte stops a finished run at the gen stamp with one line, and
+    nothing is written: no stamp changes, and a missing eval stamp stays
+    missing."""
+    out = tmp_path / "copy"
+    shutil.copytree(finished_run, out)
+    paths = RunPaths(out, 3)
+    images = paths.dataset_dir("test") / "images.bin"
+    _flip_payload_byte(images)
+    before = _tree_state(out)
+    capsys.readouterr()
+    assert main(["eval", "--config", str(tiny_yaml), "--seed", "3", "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"artifact error: images {images} failed hash verification\n"
+    assert _tree_state(out) == before
+    paths.stamp("eval").unlink()
+    assert main(["eval", "--config", str(tiny_yaml), "--seed", "3", "--out", str(out)]) == 4
+    assert capsys.readouterr().err == f"artifact error: images {images} failed hash verification\n"
+    assert not paths.stamp("eval").exists()
+
+
+def test_multirun_with_a_flipped_images_byte_fails_that_seed(tiny_yaml, finished_multirun,
+                                                             tmp_path, capsys):
+    out = tmp_path / "copy"
+    shutil.copytree(finished_multirun, out)
+    images = RunPaths(out, 1).dataset_dir("kshot") / "images.bin"
+    _flip_payload_byte(images)
+    capsys.readouterr()
+    assert main(["multirun", "--config", str(tiny_yaml), "--seeds", "1,2", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == ""
+    agg = json.loads((out / "aggregate.json").read_text(encoding="utf-8"))
+    assert agg["incomplete"] is True and agg["failures"] == {
+        "1": f"CorruptArtifactError: images {images} failed hash verification"}
+
+
+@pytest.mark.parametrize("edit", ["truncate", "[1, 2]", "delete"])
+def test_eval_reads_no_manifest(tiny_yaml, finished_run, tmp_path, capsys, edit):
+    """manifest.json is an export of each images.bin header: editing or
+    deleting it changes nothing a command does."""
     out = tmp_path / "copy"
     shutil.copytree(finished_run, out)
     manifest = RunPaths(out, 3).dataset_dir("test") / "manifest.json"
     text = manifest.read_text(encoding="utf-8")
-    manifest.write_text(text[:40] if content == "truncate" else content, encoding="utf-8")
-    assert main(["eval", "--config", str(tiny_yaml), "--seed", "3",
-                 "--out", str(out)]) == 4
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "manifest.json" in err
+    if edit == "delete":
+        manifest.unlink()
+    else:
+        manifest.write_text(text[:40] if edit == "truncate" else edit, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--config", str(tiny_yaml), "--seed", "3", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_foreign_checkpoint_magic_exits_4(tiny_yaml, finished_run, tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from oracles import iou_scalar
 from retentive import synthgen as G
-from retentive.config import MIN_GLYPH, NUM_GLYPHS, DatasetConfig
+from retentive.config import MIN_GLYPH, NUM_GLYPHS, DatasetConfig, write_framed
 from retentive.errors import ConfigError, CorruptArtifactError, GenerationError, ParameterError
 
 
@@ -319,43 +319,96 @@ def test_dataset_load_detects_truncation(tmp_path: Path):
             G.load_dataset(tmp_path / "d")
 
 
-@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[]", b'{"version": 1}',
-                                     b'{"version": 1, "items": [{}]}'],
-                         ids=["non-utf8", "list", "no-items", "empty-item"])
-def test_dataset_load_rejects_unreadable_manifest(tmp_path: Path, content: bytes):
+def _label_edit(text: bytes) -> bytes:
+    manifest = json.loads(text)
+    manifest["items"][0]["labels"][0] = (manifest["items"][0]["labels"][0] + 1) % 12
+    return json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+
+
+@pytest.mark.parametrize("edit", [lambda _: b"\xff\xfe{}", lambda _: b"[]",
+                                  lambda _: b'{"version": 1}', _label_edit, None],
+                         ids=["non-utf8", "list", "no-items", "one-label", "deleted"])
+def test_dataset_load_ignores_an_edited_or_deleted_manifest(tmp_path: Path, edit):
+    """manifest.json is an export: the dataset and its digest come from
+    images.bin alone, bit for bit, whatever manifest.json holds."""
+    cfg = small_cfg(base_train_images=3)
+    split = G.split_classes(12, 4, seed=5)
+    digest = G.save_dataset(G.build_base_dataset(cfg, split, seed=5), tmp_path / "d")
+    before = G.load_dataset(tmp_path / "d")
+    manifest = tmp_path / "d" / "manifest.json"
+    if edit is None:
+        manifest.unlink()
+    else:
+        manifest.write_bytes(edit(manifest.read_bytes()))
+    after = G.load_dataset(tmp_path / "d")
+    assert G.dataset_digest(tmp_path / "d") == digest
+    assert after.manifest_dict() == before.manifest_dict()
+    assert [a.tobytes() for a in after.images] == [b.tobytes() for b in before.images]
+
+
+def _header_and_payload(path: Path) -> tuple[dict, bytes]:
+    """The header and payload of a framed file, read without its checks."""
+    blob = path.read_bytes()
+    header_len = int.from_bytes(blob[FIXED - 4:FIXED], "little")
+    return json.loads(blob[FIXED:FIXED + header_len]), blob[FIXED + header_len:-32]
+
+
+@pytest.mark.parametrize("edit, extra", [
+    (lambda h, p: (h, p), 0),
+    (lambda h, p: (h, p[:-8]), -8),
+    (lambda h, p: (h, p + bytes(8)), 8),
+    (lambda h, p: ({**h, "items": h["items"] + h["items"][:1]}, p),
+     -8 * small_cfg().image_side ** 2),
+], ids=["exact", "one-float-short", "one-float-long", "one-image-more"])
+def test_images_payload_length_is_checked_at_every_boundary(tmp_path: Path, edit, extra):
+    """A hash-valid images.bin whose payload is one float off the images its
+    header lists names both lengths, for the digest and the load alike; the
+    exact length reads."""
     cfg = small_cfg(base_train_images=3)
     split = G.split_classes(12, 4, seed=5)
     G.save_dataset(G.build_base_dataset(cfg, split, seed=5), tmp_path / "d")
-    (tmp_path / "d" / "manifest.json").write_bytes(content)
-    with pytest.raises(CorruptArtifactError, match="manifest"):
-        G.load_dataset(tmp_path / "d")
+    path = tmp_path / "d" / "images.bin"
+    header, payload = edit(*_header_and_payload(path))
+    digest = write_framed(path, G.IMAGES_MAGIC, G.IMAGES_VERSION, header, payload)
+    if not extra:
+        assert G.dataset_digest(tmp_path / "d") == digest
+        assert len(G.load_dataset(tmp_path / "d")) == 3
+        return
+    for read in (G.dataset_digest, G.load_dataset):
+        with pytest.raises(CorruptArtifactError) as err:
+            read(tmp_path / "d")
+        assert str(err.value) == (f"images payload is {len(payload)} bytes; "
+                                  f"expected {len(payload) - extra}")
 
 
-def test_dataset_load_detects_manifest_edit(tmp_path: Path):
+def test_images_header_of_another_manifest_version_is_refused(tmp_path: Path):
+    """The frame's version is its layout and the header's is its schema: a
+    hash-valid frame whose header is another schema is not loaded."""
     cfg = small_cfg(base_train_images=3)
-    split = G.split_classes(12, 4, seed=5)
-    ds = G.build_base_dataset(cfg, split, seed=5)
-    G.save_dataset(ds, tmp_path / "d")
-    manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
-    manifest["items"][0]["labels"][0] = 11
-    (tmp_path / "d" / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(CorruptArtifactError):
+    G.save_dataset(G.build_base_dataset(cfg, G.split_classes(12, 4, seed=5), seed=5),
+                   tmp_path / "d")
+    path = tmp_path / "d" / "images.bin"
+    header, payload = _header_and_payload(path)
+    digest = write_framed(path, G.IMAGES_MAGIC, G.IMAGES_VERSION,
+                          {**header, "version": G.MANIFEST_VERSION + 1}, payload)
+    assert G.dataset_digest(tmp_path / "d") == digest
+    with pytest.raises(CorruptArtifactError) as err:
         G.load_dataset(tmp_path / "d")
+    assert str(err.value) == f"unsupported manifest version {G.MANIFEST_VERSION + 1}"
 
 
-def test_dataset_load_refuses_a_manifest_that_differs_from_the_frame_in_one_label(tmp_path: Path):
-    """manifest.json rewritten canonically, its digest kept, with one label
-    changed: the frame's header still holds the drawn label."""
+def test_a_missing_images_bin_is_missing(tmp_path: Path):
+    """The dataset is images.bin: without it there is no dataset, whatever
+    manifest.json holds, and the one line names the file."""
     cfg = small_cfg(base_train_images=3)
-    split = G.split_classes(12, 4, seed=5)
-    G.save_dataset(G.build_base_dataset(cfg, split, seed=5), tmp_path / "d")
-    path = tmp_path / "d" / "manifest.json"
-    manifest = json.loads(path.read_text())
-    labels = manifest["items"][0]["labels"]
-    labels[0] = (labels[0] + 1) % 12
-    path.write_text(json.dumps(manifest, sort_keys=True, separators=(",", ":")))
-    with pytest.raises(CorruptArtifactError, match="does not match its images.bin"):
-        G.load_dataset(tmp_path / "d")
+    G.save_dataset(G.build_base_dataset(cfg, G.split_classes(12, 4, seed=5), seed=5),
+                   tmp_path / "d")
+    path = tmp_path / "d" / "images.bin"
+    path.unlink()
+    for read in (G.dataset_digest, G.load_dataset):
+        with pytest.raises(CorruptArtifactError) as err:
+            read(tmp_path / "d")
+        assert str(err.value) == f"images {path} is missing"
 
 
 def test_images_bin_is_framed_with_the_manifest_as_its_header(tmp_path: Path):

@@ -152,6 +152,30 @@ def test_seed_sequence_is_built_in_one_function():
     assert outside == 0
 
 
+def test_seed_keys_outside_64_bits_are_refused_not_aliased():
+    """Taken mod 2**64, seed -1 drew as 2**64 - 1 and 2**64 as 0: two names
+    for one draw. A key outside [0, 2**64) is refused, and the keys named."""
+    from retentive.synthgen import split_classes
+    with pytest.raises(ParameterError, match=r"in \[0, 2\*\*64\), got \[-1, 21277\]"):
+        split_classes(12, 4, -1)  # 21277 is synthgen's split tag, 0x531D
+    with pytest.raises(ParameterError, match=r"got \[18446744073709551616, 7\]"):
+        T.subseed(2 ** 64, 7)
+    with pytest.raises(ParameterError, match=r"got \[7, -1\]"):
+        T.rng(7, -1)
+
+
+def test_seed_keys_at_the_64_bit_edges_still_draw():
+    """In-range keys build the SeedSequence they always built."""
+    from retentive.synthgen import split_classes
+    top = 2 ** 64 - 1
+    assert T.subseed(top, 7) == int(np.random.SeedSequence([top, 7]).generate_state(
+        1, dtype=np.uint64)[0])
+    assert T.subseed(np.uint64(top), 7) == T.subseed(top, 7) != T.subseed(0, 7)
+    gen = np.random.default_rng(np.random.SeedSequence([top, 0x531D]))  # the split tag
+    assert split_classes(12, 4, top).novel_ids == tuple(
+        sorted(int(c) for c in gen.choice(12, size=4, replace=False)))
+
+
 def test_featurizer_rejects_bad_shapes():
     with pytest.raises(ParameterError):
         T.fixed_featurizer(np.zeros((64, 32)), feat_seed=1, channels=32)

@@ -3,8 +3,9 @@ by name, one module names the head layers, one reads report.json's metric
 sections, cli reads them through the eval stamp only, the run orchestration
 reads no model stage, the package holds no code that only tests call, a
 process that only generates data imports no training code, a config cannot
-change once built, one function writes every file, one module frames
-binary files, and every record field is read outside its class."""
+change once built, one function writes every file, one module frames and
+decodes binary files, no module reads manifest.json, every record field is
+read outside its class, and tests/mutate.py enumerates the mutants it should."""
 
 import ast
 import dataclasses
@@ -170,8 +171,9 @@ def test_files_are_written_by_write_artifact_only():
 
 def test_binary_framing_lives_in_config_only():
     """Checkpoints and images.bin are framed and hashed by config.write_framed
-    and read by config.read_framed; a module packing its own binary fields
-    would be a second frame format beside them."""
+    and read, payload arrays too, by config.read_framed; a module packing its
+    own binary fields or decoding its own payload would be a second frame
+    format beside them."""
     found = []
     for path in sorted((ROOT / "src" / "retentive").glob("*.py")):
         if path.name == "config.py":
@@ -180,6 +182,25 @@ def test_binary_framing_lives_in_config_only():
             names = ([a.name for a in node.names] if isinstance(node, ast.Import)
                      else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
             found += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] == "struct"]
+            if isinstance(node, ast.Attribute) and node.attr == "frombuffer":
+                found.append(f"{path.name}:{node.lineno}: frombuffer")
+    assert not found, found
+
+
+def test_manifest_json_is_written_never_read():
+    """A dataset is its images.bin, whose frame header is the manifest;
+    manifest.json is an export of that header written by save_dataset, and a
+    module that opened it would trust a second, unverified copy."""
+    found = []
+    for path in sorted((ROOT / "src" / "retentive").glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        allowed = set()
+        for node in ast.walk(ast.parse(text)):
+            if path.name == "synthgen.py" and isinstance(node, ast.FunctionDef) \
+                    and node.name == "save_dataset":
+                allowed = set(range(node.lineno, node.end_lineno + 1))
+        found += [f"{path.name}:{i}" for i, line in enumerate(text.splitlines(), 1)
+                  if "manifest.json" in line and i not in allowed]
     assert not found, found
 
 
@@ -452,3 +473,36 @@ def test_every_defaulted_parameter_names_the_package_callers_it_serves():
         assert callers, key
         for caller in callers:
             assert function in refs.get(caller, ()), f"{caller} does not call {key}"
+
+
+def test_mutate_enumerates_each_operator_of_the_touched_lines_only():
+    """tests/mutate.py rewrites one span per mutant, in UTF-8 bytes, and
+    leaves docstrings, comments and untouched lines alone; nothing runs."""
+    import mutate  # tests/ is on the path, as for oracles
+
+    snippet = textwrap.dedent('''\
+        def f(a, b):
+            """Doc with a < b and 1."""
+            if a < b and a is not None:  # a < b or c in the comment stays
+                a += 2 * b
+            s = "é" + str(b)
+            return a in b or a != 0
+        ''').encode()
+    got = [(m.line, m.label, m.apply(snippet).decode().splitlines()[m.line - 1].strip())
+           for m in mutate.mutants(snippet, {2, 3, 4, 5})]
+    assert got == [
+        (3, "If -> pass", "pass"),
+        (3, "< -> <=", "if a <= b and a is not None:  # a < b or c in the comment stays"),
+        (3, "and -> or", "if a < b or a is not None:  # a < b or c in the comment stays"),
+        (3, "is not -> is", "if a < b and a is None:  # a < b or c in the comment stays"),
+        (4, "AugAssign -> pass", "pass"),
+        (4, "+ -> -", "a -= 2 * b"),
+        (4, "2 -> 1", "a += 1 * b"),
+        (4, "2 -> 3", "a += 3 * b"),
+        (4, "* -> /", "a += 2 / b"),
+        (5, "Assign -> pass", "pass"),
+        (5, "+ -> -", 's = "é" - str(b)'),
+    ]
+    last = [m.label for m in mutate.mutants(snippet, {6})]
+    assert last == ["Return -> pass", "in -> not in", "or -> and", "!= -> ==",
+                    "0 -> -1", "0 -> 1"]

@@ -1,6 +1,7 @@
 """Optimizer, target assignment, stage loops, and checkpoint format."""
 
 import dataclasses
+import json
 import pickle
 import struct
 from hashlib import sha256
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from retentive import trainer
-from retentive.config import DatasetConfig, ExperimentConfig, TrainConfig
+from retentive.config import DatasetConfig, ExperimentConfig, TrainConfig, write_framed
 from retentive.detector import (
     BASE_LAYERS,
     FINETUNE_TRAINABLE,
@@ -741,6 +742,38 @@ def test_empty_header_filling_the_file_exactly_is_unreadable_not_truncated(tmp_p
     for read in (verify_checkpoint, load_checkpoint):
         with pytest.raises(CorruptCheckpointError, match="unreadable header"):
             read(p)
+
+
+def _reframed(blob: bytes, edit) -> tuple[dict, bytes]:
+    """The header and payload of a framed blob after edit(header, payload)."""
+    fixed = len(trainer.CHECKPOINT_MAGIC) + 8
+    header_len = struct.unpack_from("<I", blob, fixed - 4)[0]
+    return edit(json.loads(blob[fixed:fixed + header_len]), blob[fixed + header_len:-32])
+
+
+@pytest.mark.parametrize("edit, extra", [
+    (lambda h, p: (h, p), 0),
+    (lambda h, p: (h, p[:-8]), -8),
+    (lambda h, p: (h, p + bytes(8)), 8),
+    (lambda h, p: ({**h, "arrays": h["arrays"] + [{"name": "zz/W", "shape": [1],
+                                                   "trainable": False}]}, p), -8),
+], ids=["exact", "one-float-short", "one-float-long", "one-array-more"])
+def test_checkpoint_payload_length_is_checked_at_every_boundary(tmp_path, edit, extra):
+    """A hash-valid checkpoint whose payload is one float off the arrays its
+    header lists names both lengths; the exact length reads."""
+    cfg, split, _, _ = tiny_world()
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(init_base_model(split, cfg.model, feat_seed=1, seed=1), p)
+    header, payload = _reframed(p.read_bytes(), edit)
+    digest = write_framed(p, trainer.CHECKPOINT_MAGIC, trainer.CHECKPOINT_VERSION, header, payload)
+    if not extra:
+        assert verify_checkpoint(p) == digest
+        return
+    for read in (verify_checkpoint, load_checkpoint):
+        with pytest.raises(CorruptCheckpointError) as err:
+            read(p)
+        assert str(err.value) == (f"checkpoint payload is {len(payload)} bytes; "
+                                  f"expected {len(payload) - extra}")
 
 
 @pytest.mark.parametrize("stage, flagged", [
