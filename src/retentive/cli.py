@@ -5,7 +5,7 @@ plus a stamp file naming the configuration digest and the digests of the
 inputs it consumed; a re-run with the same resolved configuration skips
 stages whose stamps and outputs are intact. Every stage a command needs,
 whether it runs or is only read from, is checked against its stamp before
-use, and any digest disagreement
+use, and the bytes checked are the bytes used. Any digest disagreement
 between what a stamp recorded and what is on disk stops the run instead of
 silently recomputing or reusing mismatched artifacts. A command loads a
 stage's training or evaluation code only when it runs or reads that stage.
@@ -51,8 +51,8 @@ from .synthgen import (
     build_base_dataset,
     build_kshot_dataset,
     build_test_dataset,
-    dataset_digest,
-    load_dataset,
+    decode_dataset,
+    read_images,
     save_dataset,
     split_classes,
 )
@@ -104,71 +104,73 @@ class RunPaths:
         return self.root / "detections.jsonl"
 
 
-def _checkpoint_digest_on_disk(paths: RunPaths, name: str) -> str:
-    from .trainer import verify_checkpoint
-
-    return verify_checkpoint(paths.checkpoint(name))
-
-
-def _report_digest_on_disk(paths: RunPaths) -> str:
-    report = paths.eval_dir() / "report.json"
-    if not report.exists():
-        raise StalenessError(f"report missing at {report}")
-    return sha256(report.read_bytes()).hexdigest()
+def _read_outputs(paths: RunPaths, names, keep, held: dict) -> dict[str, str]:
+    """The digests of the named stage outputs, each file read once; held gets the payloads keep
+    names (a verified dataset or checkpoint frame, or the report.json bytes hashed)."""
+    digests = {}
+    for name in names:
+        if name in _DS_TAGS:
+            payload = read_images(paths.dataset_dir(name))
+        elif name != "report":
+            from .trainer import read_checkpoint
+            payload = read_checkpoint(paths.checkpoint(name))
+        else:
+            report = paths.eval_dir() / "report.json"
+            try:
+                payload = report.read_bytes()
+            except FileNotFoundError as exc:
+                raise CorruptArtifactError(f"report {report} is missing") from exc
+        digests[name] = sha256(payload).hexdigest() if name == "report" else payload[2]
+        if name in keep:
+            held[name] = payload
+    return digests
 
 
 # ---------------------------------------------------------------------------
 # stages
 # ---------------------------------------------------------------------------
 
-def _run_gen(cfg: ExperimentConfig, seed: int, paths: RunPaths, up: dict) -> None:
+def _run_gen(cfg: ExperimentConfig, seed: int, paths: RunPaths, up: dict, given: dict) -> None:
     write_artifact(paths.root / "config.json", canonical_json(
         {"config": cfg.to_dict(), "digest": cfg.digest(), "seed": seed}) + "\n")
     split = split_classes(cfg.dataset.num_classes, cfg.dataset.num_novel, seed)
-    built = {
-        "base-train": build_base_dataset(cfg.dataset, split,
-                                         subseed(seed, _DS_TAGS["base-train"])),
-        "kshot": build_kshot_dataset(cfg.dataset, split, subseed(seed, _DS_TAGS["kshot"])),
-        "test": build_test_dataset(cfg.dataset, split,
-                                   subseed(seed, _DS_TAGS["test"])),
-        "uar-eval": build_base_dataset(cfg.dataset, split,
-                                       subseed(seed, _DS_TAGS["uar-eval"]),
-                                       num_images=cfg.dataset.uar_eval_images),
-    }
-    for name in DATASET_NAMES:
-        save_dataset(built[name], paths.dataset_dir(name))
+    uar_eval = functools.partial(build_base_dataset, num_images=cfg.dataset.uar_eval_images)
+    for name, build in zip(DATASET_NAMES, (build_base_dataset, build_kshot_dataset,
+                                           build_test_dataset, uar_eval)):
+        save_dataset(build(cfg.dataset, split, subseed(seed, _DS_TAGS[name])),
+                     paths.dataset_dir(name))
 
 
-def _run_pretrain(cfg: ExperimentConfig, seed: int, paths: RunPaths, up: dict) -> None:
+def _run_pretrain(cfg: ExperimentConfig, seed: int, paths: RunPaths, up: dict, given: dict) -> None:
     from .trainer import pretrain, save_checkpoint
 
-    dataset = load_dataset(paths.dataset_dir("base-train"))
+    dataset = decode_dataset(given.pop("base-train"), paths.dataset_dir("base-train"))
     model, log = pretrain(dataset, cfg, seed)
     save_checkpoint(model, paths.checkpoint("base"))
     log.save(paths.train_log("pretrain"))
 
 
-def _run_finetune(cfg: ExperimentConfig, seed: int, paths: RunPaths, up: dict) -> None:
-    from .trainer import finetune, load_checkpoint, save_checkpoint
+def _run_finetune(cfg: ExperimentConfig, seed: int, paths: RunPaths, up: dict, given: dict) -> None:
+    from .trainer import decode_checkpoint, finetune, save_checkpoint
 
-    base = load_checkpoint(paths.checkpoint("base"))
-    dataset = load_dataset(paths.dataset_dir("kshot"))
+    base = decode_checkpoint(given.pop("base"), paths.checkpoint("base"))
+    dataset = decode_dataset(given.pop("kshot"), paths.dataset_dir("kshot"))
     model, log = finetune(base, dataset, cfg, seed)
     save_checkpoint(model, paths.checkpoint("retentive"))
     log.save(paths.train_log("finetune"))
 
 
-def _evaluate_models(cfg: ExperimentConfig, seed: int, paths: RunPaths, up: dict) -> None:
+def _evaluate_models(cfg: ExperimentConfig, seed: int, paths: RunPaths, up: dict, given: dict) -> None:
     from .evaluation import emit_report, evaluate
-    from .trainer import load_checkpoint
+    from .trainer import decode_checkpoint
 
-    base = load_checkpoint(paths.checkpoint("base"))
-    model = load_checkpoint(paths.checkpoint("retentive"))
+    base = decode_checkpoint(given.pop("base"), paths.checkpoint("base"))
+    model = decode_checkpoint(given.pop("retentive"), paths.checkpoint("retentive"))
     metadata = {"seed": seed, "config_digest": cfg.digest(),
                 "dataset_digests": {n: up[n] for n in DATASET_NAMES},
                 "checkpoint_digests": {"base": up["base"], "retentive": up["retentive"]}}
-    test_ds = load_dataset(paths.dataset_dir("test"))
-    uar_ds = load_dataset(paths.dataset_dir("uar-eval"))
+    test_ds = decode_dataset(given.pop("test"), paths.dataset_dir("test"))
+    uar_ds = decode_dataset(given.pop("uar-eval"), paths.dataset_dir("uar-eval"))
     try:
         report = evaluate(base, model, test_ds, uar_ds, cfg, metadata)
     except StalenessError as exc:  # evaluate is given models; name their files
@@ -177,29 +179,23 @@ def _evaluate_models(cfg: ExperimentConfig, seed: int, paths: RunPaths, up: dict
     emit_report(report, paths.eval_dir())
 
 
-# stage -> (upstream outputs it reads, its outputs as found on disk, its runner);
-# output names are unique across stages, so upstream outputs share one dict
+# stage -> (upstream outputs it reads, its outputs, its runner); output names
+# are unique across stages, so upstream outputs share one dict
 _PIPELINE = {
-    "gen": ((), lambda paths: {n: dataset_digest(paths.dataset_dir(n)) for n in DATASET_NAMES},
-            _run_gen),
-    "pretrain": (("base-train",),
-                 lambda paths: {"base": _checkpoint_digest_on_disk(paths, "base")},
-                 _run_pretrain),
-    "finetune": (("kshot", "base"),
-                 lambda paths: {"retentive": _checkpoint_digest_on_disk(paths, "retentive")},
-                 _run_finetune),
-    "eval": (("test", "uar-eval", "base", "retentive"),
-             lambda paths: {"report": _report_digest_on_disk(paths)}, _evaluate_models),
+    "gen": ((), DATASET_NAMES, _run_gen),
+    "pretrain": (("base-train",), ("base",), _run_pretrain),
+    "finetune": (("kshot", "base"), ("retentive",), _run_finetune),
+    "eval": (("test", "uar-eval", "base", "retentive"), ("report",), _evaluate_models),
 }
 STAGES = tuple(_PIPELINE)
 
 
-def _read_stamp(paths: RunPaths, stage: str) -> dict:
-    """A stage's stamp as _walk wrote it, once the outputs it records
-    are the ones on disk; anything else is a corrupt or stale artifact."""
+def _read_stamp(paths: RunPaths, stage: str, outputs: dict[str, str]) -> dict:
+    """A stage's stamp as _walk wrote it, once the outputs it records are the
+    digests read from disk; anything else is a corrupt or stale artifact."""
     stamp = read_json_object(paths.stamp(stage), "stamp",
                              {"config_digest": str, "inputs": dict, "outputs": dict})
-    if _PIPELINE[stage][1](paths) != stamp["outputs"]:
+    if outputs != stamp["outputs"]:
         raise StalenessError(
             f"{stage}: outputs on disk do not match what the {stage} stamp recorded "
             f"in {paths.root}")
@@ -207,47 +203,53 @@ def _read_stamp(paths: RunPaths, stage: str) -> dict:
 
 
 def _finished_run(paths: RunPaths) -> tuple[str, dict[str, float]]:
-    """A seed's config digest and the metrics of the report its eval stamp recorded."""
+    """A seed's config digest and the metrics of the report bytes its eval stamp vouches for."""
     from .evaluation import report_metrics
 
-    metrics = report_metrics(paths.eval_dir() / "report.json")
-    return _read_stamp(paths, "eval")["config_digest"], metrics
-
-
-def _verified(paths: RunPaths, stage: str, config_digest: str, inputs: dict) -> dict:
-    """A stamped stage's outputs, once its files, config and inputs all agree."""
-    stamp = _read_stamp(paths, stage)
-    if stamp["config_digest"] != config_digest:
-        raise StalenessError(
-            f"{stage}: artifacts in {paths.root} were produced under a different "
-            f"configuration; use a fresh output directory")
-    if stamp["inputs"] != inputs:
-        raise StalenessError(f"{stage}: recorded inputs no longer match upstream artifacts")
-    return stamp["outputs"]
+    held: dict = {}
+    digests = _read_outputs(paths, ("report",), ("report",), held)
+    metrics = report_metrics(held["report"], paths.eval_dir() / "report.json")
+    return _read_stamp(paths, "eval", digests)["config_digest"], metrics
 
 
 def _walk(cfg: ExperimentConfig, seed: int, paths: RunPaths, run: tuple[str, ...],
-          last: str) -> None:
+          last: str, want: tuple[str, ...]) -> dict:
     """Every stage through `last` in order: a stamped one is verified, one in
     `run` without a stamp runs and is stamped with its outputs as its check
-    reads them from disk, and any other stops the walk."""
+    reads them from disk, and any other stops the walk. A check reads each output
+    once and holds its payload for the next stage to run, if that stage reads it,
+    or else for the caller, if `want` names it; returns the payloads held."""
     config_digest = cfg.digest()
-    up: dict[str, str] = {}
-    for stage in STAGES[:STAGES.index(last) + 1]:
-        reads, on_disk, runner = _PIPELINE[stage]
+    walked = STAGES[:STAGES.index(last) + 1]
+    runs = [s for s in walked if s in run and not paths.stamp(s).exists()]
+    up, held = {}, {}  # output digests so far; payloads held, which a runner pops to decode
+    for i, stage in enumerate(walked):
+        reads, names, runner = _PIPELINE[stage]
         inputs = {n: up[n] for n in reads}
-        if paths.stamp(stage).exists():
-            outputs = _verified(paths, stage, config_digest, inputs)
-        elif stage in run:
-            runner(cfg, seed, paths, up)
-            outputs = on_disk(paths)
+        keep = next((_PIPELINE[s][0] for s in runs if STAGES.index(s) > i), want)
+        if stage in runs:  # an input no longer held is read again, as upstream recorded it
+            found = _read_outputs(paths, [n for n in reads if n not in held], reads, held)
+            if any(found[n] != up[n] for n in found):
+                raise StalenessError(f"{stage}: an input in {paths.root} changed on disk "
+                                     f"after its stage was checked")
+            runner(cfg, seed, paths, up, held)
+            outputs = _read_outputs(paths, names, keep, held)
             write_artifact(paths.stamp(stage), canonical_json(
                 {"stage": stage, "seed": seed, "config_digest": config_digest,
                  "inputs": inputs, "outputs": outputs}) + "\n")
+        elif paths.stamp(stage).exists():
+            outputs = _read_outputs(paths, names, keep, held)
+            stamp = _read_stamp(paths, stage, outputs)
+            if stamp["config_digest"] != config_digest:
+                raise StalenessError(
+                    f"{stage}: artifacts in {paths.root} were produced under a different "
+                    f"configuration; use a fresh output directory")
+            if stamp["inputs"] != inputs:
+                raise StalenessError(f"{stage}: recorded inputs no longer match upstream artifacts")
         else:
-            raise StalenessError(
-                f"stage {stage!r} has not been run for seed {seed}; run it first")
+            raise StalenessError(f"stage {stage!r} has not been run for seed {seed}; run it first")
         up.update(outputs)
+    return held
 
 
 def run_experiment(cfg: ExperimentConfig, seed: int, out_root, stages=STAGES) -> None:
@@ -258,7 +260,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_root, stages=STAGES) ->
     for s in stages:
         if s not in _PIPELINE:
             raise ConfigError(f"unknown stage {s!r}; expected subset of {STAGES}")
-    _walk(cfg, seed, RunPaths(out_root, seed), stages, max(stages, key=STAGES.index))
+    _walk(cfg, seed, RunPaths(out_root, seed), stages, max(stages, key=STAGES.index), ())
 
 
 # ---------------------------------------------------------------------------
@@ -566,13 +568,13 @@ def _cmd_pipeline(args, command: str) -> int:
 
 def _cmd_detect(args) -> int:
     from .detector import detect
-    from .trainer import load_checkpoint
+    from .trainer import decode_checkpoint
 
     cfg = _resolve_config(args)
     paths = RunPaths(args.out, args.seed)
-    _walk(cfg, args.seed, paths, (), "finetune")
-    model = load_checkpoint(paths.checkpoint("retentive"))
-    test_ds = load_dataset(paths.dataset_dir("test"))
+    given = _walk(cfg, args.seed, paths, (), "finetune", ("test", "retentive"))
+    model = decode_checkpoint(given.pop("retentive"), paths.checkpoint("retentive"))
+    test_ds = decode_dataset(given.pop("test"), paths.dataset_dir("test"))
     lines = []
     for i, img in enumerate(test_ds.images):
         dets = detect(model, img, cfg.detect)

@@ -254,10 +254,10 @@ def canonical_digest(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 
-def read_json_object(path: Path, kind: str, fields: dict[str, type]) -> dict:
-    """A JSON object holding the given typed fields; anything else is corrupt."""
+def read_json_object(path: Path, kind: str, fields: dict[str, type], raw: bytes | None = None) -> dict:
+    """A JSON object holding the typed fields, in raw or else read from path; anything else is corrupt."""
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(path.read_text(encoding="utf-8") if raw is None else str(raw, "utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptArtifactError(f"{kind} {path} is unreadable: {exc}") from exc
     if not isinstance(data, dict) or not all(isinstance(data.get(k), t)

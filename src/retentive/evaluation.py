@@ -365,12 +365,12 @@ def emit_report(report: dict, out_dir) -> dict[str, Path]:
     return paths
 
 
-def report_metrics(path) -> dict[str, float]:
-    """One run's metrics from its report.json, under the names every table and
-    printer uses: the AP summary's keys bare, the base detector's summary as
-    baseline_*, and each recall key whose value is not None. A file without
-    those three objects of numbers (recall may also hold None) is corrupt."""
-    report = read_json_object(Path(path), "report", {s: dict for s, _ in _METRIC_SECTIONS})
+def report_metrics(raw: bytes, path) -> dict[str, float]:
+    """One run's metrics from raw, its report.json bytes read from path, under the
+    names every table and printer uses: the AP summary's keys bare, the base
+    detector's summary as baseline_*, and each recall key whose value is not
+    None. A file without those three objects of numbers (recall may hold None) is corrupt."""
+    report = read_json_object(Path(path), "report", {s: dict for s, _ in _METRIC_SECTIONS}, raw)
     metrics = {prefix + k: v for s, prefix in _METRIC_SECTIONS for k, v in report[s].items()
                if v is not None or s != "recall"}
     bad = [k for k, v in metrics.items() if not NUMBER.admits(v)]

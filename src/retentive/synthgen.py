@@ -301,11 +301,6 @@ def build_kshot_dataset(cfg: DatasetConfig, split: ClassSplit, seed: int) -> Dat
 # on-disk format
 # ---------------------------------------------------------------------------
 
-# read_framed's arguments after the path: a manifest lists one (side, side) image per item
-_IMAGES_FRAME = ("images", IMAGES_MAGIC, IMAGES_VERSION, CorruptArtifactError,
-                 lambda header: [(header["side"], header["side"])] * len(header["items"]))
-
-
 def save_dataset(ds: Dataset, dirpath: str | Path) -> str:
     """Write images.bin, framed with the manifest as its header, then
     manifest.json: the manifest plus the frame's digest, which is the dataset
@@ -318,14 +313,15 @@ def save_dataset(ds: Dataset, dirpath: str | Path) -> str:
     return digest
 
 
-def dataset_digest(dirpath: str | Path) -> str:
-    """The dataset digest of images.bin; a bad magic, version, length or hash raises."""
-    return read_framed(Path(dirpath) / "images.bin", *_IMAGES_FRAME)[2]
+def read_images(dirpath: str | Path) -> tuple[dict, list[np.ndarray], str]:
+    """images.bin's verified frame: its manifest, its images and the dataset digest."""
+    return read_framed(Path(dirpath) / "images.bin", "images", IMAGES_MAGIC, IMAGES_VERSION,
+                       CorruptArtifactError, lambda h: [(h["side"], h["side"])] * len(h["items"]))
 
 
-def load_dataset(dirpath: str | Path) -> Dataset:
-    """The dataset in images.bin, whose frame header is its manifest."""
-    header, images, _ = read_framed(Path(dirpath) / "images.bin", *_IMAGES_FRAME)
+def decode_dataset(frame: tuple, dirpath: str | Path) -> Dataset:
+    """The dataset of the frame read_images read from dirpath."""
+    header, images, _ = frame
     try:
         if header["version"] != MANIFEST_VERSION:
             raise CorruptArtifactError(f"unsupported manifest version {header['version']}")
@@ -339,3 +335,8 @@ def load_dataset(dirpath: str | Path) -> Dataset:
                        images=[img.copy() for img in images], records=records)
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptArtifactError(f"manifest in {dirpath} is malformed: {exc!r}") from exc
+
+
+def load_dataset(dirpath: str | Path) -> Dataset:
+    """The dataset in images.bin, whose frame header is its manifest."""
+    return decode_dataset(read_images(dirpath), dirpath)

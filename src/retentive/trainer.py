@@ -394,33 +394,24 @@ def save_checkpoint(model: Model, path) -> str:
                           for n in sorted(model.params)))
 
 
-# read_framed's arguments after the path: a checkpoint header lists its arrays
-_CHECKPOINT_FRAME = ("checkpoint", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, CorruptCheckpointError,
-                     lambda header: [e["shape"] for e in header["arrays"]])
+def read_checkpoint(path) -> tuple[dict, list[np.ndarray], str]:
+    """A checkpoint's verified frame: its header, its arrays and its digest."""
+    return read_framed(path, "checkpoint", CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                       CorruptCheckpointError, lambda h: [e["shape"] for e in h["arrays"]])
 
 
-def verify_checkpoint(path) -> str:
-    """Stored digest of a checkpoint; a bad magic, version, length or hash raises."""
-    return read_framed(path, *_CHECKPOINT_FRAME)[2]
-
-
-def load_checkpoint(path) -> Model:
-    """Read a checkpoint; any structural or hash defect raises, and so does a
-    header other than the one the loaded model would write: one whose arrays
-    are not those its stage, split, config, classifier and head domain call
-    for (detector.array_shapes), or whose flags disagree with its stage."""
-    header, arrays, _ = read_framed(path, *_CHECKPOINT_FRAME)
+def decode_checkpoint(frame: tuple, path) -> Model:
+    """The model of a frame read_checkpoint read from path. A header other than the
+    one that model would write raises: arrays or trainable flags other than its stage,
+    split, config, classifier and head domain call for (detector.array_shapes)."""
+    header, arrays, _ = frame
     try:
-        params = {e["name"]: a.copy() for e, a in zip(header["arrays"], arrays)}
         model = Model(
-            params=params,
+            params={e["name"]: a.copy() for e, a in zip(header["arrays"], arrays)},
             split=ClassSplit.from_dict(header["split"]),
             mcfg=override(ModelConfig(), header["model_config"]),
             feat_seed=int(header["feat_seed"]),
-            stage=header["stage"],
-            classifier=header["classifier"],
-            head_domain=header["head_domain"],
-            rpn_strategy=header["rpn_strategy"],
+            **{k: header[k] for k in ("stage", "classifier", "head_domain", "rpn_strategy")},
         )
         want = canonical_json(_model_header(model, array_shapes(model)))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:  # ConfigError too
@@ -430,3 +421,8 @@ def load_checkpoint(path) -> Model:
         raise CorruptCheckpointError(
             f"checkpoint {path} has a header its {model.stage} model would not write")
     return model
+
+
+def load_checkpoint(path) -> Model:
+    """The model in a checkpoint file; any defect of its frame or header raises."""
+    return decode_checkpoint(read_checkpoint(path), path)

@@ -47,7 +47,7 @@ from retentive.config import (
     write_artifact,
 )
 from retentive.errors import ConfigError, CorruptCheckpointError, StalenessError
-from retentive.synthgen import IMAGES_MAGIC, load_dataset
+from retentive.synthgen import IMAGES_MAGIC, IMAGES_VERSION, load_dataset
 from retentive.trainer import load_checkpoint, save_checkpoint
 
 TINY_YAML = """\
@@ -1530,6 +1530,13 @@ def _upstream(paths):
     return {name: digest for stamp in stamps for name, digest in stamp["outputs"].items()}
 
 
+def _eval_inputs(paths):
+    """The verified payloads the walk gives the eval runner."""
+    reads, given = cli._PIPELINE["eval"][0], {}
+    cli._read_outputs(paths, reads, reads, given)
+    return given
+
+
 def test_eval_runs_one_image_forward_per_image(tiny_cfg, finished_run, tmp_path, monkeypatch):
     out = tmp_path / "copy"
     shutil.copytree(finished_run, out)
@@ -1546,7 +1553,7 @@ def test_eval_runs_one_image_forward_per_image(tiny_cfg, finished_run, tmp_path,
 
     for name in calls:
         monkeypatch.setattr(D, name, counted(name))
-    _evaluate_models(tiny_cfg, 3, paths, _upstream(paths))
+    _evaluate_models(tiny_cfg, 3, paths, _upstream(paths), _eval_inputs(paths))
     images = sum(len(load_dataset(paths.dataset_dir(n)).images) for n in ("test", "uar-eval"))
     # one pooling per image serves both detectors and, on test images, the
     # feature norms' ground-truth boxes
@@ -1564,7 +1571,7 @@ def test_eval_rejects_base_without_the_shared_frozen_arrays(tiny_cfg, finished_r
     base.params["rpn_box/b"][0] += 1e-9
     save_checkpoint(base, paths.checkpoint("base"))
     with pytest.raises(StalenessError, match="frozen arrays") as err:
-        _evaluate_models(tiny_cfg, 3, paths, _upstream(paths))
+        _evaluate_models(tiny_cfg, 3, paths, _upstream(paths), _eval_inputs(paths))
     assert str(paths.checkpoint("base")) in str(err.value)
     assert str(paths.checkpoint("retentive")) in str(err.value)
 
@@ -1696,3 +1703,219 @@ def test_parse_seeds():
         _parse_seeds("a,b")
     with pytest.raises(ConfigError):
         _parse_seeds("")
+
+
+# ---------------------------------------------------------------------------
+# one read per run file
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def file_reads(monkeypatch):
+    """Counts, per file, the reads made through Path.read_bytes and
+    Path.read_text while a command runs; a file named in the returned swaps
+    reads as the bytes given there from its second read on."""
+    counts, swaps = {}, {}
+    real_bytes, real_text = Path.read_bytes, Path.read_text
+
+    def read_bytes(self):
+        key = self.resolve()
+        counts[key] = counts.get(key, 0) + 1
+        return swaps[key] if key in swaps and counts[key] > 1 else real_bytes(self)
+
+    def read_text(self, *args, **kwargs):
+        key = self.resolve()
+        counts[key] = counts.get(key, 0) + 1
+        if key in swaps and counts[key] > 1:
+            return swaps[key].decode("utf-8")
+        return real_text(self, *args, **kwargs)
+
+    def run(argv, root: Path) -> dict[str, int]:
+        """main(argv)'s exit code and its reads of the files under root."""
+        counts.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(Path, "read_bytes", read_bytes)
+            mp.setattr(Path, "read_text", read_text)
+            code = main(argv)
+        root = root.resolve()
+        return code, {str(k.relative_to(root)): n for k, n in counts.items()
+                      if k.is_relative_to(root)}
+
+    return run, swaps
+
+
+def _stage_files(stages) -> dict[str, int]:
+    """Each output file of the given stages, read once."""
+    files = {"gen": [f"datasets/{n}/images.bin" for n in cli.DATASET_NAMES],
+             "pretrain": ["models/base.ckpt"], "finetune": ["models/retentive.ckpt"],
+             "eval": ["eval/report.json"]}
+    return {f: 1 for s in stages for f in files[s]}
+
+
+def test_each_command_reads_each_run_file_once(tiny_yaml, tmp_path, file_reads):
+    """Over stamped upstream stages, a pipeline command reads each stamp it
+    checks and each output file once: the walk's check hands the verified
+    bytes to the stage that decodes them. detect and report do the same."""
+    run, _ = file_reads
+    out = tmp_path / "o"
+    root = RunPaths(out, 3).root
+    args = ["--config", str(tiny_yaml), "--seed", "3", "--out", str(out)]
+    assert main(["gen-data", *args]) == 0
+    for i, stage in enumerate(STAGES[1:], 1):
+        code, reads = run([stage, *args], root)
+        assert code == 0
+        assert reads == {**{f"{s}.stamp.json": 1 for s in STAGES[:i]},
+                         **_stage_files(STAGES[:i + 1])}, stage
+    code, reads = run(["detect", *args], root)
+    assert code == 0
+    assert reads == {**{f"{s}.stamp.json": 1 for s in STAGES[:3]}, **_stage_files(STAGES[:3])}
+    code, reads = run(["report", "--out", str(out), "--seed", "3"], root)
+    assert code == 0
+    assert reads == {"eval.stamp.json": 1, "eval/report.json": 1}
+
+
+def test_eval_from_an_empty_directory_reads_no_file_more_than_twice(tiny_yaml, tmp_path,
+                                                                   file_reads):
+    """A payload is held only for the next stage that runs, so a dataset is
+    not held across training: the datasets pretrain does not read, and
+    base.ckpt, which finetune decodes, are read again once, and nothing else."""
+    run, _ = file_reads
+    out = tmp_path / "o"
+    code, reads = run(["eval", "--config", str(tiny_yaml), "--seed", "3", "--out", str(out)],
+                      RunPaths(out, 3).root)
+    assert code == 0
+    assert reads == {**_stage_files(STAGES), **{f: 2 for f in (
+        "datasets/kshot/images.bin", "datasets/test/images.bin",
+        "datasets/uar-eval/images.bin", "models/base.ckpt")}}
+
+
+def test_detect_uses_the_checkpoint_and_images_its_walk_verified(tiny_yaml, finished_run,
+                                                                other_seed_run, tmp_path,
+                                                                file_reads):
+    """A second read of retentive.ckpt or test/images.bin would see another
+    seed's valid file; detect reads each once, so it writes the detections
+    of the verified model on the verified images."""
+    run, swaps = file_reads
+    out = tmp_path / "copy"
+    shutil.copytree(finished_run, out)
+    args = ["detect", "--config", str(tiny_yaml), "--seed", "3", "--out", str(out)]
+    assert main(args) == 0
+    paths, other = RunPaths(out, 3), RunPaths(other_seed_run, 4)
+    want = paths.detections().read_bytes()
+    paths.detections().unlink()
+    for target, source in ((paths.checkpoint("retentive"), other.checkpoint("retentive")),
+                           (paths.dataset_dir("test") / "images.bin",
+                            other.dataset_dir("test") / "images.bin")):
+        swaps[target.resolve()] = source.read_bytes()
+    assert run(args, paths.root)[0] == 0
+    assert paths.detections().read_bytes() == want
+
+
+def test_report_prints_the_metrics_of_the_bytes_it_checked(finished_run, tmp_path, capsys,
+                                                           file_reads):
+    """A second read of report.json would see edited metrics; report reads
+    it once, checks those bytes against the eval stamp and prints them."""
+    run, swaps = file_reads
+    out = tmp_path / "copy"
+    shutil.copytree(finished_run, out)
+    args = ["report", "--out", str(out), "--seed", "3"]
+    assert main(args) == 0
+    want = capsys.readouterr().out
+    report = RunPaths(out, 3).eval_dir() / "report.json"
+    data = json.loads(report.read_text(encoding="utf-8"))
+    data["summary"]["bap"] = 0.9
+    swaps[report.resolve()] = json.dumps(data).encode("utf-8")
+    assert run(args, RunPaths(out, 3).root)[0] == 0
+    assert capsys.readouterr().out == want
+
+
+def test_a_runner_input_read_again_must_be_the_file_upstream_recorded(
+        tiny_yaml, other_seed_run, tmp_path, capsys, file_reads):
+    """The kshot dataset is not held across pretraining, so finetune reads it
+    again; another seed's valid kshot set there stops the walk with one line
+    and no finetune stamp."""
+    run, swaps = file_reads
+    out = tmp_path / "o"
+    paths = RunPaths(out, 3)
+    kshot = paths.dataset_dir("kshot") / "images.bin"
+    swaps[kshot.resolve()] = (RunPaths(other_seed_run, 4).dataset_dir("kshot")
+                              / "images.bin").read_bytes()
+    code, _ = run(["finetune", "--config", str(tiny_yaml), "--seed", "3", "--out", str(out)],
+                  paths.root)
+    assert code == 4
+    assert capsys.readouterr().err == (
+        f"artifact error: finetune: an input in {paths.root} changed on disk after its "
+        f"stage was checked\n")
+    assert paths.stamp("pretrain").exists() and not paths.stamp("finetune").exists()
+
+
+def _one_float_off(path: Path, magic: bytes, version: int, extra: int) -> tuple[int, int]:
+    """Rewrite a framed file, hash intact, with `extra` float64s more (or
+    fewer) than its header lists; returns (payload bytes, expected bytes)."""
+    blob = path.read_bytes()
+    fixed = len(magic) + 8
+    header_len = struct.unpack_from("<I", blob, fixed - 4)[0]
+    header = json.loads(blob[fixed:fixed + header_len])
+    payload = blob[fixed + header_len:-32]
+    edited = payload + bytes(8 * extra) if extra > 0 else payload[:8 * extra]
+    config.write_framed(path, magic, version, header, edited)
+    return len(edited), len(payload)
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["one-float-short", "one-float-long"])
+@pytest.mark.parametrize("kind", ["images", "checkpoint"])
+def test_eval_refuses_a_hash_valid_frame_of_another_payload_length(tiny_yaml, finished_run,
+                                                                   tmp_path, capsys, kind,
+                                                                   extra):
+    """test/images.bin or retentive.ckpt rewritten under a valid hash with one
+    float fewer or more than its header lists stops eval with exit 4 and one
+    line naming both lengths, and nothing is written under eval/."""
+    out = tmp_path / "copy"
+    shutil.copytree(finished_run, out)
+    paths = RunPaths(out, 3)
+    shutil.rmtree(paths.eval_dir())
+    paths.stamp("eval").unlink()
+    if kind == "images":
+        found, expected = _one_float_off(paths.dataset_dir("test") / "images.bin",
+                                         IMAGES_MAGIC, IMAGES_VERSION, extra)
+    else:
+        found, expected = _one_float_off(paths.checkpoint("retentive"), trainer.CHECKPOINT_MAGIC,
+                                         trainer.CHECKPOINT_VERSION, extra)
+    assert main(["eval", "--config", str(tiny_yaml), "--seed", "3", "--out", str(out)]) == 4
+    assert capsys.readouterr().err == (
+        f"artifact error: {kind} payload is {found} bytes; expected {expected}\n")
+    assert not paths.eval_dir().exists() and not paths.stamp("eval").exists()
+
+
+@pytest.mark.parametrize("command", ["report", "eval"])
+def test_a_missing_report_under_an_eval_stamp_is_missing(tiny_yaml, finished_run, tmp_path,
+                                                         capsys, command):
+    """report.json is read by one reader, which names a missing file as the
+    frame readers do; report and a re-run of eval exit 4 with that line."""
+    out = tmp_path / "copy"
+    shutil.copytree(finished_run, out)
+    report = RunPaths(out, 3).eval_dir() / "report.json"
+    report.unlink()
+    args = ["--seed", "3", "--out", str(out)]
+    if command == "eval":
+        args += ["--config", str(tiny_yaml)]
+    assert main([command, *args]) == 4
+    assert capsys.readouterr().err == f"artifact error: report {report} is missing\n"
+
+
+def test_a_stamp_whose_inputs_are_not_the_upstream_outputs_exits_4(tiny_yaml, finished_run,
+                                                                   other_seed_run, tmp_path,
+                                                                   capsys):
+    """Another seed's datasets moved in with their own gen stamp pass the gen
+    check, but the pretrain stamp recorded other inputs: the walk stops there
+    with one line and writes nothing."""
+    out = tmp_path / "copy"
+    shutil.copytree(finished_run, out)
+    paths, other = RunPaths(out, 3), RunPaths(other_seed_run, 4)
+    shutil.rmtree(paths.root / "datasets")
+    shutil.copytree(other.root / "datasets", paths.root / "datasets")
+    shutil.copyfile(other.stamp("gen"), paths.stamp("gen"))
+    before = _tree_state(out)
+    assert main(["eval", "--config", str(tiny_yaml), "--seed", "3", "--out", str(out)]) == 4
+    assert capsys.readouterr().err == (
+        "artifact error: pretrain: recorded inputs no longer match upstream artifacts\n")
+    assert _tree_state(out) == before

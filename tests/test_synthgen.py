@@ -341,7 +341,7 @@ def test_dataset_load_ignores_an_edited_or_deleted_manifest(tmp_path: Path, edit
     else:
         manifest.write_bytes(edit(manifest.read_bytes()))
     after = G.load_dataset(tmp_path / "d")
-    assert G.dataset_digest(tmp_path / "d") == digest
+    assert G.read_images(tmp_path / "d")[2] == digest
     assert after.manifest_dict() == before.manifest_dict()
     assert [a.tobytes() for a in after.images] == [b.tobytes() for b in before.images]
 
@@ -371,10 +371,10 @@ def test_images_payload_length_is_checked_at_every_boundary(tmp_path: Path, edit
     header, payload = edit(*_header_and_payload(path))
     digest = write_framed(path, G.IMAGES_MAGIC, G.IMAGES_VERSION, header, payload)
     if not extra:
-        assert G.dataset_digest(tmp_path / "d") == digest
+        assert G.read_images(tmp_path / "d")[2] == digest
         assert len(G.load_dataset(tmp_path / "d")) == 3
         return
-    for read in (G.dataset_digest, G.load_dataset):
+    for read in (G.read_images, G.load_dataset):
         with pytest.raises(CorruptArtifactError) as err:
             read(tmp_path / "d")
         assert str(err.value) == (f"images payload is {len(payload)} bytes; "
@@ -391,7 +391,7 @@ def test_images_header_of_another_manifest_version_is_refused(tmp_path: Path):
     header, payload = _header_and_payload(path)
     digest = write_framed(path, G.IMAGES_MAGIC, G.IMAGES_VERSION,
                           {**header, "version": G.MANIFEST_VERSION + 1}, payload)
-    assert G.dataset_digest(tmp_path / "d") == digest
+    assert G.read_images(tmp_path / "d")[2] == digest
     with pytest.raises(CorruptArtifactError) as err:
         G.load_dataset(tmp_path / "d")
     assert str(err.value) == f"unsupported manifest version {G.MANIFEST_VERSION + 1}"
@@ -405,7 +405,7 @@ def test_a_missing_images_bin_is_missing(tmp_path: Path):
                    tmp_path / "d")
     path = tmp_path / "d" / "images.bin"
     path.unlink()
-    for read in (G.dataset_digest, G.load_dataset):
+    for read in (G.read_images, G.load_dataset):
         with pytest.raises(CorruptArtifactError) as err:
             read(tmp_path / "d")
         assert str(err.value) == f"images {path} is missing"

@@ -4,8 +4,9 @@ sections, cli reads them through the eval stamp only, the run orchestration
 reads no model stage, the package holds no code that only tests call, a
 process that only generates data imports no training code, a config cannot
 change once built, one function writes every file, one module frames and
-decodes binary files, no module reads manifest.json, every record field is
-read outside its class, and tests/mutate.py enumerates the mutants it should."""
+decodes binary files, only the dataset and checkpoint readers read a frame and
+cli loads nothing by path, no module reads manifest.json, every record field
+is read outside its class, and tests/mutate.py enumerates the mutants it should."""
 
 import ast
 import dataclasses
@@ -202,6 +203,33 @@ def test_manifest_json_is_written_never_read():
         found += [f"{path.name}:{i}" for i, line in enumerate(text.splitlines(), 1)
                   if "manifest.json" in line and i not in allowed]
     assert not found, found
+
+
+def _callers(name: str) -> list[str]:
+    """module.function of every top-level function in src/retentive whose body calls name."""
+    found = []
+    for path in sorted((ROOT / "src" / "retentive").glob("*.py")):
+        for fn in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(n, ast.Call) and name in (getattr(n.func, "id", None),
+                                                         getattr(n.func, "attr", None))
+                    for n in ast.walk(fn)):
+                found.append(f"{path.stem}.{fn.name}")
+    return found
+
+
+def test_frames_are_read_by_the_dataset_and_checkpoint_readers_only():
+    """A command reads each run file once, through the walk's check, which
+    hands the verified frame on; a third caller of read_framed would be a
+    second read of a file the walk has already checked."""
+    assert _callers("read_framed") == ["synthgen.read_images", "trainer.read_checkpoint"]
+
+
+def test_cli_decodes_what_its_walk_read_and_loads_nothing_by_path():
+    """Stages, detect and report decode the payloads the walk verified; a
+    load_dataset or load_checkpoint in cli would read a file a second time."""
+    assert [c for name in ("load_dataset", "load_checkpoint") for c in _callers(name)
+            if c.startswith("cli.")] == []
 
 
 def test_head_layer_names_live_in_detector_only():
@@ -420,6 +448,10 @@ ALLOWED_DEFAULTS = {
     # the module's __main__ block (and the retentive console script) leave it
     # out, so argparse reads sys.argv
     "cli.main.argv": ("cli",),
+    # report_metrics passes the report.json bytes the eval check hashed; the
+    # readers of stamps and tables leave it out, so the file is read
+    "config.read_json_object.raw": ("evaluation.report_metrics", "cli._read_stamp",
+                                    "cli._read_aggregate", "cli.run_ablation"),
     # each config section passes some bounds and choices and leaves the rest
     "config.rule.lo": ("config.DatasetConfig", "config.ModelConfig"),
     "config.rule.hi": ("config.DatasetConfig", "config.EvalConfig"),

@@ -39,9 +39,9 @@ from retentive.trainer import (
     finetune,
     load_checkpoint,
     pretrain,
+    read_checkpoint,
     save_checkpoint,
     sgd_step,
-    verify_checkpoint,
 )
 
 
@@ -626,7 +626,7 @@ def test_checkpoint_roundtrip_is_bitwise(tmp_path):
     model, _ = finetune(base, kshot_ds, cfg, seed=5)
     p = tmp_path / "model.ckpt"
     digest = save_checkpoint(model, p)
-    assert digest == verify_checkpoint(p)
+    assert digest == read_checkpoint(p)[2]
     back = load_checkpoint(p)
     assert back.stage == STAGE_RETENTIVE
     assert back.feat_seed == model.feat_seed
@@ -675,7 +675,7 @@ def test_checkpoint_rejects_corruption(tmp_path):
     save_checkpoint(model, p)
     blob = p.read_bytes()
 
-    assert verify_checkpoint(p) == blob[-32:].hex()
+    assert read_checkpoint(p)[2] == blob[-32:].hex()
     flipped = bytearray(blob)
     flipped[len(blob) // 2] ^= 0xFF
     versioned = bytearray(blob)
@@ -699,7 +699,7 @@ def test_checkpoint_rejects_corruption(tmp_path):
     for name, data in bad.items():
         (tmp_path / name).write_bytes(data)
     for name in [*bad, "missing.ckpt"]:
-        for read in (load_checkpoint, verify_checkpoint):
+        for read in (load_checkpoint, read_checkpoint):
             with pytest.raises(CorruptCheckpointError):
                 read(tmp_path / name)
 
@@ -720,7 +720,7 @@ def test_checkpoint_shorter_than_its_fixed_fields_is_truncated(tmp_path):
     # digest; none may reach struct.unpack_from with too few bytes
     for n in range(len(trainer.CHECKPOINT_MAGIC) + 8 + 32 + 1):
         p.write_bytes(blob[:n])
-        for read in (verify_checkpoint, load_checkpoint):
+        for read in (read_checkpoint, load_checkpoint):
             with pytest.raises(CorruptCheckpointError, match="truncated"):
                 read(p)
 
@@ -730,7 +730,7 @@ def test_header_length_past_the_file_is_truncated(tmp_path, past):
     body = b"{}"
     p = tmp_path / "m.ckpt"
     p.write_bytes(_framed(len(body) + past, body))
-    for read in (verify_checkpoint, load_checkpoint):
+    for read in (read_checkpoint, load_checkpoint):
         with pytest.raises(CorruptCheckpointError, match="truncated"):
             read(p)
 
@@ -739,7 +739,7 @@ def test_empty_header_filling_the_file_exactly_is_unreadable_not_truncated(tmp_p
     p = tmp_path / "m.ckpt"
     p.write_bytes(_framed(0, b""))
     assert len(p.read_bytes()) == len(trainer.CHECKPOINT_MAGIC) + 8 + 32
-    for read in (verify_checkpoint, load_checkpoint):
+    for read in (read_checkpoint, load_checkpoint):
         with pytest.raises(CorruptCheckpointError, match="unreadable header"):
             read(p)
 
@@ -767,9 +767,9 @@ def test_checkpoint_payload_length_is_checked_at_every_boundary(tmp_path, edit, 
     header, payload = _reframed(p.read_bytes(), edit)
     digest = write_framed(p, trainer.CHECKPOINT_MAGIC, trainer.CHECKPOINT_VERSION, header, payload)
     if not extra:
-        assert verify_checkpoint(p) == digest
+        assert read_checkpoint(p)[2] == digest
         return
-    for read in (verify_checkpoint, load_checkpoint):
+    for read in (read_checkpoint, load_checkpoint):
         with pytest.raises(CorruptCheckpointError) as err:
             read(p)
         assert str(err.value) == (f"checkpoint payload is {len(payload)} bytes; "
@@ -792,7 +792,7 @@ def test_checkpoint_rejects_flags_its_stage_would_not_write(tmp_path, monkeypatc
     with monkeypatch.context() as mp:
         mp.setattr(trainer, "trainable_layers", lambda m: flagged)
         digest = save_checkpoint(model, p)
-    assert verify_checkpoint(p) == digest
+    assert read_checkpoint(p)[2] == digest
     with pytest.raises(CorruptCheckpointError, match="would not write"):
         load_checkpoint(p)
 
@@ -836,6 +836,6 @@ def test_checkpoint_rejects_arrays_its_stage_does_not_call_for(tmp_path, defect)
     else:
         model.params[f"{cls}/W"] = weights[:-1]
     p = tmp_path / "m.ckpt"
-    assert save_checkpoint(model, p) == verify_checkpoint(p)
+    assert save_checkpoint(model, p) == read_checkpoint(p)[2]
     with pytest.raises(CorruptCheckpointError, match="would not write"):
         load_checkpoint(p)
