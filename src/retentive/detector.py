@@ -266,9 +266,8 @@ def bias_balanced_objectness(o_b: np.ndarray, o_n: np.ndarray | None,
 
 @dataclass
 class Proposals:
-    boxes: np.ndarray       # (P, 4)
-    scores: np.ndarray      # (P,) objectness that survived
-    anchor_ids: np.ndarray  # (P,) the anchor each box was decoded from
+    boxes: np.ndarray   # (P, 4)
+    scores: np.ndarray  # (P,) objectness that survived
 
     def __len__(self) -> int:
         return self.boxes.shape[0]
@@ -288,11 +287,10 @@ def propose(objectness: np.ndarray, ranked: np.ndarray, boxes: np.ndarray,
     w = boxes[:, 2] - boxes[:, 0]
     h = boxes[:, 3] - boxes[:, 1]
     ok = (w > 1e-6) & (h > 1e-6)
-    ids, boxes = ranked[ok], boxes[ok]
-    scores = objectness[ids]
+    boxes, scores = boxes[ok], objectness[ranked[ok]]
     kept = nms(boxes, scores, dcfg.proposal_nms_iou, max_keep=dcfg.post_nms_k)
     return Proposals(boxes=np.ascontiguousarray(boxes[kept]),
-                     scores=np.ascontiguousarray(scores[kept]), anchor_ids=ids[kept])
+                     scores=np.ascontiguousarray(scores[kept]))
 
 
 def strategy_proposals(model: Model, forward: ImageForward, dcfg: DetectConfig,
@@ -324,50 +322,34 @@ def strategy_proposals(model: Model, forward: ImageForward, dcfg: DetectConfig,
             for s, r in ranked.items()}
 
 
-def pool_rois(model: Model, feat: np.ndarray, boxes: np.ndarray,
-              batch_idx: np.ndarray | None = None) -> np.ndarray:
-    """The roi_pool rows of boxes on a featurizer map, (P, C * bins * bins);
-    given a stack of maps, batch_idx names each box's map.
+def roi_rows(model: Model, maps: np.ndarray, sets) -> list[np.ndarray]:
+    """The projected, rectified ROI feature rows (P, head_dim) of each
+    (map index, (P, 4) boxes) set, boxes on a (B, H, W, C) stack of
+    featurizer maps.
 
-    Each row depends on its own box and map only, so one call may pool the
-    boxes of several detectors or images and each takes its rows.
+    A box is keyed by its map index and the bytes of its float64 row, and
+    one roi_pool call pools each distinct key once: a pooled row's bits do
+    not depend on what else shares the call. Each set is then projected
+    apart, at its own row count, because a GEMM row's bits may depend on the
+    row count; a head must be given exactly the rows it scores, never a
+    superset.
     """
     mcfg = model.mcfg
-    return roi_pool(feat, boxes, bins=mcfg.roi_pool_bins, stride=float(mcfg.feat_stride),
-                    batch_idx=batch_idx)
-
-
-def pool_proposals(model: Model, forward: ImageForward, proposal_sets,
-                   boxes: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """The ROI feature rows of each proposal set, and those of boxes, in order,
-    as roi_features gives them, all from one pool_rois call over the anchors
-    any set holds plus boxes. Each set, and boxes, is projected apart, at its
-    own row count.
-
-    Proposals of one image with the same anchor id hold the same decoded box,
-    so each distinct anchor is pooled once.
-    """
-    _, first, row = np.unique(np.concatenate([p.anchor_ids for p in proposal_sets]),
+    counts = [len(boxes) for _, boxes in sets]
+    keys = np.empty((sum(counts), 5))
+    keys[:, 0] = np.repeat([m for m, _ in sets], counts)
+    keys[:, 1:] = np.concatenate([boxes for _, boxes in sets])
+    _, first, row = np.unique(keys.view(np.dtype((np.void, keys.itemsize * 5))).ravel(),
                               return_index=True, return_inverse=True)
-    distinct = np.concatenate([p.boxes for p in proposal_sets])[first]
-    pooled = pool_rois(model, forward.feat, np.concatenate([distinct, boxes]))
-    rows = np.split(pooled[row], np.cumsum([len(p) for p in proposal_sets])[:-1])
-    return ([project_rois(model, r) for r in rows],
-            project_rois(model, pooled[len(first):]))
-
-
-def project_rois(model: Model, pooled: np.ndarray) -> np.ndarray:
-    """Projected, rectified ROI feature rows (P, head_dim) of pooled rows.
-
-    A GEMM row's bits may depend on the row count, so project exactly the
-    rows a head scores, never a superset.
-    """
-    return np.maximum(pooled @ model.params["boxhead_proj/W"].T, 0.0)
+    pooled = roi_pool(maps, keys[first, 1:], bins=mcfg.roi_pool_bins,
+                      stride=float(mcfg.feat_stride), batch_idx=keys[first, 0].astype(np.int64))
+    w = model.params["boxhead_proj/W"].T
+    return [np.maximum(pooled[r] @ w, 0.0) for r in np.split(row, np.cumsum(counts)[:-1])]
 
 
 def roi_features(model: Model, feat: np.ndarray, boxes: np.ndarray) -> np.ndarray:
-    """Pooled, projected, rectified per-ROI feature rows (P, head_dim)."""
-    return project_rois(model, pool_rois(model, feat, boxes))
+    """The ROI feature rows (P, head_dim) of boxes on one (H, W, C) featurizer map."""
+    return roi_rows(model, feat[None], [(0, boxes)])[0]
 
 
 def box_head_scores(model: Model, rois: np.ndarray, head: str) -> tuple[np.ndarray, np.ndarray]:
@@ -471,8 +453,8 @@ def score_proposals(model: Model, proposals: Proposals, rois: np.ndarray, side: 
                     dcfg: DetectConfig, heads: tuple[str, ...]) -> list[Detection]:
     """Score proposals with the given box heads and merge their candidates.
 
-    rois holds the proposals' ROI feature rows, one per box, as roi_features
-    or pool_proposals gives them; side is the image's.
+    rois holds the proposals' ROI feature rows, one per box, as roi_rows
+    gives them; side is the image's.
     """
     if len(rois) != len(proposals):
         raise ParameterError(f"{len(rois)} ROI feature rows for {len(proposals)} proposals")

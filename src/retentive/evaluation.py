@@ -23,7 +23,7 @@ from .detector import (
     STAGE_RETENTIVE,
     Model,
     image_forward,
-    pool_proposals,
+    roi_rows,
     score_proposals,
     strategy_proposals,
 )
@@ -256,7 +256,8 @@ def _infer(base: Model, model: Model, ds: Dataset, cfg: ExperimentConfig):
         per = strategy_proposals(model, fwd, cfg.detect, RPN_STRATEGIES)
         props.append(per)
         mine, theirs = per[model.rpn_strategy], per["base-only"]
-        (mine_rows, their_rows), rows = pool_proposals(model, fwd, [mine, theirs], rec.boxes)
+        sets = [(0, mine.boxes), (0, theirs.boxes), (0, rec.boxes)]
+        mine_rows, their_rows, rows = roi_rows(model, fwd.feat[None], sets)
         ret.append(score_proposals(model, mine, mine_rows, fwd.side, cfg.detect,
                                    ("base", "novel")))
         bas.append(score_proposals(base, theirs, their_rows, fwd.side, cfg.detect, ("base",)))

@@ -401,13 +401,12 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
 def roi_pool(feat: np.ndarray, boxes, bins: int, stride: float, batch_idx) -> np.ndarray:
     """Adaptive average pooling of image-coordinate boxes over feature maps.
 
-    feat is one (H,W,C) map or a (B,H,W,C) stack of maps. batch_idx holds
-    each box's map in the stack, as torchvision's batch index does; it is
-    None for one map, a stack of one whose boxes all lie on map 0. Each
-    (x1, y1, x2, y2) row is mapped into feature cells, clamped to cover at
-    least one cell, split into bins x bins integer cell ranges, and each bin
-    averages its cells. Returns (N, C * bins * bins) rows ordered channel,
-    bin row, bin column; zero boxes give a (0, C * bins * bins) array.
+    feat is a (B,H,W,C) stack of maps, and batch_idx holds each box's map in
+    the stack, as torchvision's batch index does. Each (x1, y1, x2, y2) row
+    is mapped into feature cells, clamped to cover at least one cell, split
+    into bins x bins integer cell ranges, and each bin averages its cells.
+    Returns (N, C * bins * bins) rows ordered channel, bin row, bin column;
+    zero boxes give a (0, C * bins * bins) array.
 
     A bin's mean is bitwise numpy's mean of each channel's window,
     ``np.moveaxis(feat, -1, 0)[:, ys:ye, xs:xe].mean(axis=(1, 2))``: numpy sums
@@ -423,17 +422,14 @@ def roi_pool(feat: np.ndarray, boxes, bins: int, stride: float, batch_idx) -> np
     whichever other boxes and maps share the call.
     """
     feat = np.asarray(feat, dtype=np.float64)
-    if feat.ndim == 3:
-        feat = feat[None]
-    elif feat.ndim != 4 or batch_idx is None:
-        raise ParameterError(f"feature maps must be one (H,W,C) map or a (B,H,W,C) stack "
-                             f"with a batch index per box, got {feat.shape}")
+    if feat.ndim != 4:
+        raise ParameterError(f"feature maps must be a (B,H,W,C) stack, got {feat.shape}")
     if bins < 1:
         raise ParameterError(f"bins must be >= 1, got {bins}")
     nb, fh, fw, c = feat.shape
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
     n = len(boxes)
-    batch = np.zeros(n, dtype=np.int64) if batch_idx is None else np.asarray(batch_idx)
+    batch = np.asarray(batch_idx)
     if batch.shape != (n,) or batch.dtype.kind not in "iu" or (
             n and not 0 <= batch.min() <= batch.max() < nb):
         raise ParameterError(f"batch_idx must hold one map index in [0, {nb}) per box, "

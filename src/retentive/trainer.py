@@ -28,8 +28,7 @@ from .detector import (
     image_anchors,
     image_forward,
     init_base_model,
-    pool_rois,
-    project_rois,
+    roi_rows,
     strategy_proposals,
     trainable_layers,
     trained_head,
@@ -218,15 +217,9 @@ def build_minibatch(model: Model, dataset: Dataset, image_indices, tcfg: TrainCo
             "roi_delta_t": _box_targets(ann_boxes, roi.matched_gt[r_idx], is_pos, r_boxes),
         }))
 
-    # one roi_pool call over every image's sampled rows; each image's rows are
-    # projected apart, at the row count one image gives, because a GEMM row's
-    # bits may depend on the row count
     maps, boxes, rows = zip(*parts)
-    counts = [len(b) for b in boxes]
-    pooled = pool_rois(model, np.stack(maps), np.concatenate(boxes),
-                       batch_idx=np.repeat(np.arange(len(maps)), counts))
-    for image_rows, feats in zip(rows, np.split(pooled, np.cumsum(counts)[:-1])):
-        image_rows["roi_feats"] = project_rois(model, feats)
+    for image_rows, feats in zip(rows, roi_rows(model, np.stack(maps), list(enumerate(boxes)))):
+        image_rows["roi_feats"] = feats
         if want_base_probs:
             image_rows["roi_base_probs"] = head_probs(model, image_rows["roi_feats"], "base")[0]
     return Minibatch(**{name: np.concatenate([r[name] for r in rows]) for name in rows[0]})

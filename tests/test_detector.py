@@ -567,8 +567,7 @@ def scored(model, props, rows, img, dcfg, heads):
 
 
 def prop_bits(props):
-    return (props.boxes.view(np.uint64).tolist(), props.scores.view(np.uint64).tolist(),
-            props.anchor_ids.tolist())
+    return props.boxes.view(np.uint64).tolist(), props.scores.view(np.uint64).tolist()
 
 
 @pytest.mark.parametrize("strategy", RPN_STRATEGIES)
@@ -588,14 +587,14 @@ def test_shared_forward_matches_per_image_path(tiny_finetuned, strategy):
         # the base model has no finetuned objectness head; "base-only" alone needs none
         assert prop_bits(shared["base-only"]) == prop_bits(
             D.strategy_proposals(base, fwd, dcfg, ("base-only",))["base-only"])
-        (rows,), _ = D.pool_proposals(model, fwd, [shared[strategy]], np.empty((0, 4)))
+        (rows,) = D.roi_rows(model, fwd.feat[None], [(0, shared[strategy].boxes)])
         got = scored(model, shared[strategy], rows, img, dcfg, ("base", "novel"))
         assert det_bits(got) == det_bits(D.detect(model, img, dcfg))
         alone = D.strategy_proposals(model, fwd, dcfg, (strategy,))[strategy]
-        (rows,), _ = D.pool_proposals(model, fwd, [alone], np.empty((0, 4)))
+        (rows,) = D.roi_rows(model, fwd.feat[None], [(0, alone.boxes)])
         assert det_bits(got) == det_bits(scored(model, alone, rows, img, dcfg, ("base", "novel")))
         # the base detector's own forward and proposals are the retentive model's
-        (rows,), _ = D.pool_proposals(model, fwd, [shared["base-only"]], np.empty((0, 4)))
+        (rows,) = D.roi_rows(model, fwd.feat[None], [(0, shared["base-only"].boxes)])
         got_base = scored(base, shared["base-only"], rows, img, dcfg, ("base",))
         assert det_bits(got_base) == det_bits(D.detect_base(base, img, dcfg))
         n_dets += len(got) + len(got_base)
@@ -604,17 +603,22 @@ def test_shared_forward_matches_per_image_path(tiny_finetuned, strategy):
 
 @pytest.mark.parametrize("strategy", RPN_STRATEGIES)
 def test_proposal_anchor_ids_name_the_decoded_anchor(tiny_finetuned, strategy):
+    # every proposal box is one row of decode_boxes over the strategy's ranked
+    # anchors, and no box repeats, so a box's bytes name its anchor
     _, model, images, dcfg = tiny_finetuned
     for img in images:
         fwd = D.image_forward(model, img)
-        deltas = D.rpn_box_deltas(model, fwd.cells)
+        o_b, o_n = (T.sigmoid(D.rpn_objectness_logits(model, fwd.cells, head))
+                    for head in ("base", "novel"))
+        ranked = T.rank(D.bias_balanced_objectness(o_b, o_n, strategy))[:dcfg.pre_nms_k]
         anchors = D.image_anchors(fwd.side, model.mcfg.feat_stride, model.mcfg.anchor_scales)
+        decoded = T.decode_boxes(D.rpn_box_deltas(model, fwd.cells)[ranked], anchors[ranked],
+                                 side=float(fwd.side))
+        anchor_of = {row.tobytes(): int(a) for a, row in zip(ranked, decoded)}
         for props in (D.strategy_proposals(model, fwd, dcfg, (strategy,))[strategy],
                       D.strategy_proposals(model, fwd, dcfg, RPN_STRATEGIES)[strategy]):
-            ids = props.anchor_ids
-            assert len(ids) == len(props) > 0 and len(set(ids.tolist())) == len(ids)
-            want = T.decode_boxes(deltas[ids], anchors[ids], side=float(fwd.side))
-            assert props.boxes.tobytes() == want.tobytes()
+            ids = [anchor_of.get(box.tobytes()) for box in props.boxes]
+            assert len(ids) == len(props) > 0 and None not in ids and len(set(ids)) == len(ids)
 
 
 @pytest.mark.parametrize("strategy", RPN_STRATEGIES)
@@ -626,15 +630,16 @@ def test_detectors_on_shared_pooled_rows_match_their_own_pooling(tiny_finetuned,
         fwd = D.image_forward(model, img)
         per = D.strategy_proposals(model, fwd, dcfg, RPN_STRATEGIES)
         mine, theirs = per[strategy], per["base-only"]
-        (mine_rows, their_rows), no_rows = D.pool_proposals(model, fwd, [mine, theirs],
-                                                            np.empty((0, 4)))
+        mine_rows, their_rows, no_rows = D.roi_rows(
+            model, fwd.feat[None], [(0, mine.boxes), (0, theirs.boxes), (0, np.empty((0, 4)))])
         assert len(no_rows) == 0
         assert mine_rows.tobytes() == D.roi_features(model, fwd.feat, mine.boxes).tobytes()
         # the models share their projection, so the adapted one serves the base detector
         assert their_rows.tobytes() == D.roi_features(base, fwd.feat, theirs.boxes).tobytes()
         side = float(img.shape[0])
         boxes = np.array([[2.0, 3.0, side / 2, side - 5.0], [0.0, 0.0, side, side]])
-        sets, box_rows = D.pool_proposals(model, fwd, [mine, theirs], boxes)
+        *sets, box_rows = D.roi_rows(model, fwd.feat[None],
+                                     [(0, mine.boxes), (0, theirs.boxes), (0, boxes)])
         assert [r.tobytes() for r in sets] == [mine_rows.tobytes(), their_rows.tobytes()]
         assert box_rows.tobytes() == D.roi_features(model, fwd.feat, boxes).tobytes()
         got = scored(model, mine, mine_rows, img, dcfg, ("base", "novel"))
@@ -649,11 +654,46 @@ def test_pooled_rows_need_the_proposals_they_pool(tiny_finetuned):
     base, model, images, dcfg = tiny_finetuned
     fwd = D.image_forward(model, images[0])
     props = D.strategy_proposals(model, fwd, dcfg, ("base-only",))["base-only"]
-    (rows,), _ = D.pool_proposals(model, fwd, [props], np.empty((0, 4)))
+    (rows,) = D.roi_rows(model, fwd.feat[None], [(0, props.boxes)])
     assert len(rows) == len(props) > 0
     for short in (rows[:-1], np.empty((0, rows.shape[1]))):
         with pytest.raises(ParameterError, match="ROI feature rows"):
             scored(base, props, short, images[0], dcfg, ("base",))
+
+
+def test_roi_rows_pool_each_distinct_map_and_box_once(tiny_finetuned, monkeypatch):
+    _, model, images, _ = tiny_finetuned
+    feats = [D.image_forward(model, img).feat for img in images[:2]]
+    side = float(images[0].shape[0])
+    a, b, c = [2.0, 3.0, side / 2, side - 5.0], [0.0, 0.0, side, side], [5.0, 6.0, 20.0, 30.0]
+    sets = [(0, np.array([a, b, a])),   # a box repeated within a set
+            (1, np.array([a, c])),      # the same box on the other map
+            (0, np.array([c, b])),      # boxes repeated across sets
+            (1, np.empty((0, 4)))]
+    mcfg, proj = model.mcfg, model.params["boxhead_proj/W"]
+    alone = []
+    for m, boxes in sets:
+        (rows,) = D.roi_rows(model, feats[m][None], [(0, boxes)])
+        pooled = T.roi_pool(feats[m][None], boxes, bins=mcfg.roi_pool_bins,
+                            stride=float(mcfg.feat_stride),
+                            batch_idx=np.zeros(len(boxes), dtype=np.int64))
+        assert rows.tobytes() == np.maximum(pooled @ proj.T, 0.0).tobytes()
+        alone.append(rows)
+
+    calls = []
+
+    def counting(feat, boxes, bins, stride, batch_idx):
+        calls.append([(int(m), tuple(box)) for m, box in zip(batch_idx, boxes.tolist())])
+        return T.roi_pool(feat, boxes, bins=bins, stride=stride, batch_idx=batch_idx)
+
+    monkeypatch.setattr(D, "roi_pool", counting)
+    got = D.roi_rows(model, np.stack(feats), sets)
+    assert len(calls) == 1
+    assert sorted(calls[0]) == sorted({(0, tuple(a)), (0, tuple(b)), (0, tuple(c)),
+                                       (1, tuple(a)), (1, tuple(c))})
+    assert [r.tobytes() for r in got] == [r.tobytes() for r in alone]
+    assert got[0][0].tobytes() == got[0][2].tobytes()
+    assert got[3].shape == (0, mcfg.head_dim)
 
 
 def test_strategy_proposals_reject_a_forward_off_the_anchor_grid(tiny_finetuned):

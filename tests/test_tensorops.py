@@ -578,9 +578,15 @@ def test_conv3x3_bitwise_matches_loop_oracle(cin, cout, side):
 # roi_pool
 # ---------------------------------------------------------------------------
 
+def _pool_one_map(feat, boxes, bins, stride):
+    """roi_pool over one (H,W,C) map: a stack of one, every box on map 0."""
+    return T.roi_pool(feat[None], boxes, bins=bins, stride=stride,
+                      batch_idx=np.zeros(len(boxes), dtype=np.int64))
+
+
 def test_roi_pool_constant_map():
     feat = np.full((2, 16, 16), 3.5)
-    out = T.roi_pool(_hwc(feat), [(5.0, 5.0, 40.0, 40.0)], bins=3, stride=4.0, batch_idx=None)
+    out = _pool_one_map(_hwc(feat), [(5.0, 5.0, 40.0, 40.0)], bins=3, stride=4.0)
     assert out.shape == (1, 18)
     assert np.allclose(out, 3.5, atol=1e-15)
 
@@ -588,21 +594,21 @@ def test_roi_pool_constant_map():
 def test_roi_pool_full_map_single_bin():
     rng = np.random.default_rng(2)
     feat = rng.random((4, 16, 16))
-    out = T.roi_pool(_hwc(feat), [(0.0, 0.0, 64.0, 64.0)], bins=1, stride=4.0, batch_idx=None)
+    out = _pool_one_map(_hwc(feat), [(0.0, 0.0, 64.0, 64.0)], bins=1, stride=4.0)
     assert np.allclose(out[0], feat.mean(axis=(1, 2)), atol=1e-12)
 
 
 def test_roi_pool_hand_case():
     # 4x4 single-channel map; box covers feature cells [0:2, 0:2] with 2x2 bins
     feat = np.arange(16, dtype=np.float64).reshape(1, 4, 4)
-    out = T.roi_pool(_hwc(feat), [(0.0, 0.0, 2.0, 2.0)], bins=2, stride=1.0, batch_idx=None)
+    out = _pool_one_map(_hwc(feat), [(0.0, 0.0, 2.0, 2.0)], bins=2, stride=1.0)
     # one cell per bin: values 0, 1, 4, 5
     assert np.allclose(out[0], [0.0, 1.0, 4.0, 5.0], atol=1e-15)
 
 
 def test_roi_pool_subcell_box_clamps():
     feat = np.arange(16, dtype=np.float64).reshape(1, 4, 4)
-    out = T.roi_pool(_hwc(feat), [(4.1, 4.2, 4.3, 4.4)], bins=1, stride=4.0, batch_idx=None)
+    out = _pool_one_map(_hwc(feat), [(4.1, 4.2, 4.3, 4.4)], bins=1, stride=4.0)
     assert out.shape == (1, 1)
     assert out[0, 0] == feat[0, 1, 1]
 
@@ -610,33 +616,30 @@ def test_roi_pool_subcell_box_clamps():
 def test_roi_pool_rejects_outside_box():
     feat = _hwc(np.zeros((1, 4, 4)))
     with pytest.raises(ParameterError):
-        T.roi_pool(feat, [(100.0, 100.0, 120.0, 120.0)], bins=2, stride=4.0, batch_idx=None)
+        _pool_one_map(feat, [(100.0, 100.0, 120.0, 120.0)], bins=2, stride=4.0)
     with pytest.raises(ParameterError):
-        T.roi_pool(feat, [(8.0, 8.0, 8.0, 8.0)], bins=2, stride=4.0, batch_idx=None)
+        _pool_one_map(feat, [(8.0, 8.0, 8.0, 8.0)], bins=2, stride=4.0)
 
 
 def test_roi_pool_error_names_first_bad_row():
     feat = _hwc(np.zeros((1, 4, 4)))
     boxes = [(0.0, 0.0, 8.0, 8.0), (100.0, 100.0, 120.0, 120.0), (8.0, 8.0, 8.0, 8.0)]
     with pytest.raises(ParameterError, match=r"row 1 \(100\.0, 100\.0, 120\.0, 120\.0\)"):
-        T.roi_pool(feat, boxes, bins=2, stride=4.0, batch_idx=None)
+        _pool_one_map(feat, boxes, bins=2, stride=4.0)
     with pytest.raises(ParameterError, match=r"row 0 \(0\.0, 0\.0, 8\.0, nan\)"):
-        T.roi_pool(feat, [(0.0, 0.0, 8.0, np.nan)], bins=2, stride=4.0, batch_idx=None)
+        _pool_one_map(feat, [(0.0, 0.0, 8.0, np.nan)], bins=2, stride=4.0)
     with pytest.raises(ParameterError, match="row 2"):
-        T.roi_pool(feat, boxes[:1] * 2 + [(-np.inf, 0.0, 8.0, 8.0)], bins=2, stride=4.0,
-                   batch_idx=None)
+        _pool_one_map(feat, boxes[:1] * 2 + [(-np.inf, 0.0, 8.0, 8.0)], bins=2, stride=4.0)
 
 
 @pytest.mark.parametrize("bins", [0, -1])
 def test_roi_pool_rejects_bad_bins(bins):
     with pytest.raises(ParameterError):
-        T.roi_pool(_hwc(np.ones((1, 4, 4))), [(0.0, 0.0, 8.0, 8.0)], bins=bins, stride=4.0,
-                   batch_idx=None)
+        _pool_one_map(_hwc(np.ones((1, 4, 4))), [(0.0, 0.0, 8.0, 8.0)], bins=bins, stride=4.0)
 
 
 def test_roi_pool_zero_boxes():
-    out = T.roi_pool(_hwc(np.ones((3, 4, 4))), np.zeros((0, 4)), bins=2, stride=4.0,
-                     batch_idx=None)
+    out = _pool_one_map(_hwc(np.ones((3, 4, 4))), np.zeros((0, 4)), bins=2, stride=4.0)
     assert out.shape == (0, 12) and out.dtype == np.float64
 
 
@@ -644,7 +647,7 @@ def test_roi_pool_scalar_loop_oracle():
     rng = np.random.default_rng(8)
     feat = rng.random((3, 16, 16))
     box = (6.0, 3.0, 47.0, 52.0)
-    got = T.roi_pool(_hwc(feat), [box], bins=3, stride=4.0, batch_idx=None)[0].reshape(3, 3, 3)
+    got = _pool_one_map(_hwc(feat), [box], bins=3, stride=4.0)[0].reshape(3, 3, 3)
     # independent scalar recomputation
     x1, y1, x2, y2 = (v / 4.0 for v in box)
     cx1, cy1 = int(np.floor(x1)), int(np.floor(y1))
@@ -667,7 +670,7 @@ def _spread_features(seed: int, shape) -> np.ndarray:
 
 
 def _assert_roi_pool_matches_oracle(feat, boxes, bins, stride):
-    got = T.roi_pool(_hwc(feat), boxes, bins=bins, stride=stride, batch_idx=None)
+    got = _pool_one_map(_hwc(feat), boxes, bins=bins, stride=stride)
     want = np.stack([roi_pool_oracle(feat, box, bins, stride) for box in boxes])
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -730,7 +733,7 @@ def test_roi_pool_bitwise_matches_oracle_on_rectified_maps(seed):
              *random_boxes.tolist()]
     for bins in (1, 2, 3):
         _assert_roi_pool_matches_oracle(feat, boxes, bins, 4.0)
-    assert not T.roi_pool(_hwc(feat), boxes[:1], bins=2, stride=4.0, batch_idx=None).any()
+    assert not _pool_one_map(_hwc(feat), boxes[:1], bins=2, stride=4.0).any()
 
 
 def _stack_problem(seed: int, n_maps: int, boxes_per_map):
@@ -755,26 +758,17 @@ def test_roi_pool_over_a_stack_matches_one_call_per_map(boxes_per_map, bins):
     want = np.empty_like(got)
     for m, feat in enumerate(maps):
         mine = batch == m
-        want[mine] = T.roi_pool(_hwc(feat), boxes[mine], bins=bins, stride=4.0, batch_idx=None)
+        want[mine] = _pool_one_map(_hwc(feat), boxes[mine], bins=bins, stride=4.0)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def test_roi_pool_one_map_is_a_stack_of_one():
-    maps, boxes, batch = _stack_problem(5, 1, (8,))
-    alone = T.roi_pool(_hwc(maps[0]), boxes, bins=2, stride=4.0, batch_idx=None)
-    assert alone.tobytes() == T.roi_pool(_hwc(maps), boxes, bins=2, stride=4.0,
-                                         batch_idx=batch).tobytes()
-    assert alone.tobytes() == T.roi_pool(_hwc(maps[0]), boxes, bins=2, stride=4.0,
-                                         batch_idx=np.zeros(8, dtype=np.int64)).tobytes()
-
-
 @pytest.mark.parametrize("feat, batch", [
-    (np.ones((2, 4, 4, 1)), None),                       # a stack needs batch_idx
+    (np.ones((4, 4, 1)), None),                          # a 3-D map is refused
     (np.ones((2, 4, 4, 1)), np.array([0, 2])),           # index past the stack
     (np.ones((2, 4, 4, 1)), np.array([-1, 0])),
     (np.ones((2, 4, 4, 1)), np.array([0])),              # one index per box
     (np.ones((2, 4, 4, 1)), np.array([0.0, 1.0])),       # integer indices only
-    (np.ones((4, 4, 1)), np.array([0, 1])),              # one map is map 0
+    (np.ones((4, 4, 1)), np.zeros(2, dtype=np.int64)),   # even with every box on map 0
     (np.ones((4, 4)), None),
 ])
 def test_roi_pool_rejects_bad_stacks_and_batch_indices(feat, batch):

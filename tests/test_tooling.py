@@ -5,8 +5,9 @@ reads no model stage, the package holds no code that only tests call, a
 process that only generates data imports no training code, a config cannot
 change once built, one function writes every file, one module frames and
 decodes binary files, only the dataset and checkpoint readers read a frame and
-cli loads nothing by path, no module reads manifest.json, every record field
-is read outside its class, and tests/mutate.py enumerates the mutants it should."""
+cli loads nothing by path, no module reads manifest.json, one function pools
+and projects ROI rows, every record field is read outside its class, and
+tests/mutate.py enumerates the mutants it should."""
 
 import ast
 import dataclasses
@@ -230,6 +231,32 @@ def test_cli_decodes_what_its_walk_read_and_loads_nothing_by_path():
     load_dataset or load_checkpoint in cli would read a file a second time."""
     assert [c for name in ("load_dataset", "load_checkpoint") for c in _callers(name)
             if c.startswith("cli.")] == []
+
+
+def test_rois_are_pooled_and_projected_in_roi_rows_only():
+    """The base detector keeps its bits only if each box is pooled once and each
+    head's rows are projected apart at their own row count; a second caller of
+    roi_pool or reader of the projection would be a second place that rule must
+    hold. The projection's name may still key array_shapes' shape table."""
+    found = []
+    for path in sorted((ROOT / "src" / "retentive").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside, keys = set(), set()
+        for node in ast.walk(tree):
+            if path.name == "detector.py" and isinstance(node, ast.FunctionDef) \
+                    and node.name == "roi_rows":
+                inside = set(range(node.lineno, node.end_lineno + 1))
+            if isinstance(node, ast.Dict):
+                keys |= {id(k) for k in node.keys}
+        for node in ast.walk(tree):
+            pools = isinstance(node, ast.Call) and "roi_pool" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            projects = isinstance(node, ast.Constant) and node.value == "boxhead_proj/W" \
+                and id(node) not in keys
+            if (pools or projects) and node.lineno not in inside:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+    assert _callers("roi_pool") == ["detector.roi_rows"]
 
 
 def test_head_layer_names_live_in_detector_only():
@@ -458,9 +485,6 @@ ALLOWED_DEFAULTS = {
     "config.rule.above": ("config.ModelConfig", "config.TrainConfig"),
     "config.rule.below": ("config.TrainConfig",),
     "config.rule.choices": ("config.TrainConfig",),
-    # build_minibatch pools a stack of maps; one image's pooling leaves it out
-    "detector.pool_rois.batch_idx": ("trainer.build_minibatch", "detector.pool_proposals",
-                                     "detector.roi_features"),
     # _run_gen passes uar_eval_images for uar-eval, base_train_images by default
     "synthgen.build_base_dataset.num_images": ("cli._run_gen",),
     # the merge passes class ids; proposal NMS leaves them out
